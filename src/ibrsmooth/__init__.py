@@ -36,7 +36,7 @@ from .kernel_smoother import (
     calibrate_bandwidth,
     calibrate_total_df,
 )
-from .kernels import kernel_value, kernel_values
+from .kernels import kernel_values
 from .model_io import LoadedModel, load_model, save_model
 from .report import FitReport, format_report, make_report
 from .selection import (
@@ -100,7 +100,6 @@ __all__ = [
     "format_report",
     "iterate_fitted",
     "iterate_fitted_recursive",
-    "kernel_value",
     "kernel_values",
     "load_csv",
     "load_model",

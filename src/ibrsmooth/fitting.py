@@ -15,8 +15,9 @@ from .kernel_smoother import (
     build_kernel_smoother,
     calibrate_bandwidth,
     calibrate_total_df,
+    kernel_weights,
 )
-from .kernels import kernel_values, resolve_kernel
+from .kernels import resolve_kernel
 from .selection import (
     CRITERIA,
     CV_LOSSES,
@@ -114,22 +115,7 @@ class KernelPredictor:
     beta: np.ndarray
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
-        x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-        if x_new.shape[1] != self.x_train.shape[1]:
-            raise ValueError(
-                f"expected {self.x_train.shape[1]} columns, got {x_new.shape[1]}"
-            )
-        w = np.ones((x_new.shape[0], self.x_train.shape[0]))
-        for j in range(self.x_train.shape[1]):
-            u = (x_new[:, j, None] - self.x_train[None, :, j]) / self.bandwidths[j]
-            w *= kernel_values(u, self.kind)
-        sums = w.sum(axis=1)
-        dead = np.nonzero(sums <= 0)[0]
-        if dead.size:
-            raise ValueError(
-                f"prediction rows {dead.tolist()} fall outside the kernel "
-                "support of every design point"
-            )
+        w, sums = kernel_weights(x_new, self.x_train, self.kind, self.bandwidths)
         return (w @ self.beta) / sums
 
 

@@ -3,8 +3,9 @@
 Each stage tries every unselected covariate next to the current set, fits
 the full pipeline (calibration, k chosen by the plan's criterion) and
 scores the fit with ``varcrit`` at the chosen k. The stage keeps the best
-candidate; the walk stops as soon as no candidate strictly improves on the
-best score seen so far.
+candidate; the walk stops as soon as even the best candidate scores
+strictly worse than the best score seen so far, so a candidate that ties
+it is still added.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def forward_select(
             break
         j_best = int(np.argmin(row))
         if row[j_best] > s_min:
-            # no candidate beats the incumbent best: stop before this stage
+            # every candidate is worse than the incumbent best (a tie goes
+            # on): stop before this stage
             break
         rows.append(row)
         selected.append(j_best)

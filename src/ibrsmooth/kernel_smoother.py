@@ -6,17 +6,25 @@ sums, so every row of S sums to one. Bandwidths are not tuned against the
 data fit; each one is calibrated so the corresponding univariate smoother
 has a prescribed (small) trace, which keeps the base smoother deliberately
 over-smooth.
+
+Every calibration here and in :mod:`ibrsmooth.tps` solves trace(scale) =
+target for a trace that decreases in its scale (a bandwidth, a common
+bandwidth factor or a spline penalty). One root finder serves them all:
+safeguarded Newton steps on log(scale), using the closed-form slope
+d trace / d log(scale), inside a sign bracket that falls back to bisection
+(``rtsafe``, Numerical Recipes section 9.4). A Gaussian column typically
+needs four to six trace evaluations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .kernels import is_positive_definite, kernel_values, resolve_kernel
+from .kernels import is_positive_definite, kernel_slopes, kernel_values, resolve_kernel
 from .smoothers import BaseSmoother, DesignMatrix, SpectralForm
 
 __all__ = [
@@ -28,10 +36,19 @@ __all__ = [
     "calibrate_total_df",
 ]
 
-# starting bracket for bandwidth root finding, as multiples of column range
+# starting sign bracket of the bandwidth search, as multiples of the column
+# range (of the column standard deviations for the common factor). An end is
+# only evaluated when a step heads past it; while the target lies beyond it,
+# it moves out tenfold, at most _MAX_EXPANSIONS times.
 _BRACKET_LO = 1e-3
 _BRACKET_HI = 1e3
 _MAX_EXPANSIONS = 10
+# the search stops once a Newton step or the bracket is this short in log
+# scale, i.e. relative to the scale; _MAX_STEPS covers bisecting the fully
+# expanded bracket down to it
+_LOG_XTOL = 1e-12
+_MAX_STEPS = 100
+_LN10 = math.log(10.0)
 
 
 class CalibrationError(RuntimeError):
@@ -65,14 +82,46 @@ class KernelSmootherSpec:
         return is_positive_definite(self.kind)
 
 
-def _gram(x: np.ndarray, kind: str, bandwidths: np.ndarray) -> np.ndarray:
-    """Dense product-kernel Gram matrix K_ij over the rows of x."""
-    n, d = x.shape
-    kmat = np.ones((n, n))
-    for j in range(d):
-        u = (x[:, j, None] - x[None, :, j]) / bandwidths[j]
-        kmat *= kernel_values(u, kind)
-    return kmat
+def product_kernel(x_new: np.ndarray, x: np.ndarray, kind: str, bandwidths) -> np.ndarray:
+    """Product-kernel weights prod_k K((x_new_ik - x_jk) / h_k).
+
+    One row per row of ``x_new``, one column per row of ``x``. The result is
+    built in place in one output array plus, for several columns, one
+    scratch array of the same shape, however many columns there are.
+    """
+    shape = (x_new.shape[0], x.shape[0])
+    out = np.empty(shape)
+    scratch = np.empty(shape) if x.shape[1] > 1 else out
+    for j, h in enumerate(bandwidths):
+        buf = out if j == 0 else scratch
+        np.subtract(x_new[:, j, None], x[None, :, j], out=buf)
+        buf /= h
+        kernel_values(buf, kind, out=buf)
+        if j:
+            out *= buf
+    return out
+
+
+def kernel_weights(
+    x_new, x: np.ndarray, kind: str, bandwidths
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized product-kernel weights of new points and their row sums.
+
+    Raises ValueError when ``x_new`` has the wrong number of columns or one
+    of its rows lies outside the kernel support of every design point.
+    """
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    if x_new.shape[1] != x.shape[1]:
+        raise ValueError(f"expected {x.shape[1]} columns, got {x_new.shape[1]}")
+    w = product_kernel(x_new, x, kind, bandwidths)
+    sums = w.sum(axis=1)
+    dead = np.nonzero(sums <= 0)[0]
+    if dead.size:
+        raise ValueError(
+            f"prediction rows {dead.tolist()} fall outside the kernel "
+            "support of every design point"
+        )
+    return w, sums
 
 
 class KernelSmoother(BaseSmoother):
@@ -85,7 +134,7 @@ class KernelSmoother(BaseSmoother):
             )
         self.design = design
         self.spec = spec
-        self.kmat = _gram(design.x, spec.kind, np.asarray(spec.bandwidths))
+        self.kmat = product_kernel(design.x, design.x, spec.kind, spec.bandwidths)
         self.row_sums = self.kmat.sum(axis=1)
         if np.any(self.row_sums <= 0):
             bad = np.nonzero(self.row_sums <= 0)[0]
@@ -124,22 +173,9 @@ class KernelSmoother(BaseSmoother):
         return self.weights_matrix(np.atleast_2d(np.asarray(x_new, dtype=float)))[0]
 
     def weights_matrix(self, x_new: np.ndarray) -> np.ndarray:
-        x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-        if x_new.shape[1] != self.d:
-            raise ValueError(f"expected {self.d} columns, got {x_new.shape[1]}")
-        h = np.asarray(self.spec.bandwidths)
-        w = np.ones((x_new.shape[0], self.n))
-        for j in range(self.d):
-            u = (x_new[:, j, None] - self.design.x[None, :, j]) / h[j]
-            w *= kernel_values(u, self.spec.kind)
-        sums = w.sum(axis=1)
-        dead = np.nonzero(sums <= 0)[0]
-        if dead.size:
-            raise ValueError(
-                f"prediction rows {dead.tolist()} fall outside the kernel "
-                "support of every design point"
-            )
-        return w / sums[:, None]
+        w, sums = kernel_weights(x_new, self.design.x, self.spec.kind, self.spec.bandwidths)
+        w /= sums[:, None]
+        return w
 
     def describe(self) -> str:
         return f"{self.spec.kind} kernel (with {self.initial_df:.4g} df)"
@@ -151,39 +187,123 @@ def build_kernel_smoother(x, spec: KernelSmootherSpec) -> KernelSmoother:
     return KernelSmoother(design, spec)
 
 
-def _univariate_trace(gaps: np.ndarray, kind: str, h: float) -> float:
-    """Trace of the row-normalized smoother for one column.
+def _trace_objective(x: np.ndarray, kind: str, scales: np.ndarray):
+    """Trace of the row-normalized product smoother over the rows of x.
 
-    ``gaps`` is the precomputed |x_i - x_j| matrix.
+    Returns a function of c that gives the trace with bandwidths
+    ``c * scales`` and its slope d trace / d log c. With row sums
+    s_i = sum_j K_ij, the trace is K(0)^d * sum_i 1 / s_i and its slope is
+    -K(0)^d * sum_i s_i' / s_i^2, where s_i' = d s_i / d log c follows from
+    :func:`ibrsmooth.kernels.kernel_slopes` by the product rule.
     """
-    kmat = kernel_values(gaps / h, kind)
-    k0 = float(kernel_values(np.zeros(1), kind)[0])
-    return float(np.sum(k0 / kmat.sum(axis=1)))
+    n, d = x.shape
+    if kind == "gaussian":
+        # K_ij = exp(q_ij / c^2) with q = -1/2 sum_k gap_k^2 / scale_k^2, up
+        # to a constant factor that cancels in the trace; u^2 K = -2 q K / c^2
+        q = np.zeros((n, n))
+        for j in range(d):
+            gap = np.subtract.outer(x[:, j], x[:, j])
+            gap /= scales[j]
+            gap *= gap
+            gap *= 0.5
+            q -= gap
+        kmat = np.empty_like(q)
+
+        def gaussian_trace(c: float) -> tuple[float, float]:
+            inv_c2 = 1.0 / (c * c)
+            np.multiply(q, inv_c2, out=kmat)
+            np.exp(kmat, out=kmat)
+            sums = kmat.sum(axis=1)
+            slopes = np.einsum("ij,ij->i", kmat, q)
+            slopes *= -2.0 * inv_c2
+            return float(np.sum(1.0 / sums)), float(-np.sum(slopes / (sums * sums)))
+
+        return gaussian_trace
+
+    k0 = float(kernel_values(np.zeros(1), kind)[0]) ** d
+
+    def product_trace(c: float) -> tuple[float, float]:
+        kmat = np.ones((n, n))
+        dkmat = np.zeros((n, n))
+        for j in range(d):
+            u = np.subtract.outer(x[:, j], x[:, j]) / (c * scales[j])
+            values = kernel_values(u, kind)
+            dkmat *= values
+            dkmat += kmat * kernel_slopes(u, kind)
+            kmat *= values
+        sums = kmat.sum(axis=1)
+        slopes = dkmat.sum(axis=1)
+        return float(k0 * np.sum(1.0 / sums)), float(-k0 * np.sum(slopes / (sums * sums)))
+
+    return product_trace
 
 
-def _bracketed_root(f, lo: float, hi: float, what: str) -> float:
-    """Find f = 0 for a decreasing f by expanding [lo, hi] then brentq.
+def _log_newton_root(trace, target: float, floor: float, lo: float, hi: float, what: str):
+    """Scale x in [lo, hi] (or the expanded bracket) where trace(x) = target.
 
-    f must be positive at the left end and negative at the right end once
-    the bracket is wide enough.
+    ``trace(x)`` must decrease in x towards ``floor`` as x grows, with
+    floor < target, and return the trace together with its slope
+    d trace / d log x. The search runs on t = log x from the middle of the
+    bracket. It keeps a sign bracket [a, b], trace above the target at a and
+    below it at b, and takes a Newton step only when it lands strictly
+    inside; otherwise it bisects (``rtsafe``). The steps are Newton steps
+    for log(trace - floor) = log(target - floor), which has the same root
+    and is close to linear in t where the trace decays like a power of x,
+    so steps from far out land near the root instead of overshooting. An
+    end that has not been evaluated is evaluated first when a step heads
+    past it, and moved out tenfold while the target lies beyond it. A zero
+    slope always bisects, so a piecewise constant trace narrows down to its
+    jump.
+
+    Returns the last evaluated scale and the trace there, so the caller
+    checks the achieved trace without another evaluation.
     """
-    flo, fhi = f(lo), f(hi)
-    for _ in range(_MAX_EXPANSIONS):
-        if flo > 0:
+    a, b = math.log(lo), math.log(hi)
+    a_known = b_known = False
+    a_moves = b_moves = 0
+    log_goal = math.log(target - floor)
+    t = 0.5 * (a + b)
+    for _ in range(_MAX_STEPS):
+        x = math.exp(t)
+        value, slope = trace(x)
+        gap = value - target
+        if gap == 0.0:
             break
-        lo /= 10.0
-        flo = f(lo)
-    for _ in range(_MAX_EXPANSIONS):
-        if fhi < 0:
+        if gap > 0.0:
+            a, a_known = t, True
+            if a >= b:
+                if b_moves == _MAX_EXPANSIONS:
+                    raise _no_bracket(what, target, x, value)
+                b, b_known, b_moves = b + _LN10, False, b_moves + 1
+        else:
+            b, b_known = t, True
+            if b <= a:
+                if a_moves == _MAX_EXPANSIONS:
+                    raise _no_bracket(what, target, x, value)
+                a, a_known, a_moves = a - _LN10, False, a_moves + 1
+        excess = value - floor
+        if slope < 0.0 and excess > 0.0:
+            step = excess * (log_goal - math.log(excess)) / slope
+        else:
+            step = math.copysign(math.inf, gap)
+        if abs(step) <= _LOG_XTOL or b - a <= _LOG_XTOL:
             break
-        hi *= 10.0
-        fhi = f(hi)
-    if not (flo > 0 > fhi):
-        raise CalibrationError(
-            f"could not bracket the {what} target: "
-            f"f({lo:.3e}) = {flo:.3e}, f({hi:.3e}) = {fhi:.3e}"
-        )
-    return float(brentq(f, lo, hi, xtol=1e-14 * hi, rtol=8.9e-16))
+        t += step
+        if not a < t < b:
+            if step > 0.0 and not b_known:
+                t = b
+            elif step < 0.0 and not a_known:
+                t = a
+            else:
+                t = 0.5 * (a + b)
+    return x, value
+
+
+def _no_bracket(what: str, target: float, x: float, value: float) -> CalibrationError:
+    return CalibrationError(
+        f"could not bracket the {what} target {target:g}: "
+        f"trace {value:.6g} at {x:.3e}, the end of the widest search range"
+    )
 
 
 def calibrate_bandwidth(
@@ -196,7 +316,10 @@ def calibrate_bandwidth(
     """Bandwidth whose univariate smoother trace equals ``df_target``.
 
     The trace decreases from (nearly) n at tiny bandwidths to 1 as the
-    bandwidth grows, so the target must lie strictly inside (1, n).
+    bandwidth grows, so the target must lie strictly inside (1, n). The
+    search takes safeguarded Newton steps on log h from the middle of
+    [1e-3, 1e3] times the column range; each step costs one n x n trace
+    evaluation.
     """
     col = np.asarray(column, dtype=float).ravel()
     n = col.size
@@ -207,14 +330,11 @@ def calibrate_bandwidth(
     rng = float(col.max() - col.min())
     if rng == 0.0:
         raise CalibrationError(f"{name} is constant; cannot calibrate a bandwidth")
-    gaps = np.abs(col[:, None] - col[None, :])
     kind = resolve_kernel(kind)
-
-    def objective(h: float) -> float:
-        return _univariate_trace(gaps, kind, h) - df_target
-
-    h = _bracketed_root(objective, _BRACKET_LO * rng, _BRACKET_HI * rng, "df")
-    achieved = _univariate_trace(gaps, kind, h)
+    trace = _trace_objective(col[:, None], kind, np.ones(1))
+    h, achieved = _log_newton_root(
+        trace, df_target, 1.0, _BRACKET_LO * rng, _BRACKET_HI * rng, "df"
+    )
     if abs(achieved - df_target) > tol:
         raise CalibrationError(
             f"{name}: {kind} trace is not continuous enough to reach "
@@ -232,7 +352,8 @@ def calibrate_total_df(
     s_j is the sample standard deviation of column j, so a single scalar c
     is tuned until the trace of the full product smoother equals
     ``total_df``. With one column this agrees with
-    :func:`calibrate_bandwidth` up to tolerance.
+    :func:`calibrate_bandwidth` up to tolerance. c is found by the same
+    safeguarded Newton search on log c, starting inside [1e-3, 1e3].
     """
     design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
     xm = design.x
@@ -245,17 +366,10 @@ def calibrate_total_df(
         names = [design.names[j] for j in flat]
         raise CalibrationError(f"constant columns {names}; cannot calibrate")
     kind = resolve_kernel(kind)
-    k0 = float(kernel_values(np.zeros(1), kind)[0]) ** design.d
-
-    def trace(c: float) -> float:
-        kmat = _gram(xm, kind, c * scales)
-        sums = kmat.sum(axis=1)
-        if np.any(sums <= 0):
-            return float(n)
-        return float(np.sum(k0 / sums))
-
-    c = _bracketed_root(lambda c: trace(c) - total_df, _BRACKET_LO, _BRACKET_HI, "total df")
-    achieved = trace(c)
+    trace = _trace_objective(xm, kind, scales)
+    c, achieved = _log_newton_root(
+        trace, total_df, 1.0, _BRACKET_LO, _BRACKET_HI, "total df"
+    )
     if abs(achieved - total_df) > tol:
         raise CalibrationError(
             f"total-df calibration reached {achieved:.6f} instead of "

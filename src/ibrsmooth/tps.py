@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import qr, solve_triangular
 from scipy.special import gamma as gamma_fn
 
-from .kernel_smoother import CalibrationError, _bracketed_root
+from .kernel_smoother import CalibrationError, _log_newton_root
 from .smoothers import BaseSmoother, DesignMatrix, SpectralForm
 
 __all__ = [
@@ -160,11 +160,17 @@ class _TpsCore:
         self.theta = np.maximum(theta, 0.0)
         self.w = w
 
-    def trace(self, lam: float) -> float:
+    def trace_and_slope(self, lam: float) -> tuple[float, float]:
+        """Smoother trace m + sum theta / (theta + n lam) and its slope in log lam.
+
+        With r = theta / (theta + n lam), the slope is -sum r (1 - r), which
+        equals -sum theta n lam / (theta + n lam)^2.
+        """
         nl = self.design.n * lam
         if nl == 0.0:
-            return float(self.design.n)
-        return float(self.m + np.sum(self.theta / (self.theta + nl)))
+            return float(self.design.n), 0.0
+        ratio = self.theta / (self.theta + nl)
+        return float(self.m + np.sum(ratio)), float(-np.sum(ratio * (1.0 - ratio)))
 
 
 class TpsSmoother(BaseSmoother):
@@ -253,10 +259,9 @@ def _calibrate_core(core: _TpsCore, df_multiplier: float, tol: float) -> TpsSpec
     if positive.size == 0:
         raise CalibrationError("radial block is identically zero; cannot calibrate")
     scale = float(np.median(positive)) / n
-    lam = _bracketed_root(
-        lambda l: core.trace(l) - target, scale * 1e-9, scale * 1e9, "spline df"
+    lam, achieved = _log_newton_root(
+        core.trace_and_slope, target, core.m, scale * 1e-9, scale * 1e9, "spline df"
     )
-    achieved = core.trace(lam)
     if abs(achieved - target) > tol:
         raise CalibrationError(
             f"spline calibration reached trace {achieved:.6f} instead of {target}"
@@ -274,7 +279,8 @@ def calibrate_tps_lambda(
 
     The trace decreases monotonically from n (lam -> 0) to the null-space
     dimension (lam -> inf), so the multiplier must satisfy
-    1 < df_multiplier and df_multiplier * null_dim < n.
+    1 < df_multiplier and df_multiplier * null_dim < n. The penalty is found
+    by safeguarded Newton steps on log lam, each an O(n) trace evaluation.
     """
     design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
     if order is None:

@@ -12,7 +12,8 @@ from ibrsmooth import (
     calibrate_bandwidth,
     calibrate_total_df,
 )
-from ibrsmooth.kernel_smoother import _univariate_trace
+from ibrsmooth import kernel_smoother
+from ibrsmooth.kernels import kernel_values
 
 from conftest import gaussian_smoother, random_design
 
@@ -86,13 +87,78 @@ def test_two_point_bandwidth_closed_form():
     assert h == pytest.approx(1.0 / np.sqrt(2.0 * np.log(3.0)), rel=1e-10)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "triangle"])
+@pytest.mark.parametrize("kind", ["gaussian", "triangle", "quartic", "epanechnikov"])
 @pytest.mark.parametrize("target", [1.1, 1.5, 3.0])
 def test_calibration_hits_target_trace(rng, kind, target):
     x = rng.normal(size=40) * 3.0
     h = calibrate_bandwidth(x, kind, target)
-    gaps = np.abs(x[:, None] - x[None, :])
-    assert _univariate_trace(gaps, kind, h) == pytest.approx(target, abs=1e-6)
+    sm = build_kernel_smoother(
+        DesignMatrix.from_array(x), KernelSmootherSpec(kind=kind, bandwidths=(h,))
+    )
+    assert sm.initial_df == pytest.approx(target, abs=1e-6)
+
+
+# Bandwidths calibrated by the bracket-and-brentq search this library used
+# before the Newton search; that search stopped within 1e-11 * column range,
+# so the values are good to about 1e-11 relative.
+PINNED_BANDWIDTHS = {
+    1.1: (2.6630086023787514, 13.904979331893397),
+    1.5: (1.1867452816530057, 6.209407897853852),
+    3.0: (0.5548882816818484, 2.9719759980624416),
+}
+PINNED_TOTAL_DF_BANDWIDTHS = (0.8039311976477179, 4.197111627945372)
+
+
+def _pinned_design():
+    rng = np.random.default_rng(7)
+    return rng.normal(size=(60, 2)) * np.array([1.0, 5.0])
+
+
+@pytest.mark.parametrize("target", sorted(PINNED_BANDWIDTHS))
+def test_gaussian_bandwidths_match_pinned_values(target):
+    x = _pinned_design()
+    hs = [calibrate_bandwidth(x[:, j], "gaussian", target) for j in range(2)]
+    assert hs == pytest.approx(PINNED_BANDWIDTHS[target], rel=1e-10)
+
+
+def test_total_df_bandwidths_match_pinned_values():
+    hs = calibrate_total_df(_pinned_design(), "gaussian", 4.0)
+    assert list(hs) == pytest.approx(PINNED_TOTAL_DF_BANDWIDTHS, rel=1e-10)
+
+
+@pytest.mark.parametrize("target", [1.1, 1.5, 3.0])
+def test_gaussian_calibration_needs_few_trace_evaluations(monkeypatch, target):
+    """Each trace evaluation costs an n x n exp; the Newton search needs a
+    handful per column where bracketing plus brentq needed over twenty."""
+    calls = []
+    make_objective = kernel_smoother._trace_objective
+
+    def counting_objective(*args):
+        trace = make_objective(*args)
+
+        def counted(c):
+            calls.append(c)
+            return trace(c)
+
+        return counted
+
+    monkeypatch.setattr(kernel_smoother, "_trace_objective", counting_objective)
+    x = np.random.default_rng(5).normal(size=(200, 2)) * np.array([1.0, 30.0])
+    for j in range(2):
+        calls.clear()
+        calibrate_bandwidth(x[:, j], "gaussian", target)
+        assert 1 <= len(calls) <= 10
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "triangle", "quartic"])
+def test_trace_slope_matches_finite_difference(rng, kind):
+    x = rng.normal(size=(30, 2)) * np.array([1.0, 4.0])
+    trace = kernel_smoother._trace_objective(x, kind, x.std(axis=0, ddof=1))
+    c, eps = 0.9, 1e-6
+    _, slope = trace(c)
+    numeric = (trace(c * np.exp(eps))[0] - trace(c * np.exp(-eps))[0]) / (2 * eps)
+    assert slope < 0.0
+    assert slope == pytest.approx(numeric, rel=1e-6)
 
 
 def test_calibrated_product_smoother_trace(rng):
@@ -141,6 +207,26 @@ def test_uniform_kernel_unreachable_target_names_the_fix():
     x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     with pytest.raises(CalibrationError, match="gaussian"):
         calibrate_bandwidth(x, "uniform", 1.5)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "triangle", "quartic", "epanechnikov", "uniform"])
+def test_product_kernel_matches_columnwise_product(rng, kind):
+    """The in-place basis gives the same bits as multiplying freshly
+    evaluated kernel columns into a matrix of ones."""
+    x = rng.uniform(size=(25, 3))
+    x_new = rng.uniform(size=(7, 3))
+    h = (0.4, 0.7, 0.55)
+    expected = np.ones((7, 25))
+    for j in range(3):
+        expected *= kernel_values((x_new[:, j, None] - x[None, :, j]) / h[j], kind)
+    assert np.array_equal(kernel_smoother.product_kernel(x_new, x, kind, h), expected)
+
+
+def test_unreachable_target_cannot_be_bracketed():
+    # two distinct values: the trace stays below 2 at every bandwidth
+    x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    with pytest.raises(CalibrationError, match="bracket"):
+        calibrate_bandwidth(x, "gaussian", 2.5)
 
 
 def test_describe_mentions_kernel_and_df(rng):

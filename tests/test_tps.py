@@ -123,7 +123,39 @@ def test_trace_identity_matches_initial_df(rng):
     design = random_design(rng, 22, 2)
     spec = calibrate_tps_lambda(design, df_multiplier=1.6)
     sm = build_tps_smoother(design, spec)
-    assert sm.core.trace(spec.lam) == pytest.approx(sm.initial_df, abs=1e-8)
+    assert sm.core.trace_and_slope(spec.lam)[0] == pytest.approx(sm.initial_df, abs=1e-8)
+
+
+def test_trace_slope_matches_finite_difference(rng):
+    design = random_design(rng, 25, 2)
+    sm = build_calibrated_tps(design, df_multiplier=1.5)
+    lam, eps = sm.spec.lam, 1e-6
+    _, slope = sm.core.trace_and_slope(lam)
+    up = sm.core.trace_and_slope(lam * np.exp(eps))[0]
+    down = sm.core.trace_and_slope(lam * np.exp(-eps))[0]
+    assert slope < 0.0
+    assert slope == pytest.approx((up - down) / (2 * eps), rel=1e-6)
+
+
+# Penalties calibrated by the bracket-and-brentq search this library used
+# before the Newton search, as (seed, n, d, df_multiplier, lam). That search
+# stopped within 1e-5 * median(theta) / n of the root, which is coarser than
+# 1e-10 relative for some designs, so lam is pinned to that tolerance and
+# the trace the new search reaches is pinned to the target.
+PINNED_PENALTIES = [
+    (11, 40, 2, 1.1, 0.01551650646906567),
+    (11, 40, 2, 2.0, 0.0009478003406283021),
+    (12, 30, 3, 1.1, 0.0264373857717119),
+]
+
+
+@pytest.mark.parametrize("seed,n,d,mult,pinned", PINNED_PENALTIES)
+def test_penalty_matches_pinned_value(seed, n, d, mult, pinned):
+    x = np.random.default_rng(seed).uniform(size=(n, d))
+    sm = build_calibrated_tps(x, df_multiplier=mult)
+    theta = sm.core.theta
+    assert abs(sm.spec.lam - pinned) <= 1e-5 * np.median(theta[theta > 0]) / n
+    assert sm.initial_df == pytest.approx(mult * sm.core.m, rel=1e-12)
 
 
 def test_duplicate_rows_are_reported():

@@ -15,7 +15,7 @@ from .kernel_smoother import (
     build_kernel_smoother,
     calibrate_bandwidth,
     calibrate_total_df,
-    kernel_weights,
+    kernel_predict,
 )
 from .kernels import resolve_kernel
 from .selection import (
@@ -115,8 +115,7 @@ class KernelPredictor:
     beta: np.ndarray
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
-        w, sums = kernel_weights(x_new, self.x_train, self.kind, self.bandwidths)
-        return (w @ self.beta) / sums
+        return kernel_predict(x_new, self.x_train, self.kind, self.bandwidths, self.beta)
 
 
 @dataclass

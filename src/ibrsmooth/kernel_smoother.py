@@ -49,6 +49,10 @@ _MAX_EXPANSIONS = 10
 _LOG_XTOL = 1e-12
 _MAX_STEPS = 100
 _LN10 = math.log(10.0)
+# kernel_predict builds the weights of new rows in blocks of about this many
+# bytes: the two block buffers stay in cache and under the size at which
+# numpy asks for huge pages
+_PREDICT_BLOCK_BYTES = 1 << 18
 
 
 class CalibrationError(RuntimeError):
@@ -82,16 +86,28 @@ class KernelSmootherSpec:
         return is_positive_definite(self.kind)
 
 
-def product_kernel(x_new: np.ndarray, x: np.ndarray, kind: str, bandwidths) -> np.ndarray:
+def product_kernel(
+    x_new: np.ndarray,
+    x: np.ndarray,
+    kind: str,
+    bandwidths,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Product-kernel weights prod_k K((x_new_ik - x_jk) / h_k).
 
     One row per row of ``x_new``, one column per row of ``x``. The result is
     built in place in one output array plus, for several columns, one
-    scratch array of the same shape, however many columns there are.
+    scratch array of the same shape, however many columns there are. Both
+    are new arrays unless given.
     """
     shape = (x_new.shape[0], x.shape[0])
-    out = np.empty(shape)
-    scratch = np.empty(shape) if x.shape[1] > 1 else out
+    if out is None:
+        out = np.empty(shape)
+    if x.shape[1] == 1:
+        scratch = out
+    elif scratch is None:
+        scratch = np.empty(shape)
     for j, h in enumerate(bandwidths):
         buf = out if j == 0 else scratch
         np.subtract(x_new[:, j, None], x[None, :, j], out=buf)
@@ -102,6 +118,20 @@ def product_kernel(x_new: np.ndarray, x: np.ndarray, kind: str, bandwidths) -> n
     return out
 
 
+def _check_columns(x_new, x: np.ndarray) -> np.ndarray:
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    if x_new.shape[1] != x.shape[1]:
+        raise ValueError(f"expected {x.shape[1]} columns, got {x_new.shape[1]}")
+    return x_new
+
+
+def _dead_rows_error(dead: list[int]) -> ValueError:
+    return ValueError(
+        f"prediction rows {dead} fall outside the kernel "
+        "support of every design point"
+    )
+
+
 def kernel_weights(
     x_new, x: np.ndarray, kind: str, bandwidths
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -110,18 +140,50 @@ def kernel_weights(
     Raises ValueError when ``x_new`` has the wrong number of columns or one
     of its rows lies outside the kernel support of every design point.
     """
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-    if x_new.shape[1] != x.shape[1]:
-        raise ValueError(f"expected {x.shape[1]} columns, got {x_new.shape[1]}")
+    x_new = _check_columns(x_new, x)
     w = product_kernel(x_new, x, kind, bandwidths)
     sums = w.sum(axis=1)
     dead = np.nonzero(sums <= 0)[0]
     if dead.size:
-        raise ValueError(
-            f"prediction rows {dead.tolist()} fall outside the kernel "
-            "support of every design point"
-        )
+        raise _dead_rows_error(dead.tolist())
     return w, sums
+
+
+def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray) -> np.ndarray:
+    """Kernel-weighted average sum_j w_ij beta_j / sum_j w_ij at new points.
+
+    The weights are built a block of rows at a time in two buffers of about
+    ``_PREDICT_BLOCK_BYTES`` each, reused for every block. A call never
+    holds an m x n weight matrix, so its speed per row does not depend on m
+    or on whether the allocator hands out fresh pages for multi-megabyte
+    arrays, which varies from one process to the next. A block is a whole
+    number of eight-row groups, so the blocked matrix-vector products line
+    up with one product over all rows; with OpenBLAS the result has the same
+    bits as ``(w @ beta) / sums`` over the full weight matrix. Raises
+    ValueError like :func:`kernel_weights`.
+    """
+    x_new = _check_columns(x_new, x)
+    m, n = x_new.shape[0], x.shape[0]
+    rows = max(1, min(m, max(8, _PREDICT_BLOCK_BYTES // (8 * n) // 8 * 8)))
+    out_buf = np.empty((rows, n))
+    scratch_buf = np.empty((rows, n))
+    pred = np.empty(m)
+    dead = []
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        w = product_kernel(
+            x_new[start:stop], x, kind, bandwidths,
+            out_buf[: stop - start], scratch_buf[: stop - start],
+        )
+        sums = w.sum(axis=1)
+        dead_here = np.nonzero(sums <= 0)[0]
+        if dead_here.size:
+            dead.extend((start + dead_here).tolist())
+            continue
+        np.divide(w @ beta, sums, out=pred[start:stop])
+    if dead:
+        raise _dead_rows_error(dead)
+    return pred
 
 
 class KernelSmoother(BaseSmoother):

@@ -222,6 +222,29 @@ def test_product_kernel_matches_columnwise_product(rng, kind):
     assert np.array_equal(kernel_smoother.product_kernel(x_new, x, kind, h), expected)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "triangle"])
+def test_blocked_prediction_matches_full_weights(rng, monkeypatch, kind):
+    """Row blocks of 8 over 21 rows (8 + 8 + 5) give the full-matrix answer."""
+    monkeypatch.setattr(kernel_smoother, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
+    x = rng.uniform(size=(30, 2))
+    x_new = rng.uniform(size=(21, 2))
+    h = (0.6, 0.8)
+    beta = rng.normal(size=30)
+    w, sums = kernel_smoother.kernel_weights(x_new, x, kind, h)
+    got = kernel_smoother.kernel_predict(x_new, x, kind, h, beta)
+    np.testing.assert_allclose(got, (w @ beta) / sums, rtol=1e-13, atol=0)
+    assert kernel_smoother.kernel_predict(x_new[:0], x, kind, h, beta).shape == (0,)
+
+
+def test_blocked_prediction_names_dead_rows_of_every_block(rng, monkeypatch):
+    monkeypatch.setattr(kernel_smoother, "_PREDICT_BLOCK_BYTES", 8 * 8 * 10)
+    x = rng.uniform(size=(10, 1))
+    x_new = rng.uniform(size=(20, 1))
+    x_new[[3, 17]] = 5.0
+    with pytest.raises(ValueError, match=r"prediction rows \[3, 17\]"):
+        kernel_smoother.kernel_predict(x_new, x, "triangle", (0.5,), np.ones(10))
+
+
 def test_unreachable_target_cannot_be_bracketed():
     # two distinct values: the trace stays below 2 at every bandwidth
     x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .engine import KPath
+from .engine import KPath, _coef_factors, _power_blocks
 from .selection import SelectionPlan, SelectionResult, BreakdownError
 
 __all__ = ["CvPlan", "make_splits", "search_k_cv"]
@@ -239,65 +239,36 @@ def search_k_cv(
 def _cv_exhaustive(scorers, cv: CvPlan, plan: SelectionPlan) -> SelectionResult:
     k_lo = int(math.ceil(plan.kmin))
     k_hi = int(math.floor(plan.kmax))
-    chunk = 2048
-    n_test_total = sum(s.y_test.size for s in scorers)
-    best_k, best_value = None, np.inf
-    tk, tv = [], []
-    for start in range(k_lo, k_hi + 1, chunk):
-        stop = min(start + chunk, k_hi + 1)
-        ks = np.arange(start, stop)
-        acc = np.zeros(ks.size)
-        for s in scorers:
+    acc = np.zeros(k_hi - k_lo + 1)
+    for s in scorers:
+        kpath = s.kpath
+        # predictions of a block of counts: (factors * z) (W G)'
+        zp = (s.projector * kpath.z).T
+        for ks, p in _power_blocks(kpath.mu, k_lo, k_hi):
             with np.errstate(over="ignore", invalid="ignore"):
-                factors = _factor_block(s.kpath, ks)
-                preds = s.projector @ (factors * s.kpath.z[:, None])
-                err = preds - s.y_test[:, None]
+                factors = _coef_factors(kpath.lam, ks[:, None].astype(float), p)
+                err = factors @ zp - s.y_test
                 if cv.loss == "rmse":
-                    acc += np.einsum("ij,ij->j", err, err)
+                    acc[ks - k_lo] += np.einsum("ij,ij->i", err, err)
                 else:
-                    acc += np.abs(err).sum(axis=0)
-        if cv.loss == "rmse":
-            values = np.sqrt(acc / n_test_total)
-        else:
-            values = acc / n_test_total
-        finite = np.isfinite(values)
-        if finite.any():
-            masked = np.where(finite, values, np.inf)
-            j = int(np.argmin(masked))
-            if masked[j] < best_value:
-                best_k, best_value = int(ks[j]), float(masked[j])
-            tk.append(ks[finite])
-            tv.append(values[finite])
-    if best_k is None:
+                    acc[ks - k_lo] += np.abs(err).sum(axis=1)
+    n_test_total = sum(s.y_test.size for s in scorers)
+    values = np.sqrt(acc / n_test_total) if cv.loss == "rmse" else acc / n_test_total
+    finite = np.isfinite(values)
+    if not finite.any():
         raise BreakdownError("prediction loss is not finite at any integer k")
+    ks = np.arange(k_lo, k_hi + 1)[finite]
+    values = values[finite]
+    j = int(np.argmin(values))
     return SelectionResult(
-        k=float(best_k),
-        value=best_value,
+        k=float(ks[j]),
+        value=float(values[j]),
         criterion=cv.loss,
         mode="exhaustive",
         df=np.nan,
         rss=np.nan,
-        trace_k=np.concatenate(tk) if tk else np.empty(0),
-        trace_value=np.concatenate(tv) if tv else np.empty(0),
-        trace_df=np.full(sum(a.size for a in tk), np.nan),
-        trace_rss=np.full(sum(a.size for a in tk), np.nan),
+        trace_k=ks,
+        trace_value=values,
+        trace_df=np.full(ks.size, np.nan),
+        trace_rss=np.full(ks.size, np.nan),
     )
-
-
-def _factor_block(kpath: KPath, ks: np.ndarray) -> np.ndarray:
-    """Coefficient factors (1 - (1-l)^k) / l for a block of integer k."""
-    mu = kpath.mu
-    lam = kpath.lam
-    v = np.empty((mu.size, ks.size))
-    with np.errstate(over="ignore"):
-        powers = np.power(mu, float(ks[0]))
-        for j in range(ks.size):
-            v[:, j] = powers
-            powers = powers * mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (1.0 - v) / lam[:, None]
-    small = np.abs(lam) < 1e-12
-    if small.any():
-        kk = ks[None, :].astype(float)
-        out[small] = kk * (1.0 - 0.5 * (kk - 1.0) * lam[small][:, None])
-    return out

@@ -105,6 +105,15 @@ def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
     return build_kernel_smoother(design, spec)
 
 
+def _finite_rows(x_new) -> np.ndarray:
+    """New points as a 2-D float array, refusing any non-finite entry."""
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    if not np.isfinite(x_new).all():
+        row = int(np.argmin(np.isfinite(x_new).all(axis=1)))
+        raise ValueError(f"prediction row {row} has non-finite values")
+    return x_new
+
+
 @dataclass
 class KernelPredictor:
     """Everything needed to evaluate a kernel fit at new points."""
@@ -115,7 +124,9 @@ class KernelPredictor:
     beta: np.ndarray
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
-        return kernel_predict(x_new, self.x_train, self.kind, self.bandwidths, self.beta)
+        return kernel_predict(
+            _finite_rows(x_new), self.x_train, self.kind, self.bandwidths, self.beta
+        )
 
 
 @dataclass
@@ -129,7 +140,7 @@ class TpsPredictor:
     poly_coef: np.ndarray
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
-        x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+        x_new = _finite_rows(x_new)
         d = self.x_train.shape[1]
         if x_new.shape[1] != d:
             raise ValueError(f"expected {d} columns, got {x_new.shape[1]}")

@@ -78,45 +78,87 @@ def save_model(fit: IbrFit, path: str | Path, response: str = "y") -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+class _Fields:
+    """Typed access to one JSON object of a model file, naming what is wrong."""
+
+    def __init__(self, mapping, path: Path, prefix: str = ""):
+        self.mapping, self.path, self.prefix = mapping, path, prefix
+
+    def raw(self, key: str):
+        if not isinstance(self.mapping, dict) or key not in self.mapping:
+            raise ValueError(f"{self.path}: model file lacks {self.prefix + key!r}")
+        return self.mapping[key]
+
+    def number(self, key: str) -> float:
+        return float(self.array(key, ()))
+
+    def array(self, key: str, shape: tuple) -> np.ndarray:
+        """Float array of the given shape (None matches any length)."""
+        value = self.raw(key)
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{self.path}: {self.prefix + key!r} is not numeric") from None
+        if arr.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(arr.shape, shape)
+        ):
+            want = str(tuple("n" if w is None else w for w in shape)).replace("'", "")
+            raise ValueError(
+                f"{self.path}: {self.prefix + key!r} has shape {arr.shape}, expected {want}"
+            )
+        return arr
+
+
 def load_model(path: str | Path) -> LoadedModel:
+    """Read a model file, checking every field the predictor needs.
+
+    A missing field, a non-numeric value or an array whose length does not
+    match the training design raises ``ValueError`` naming the field.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a model file ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
+        found = payload.get("format") if isinstance(payload, dict) else None
         raise ValueError(
-            f"{path}: unsupported model format {payload.get('format')!r}; "
+            f"{path}: unsupported model format {found!r}; "
             f"this build reads {FORMAT!r}"
         )
-    x_train = np.asarray(payload["x_train"], dtype=float)
-    fam = payload["smoother"]
-    if fam["family"] == "kernel":
+    top = _Fields(payload, path)
+    names = [str(c) for c in top.raw("columns")]
+    x_train = top.array("x_train", (None, len(names)))
+    n, d = x_train.shape
+    fam = _Fields(top.raw("smoother"), path, "smoother.")
+    family = fam.raw("family")
+    if family == "kernel":
         predictor: KernelPredictor | TpsPredictor = KernelPredictor(
             x_train=x_train,
-            kind=fam["kernel"],
-            bandwidths=np.asarray(fam["bandwidths"], dtype=float),
-            beta=np.asarray(fam["beta"], dtype=float),
+            kind=str(fam.raw("kernel")),
+            bandwidths=fam.array("bandwidths", (d,)),
+            beta=fam.array("beta", (n,)),
         )
-    elif fam["family"] == "tps":
+    elif family == "tps":
+        powers = [tuple(int(e) for e in p) for p in fam.array("powers", (None, d))]
         predictor = TpsPredictor(
             x_train=x_train,
-            order=int(fam["order"]),
-            powers=[tuple(p) for p in fam["powers"]],
-            delta=np.asarray(fam["delta"], dtype=float),
-            poly_coef=np.asarray(fam["poly_coef"], dtype=float),
+            order=int(fam.number("order")),
+            powers=powers,
+            delta=fam.array("delta", (n,)),
+            poly_coef=fam.array("poly_coef", (len(powers),)),
         )
     else:
-        raise ValueError(f"{path}: unknown smoother family {fam['family']!r}")
+        raise ValueError(f"{path}: unknown smoother family {family!r}")
     return LoadedModel(
         predictor=predictor,
-        names=list(payload["columns"]),
-        response=payload["response"],
-        k=float(payload["k"]),
-        initial_df=float(payload["initial_df"]),
-        final_df=float(payload["final_df"]),
-        sigma=float(payload["sigma"]),
-        criterion=payload["criterion"],
-        criterion_value=float(payload["criterion_value"]),
-        base_description=payload["base_description"],
+        names=names,
+        response=str(top.raw("response")),
+        k=top.number("k"),
+        initial_df=top.number("initial_df"),
+        final_df=top.number("final_df"),
+        sigma=top.number("sigma"),
+        criterion=str(top.raw("criterion")),
+        criterion_value=top.number("criterion_value"),
+        base_description=str(top.raw("base_description")),
     )

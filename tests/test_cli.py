@@ -6,6 +6,8 @@ import pytest
 from ibrsmooth.cli import main
 from ibrsmooth.data import load_csv
 
+from test_model_io import BAD_FILES, write_bad_model
+
 
 @pytest.fixture
 def train_csv(tmp_path):
@@ -80,6 +82,21 @@ def test_predict_missing_column_fails(train_csv, tmp_path, capsys):
     ])
     assert code == 2
     assert "x2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, field, how", BAD_FILES)
+def test_predict_with_bad_model_file_exits_2(tmp_path, capsys, family, field, how):
+    model_path = write_bad_model(tmp_path, family, field, how)
+    new_path = tmp_path / "new.csv"
+    new_path.write_text("left,right\n1.0,2.0\n")
+    code = main([
+        "predict", "--model", str(model_path),
+        "--data", str(new_path), "--out", str(tmp_path / "p.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert field in err
 
 
 def test_forward_lists_selection(train_csv, tmp_path, capsys):

@@ -9,8 +9,10 @@ from ibrsmooth import (
     KernelSmootherSpec,
     SelectionPlan,
     build_kernel_smoother,
+    make_splits,
     search_k_cv,
 )
+from ibrsmooth.crossval import _FoldScorer, _cv_exhaustive, _pooled_loss
 
 
 def problem(seed=0, n=60):
@@ -101,3 +103,22 @@ def test_default_plan_is_data_splitting():
     x, y = problem(13, n=50)
     res = search_k_cv(x, y, factory(), SelectionPlan(criterion="rmse"))
     assert np.isfinite(res.value)
+
+
+@pytest.mark.parametrize("loss", ["rmse", "map"])
+def test_exhaustive_losses_match_pointwise_fold_errors(loss):
+    x, y = problem(11, n=40)
+    cv = CvPlan(kfold=4, type="interleaved", loss=loss)
+    plan = SelectionPlan(criterion=loss, mode="exhaustive", cv=cv, kmax=300)
+    build = factory(h=0.5)
+    scorers = [
+        _FoldScorer(build(x[train]), y[train], x[test], y[test])
+        for train, test in make_splits(y.size, cv)
+    ]
+    res = _cv_exhaustive(scorers, cv, plan)
+    assert res.trace_k.tolist() == list(range(1, 301))
+    for k, value in zip(res.trace_k, res.trace_value):
+        errors = np.concatenate([s.errors(k) for s in scorers])
+        assert value == pytest.approx(_pooled_loss(errors, loss), rel=1e-12)
+    assert res.value == res.trace_value.min()
+    assert res.k == res.trace_k[np.argmin(res.trace_value)]

@@ -19,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 from ibrsmooth import (
     DesignMatrix,
     IterationDomainError,
+    KernelSmootherSpec,
     KPath,
     SpectralForm,
     build_calibrated_tps,
+    build_kernel_smoother,
     coefficients,
     df_of_k,
     iterate_fitted,
@@ -29,6 +31,8 @@ from ibrsmooth import (
     rss_of_k,
 )
 
+from ibrsmooth import engine
+from ibrsmooth.benchmarks import make_wendelberger_data
 from conftest import gaussian_smoother, random_design
 
 ROOT_HALF = 1.0 / np.sqrt(2.0)
@@ -162,6 +166,16 @@ def test_tiny_eigenvalue_series_fallback():
     assert factors[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_coef_factor_blocks_match_pointwise_with_series():
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    spectral = SpectralForm(d_half=np.ones(3), u=q, lam=np.array([1.0, 0.5, 1e-15]))
+    path = KPath(spectral, np.ones(3))
+    for ks, p in engine._power_blocks(path.mu, 0, 9, max_rows=4):
+        block = engine._coef_factors(path.lam, ks[:, None].astype(float), p)
+        for k, row in zip(ks, block):
+            np.testing.assert_allclose(row, path.coef_factors(k), rtol=1e-14)
+
+
 def test_batch_matches_pointwise(rng):
     sm = gaussian_smoother(rng.normal(size=16), h=0.9)
     y = rng.normal(size=16)
@@ -181,6 +195,75 @@ def test_batch_matches_pointwise(rng):
         assert df[i] == pytest.approx(path.df(k), rel=1e-10)
         assert rss[i] == pytest.approx(path.rss(k), rel=1e-8)
         assert energy[i] == pytest.approx(path.fitted_energy(k), rel=1e-8)
+
+
+def _sweep_spectral(case, rng):
+    if case == "tps":
+        return build_calibrated_tps(random_design(rng, 25, 2), df_multiplier=1.3).spectral()
+    if case == "gaussian":
+        return gaussian_smoother(rng.normal(size=20), h=0.7).spectral()
+    if case == "uniform":
+        x = rng.uniform(0, 1, size=(24, 1))
+        design = DesignMatrix.from_array(x)
+        sm = build_kernel_smoother(design, KernelSmootherSpec(kind="uniform", bandwidths=(0.1,)))
+        spectral = sm.spectral()
+        assert spectral.lam.min() < 0  # mu = 1 - lambda > 1
+        return spectral
+    # eigenvalues above one: mu = 1 - lambda < 0, so powers alternate in sign
+    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    lam = np.sort(np.r_[1.0, 1.6, 1.3, rng.uniform(0, 1, 9)])[::-1]
+    return SpectralForm(d_half=np.ones(12), u=q, lam=lam, pd_family=False)
+
+
+@pytest.mark.parametrize("case", ["tps", "gaussian", "uniform", "negative_mu"])
+@pytest.mark.parametrize("k_lo", [0, 1, 37])
+@pytest.mark.parametrize("rows", [7, 17])
+def test_batch_blocks_match_pointwise(case, k_lo, rows, rng, monkeypatch):
+    spectral = _sweep_spectral(case, rng)
+    path = KPath(spectral, rng.normal(size=spectral.n))
+    if case == "negative_mu":
+        assert np.any(path.mu < 0)
+    # blocks of `rows` counts: by the byte budget (7) or by `chunk` (17)
+    monkeypatch.setattr(engine, "_SWEEP_BLOCK_BYTES", 8 * spectral.n * 7)
+    blocks = list(path.batch(k_lo, k_lo + 150, chunk=rows))
+    assert {b[0].size for b in blocks[:-1]} == {min(rows, 7)}
+    ks = np.concatenate([b[0] for b in blocks])
+    assert ks.tolist() == list(range(k_lo, k_lo + 151))
+    df, rss, energy = (np.concatenate([b[i] for b in blocks]) for i in (1, 2, 3))
+    # z'Hz - 2 z'Hv + v'Hv cancels to about eps |z|_H^2 where the fit is tiny
+    floor = 1e-12 * path.rss(0)
+    for i, k in enumerate(ks):
+        assert df[i] == pytest.approx(path.df(k), rel=1e-12, abs=1e-12)
+        assert rss[i] == pytest.approx(path.rss(k), rel=1e-12)
+        assert energy[i] == pytest.approx(path.fitted_energy(k), rel=1e-12, abs=floor)
+
+
+def test_batch_df_matches_long_double_reference():
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double here")
+    # the tps_sweep benchmark's 30 x 30 grid
+    design, y, _ = make_wendelberger_data(n_axis=30, seed=1)
+    spectral = build_calibrated_tps(design, df_multiplier=1.1).spectral()
+    path = KPath(spectral, y)
+    # same double mu as the path; only the powers and the sum go wider
+    mu = path.mu.astype(np.longdouble)
+    wanted = (1, 1000, 100000)
+    got = {}
+    for ks, df, _, _ in path.batch(1, 100000):
+        for k in wanted:
+            if ks[0] <= k <= ks[-1]:
+                got[k] = df[k - ks[0]]
+    for k in wanted:
+        ref = spectral.n - np.sum(mu**k)
+        assert abs(got[k] - ref) <= 5e-14 * ref, k
+
+
+def test_power_helper_serves_path_and_df_of_k(rng):
+    sm = gaussian_smoother(rng.normal(size=12), h=0.8)
+    spectral = sm.spectral()
+    path = KPath(spectral, rng.normal(size=12))
+    for k in (0, 1, 3, 7.5, 120):
+        assert df_of_k(spectral, k) == path.df(k)
 
 
 def test_functional_wrappers_agree():

@@ -80,3 +80,57 @@ def test_unknown_family(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "nope.json")
+
+
+def _damage(payload: dict, field: str, how: str) -> None:
+    """Drop a field or truncate an array; ``smoother.x`` names a nested one."""
+    owner, key = payload, field
+    if field.startswith("smoother."):
+        owner, key = payload["smoother"], field.split(".", 1)[1]
+    if how == "drop":
+        del owner[key]
+    else:
+        owner[key] = owner[key][:-1]
+
+
+# (family, field, how): each file is one bad field away from a good one
+BAD_FILES = [
+    ("kernel", "k", "drop"),
+    ("kernel", "x_train", "drop"),
+    ("kernel", "smoother.beta", "drop"),
+    ("kernel", "smoother.beta", "truncate"),
+    ("kernel", "smoother.bandwidths", "truncate"),
+    ("tps", "smoother.delta", "truncate"),
+    ("tps", "smoother.poly_coef", "truncate"),
+]
+
+
+def write_bad_model(tmp_path, family, field, how):
+    _, result = fitted_model(family)
+    path = tmp_path / "model.json"
+    save_model(result, path)
+    payload = json.loads(path.read_text())
+    _damage(payload, field, how)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("family, field, how", BAD_FILES)
+def test_bad_model_file_names_the_field_at_load(tmp_path, family, field, how):
+    path = write_bad_model(tmp_path, family, field, how)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("family", ["kernel", "tps"])
+def test_non_finite_prediction_rows_are_refused(tmp_path, family):
+    _, result = fitted_model(family)
+    path = tmp_path / "model.json"
+    save_model(result, path)
+    loaded = load_model(path)
+    x_new = np.array([[1.0, 1.0], [2.0, np.inf], [np.nan, 0.5]])
+    for model in (result, loaded):
+        with pytest.raises(ValueError, match="row 1 has non-finite"):
+            model.predict(x_new)
+        with pytest.raises(ValueError, match="row 0 has non-finite"):
+            model.predict([[np.nan, 0.5]])

@@ -29,6 +29,23 @@ from .surface import write_surface
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose refusals reach :func:`main` as one error line."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _fold_count(text: str) -> int:
+    try:
+        folds = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number of folds: {text!r}") from None
+    if folds < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {folds}")
+    return folds
+
+
 def _add_smoother_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--smoother", choices=("k", "tps"), default="k",
                    help="base smoother family: product kernel (k) or thin plate spline")
@@ -51,7 +68,7 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
                    help="reject k whose effective df exceeds this (default 2n/3)")
     p.add_argument("--iter", type=int, default=None, dest="iterations",
                    help="skip selection and run exactly this many iterations")
-    p.add_argument("--cv-kfold", type=int, default=None,
+    p.add_argument("--cv-kfold", type=_fold_count, default=None,
                    help="use K-fold cross-validation with this many folds")
     p.add_argument("--cv-ntest", type=int, default=None,
                    help="test-set size for data splitting (default n // 10)")
@@ -232,7 +249,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ibrsmooth",
         description="Multivariate regression by iteratively bias-reduced smoothing",
     )
@@ -300,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, RuntimeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

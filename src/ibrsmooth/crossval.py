@@ -240,12 +240,12 @@ def _cv_exhaustive(scorers, cv: CvPlan, plan: SelectionPlan) -> SelectionResult:
     k_lo = int(math.ceil(plan.kmin))
     k_hi = int(math.floor(plan.kmax))
     acc = np.zeros(k_hi - k_lo + 1)
-    for s in scorers:
-        kpath = s.kpath
-        # predictions of a block of counts: (factors * z) (W G)'
-        zp = (s.projector * kpath.z).T
-        for ks, p in _power_blocks(kpath.mu, k_lo, k_hi):
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in scorers:
+            kpath = s.kpath
+            # predictions of a block of counts: (factors * z) (W G)'
+            zp = (s.projector * kpath.z).T
+            for ks, p in _power_blocks(kpath.mu, k_lo, k_hi):
                 factors = _coef_factors(kpath.lam, ks[:, None].astype(float), p)
                 err = factors @ zp - s.y_test
                 if cv.loss == "rmse":

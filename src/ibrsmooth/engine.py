@@ -81,7 +81,8 @@ def _power_blocks(mu: np.ndarray, k_lo: int, k_hi: int, max_rows: int | None = N
     is that of at most B products at every k, where chaining k products
     would accumulate k of them. B keeps a block near ``_SWEEP_BLOCK_BYTES``
     (and at most ``max_rows``). P is one reused buffer: the next block
-    overwrites it.
+    overwrites it. Callers hold ``np.errstate(over="ignore",
+    invalid="ignore")`` across the sweep: powers of |mu| > 1 overflow.
     """
     n = mu.size
     rows = max(1, min(k_hi - k_lo + 1, _SWEEP_BLOCK_BYTES // (8 * n)))
@@ -89,13 +90,11 @@ def _power_blocks(mu: np.ndarray, k_lo: int, k_hi: int, max_rows: int | None = N
         rows = min(rows, max_rows)
     base = np.empty((rows, n))
     base[0] = 1.0
-    with np.errstate(over="ignore"):
-        np.cumprod(np.broadcast_to(mu, (rows - 1, n)), axis=0, out=base[1:])
+    np.cumprod(np.broadcast_to(mu, (rows - 1, n)), axis=0, out=base[1:])
     block = np.empty_like(base)
     for start in range(k_lo, k_hi + 1, rows):
         m = min(rows, k_hi + 1 - start)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(base[:m], np.power(mu, float(start)), out=block[:m])
+        np.multiply(base[:m], np.power(mu, float(start)), out=block[:m])
         yield np.arange(start, start + m), block[:m]
 
 
@@ -118,8 +117,15 @@ class KPath:
     """Precomputed quantities for walking the iteration path of one fit.
 
     For a kernel smoother the similarity is non-orthogonal, so Euclidean
-    residual norms need the Gram matrix H = U' D U; the eigen-coordinate
-    shortcut is only used when the smoother is symmetric (H = I).
+    residual norms need the Gram matrix H = G'G with G = D^{1/2} U; the
+    eigen-coordinate shortcut is only used when the smoother is symmetric
+    (H = I).
+
+    On a truncated spectral form (rank r < n) y = G z + t, where t is the
+    part of y outside the kept basis. t is never smoothed: it stays in
+    every residual, so rss = t't + 2 v'G't + v'Hv with H r x r, while df,
+    fitted values, their energy and the coefficients run over the r kept
+    pairs. On a full form there is no t and no extra term.
     """
 
     def __init__(self, spectral: SpectralForm, y: np.ndarray):
@@ -138,10 +144,21 @@ class KPath:
         self.z = spectral.u.T @ (y / spectral.d_half)
         self.symmetric = spectral.symmetric
         self._h = None if self.symmetric else self.g.T @ self.g
+        # (t't, G't) of the unsmoothed remainder t = y - G z, or None
+        self._rest = None
+        if spectral.rank < spectral.n:
+            t = y - self.g @ self.z
+            self._rest = (float(t @ t), self.g.T @ t)
 
     @property
     def n(self) -> int:
         return self.y.size
+
+    def _energy(self, v: np.ndarray) -> float:
+        """|G v|^2 for eigen-coordinates v."""
+        if self._h is None:
+            return float(v @ v)
+        return float(v @ self._h @ v)
 
     def _mu_pow(self, k: float) -> np.ndarray:
         return _mu_power(self.mu, k, self.real_ok)
@@ -157,16 +174,16 @@ class KPath:
         return self.g @ (self.weights(k) * self.z)
 
     def rss(self, k: float) -> float:
+        """|y - fitted(k)|^2 = |t + G v|^2 with v = (1 - lambda)^k z."""
         v = self._mu_pow(k) * self.z
-        if self._h is None:
-            return float(v @ v)
-        return float(v @ self._h @ v)
+        rss = self._energy(v)
+        if self._rest is not None:
+            tt, gt = self._rest
+            rss += tt + 2.0 * float(v @ gt)
+        return rss
 
     def fitted_energy(self, k: float) -> float:
-        f = self.weights(k) * self.z
-        if self._h is None:
-            return float(f @ f)
-        return float(f @ self._h @ f)
+        return self._energy(self.weights(k) * self.z)
 
     def coef_factors(self, k: float) -> np.ndarray:
         """Per-eigenvalue factor (1 - (1-l)^k) / l with series fallback."""
@@ -182,9 +199,13 @@ class KPath:
         One yield per block of power rows P[j, i] = (1 - lambda_i)^k_j from
         ``_power_blocks`` (at most ``chunk`` counts, a few hundred KB), so a
         sweep costs a few row reductions per block and no n x chunk matrix.
-        df = n - P 1. The residual of count k is G (P_k * z), so with
-        v = P_k * z, rss = v'Hv and |fitted|^2 = z'Hz - 2 z'Hv + v'Hv; when
-        H = I these are (P * P) z^2 and P z^2 for the cross term.
+        df = r - P 1 over the r kept pairs. The residual of count k is
+        t + G (P_k * z), so with v = P_k * z, |G v|^2 = v'Hv,
+        rss = v'Hv (+ t't + 2 v'G't on a truncated form) and
+        |fitted|^2 = z'Hz - 2 z'Hv + v'Hv; when H = I these are
+        (P * P) z^2 and P z^2 for the cross term. Overflow and invalid
+        warnings (|1 - lambda| > 1) are off for the whole sweep, including
+        the caller's code between blocks.
         """
         if k_lo < 0 or k_hi < k_lo:
             raise ValueError(f"bad integer range [{k_lo}, {k_hi}]")
@@ -195,21 +216,25 @@ class KPath:
         else:
             hz = h @ z
             zhz = float(z @ hz)
+        if self._rest is not None:
+            tt, gt = self._rest
+            zgt = z * gt
         square = None
-        for ks, p in _power_blocks(self.mu, k_lo, k_hi, chunk):
-            with np.errstate(over="ignore", invalid="ignore"):
-                df = self.n - p.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ks, p in _power_blocks(self.mu, k_lo, k_hi, chunk):
+                df = self.lam.size - p.sum(axis=1)
                 if h is None:
                     if square is None:
                         square = np.empty_like(p)
                     cross = p @ z2
-                    rss = np.multiply(p, p, out=square[: ks.size]) @ z2
+                    vhv = np.multiply(p, p, out=square[: ks.size]) @ z2
                 else:
                     vz = p * z
-                    rss = np.einsum("ij,ij->i", vz @ h, vz)
+                    vhv = np.einsum("ij,ij->i", vz @ h, vz)
                     cross = vz @ hz
-                energy = zhz - 2.0 * cross + rss
-            yield ks, df, rss, energy
+                energy = zhz - 2.0 * cross + vhv
+                rss = vhv if self._rest is None else vhv + (tt + 2.0 * (p @ zgt))
+                yield ks, df, rss, energy
 
 
 def iterate_fitted(spectral: SpectralForm, y: np.ndarray, k: float) -> np.ndarray:

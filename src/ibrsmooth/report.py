@@ -26,9 +26,13 @@ class FitReport:
     selection_mode: str
     base_description: str
     n: int
+    # eigenpairs the fit ran on and the bound on the discarded eigenvalues
+    spectrum_rank: int
+    tail_trace: float
 
 
 def make_report(fit: IbrFit) -> FitReport:
+    spectral = fit.base.spectral()
     r = fit.residuals
     q = np.percentile(r, [0, 25, 50, 75, 100])
     return FitReport(
@@ -43,6 +47,8 @@ def make_report(fit: IbrFit) -> FitReport:
         selection_mode=fit.selection_mode,
         base_description=fit.base.describe(),
         n=fit.n,
+        spectrum_rank=spectral.rank,
+        tail_trace=spectral.tail_trace,
     )
 
 
@@ -80,5 +86,8 @@ def format_report(rep: FitReport) -> str:
             f"Number of iterations: {rep.k} chosen by {rep.criterion}"
             + (" (exhaustive search)" if rep.selection_mode == "exhaustive" else ""),
         ]
-    lines.append(f"Base smoother: {rep.base_description}")
+    lines.append(
+        f"Base smoother: {rep.base_description}; spectrum: {rep.spectrum_rank} "
+        f"of {rep.n} eigenpairs, tail trace <= {rep.tail_trace:.2g}"
+    )
     return "\n".join(lines)

@@ -11,6 +11,7 @@ signal that the iteration has effectively reached interpolation.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,24 +106,27 @@ def criterion_value(
 def _criterion_array(
     kind: str, n: int, rss: np.ndarray, df: np.ndarray, energy: np.ndarray
 ) -> np.ndarray:
-    """Vectorized criterion for admissible (rss, df) arrays."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ms = np.log(rss / n)
-        if kind == "gcv":
-            return log_ms - 2.0 * np.log(1.0 - df / n)
-        if kind == "aic":
-            return log_ms + 2.0 * df / n
-        if kind == "bic":
-            return log_ms + math.log(n) * df / n
-        if kind == "aicc":
-            return np.where(
-                df < n - 2,
-                log_ms + 1.0 + 2.0 * (df + 1.0) / (n - df - 2.0),
-                np.inf,
-            )
-        s = rss / (n - df)
-        f = np.where(df > 0, energy / np.maximum(df * s, 1e-300), 1.0)
-        return np.log(s) + (df / n) * np.log(np.maximum(f, 1.0))
+    """Vectorized criterion for (rss, df) arrays.
+
+    Entries outside the admissible range give inf or nan; callers mask
+    them and hold ``np.errstate(divide="ignore", invalid="ignore")``.
+    """
+    log_ms = np.log(rss / n)
+    if kind == "gcv":
+        return log_ms - 2.0 * np.log(1.0 - df / n)
+    if kind == "aic":
+        return log_ms + 2.0 * df / n
+    if kind == "bic":
+        return log_ms + math.log(n) * df / n
+    if kind == "aicc":
+        return np.where(
+            df < n - 2,
+            log_ms + 1.0 + 2.0 * (df + 1.0) / (n - df - 2.0),
+            np.inf,
+        )
+    s = rss / (n - df)
+    f = np.where(df > 0, energy / np.maximum(df * s, 1e-300), 1.0)
+    return np.log(s) + (df / n) * np.log(np.maximum(f, 1.0))
 
 
 @dataclass
@@ -292,42 +296,41 @@ def search_k_exhaustive(
     limit = df_ceiling(n, plan.dfmaxi)
     k_lo = int(math.ceil(plan.kmin))
     k_hi = int(math.floor(plan.kmax))
-    best_k, best_value, best_df, best_rss = None, np.inf, np.nan, np.nan
-    tk, tv, tdf, trss = [], [], [], []
+    # rows value, df, rss of every count swept; admissibility is applied once
+    trace = np.empty((3, max(k_hi - k_lo + 1, 0)))
+    ok = np.empty(trace.shape[1], dtype=bool)
+    swept = 0
     monotone = spectral.real_k_ok
-    for ks, df, rss, energy in kpath.batch(k_lo, k_hi):
-        ok = np.isfinite(rss) & (df <= limit) & (rss > RSS_FLOOR) & (df < n)
-        if ok.any():
-            value = np.full(ks.size, np.inf)
-            value[ok] = _criterion_array(
-                plan.criterion, n, rss[ok], df[ok], energy[ok]
-            )
-            value[~np.isfinite(value)] = np.inf
-            j = int(np.argmin(value))
-            if value[j] < best_value:
-                best_k = int(ks[j])
-                best_value = float(value[j])
-                best_df, best_rss = float(df[j]), float(rss[j])
-            tk.append(ks[ok])
-            tv.append(value[ok])
-            tdf.append(df[ok])
-            trss.append(rss[ok])
-        if monotone and df[-1] > limit:
-            break
-    if best_k is None:
+    blocks = kpath.batch(k_lo, k_hi)
+    with np.errstate(divide="ignore", invalid="ignore"), closing(blocks):
+        for ks, df, rss, energy in blocks:
+            rows = slice(swept, swept + ks.size)
+            swept += ks.size
+            trace[0, rows] = _criterion_array(plan.criterion, n, rss, df, energy)
+            trace[1, rows] = df
+            trace[2, rows] = rss
+            np.isfinite(rss, out=ok[rows])
+            ok[rows] &= (df <= limit) & (rss > RSS_FLOOR) & (df < n)
+            if monotone and df[-1] > limit:
+                break
+    ok = ok[:swept]
+    value = trace[0, :swept]
+    value[~(ok & np.isfinite(value))] = np.inf
+    j = int(np.argmin(value)) if swept else 0
+    if not swept or not np.isfinite(value[j]):
         raise BreakdownError(
             f"no admissible integer k in [{k_lo}, {k_hi}]; "
             "increase dfmaxi or smooth less"
         )
     return SelectionResult(
-        k=float(best_k),
-        value=best_value,
+        k=float(k_lo + j),
+        value=float(value[j]),
         criterion=plan.criterion,
         mode="exhaustive",
-        df=best_df,
-        rss=best_rss,
-        trace_k=np.concatenate(tk) if tk else np.empty(0),
-        trace_value=np.concatenate(tv) if tv else np.empty(0),
-        trace_df=np.concatenate(tdf) if tdf else np.empty(0),
-        trace_rss=np.concatenate(trss) if trss else np.empty(0),
+        df=float(trace[1, j]),
+        rss=float(trace[2, j]),
+        trace_k=np.arange(k_lo, k_lo + swept)[ok],
+        trace_value=value[ok],
+        trace_df=trace[1, :swept][ok],
+        trace_rss=trace[2, :swept][ok],
     )

@@ -65,6 +65,12 @@ class SpectralForm:
     The smoother factors as S = diag(d_half) U diag(lam) U' diag(1/d_half)
     with U orthogonal. For symmetric smoothers d_half is all ones and this
     is the plain eigendecomposition.
+
+    A truncated form keeps only the top ``rank`` < n eigenpairs: U is
+    n x rank with orthonormal columns, and ``tail_trace`` bounds the sum of
+    the discarded (non-negative) eigenvalues, so no eigenpair left out can
+    add more than k * tail_trace to the df at k. The full form has rank n
+    and tail_trace 0.
     """
 
     d_half: np.ndarray
@@ -72,12 +78,18 @@ class SpectralForm:
     lam: np.ndarray
     # set for families whose eigenvalues must lie in [0, 1] (PD kernels, TPS)
     pd_family: bool = True
+    tail_trace: float = 0.0
     nonpositive: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.d_half = np.asarray(self.d_half, dtype=float)
         self.u = np.asarray(self.u, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
+        if self.u.shape != (self.d_half.size, self.lam.size):
+            raise ValueError(
+                f"eigenvector block of shape {self.u.shape} for "
+                f"{self.d_half.size} points and {self.lam.size} eigenvalues"
+            )
         if np.any(np.diff(self.lam) > 1e-12):
             raise ValueError("eigenvalues must be sorted in descending order")
         self.nonpositive = int(np.sum(self.lam <= 0.0))
@@ -91,6 +103,11 @@ class SpectralForm:
 
     @property
     def n(self) -> int:
+        return self.d_half.shape[0]
+
+    @property
+    def rank(self) -> int:
+        """Number of eigenpairs kept."""
         return self.lam.shape[0]
 
     @property
@@ -105,7 +122,7 @@ class SpectralForm:
         )
 
     def reconstruct(self) -> np.ndarray:
-        """Rebuild the dense smoother matrix from the factors."""
+        """Rebuild the dense smoother matrix from the (kept) factors."""
         core = (self.u * self.lam) @ self.u.T
         return (self.d_half[:, None] * core) / self.d_half[None, :]
 

@@ -171,3 +171,45 @@ def test_cv_criterion_via_flags(train_csv, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "chosen by rmse" in out
+
+
+@pytest.mark.parametrize(
+    "flags, fragment",
+    [
+        (["--kmin", "0"], "kmin"),
+        (["--df", "-2"], "df target"),
+        (["--smoother", "tps", "--df", "-2"], "df multiplier"),
+        (["--kernel", "z"], "--kernel"),
+        (["--cv-kfold", "1"], "--cv-kfold"),
+        (["--cv-kfold", "1", "--criterion", "rmse"], "--cv-kfold"),
+        (["--cv-kfold", "two"], "--cv-kfold"),
+    ],
+)
+def test_bad_flags_exit_2_with_one_error_line(train_csv, capsys, flags, fragment):
+    assert main(["fit", "--data", str(train_csv)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert fragment in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("", "empty file"),
+        ("y,x1,x2\n1,2,3\n4,5\n", "row 3 has 2 cells"),
+    ],
+)
+def test_bad_csv_exits_2_with_one_error_line(tmp_path, capsys, text, fragment):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["fit", "--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert fragment in err
+
+
+def test_missing_subcommand_exits_2_with_one_error_line(capsys):
+    assert main([]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "required" in err

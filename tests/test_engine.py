@@ -197,7 +197,21 @@ def test_batch_matches_pointwise(rng):
         assert energy[i] == pytest.approx(path.fitted_energy(k), rel=1e-8)
 
 
+def _truncate(spectral, rank):
+    """The top ``rank`` pairs of a form; the rest of y is never smoothed."""
+    return SpectralForm(
+        d_half=spectral.d_half,
+        u=spectral.u[:, :rank],
+        lam=spectral.lam[:rank],
+        tail_trace=float(spectral.lam[rank:].sum()),
+    )
+
+
 def _sweep_spectral(case, rng):
+    if case == "truncated_gaussian":
+        return _truncate(gaussian_smoother(rng.normal(size=20), h=0.7).spectral(), 9)
+    if case == "truncated_tps":
+        return _truncate(build_calibrated_tps(random_design(rng, 25, 2), df_multiplier=1.3).spectral(), 11)
     if case == "tps":
         return build_calibrated_tps(random_design(rng, 25, 2), df_multiplier=1.3).spectral()
     if case == "gaussian":
@@ -215,7 +229,9 @@ def _sweep_spectral(case, rng):
     return SpectralForm(d_half=np.ones(12), u=q, lam=lam, pd_family=False)
 
 
-@pytest.mark.parametrize("case", ["tps", "gaussian", "uniform", "negative_mu"])
+@pytest.mark.parametrize(
+    "case", ["tps", "gaussian", "uniform", "negative_mu", "truncated_gaussian", "truncated_tps"]
+)
 @pytest.mark.parametrize("k_lo", [0, 1, 37])
 @pytest.mark.parametrize("rows", [7, 17])
 def test_batch_blocks_match_pointwise(case, k_lo, rows, rng, monkeypatch):
@@ -223,8 +239,11 @@ def test_batch_blocks_match_pointwise(case, k_lo, rows, rng, monkeypatch):
     path = KPath(spectral, rng.normal(size=spectral.n))
     if case == "negative_mu":
         assert np.any(path.mu < 0)
-    # blocks of `rows` counts: by the byte budget (7) or by `chunk` (17)
-    monkeypatch.setattr(engine, "_SWEEP_BLOCK_BYTES", 8 * spectral.n * 7)
+    if case.startswith("truncated"):
+        assert spectral.rank < spectral.n
+    # blocks of `rows` counts: by the byte budget (7 rows of the kept pairs)
+    # or by `chunk` (17)
+    monkeypatch.setattr(engine, "_SWEEP_BLOCK_BYTES", 8 * spectral.rank * 7)
     blocks = list(path.batch(k_lo, k_lo + 150, chunk=rows))
     assert {b[0].size for b in blocks[:-1]} == {min(rows, 7)}
     ks = np.concatenate([b[0] for b in blocks])

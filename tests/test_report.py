@@ -1,6 +1,7 @@
 """Fit report formatting."""
 
 import numpy as np
+import pytest
 
 from ibrsmooth import SelectionPlan, fit, format_report, make_report
 
@@ -47,3 +48,25 @@ def test_exhaustive_mode_is_labelled():
     result = fitted(SelectionPlan(mode="exhaustive"))
     text = format_report(make_report(result))
     assert "(exhaustive search)" in text
+
+
+def test_base_smoother_line_shows_the_spectrum(monkeypatch):
+    from ibrsmooth import kernel_smoother
+
+    dense = fitted()
+    line = format_report(make_report(dense)).splitlines()[-1]
+    assert line.endswith("; spectrum: 45 of 45 eigenpairs, tail trace <= 0")
+    # let a 300-point gaussian fit keep only its top eigenpairs
+    monkeypatch.setattr(kernel_smoother, "_SPECTRUM_GATE", 2)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(300, 1))
+    y = np.sin(6 * x[:, 0]) + rng.normal(0, 0.3, 300)
+    result = fit(x, y)
+    spectral = result.base.spectral()
+    assert spectral.rank < 300
+    rep = make_report(result)
+    assert (rep.spectrum_rank, rep.tail_trace) == (spectral.rank, spectral.tail_trace)
+    line = format_report(rep).splitlines()[-1]
+    assert line.startswith("Base smoother: gaussian kernel")
+    assert f"; spectrum: {spectral.rank} of 300 eigenpairs, tail trace <= " in line
+    assert float(line.rsplit("<= ", 1)[1]) == pytest.approx(spectral.tail_trace, rel=0.05, abs=0)

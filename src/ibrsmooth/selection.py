@@ -316,8 +316,8 @@ def search_k_exhaustive(
     ok = ok[:swept]
     value = trace[0, :swept]
     value[~(ok & np.isfinite(value))] = np.inf
-    j = int(np.argmin(value)) if swept else 0
-    if not swept or not np.isfinite(value[j]):
+    j = int(np.argmin(value))
+    if not np.isfinite(value[j]):
         raise BreakdownError(
             f"no admissible integer k in [{k_lo}, {k_hi}]; "
             "increase dfmaxi or smooth less"

@@ -9,15 +9,7 @@ cross-validated prediction loss.
 
 from .crossval import CvPlan, make_splits, search_k_cv
 from .data import Dataset, load_csv, split_response
-from .engine import (
-    IterationDomainError,
-    KPath,
-    coefficients,
-    df_of_k,
-    iterate_fitted,
-    iterate_fitted_recursive,
-    rss_of_k,
-)
+from .engine import IterationDomainError, KPath, iterate_fitted_recursive
 from .fitting import (
     IbrFit,
     KernelPredictor,
@@ -91,14 +83,11 @@ __all__ = [
     "calibrate_bandwidth",
     "calibrate_total_df",
     "calibrate_tps_lambda",
-    "coefficients",
     "criterion_value",
     "default_tps_order",
-    "df_of_k",
     "fit",
     "forward_select",
     "format_report",
-    "iterate_fitted",
     "iterate_fitted_recursive",
     "kernel_values",
     "load_csv",
@@ -106,7 +95,6 @@ __all__ = [
     "make_report",
     "make_splits",
     "predict",
-    "rss_of_k",
     "save_model",
     "search_k_cv",
     "search_k_exhaustive",

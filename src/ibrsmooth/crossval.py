@@ -10,19 +10,17 @@ scored by pooled prediction loss at the held-out points.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .engine import KPath, _coef_factors, _power_blocks
 from .selection import SelectionPlan, SelectionResult, BreakdownError
+from .selection import minimize_on_breaks, search_mode
 
 __all__ = ["CvPlan", "make_splits", "search_k_cv"]
 
 _SPLIT_TYPES = ("random", "consecutive", "interleaved", "timeseries")
-_K_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,9 @@ def search_k_cv(
 
     ``smoother_factory`` rebuilds and recalibrates the base smoother on a
     training design; it is called once per fold. Numeric mode minimizes the
-    pooled loss curve over real k with the same subinterval scheme as the
-    criterion search; exhaustive mode sweeps integers.
+    pooled loss curve over real k in [kmin, kmax] with
+    :func:`~ibrsmooth.selection.minimize_on_breaks`, without the criterion
+    search's df and RSS guards; exhaustive mode sweeps integers.
     """
     cv: CvPlan = plan.cv if plan.cv is not None else CvPlan()
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -179,16 +178,7 @@ def search_k_cv(
             ) from exc
         scorers.append(_FoldScorer(smoother, y[train], x[test], y[test]))
 
-    real_ok = all(s.kpath.real_ok for s in scorers)
-    mode = plan.mode
-    if mode == "numeric" and not real_ok:
-        warnings.warn(
-            "kernel eigenvalues leave [0, 1] on some training fold; "
-            "falling back to exhaustive integer search",
-            stacklevel=2,
-        )
-        mode = "exhaustive"
-
+    mode = search_mode(plan.mode, all(s.kpath.real_ok for s in scorers))
     if mode == "exhaustive":
         return _cv_exhaustive(scorers, cv, plan)
 
@@ -202,24 +192,10 @@ def search_k_cv(
         trace.append((k, value))
         return value
 
-    k_hi = float(plan.kmax)
-    breaks = [float(plan.kmin)]
-    breaks += [float(f) for f in plan.fraction if plan.kmin < f < k_hi]
-    breaks.append(k_hi)
-    best_k, best_value = None, np.inf
-    for k in breaks:
-        value = objective(k)
-        if value < best_value:
-            best_k, best_value = k, value
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a <= _K_TOL:
-            continue
-        res = minimize_scalar(
-            objective, bounds=(a, b), method="bounded", options={"xatol": _K_TOL}
-        )
-        if res.fun < best_value:
-            best_k, best_value = float(res.x), float(res.fun)
-    if best_k is None or not np.isfinite(best_value):
+    best_k, best_value = minimize_on_breaks(
+        objective, float(plan.kmin), float(plan.kmax), plan.fraction
+    )
+    if not np.isfinite(best_value):
         raise BreakdownError("prediction loss is not finite anywhere in the k range")
     arr = np.asarray(sorted(trace))
     return SelectionResult(

@@ -17,15 +17,7 @@ import numpy as np
 
 from .smoothers import BaseSmoother, SpectralForm
 
-__all__ = [
-    "IterationDomainError",
-    "KPath",
-    "iterate_fitted",
-    "iterate_fitted_recursive",
-    "coefficients",
-    "df_of_k",
-    "rss_of_k",
-]
+__all__ = ["IterationDomainError", "KPath", "iterate_fitted_recursive"]
 
 # below this magnitude the coefficient factor (1 - (1-l)^k) / l switches to
 # its small-eigenvalue series
@@ -52,23 +44,6 @@ def _check_k(k: float) -> float:
     if not np.isfinite(k) or k < 0:
         raise ValueError(f"iteration count must be a finite number >= 0, got {k}")
     return k
-
-
-def _mu_power(mu: np.ndarray, k: float, real_ok: bool) -> np.ndarray:
-    """mu^k with mu = 1 - lambda, valid for real k >= 0 or any integer k."""
-    k = _check_k(k)
-    if _is_integer(k):
-        # C pow handles a negative base with an integral exponent
-        with np.errstate(over="ignore"):
-            return np.power(mu, float(round(k)))
-    if not real_ok:
-        raise IterationDomainError(
-            "fractional iteration counts are undefined for eigenvalues "
-            f"outside [0, 1] (range [{1.0 - mu.max():.3e}, "
-            f"{1.0 - mu.min():.3e}]); use integer counts via the "
-            "exhaustive search or the residual recursion"
-        )
-    return np.power(np.clip(mu, 0.0, 1.0), k)
 
 
 def _power_blocks(mu: np.ndarray, k_lo: int, k_hi: int, max_rows: int | None = None):
@@ -161,7 +136,20 @@ class KPath:
         return float(v @ self._h @ v)
 
     def _mu_pow(self, k: float) -> np.ndarray:
-        return _mu_power(self.mu, k, self.real_ok)
+        """(1 - lambda)^k, valid for real k >= 0 or any integer k."""
+        k = _check_k(k)
+        if _is_integer(k):
+            # C pow handles a negative base with an integral exponent
+            with np.errstate(over="ignore"):
+                return np.power(self.mu, float(round(k)))
+        if not self.real_ok:
+            raise IterationDomainError(
+                "fractional iteration counts are undefined for eigenvalues "
+                f"outside [0, 1] (range [{self.lam.min():.3e}, "
+                f"{self.lam.max():.3e}]); use integer counts via the "
+                "exhaustive search or the residual recursion"
+            )
+        return np.power(np.clip(self.mu, 0.0, 1.0), k)
 
     def weights(self, k: float) -> np.ndarray:
         """Per-eigenvalue shrinkage weights 1 - (1 - lambda)^k."""
@@ -237,15 +225,10 @@ class KPath:
                 yield ks, df, rss, energy
 
 
-def iterate_fitted(spectral: SpectralForm, y: np.ndarray, k: float) -> np.ndarray:
-    """Fitted values after k bias-reduction steps (k may be fractional)."""
-    return KPath(spectral, y).fitted(k)
-
-
 def iterate_fitted_recursive(smoother, y: np.ndarray, k: int) -> np.ndarray:
     """Reference path: smooth residuals k times with the dense matrix.
 
-    Mathematically identical to :func:`iterate_fitted` for integer k; kept
+    Mathematically identical to :meth:`KPath.fitted` for integer k; kept
     as an independent check and as the safe route for non-positive-definite
     kernels.
     """
@@ -257,18 +240,3 @@ def iterate_fitted_recursive(smoother, y: np.ndarray, k: int) -> np.ndarray:
     for _ in range(int(round(k))):
         r = r - s @ r
     return y - r
-
-
-def coefficients(spectral: SpectralForm, y: np.ndarray, k: float) -> np.ndarray:
-    """Coefficient vector beta_k with fitted values S beta_k."""
-    return KPath(spectral, y).coefficients(k)
-
-
-def df_of_k(spectral: SpectralForm, k: float) -> float:
-    """Effective degrees of freedom sum(1 - (1 - lambda_i)^k)."""
-    return float(np.sum(1.0 - _mu_power(1.0 - spectral.lam, k, spectral.real_k_ok)))
-
-
-def rss_of_k(spectral: SpectralForm, y: np.ndarray, k: float) -> float:
-    """Residual sum of squares of the explicitly formed residual vector."""
-    return KPath(spectral, y).rss(k)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +18,12 @@ from .kernel_smoother import (
 )
 from .kernels import resolve_kernel
 from .selection import (
-    CRITERIA,
     CV_LOSSES,
     SelectionPlan,
     criterion_value,
     search_k_exhaustive,
     search_k_numeric,
+    search_mode,
 )
 from .smoothers import BaseSmoother, DesignMatrix
 from .tps import (
@@ -33,8 +32,7 @@ from .tps import (
     build_calibrated_tps,
     build_tps_smoother,
     default_tps_order,
-    _poly_block,
-    _radial_values,
+    tps_evaluate,
 )
 
 __all__ = [
@@ -140,14 +138,10 @@ class TpsPredictor:
     poly_coef: np.ndarray
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
-        x_new = _finite_rows(x_new)
-        d = self.x_train.shape[1]
-        if x_new.shape[1] != d:
-            raise ValueError(f"expected {d} columns, got {x_new.shape[1]}")
-        diff = x_new[:, None, :] - self.x_train[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=2))
-        eta = _radial_values(r, self.order, d)
-        return eta @ self.delta + _poly_block(x_new, self.powers) @ self.poly_coef
+        return tps_evaluate(
+            _finite_rows(x_new), self.x_train, self.order, self.powers,
+            self.delta, self.poly_coef,
+        )
 
 
 @dataclass
@@ -262,8 +256,6 @@ def fit(
     if plan.mode == "fixed":
         selection = None
         k = float(plan.fixed_k)
-        if not spectral.real_k_ok and abs(k - round(k)) > 1e-9:
-            raise ValueError("fractional fixed k needs eigenvalues in [0, 1]")
     elif plan.criterion in CV_LOSSES:
         if config is None:
             raise ValueError(
@@ -274,15 +266,7 @@ def fit(
         selection = search_k_cv(design.x, y, factory, plan)
         k = selection.k
     else:
-        mode = plan.mode
-        if mode == "numeric" and not spectral.real_k_ok:
-            warnings.warn(
-                "kernel eigenvalues leave [0, 1]; numeric search is undefined, "
-                "switching to exhaustive integer search",
-                stacklevel=2,
-            )
-            mode = "exhaustive"
-        if mode == "numeric":
+        if search_mode(plan.mode, spectral.real_k_ok) == "numeric":
             selection = search_k_numeric(spectral, y, plan)
         else:
             selection = search_k_exhaustive(spectral, y, plan)
@@ -339,8 +323,6 @@ def criterion_at(fit_result: IbrFit, kind: str) -> float:
     Used by forward selection, where the scoring criterion may differ from
     the one that picked k.
     """
-    if kind not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {kind!r}")
     return criterion_value(
         kind, fit_result.n, fit_result.rss, fit_result.final_df, fit_result.fitted_energy
     )

@@ -244,9 +244,6 @@ class KernelSmoother(BaseSmoother):
             pd_family=self.spec.positive_definite,
         )
 
-    def weights_at(self, x_new: np.ndarray) -> np.ndarray:
-        return self.weights_matrix(np.atleast_2d(np.asarray(x_new, dtype=float)))[0]
-
     def weights_matrix(self, x_new: np.ndarray) -> np.ndarray:
         w, sums = kernel_weights(x_new, self.design.x, self.spec.kind, self.spec.bandwidths)
         w /= sums[:, None]

@@ -11,14 +11,19 @@ signal that the iteration has effectively reached interpolation.
 from __future__ import annotations
 
 import math
+import warnings
 from contextlib import closing
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .engine import KPath
 from .smoothers import SpectralForm
+
+if TYPE_CHECKING:
+    from .crossval import CvPlan
 
 __all__ = [
     "CRITERIA",
@@ -29,8 +34,10 @@ __all__ = [
     "SelectionResult",
     "criterion_value",
     "df_ceiling",
+    "minimize_on_breaks",
     "search_k_exhaustive",
     "search_k_numeric",
+    "search_mode",
 ]
 
 CRITERIA = ("gcv", "aic", "aicc", "bic", "gmdl")
@@ -70,7 +77,8 @@ def criterion_value(
     """Evaluate one model-choice criterion on the log scale.
 
     ``fitted_energy`` (the squared norm of the fitted vector) is only
-    needed for gmdl.
+    needed for gmdl. Inadmissible inputs raise; admissible ones go through
+    the same formulas as the integer sweep.
     """
     if kind not in CRITERIA:
         raise ValueError(f"unknown criterion {kind!r}; expected one of {CRITERIA}")
@@ -81,35 +89,23 @@ def criterion_value(
         )
     if df >= n:
         raise ValueError(f"effective df {df} must stay below n = {n}")
-    if kind == "gcv":
-        return math.log(rss / n) - 2.0 * math.log(1.0 - df / n)
-    if kind == "aic":
-        return math.log(rss / n) + 2.0 * df / n
-    if kind == "bic":
-        return math.log(rss / n) + math.log(n) * df / n
-    if kind == "aicc":
-        if df >= n - 2:
-            raise ValueError(
-                f"aicc needs df < n - 2 = {n - 2}, got {df}; "
-                "the fit is too close to interpolation"
-            )
-        return math.log(rss / n) + 1.0 + 2.0 * (df + 1.0) / (n - df - 2.0)
-    # gmdl
-    if fitted_energy is None:
+    if kind == "aicc" and df >= n - 2:
+        raise ValueError(
+            f"aicc needs df < n - 2 = {n - 2}, got {df}; "
+            "the fit is too close to interpolation"
+        )
+    if kind == "gmdl" and fitted_energy is None:
         raise ValueError("gmdl needs the fitted energy |m_k|^2")
-    s = rss / (n - df)
-    f = fitted_energy / (df * s) if df > 0 else 1.0
-    f = max(f, 1.0)
-    return math.log(s) + (df / n) * math.log(f)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return float(_criterion_array(kind, n, rss, df, fitted_energy))
 
 
-def _criterion_array(
-    kind: str, n: int, rss: np.ndarray, df: np.ndarray, energy: np.ndarray
-) -> np.ndarray:
-    """Vectorized criterion for (rss, df) arrays.
+def _criterion_array(kind: str, n: int, rss, df, energy) -> np.ndarray:
+    """The criterion formulas, elementwise over (rss, df) arrays or scalars.
 
-    Entries outside the admissible range give inf or nan; callers mask
-    them and hold ``np.errstate(divide="ignore", invalid="ignore")``.
+    ``energy`` is read by gmdl only. Entries outside the admissible range
+    give inf or nan; callers mask them and hold ``np.errstate(divide=
+    "ignore", invalid="ignore")``.
     """
     log_ms = np.log(rss / n)
     if kind == "gcv":
@@ -140,7 +136,7 @@ class SelectionPlan:
     fraction: tuple[float, ...] = _DEFAULT_FRACTION
     dfmaxi: float | None = None
     fixed_k: float | None = None
-    cv: "object | None" = None  # CvPlan, attached lazily to avoid a cycle
+    cv: CvPlan | None = None
 
     def __post_init__(self) -> None:
         if self.criterion not in CRITERIA + CV_LOSSES:
@@ -183,6 +179,19 @@ class SelectionResult:
         return int(round(self.k))
 
 
+def search_mode(mode: str, real_k_ok: bool) -> str:
+    """The search mode to run: numeric becomes exhaustive, with a warning,
+    when the eigenvalues leave [0, 1] and fractional k is undefined."""
+    if mode == "numeric" and not real_k_ok:
+        warnings.warn(
+            "kernel eigenvalues leave [0, 1]; numeric search is undefined, "
+            "switching to exhaustive integer search",
+            stacklevel=3,
+        )
+        return "exhaustive"
+    return mode
+
+
 def _bisect_last_ok(predicate, lo: float, hi: float, iters: int = 100) -> float:
     """Largest x in [lo, hi] with predicate(x) true, for monotone predicates."""
     if predicate(hi):
@@ -198,14 +207,43 @@ def _bisect_last_ok(predicate, lo: float, hi: float, iters: int = 100) -> float:
     return lo
 
 
+def minimize_on_breaks(objective, lo: float, hi: float, fraction) -> tuple[float, float]:
+    """Minimize objective(k) over [lo, hi]; return (k, value), value inf if none.
+
+    The breakpoints lo, the ``fraction`` entries inside (lo, hi) and hi are
+    evaluated, then each stretch between them gets its own bounded
+    ``minimize_scalar`` run (tolerance ``_K_TOL`` in k), which keeps a
+    single local dip from hiding the global one. Guards are the caller's:
+    :func:`search_k_numeric` caps hi at the df ceiling and RSS floor, while
+    the CV search applies none and runs to ``kmax``, so a CV-selected k may
+    carry more df than a criterion search would admit.
+    """
+    breaks = [lo]
+    breaks += [float(f) for f in fraction if lo < f < hi]
+    breaks.append(hi)
+    best_k, best_value = lo, np.inf
+    for k in breaks:
+        value = objective(k)
+        if value < best_value:
+            best_k, best_value = k, value
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b - a <= _K_TOL:
+            continue
+        res = minimize_scalar(
+            objective, bounds=(a, b), method="bounded", options={"xatol": _K_TOL}
+        )
+        if res.fun < best_value:
+            best_k, best_value = float(res.x), float(res.fun)
+    return best_k, best_value
+
+
 def search_k_numeric(
     spectral: SpectralForm, y: np.ndarray, plan: SelectionPlan
 ) -> SelectionResult:
     """Minimize the criterion over real-valued k on guarded subintervals.
 
-    Each stretch between consecutive breakpoints gets its own run of the
-    scalar minimizer (golden section with parabolic steps, tolerance 0.01
-    in k), which keeps a single local dip from hiding the global one.
+    k is capped below the df ceiling and above the RSS floor, then
+    :func:`minimize_on_breaks` searches [kmin, cap].
     """
     if plan.criterion not in CRITERIA:
         raise ValueError(f"numeric search needs a spectral criterion, got {plan.criterion!r}")
@@ -246,24 +284,8 @@ def search_k_numeric(
         trace.append((k, value, df, rss))
         return value
 
-    breaks = [plan.kmin]
-    breaks += [float(f) for f in plan.fraction if plan.kmin < f < k_hi]
-    breaks.append(k_hi)
-
-    best_k, best_value = None, np.inf
-    for k in breaks:
-        value = objective(k)
-        if value < best_value:
-            best_k, best_value = k, value
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a <= _K_TOL:
-            continue
-        res = minimize_scalar(
-            objective, bounds=(a, b), method="bounded", options={"xatol": _K_TOL}
-        )
-        if res.fun < best_value:
-            best_k, best_value = float(res.x), float(res.fun)
-    if best_k is None or not np.isfinite(best_value):
+    best_k, best_value = minimize_on_breaks(objective, plan.kmin, k_hi, plan.fraction)
+    if not np.isfinite(best_value):
         raise BreakdownError(
             "no admissible iteration count in "
             f"[{plan.kmin:g}, {plan.kmax:g}]; increase dfmaxi or smooth less"

@@ -155,12 +155,9 @@ class BaseSmoother(ABC):
         """Similarity-symmetrized eigendecomposition, cached."""
 
     @abstractmethod
-    def weights_at(self, x_new: np.ndarray) -> np.ndarray:
-        """Evaluation weights w(x) with w(x)' y = one smoothing pass at x."""
-
     def weights_matrix(self, x_new: np.ndarray) -> np.ndarray:
-        x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-        return np.vstack([self.weights_at(row) for row in x_new])
+        """Evaluation weights, one row w(x) per new point x, with w(x)' y
+        one smoothing pass at x."""
 
     @abstractmethod
     def describe(self) -> str:

@@ -31,6 +31,7 @@ __all__ = [
     "build_calibrated_tps",
     "calibrate_tps_lambda",
     "default_tps_order",
+    "tps_evaluate",
     "tps_null_dim",
 ]
 
@@ -112,6 +113,27 @@ def _poly_block(x: np.ndarray, powers: list[tuple[int, ...]]) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a and the rows of b."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.ndarray:
+    """eta(|x - x_i|)' a + p(x)' b at every row x of x_new.
+
+    ``a`` has one row per training point x_i and ``b`` one per monomial of
+    ``powers``: the smoother's (delta, poly) operators give its evaluation
+    weights, a fit's collapsed (delta, poly) coefficients its predictions.
+    """
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    d = x_train.shape[1]
+    if x_new.shape[1] != d:
+        raise ValueError(f"expected {d} columns, got {x_new.shape[1]}")
+    eta = _radial_values(_distances(x_new, x_train), order, d)
+    return eta @ a + _poly_block(x_new, powers) @ b
+
+
 class _TpsCore:
     """Design-dependent geometry shared by calibration and the smoother."""
 
@@ -127,8 +149,7 @@ class _TpsCore:
                 f"need more than {self.m} rows for a thin-plate spline of "
                 f"order {order} in {d} variables, got {n}"
             )
-        diff = design.x[:, None, :] - design.x[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=2))
+        r = _distances(design.x, design.x)
         off = r + np.eye(n)
         if off.min() <= 0.0:
             i, j = divmod(int(np.argmin(off)), n)
@@ -212,21 +233,11 @@ class TpsSmoother(BaseSmoother):
         lam = np.concatenate([np.ones(c.m), self._ratio[::-1]])
         return SpectralForm(d_half=np.ones(self.n), u=u, lam=lam, pd_family=True)
 
-    def _radial_at(self, x_new: np.ndarray) -> np.ndarray:
-        diff = x_new[:, None, :] - self.design.x[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=2))
-        return _radial_values(r, self.spec.order, self.d)
-
-    def weights_at(self, x_new: np.ndarray) -> np.ndarray:
-        return self.weights_matrix(np.atleast_2d(np.asarray(x_new, dtype=float)))[0]
-
     def weights_matrix(self, x_new: np.ndarray) -> np.ndarray:
-        x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-        if x_new.shape[1] != self.d:
-            raise ValueError(f"expected {self.d} columns, got {x_new.shape[1]}")
-        eta = self._radial_at(x_new)
-        poly = _poly_block(x_new, self.core.powers)
-        return eta @ self.delta_op + poly @ self.poly_op
+        return tps_evaluate(
+            x_new, self.design.x, self.spec.order, self.core.powers,
+            self.delta_op, self.poly_op,
+        )
 
     def describe(self) -> str:
         return (

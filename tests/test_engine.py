@@ -24,11 +24,7 @@ from ibrsmooth import (
     SpectralForm,
     build_calibrated_tps,
     build_kernel_smoother,
-    coefficients,
-    df_of_k,
-    iterate_fitted,
     iterate_fitted_recursive,
-    rss_of_k,
 )
 
 from ibrsmooth import engine
@@ -76,29 +72,29 @@ def test_coefficients_satisfy_smoother_identity(rng):
     """Fitted values are one smoothing pass applied to the coefficients."""
     sm = gaussian_smoother(rng.normal(size=14), h=0.8)
     y = rng.normal(size=14)
-    spectral = sm.spectral()
+    path = KPath(sm.spectral(), y)
     for k in (1, 2, 7, 33.5):
-        beta = coefficients(spectral, y, k)
-        assert np.allclose(sm.matrix @ beta, iterate_fitted(spectral, y, k), atol=1e-9)
+        beta = path.coefficients(k)
+        assert np.allclose(sm.matrix @ beta, path.fitted(k), atol=1e-9)
 
 
 def test_spectral_path_equals_dense_recursion_kernel(rng):
     sm = gaussian_smoother(rng.normal(size=20) * 2.0, h=0.6)
     y = rng.normal(size=20)
-    spectral = sm.spectral()
+    path = KPath(sm.spectral(), y)
     for k in (1, 2, 5, 17, 64):
         direct = iterate_fitted_recursive(sm, y, k)
-        assert np.allclose(iterate_fitted(spectral, y, k), direct, atol=1e-10)
+        assert np.allclose(path.fitted(k), direct, atol=1e-10)
 
 
 def test_spectral_path_equals_dense_recursion_tps(rng):
     design = random_design(rng, 15, 2)
     sm = build_calibrated_tps(design, df_multiplier=1.2)
     y = rng.normal(size=15)
-    spectral = sm.spectral()
+    path = KPath(sm.spectral(), y)
     for k in (1, 3, 11, 40):
         direct = iterate_fitted_recursive(sm, y, k)
-        assert np.allclose(iterate_fitted(spectral, y, k), direct, atol=1e-10)
+        assert np.allclose(path.fitted(k), direct, atol=1e-10)
 
 
 def test_rss_uses_true_euclidean_norm(rng):
@@ -153,7 +149,7 @@ def test_fractional_k_needs_clean_spectrum():
     with pytest.raises(IterationDomainError):
         path.fitted(2.5)
     with pytest.raises(IterationDomainError):
-        df_of_k(spectral, 2.5)
+        path.df(2.5)
 
 
 def test_tiny_eigenvalue_series_fallback():
@@ -275,21 +271,6 @@ def test_batch_df_matches_long_double_reference():
     for k in wanted:
         ref = spectral.n - np.sum(mu**k)
         assert abs(got[k] - ref) <= 5e-14 * ref, k
-
-
-def test_power_helper_serves_path_and_df_of_k(rng):
-    sm = gaussian_smoother(rng.normal(size=12), h=0.8)
-    spectral = sm.spectral()
-    path = KPath(spectral, rng.normal(size=12))
-    for k in (0, 1, 3, 7.5, 120):
-        assert df_of_k(spectral, k) == path.df(k)
-
-
-def test_functional_wrappers_agree():
-    spectral = two_point_spectral()
-    path = KPath(spectral, Y_2)
-    assert df_of_k(spectral, 2) == pytest.approx(path.df(2))
-    assert rss_of_k(spectral, Y_2, 2) == pytest.approx(path.rss(2))
 
 
 def test_rejects_bad_inputs():

@@ -6,6 +6,7 @@ import pytest
 from ibrsmooth import (
     CvPlan,
     DesignMatrix,
+    IterationDomainError,
     SelectionPlan,
     SmootherConfig,
     build_smoother,
@@ -118,6 +119,19 @@ def test_wild_kernel_falls_back_to_exhaustive():
         result = fit(x, y, smoother=config)
     assert result.selection_mode == "exhaustive"
     assert result.k == round(result.k)
+
+
+def test_fractional_fixed_k_needs_clean_spectrum(rng):
+    # the wild epanechnikov design of the numeric-search refusal test
+    x = rng.uniform(0, 0.2, size=(25, 1))
+    config = SmootherConfig(kernel="e", bandwidths=(1.0,))
+    y = rng.normal(size=25)
+    assert not build_smoother(x, config).spectral().real_k_ok
+    with pytest.raises(IterationDomainError):
+        fit(x, y, smoother=config, plan=SelectionPlan(mode="fixed", fixed_k=2.5))
+    result = fit(x, y, smoother=config, plan=SelectionPlan(mode="fixed", fixed_k=3))
+    assert result.k == 3.0
+    assert np.isfinite(result.fitted).all()
 
 
 def test_functional_predict_alias():

@@ -5,6 +5,7 @@ import pytest
 
 from ibrsmooth import (
     DesignMatrix,
+    TpsPredictor,
     TpsSpec,
     build_calibrated_tps,
     build_tps_smoother,
@@ -182,16 +183,12 @@ def test_predictions_match_weight_path(rng):
     sm = build_calibrated_tps(design, df_multiplier=1.3)
     beta = rng.normal(size=16)
     delta, poly_coef = sm.prediction_parts(beta)
+    predictor = TpsPredictor(
+        x_train=design.x, order=2, powers=sm.core.powers, delta=delta, poly_coef=poly_coef
+    )
     x_new = rng.normal(size=(5, 2))
     via_weights = sm.weights_matrix(x_new) @ beta
-    diff = x_new[:, None, :] - design.x[None, :, :]
-    r = np.sqrt((diff**2).sum(axis=2))
-    from ibrsmooth.tps import _poly_block
-
-    via_parts = _radial_values(r, 2, 2) @ delta + _poly_block(
-        x_new, sm.core.powers
-    ) @ poly_coef
-    assert np.allclose(via_weights, via_parts, atol=1e-10)
+    assert np.allclose(via_weights, predictor.predict(x_new), atol=1e-10)
 
 
 def test_describe_mentions_family_and_df(rng):

@@ -98,7 +98,6 @@ def _selection_plan(args: argparse.Namespace) -> SelectionPlan:
             npermut=args.cv_npermut,
             type=args.cv_type,
             seed=args.seed,
-            loss=args.criterion,
         )
     if args.iterations is not None:
         return SelectionPlan(

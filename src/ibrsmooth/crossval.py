@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import KPath, _coef_factors, _power_blocks
-from .selection import SelectionPlan, SelectionResult, BreakdownError
-from .selection import minimize_on_breaks, search_mode
+from .selection import CV_LOSSES, SelectionPlan, SelectionResult
+from .selection import _pick_integer, _pick_numeric, search_mode
 
 __all__ = ["CvPlan", "make_splits", "search_k_cv"]
 
@@ -25,12 +25,13 @@ _SPLIT_TYPES = ("random", "consecutive", "interleaved", "timeseries")
 
 @dataclass(frozen=True)
 class CvPlan:
-    """Geometry, seed and loss of a cross-validation run.
+    """Fold geometry and seed of a cross-validation run.
 
     ``kfold`` may be False (data splitting with ``npermut`` random
     train/test permutations), True (K derived from the test-set size) or an
     integer number of folds. Exactly one of ``ntest``/``ntrain`` may pin
-    the test-set size; it defaults to n // 10.
+    the test-set size; it defaults to n // 10. The loss scored on the held
+    out points is the selection plan's criterion ("rmse" or "map").
     """
 
     kfold: bool | int = False
@@ -39,13 +40,10 @@ class CvPlan:
     npermut: int = 20
     type: str = "random"
     seed: int = 0
-    loss: str = "rmse"
 
     def __post_init__(self) -> None:
         if self.type not in _SPLIT_TYPES:
             raise ValueError(f"split type must be one of {_SPLIT_TYPES}, got {self.type!r}")
-        if self.loss not in ("rmse", "map"):
-            raise ValueError(f"loss must be rmse or map, got {self.loss!r}")
         if self.npermut < 1:
             raise ValueError(f"npermut must be >= 1, got {self.npermut}")
         if self.ntest is not None and self.ntrain is not None:
@@ -156,12 +154,18 @@ def search_k_cv(
 ) -> SelectionResult:
     """Choose k by held-out prediction loss.
 
-    ``smoother_factory`` rebuilds and recalibrates the base smoother on a
-    training design; it is called once per fold. Numeric mode minimizes the
-    pooled loss curve over real k in [kmin, kmax] with
-    :func:`~ibrsmooth.selection.minimize_on_breaks`, without the criterion
-    search's df and RSS guards; exhaustive mode sweeps integers.
+    The loss is ``plan.criterion`` ("rmse" or "map") and the fold geometry
+    ``plan.cv`` (``CvPlan()`` when None). ``smoother_factory`` rebuilds and
+    recalibrates the base smoother on a training design; it is called once
+    per fold. Numeric mode minimizes the pooled loss curve over real k in
+    [kmin, kmax] with :func:`~ibrsmooth.selection.minimize_on_breaks`,
+    without the criterion search's df and RSS guards; exhaustive mode
+    sweeps integers.
     """
+    if plan.criterion not in CV_LOSSES:
+        raise ValueError(
+            f"cross-validation needs a loss {CV_LOSSES}, got criterion {plan.criterion!r}"
+        )
     cv: CvPlan = plan.cv if plan.cv is not None else CvPlan()
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -180,39 +184,21 @@ def search_k_cv(
 
     mode = search_mode(plan.mode, all(s.kpath.real_ok for s in scorers))
     if mode == "exhaustive":
-        return _cv_exhaustive(scorers, cv, plan)
+        return _cv_exhaustive(scorers, plan)
 
-    trace: list[tuple[float, float]] = []
-
-    def objective(k: float) -> float:
+    def objective(k: float) -> tuple[float, float, float]:
         errors = np.concatenate([s.errors(k) for s in scorers])
         if not np.all(np.isfinite(errors)):
-            return np.inf
-        value = _pooled_loss(errors, cv.loss)
-        trace.append((k, value))
-        return value
+            return np.inf, np.nan, np.nan
+        return _pooled_loss(errors, plan.criterion), np.nan, np.nan
 
-    best_k, best_value = minimize_on_breaks(
-        objective, float(plan.kmin), float(plan.kmax), plan.fraction
-    )
-    if not np.isfinite(best_value):
-        raise BreakdownError("prediction loss is not finite anywhere in the k range")
-    arr = np.asarray(sorted(trace))
-    return SelectionResult(
-        k=best_k,
-        value=best_value,
-        criterion=cv.loss,
-        mode="numeric",
-        df=np.nan,
-        rss=np.nan,
-        trace_k=arr[:, 0],
-        trace_value=arr[:, 1],
-        trace_df=np.full(arr.shape[0], np.nan),
-        trace_rss=np.full(arr.shape[0], np.nan),
+    return _pick_numeric(
+        objective, float(plan.kmin), float(plan.kmax), plan.criterion,
+        "prediction loss is not finite anywhere in the k range",
     )
 
 
-def _cv_exhaustive(scorers, cv: CvPlan, plan: SelectionPlan) -> SelectionResult:
+def _cv_exhaustive(scorers, plan: SelectionPlan) -> SelectionResult:
     k_lo = int(math.ceil(plan.kmin))
     k_hi = int(math.floor(plan.kmax))
     acc = np.zeros(k_hi - k_lo + 1)
@@ -224,27 +210,14 @@ def _cv_exhaustive(scorers, cv: CvPlan, plan: SelectionPlan) -> SelectionResult:
             for ks, p in _power_blocks(kpath.mu, k_lo, k_hi):
                 factors = _coef_factors(kpath.lam, ks[:, None].astype(float), p)
                 err = factors @ zp - s.y_test
-                if cv.loss == "rmse":
+                if plan.criterion == "rmse":
                     acc[ks - k_lo] += np.einsum("ij,ij->i", err, err)
                 else:
                     acc[ks - k_lo] += np.abs(err).sum(axis=1)
     n_test_total = sum(s.y_test.size for s in scorers)
-    values = np.sqrt(acc / n_test_total) if cv.loss == "rmse" else acc / n_test_total
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise BreakdownError("prediction loss is not finite at any integer k")
-    ks = np.arange(k_lo, k_hi + 1)[finite]
-    values = values[finite]
-    j = int(np.argmin(values))
-    return SelectionResult(
-        k=float(ks[j]),
-        value=float(values[j]),
-        criterion=cv.loss,
-        mode="exhaustive",
-        df=np.nan,
-        rss=np.nan,
-        trace_k=ks,
-        trace_value=values,
-        trace_df=np.full(ks.size, np.nan),
-        trace_rss=np.full(ks.size, np.nan),
+    values = np.sqrt(acc / n_test_total) if plan.criterion == "rmse" else acc / n_test_total
+    blank = np.full(values.size, np.nan)
+    return _pick_integer(
+        k_lo, values, blank, blank, plan.criterion,
+        "prediction loss is not finite at any integer k",
     )

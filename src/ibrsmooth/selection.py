@@ -49,8 +49,8 @@ RSS_FLOOR = 1e-10
 _DF_CEILING_FACTOR = 1.0 - 1e-10
 # absolute tolerance on k for the scalar minimizer
 _K_TOL = 0.01
-# default breakpoints splitting [kmin, kmax] into minimizer subintervals
-_DEFAULT_FRACTION = (100.0, 200.0, 500.0, 1000.0, 5000.0, 1e4, 5e4, 1e5, 5e5, 1e6)
+# breakpoints splitting [kmin, kmax] into minimizer subintervals
+_BREAKS = (100.0, 200.0, 500.0, 1000.0, 5000.0, 1e4, 5e4, 1e5, 5e5, 1e6)
 
 
 class BreakdownError(RuntimeError):
@@ -127,13 +127,15 @@ def _criterion_array(kind: str, n: int, rss, df, energy) -> np.ndarray:
 
 @dataclass
 class SelectionPlan:
-    """How to choose the number of bias-reduction iterations."""
+    """How to choose the number of bias-reduction iterations.
+
+    A ``CV_LOSSES`` criterion selects by cross-validation, with folds ``cv``.
+    """
 
     criterion: str = "gcv"
     mode: str = "numeric"
     kmin: float = 1.0
     kmax: float = 1e5
-    fraction: tuple[float, ...] = _DEFAULT_FRACTION
     dfmaxi: float | None = None
     fixed_k: float | None = None
     cv: CvPlan | None = None
@@ -153,10 +155,11 @@ class SelectionPlan:
             raise ValueError(
                 f"need 1 <= kmin < kmax, got kmin={self.kmin}, kmax={self.kmax}"
             )
-        if any(f <= 0 for f in self.fraction):
-            raise ValueError("fraction breakpoints must be positive")
-        if list(self.fraction) != sorted(self.fraction):
-            raise ValueError("fraction breakpoints must be ascending")
+        if self.cv is not None and self.criterion not in CV_LOSSES:
+            raise ValueError(
+                f"a cv plan needs a cross-validated loss {CV_LOSSES}, "
+                f"got criterion {self.criterion!r}"
+            )
 
 
 @dataclass
@@ -207,10 +210,10 @@ def _bisect_last_ok(predicate, lo: float, hi: float, iters: int = 100) -> float:
     return lo
 
 
-def minimize_on_breaks(objective, lo: float, hi: float, fraction) -> tuple[float, float]:
+def minimize_on_breaks(objective, lo: float, hi: float) -> tuple[float, float]:
     """Minimize objective(k) over [lo, hi]; return (k, value), value inf if none.
 
-    The breakpoints lo, the ``fraction`` entries inside (lo, hi) and hi are
+    The breakpoints lo, the ``_BREAKS`` entries inside (lo, hi) and hi are
     evaluated, then each stretch between them gets its own bounded
     ``minimize_scalar`` run (tolerance ``_K_TOL`` in k), which keeps a
     single local dip from hiding the global one. Guards are the caller's:
@@ -219,7 +222,7 @@ def minimize_on_breaks(objective, lo: float, hi: float, fraction) -> tuple[float
     carry more df than a criterion search would admit.
     """
     breaks = [lo]
-    breaks += [float(f) for f in fraction if lo < f < hi]
+    breaks += [b for b in _BREAKS if lo < b < hi]
     breaks.append(hi)
     best_k, best_value = lo, np.inf
     for k in breaks:
@@ -235,6 +238,55 @@ def minimize_on_breaks(objective, lo: float, hi: float, fraction) -> tuple[float
         if res.fun < best_value:
             best_k, best_value = float(res.x), float(res.fun)
     return best_k, best_value
+
+
+def _pick_numeric(objective, lo, hi, name: str, empty_msg: str) -> SelectionResult:
+    """Minimize objective(k) -> (value, df, rss); finite values form the trace."""
+    trace: list[tuple[float, float, float, float]] = []
+
+    def value_at(k: float) -> float:
+        value, df, rss = objective(k)
+        if np.isfinite(value):
+            trace.append((k, value, df, rss))
+        return value
+
+    best_k, best_value = minimize_on_breaks(value_at, lo, hi)
+    if not np.isfinite(best_value):
+        raise BreakdownError(empty_msg)
+    arr = np.asarray(sorted(trace))
+    j = int(np.flatnonzero(arr[:, 0] == best_k)[0])
+    return SelectionResult(
+        k=best_k,
+        value=best_value,
+        criterion=name,
+        mode="numeric",
+        df=float(arr[j, 2]),
+        rss=float(arr[j, 3]),
+        trace_k=arr[:, 0],
+        trace_value=arr[:, 1],
+        trace_df=arr[:, 2],
+        trace_rss=arr[:, 3],
+    )
+
+
+def _pick_integer(k_lo: int, value, df, rss, name: str, empty_msg: str) -> SelectionResult:
+    """k = k_lo + argmin(value), ties to the smaller k; non-finite = inadmissible."""
+    ok = np.isfinite(value)
+    if not ok.any():
+        raise BreakdownError(empty_msg)
+    j = int(np.argmin(np.where(ok, value, np.inf)))
+    return SelectionResult(
+        k=float(k_lo + j),
+        value=float(value[j]),
+        criterion=name,
+        mode="exhaustive",
+        df=float(df[j]),
+        rss=float(rss[j]),
+        trace_k=np.arange(k_lo, k_lo + value.size)[ok],
+        trace_value=value[ok],
+        trace_df=df[ok],
+        trace_rss=rss[ok],
+    )
 
 
 def search_k_numeric(
@@ -272,36 +324,18 @@ def search_k_numeric(
             "duplicate responses"
         )
 
-    trace: list[tuple[float, float, float, float]] = []
-
-    def objective(k: float) -> float:
+    def objective(k: float) -> tuple[float, float, float]:
         df = kpath.df(k)
         rss = kpath.rss(k)
         if df > limit or rss <= RSS_FLOOR or not np.isfinite(rss):
-            return np.inf
+            return np.inf, df, rss
         energy = kpath.fitted_energy(k) if plan.criterion == "gmdl" else None
-        value = criterion_value(plan.criterion, n, rss, df, energy)
-        trace.append((k, value, df, rss))
-        return value
+        return criterion_value(plan.criterion, n, rss, df, energy), df, rss
 
-    best_k, best_value = minimize_on_breaks(objective, plan.kmin, k_hi, plan.fraction)
-    if not np.isfinite(best_value):
-        raise BreakdownError(
-            "no admissible iteration count in "
-            f"[{plan.kmin:g}, {plan.kmax:g}]; increase dfmaxi or smooth less"
-        )
-    arr = np.asarray(sorted(trace))
-    return SelectionResult(
-        k=best_k,
-        value=best_value,
-        criterion=plan.criterion,
-        mode="numeric",
-        df=kpath.df(best_k),
-        rss=kpath.rss(best_k),
-        trace_k=arr[:, 0],
-        trace_value=arr[:, 1],
-        trace_df=arr[:, 2],
-        trace_rss=arr[:, 3],
+    return _pick_numeric(
+        objective, plan.kmin, k_hi, plan.criterion,
+        "no admissible iteration count in "
+        f"[{plan.kmin:g}, {plan.kmax:g}]; increase dfmaxi or smooth less",
     )
 
 
@@ -318,41 +352,19 @@ def search_k_exhaustive(
     limit = df_ceiling(n, plan.dfmaxi)
     k_lo = int(math.ceil(plan.kmin))
     k_hi = int(math.floor(plan.kmax))
-    # rows value, df, rss of every count swept; admissibility is applied once
+    # rows value (inf where inadmissible), df, rss of every count swept
     trace = np.empty((3, max(k_hi - k_lo + 1, 0)))
-    ok = np.empty(trace.shape[1], dtype=bool)
     swept = 0
-    monotone = spectral.real_k_ok
     blocks = kpath.batch(k_lo, k_hi)
     with np.errstate(divide="ignore", invalid="ignore"), closing(blocks):
         for ks, df, rss, energy in blocks:
-            rows = slice(swept, swept + ks.size)
+            value = _criterion_array(plan.criterion, n, rss, df, energy)
+            value[~(np.isfinite(rss) & (df <= limit) & (rss > RSS_FLOOR) & (df < n))] = np.inf
+            trace[:, swept : swept + ks.size] = value, df, rss
             swept += ks.size
-            trace[0, rows] = _criterion_array(plan.criterion, n, rss, df, energy)
-            trace[1, rows] = df
-            trace[2, rows] = rss
-            np.isfinite(rss, out=ok[rows])
-            ok[rows] &= (df <= limit) & (rss > RSS_FLOOR) & (df < n)
-            if monotone and df[-1] > limit:
+            if df[-1] > limit and spectral.real_k_ok:
                 break
-    ok = ok[:swept]
-    value = trace[0, :swept]
-    value[~(ok & np.isfinite(value))] = np.inf
-    j = int(np.argmin(value))
-    if not np.isfinite(value[j]):
-        raise BreakdownError(
-            f"no admissible integer k in [{k_lo}, {k_hi}]; "
-            "increase dfmaxi or smooth less"
-        )
-    return SelectionResult(
-        k=float(k_lo + j),
-        value=float(value[j]),
-        criterion=plan.criterion,
-        mode="exhaustive",
-        df=float(trace[1, j]),
-        rss=float(trace[2, j]),
-        trace_k=np.arange(k_lo, k_lo + swept)[ok],
-        trace_value=value[ok],
-        trace_df=trace[1, :swept][ok],
-        trace_rss=trace[2, :swept][ok],
+    return _pick_integer(
+        k_lo, *trace[:, :swept], plan.criterion,
+        f"no admissible integer k in [{k_lo}, {k_hi}]; increase dfmaxi or smooth less",
     )

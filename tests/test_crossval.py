@@ -8,7 +8,10 @@ from ibrsmooth import (
     DesignMatrix,
     KernelSmootherSpec,
     SelectionPlan,
+    SmootherConfig,
     build_kernel_smoother,
+    build_smoother,
+    fit,
     make_splits,
     search_k_cv,
 )
@@ -68,7 +71,7 @@ def test_numeric_close_to_exhaustive():
 def test_absolute_loss_runs():
     x, y = problem(7, n=40)
     plan = SelectionPlan(
-        criterion="map", cv=CvPlan(kfold=4, type="consecutive", loss="map")
+        criterion="map", cv=CvPlan(kfold=4, type="consecutive")
     )
     res = search_k_cv(x, y, factory(), plan)
     assert res.criterion == "map"
@@ -108,17 +111,35 @@ def test_default_plan_is_data_splitting():
 @pytest.mark.parametrize("loss", ["rmse", "map"])
 def test_exhaustive_losses_match_pointwise_fold_errors(loss):
     x, y = problem(11, n=40)
-    cv = CvPlan(kfold=4, type="interleaved", loss=loss)
+    cv = CvPlan(kfold=4, type="interleaved")
     plan = SelectionPlan(criterion=loss, mode="exhaustive", cv=cv, kmax=300)
     build = factory(h=0.5)
     scorers = [
         _FoldScorer(build(x[train]), y[train], x[test], y[test])
         for train, test in make_splits(y.size, cv)
     ]
-    res = _cv_exhaustive(scorers, cv, plan)
+    res = _cv_exhaustive(scorers, plan)
     assert res.trace_k.tolist() == list(range(1, 301))
     for k, value in zip(res.trace_k, res.trace_value):
         errors = np.concatenate([s.errors(k) for s in scorers])
         assert value == pytest.approx(_pooled_loss(errors, loss), rel=1e-12)
     assert res.value == res.trace_value.min()
     assert res.k == res.trace_k[np.argmin(res.trace_value)]
+
+
+def test_spectral_criterion_is_refused():
+    x, y = problem(15, n=30)
+    with pytest.raises(ValueError, match="cross-validation needs a loss"):
+        search_k_cv(x, y, factory(), SelectionPlan(criterion="gcv"))
+
+
+def test_fit_scores_folds_by_the_plan_criterion():
+    x, y = problem(17, n=60)
+    res = fit(x, y, plan=SelectionPlan(criterion="map"))
+    explicit = search_k_cv(
+        x, y, lambda x_sub: build_smoother(x_sub, SmootherConfig()),
+        SelectionPlan(criterion="map"),
+    )
+    assert res.criterion == "map"
+    assert res.k == explicit.k
+    assert res.criterion_value == explicit.value

@@ -5,6 +5,7 @@ import pytest
 
 from ibrsmooth import (
     BreakdownError,
+    CvPlan,
     SelectionPlan,
     build_calibrated_tps,
     search_k_exhaustive,
@@ -106,8 +107,8 @@ def test_plan_validation():
         SelectionPlan(mode="fixed")
     with pytest.raises(ValueError, match="kmin"):
         SelectionPlan(kmin=10.0, kmax=5.0)
-    with pytest.raises(ValueError, match="ascending"):
-        SelectionPlan(fraction=(100.0, 50.0))
+    with pytest.raises(ValueError, match="cv plan needs a cross-validated loss"):
+        SelectionPlan(criterion="gcv", cv=CvPlan(kfold=5))
 
 
 def test_small_kmax_limits_the_search():

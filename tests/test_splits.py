@@ -99,8 +99,6 @@ def test_same_seed_same_splits():
 def test_plan_validation():
     with pytest.raises(ValueError, match="split type"):
         CvPlan(type="bootstrap")
-    with pytest.raises(ValueError, match="loss"):
-        CvPlan(loss="huber")
     with pytest.raises(ValueError, match="npermut"):
         CvPlan(npermut=0)
     with pytest.raises(ValueError, match="not both"):

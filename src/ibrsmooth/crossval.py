@@ -9,14 +9,13 @@ scored by pooled prediction loss at the held-out points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import KPath, _coef_factors, _power_blocks
 from .selection import CV_LOSSES, SelectionPlan, SelectionResult
-from .selection import _pick_integer, _pick_numeric, search_mode
+from .selection import _integer_range, _pick_integer, _pick_numeric, search_mode
 
 __all__ = ["CvPlan", "make_splits", "search_k_cv"]
 
@@ -130,7 +129,7 @@ class _FoldScorer:
         spectral = smoother.spectral()
         self.kpath = KPath(spectral, y_train)
         # predictions are w(x)' beta_k = (W G) (factors * z)
-        self.projector = smoother.weights_matrix(x_test) @ self.kpath.g
+        self.projector = smoother.evaluate(x_test, self.kpath.g)
         self.y_test = y_test
 
     def predict(self, k: float) -> np.ndarray:
@@ -199,8 +198,7 @@ def search_k_cv(
 
 
 def _cv_exhaustive(scorers, plan: SelectionPlan) -> SelectionResult:
-    k_lo = int(math.ceil(plan.kmin))
-    k_hi = int(math.floor(plan.kmax))
+    k_lo, k_hi = _integer_range(plan)
     acc = np.zeros(k_hi - k_lo + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for s in scorers:

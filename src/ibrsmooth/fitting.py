@@ -235,6 +235,8 @@ def fit(
         raise ValueError(f"y has {y.size} entries for {design.n} rows")
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
+    if np.all(y == y[0]):
+        raise ValueError(f"y is constant ({y[0]:g}); there is nothing to smooth")
     plan = plan if plan is not None else SelectionPlan()
 
     config: SmootherConfig | None

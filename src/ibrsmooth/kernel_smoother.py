@@ -126,56 +126,29 @@ def product_kernel(
     return out
 
 
-def _check_columns(x_new, x: np.ndarray) -> np.ndarray:
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-    if x_new.shape[1] != x.shape[1]:
-        raise ValueError(f"expected {x.shape[1]} columns, got {x_new.shape[1]}")
-    return x_new
-
-
-def _dead_rows_error(dead: list[int]) -> ValueError:
-    return ValueError(
-        f"prediction rows {dead} fall outside the kernel "
-        "support of every design point"
-    )
-
-
-def kernel_weights(
-    x_new, x: np.ndarray, kind: str, bandwidths
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized product-kernel weights of new points and their row sums.
-
-    Raises ValueError when ``x_new`` has the wrong number of columns or one
-    of its rows lies outside the kernel support of every design point.
-    """
-    x_new = _check_columns(x_new, x)
-    w = product_kernel(x_new, x, kind, bandwidths)
-    sums = w.sum(axis=1)
-    dead = np.nonzero(sums <= 0)[0]
-    if dead.size:
-        raise _dead_rows_error(dead.tolist())
-    return w, sums
-
-
 def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray) -> np.ndarray:
     """Kernel-weighted average sum_j w_ij beta_j / sum_j w_ij at new points.
 
-    The weights are built a block of rows at a time in two buffers of about
-    ``_PREDICT_BLOCK_BYTES`` each, reused for every block. A call never
-    holds an m x n weight matrix, so its speed per row does not depend on m
-    or on whether the allocator hands out fresh pages for multi-megabyte
-    arrays, which varies from one process to the next. A block is a whole
-    number of eight-row groups, so the blocked matrix-vector products line
-    up with one product over all rows; with OpenBLAS the result has the same
-    bits as ``(w @ beta) / sums`` over the full weight matrix. Raises
-    ValueError like :func:`kernel_weights`.
+    ``beta`` has shape (n,) or (n, c). The weights are built a block of
+    rows at a time in two buffers of about ``_PREDICT_BLOCK_BYTES`` each,
+    reused for every block. A call never holds an m x n weight matrix, so
+    its speed per row does not depend on m or on whether the allocator
+    hands out fresh pages for multi-megabyte arrays, which varies from one
+    process to the next. A block is a whole number of eight-row groups, so
+    the blocked products line up with one product over all rows; with
+    OpenBLAS a vector ``beta`` gives the same bits as ``(w @ beta) / sums``
+    over the full weight matrix. Raises ValueError when ``x_new`` has the
+    wrong number of columns or a row outside the kernel support of every
+    design point.
     """
-    x_new = _check_columns(x_new, x)
+    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    if x_new.shape[1] != x.shape[1]:
+        raise ValueError(f"expected {x.shape[1]} columns, got {x_new.shape[1]}")
     m, n = x_new.shape[0], x.shape[0]
     rows = max(1, min(m, max(8, _PREDICT_BLOCK_BYTES // (8 * n) // 8 * 8)))
     out_buf = np.empty((rows, n))
     scratch_buf = np.empty((rows, n))
-    pred = np.empty(m)
+    pred = np.empty((m,) + beta.shape[1:])
     dead = []
     for start in range(0, m, rows):
         stop = min(start + rows, m)
@@ -188,9 +161,14 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
         if dead_here.size:
             dead.extend((start + dead_here).tolist())
             continue
-        np.divide(w @ beta, sums, out=pred[start:stop])
+        # transposed, the row sums broadcast along the last axis of an
+        # (rows, c) block; a vector is its own transpose
+        np.divide((w @ beta).T, sums, out=pred[start:stop].T)
     if dead:
-        raise _dead_rows_error(dead)
+        raise ValueError(
+            f"prediction rows {dead} fall outside the kernel "
+            "support of every design point"
+        )
     return pred
 
 
@@ -244,10 +222,10 @@ class KernelSmoother(BaseSmoother):
             pd_family=self.spec.positive_definite,
         )
 
-    def weights_matrix(self, x_new: np.ndarray) -> np.ndarray:
-        w, sums = kernel_weights(x_new, self.design.x, self.spec.kind, self.spec.bandwidths)
-        w /= sums[:, None]
-        return w
+    def evaluate(self, x_new: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        return kernel_predict(
+            x_new, self.design.x, self.spec.kind, self.spec.bandwidths, coef
+        )
 
     def describe(self) -> str:
         return f"{self.spec.kind} kernel (with {self.initial_df:.4g} df)"

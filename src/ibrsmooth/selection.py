@@ -160,6 +160,8 @@ class SelectionPlan:
                 f"a cv plan needs a cross-validated loss {CV_LOSSES}, "
                 f"got criterion {self.criterion!r}"
             )
+        if self.mode == "exhaustive":
+            _integer_range(self)
 
 
 @dataclass
@@ -180,6 +182,17 @@ class SelectionResult:
     @property
     def k_rounded(self) -> int:
         return int(round(self.k))
+
+
+def _integer_range(plan: SelectionPlan) -> tuple[int, int]:
+    """The integers (ceil(kmin), floor(kmax)) an exhaustive sweep covers."""
+    k_lo, k_hi = int(math.ceil(plan.kmin)), int(math.floor(plan.kmax))
+    if k_lo > k_hi:
+        raise ValueError(
+            f"no integer k in [kmin={plan.kmin:g}, kmax={plan.kmax:g}] "
+            "for the exhaustive search"
+        )
+    return k_lo, k_hi
 
 
 def search_mode(mode: str, real_k_ok: bool) -> str:
@@ -347,13 +360,12 @@ def search_k_exhaustive(
         raise ValueError(
             f"exhaustive search needs a spectral criterion, got {plan.criterion!r}"
         )
+    k_lo, k_hi = _integer_range(plan)
     kpath = KPath(spectral, y)
     n = kpath.n
     limit = df_ceiling(n, plan.dfmaxi)
-    k_lo = int(math.ceil(plan.kmin))
-    k_hi = int(math.floor(plan.kmax))
     # rows value (inf where inadmissible), df, rss of every count swept
-    trace = np.empty((3, max(k_hi - k_lo + 1, 0)))
+    trace = np.empty((3, k_hi - k_lo + 1))
     swept = 0
     blocks = kpath.batch(k_lo, k_hi)
     with np.errstate(divide="ignore", invalid="ignore"), closing(blocks):

@@ -2,14 +2,16 @@
 
 A base smoother is an n x n linear map S that is deliberately chosen too
 smooth; the bias-reduction iteration then sharpens it. Both smoother
-families expose the same interface: the dense matrix, a symmetrized
-eigendecomposition, and evaluation weights at new points.
+families expose the same interface: the dense matrix (the reference the
+fast paths are checked against), a symmetrized eigendecomposition, and
+``evaluate(x, coef)``, the smoother's weights at new points applied to one
+or more coefficient vectors without forming the weight matrix.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +81,6 @@ class SpectralForm:
     # set for families whose eigenvalues must lie in [0, 1] (PD kernels, TPS)
     pd_family: bool = True
     tail_trace: float = 0.0
-    nonpositive: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.d_half = np.asarray(self.d_half, dtype=float)
@@ -92,7 +93,6 @@ class SpectralForm:
             )
         if np.any(np.diff(self.lam) > 1e-12):
             raise ValueError("eigenvalues must be sorted in descending order")
-        self.nonpositive = int(np.sum(self.lam <= 0.0))
         if self.pd_family:
             if self.lam.min() <= -EIGEN_TOL or self.lam.max() > 1.0 + EIGEN_TOL:
                 raise ValueError(
@@ -155,9 +155,13 @@ class BaseSmoother(ABC):
         """Similarity-symmetrized eigendecomposition, cached."""
 
     @abstractmethod
-    def weights_matrix(self, x_new: np.ndarray) -> np.ndarray:
-        """Evaluation weights, one row w(x) per new point x, with w(x)' y
-        one smoothing pass at x."""
+    def evaluate(self, x_new: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """W(x_new) @ coef for coef of shape (n,) or (n, c).
+
+        Row x of W holds the evaluation weights w(x), so w(x)' y is one
+        smoothing pass at x; at the training rows W is ``matrix``. At most a
+        block of W is formed.
+        """
 
     @abstractmethod
     def describe(self) -> str:

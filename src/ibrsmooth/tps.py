@@ -123,8 +123,9 @@ def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.nda
     """eta(|x - x_i|)' a + p(x)' b at every row x of x_new.
 
     ``a`` has one row per training point x_i and ``b`` one per monomial of
-    ``powers``: the smoother's (delta, poly) operators give its evaluation
-    weights, a fit's collapsed (delta, poly) coefficients its predictions.
+    ``powers``, each with one column per evaluated function or none: the
+    pair :meth:`TpsSmoother.prediction_parts` solves for a coefficient
+    vector, or a fit's saved (delta, poly) coefficients.
     """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     d = x_train.shape[1]
@@ -135,7 +136,12 @@ def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.nda
 
 
 class _TpsCore:
-    """Design-dependent geometry shared by calibration and the smoother."""
+    """Design-dependent geometry shared by calibration and the smoother.
+
+    With T = [q1 q2] [R; 0] the QR of the polynomial block and
+    q2' E q2 = V diag(theta) V', the smoother's eigenvectors are the columns
+    of q1 (eigenvalue 1) and of g2 = q2 V (eigenvalue theta / (theta + n lam)).
+    """
 
     def __init__(self, design: DesignMatrix, order: int):
         n, d = design.n, design.d
@@ -159,8 +165,7 @@ class _TpsCore:
             )
         self.e = _radial_values(r, order, d)
         self.powers = _poly_powers(order, d)
-        self.t = _poly_block(design.x, self.powers)
-        q, r_full = qr(self.t, mode="full")
+        q, r_full = qr(_poly_block(design.x, self.powers), mode="full")
         self.r = r_full[: self.m, : self.m]
         diag = np.abs(np.diag(self.r))
         if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):
@@ -169,9 +174,9 @@ class _TpsCore:
                 "thin-plate splines need points in general position"
             )
         self.q1 = q[:, : self.m]
-        self.q2 = q[:, self.m :]
-        b = self.q2.T @ self.e @ self.q2
-        theta, w = np.linalg.eigh((b + b.T) / 2.0)
+        q2 = q[:, self.m :]
+        b = q2.T @ self.e @ q2
+        theta, v = np.linalg.eigh((b + b.T) / 2.0)
         floor = -1e-8 * max(abs(theta[-1]), 1.0)
         if theta[0] < floor:
             raise ValueError(
@@ -179,7 +184,7 @@ class _TpsCore:
                 "the design does not support this spline order"
             )
         self.theta = np.maximum(theta, 0.0)
-        self.w = w
+        self.g2 = q2 @ v
 
     def trace_and_slope(self, lam: float) -> tuple[float, float]:
         """Smoother trace m + sum theta / (theta + n lam) and its slope in log lam.
@@ -206,18 +211,11 @@ class TpsSmoother(BaseSmoother):
         if nl == 0.0 and c.theta.min() <= 0.0:
             raise ValueError("cannot interpolate: radial block is singular")
         self._ratio = c.theta / (c.theta + nl) if nl > 0 else np.ones_like(c.theta)
-        # delta = delta_op @ y solves the penalized saddle system
-        inv = 1.0 / (c.theta + nl)
-        q2w = c.q2 @ c.w
-        self.delta_op = (q2w * inv) @ q2w.T
-        rhs = c.q1.T - (c.q1.T @ (c.e + nl * np.eye(design.n))) @ self.delta_op
-        self.poly_op = solve_triangular(c.r, rhs)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         c = self.core
-        q2w = c.q2 @ c.w
-        return c.q1 @ c.q1.T + (q2w * self._ratio) @ q2w.T
+        return c.q1 @ c.q1.T + (c.g2 * self._ratio) @ c.g2.T
 
     @property
     def initial_df(self) -> float:
@@ -229,14 +227,14 @@ class TpsSmoother(BaseSmoother):
     @cached_property
     def _spectral(self) -> SpectralForm:
         c = self.core
-        u = np.hstack([c.q1, c.q2 @ c.w[:, ::-1]])
+        u = np.hstack([c.q1, c.g2[:, ::-1]])
         lam = np.concatenate([np.ones(c.m), self._ratio[::-1]])
         return SpectralForm(d_half=np.ones(self.n), u=u, lam=lam, pd_family=True)
 
-    def weights_matrix(self, x_new: np.ndarray) -> np.ndarray:
+    def evaluate(self, x_new: np.ndarray, coef: np.ndarray) -> np.ndarray:
         return tps_evaluate(
             x_new, self.design.x, self.spec.order, self.core.powers,
-            self.delta_op, self.poly_op,
+            *self.prediction_parts(coef),
         )
 
     def describe(self) -> str:
@@ -245,39 +243,26 @@ class TpsSmoother(BaseSmoother):
             f"(with {self.initial_df:.4g} df)"
         )
 
-    def prediction_parts(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Collapse smoother weights against a coefficient vector.
+    def prediction_parts(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve the penalized saddle system with ``coef`` as the response.
 
-        Returns (delta_star, poly_star) so that predictions are
-        eta(x)' delta_star + p(x)' poly_star, an O(n*d) payload.
+        Returns (delta, poly), of shape (n,) and (m,), or (n, k) and (m, k)
+        for coef of shape (n, k), so that the smoother applied to coef is
+        eta(x)' delta + p(x)' poly at any x, an O(n*d) payload per column:
+        delta = g2 diag(1 / (theta + n lam)) g2' coef and
+        poly = R^-1 q1' (coef - E delta - n lam delta).
         """
-        return self.delta_op @ beta, self.poly_op @ beta
+        c = self.core
+        nl = self.design.n * self.spec.lam
+        # scale the rows of g2' coef; the transposes let a vector pass too
+        delta = c.g2 @ ((c.g2.T @ coef).T / (c.theta + nl)).T
+        poly = solve_triangular(c.r, c.q1.T @ (coef - c.e @ delta - nl * delta))
+        return delta, poly
 
 
 def build_tps_smoother(x, spec: TpsSpec) -> TpsSmoother:
     design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
     return TpsSmoother(design, spec)
-
-
-def _calibrate_core(core: _TpsCore, df_multiplier: float, tol: float) -> TpsSpec:
-    target = df_multiplier * core.m
-    n = core.design.n
-    if df_multiplier <= 1.0:
-        raise ValueError(f"df multiplier must exceed 1, got {df_multiplier}")
-    if target >= n:
-        raise ValueError(f"df target {target:.3g} must stay below n = {n}")
-    positive = core.theta[core.theta > 0]
-    if positive.size == 0:
-        raise CalibrationError("radial block is identically zero; cannot calibrate")
-    scale = float(np.median(positive)) / n
-    lam, achieved = _log_newton_root(
-        core.trace_and_slope, target, core.m, scale * 1e-9, scale * 1e9, "spline df"
-    )
-    if abs(achieved - target) > tol:
-        raise CalibrationError(
-            f"spline calibration reached trace {achieved:.6f} instead of {target}"
-        )
-    return TpsSpec(order=core.order, lam=lam, df_multiplier=df_multiplier)
 
 
 def calibrate_tps_lambda(
@@ -293,19 +278,34 @@ def calibrate_tps_lambda(
     1 < df_multiplier and df_multiplier * null_dim < n. The penalty is found
     by safeguarded Newton steps on log lam, each an O(n) trace evaluation.
     """
-    design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
-    if order is None:
-        order = default_tps_order(design.d)
-    return _calibrate_core(_TpsCore(design, order), df_multiplier, tol)
+    return build_calibrated_tps(x, order, df_multiplier, tol).spec
 
 
 def build_calibrated_tps(
     x, order: int | None = None, df_multiplier: float = 1.1, tol: float = 1e-4
 ) -> TpsSmoother:
-    """Calibrate the penalty and build the smoother in one step."""
+    """Calibrate the penalty (see :func:`calibrate_tps_lambda`) and build
+    the smoother; past the shared geometry the build is O(n)."""
     design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
     if order is None:
         order = default_tps_order(design.d)
+    if df_multiplier <= 1.0:
+        raise ValueError(f"df multiplier must exceed 1, got {df_multiplier}")
     core = _TpsCore(design, order)
-    spec = _calibrate_core(core, df_multiplier, tol)
+    n = design.n
+    target = df_multiplier * core.m
+    if target >= n:
+        raise ValueError(f"df target {target:.3g} must stay below n = {n}")
+    positive = core.theta[core.theta > 0]
+    if positive.size == 0:
+        raise CalibrationError("radial block is identically zero; cannot calibrate")
+    scale = float(np.median(positive)) / n
+    lam, achieved = _log_newton_root(
+        core.trace_and_slope, target, core.m, scale * 1e-9, scale * 1e9, "spline df"
+    )
+    if abs(achieved - target) > tol:
+        raise CalibrationError(
+            f"spline calibration reached trace {achieved:.6f} instead of {target}"
+        )
+    spec = TpsSpec(order=order, lam=lam, df_multiplier=df_multiplier)
     return TpsSmoother(design, spec, core=core)

@@ -213,3 +213,12 @@ def test_missing_subcommand_exits_2_with_one_error_line(capsys):
     assert main([]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "required" in err
+
+
+def test_constant_response_exits_2_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    path.write_text("y,x\n" + "".join(f"3.0,{i}\n" for i in range(12)))
+    assert main(["fit", "--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "y is constant" in err

@@ -143,3 +143,14 @@ def test_fit_scores_folds_by_the_plan_criterion():
     assert res.criterion == "map"
     assert res.k == explicit.k
     assert res.criterion_value == explicit.value
+
+
+def test_integer_fallback_refuses_an_empty_integer_range():
+    # epanechnikov folds at df 3 leave [0, 1], so CV sweeps integers, and
+    # [1.5, 1.9] holds none
+    x, y = problem(0, n=40)
+    config = SmootherConfig(kernel="epanechnikov", df=3)
+    plan = SelectionPlan(criterion="rmse", kmin=1.5, kmax=1.9, cv=CvPlan(kfold=4))
+    with pytest.warns(UserWarning, match="exhaustive"):
+        with pytest.raises(ValueError, match=r"kmin=1.5, kmax=1.9"):
+            fit(x, y, smoother=config, plan=plan)

@@ -77,7 +77,7 @@ def test_evaluation_outside_support_is_an_error():
     sm = build_kernel_smoother(design, spec)
     assert np.all(sm.matrix.sum(axis=1) > 0)
     with pytest.raises(ValueError, match="support"):
-        sm.weights_matrix(np.array([[5.0]]))
+        sm.evaluate(np.array([[5.0]]), np.ones(3))
 
 
 def test_two_point_bandwidth_closed_form():
@@ -224,16 +224,33 @@ def test_product_kernel_matches_columnwise_product(rng, kind):
 
 @pytest.mark.parametrize("kind", ["gaussian", "triangle"])
 def test_blocked_prediction_matches_full_weights(rng, monkeypatch, kind):
-    """Row blocks of 8 over 21 rows (8 + 8 + 5) give the full-matrix answer."""
+    """Row blocks of 8 over 21 rows (8 + 8 + 5) give the full-matrix answer,
+    for a coefficient vector and for an (n, 3) block of them."""
     monkeypatch.setattr(kernel_smoother, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
     x = rng.uniform(size=(30, 2))
     x_new = rng.uniform(size=(21, 2))
     h = (0.6, 0.8)
     beta = rng.normal(size=30)
-    w, sums = kernel_smoother.kernel_weights(x_new, x, kind, h)
+    w = kernel_smoother.product_kernel(x_new, x, kind, h)
+    sums = w.sum(axis=1)
     got = kernel_smoother.kernel_predict(x_new, x, kind, h, beta)
     np.testing.assert_allclose(got, (w @ beta) / sums, rtol=1e-13, atol=0)
     assert kernel_smoother.kernel_predict(x_new[:0], x, kind, h, beta).shape == (0,)
+    coefs = rng.normal(size=(30, 3))
+    got = kernel_smoother.kernel_predict(x_new, x, kind, h, coefs)
+    np.testing.assert_allclose(got, (w @ coefs) / sums[:, None], rtol=1e-13, atol=0)
+    assert kernel_smoother.kernel_predict(x_new[:0], x, kind, h, coefs).shape == (0, 3)
+
+
+def test_evaluate_at_training_rows_is_the_matrix(rng):
+    design = random_design(rng, 20, 2)
+    sm = build_kernel_smoother(
+        design, KernelSmootherSpec(kind="gaussian", bandwidths=(0.8, 1.2))
+    )
+    for coef in (rng.normal(size=20), rng.normal(size=(20, 3))):
+        got = sm.evaluate(design.x, coef)
+        assert got.shape == coef.shape
+        np.testing.assert_allclose(got, sm.matrix @ coef, rtol=1e-12, atol=1e-14)
 
 
 def test_blocked_prediction_names_dead_rows_of_every_block(rng, monkeypatch):

@@ -18,12 +18,16 @@ at most 80, so the kernel spectrum takes the dense path.
 Known failure: where the criterion is flat to rounding at large k (near
 kmax, ROADMAP item 2), a rounding-level change of the input moves the
 numeric k by a few hundredths, so the k bound fails on such draws.
+
+The plain tests at the end cover degenerate inputs: each either fits or
+fails with one clear error.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ibrsmooth import SelectionPlan, SmootherConfig, fit
+from ibrsmooth import BreakdownError, SelectionPlan, SmootherConfig, fit, tps_null_dim
 from ibrsmooth.selection import _K_TOL
 
 KERNEL = SmootherConfig(family="kernel")
@@ -127,3 +131,46 @@ def test_tps_ignores_rigid_motion_and_uniform_scaling(seed, n, angle, scale, shi
     base = fit(x, y, smoother=TPS)
     moved = fit(scale * x @ rot.T + np.asarray(shifts), y, smoother=TPS)
     assert_same_fit(moved, base)
+
+
+# ---------------------------------------------------------------------------
+# degenerate designs
+
+
+def test_kernel_fits_duplicate_rows():
+    x, y = problem(0, 40)
+    x = np.vstack([x, x[:10]])
+    y = np.concatenate([y, y[:10] + 0.1])
+    res = fit(x, y, smoother=KERNEL)
+    assert res.final_df < res.n
+    assert np.all(np.isfinite(res.predict(x)))
+
+
+@pytest.mark.parametrize("config", [KERNEL, TPS], ids=["kernel", "tps"])
+def test_near_constant_column_fits(config):
+    x, y = problem(0, 40)
+    x[:, 1] = 1.0 + 1e-12 * np.random.default_rng(1).normal(size=40)
+    res = fit(x, y, smoother=config)
+    assert np.all(np.isfinite(res.fitted))
+    assert np.all(np.isfinite(res.predict(x)))
+
+
+def test_tps_one_row_above_null_dim_breaks_down_at_the_df_ceiling():
+    m = tps_null_dim(2, 2)
+    x, y = problem(2, m + 1)
+    with pytest.raises(BreakdownError, match="ceiling"):
+        fit(x, y, smoother=TPS)
+
+
+def test_tps_two_rows_above_null_dim_fits():
+    m = tps_null_dim(2, 2)
+    x, y = problem(2, m + 2)
+    res = fit(x, y, smoother=TPS)
+    assert res.final_df < res.n
+
+
+@pytest.mark.parametrize("config", [KERNEL, TPS], ids=["kernel", "tps"])
+def test_constant_response_is_refused(config):
+    x, _ = problem(0, 30)
+    with pytest.raises(ValueError, match="y is constant"):
+        fit(x, np.full(30, 2.5), smoother=config)

@@ -7,7 +7,9 @@ from ibrsmooth import (
     BreakdownError,
     CvPlan,
     SelectionPlan,
+    SmootherConfig,
     build_calibrated_tps,
+    fit,
     search_k_exhaustive,
     search_k_numeric,
 )
@@ -129,3 +131,22 @@ def test_result_df_rss_match_reported_k():
     path = KPath(spectral, y)
     assert res.df == pytest.approx(path.df(res.k), rel=1e-12)
     assert res.rss == pytest.approx(path.rss(res.k), rel=1e-12)
+
+
+def test_exhaustive_plan_refuses_an_empty_integer_range():
+    with pytest.raises(ValueError, match=r"kmin=1.5, kmax=1.9"):
+        SelectionPlan(mode="exhaustive", kmin=1.5, kmax=1.9)
+    assert SelectionPlan(mode="exhaustive", kmin=1.5, kmax=2.0).kmax == 2.0
+    assert SelectionPlan(kmin=1.5, kmax=1.9).mode == "numeric"
+
+
+def test_integer_fallback_refuses_an_empty_integer_range():
+    # an epanechnikov base at df 3 has eigenvalues below 0, so the numeric
+    # plan falls back to integers, and [1.5, 1.9] holds none
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 4, size=(40, 1))
+    y = np.sin(2 * x[:, 0]) + rng.normal(0, 0.25, 40)
+    config = SmootherConfig(kernel="epanechnikov", df=3)
+    with pytest.warns(UserWarning, match="exhaustive"):
+        with pytest.raises(ValueError, match=r"kmin=1.5, kmax=1.9"):
+            fit(x, y, smoother=config, plan=SelectionPlan(kmin=1.5, kmax=1.9))

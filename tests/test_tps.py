@@ -98,10 +98,9 @@ def test_polynomial_reproduction_at_new_points(rng):
     design = random_design(rng, 20, 2)
     sm = build_calibrated_tps(design, df_multiplier=1.5)
     x_new = rng.normal(size=(7, 2))
-    w = sm.weights_matrix(x_new)
     p_train = 1.0 + 2.0 * design.x[:, 0] - 0.5 * design.x[:, 1]
     p_new = 1.0 + 2.0 * x_new[:, 0] - 0.5 * x_new[:, 1]
-    assert np.allclose(w @ p_train, p_new, atol=1e-8)
+    assert np.allclose(sm.evaluate(x_new, p_train), p_new, atol=1e-8)
 
 
 def test_spectrum_has_exactly_null_dim_unit_eigenvalues(rng):
@@ -187,8 +186,16 @@ def test_predictions_match_weight_path(rng):
         x_train=design.x, order=2, powers=sm.core.powers, delta=delta, poly_coef=poly_coef
     )
     x_new = rng.normal(size=(5, 2))
-    via_weights = sm.weights_matrix(x_new) @ beta
-    assert np.allclose(via_weights, predictor.predict(x_new), atol=1e-10)
+    assert np.allclose(sm.evaluate(x_new, beta), predictor.predict(x_new), atol=1e-10)
+
+
+def test_evaluate_at_training_rows_is_the_matrix(rng):
+    design = random_design(rng, 20, 2)
+    sm = build_calibrated_tps(design, df_multiplier=1.3)
+    for coef in (rng.normal(size=20), rng.normal(size=(20, 3))):
+        got = sm.evaluate(design.x, coef)
+        assert got.shape == coef.shape
+        np.testing.assert_allclose(got, sm.matrix @ coef, rtol=0, atol=1e-10)
 
 
 def test_describe_mentions_family_and_df(rng):

@@ -44,8 +44,6 @@ from .tps import (
     TpsSmoother,
     TpsSpec,
     build_calibrated_tps,
-    build_tps_smoother,
-    calibrate_tps_lambda,
     default_tps_order,
     tps_null_dim,
 )
@@ -79,10 +77,8 @@ __all__ = [
     "build_calibrated_tps",
     "build_kernel_smoother",
     "build_smoother",
-    "build_tps_smoother",
     "calibrate_bandwidth",
     "calibrate_total_df",
-    "calibrate_tps_lambda",
     "criterion_value",
     "default_tps_order",
     "fit",

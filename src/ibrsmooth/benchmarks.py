@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .crossval import CvPlan, make_splits
 from .data import Dataset, load_csv
 from .fitting import IbrFit, SmootherConfig, fit
 from .selection import SelectionPlan
@@ -164,20 +165,20 @@ def run_ozone_splits(
     plan: SelectionPlan | None = None,
     ntest: int | None = None,
 ) -> OzoneSplitRun:
-    """Refit on random train subsets and score squared error on the rest."""
+    """Refit on random train subsets and score squared error on the rest.
+
+    The splits are :func:`~ibrsmooth.crossval.make_splits` data splitting:
+    ``repeats`` test sets of ``ntest`` rows (n // 10 by default).
+    """
     smoother = smoother if smoother is not None else SmootherConfig()
     plan = plan if plan is not None else SelectionPlan()
     y_all = data.values[:, 0]
     x_all = data.values[:, 1:]
     names = data.names[1:]
-    n = data.n
-    ntest = ntest if ntest is not None else n // 10
-    rng = np.random.default_rng(seed)
+    splits = make_splits(data.n, CvPlan(npermut=repeats, ntest=ntest, seed=seed))
     split_mses = []
     squares = []
-    for _ in range(repeats):
-        perm = rng.permutation(n)
-        test, train = np.sort(perm[:ntest]), np.sort(perm[ntest:])
+    for train, test in splits:
         model = fit(
             DesignMatrix(x_all[train], list(names)), y_all[train],
             smoother=smoother, plan=plan,
@@ -189,6 +190,6 @@ def run_ozone_splits(
     return OzoneSplitRun(
         pooled_mse=pooled,
         split_mses=split_mses,
-        ntrain=n - ntest,
-        ntest=ntest,
+        ntrain=splits[0][0].size,
+        ntest=splits[0][1].size,
     )

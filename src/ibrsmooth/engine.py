@@ -101,6 +101,10 @@ class KPath:
     every residual, so rss = t't + 2 v'G't + v'Hv with H r x r, while df,
     fitted values, their energy and the coefficients run over the r kept
     pairs. On a full form there is no t and no extra term.
+
+    df, rss and the fitted energy have one set of formulas, :meth:`_stats`,
+    on rows of powers (1 - lambda)^k: blocks of integer counts in
+    :meth:`batch`, the single row of any real k in :meth:`stats`.
     """
 
     def __init__(self, spectral: SpectralForm, y: np.ndarray):
@@ -113,27 +117,26 @@ class KPath:
         self.y = y
         self.lam = spectral.lam
         self.mu = 1.0 - self.lam
+        # the base of fractional powers (real k needs the spectrum in [0, 1])
+        self._mu01 = np.clip(self.mu, 0.0, 1.0)
         self.real_ok = spectral.real_k_ok
         # G z = y exactly; fitted values are G (w * z)
         self.g = spectral.d_half[:, None] * spectral.u
-        self.z = spectral.u.T @ (y / spectral.d_half)
-        self.symmetric = spectral.symmetric
-        self._h = None if self.symmetric else self.g.T @ self.g
-        # (t't, G't) of the unsmoothed remainder t = y - G z, or None
+        self.z = z = spectral.u.T @ (y / spectral.d_half)
+        self._h = None if spectral.symmetric else self.g.T @ self.g
+        # Hz, z'Hz and (for H = I) z^2, shared by every norm of G v
+        self._hz = z if self._h is None else self._h @ z
+        self._zhz = float(z @ self._hz)
+        self._z2 = z * z
+        # (t't, z * G't) of the unsmoothed remainder t = y - G z, or None
         self._rest = None
         if spectral.rank < spectral.n:
-            t = y - self.g @ self.z
-            self._rest = (float(t @ t), self.g.T @ t)
+            t = y - self.g @ z
+            self._rest = (float(t @ t), z * (self.g.T @ t))
 
     @property
     def n(self) -> int:
         return self.y.size
-
-    def _energy(self, v: np.ndarray) -> float:
-        """|G v|^2 for eigen-coordinates v."""
-        if self._h is None:
-            return float(v @ v)
-        return float(v @ self._h @ v)
 
     def _mu_pow(self, k: float) -> np.ndarray:
         """(1 - lambda)^k, valid for real k >= 0 or any integer k."""
@@ -149,29 +152,50 @@ class KPath:
                 f"{self.lam.max():.3e}]); use integer counts via the "
                 "exhaustive search or the residual recursion"
             )
-        return np.power(np.clip(self.mu, 0.0, 1.0), k)
+        return np.power(self._mu01, k)
+
+    def _stats(self, p: np.ndarray, out: np.ndarray | None = None):
+        """(df, rss, fitted_energy) arrays for power rows p[j] = (1 - lambda)^k_j.
+
+        With v = p_j * z the residual of count k_j is t + G v: df = (1 - p_j) 1
+        over the r kept pairs, rss = v'Hv (+ t't + 2 v'G't on a truncated
+        form), |fitted|^2 = z'Hz - 2 z'Hv + v'Hv, and when H = I, v'Hv =
+        (p * p) z^2 and z'Hv = p z^2. ``out`` is scratch of p's shape.
+        """
+        w = np.subtract(1.0, p, out=out)
+        df = w.sum(axis=1)
+        if self._h is None:
+            cross = p @ self._z2
+            vhv = np.multiply(p, p, out=w) @ self._z2
+        else:
+            vz = p * self.z
+            vhv = np.einsum("ij,ij->i", vz @ self._h, vz)
+            cross = vz @ self._hz
+        energy = self._zhz - 2.0 * cross + vhv
+        rest = self._rest
+        return df, vhv if rest is None else vhv + (rest[0] + 2.0 * (p @ rest[1])), energy
+
+    def stats(self, k: float) -> tuple[float, float, float]:
+        """(df, rss, fitted_energy) at one count k: one power row."""
+        df, rss, energy = self._stats(self._mu_pow(k)[None])
+        return float(df[0]), float(rss[0]), float(energy[0])
 
     def weights(self, k: float) -> np.ndarray:
         """Per-eigenvalue shrinkage weights 1 - (1 - lambda)^k."""
         return 1.0 - self._mu_pow(k)
 
     def df(self, k: float) -> float:
+        """tr(I - (I - S)^k), the sum of the weights; as :meth:`stats` without the norms."""
         return float(np.sum(self.weights(k)))
 
     def fitted(self, k: float) -> np.ndarray:
         return self.g @ (self.weights(k) * self.z)
 
     def rss(self, k: float) -> float:
-        """|y - fitted(k)|^2 = |t + G v|^2 with v = (1 - lambda)^k z."""
-        v = self._mu_pow(k) * self.z
-        rss = self._energy(v)
-        if self._rest is not None:
-            tt, gt = self._rest
-            rss += tt + 2.0 * float(v @ gt)
-        return rss
+        return self.stats(k)[1]
 
     def fitted_energy(self, k: float) -> float:
-        return self._energy(self.weights(k) * self.z)
+        return self.stats(k)[2]
 
     def coef_factors(self, k: float) -> np.ndarray:
         """Per-eigenvalue factor (1 - (1-l)^k) / l with series fallback."""
@@ -185,44 +209,20 @@ class KPath:
         """Yield (k, df, rss, fitted_energy) arrays over integer counts.
 
         One yield per block of power rows P[j, i] = (1 - lambda_i)^k_j from
-        ``_power_blocks`` (at most ``chunk`` counts, a few hundred KB), so a
-        sweep costs a few row reductions per block and no n x chunk matrix.
-        df = r - P 1 over the r kept pairs. The residual of count k is
-        t + G (P_k * z), so with v = P_k * z, |G v|^2 = v'Hv,
-        rss = v'Hv (+ t't + 2 v'G't on a truncated form) and
-        |fitted|^2 = z'Hz - 2 z'Hv + v'Hv; when H = I these are
-        (P * P) z^2 and P z^2 for the cross term. Overflow and invalid
-        warnings (|1 - lambda| > 1) are off for the whole sweep, including
-        the caller's code between blocks.
+        ``_power_blocks`` (at most ``chunk`` counts, a few hundred KB) put
+        through :meth:`_stats`, as :meth:`stats` puts one row, with one
+        scratch block for the whole sweep and no n x chunk matrix. Overflow
+        and invalid warnings (|1 - lambda| > 1) are off for the whole sweep,
+        including the caller's code between blocks.
         """
         if k_lo < 0 or k_hi < k_lo:
             raise ValueError(f"bad integer range [{k_lo}, {k_hi}]")
-        h, z = self._h, self.z
-        if h is None:
-            z2 = z * z
-            zhz = float(z @ z)
-        else:
-            hz = h @ z
-            zhz = float(z @ hz)
-        if self._rest is not None:
-            tt, gt = self._rest
-            zgt = z * gt
-        square = None
+        scratch = None
         with np.errstate(over="ignore", invalid="ignore"):
             for ks, p in _power_blocks(self.mu, k_lo, k_hi, chunk):
-                df = self.lam.size - p.sum(axis=1)
-                if h is None:
-                    if square is None:
-                        square = np.empty_like(p)
-                    cross = p @ z2
-                    vhv = np.multiply(p, p, out=square[: ks.size]) @ z2
-                else:
-                    vz = p * z
-                    vhv = np.einsum("ij,ij->i", vz @ h, vz)
-                    cross = vz @ hz
-                energy = zhz - 2.0 * cross + vhv
-                rss = vhv if self._rest is None else vhv + (tt + 2.0 * (p @ zgt))
-                yield ks, df, rss, energy
+                if scratch is None:
+                    scratch = np.empty_like(p)
+                yield (ks, *self._stats(p, scratch[: ks.size]))
 
 
 def iterate_fitted_recursive(smoother, y: np.ndarray, k: int) -> np.ndarray:

@@ -30,7 +30,6 @@ from .tps import (
     TpsSmoother,
     TpsSpec,
     build_calibrated_tps,
-    build_tps_smoother,
     default_tps_order,
     tps_evaluate,
 )
@@ -84,7 +83,7 @@ def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
                 order=config.order if config.order is not None else default_tps_order(design.d),
                 lam=config.lam,
             )
-            return build_tps_smoother(design, spec)
+            return TpsSmoother(design, spec)
         return build_calibrated_tps(design, order=config.order, df_multiplier=config.df)
     if config.bandwidths is not None:
         spec = KernelSmootherSpec(kind=config.kernel, bandwidths=tuple(config.bandwidths))
@@ -277,9 +276,7 @@ def fit(
     beta = kpath.coefficients(k)
     fitted = kpath.fitted(k)
     residuals = y - fitted
-    final_df = kpath.df(k)
-    rss = kpath.rss(k)
-    energy = kpath.fitted_energy(k)
+    final_df, rss, energy = kpath.stats(k)
     sigma = float(np.sqrt(rss / (design.n - final_df))) if final_df < design.n else np.nan
 
     if selection is None:

@@ -15,6 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .fitting import IbrFit, KernelPredictor, TpsPredictor
+from .kernel_smoother import KernelSmootherSpec
+from .kernels import resolve_kernel
+from .tps import TpsSpec, _poly_powers
 
 __all__ = ["FORMAT", "LoadedModel", "save_model", "load_model"]
 
@@ -108,12 +111,20 @@ class _Fields:
             )
         return arr
 
+    def valid(self, key: str, check, *args):
+        """check(*args), a ValueError it raises naming the field."""
+        try:
+            return check(*args)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: {self.prefix + key!r}: {exc}") from None
+
 
 def load_model(path: str | Path) -> LoadedModel:
     """Read a model file, checking every field the predictor needs.
 
-    A missing field, a non-numeric value or an array whose length does not
-    match the training design raises ``ValueError`` naming the field.
+    A missing field, a non-numeric value, an array whose length does not
+    match the training design or a smoother field that its family refuses
+    raises ``ValueError`` naming the field.
     """
     path = Path(path)
     try:
@@ -133,17 +144,27 @@ def load_model(path: str | Path) -> LoadedModel:
     fam = _Fields(top.raw("smoother"), path, "smoother.")
     family = fam.raw("family")
     if family == "kernel":
+        kind = fam.valid("kernel", resolve_kernel, str(fam.raw("kernel")))
+        bandwidths = fam.array("bandwidths", (d,))
+        fam.valid("bandwidths", KernelSmootherSpec, kind, tuple(bandwidths))
         predictor: KernelPredictor | TpsPredictor = KernelPredictor(
             x_train=x_train,
-            kind=str(fam.raw("kernel")),
-            bandwidths=fam.array("bandwidths", (d,)),
+            kind=kind,
+            bandwidths=bandwidths,
             beta=fam.array("beta", (n,)),
         )
     elif family == "tps":
+        order = int(fam.number("order"))
+        fam.valid("order", lambda: TpsSpec(order=order, lam=0.0).null_dim(d))
         powers = [tuple(int(e) for e in p) for p in fam.array("powers", (None, d))]
+        if powers != _poly_powers(order, d):
+            raise ValueError(
+                f"{path}: 'smoother.powers' are not the monomials of degree "
+                f"< {order} in {d} variables"
+            )
         predictor = TpsPredictor(
             x_train=x_train,
-            order=int(fam.number("order")),
+            order=order,
             powers=powers,
             delta=fam.array("delta", (n,)),
             poly_coef=fam.array("poly_coef", (len(powers),)),

@@ -57,9 +57,9 @@ class BreakdownError(RuntimeError):
     """Every candidate k was rejected by the interpolation guards."""
 
 
-def df_ceiling(n: int, dfmaxi: float | None) -> float:
-    """Largest admissible effective df for a sample of size n."""
-    cap = n * _DF_CEILING_FACTOR
+def df_ceiling(n: int, dfmaxi: float | None, criterion: str | None = None) -> float:
+    """Largest admissible effective df for n points; below n - 2 for aicc."""
+    cap = (n - 2 if criterion == "aicc" else n) * _DF_CEILING_FACTOR
     if dfmaxi is None:
         return min(2.0 * n / 3.0, cap)
     if dfmaxi <= 0:
@@ -78,7 +78,7 @@ def criterion_value(
 
     ``fitted_energy`` (the squared norm of the fitted vector) is only
     needed for gmdl. Inadmissible inputs raise; admissible ones go through
-    the same formulas as the integer sweep.
+    the same formulas as both searches.
     """
     if kind not in CRITERIA:
         raise ValueError(f"unknown criterion {kind!r}; expected one of {CRITERIA}")
@@ -104,8 +104,7 @@ def _criterion_array(kind: str, n: int, rss, df, energy) -> np.ndarray:
     """The criterion formulas, elementwise over (rss, df) arrays or scalars.
 
     ``energy`` is read by gmdl only. Entries outside the admissible range
-    give inf or nan; callers mask them and hold ``np.errstate(divide=
-    "ignore", invalid="ignore")``.
+    are meaningless; callers refuse or mask them.
     """
     log_ms = np.log(rss / n)
     if kind == "gcv":
@@ -115,11 +114,7 @@ def _criterion_array(kind: str, n: int, rss, df, energy) -> np.ndarray:
     if kind == "bic":
         return log_ms + math.log(n) * df / n
     if kind == "aicc":
-        return np.where(
-            df < n - 2,
-            log_ms + 1.0 + 2.0 * (df + 1.0) / (n - df - 2.0),
-            np.inf,
-        )
+        return log_ms + 1.0 + 2.0 * (df + 1.0) / (n - df - 2.0)
     s = rss / (n - df)
     f = np.where(df > 0, energy / np.maximum(df * s, 1e-300), 1.0)
     return np.log(s) + (df / n) * np.log(np.maximum(f, 1.0))
@@ -182,6 +177,14 @@ class SelectionResult:
     @property
     def k_rounded(self) -> int:
         return int(round(self.k))
+
+
+def _admissible_value(kind: str, n: int, limit: float, df, rss, energy):
+    """Criterion values where df <= limit and rss is finite and above the
+    floor, inf elsewhere: the one rule of both search modes, elementwise.
+    Callers hold ``np.errstate(divide="ignore", invalid="ignore")``."""
+    value = _criterion_array(kind, n, rss, df, energy)
+    return np.where((df <= limit) & (rss > RSS_FLOOR) & np.isfinite(rss), value, np.inf)
 
 
 def _integer_range(plan: SelectionPlan) -> tuple[int, int]:
@@ -307,14 +310,16 @@ def search_k_numeric(
 ) -> SelectionResult:
     """Minimize the criterion over real-valued k on guarded subintervals.
 
-    k is capped below the df ceiling and above the RSS floor, then
-    :func:`minimize_on_breaks` searches [kmin, cap].
+    k is capped below the df ceiling (for aicc also below n - 2) and
+    above the RSS floor, then :func:`minimize_on_breaks` searches
+    [kmin, cap]; every k in it is admissible, so the minimizer only sees
+    finite values.
     """
     if plan.criterion not in CRITERIA:
         raise ValueError(f"numeric search needs a spectral criterion, got {plan.criterion!r}")
     kpath = KPath(spectral, y)
     n = kpath.n
-    limit = df_ceiling(n, plan.dfmaxi)
+    limit = df_ceiling(n, plan.dfmaxi, plan.criterion)
     if not spectral.real_k_ok:
         raise ValueError(
             "numeric search needs eigenvalues in [0, 1]; "
@@ -326,10 +331,7 @@ def search_k_numeric(
             f"the ceiling {limit:.4g}; increase dfmaxi or smooth less"
         )
     k_hi = _bisect_last_ok(lambda k: kpath.df(k) <= limit, plan.kmin, plan.kmax)
-    if kpath.rss(k_hi) <= RSS_FLOOR:
-        k_hi = _bisect_last_ok(
-            lambda k: kpath.rss(k) > RSS_FLOOR, plan.kmin, k_hi
-        )
+    k_hi = _bisect_last_ok(lambda k: kpath.rss(k) > RSS_FLOOR, plan.kmin, k_hi)
     if kpath.rss(plan.kmin) <= RSS_FLOOR:
         raise BreakdownError(
             "the base smoother already interpolates the data "
@@ -338,12 +340,9 @@ def search_k_numeric(
         )
 
     def objective(k: float) -> tuple[float, float, float]:
-        df = kpath.df(k)
-        rss = kpath.rss(k)
-        if df > limit or rss <= RSS_FLOOR or not np.isfinite(rss):
-            return np.inf, df, rss
-        energy = kpath.fitted_energy(k) if plan.criterion == "gmdl" else None
-        return criterion_value(plan.criterion, n, rss, df, energy), df, rss
+        df, rss, energy = kpath.stats(k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(_admissible_value(plan.criterion, n, limit, df, rss, energy)), df, rss
 
     return _pick_numeric(
         objective, plan.kmin, k_hi, plan.criterion,
@@ -363,15 +362,14 @@ def search_k_exhaustive(
     k_lo, k_hi = _integer_range(plan)
     kpath = KPath(spectral, y)
     n = kpath.n
-    limit = df_ceiling(n, plan.dfmaxi)
+    limit = df_ceiling(n, plan.dfmaxi, plan.criterion)
     # rows value (inf where inadmissible), df, rss of every count swept
     trace = np.empty((3, k_hi - k_lo + 1))
     swept = 0
     blocks = kpath.batch(k_lo, k_hi)
     with np.errstate(divide="ignore", invalid="ignore"), closing(blocks):
         for ks, df, rss, energy in blocks:
-            value = _criterion_array(plan.criterion, n, rss, df, energy)
-            value[~(np.isfinite(rss) & (df <= limit) & (rss > RSS_FLOOR) & (df < n))] = np.inf
+            value = _admissible_value(plan.criterion, n, limit, df, rss, energy)
             trace[:, swept : swept + ks.size] = value, df, rss
             swept += ks.size
             if df[-1] > limit and spectral.real_k_ok:

@@ -27,9 +27,7 @@ from .smoothers import BaseSmoother, DesignMatrix, SpectralForm
 __all__ = [
     "TpsSpec",
     "TpsSmoother",
-    "build_tps_smoother",
     "build_calibrated_tps",
-    "calibrate_tps_lambda",
     "default_tps_order",
     "tps_evaluate",
     "tps_null_dim",
@@ -260,32 +258,18 @@ class TpsSmoother(BaseSmoother):
         return delta, poly
 
 
-def build_tps_smoother(x, spec: TpsSpec) -> TpsSmoother:
-    design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
-    return TpsSmoother(design, spec)
-
-
-def calibrate_tps_lambda(
-    x,
-    order: int | None = None,
-    df_multiplier: float = 1.1,
-    tol: float = 1e-4,
-) -> TpsSpec:
-    """Penalty whose smoother trace equals df_multiplier * null_dim.
+def build_calibrated_tps(
+    x, order: int | None = None, df_multiplier: float = 1.1, tol: float = 1e-4
+) -> TpsSmoother:
+    """The smoother whose trace equals df_multiplier * null_dim.
 
     The trace decreases monotonically from n (lam -> 0) to the null-space
     dimension (lam -> inf), so the multiplier must satisfy
     1 < df_multiplier and df_multiplier * null_dim < n. The penalty is found
-    by safeguarded Newton steps on log lam, each an O(n) trace evaluation.
+    by safeguarded Newton steps on log lam, each an O(n) trace evaluation;
+    past the shared geometry the build is O(n). The calibrated penalty is
+    the returned smoother's ``spec``.
     """
-    return build_calibrated_tps(x, order, df_multiplier, tol).spec
-
-
-def build_calibrated_tps(
-    x, order: int | None = None, df_multiplier: float = 1.1, tol: float = 1e-4
-) -> TpsSmoother:
-    """Calibrate the penalty (see :func:`calibrate_tps_lambda`) and build
-    the smoother; past the shared geometry the build is O(n)."""
     design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
     if order is None:
         order = default_tps_order(design.d)

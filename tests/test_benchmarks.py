@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from ibrsmooth import SelectionPlan
+from ibrsmooth.data import Dataset
 from ibrsmooth.benchmarks import (
     OZONE_COLUMNS,
     interior_grid,
     load_ozone,
     make_wendelberger_data,
+    run_ozone_splits,
     run_wendelberger,
     wendelberger,
 )
@@ -90,3 +93,18 @@ def test_ozone_loader_accepts_well_shaped_file(tmp_path):
     data = load_ozone(path)
     assert data.n == 330
     assert list(data.names) == list(OZONE_COLUMNS)
+
+
+def test_ozone_splits_on_a_synthetic_table():
+    """The split protocol without the ozone data: 60 rows, three 6-row test
+    sets. pooled_mse is pinned to the value of the first implementation,
+    which drew its own permutations instead of calling make_splits; the
+    integer sweep keeps k off the numeric minimizer's tolerance."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0, 1, size=(60, 2))
+    y = np.sin(4 * x[:, 0]) + x[:, 1] + rng.normal(0, 0.1, 60)
+    data = Dataset(names=["y", "a", "b"], values=np.column_stack([y, x]))
+    run = run_ozone_splits(data, repeats=3, seed=2, plan=SelectionPlan(mode="exhaustive"))
+    assert (run.ntrain, run.ntest, len(run.split_mses)) == (54, 6, 3)
+    assert run.pooled_mse == pytest.approx(0.014303491600885716, rel=1e-12)
+    assert run.pooled_mse == pytest.approx(np.mean(run.split_mses), rel=1e-12)

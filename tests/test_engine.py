@@ -172,25 +172,41 @@ def test_coef_factor_blocks_match_pointwise_with_series():
             np.testing.assert_allclose(row, path.coef_factors(k), rtol=1e-14)
 
 
+def _fitted_operator(spectral, k):
+    """The n x n map y -> fitted(k), one unit response at a time."""
+    eye = np.eye(spectral.n)
+    return np.column_stack([KPath(spectral, e).fitted(k) for e in eye])
+
+
 def test_batch_matches_pointwise(rng):
-    sm = gaussian_smoother(rng.normal(size=16), h=0.9)
-    y = rng.normal(size=16)
-    path = KPath(sm.spectral(), y)
-    ks_all, df_all, rss_all, energy_all = [], [], [], []
-    for ks, df, rss, energy in path.batch(1, 60, chunk=17):
-        ks_all.append(ks)
-        df_all.append(df)
-        rss_all.append(rss)
-        energy_all.append(energy)
-    ks = np.concatenate(ks_all)
-    assert ks.tolist() == list(range(1, 61))
-    df = np.concatenate(df_all)
-    rss = np.concatenate(rss_all)
-    energy = np.concatenate(energy_all)
-    for i, k in enumerate(ks):
-        assert df[i] == pytest.approx(path.df(k), rel=1e-10)
-        assert rss[i] == pytest.approx(path.rss(k), rel=1e-8)
-        assert energy[i] == pytest.approx(path.fitted_energy(k), rel=1e-8)
+    """stats (one power row) and batch (blocks) against references that
+    share none of their formulas, on a full Gaussian, a truncated Gaussian
+    and a spline form: at real k, the norms of fitted(k) and the trace of
+    the fitted operator; at integer k, the dense residual recursion and
+    tr(I - (I - S)^k)."""
+    for case in ("gaussian", "truncated_gaussian", "tps"):
+        spectral = _sweep_spectral(case, rng)
+        path = KPath(spectral, rng.normal(size=spectral.n))
+        for k in (1.0, 2.5, 7.25, 40.5):
+            fitted = path.fitted(k)
+            op = _fitted_operator(spectral, k)
+            ref = (np.trace(op), np.sum((path.y - fitted) ** 2), fitted @ fitted)
+            assert path.stats(k) == pytest.approx(ref, rel=1e-12), (case, k)
+        blocks = zip(*path.batch(1, 60, chunk=17))
+        ks, df, rss, energy = (np.concatenate(a) for a in blocks)
+        assert ks.tolist() == list(range(1, 61))
+        s = spectral.reconstruct()
+        residual_power = np.eye(spectral.n)
+        for i, k in enumerate(ks):
+            residual_power = residual_power @ (np.eye(spectral.n) - s)
+            fitted = iterate_fitted_recursive(s, path.y, k)
+            ref = (
+                spectral.n - np.trace(residual_power),
+                np.sum((path.y - fitted) ** 2),
+                fitted @ fitted,
+            )
+            assert (df[i], rss[i], energy[i]) == pytest.approx(ref, rel=1e-12), (case, k)
+            assert path.stats(k) == pytest.approx(ref, rel=1e-12), (case, k)
 
 
 def _truncate(spectral, rank):

@@ -82,15 +82,18 @@ def test_missing_file(tmp_path):
         load_model(tmp_path / "nope.json")
 
 
-def _damage(payload: dict, field: str, how: str) -> None:
-    """Drop a field or truncate an array; ``smoother.x`` names a nested one."""
+def _damage(payload: dict, field: str, how) -> None:
+    """Drop a field, truncate an array or (``how`` a list) set it to
+    ``how[0]``; ``smoother.x`` names a nested field."""
     owner, key = payload, field
     if field.startswith("smoother."):
         owner, key = payload["smoother"], field.split(".", 1)[1]
     if how == "drop":
         del owner[key]
-    else:
+    elif how == "truncate":
         owner[key] = owner[key][:-1]
+    else:
+        owner[key] = how[0]
 
 
 # (family, field, how): each file is one bad field away from a good one
@@ -102,6 +105,11 @@ BAD_FILES = [
     ("kernel", "smoother.bandwidths", "truncate"),
     ("tps", "smoother.delta", "truncate"),
     ("tps", "smoother.poly_coef", "truncate"),
+    # fields of the right shape that the family refuses; each used to load
+    pytest.param("kernel", "smoother.bandwidths", [[-1.0, 0.2]], id="kernel-bandwidths-negative"),
+    pytest.param("kernel", "smoother.kernel", ["no-such-kernel"], id="kernel-kernel-unknown"),
+    pytest.param("tps", "smoother.order", [1], id="tps-order-1"),
+    pytest.param("tps", "smoother.powers", [[[0, 0], [0, 1], [1, 0]]], id="tps-powers-swapped"),
 ]
 
 

@@ -150,3 +150,18 @@ def test_integer_fallback_refuses_an_empty_integer_range():
     with pytest.warns(UserWarning, match="exhaustive"):
         with pytest.raises(ValueError, match=r"kmin=1.5, kmax=1.9"):
             fit(x, y, smoother=config, plan=SelectionPlan(kmin=1.5, kmax=1.9))
+
+
+@pytest.mark.parametrize("mode", ["numeric", "exhaustive"])
+def test_aicc_near_n_minus_two_fits_in_both_modes(mode):
+    """n = 12 with dfmaxi = n - 0.5: the df ceiling alone admits df in
+    [10, 11.5], where aicc is undefined. Both modes stop below n - 2 and
+    pick k = 1 (the numeric search used to raise partway through)."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=12)
+    y = np.sin(2 * x) + rng.normal(0, 0.3, 12)
+    plan = SelectionPlan(criterion="aicc", dfmaxi=12 - 0.5, mode=mode)
+    result = fit(x[:, None], y, smoother=SmootherConfig(df=4.0), plan=plan)
+    assert result.k == 1.0
+    assert result.final_df == pytest.approx(4.0, abs=1e-3)
+    assert df_ceiling(12, 11.5, "aicc") < 10.0 < df_ceiling(12, 11.5)

@@ -6,10 +6,9 @@ import pytest
 from ibrsmooth import (
     DesignMatrix,
     TpsPredictor,
+    TpsSmoother,
     TpsSpec,
     build_calibrated_tps,
-    build_tps_smoother,
-    calibrate_tps_lambda,
     default_tps_order,
     tps_null_dim,
 )
@@ -61,7 +60,7 @@ def test_radial_zero_distance_is_zero():
 
 def test_zero_penalty_interpolates(rng):
     design = random_design(rng, 12, 2)
-    sm = build_tps_smoother(design, TpsSpec(order=2, lam=0.0))
+    sm = TpsSmoother(design, TpsSpec(order=2, lam=0.0))
     assert np.allclose(sm.matrix, np.eye(12), atol=1e-8)
     assert sm.initial_df == pytest.approx(12.0, abs=1e-8)
 
@@ -75,8 +74,8 @@ def test_grid_trace_calibration():
 
 def test_calibrated_lambda_reproducible():
     design = grid_design(6)
-    spec = calibrate_tps_lambda(design, df_multiplier=1.2)
-    sm = build_tps_smoother(design, spec)
+    spec = build_calibrated_tps(design, df_multiplier=1.2).spec
+    sm = TpsSmoother(design, spec)
     assert sm.initial_df == pytest.approx(1.2 * 3, abs=1e-4)
     assert spec.df_multiplier == 1.2
 
@@ -121,8 +120,8 @@ def test_spectral_reconstructs_matrix(rng):
 
 def test_trace_identity_matches_initial_df(rng):
     design = random_design(rng, 22, 2)
-    spec = calibrate_tps_lambda(design, df_multiplier=1.6)
-    sm = build_tps_smoother(design, spec)
+    spec = build_calibrated_tps(design, df_multiplier=1.6).spec
+    sm = TpsSmoother(design, spec)
     assert sm.core.trace_and_slope(spec.lam)[0] == pytest.approx(sm.initial_df, abs=1e-8)
 
 
@@ -161,7 +160,7 @@ def test_penalty_matches_pinned_value(seed, n, d, mult, pinned):
 def test_duplicate_rows_are_reported():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.5]])
     with pytest.raises(ValueError, match="[Dd]uplicate"):
-        build_tps_smoother(DesignMatrix.from_array(x), TpsSpec(order=2, lam=1e-4))
+        TpsSmoother(DesignMatrix.from_array(x), TpsSpec(order=2, lam=1e-4))
 
 
 def test_collinear_design_is_rejected():
@@ -169,7 +168,7 @@ def test_collinear_design_is_rejected():
     x1 = rng.normal(size=10)
     x = np.column_stack([x1, 2.0 * x1])  # polynomial block loses rank
     with pytest.raises(ValueError, match="rank|collinear|degenerate"):
-        build_tps_smoother(DesignMatrix.from_array(x), TpsSpec(order=2, lam=1e-4))
+        TpsSmoother(DesignMatrix.from_array(x), TpsSpec(order=2, lam=1e-4))
 
 
 def test_order_must_cover_dimension():

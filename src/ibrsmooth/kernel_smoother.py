@@ -13,7 +13,12 @@ bandwidth factor or a spline penalty). One root finder serves them all:
 safeguarded Newton steps on log(scale), using the closed-form slope
 d trace / d log(scale), inside a sign bracket that falls back to bisection
 (``rtsafe``, Numerical Recipes section 9.4). A Gaussian column typically
-needs four to six trace evaluations.
+needs four to six trace evaluations, each O(n p) with no n x n array:
+the one-column Gaussian kernel is interpolated at p Chebyshev nodes
+(K ~ L K_c L'), p doubling from 16 until the interpolant is exact to
+rounding. A column spanning too many bandwidths for p <= n / 4, a
+several-column total-df target and every other kernel take the O(n^2)
+evaluation instead.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import dctn
 
 from .kernels import is_positive_definite, kernel_slopes, kernel_values, resolve_kernel
 from .smoothers import BaseSmoother, DesignMatrix, SpectralForm
@@ -61,6 +67,13 @@ _SPECTRUM_BLOCK = 64
 _SPECTRUM_OVERSAMPLE = 16
 _SPECTRUM_GATE = 8
 _EPS = float(np.finfo(float).eps)
+# a one-column Gaussian trace goes through a Chebyshev factor of
+# _FACTOR_NODES nodes, doubled until the node kernel's trailing Chebyshev
+# coefficients fall below _FACTOR_TAIL of its largest; once _FACTOR_GATE
+# times the node count exceeds n, the exact form is as cheap
+_FACTOR_NODES = 16
+_FACTOR_TAIL = 1e-15
+_FACTOR_GATE = 4
 
 
 class CalibrationError(RuntimeError):
@@ -283,31 +296,19 @@ def _trace_objective(x: np.ndarray, kind: str, scales: np.ndarray):
     ``c * scales`` and its slope d trace / d log c. With row sums
     s_i = sum_j K_ij, the trace is K(0)^d * sum_i 1 / s_i and its slope is
     -K(0)^d * sum_i s_i' / s_i^2, where s_i' = d s_i / d log c follows from
-    :func:`ibrsmooth.kernels.kernel_slopes` by the product rule.
+    :func:`ibrsmooth.kernels.kernel_slopes` by the product rule. Gaps are
+    measured on each column mapped onto [-1, 1], so they cannot overflow
+    whatever the magnitude of the data; a Gaussian objective takes its row
+    sums from :func:`_gaussian_objective`.
     """
     n, d = x.shape
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    half = 0.5 * hi - 0.5 * lo
+    t = (x - (0.5 * hi + 0.5 * lo)) / half
+    # u = gap / (c * scale) = unit gap * ratio / c
+    ratios = half / scales
     if kind == "gaussian":
-        # K_ij = exp(q_ij / c^2) with q = -1/2 sum_k gap_k^2 / scale_k^2, up
-        # to a constant factor that cancels in the trace; u^2 K = -2 q K / c^2
-        q = np.zeros((n, n))
-        for j in range(d):
-            gap = np.subtract.outer(x[:, j], x[:, j])
-            gap /= scales[j]
-            gap *= gap
-            gap *= 0.5
-            q -= gap
-        kmat = np.empty_like(q)
-
-        def gaussian_trace(c: float) -> tuple[float, float]:
-            inv_c2 = 1.0 / (c * c)
-            np.multiply(q, inv_c2, out=kmat)
-            np.exp(kmat, out=kmat)
-            sums = kmat.sum(axis=1)
-            slopes = np.einsum("ij,ij->i", kmat, q)
-            slopes *= -2.0 * inv_c2
-            return float(np.sum(1.0 / sums)), float(-np.sum(slopes / (sums * sums)))
-
-        return gaussian_trace
+        return _gaussian_objective(t, ratios)
 
     k0 = float(kernel_values(np.zeros(1), kind)[0]) ** d
 
@@ -315,16 +316,126 @@ def _trace_objective(x: np.ndarray, kind: str, scales: np.ndarray):
         kmat = np.ones((n, n))
         dkmat = np.zeros((n, n))
         for j in range(d):
-            u = np.subtract.outer(x[:, j], x[:, j]) / (c * scales[j])
+            u = np.subtract.outer(t[:, j], t[:, j])
+            u *= ratios[j] / c
             values = kernel_values(u, kind)
             dkmat *= values
             dkmat += kmat * kernel_slopes(u, kind)
             kmat *= values
-        sums = kmat.sum(axis=1)
-        slopes = dkmat.sum(axis=1)
-        return float(k0 * np.sum(1.0 / sums)), float(-k0 * np.sum(slopes / (sums * sums)))
+        return _trace_and_slope(k0, kmat.sum(axis=1), dkmat.sum(axis=1))
 
     return product_trace
+
+
+def _trace_and_slope(k0: float, sums: np.ndarray, slopes: np.ndarray) -> tuple[float, float]:
+    """(K(0)^d sum_i 1 / s_i, -K(0)^d sum_i s_i' / s_i^2) from row sums s and
+    their slopes s' in log scale."""
+    return float(k0 * np.sum(1.0 / sums)), float(-k0 * np.sum(slopes / (sums * sums)))
+
+
+def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
+    """Gaussian trace objective over unit-range columns t (values in [-1, 1]).
+
+    K_ij = exp(q_ij / c^2) with q = -1/2 sum_k (gap_k * ratio_k)^2, up to a
+    constant factor that cancels in the trace, and d K / d log c =
+    -2 q K / c^2. Every evaluation takes its row sums through a set of nodes
+    z with an n x m interpolation matrix L:
+
+        s = L (K_c (L'1)),   s' = -2 / c^2 L ((K_c o q_z) (L'1)),
+
+    where K_c = exp(q_z / c^2) is the kernel between the nodes. For one
+    column the nodes are p Chebyshev points of the first kind and L holds
+    the barycentric Lagrange weights of the data points, so K ~ L K_c L'
+    (the idea of the fast Gauss transform, Greengard & Strain 1991, and of
+    Chebyshev-interpolation FMM, Fong & Darve 2009) and an evaluation costs
+    O(n p + p^2). p is accepted at one scale when the last two rows and
+    columns of K_c's 2-D Chebyshev coefficients (a DCT-II on each axis) are
+    below ``_FACTOR_TAIL`` of the largest; otherwise it doubles from
+    ``_FACTOR_NODES``. Once ``_FACTOR_GATE`` * p exceeds n, and for several
+    columns, the nodes are the data points themselves and L = I: the exact
+    form, whose n x n q is built only when an evaluation needs it.
+    """
+    n, d = t.shape
+    kernels = {}
+    factors = {}
+
+    def node_kernel(p: int | None, inv_c2: float):
+        # q_z and K_c between p Chebyshev nodes, or between the data for None
+        if p not in kernels:
+            nodes = t if p is None else _chebyshev_nodes(p)[0][:, None]
+            q = np.zeros((nodes.shape[0],) * 2)
+            for j in range(d):
+                gap = np.subtract.outer(nodes[:, j], nodes[:, j])
+                gap *= ratios[j]
+                gap *= gap
+                gap *= 0.5
+                q -= gap
+            kernels[p] = (q, np.empty_like(q))
+        q, kc = kernels[p]
+        np.exp(np.multiply(q, inv_c2, out=kc), out=kc)
+        return q, kc
+
+    def on_nodes(inv_c2: float):
+        # p of the smallest accepted factor (None: the exact form), q_z, K_c
+        p = _FACTOR_NODES
+        while d == 1 and _FACTOR_GATE * p <= n:
+            q, kc = node_kernel(p, inv_c2)
+            coef = np.abs(dctn(kc, type=2))
+            if max(coef[-2:].max(), coef[:, -2:].max()) <= _FACTOR_TAIL * coef.max():
+                return p, q, kc
+            p *= 2
+        return (None, *node_kernel(None, inv_c2))
+
+    def interpolation(p: int | None):
+        # L and L'1 for p nodes; the identity and ones for the exact form
+        if p is None:
+            return None, np.ones(n)
+        if p not in factors:
+            left = _chebyshev_factor(t[:, 0], p)
+            factors[p] = (left, left.sum(axis=0))
+        return factors[p]
+
+    def gaussian_trace(c: float) -> tuple[float, float]:
+        inv_c2 = 1.0 / (c * c)
+        p, q, kc = on_nodes(inv_c2)
+        left, weights = interpolation(p)
+        sums = kc @ weights
+        kc *= q
+        slopes = kc @ weights
+        slopes *= -2.0 * inv_c2
+        if left is not None:
+            sums, slopes = left @ sums, left @ slopes
+        return _trace_and_slope(1.0, sums, slopes)
+
+    return gaussian_trace
+
+
+def _chebyshev_nodes(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p Chebyshev points of the first kind on [-1, 1],
+    z_k = cos((2k + 1) pi / 2p), and their barycentric weights
+    (-1)^k sin((2k + 1) pi / 2p) (Berrut & Trefethen 2004)."""
+    angles = (2 * np.arange(p) + 1) * (0.5 * np.pi / p)
+    weights = np.sin(angles)
+    weights[1::2] *= -1.0
+    return np.cos(angles), weights
+
+
+def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
+    """The n x p matrix that interpolates from p Chebyshev nodes to t.
+
+    Row i holds the Lagrange basis at t_i in barycentric form,
+    l_k(t_i) = (w_k / (t_i - z_k)) / sum_m (w_m / (t_i - z_m)); a point that
+    falls on a node gets that node's unit row.
+    """
+    nodes, w = _chebyshev_nodes(p)
+    diff = np.subtract.outer(t, nodes)
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    left = w / diff
+    left /= left.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    left[on_node] = hit[on_node]
+    return left
 
 
 def _log_newton_root(trace, target: float, floor: float, lo: float, hi: float, what: str):
@@ -407,8 +518,12 @@ def calibrate_bandwidth(
     The trace decreases from (nearly) n at tiny bandwidths to 1 as the
     bandwidth grows, so the target must lie strictly inside (1, n). The
     search takes safeguarded Newton steps on log h from the middle of
-    [1e-3, 1e3] times the column range; each step costs one n x n trace
-    evaluation.
+    [1e-3, 1e3] times the column range. A Gaussian step costs O(n p)
+    through a Chebyshev factor of p nodes (16 to n / 4), and one n x n
+    evaluation where the column spans so many bandwidths that no such
+    factor is accurate to rounding; other kernels always take the n x n
+    evaluation. Raises ValueError on a non-finite value or a range that
+    overflows.
     """
     col = np.asarray(column, dtype=float).ravel()
     n = col.size
@@ -416,21 +531,24 @@ def calibrate_bandwidth(
         raise ValueError(
             f"per-variable df target must lie in (1, {n}), got {df_target}"
         )
-    rng = float(col.max() - col.min())
+    if not np.all(np.isfinite(col)):
+        raise ValueError(f"{name} contains non-finite values")
+    rng = float(col.max()) - float(col.min())
+    if rng == math.inf:
+        raise ValueError(f"the range of {name} overflows a float")
     if rng == 0.0:
         raise CalibrationError(f"{name} is constant; cannot calibrate a bandwidth")
     kind = resolve_kernel(kind)
-    trace = _trace_objective(col[:, None], kind, np.ones(1))
-    h, achieved = _log_newton_root(
-        trace, df_target, 1.0, _BRACKET_LO * rng, _BRACKET_HI * rng, "df"
-    )
-    if abs(achieved - df_target) > tol:
+    # the search runs on h / range
+    trace = _trace_objective(col[:, None], kind, np.array([rng]))
+    c, achieved = _log_newton_root(trace, df_target, 1.0, _BRACKET_LO, _BRACKET_HI, "df")
+    if not abs(achieved - df_target) <= tol:
         raise CalibrationError(
             f"{name}: {kind} trace is not continuous enough to reach "
             f"df {df_target} (closest {achieved:.6f}); "
             "try the gaussian kernel"
         )
-    return h
+    return c * rng
 
 
 def calibrate_total_df(
@@ -449,17 +567,19 @@ def calibrate_total_df(
     n = design.n
     if not 1.0 < total_df < n:
         raise ValueError(f"total df target must lie in (1, {n}), got {total_df}")
-    scales = xm.std(axis=0, ddof=1)
-    flat = np.nonzero(scales == 0)[0]
+    flat = np.nonzero(xm.max(axis=0) == xm.min(axis=0))[0]
     if flat.size:
         names = [design.names[j] for j in flat]
         raise CalibrationError(f"constant columns {names}; cannot calibrate")
+    # taken in units of each column's largest magnitude, so it cannot overflow
+    peak = np.abs(xm).max(axis=0)
+    scales = peak * (xm / peak).std(axis=0, ddof=1)
     kind = resolve_kernel(kind)
     trace = _trace_objective(xm, kind, scales)
     c, achieved = _log_newton_root(
         trace, total_df, 1.0, _BRACKET_LO, _BRACKET_HI, "total df"
     )
-    if abs(achieved - total_df) > tol:
+    if not abs(achieved - total_df) <= tol:
         raise CalibrationError(
             f"total-df calibration reached {achieved:.6f} instead of "
             f"{total_df}; the {kind} kernel trace jumps at this design"

@@ -287,7 +287,7 @@ def build_calibrated_tps(
     lam, achieved = _log_newton_root(
         core.trace_and_slope, target, core.m, scale * 1e-9, scale * 1e9, "spline df"
     )
-    if abs(achieved - target) > tol:
+    if not abs(achieved - target) <= tol:
         raise CalibrationError(
             f"spline calibration reached trace {achieved:.6f} instead of {target}"
         )

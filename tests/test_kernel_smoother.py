@@ -1,5 +1,7 @@
 """Product-kernel smoother: hand oracles, calibration, guard rails."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,8 +130,9 @@ def test_total_df_bandwidths_match_pinned_values():
 
 @pytest.mark.parametrize("target", [1.1, 1.5, 3.0])
 def test_gaussian_calibration_needs_few_trace_evaluations(monkeypatch, target):
-    """Each trace evaluation costs an n x n exp; the Newton search needs a
-    handful per column where bracketing plus brentq needed over twenty."""
+    """The Newton search needs a handful of trace evaluations per column
+    where bracketing plus brentq needed over twenty. Each one is O(n p)
+    through a Chebyshev factor, or an n x n exp on the exact form."""
     calls = []
     make_objective = kernel_smoother._trace_objective
 
@@ -151,14 +154,109 @@ def test_gaussian_calibration_needs_few_trace_evaluations(monkeypatch, target):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "triangle", "quartic"])
-def test_trace_slope_matches_finite_difference(rng, kind):
-    x = rng.normal(size=(30, 2)) * np.array([1.0, 4.0])
+@pytest.mark.parametrize("n, d", [(30, 2), (200, 1)])
+def test_trace_slope_matches_finite_difference(rng, kind, n, d):
+    """d = 1 at n = 200 takes the Gaussian trace through a Chebyshev factor."""
+    x = rng.normal(size=(n, d)) * np.array([1.0, 4.0])[:d]
     trace = kernel_smoother._trace_objective(x, kind, x.std(axis=0, ddof=1))
     c, eps = 0.9, 1e-6
     _, slope = trace(c)
     numeric = (trace(c * np.exp(eps))[0] - trace(c * np.exp(-eps))[0]) / (2 * eps)
     assert slope < 0.0
     assert slope == pytest.approx(numeric, rel=1e-6)
+
+
+def _dense_gaussian_trace(col, h):
+    """Trace and d trace / d log h of a one-column Gaussian smoother from the
+    full n x n kernel, the reference for the Chebyshev factor."""
+    u2 = np.subtract.outer(col, col) ** 2 / (h * h)
+    kmat = np.exp(-0.5 * u2)
+    sums = kmat.sum(axis=1)
+    slopes = (kmat * u2).sum(axis=1)
+    return np.sum(1.0 / sums), -np.sum(slopes / sums**2)
+
+
+def _record_factors(monkeypatch):
+    """List the node counts of the Chebyshev factors built from now on."""
+    built = []
+    make = kernel_smoother._chebyshev_factor
+
+    def recording(t, p):
+        built.append(p)
+        return make(t, p)
+
+    monkeypatch.setattr(kernel_smoother, "_chebyshev_factor", recording)
+    return built
+
+
+@pytest.mark.parametrize("n", [330, 1500])
+@pytest.mark.parametrize("dist", ["uniform", "normal", "lognormal"])
+def test_chebyshev_factor_matches_exact_trace(monkeypatch, n, dist):
+    """At the calibrated bandwidth of each target, the trace and slope of
+    one column agree with the n x n kernel's to 1e-13 relative, whichever
+    factor (or the exact form) the objective picked there. Up to df 5 the
+    column spans at most about 16 bandwidths, and a factor is picked."""
+    col = getattr(np.random.default_rng(n), dist)(size=n)
+    built = _record_factors(monkeypatch)
+    for target in (1.1, 2.0, 5.0, 10.0, 20.0):
+        h = calibrate_bandwidth(col, "gaussian", target)
+        built.clear()
+        trace, slope = kernel_smoother._trace_objective(
+            col[:, None], "gaussian", np.array([h])
+        )(1.0)
+        assert built or target > 5.0
+        ref_trace, ref_slope = _dense_gaussian_trace(col, h)
+        assert trace == pytest.approx(target, abs=1e-6)
+        assert trace == pytest.approx(ref_trace, rel=1e-13)
+        assert slope == pytest.approx(ref_slope, rel=1e-13)
+
+
+def test_wide_lognormal_column_takes_the_exact_form(monkeypatch):
+    """At df 20 the lognormal column's range is about 90 bandwidths; the node
+    kernel's Chebyshev tail stays above 1e-15 at every p up to n / 4, so the
+    root is found on the exact form, at the bandwidth the dense search gave."""
+    col = np.random.default_rng(3).lognormal(size=1500)
+    built = _record_factors(monkeypatch)
+    h = calibrate_bandwidth(col, "gaussian", 20.0)
+    assert h == pytest.approx(0.3132556508531832, rel=1e-12)
+    built.clear()
+    kernel_smoother._trace_objective(col[:, None], "gaussian", np.array([h]))(1.0)
+    assert built == []
+
+
+def test_gaussian_calibration_holds_no_n_by_n_array():
+    n = 4000
+    col = np.random.default_rng(4).uniform(size=n)
+    tracemalloc.start()
+    try:
+        calibrate_bandwidth(col, "gaussian", 1.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_column_is_refused(bad):
+    with pytest.raises(ValueError, match="x3 contains non-finite values"):
+        calibrate_bandwidth(np.array([0.0, 1.0, bad, 2.0]), "gaussian", 1.5, name="x3")
+
+
+def test_huge_column_calibrates_like_its_unit_copy(rng):
+    """Gaps and spreads are measured in units of the column's range or
+    magnitude, so a range of 1e300 neither overflows nor changes the
+    bandwidth relative to the range, per variable or for a total df."""
+    col = rng.uniform(size=50)
+    h = calibrate_bandwidth(col, "gaussian", 1.5)
+    assert calibrate_bandwidth(col * 1e300, "gaussian", 1.5) == pytest.approx(
+        h * 1e300, rel=1e-12
+    )
+    with pytest.raises(ValueError, match="x1 overflows"):
+        calibrate_bandwidth(np.array([-1e308, 0.0, 1e308]), "gaussian", 1.5, name="x1")
+    x = rng.uniform(size=(50, 2))
+    hs = calibrate_total_df(x, "gaussian", 3.0)
+    big = calibrate_total_df(x * np.array([1e300, 1.0]), "gaussian", 3.0)
+    assert list(big) == pytest.approx([hs[0] * 1e300, hs[1]], rel=1e-12)
 
 
 def test_calibrated_product_smoother_trace(rng):

@@ -153,17 +153,24 @@ def test_gaussian_calibration_needs_few_trace_evaluations(monkeypatch, target):
         assert 1 <= len(calls) <= 10
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "triangle", "quartic"])
-@pytest.mark.parametrize("n, d", [(30, 2), (200, 1)])
-def test_trace_slope_matches_finite_difference(rng, kind, n, d):
-    """d = 1 at n = 200 takes the Gaussian trace through a Chebyshev factor."""
-    x = rng.normal(size=(n, d)) * np.array([1.0, 4.0])[:d]
+def _check_trace_slope(x, kind):
     trace = kernel_smoother._trace_objective(x, kind, x.std(axis=0, ddof=1))
     c, eps = 0.9, 1e-6
     _, slope = trace(c)
     numeric = (trace(c * np.exp(eps))[0] - trace(c * np.exp(-eps))[0]) / (2 * eps)
     assert slope < 0.0
     assert slope == pytest.approx(numeric, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "triangle", "quartic"])
+def test_trace_slope_matches_finite_difference(rng, kind):
+    _check_trace_slope(rng.normal(size=(30, 2)) * np.array([1.0, 4.0]), kind)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "triangle", "quartic"])
+def test_one_column_trace_slope_matches_finite_difference(rng, kind):
+    """One column at n = 200 takes the Gaussian trace through a Chebyshev factor."""
+    _check_trace_slope(rng.normal(size=(200, 1)), kind)
 
 
 def _dense_gaussian_trace(col, h):

@@ -82,9 +82,8 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _smoother_config(args: argparse.Namespace) -> SmootherConfig:
-    family = "tps" if args.smoother == "tps" else "kernel"
     return SmootherConfig(
-        family=family, kernel=args.kernel, df=args.df, dftotal=args.dftotal
+        family=args.smoother, kernel=args.kernel, df=args.df, dftotal=args.dftotal
     )
 
 
@@ -99,14 +98,11 @@ def _selection_plan(args: argparse.Namespace) -> SelectionPlan:
             type=args.cv_type,
             seed=args.seed,
         )
-    if args.iterations is not None:
-        return SelectionPlan(
-            criterion=args.criterion, mode="fixed", fixed_k=float(args.iterations),
-            kmin=args.kmin, kmax=args.kmax, dfmaxi=args.dfmaxi, cv=cv,
-        )
+    fixed = args.iterations is not None
     return SelectionPlan(
         criterion=args.criterion,
-        mode="exhaustive" if args.exhaustive else "numeric",
+        mode="fixed" if fixed else "exhaustive" if args.exhaustive else "numeric",
+        fixed_k=float(args.iterations) if fixed else None,
         kmin=args.kmin,
         kmax=args.kmax,
         dfmaxi=args.dfmaxi,

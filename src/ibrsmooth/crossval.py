@@ -181,7 +181,7 @@ def search_k_cv(
             ) from exc
         scorers.append(_FoldScorer(smoother, y[train], x[test], y[test]))
 
-    mode = search_mode(plan.mode, all(s.kpath.real_ok for s in scorers))
+    mode = search_mode(plan.mode, all(s.kpath.spectral.real_k_ok for s in scorers))
     if mode == "exhaustive":
         return _cv_exhaustive(scorers, plan)
 

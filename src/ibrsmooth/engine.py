@@ -119,9 +119,9 @@ class KPath:
         self.mu = 1.0 - self.lam
         # the base of fractional powers (real k needs the spectrum in [0, 1])
         self._mu01 = np.clip(self.mu, 0.0, 1.0)
-        self.real_ok = spectral.real_k_ok
-        # G z = y exactly; fitted values are G (w * z)
-        self.g = spectral.d_half[:, None] * spectral.u
+        # G z = y exactly; fitted values are G (w * z); G is U itself when
+        # the form is symmetric (d_half all ones)
+        self.g = spectral.u if spectral.symmetric else spectral.d_half[:, None] * spectral.u
         self.z = z = spectral.u.T @ (y / spectral.d_half)
         self._h = None if spectral.symmetric else self.g.T @ self.g
         # Hz, z'Hz and (for H = I) z^2, shared by every norm of G v
@@ -145,7 +145,7 @@ class KPath:
             # C pow handles a negative base with an integral exponent
             with np.errstate(over="ignore"):
                 return np.power(self.mu, float(round(k)))
-        if not self.real_ok:
+        if not self.spectral.real_k_ok:
             raise IterationDomainError(
                 "fractional iteration counts are undefined for eigenvalues "
                 f"outside [0, 1] (range [{self.lam.min():.3e}, "

@@ -89,17 +89,13 @@ def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
         spec = KernelSmootherSpec(kind=config.kernel, bandwidths=tuple(config.bandwidths))
         return build_kernel_smoother(design, spec)
     if config.dftotal:
-        h = calibrate_total_df(design, config.kernel, config.df)
-        spec = KernelSmootherSpec(
-            kind=config.kernel, bandwidths=tuple(h), total_df_target=config.df
+        h = tuple(calibrate_total_df(design, config.kernel, config.df))
+    else:
+        h = tuple(
+            calibrate_bandwidth(design.x[:, j], config.kernel, config.df, name=design.names[j])
+            for j in range(design.d)
         )
-        return build_kernel_smoother(design, spec)
-    h = tuple(
-        calibrate_bandwidth(design.x[:, j], config.kernel, config.df, name=design.names[j])
-        for j in range(design.d)
-    )
-    spec = KernelSmootherSpec(kind=config.kernel, bandwidths=h, df_target=config.df)
-    return build_kernel_smoother(design, spec)
+    return build_kernel_smoother(design, KernelSmootherSpec(kind=config.kernel, bandwidths=h))
 
 
 def _finite_rows(x_new) -> np.ndarray:
@@ -268,9 +264,9 @@ def fit(
         k = selection.k
     else:
         if search_mode(plan.mode, spectral.real_k_ok) == "numeric":
-            selection = search_k_numeric(spectral, y, plan)
+            selection = search_k_numeric(kpath, plan)
         else:
-            selection = search_k_exhaustive(spectral, y, plan)
+            selection = search_k_exhaustive(kpath, plan)
         k = selection.k
 
     beta = kpath.coefficients(k)

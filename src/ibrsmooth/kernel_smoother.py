@@ -74,6 +74,10 @@ _EPS = float(np.finfo(float).eps)
 _FACTOR_NODES = 16
 _FACTOR_TAIL = 1e-15
 _FACTOR_GATE = 4
+# largest miss of the df target that a calibrated bandwidth may leave, per
+# column and for the total trace
+_BANDWIDTH_TOL = 1e-6
+_TOTAL_DF_TOL = 1e-4
 
 
 class CalibrationError(RuntimeError):
@@ -82,18 +86,10 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelSmootherSpec:
-    """Calibrated description of a product-kernel smoother.
-
-    Exactly one of ``df_target`` (per-variable trace) and
-    ``total_df_target`` (trace of the full product smoother) is set when the
-    spec comes out of calibration; both are None when bandwidths were given
-    directly.
-    """
+    """Kernel and per-column bandwidths of a product-kernel smoother."""
 
     kind: str
     bandwidths: tuple[float, ...]
-    df_target: float | None = None
-    total_df_target: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", resolve_kernel(self.kind))
@@ -510,7 +506,6 @@ def calibrate_bandwidth(
     column: np.ndarray,
     kind: str,
     df_target: float,
-    tol: float = 1e-6,
     name: str = "column",
 ) -> float:
     """Bandwidth whose univariate smoother trace equals ``df_target``.
@@ -542,7 +537,7 @@ def calibrate_bandwidth(
     # the search runs on h / range
     trace = _trace_objective(col[:, None], kind, np.array([rng]))
     c, achieved = _log_newton_root(trace, df_target, 1.0, _BRACKET_LO, _BRACKET_HI, "df")
-    if not abs(achieved - df_target) <= tol:
+    if not abs(achieved - df_target) <= _BANDWIDTH_TOL:
         raise CalibrationError(
             f"{name}: {kind} trace is not continuous enough to reach "
             f"df {df_target} (closest {achieved:.6f}); "
@@ -551,9 +546,7 @@ def calibrate_bandwidth(
     return c * rng
 
 
-def calibrate_total_df(
-    x, kind: str, total_df: float, tol: float = 1e-4
-) -> np.ndarray:
+def calibrate_total_df(x, kind: str, total_df: float) -> np.ndarray:
     """Common-factor bandwidths h_j = c * s_j hitting a total-trace target.
 
     s_j is the sample standard deviation of column j, so a single scalar c
@@ -579,7 +572,7 @@ def calibrate_total_df(
     c, achieved = _log_newton_root(
         trace, total_df, 1.0, _BRACKET_LO, _BRACKET_HI, "total df"
     )
-    if not abs(achieved - total_df) <= tol:
+    if not abs(achieved - total_df) <= _TOTAL_DF_TOL:
         raise CalibrationError(
             f"total-df calibration reached {achieved:.6f} instead of "
             f"{total_df}; the {kind} kernel trace jumps at this design"

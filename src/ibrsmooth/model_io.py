@@ -93,10 +93,17 @@ class _Fields:
         return self.mapping[key]
 
     def number(self, key: str) -> float:
-        return float(self.array(key, ()))
+        """A float, NaN allowed: fixed-k fits save a NaN sigma and criterion."""
+        return float(self._numeric(key, ()))
 
     def array(self, key: str, shape: tuple) -> np.ndarray:
-        """Float array of the given shape (None matches any length)."""
+        """Finite float array of the given shape (None matches any length)."""
+        arr = self._numeric(key, shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{self.path}: {self.prefix + key!r} has non-finite entries")
+        return arr
+
+    def _numeric(self, key: str, shape: tuple) -> np.ndarray:
         value = self.raw(key)
         try:
             arr = np.asarray(value, dtype=float)
@@ -122,9 +129,9 @@ class _Fields:
 def load_model(path: str | Path) -> LoadedModel:
     """Read a model file, checking every field the predictor needs.
 
-    A missing field, a non-numeric value, an array whose length does not
-    match the training design or a smoother field that its family refuses
-    raises ``ValueError`` naming the field.
+    A missing field, a non-numeric value, a NaN or infinite array entry, an
+    array whose length does not match the training design or a smoother
+    field that its family refuses raises ``ValueError`` naming the field.
     """
     path = Path(path)
     try:

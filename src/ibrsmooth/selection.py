@@ -19,11 +19,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .engine import KPath
-from .smoothers import SpectralForm
-
 if TYPE_CHECKING:
     from .crossval import CvPlan
+    from .engine import KPath
 
 __all__ = [
     "CRITERIA",
@@ -144,12 +142,16 @@ class SelectionPlan:
         if self.mode not in ("numeric", "exhaustive", "fixed"):
             raise ValueError(f"mode must be numeric, exhaustive or fixed: {self.mode!r}")
         if self.mode == "fixed":
-            if self.fixed_k is None or self.fixed_k < 1:
-                raise ValueError("fixed mode needs fixed_k >= 1")
+            if self.fixed_k is None or not 1 <= self.fixed_k < math.inf:
+                raise ValueError(f"fixed mode needs a finite fixed_k >= 1, got {self.fixed_k}")
         if not 1.0 <= self.kmin < self.kmax:
             raise ValueError(
                 f"need 1 <= kmin < kmax, got kmin={self.kmin}, kmax={self.kmax}"
             )
+        if not math.isfinite(self.kmax):
+            raise ValueError(f"kmax must be a finite number, got {self.kmax}")
+        if self.dfmaxi is not None and not self.dfmaxi > 0:
+            raise ValueError(f"dfmaxi must be a positive number, got {self.dfmaxi}")
         if self.cv is not None and self.criterion not in CV_LOSSES:
             raise ValueError(
                 f"a cv plan needs a cross-validated loss {CV_LOSSES}, "
@@ -305,26 +307,20 @@ def _pick_integer(k_lo: int, value, df, rss, name: str, empty_msg: str) -> Selec
     )
 
 
-def search_k_numeric(
-    spectral: SpectralForm, y: np.ndarray, plan: SelectionPlan
-) -> SelectionResult:
+def search_k_numeric(kpath: KPath, plan: SelectionPlan) -> SelectionResult:
     """Minimize the criterion over real-valued k on guarded subintervals.
 
-    k is capped below the df ceiling (for aicc also below n - 2) and
-    above the RSS floor, then :func:`minimize_on_breaks` searches
-    [kmin, cap]; every k in it is admissible, so the minimizer only sees
-    finite values.
+    ``kpath`` is the fit's path; its spectrum must lie in [0, 1], since a
+    fractional k raises :class:`~ibrsmooth.engine.IterationDomainError`
+    otherwise. k is capped below the df ceiling (for aicc also below
+    n - 2) and above the RSS floor, then :func:`minimize_on_breaks`
+    searches [kmin, cap]; every k in it is admissible, so the minimizer
+    only sees finite values.
     """
     if plan.criterion not in CRITERIA:
         raise ValueError(f"numeric search needs a spectral criterion, got {plan.criterion!r}")
-    kpath = KPath(spectral, y)
     n = kpath.n
     limit = df_ceiling(n, plan.dfmaxi, plan.criterion)
-    if not spectral.real_k_ok:
-        raise ValueError(
-            "numeric search needs eigenvalues in [0, 1]; "
-            "use exhaustive integer search for this kernel"
-        )
     if kpath.df(plan.kmin) > limit:
         raise BreakdownError(
             f"df({plan.kmin:g}) = {kpath.df(plan.kmin):.4g} already exceeds "
@@ -351,16 +347,14 @@ def search_k_numeric(
     )
 
 
-def search_k_exhaustive(
-    spectral: SpectralForm, y: np.ndarray, plan: SelectionPlan
-) -> SelectionResult:
-    """Sweep every integer k in [kmin, kmax], ties going to the smaller k."""
+def search_k_exhaustive(kpath: KPath, plan: SelectionPlan) -> SelectionResult:
+    """Sweep every integer k in [kmin, kmax] along the fit's path ``kpath``,
+    ties going to the smaller k."""
     if plan.criterion not in CRITERIA:
         raise ValueError(
             f"exhaustive search needs a spectral criterion, got {plan.criterion!r}"
         )
     k_lo, k_hi = _integer_range(plan)
-    kpath = KPath(spectral, y)
     n = kpath.n
     limit = df_ceiling(n, plan.dfmaxi, plan.criterion)
     # rows value (inf where inadmissible), df, rss of every count swept
@@ -372,7 +366,8 @@ def search_k_exhaustive(
             value = _admissible_value(plan.criterion, n, limit, df, rss, energy)
             trace[:, swept : swept + ks.size] = value, df, rss
             swept += ks.size
-            if df[-1] > limit and spectral.real_k_ok:
+            # df grows with k only on a spectrum in [0, 1]
+            if df[-1] > limit and kpath.spectral.real_k_ok:
                 break
     return _pick_integer(
         k_lo, *trace[:, :swept], plan.criterion,

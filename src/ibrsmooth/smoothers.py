@@ -146,9 +146,9 @@ class BaseSmoother(ABC):
         """Dense n x n smoothing matrix."""
 
     @property
+    @abstractmethod
     def initial_df(self) -> float:
         """Trace of the smoothing matrix (degrees of freedom of one pass)."""
-        return float(np.trace(self.matrix))
 
     @abstractmethod
     def spectral(self) -> SpectralForm:

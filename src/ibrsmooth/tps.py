@@ -33,6 +33,9 @@ __all__ = [
     "tps_null_dim",
 ]
 
+# largest miss of the trace target that a calibrated penalty may leave
+_TRACE_TOL = 1e-4
+
 
 def default_tps_order(d: int) -> int:
     """Smallest admissible order: 2*order > d, never below 2."""
@@ -50,7 +53,6 @@ class TpsSpec:
 
     order: int
     lam: float
-    df_multiplier: float | None = None
 
     def __post_init__(self) -> None:
         if self.order < 2:
@@ -259,7 +261,7 @@ class TpsSmoother(BaseSmoother):
 
 
 def build_calibrated_tps(
-    x, order: int | None = None, df_multiplier: float = 1.1, tol: float = 1e-4
+    x, order: int | None = None, df_multiplier: float = 1.1
 ) -> TpsSmoother:
     """The smoother whose trace equals df_multiplier * null_dim.
 
@@ -287,9 +289,9 @@ def build_calibrated_tps(
     lam, achieved = _log_newton_root(
         core.trace_and_slope, target, core.m, scale * 1e-9, scale * 1e9, "spline df"
     )
-    if not abs(achieved - target) <= tol:
+    if not abs(achieved - target) <= _TRACE_TOL:
         raise CalibrationError(
             f"spline calibration reached trace {achieved:.6f} instead of {target}"
         )
-    spec = TpsSpec(order=order, lam=lam, df_multiplier=df_multiplier)
+    spec = TpsSpec(order=order, lam=lam)
     return TpsSmoother(design, spec, core=core)

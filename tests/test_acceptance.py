@@ -207,9 +207,9 @@ def test_ozone_benchmark_reproduction(capsys):
     x = data.values[:, 1:]
     config = SmootherConfig(df=1.1)
     base = build_smoother(x, config)
-    spectral = base.spectral()
-    num = search_k_numeric(spectral, y, SelectionPlan())
-    exh = search_k_exhaustive(spectral, y, SelectionPlan(mode="exhaustive"))
+    path = KPath(base.spectral(), y)
+    num = search_k_numeric(path, SelectionPlan())
+    exh = search_k_exhaustive(path, SelectionPlan(mode="exhaustive"))
     splits = run_ozone_splits(data, repeats=50, seed=0, smoother=config)
     elapsed = time.perf_counter() - started
     ok = (
@@ -266,10 +266,8 @@ def test_search_traces_respect_interpolation_guards(capsys):
     for spectral, y, dfmaxi, n in cases:
         plan_n = SelectionPlan(dfmaxi=dfmaxi)
         plan_e = SelectionPlan(mode="exhaustive", dfmaxi=dfmaxi, kmax=20000)
-        for res in (
-            search_k_numeric(spectral, y, plan_n),
-            search_k_exhaustive(spectral, y, plan_e),
-        ):
+        path = KPath(spectral, y)
+        for res in (search_k_numeric(path, plan_n), search_k_exhaustive(path, plan_e)):
             limit = df_ceiling(n, dfmaxi)
             ok &= bool(res.trace_df.max() <= limit + 1e-9)
             ok &= bool(res.trace_df.max() < n * (1 - 1e-10) + 1e-9)
@@ -302,10 +300,10 @@ def test_numeric_search_never_worse_than_exhaustive(capsys):
         else:
             sm = build_calibrated_tps(DesignMatrix.from_array(x), df_multiplier=1.1)
         crit = ("gcv", "aicc", "bic")[seed % 3]
-        spectral = sm.spectral()
-        num = search_k_numeric(spectral, y, SelectionPlan(criterion=crit, kmax=3000))
+        path = KPath(sm.spectral(), y)
+        num = search_k_numeric(path, SelectionPlan(criterion=crit, kmax=3000))
         exh = search_k_exhaustive(
-            spectral, y, SelectionPlan(criterion=crit, mode="exhaustive", kmax=3000)
+            path, SelectionPlan(criterion=crit, mode="exhaustive", kmax=3000)
         )
         worst_gap = max(worst_gap, num.value - exh.value)
     report(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ibrsmooth import fitting
 from ibrsmooth.cli import main
 from ibrsmooth.data import load_csv
 
@@ -183,6 +184,8 @@ def test_cv_criterion_via_flags(train_csv, capsys):
         (["--cv-kfold", "1"], "--cv-kfold"),
         (["--cv-kfold", "1", "--criterion", "rmse"], "--cv-kfold"),
         (["--cv-kfold", "two"], "--cv-kfold"),
+        (["--kmax", "inf", "--exhaustive"], "kmax must be a finite number"),
+        (["--dfmaxi", "nan"], "dfmaxi must be a positive number, got nan"),
     ],
 )
 def test_bad_flags_exit_2_with_one_error_line(train_csv, capsys, flags, fragment):
@@ -191,6 +194,16 @@ def test_bad_flags_exit_2_with_one_error_line(train_csv, capsys, flags, fragment
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert fragment in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--kmax", "inf", "--exhaustive"], ["--dfmaxi", "nan"]])
+def test_bad_plan_flags_are_refused_before_calibration(train_csv, capsys, monkeypatch, flags):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before refusing the plan")
+
+    monkeypatch.setattr(fitting, "calibrate_bandwidth", no_calibration)
+    assert main(["fit", "--data", str(train_csv)] + flags) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

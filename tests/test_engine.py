@@ -300,3 +300,11 @@ def test_rejects_bad_inputs():
         path.fitted(-1)
     with pytest.raises(ValueError, match="recursion"):
         iterate_fitted_recursive(spectral.reconstruct(), Y_2, 1.5)
+
+
+def test_symmetric_path_shares_the_eigenvectors(rng):
+    """For a symmetric form G = U: the path holds no copy of it."""
+    spectral = build_calibrated_tps(random_design(rng, 25, 2), df_multiplier=1.3).spectral()
+    assert spectral.symmetric
+    path = KPath(spectral, rng.normal(size=25))
+    assert np.shares_memory(path.g, spectral.u)

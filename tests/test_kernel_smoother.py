@@ -273,10 +273,7 @@ def test_calibrated_product_smoother_trace(rng):
     hs = tuple(
         calibrate_bandwidth(design.x[:, j], "gaussian", 1.1) for j in range(2)
     )
-    sm = build_kernel_smoother(
-        design, KernelSmootherSpec(kind="gaussian", bandwidths=hs, df_target=1.1)
-    )
-    assert sm.spec.df_target == 1.1
+    sm = build_kernel_smoother(design, KernelSmootherSpec(kind="gaussian", bandwidths=hs))
     assert np.isfinite(sm.initial_df)
 
 

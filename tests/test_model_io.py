@@ -1,6 +1,7 @@
 """Model persistence: bit-exact round trips and format checks."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -83,8 +84,9 @@ def test_missing_file(tmp_path):
 
 
 def _damage(payload: dict, field: str, how) -> None:
-    """Drop a field, truncate an array or (``how`` a list) set it to
-    ``how[0]``; ``smoother.x`` names a nested field."""
+    """Drop a field, truncate an array, (``how`` a list) set it to
+    ``how[0]`` or (``how`` a float) set its first entry to ``how``;
+    ``smoother.x`` names a nested field."""
     owner, key = payload, field
     if field.startswith("smoother."):
         owner, key = payload["smoother"], field.split(".", 1)[1]
@@ -92,6 +94,11 @@ def _damage(payload: dict, field: str, how) -> None:
         del owner[key]
     elif how == "truncate":
         owner[key] = owner[key][:-1]
+    elif isinstance(how, float):
+        row = owner[key]
+        while isinstance(row[0], list):
+            row = row[0]
+        row[0] = how
     else:
         owner[key] = how[0]
 
@@ -110,6 +117,11 @@ BAD_FILES = [
     pytest.param("kernel", "smoother.kernel", ["no-such-kernel"], id="kernel-kernel-unknown"),
     pytest.param("tps", "smoother.order", [1], id="tps-order-1"),
     pytest.param("tps", "smoother.powers", [[[0, 0], [0, 1], [1, 0]]], id="tps-powers-swapped"),
+    # json writes and reads NaN and Infinity; each of these predicted NaN everywhere
+    pytest.param("kernel", "x_train", math.nan, id="kernel-x_train-nan"),
+    pytest.param("kernel", "smoother.beta", math.inf, id="kernel-beta-inf"),
+    pytest.param("tps", "smoother.delta", math.nan, id="tps-delta-nan"),
+    pytest.param("tps", "smoother.poly_coef", -math.inf, id="tps-poly_coef-minus-inf"),
 ]
 
 
@@ -142,3 +154,14 @@ def test_non_finite_prediction_rows_are_refused(tmp_path, family):
             model.predict(x_new)
         with pytest.raises(ValueError, match="row 0 has non-finite"):
             model.predict([[np.nan, 0.5]])
+
+
+def test_fixed_k_model_loads_with_nan_criterion(tmp_path):
+    x, result = fitted_model()
+    plan = SelectionPlan(mode="fixed", fixed_k=5)
+    fixed = fit(x, result.y, smoother=SmootherConfig(df=1.2), plan=plan)
+    path = tmp_path / "model.json"
+    save_model(fixed, path)
+    loaded = load_model(path)
+    assert math.isnan(loaded.criterion_value)
+    assert np.array_equal(loaded.predict(x), fixed.predict(x))

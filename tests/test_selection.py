@@ -1,11 +1,14 @@
 """Search over the iteration count: numeric vs exhaustive, guard rails."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ibrsmooth import (
     BreakdownError,
     CvPlan,
+    KPath,
     SelectionPlan,
     SmootherConfig,
     build_calibrated_tps,
@@ -13,6 +16,7 @@ from ibrsmooth import (
     search_k_exhaustive,
     search_k_numeric,
 )
+from ibrsmooth import engine
 from ibrsmooth.selection import RSS_FLOOR, df_ceiling
 
 from conftest import gaussian_smoother, random_design
@@ -28,16 +32,16 @@ def smooth_problem(seed, n=40):
 def test_numeric_beats_or_matches_exhaustive():
     for seed in range(5):
         sm, y = smooth_problem(seed)
-        spectral = sm.spectral()
-        num = search_k_numeric(spectral, y, SelectionPlan())
-        exh = search_k_exhaustive(spectral, y, SelectionPlan(mode="exhaustive"))
+        path = KPath(sm.spectral(), y)
+        num = search_k_numeric(path, SelectionPlan())
+        exh = search_k_exhaustive(path, SelectionPlan(mode="exhaustive"))
         assert num.value <= exh.value + 1e-6
         assert abs(num.k - exh.k) <= 1.0
 
 
 def test_exhaustive_returns_integer_k():
     sm, y = smooth_problem(3)
-    res = search_k_exhaustive(sm.spectral(), y, SelectionPlan(mode="exhaustive"))
+    res = search_k_exhaustive(KPath(sm.spectral(), y), SelectionPlan(mode="exhaustive"))
     assert res.k == round(res.k)
     assert res.k_rounded == int(res.k)
     assert res.mode == "exhaustive"
@@ -47,7 +51,7 @@ def test_trace_respects_df_ceiling_and_rss_floor():
     sm, y = smooth_problem(7)
     plan = SelectionPlan(dfmaxi=12.0)
     for search in (search_k_numeric, search_k_exhaustive):
-        res = search(sm.spectral(), y, plan)
+        res = search(KPath(sm.spectral(), y), plan)
         assert res.trace_df.max() <= 12.0 + 1e-9
         assert res.trace_rss.min() > RSS_FLOOR
         assert res.df <= 12.0 + 1e-9
@@ -55,15 +59,15 @@ def test_trace_respects_df_ceiling_and_rss_floor():
 
 def test_default_ceiling_is_two_thirds_n():
     sm, y = smooth_problem(11, n=30)
-    res = search_k_exhaustive(sm.spectral(), y, SelectionPlan(mode="exhaustive"))
+    res = search_k_exhaustive(KPath(sm.spectral(), y), SelectionPlan(mode="exhaustive"))
     assert res.trace_df.max() <= df_ceiling(30, None) + 1e-9
 
 
 def test_all_criteria_run():
     sm, y = smooth_problem(2)
-    spectral = sm.spectral()
+    path = KPath(sm.spectral(), y)
     for crit in ("gcv", "aic", "aicc", "bic", "gmdl"):
-        res = search_k_numeric(spectral, y, SelectionPlan(criterion=crit))
+        res = search_k_numeric(path, SelectionPlan(criterion=crit))
         assert np.isfinite(res.value)
         assert res.criterion == crit
 
@@ -71,7 +75,7 @@ def test_all_criteria_run():
 def test_kmin_already_over_ceiling_breaks():
     sm, y = smooth_problem(5)
     with pytest.raises(BreakdownError, match="ceiling"):
-        search_k_numeric(sm.spectral(), y, SelectionPlan(dfmaxi=1.0))
+        search_k_numeric(KPath(sm.spectral(), y), SelectionPlan(dfmaxi=1.0))
 
 
 def test_numeric_refuses_wild_spectra(rng):
@@ -85,16 +89,16 @@ def test_numeric_refuses_wild_spectra(rng):
     )
     spectral = sm.spectral()
     assert not spectral.real_k_ok
-    y = rng.normal(size=25)
+    path = KPath(spectral, rng.normal(size=25))
     with pytest.raises(ValueError, match="exhaustive"):
-        search_k_numeric(spectral, y, SelectionPlan())
-    res = search_k_exhaustive(spectral, y, SelectionPlan(mode="exhaustive"))
+        search_k_numeric(path, SelectionPlan())
+    res = search_k_exhaustive(path, SelectionPlan(mode="exhaustive"))
     assert np.isfinite(res.value)
 
 
 def test_trace_is_sorted_and_admissible():
     sm, y = smooth_problem(13)
-    res = search_k_numeric(sm.spectral(), y, SelectionPlan())
+    res = search_k_numeric(KPath(sm.spectral(), y), SelectionPlan())
     assert np.all(np.diff(res.trace_k) >= 0)
     assert res.trace_k[0] >= 1.0
     assert np.isfinite(res.trace_value).all()
@@ -111,24 +115,31 @@ def test_plan_validation():
         SelectionPlan(kmin=10.0, kmax=5.0)
     with pytest.raises(ValueError, match="cv plan needs a cross-validated loss"):
         SelectionPlan(criterion="gcv", cv=CvPlan(kfold=5))
+    # values that used to fail only after calibration, or crash the sweep
+    for mode in ("numeric", "exhaustive"):
+        with pytest.raises(ValueError, match="kmax must be a finite number, got inf"):
+            SelectionPlan(mode=mode, kmax=math.inf)
+    for k in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite fixed_k"):
+            SelectionPlan(mode="fixed", fixed_k=k)
+    for dfmaxi in (0.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match="dfmaxi must be a positive number"):
+            SelectionPlan(dfmaxi=dfmaxi)
 
 
 def test_small_kmax_limits_the_search():
     sm, y = smooth_problem(17)
-    spectral = sm.spectral()
-    res = search_k_exhaustive(spectral, y, SelectionPlan(mode="exhaustive", kmax=25))
+    path = KPath(sm.spectral(), y)
+    res = search_k_exhaustive(path, SelectionPlan(mode="exhaustive", kmax=25))
     assert res.trace_k.max() <= 25
-    num = search_k_numeric(spectral, y, SelectionPlan(kmax=25))
+    num = search_k_numeric(path, SelectionPlan(kmax=25))
     assert num.k <= 25.0
 
 
 def test_result_df_rss_match_reported_k():
     sm, y = smooth_problem(19)
-    from ibrsmooth import KPath
-
-    spectral = sm.spectral()
-    res = search_k_numeric(spectral, y, SelectionPlan())
-    path = KPath(spectral, y)
+    path = KPath(sm.spectral(), y)
+    res = search_k_numeric(path, SelectionPlan())
     assert res.df == pytest.approx(path.df(res.k), rel=1e-12)
     assert res.rss == pytest.approx(path.rss(res.k), rel=1e-12)
 
@@ -165,3 +176,20 @@ def test_aicc_near_n_minus_two_fits_in_both_modes(mode):
     assert result.k == 1.0
     assert result.final_df == pytest.approx(4.0, abs=1e-3)
     assert df_ceiling(12, 11.5, "aicc") < 10.0 < df_ceiling(12, 11.5)
+
+
+@pytest.mark.parametrize("mode", ["numeric", "exhaustive"])
+def test_criterion_fit_builds_one_path(monkeypatch, mode):
+    """The search walks the path that fit builds; it builds none of its own."""
+    built = []
+    init = engine.KPath.__init__
+
+    def counting_init(self, spectral, y):
+        built.append(self)
+        init(self, spectral, y)
+
+    monkeypatch.setattr(engine.KPath, "__init__", counting_init)
+    sm, y = smooth_problem(23)
+    result = fit(sm.design.x, y, smoother=sm, plan=SelectionPlan(mode=mode, kmax=500))
+    assert len(built) == 1
+    assert result.selection_mode == mode

@@ -4,18 +4,21 @@ Two layouts are supported: classical data splitting (independent random
 train/test permutations) and K-fold partitions, the latter with random,
 consecutive, interleaved or time-ordered fold geometry. The smoother is
 recalibrated on every training fold; candidate iteration counts are then
-scored by pooled prediction loss at the held-out points.
+scored by pooled prediction loss at the held-out points. That loss is a
+score of :func:`~ibrsmooth.selection.search_k`, the search driver the
+criterion searches run on too, so both search real k and integer sweeps
+the same way.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import KPath, _coef_factors, _power_blocks
-from .selection import CV_LOSSES, SelectionPlan, SelectionResult
-from .selection import _integer_range, _pick_integer, _pick_numeric, search_mode
+from .engine import KPath
+from .selection import CV_LOSSES, SelectionPlan, SelectionResult, search_k
 
 __all__ = ["CvPlan", "make_splits", "search_k_cv"]
 
@@ -28,7 +31,8 @@ class CvPlan:
 
     ``kfold`` may be False (data splitting with ``npermut`` random
     train/test permutations), True (K derived from the test-set size) or an
-    integer number of folds. Exactly one of ``ntest``/``ntrain`` may pin
+    integer number of folds. Counts must be whole numbers (5.0 is read as
+    5, 2.7 and NaN are refused). Exactly one of ``ntest``/``ntrain`` may pin
     the test-set size; it defaults to n // 10. The loss scored on the held
     out points is the selection plan's criterion ("rmse" or "map").
     """
@@ -43,19 +47,26 @@ class CvPlan:
     def __post_init__(self) -> None:
         if self.type not in _SPLIT_TYPES:
             raise ValueError(f"split type must be one of {_SPLIT_TYPES}, got {self.type!r}")
+        for name in ("kfold", "npermut", "ntest", "ntrain"):
+            value = getattr(self, name)
+            # None leaves a size unset; kfold True and False are not counts
+            if value is None or isinstance(value, bool):
+                continue
+            if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.npermut < 1:
             raise ValueError(f"npermut must be >= 1, got {self.npermut}")
         if self.ntest is not None and self.ntrain is not None:
             raise ValueError("give ntest or ntrain, not both")
-        if self.kfold is not False and self.kfold is not True:
-            if int(self.kfold) < 2:
-                raise ValueError(f"kfold must be >= 2 folds, got {self.kfold}")
+        if not isinstance(self.kfold, bool) and self.kfold < 2:
+            raise ValueError(f"kfold must be >= 2 folds, got {self.kfold}")
 
     def _test_size(self, n: int) -> int:
         if self.ntrain is not None:
-            ntest = n - int(self.ntrain)
+            ntest = n - self.ntrain
         elif self.ntest is not None:
-            ntest = int(self.ntest)
+            ntest = self.ntest
         else:
             ntest = n // 10
         if not 1 <= ntest < n:
@@ -67,7 +78,7 @@ class CvPlan:
         if self.kfold is True:
             k = n // self._test_size(n)
         else:
-            k = int(self.kfold)
+            k = self.kfold
         if not 2 <= k <= n:
             raise ValueError(f"{k} folds impossible for n = {n}")
         return k
@@ -123,26 +134,56 @@ def make_splits(n: int, plan: CvPlan) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 class _FoldScorer:
-    """Per-fold pieces turning an iteration count into test predictions."""
+    """One training fold's path and the held-out points it predicts."""
 
     def __init__(self, smoother, y_train: np.ndarray, x_test: np.ndarray, y_test: np.ndarray):
-        spectral = smoother.spectral()
-        self.kpath = KPath(spectral, y_train)
+        self.kpath = KPath(smoother.spectral(), y_train)
         # predictions are w(x)' beta_k = (W G) (factors * z)
         self.projector = smoother.evaluate(x_test, self.kpath.g)
         self.y_test = y_test
-
-    def predict(self, k: float) -> np.ndarray:
-        return self.projector @ (self.kpath.coef_factors(k) * self.kpath.z)
+        # predictions of a block of counts: (factors * z) (W G)'
+        self._zp = (self.projector * self.kpath.z).T
 
     def errors(self, k: float) -> np.ndarray:
-        return self.predict(k) - self.y_test
+        return self.projector @ (self.kpath.coef_factors(k) * self.kpath.z) - self.y_test
+
+    def block_errors(self, ks: np.ndarray) -> np.ndarray:
+        """One row of held-out errors per count of a block of consecutive integers."""
+        return self.kpath.block_coef_factors(ks) @ self._zp - self.y_test
 
 
-def _pooled_loss(errors: np.ndarray, loss: str) -> float:
+def _pooled_loss(errors: np.ndarray, loss: str):
+    """Root mean squared or mean absolute error along the last axis."""
     if loss == "rmse":
-        return float(np.sqrt(np.mean(errors**2)))
-    return float(np.mean(np.abs(errors)))
+        return np.sqrt(np.mean(errors**2, axis=-1))
+    return np.mean(np.abs(errors), axis=-1)
+
+
+class _CvScore:
+    """The k search's score of cross-validation: the pooled held-out loss of
+    every fold's path. No df or RSS guard applies, so the numeric search
+    runs to ``kmax`` and the sweep never stops early."""
+
+    df_stop = np.inf
+    hint = "; the pooled prediction loss is not finite there"
+
+    def __init__(self, folds: list[_FoldScorer], loss: str):
+        self.folds = folds
+        self.name = loss
+        self.real_k_ok = all(f.kpath.spectral.real_k_ok for f in folds)
+        self.rows = min(f.kpath.sweep_rows for f in folds)
+
+    def at(self, k: float) -> tuple[float, float, float]:
+        errors = np.concatenate([f.errors(k) for f in self.folds])
+        return float(_pooled_loss(errors, self.name)), np.nan, np.nan
+
+    def block(self, ks: np.ndarray):
+        errors = np.concatenate([f.block_errors(ks) for f in self.folds], axis=1)
+        blank = np.full(ks.size, np.nan)
+        return _pooled_loss(errors, self.name), blank, blank
+
+    def upper(self, kmin: float, kmax: float) -> float:
+        return float(kmax)
 
 
 def search_k_cv(
@@ -156,10 +197,11 @@ def search_k_cv(
     The loss is ``plan.criterion`` ("rmse" or "map") and the fold geometry
     ``plan.cv`` (``CvPlan()`` when None). ``smoother_factory`` rebuilds and
     recalibrates the base smoother on a training design; it is called once
-    per fold. Numeric mode minimizes the pooled loss curve over real k in
-    [kmin, kmax] with :func:`~ibrsmooth.selection.minimize_on_breaks`,
-    without the criterion search's df and RSS guards; exhaustive mode
-    sweeps integers.
+    per fold. :func:`~ibrsmooth.selection.search_k` then minimizes the
+    pooled loss as ``plan.mode`` asks: over real k in [kmin, kmax], without
+    the criterion search's df and RSS guards, or over the integers, to
+    which a numeric plan falls back (with a warning) when a fold's
+    spectrum leaves [0, 1].
     """
     if plan.criterion not in CV_LOSSES:
         raise ValueError(
@@ -168,10 +210,8 @@ def search_k_cv(
     cv: CvPlan = plan.cv if plan.cv is not None else CvPlan()
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    n = y.size
-    splits = make_splits(n, cv)
-    scorers = []
-    for i, (train, test) in enumerate(splits):
+    folds = []
+    for i, (train, test) in enumerate(make_splits(y.size, cv)):
         try:
             smoother = smoother_factory(x[train])
         except Exception as exc:
@@ -179,43 +219,5 @@ def search_k_cv(
                 f"cannot calibrate the smoother on training fold {i} "
                 f"(size {train.size}): {exc}"
             ) from exc
-        scorers.append(_FoldScorer(smoother, y[train], x[test], y[test]))
-
-    mode = search_mode(plan.mode, all(s.kpath.spectral.real_k_ok for s in scorers))
-    if mode == "exhaustive":
-        return _cv_exhaustive(scorers, plan)
-
-    def objective(k: float) -> tuple[float, float, float]:
-        errors = np.concatenate([s.errors(k) for s in scorers])
-        if not np.all(np.isfinite(errors)):
-            return np.inf, np.nan, np.nan
-        return _pooled_loss(errors, plan.criterion), np.nan, np.nan
-
-    return _pick_numeric(
-        objective, float(plan.kmin), float(plan.kmax), plan.criterion,
-        "prediction loss is not finite anywhere in the k range",
-    )
-
-
-def _cv_exhaustive(scorers, plan: SelectionPlan) -> SelectionResult:
-    k_lo, k_hi = _integer_range(plan)
-    acc = np.zeros(k_hi - k_lo + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in scorers:
-            kpath = s.kpath
-            # predictions of a block of counts: (factors * z) (W G)'
-            zp = (s.projector * kpath.z).T
-            for ks, p in _power_blocks(kpath.mu, k_lo, k_hi):
-                factors = _coef_factors(kpath.lam, ks[:, None].astype(float), p)
-                err = factors @ zp - s.y_test
-                if plan.criterion == "rmse":
-                    acc[ks - k_lo] += np.einsum("ij,ij->i", err, err)
-                else:
-                    acc[ks - k_lo] += np.abs(err).sum(axis=1)
-    n_test_total = sum(s.y_test.size for s in scorers)
-    values = np.sqrt(acc / n_test_total) if plan.criterion == "rmse" else acc / n_test_total
-    blank = np.full(values.size, np.nan)
-    return _pick_integer(
-        k_lo, values, blank, blank, plan.criterion,
-        "prediction loss is not finite at any integer k",
-    )
+        folds.append(_FoldScorer(smoother, y[train], x[test], y[test]))
+    return search_k(_CvScore(folds, plan.criterion), plan, exhaustive=plan.mode == "exhaustive")

@@ -46,33 +46,6 @@ def _check_k(k: float) -> float:
     return k
 
 
-def _power_blocks(mu: np.ndarray, k_lo: int, k_hi: int, max_rows: int | None = None):
-    """Yield (ks, P) with P[j, i] = mu_i^ks[j] for the integers in [k_lo, k_hi].
-
-    A block of B rows is ``base * mu^start``: ``base`` holds mu^0 ..
-    mu^(B-1), built once per sweep by repeated multiplication, and each
-    block costs one C ``pow`` per eigenvalue (integral exponent, so a
-    negative mu stays valid) and one multiply. The rounding error of a row
-    is that of at most B products at every k, where chaining k products
-    would accumulate k of them. B keeps a block near ``_SWEEP_BLOCK_BYTES``
-    (and at most ``max_rows``). P is one reused buffer: the next block
-    overwrites it. Callers hold ``np.errstate(over="ignore",
-    invalid="ignore")`` across the sweep: powers of |mu| > 1 overflow.
-    """
-    n = mu.size
-    rows = max(1, min(k_hi - k_lo + 1, _SWEEP_BLOCK_BYTES // (8 * n)))
-    if max_rows is not None:
-        rows = min(rows, max_rows)
-    base = np.empty((rows, n))
-    base[0] = 1.0
-    np.cumprod(np.broadcast_to(mu, (rows - 1, n)), axis=0, out=base[1:])
-    block = np.empty_like(base)
-    for start in range(k_lo, k_hi + 1, rows):
-        m = min(rows, k_hi + 1 - start)
-        np.multiply(base[:m], np.power(mu, float(start)), out=block[:m])
-        yield np.arange(start, start + m), block[:m]
-
-
 def _coef_factors(lam: np.ndarray, k, powers: np.ndarray) -> np.ndarray:
     """Coefficient factors (1 - mu^k) / lambda from the powers mu^k.
 
@@ -104,7 +77,7 @@ class KPath:
 
     df, rss and the fitted energy have one set of formulas, :meth:`_stats`,
     on rows of powers (1 - lambda)^k: blocks of integer counts in
-    :meth:`batch`, the single row of any real k in :meth:`stats`.
+    :meth:`block_stats`, the single row of any real k in :meth:`stats`.
     """
 
     def __init__(self, spectral: SpectralForm, y: np.ndarray):
@@ -133,10 +106,17 @@ class KPath:
         if spectral.rank < spectral.n:
             t = y - self.g @ z
             self._rest = (float(t @ t), z * (self.g.T @ t))
+        # (base, block, scratch) row buffers of integer sweeps, see _powers
+        self._sweep = None
 
     @property
     def n(self) -> int:
         return self.y.size
+
+    @property
+    def sweep_rows(self) -> int:
+        """Counts per block of an integer sweep: about ``_SWEEP_BLOCK_BYTES`` of powers."""
+        return max(1, _SWEEP_BLOCK_BYTES // (8 * self.lam.size))
 
     def _mu_pow(self, k: float) -> np.ndarray:
         """(1 - lambda)^k, valid for real k >= 0 or any integer k."""
@@ -205,24 +185,37 @@ class KPath:
     def coefficients(self, k: float) -> np.ndarray:
         return self.g @ (self.coef_factors(k) * self.z)
 
-    def batch(self, k_lo: int, k_hi: int, chunk: int = 4096):
-        """Yield (k, df, rss, fitted_energy) arrays over integer counts.
+    def _powers(self, ks: np.ndarray) -> np.ndarray:
+        """Rows P[j, i] = (1 - lambda_i)^ks[j] for consecutive integer counts ks.
 
-        One yield per block of power rows P[j, i] = (1 - lambda_i)^k_j from
-        ``_power_blocks`` (at most ``chunk`` counts, a few hundred KB) put
-        through :meth:`_stats`, as :meth:`stats` puts one row, with one
-        scratch block for the whole sweep and no n x chunk matrix. Overflow
-        and invalid warnings (|1 - lambda| > 1) are off for the whole sweep,
-        including the caller's code between blocks.
+        The rows are ``base * mu^ks[0]``: ``base`` holds mu^0 .. mu^(B-1),
+        built by repeated multiplication on the first block and kept for
+        the next ones, and each block costs one C ``pow`` per eigenvalue
+        (integral exponent, so a negative mu stays valid) and one multiply.
+        The rounding error of a row is that of at most B products at every
+        k, where chaining k products would accumulate k of them. P is one
+        reused buffer: the next block overwrites it. Powers of |mu| > 1
+        overflow; callers hold ``np.errstate(over="ignore", invalid="ignore")``.
         """
-        if k_lo < 0 or k_hi < k_lo:
-            raise ValueError(f"bad integer range [{k_lo}, {k_hi}]")
-        scratch = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for ks, p in _power_blocks(self.mu, k_lo, k_hi, chunk):
-                if scratch is None:
-                    scratch = np.empty_like(p)
-                yield (ks, *self._stats(p, scratch[: ks.size]))
+        m = ks.size
+        if self._sweep is None or self._sweep[0].shape[0] < m:
+            base = np.empty((m, self.lam.size))
+            base[0] = 1.0
+            np.cumprod(np.broadcast_to(self.mu, (m - 1, self.lam.size)), axis=0, out=base[1:])
+            self._sweep = (base, np.empty_like(base), np.empty_like(base))
+        base, block, _ = self._sweep
+        return np.multiply(base[:m], np.power(self.mu, float(ks[0])), out=block[:m])
+
+    def block_stats(self, ks: np.ndarray):
+        """(df, rss, fitted_energy) arrays over a block of consecutive integer
+        counts ks: its power rows put through :meth:`_stats`, as :meth:`stats`
+        puts one row, with one scratch block for every block of the sweep."""
+        p = self._powers(ks)
+        return self._stats(p, self._sweep[2][: ks.size])
+
+    def block_coef_factors(self, ks: np.ndarray) -> np.ndarray:
+        """Rows of :meth:`coef_factors` over a block of consecutive integer counts ks."""
+        return _coef_factors(self.lam, ks[:, None].astype(float), self._powers(ks))
 
 
 def iterate_fitted_recursive(smoother, y: np.ndarray, k: int) -> np.ndarray:

@@ -23,7 +23,6 @@ from .selection import (
     criterion_value,
     search_k_exhaustive,
     search_k_numeric,
-    search_mode,
 )
 from .smoothers import BaseSmoother, DesignMatrix
 from .tps import (
@@ -247,8 +246,7 @@ def fit(
         if base.n != design.n:
             raise ValueError("prebuilt smoother does not match the design size")
 
-    spectral = base.spectral()
-    kpath = KPath(spectral, y)
+    kpath = KPath(base.spectral(), y)
 
     if plan.mode == "fixed":
         selection = None
@@ -263,10 +261,8 @@ def fit(
         selection = search_k_cv(design.x, y, factory, plan)
         k = selection.k
     else:
-        if search_mode(plan.mode, spectral.real_k_ok) == "numeric":
-            selection = search_k_numeric(kpath, plan)
-        else:
-            selection = search_k_exhaustive(kpath, plan)
+        search = search_k_exhaustive if plan.mode == "exhaustive" else search_k_numeric
+        selection = search(kpath, plan)
         k = selection.k
 
     beta = kpath.coefficients(k)

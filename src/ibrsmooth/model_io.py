@@ -96,6 +96,15 @@ class _Fields:
         """A float, NaN allowed: fixed-k fits save a NaN sigma and criterion."""
         return float(self._numeric(key, ()))
 
+    def integer(self, key: str) -> int:
+        """A whole number; NaN, infinite or fractional values are refused."""
+        value = self.number(key)
+        if not value.is_integer():
+            raise ValueError(
+                f"{self.path}: {self.prefix + key!r} must be a whole number, got {value}"
+            )
+        return int(value)
+
     def array(self, key: str, shape: tuple) -> np.ndarray:
         """Finite float array of the given shape (None matches any length)."""
         arr = self._numeric(key, shape)
@@ -161,10 +170,11 @@ def load_model(path: str | Path) -> LoadedModel:
             beta=fam.array("beta", (n,)),
         )
     elif family == "tps":
-        order = int(fam.number("order"))
-        fam.valid("order", lambda: TpsSpec(order=order, lam=0.0).null_dim(d))
-        powers = [tuple(int(e) for e in p) for p in fam.array("powers", (None, d))]
-        if powers != _poly_powers(order, d):
+        order = fam.integer("order")
+        m = fam.valid("order", lambda: TpsSpec(order=order, lam=0.0).null_dim(d))
+        file_powers = fam.array("powers", (m, d))
+        powers = _poly_powers(order, d)
+        if not np.array_equal(file_powers, powers):
             raise ValueError(
                 f"{path}: 'smoother.powers' are not the monomials of degree "
                 f"< {order} in {d} variables"

@@ -1,18 +1,21 @@
-"""Information criteria and search for the number of iterations.
+"""Information criteria and the one search for the number of iterations.
 
 All criteria live on the log scale, so differences rather than ratios
 matter and additive constants are kept only where the original criterion
-has them. The search treats the iteration count as a continuous variable
-(numeric mode, the default) or sweeps integers (exhaustive mode); both
-refuse any k whose effective degrees of freedom or residual sum of squares
-signal that the iteration has effectively reached interpolation.
+has them. :func:`search_k` is the only search driver: it minimizes a
+score of k over real k (numeric mode, the default) or sweeps integers
+(exhaustive mode), and is the only place where a numeric search falls back
+to the sweep because real k is undefined. The criterion score here walks
+the fit's :class:`~ibrsmooth.engine.KPath` and refuses any k whose
+effective degrees of freedom or residual sum of squares signal that the
+iteration has effectively reached interpolation; the cross-validation score
+lives in :mod:`ibrsmooth.crossval`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from contextlib import closing
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -32,10 +35,8 @@ __all__ = [
     "SelectionResult",
     "criterion_value",
     "df_ceiling",
-    "minimize_on_breaks",
     "search_k_exhaustive",
     "search_k_numeric",
-    "search_mode",
 ]
 
 CRITERIA = ("gcv", "aic", "aicc", "bic", "gmdl")
@@ -181,14 +182,6 @@ class SelectionResult:
         return int(round(self.k))
 
 
-def _admissible_value(kind: str, n: int, limit: float, df, rss, energy):
-    """Criterion values where df <= limit and rss is finite and above the
-    floor, inf elsewhere: the one rule of both search modes, elementwise.
-    Callers hold ``np.errstate(divide="ignore", invalid="ignore")``."""
-    value = _criterion_array(kind, n, rss, df, energy)
-    return np.where((df <= limit) & (rss > RSS_FLOOR) & np.isfinite(rss), value, np.inf)
-
-
 def _integer_range(plan: SelectionPlan) -> tuple[int, int]:
     """The integers (ceil(kmin), floor(kmax)) an exhaustive sweep covers."""
     k_lo, k_hi = int(math.ceil(plan.kmin)), int(math.floor(plan.kmax))
@@ -198,19 +191,6 @@ def _integer_range(plan: SelectionPlan) -> tuple[int, int]:
             "for the exhaustive search"
         )
     return k_lo, k_hi
-
-
-def search_mode(mode: str, real_k_ok: bool) -> str:
-    """The search mode to run: numeric becomes exhaustive, with a warning,
-    when the eigenvalues leave [0, 1] and fractional k is undefined."""
-    if mode == "numeric" and not real_k_ok:
-        warnings.warn(
-            "kernel eigenvalues leave [0, 1]; numeric search is undefined, "
-            "switching to exhaustive integer search",
-            stacklevel=3,
-        )
-        return "exhaustive"
-    return mode
 
 
 def _bisect_last_ok(predicate, lo: float, hi: float, iters: int = 100) -> float:
@@ -234,10 +214,10 @@ def minimize_on_breaks(objective, lo: float, hi: float) -> tuple[float, float]:
     The breakpoints lo, the ``_BREAKS`` entries inside (lo, hi) and hi are
     evaluated, then each stretch between them gets its own bounded
     ``minimize_scalar`` run (tolerance ``_K_TOL`` in k), which keeps a
-    single local dip from hiding the global one. Guards are the caller's:
-    :func:`search_k_numeric` caps hi at the df ceiling and RSS floor, while
-    the CV search applies none and runs to ``kmax``, so a CV-selected k may
-    carry more df than a criterion search would admit.
+    single local dip from hiding the global one. hi is the score's upper
+    end in :func:`search_k`: the criterion score caps it at the df ceiling and
+    RSS floor, while the CV score applies no guard and runs to ``kmax``, so
+    a CV-selected k may carry more df than a criterion search would admit.
     """
     breaks = [lo]
     breaks += [b for b in _BREAKS if lo < b < hi]
@@ -258,118 +238,135 @@ def minimize_on_breaks(objective, lo: float, hi: float) -> tuple[float, float]:
     return best_k, best_value
 
 
-def _pick_numeric(objective, lo, hi, name: str, empty_msg: str) -> SelectionResult:
-    """Minimize objective(k) -> (value, df, rss); finite values form the trace."""
-    trace: list[tuple[float, float, float, float]] = []
+def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
+    """The one k search behind the criterion and cross-validation searches.
 
-    def value_at(k: float) -> float:
-        value, df, rss = objective(k)
-        if np.isfinite(value):
-            trace.append((k, value, df, rss))
-        return value
+    ``score`` scores the iteration count; non-finite values mark an
+    inadmissible k. It provides ``at(k)`` -> (value, df, rss) at one real
+    k, ``block(ks)`` -> the same as arrays over a block of consecutive
+    integer counts, ``real_k_ok`` (whether fractional k is defined),
+    ``upper(kmin, kmax)`` (the numeric upper end), ``rows`` (counts per
+    sweep block), ``df_stop`` (the sweep ends after a block whose last df
+    exceeds it), ``name`` and ``hint`` (for the error when no k is
+    admissible).
 
-    best_k, best_value = minimize_on_breaks(value_at, lo, hi)
-    if not np.isfinite(best_value):
-        raise BreakdownError(empty_msg)
-    arr = np.asarray(sorted(trace))
-    j = int(np.flatnonzero(arr[:, 0] == best_k)[0])
+    The numeric search runs :func:`minimize_on_breaks` over [kmin, upper].
+    When real k is undefined it warns and sweeps integers instead, the only
+    place where that fallback is decided. The exhaustive search sweeps the
+    integers in [ceil(kmin), floor(kmax)] in blocks, ties going to the
+    smaller k. The trace holds every admissible k evaluated, in order.
+    """
+    if not exhaustive and not score.real_k_ok:
+        warnings.warn(
+            "kernel eigenvalues leave [0, 1]; numeric search is undefined, "
+            "switching to exhaustive integer search",
+            # the caller of the search_k_* entry point
+            stacklevel=3,
+        )
+        exhaustive = True
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if exhaustive:
+            k_lo, k_hi = _integer_range(plan)
+            # rows k, value, df, rss of every count swept
+            trace = np.empty((4, k_hi - k_lo + 1))
+            trace[0] = np.arange(k_lo, k_hi + 1)
+            for start in range(k_lo, k_hi + 1, score.rows):
+                swept = min(start + score.rows, k_hi + 1) - k_lo
+                trace[1:, start - k_lo : swept] = score.block(np.arange(start, k_lo + swept))
+                if trace[2, swept - 1] > score.df_stop:
+                    break
+            trace = trace[:, :swept]
+        else:
+            evals = []
+
+            def value_at(k: float) -> float:
+                evals.append((k, *score.at(k)))
+                return evals[-1][1] if np.isfinite(evals[-1][1]) else np.inf
+
+            kmin = float(plan.kmin)
+            best_k, _ = minimize_on_breaks(value_at, kmin, score.upper(kmin, plan.kmax))
+            trace = np.array(sorted(evals, key=lambda e: e[0])).T
+    trace = trace[:, np.isfinite(trace[1])]
+    if trace.shape[1] == 0:
+        raise BreakdownError(
+            f"no admissible {'integer ' * exhaustive}k in "
+            f"[{plan.kmin:g}, {plan.kmax:g}]{score.hint}"
+        )
+    k, value, df, rss = trace
+    # the first minimum of the sweep is its smallest k
+    j = int(np.argmin(value) if exhaustive else np.flatnonzero(k == best_k)[0])
     return SelectionResult(
-        k=best_k,
-        value=best_value,
-        criterion=name,
-        mode="numeric",
-        df=float(arr[j, 2]),
-        rss=float(arr[j, 3]),
-        trace_k=arr[:, 0],
-        trace_value=arr[:, 1],
-        trace_df=arr[:, 2],
-        trace_rss=arr[:, 3],
+        k=float(k[j]), value=float(value[j]), criterion=score.name,
+        mode="exhaustive" if exhaustive else "numeric", df=float(df[j]), rss=float(rss[j]),
+        trace_k=k, trace_value=value, trace_df=df, trace_rss=rss,
     )
 
 
-def _pick_integer(k_lo: int, value, df, rss, name: str, empty_msg: str) -> SelectionResult:
-    """k = k_lo + argmin(value), ties to the smaller k; non-finite = inadmissible."""
-    ok = np.isfinite(value)
-    if not ok.any():
-        raise BreakdownError(empty_msg)
-    j = int(np.argmin(np.where(ok, value, np.inf)))
-    return SelectionResult(
-        k=float(k_lo + j),
-        value=float(value[j]),
-        criterion=name,
-        mode="exhaustive",
-        df=float(df[j]),
-        rss=float(rss[j]),
-        trace_k=np.arange(k_lo, k_lo + value.size)[ok],
-        trace_value=value[ok],
-        trace_df=df[ok],
-        trace_rss=rss[ok],
-    )
+class _CriterionScore:
+    """A spectral criterion along the fit's path, with the interpolation guards.
+
+    Every count whose df exceeds the ceiling (for aicc also n - 2) or whose
+    rss is at the floor scores inf: one rule for both modes. The numeric
+    search also caps k where the rule first fails, so its minimizer only
+    sees finite values, and the sweep stops once df passes the ceiling on a
+    spectrum in [0, 1], where df grows with k.
+    """
+
+    hint = "; increase dfmaxi or smooth less"
+
+    def __init__(self, kpath: KPath, plan: SelectionPlan):
+        if plan.criterion not in CRITERIA:
+            raise ValueError(f"the criterion search needs a spectral criterion: {plan.criterion!r}")
+        self.kpath = kpath
+        self.name = plan.criterion
+        self.real_k_ok = kpath.spectral.real_k_ok
+        self.rows = kpath.sweep_rows
+        self.limit = df_ceiling(kpath.n, plan.dfmaxi, plan.criterion)
+        self.df_stop = self.limit if self.real_k_ok else np.inf
+
+    def _value(self, df, rss, energy):
+        value = _criterion_array(self.name, self.kpath.n, rss, df, energy)
+        return np.where((df <= self.limit) & (rss > RSS_FLOOR) & np.isfinite(rss), value, np.inf)
+
+    def at(self, k: float) -> tuple[float, float, float]:
+        df, rss, energy = self.kpath.stats(k)
+        return float(self._value(df, rss, energy)), df, rss
+
+    def block(self, ks: np.ndarray):
+        df, rss, energy = self.kpath.block_stats(ks)
+        return self._value(df, rss, energy), df, rss
+
+    def upper(self, kmin: float, kmax: float) -> float:
+        """kmax capped below the df ceiling and above the RSS floor."""
+        kpath, limit = self.kpath, self.limit
+        if kpath.df(kmin) > limit:
+            raise BreakdownError(
+                f"df({kmin:g}) = {kpath.df(kmin):.4g} already exceeds "
+                f"the ceiling {limit:.4g}; increase dfmaxi or smooth less"
+            )
+        k_hi = _bisect_last_ok(lambda k: kpath.df(k) <= limit, kmin, kmax)
+        k_hi = _bisect_last_ok(lambda k: kpath.rss(k) > RSS_FLOOR, kmin, k_hi)
+        if kpath.rss(kmin) <= RSS_FLOOR:
+            raise BreakdownError(
+                "the base smoother already interpolates the data "
+                f"(rss(kmin) <= {RSS_FLOOR:g}); smooth less or check for "
+                "duplicate responses"
+            )
+        return k_hi
 
 
 def search_k_numeric(kpath: KPath, plan: SelectionPlan) -> SelectionResult:
-    """Minimize the criterion over real-valued k on guarded subintervals.
+    """Minimize the criterion over real k along the fit's path ``kpath``.
 
-    ``kpath`` is the fit's path; its spectrum must lie in [0, 1], since a
-    fractional k raises :class:`~ibrsmooth.engine.IterationDomainError`
-    otherwise. k is capped below the df ceiling (for aicc also below
-    n - 2) and above the RSS floor, then :func:`minimize_on_breaks`
-    searches [kmin, cap]; every k in it is admissible, so the minimizer
-    only sees finite values.
+    k is capped below the df ceiling and above the RSS floor, then
+    :func:`minimize_on_breaks` searches [kmin, cap]. When the spectrum
+    leaves [0, 1], fractional k is undefined: the search warns and sweeps
+    integers as :func:`search_k_exhaustive` does.
     """
-    if plan.criterion not in CRITERIA:
-        raise ValueError(f"numeric search needs a spectral criterion, got {plan.criterion!r}")
-    n = kpath.n
-    limit = df_ceiling(n, plan.dfmaxi, plan.criterion)
-    if kpath.df(plan.kmin) > limit:
-        raise BreakdownError(
-            f"df({plan.kmin:g}) = {kpath.df(plan.kmin):.4g} already exceeds "
-            f"the ceiling {limit:.4g}; increase dfmaxi or smooth less"
-        )
-    k_hi = _bisect_last_ok(lambda k: kpath.df(k) <= limit, plan.kmin, plan.kmax)
-    k_hi = _bisect_last_ok(lambda k: kpath.rss(k) > RSS_FLOOR, plan.kmin, k_hi)
-    if kpath.rss(plan.kmin) <= RSS_FLOOR:
-        raise BreakdownError(
-            "the base smoother already interpolates the data "
-            f"(rss(kmin) <= {RSS_FLOOR:g}); smooth less or check for "
-            "duplicate responses"
-        )
-
-    def objective(k: float) -> tuple[float, float, float]:
-        df, rss, energy = kpath.stats(k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(_admissible_value(plan.criterion, n, limit, df, rss, energy)), df, rss
-
-    return _pick_numeric(
-        objective, plan.kmin, k_hi, plan.criterion,
-        "no admissible iteration count in "
-        f"[{plan.kmin:g}, {plan.kmax:g}]; increase dfmaxi or smooth less",
-    )
+    return search_k(_CriterionScore(kpath, plan), plan, exhaustive=False)
 
 
 def search_k_exhaustive(kpath: KPath, plan: SelectionPlan) -> SelectionResult:
     """Sweep every integer k in [kmin, kmax] along the fit's path ``kpath``,
     ties going to the smaller k."""
-    if plan.criterion not in CRITERIA:
-        raise ValueError(
-            f"exhaustive search needs a spectral criterion, got {plan.criterion!r}"
-        )
-    k_lo, k_hi = _integer_range(plan)
-    n = kpath.n
-    limit = df_ceiling(n, plan.dfmaxi, plan.criterion)
-    # rows value (inf where inadmissible), df, rss of every count swept
-    trace = np.empty((3, k_hi - k_lo + 1))
-    swept = 0
-    blocks = kpath.batch(k_lo, k_hi)
-    with np.errstate(divide="ignore", invalid="ignore"), closing(blocks):
-        for ks, df, rss, energy in blocks:
-            value = _admissible_value(plan.criterion, n, limit, df, rss, energy)
-            trace[:, swept : swept + ks.size] = value, df, rss
-            swept += ks.size
-            # df grows with k only on a spectrum in [0, 1]
-            if df[-1] > limit and kpath.spectral.real_k_ok:
-                break
-    return _pick_integer(
-        k_lo, *trace[:, :swept], plan.criterion,
-        f"no admissible integer k in [{k_lo}, {k_hi}]; increase dfmaxi or smooth less",
-    )
+    return search_k(_CriterionScore(kpath, plan), plan, exhaustive=True)

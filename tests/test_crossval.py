@@ -15,7 +15,7 @@ from ibrsmooth import (
     make_splits,
     search_k_cv,
 )
-from ibrsmooth.crossval import _FoldScorer, _cv_exhaustive, _pooled_loss
+from ibrsmooth.crossval import _FoldScorer, _pooled_loss
 
 
 def problem(seed=0, n=60):
@@ -118,7 +118,8 @@ def test_exhaustive_losses_match_pointwise_fold_errors(loss):
         _FoldScorer(build(x[train]), y[train], x[test], y[test])
         for train, test in make_splits(y.size, cv)
     ]
-    res = _cv_exhaustive(scorers, plan)
+    res = search_k_cv(x, y, build, plan)
+    assert res.mode == "exhaustive"
     assert res.trace_k.tolist() == list(range(1, 301))
     for k, value in zip(res.trace_k, res.trace_value):
         errors = np.concatenate([s.errors(k) for s in scorers])

@@ -166,10 +166,20 @@ def test_coef_factor_blocks_match_pointwise_with_series():
     q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     spectral = SpectralForm(d_half=np.ones(3), u=q, lam=np.array([1.0, 0.5, 1e-15]))
     path = KPath(spectral, np.ones(3))
-    for ks, p in engine._power_blocks(path.mu, 0, 9, max_rows=4):
-        block = engine._coef_factors(path.lam, ks[:, None].astype(float), p)
+    for ks in _count_blocks(0, 9, 4):
+        block = path.block_coef_factors(ks)
         for k, row in zip(ks, block):
             np.testing.assert_allclose(row, path.coef_factors(k), rtol=1e-14)
+
+
+def _count_blocks(k_lo, k_hi, rows):
+    """The integers k_lo .. k_hi in consecutive blocks of ``rows``."""
+    return [np.arange(a, min(a + rows, k_hi + 1)) for a in range(k_lo, k_hi + 1, rows)]
+
+
+def _sweep(path, k_lo, k_hi, rows):
+    """(ks, df, rss, energy) of each block of a sweep over k_lo .. k_hi."""
+    return [(ks, *path.block_stats(ks)) for ks in _count_blocks(k_lo, k_hi, rows)]
 
 
 def _fitted_operator(spectral, k):
@@ -192,7 +202,7 @@ def test_batch_matches_pointwise(rng):
             op = _fitted_operator(spectral, k)
             ref = (np.trace(op), np.sum((path.y - fitted) ** 2), fitted @ fitted)
             assert path.stats(k) == pytest.approx(ref, rel=1e-12), (case, k)
-        blocks = zip(*path.batch(1, 60, chunk=17))
+        blocks = zip(*_sweep(path, 1, 60, 17))
         ks, df, rss, energy = (np.concatenate(a) for a in blocks)
         assert ks.tolist() == list(range(1, 61))
         s = spectral.reconstruct()
@@ -253,11 +263,12 @@ def test_batch_blocks_match_pointwise(case, k_lo, rows, rng, monkeypatch):
         assert np.any(path.mu < 0)
     if case.startswith("truncated"):
         assert spectral.rank < spectral.n
-    # blocks of `rows` counts: by the byte budget (7 rows of the kept pairs)
-    # or by `chunk` (17)
+    # the byte budget of 7 rows of the kept pairs sets the sweep's blocks;
+    # blocks of `rows` counts (7, or 17 past the budget) reuse one base
     monkeypatch.setattr(engine, "_SWEEP_BLOCK_BYTES", 8 * spectral.rank * 7)
-    blocks = list(path.batch(k_lo, k_lo + 150, chunk=rows))
-    assert {b[0].size for b in blocks[:-1]} == {min(rows, 7)}
+    assert path.sweep_rows == 7
+    blocks = _sweep(path, k_lo, k_lo + 150, rows)
+    assert {b[0].size for b in blocks[:-1]} == {rows}
     ks = np.concatenate([b[0] for b in blocks])
     assert ks.tolist() == list(range(k_lo, k_lo + 151))
     df, rss, energy = (np.concatenate([b[i] for b in blocks]) for i in (1, 2, 3))
@@ -280,7 +291,7 @@ def test_batch_df_matches_long_double_reference():
     mu = path.mu.astype(np.longdouble)
     wanted = (1, 1000, 100000)
     got = {}
-    for ks, df, _, _ in path.batch(1, 100000):
+    for ks, df, _, _ in _sweep(path, 1, 100000, path.sweep_rows):
         for k in wanted:
             if ks[0] <= k <= ks[-1]:
                 got[k] = df[k - ks[0]]

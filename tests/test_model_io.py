@@ -117,6 +117,11 @@ BAD_FILES = [
     pytest.param("kernel", "smoother.kernel", ["no-such-kernel"], id="kernel-kernel-unknown"),
     pytest.param("tps", "smoother.order", [1], id="tps-order-1"),
     pytest.param("tps", "smoother.powers", [[[0, 0], [0, 1], [1, 0]]], id="tps-powers-swapped"),
+    # a whole number is needed: NaN failed without a field name, and 2.7
+    # loaded as order 2 (a power of 1.5 as 1)
+    pytest.param("tps", "smoother.order", [math.nan], id="tps-order-nan"),
+    pytest.param("tps", "smoother.order", [2.7], id="tps-order-fractional"),
+    pytest.param("tps", "smoother.powers", [[[0, 0], [1.5, 0], [0, 1]]], id="tps-powers-fractional"),
     # json writes and reads NaN and Infinity; each of these predicted NaN everywhere
     pytest.param("kernel", "x_train", math.nan, id="kernel-x_train-nan"),
     pytest.param("kernel", "smoother.beta", math.inf, id="kernel-beta-inf"),

@@ -1,6 +1,8 @@
 """Search over the iteration count: numeric vs exhaustive, guard rails."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,8 +80,9 @@ def test_kmin_already_over_ceiling_breaks():
         search_k_numeric(KPath(sm.spectral(), y), SelectionPlan(dfmaxi=1.0))
 
 
-def test_numeric_refuses_wild_spectra(rng):
-    # epanechnikov on tightly clustered points pushes eigenvalues negative
+def test_numeric_falls_back_to_integers_on_wild_spectra(rng):
+    # epanechnikov on tightly clustered points pushes eigenvalues negative;
+    # a direct numeric call then warns once and sweeps integers, as fit does
     from ibrsmooth import DesignMatrix, KernelSmootherSpec, build_kernel_smoother
 
     x = rng.uniform(0, 0.2, size=(25, 1))
@@ -90,10 +93,17 @@ def test_numeric_refuses_wild_spectra(rng):
     spectral = sm.spectral()
     assert not spectral.real_k_ok
     path = KPath(spectral, rng.normal(size=25))
-    with pytest.raises(ValueError, match="exhaustive"):
-        search_k_numeric(path, SelectionPlan())
-    res = search_k_exhaustive(path, SelectionPlan(mode="exhaustive"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = search_k_numeric(path, SelectionPlan())
+    assert len(caught) == 1
+    assert "switching to exhaustive integer search" in str(caught[0].message)
+    assert caught[0].filename == __file__
+    ref = search_k_exhaustive(path, SelectionPlan(mode="exhaustive"))
+    assert res.mode == "exhaustive"
     assert np.isfinite(res.value)
+    for f in dataclasses.fields(ref):
+        np.testing.assert_array_equal(getattr(res, f.name), getattr(ref, f.name), err_msg=f.name)
 
 
 def test_trace_is_sorted_and_admissible():

@@ -1,5 +1,7 @@
 """Split geometry for cross-validation plans."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,3 +109,18 @@ def test_plan_validation():
         CvPlan(kfold=1)
     with pytest.raises(ValueError, match="test size"):
         make_splits(5, CvPlan(ntest=5))
+    # counts that used to run truncated (kfold 2.7 as 2 folds, ntest 2.5 as
+    # 2), fail late (npermut 2.5 in make_splits) or without a field name
+    for field, value in [
+        ("kfold", 2.7), ("kfold", math.nan), ("kfold", math.inf), ("kfold", "5"),
+        ("ntest", 2.5), ("ntest", math.nan), ("ntrain", 7.5), ("ntrain", -math.inf),
+        ("npermut", 2.5), ("npermut", math.nan),
+    ]:
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            CvPlan(**{field: value})
+    # booleans keep their meaning; integral floats are read as counts
+    assert CvPlan(kfold=True).kfold is True
+    assert CvPlan(kfold=False).kfold is False
+    plan = CvPlan(kfold=4.0, npermut=3.0, ntest=np.int64(5))
+    assert (plan.kfold, plan.npermut, plan.ntest) == (4, 3, 5)
+    assert len(make_splits(20, CvPlan(npermut=3.0))) == 3

@@ -165,6 +165,7 @@ class _CvScore:
     runs to ``kmax`` and the sweep never stops early."""
 
     df_stop = np.inf
+    bound = None
     hint = "; the pooled prediction loss is not finite there"
 
     def __init__(self, folds: list[_FoldScorer], loss: str):

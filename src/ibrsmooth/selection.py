@@ -14,9 +14,11 @@ lives in :mod:`ibrsmooth.crossval`.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,6 +52,12 @@ _DF_CEILING_FACTOR = 1.0 - 1e-10
 _K_TOL = 0.01
 # breakpoints splitting [kmin, kmax] into minimizer subintervals
 _BREAKS = (100.0, 200.0, 500.0, 1000.0, 5000.0, 1e4, 5e4, 1e5, 5e5, 1e6)
+# log-spaced counts the bounded integer search evaluates before splitting
+_BOUND_GRID = 64
+# the bounded search drops an interval once its bound exceeds the best value
+# by this, relative to max(1, |best|): room for the rounding of df, rss and
+# the criterion, so no count that the full sweep would pick is dropped
+_BOUND_MARGIN = 1e-12
 
 
 class BreakdownError(RuntimeError):
@@ -164,7 +172,14 @@ class SelectionPlan:
 
 @dataclass
 class SelectionResult:
-    """Chosen iteration count plus the evaluated criterion trace."""
+    """Chosen iteration count plus the evaluated criterion trace.
+
+    The trace holds the admissible counts the search evaluated, in
+    ascending k. An exhaustive search with a certified bound (symmetric
+    spectrum in [0, 1]; gcv, aic, aicc or bic) evaluates only a few hundred
+    of them and still returns the full sweep's k; every other exhaustive
+    search holds every admissible count up to its stop.
+    """
 
     k: float
     value: float
@@ -238,6 +253,70 @@ def minimize_on_breaks(objective, lo: float, hi: float) -> tuple[float, float]:
     return best_k, best_value
 
 
+def _sweep(score, k_lo: int, k_hi: int) -> np.ndarray:
+    """Rows (k, value, df, rss) of every count from k_lo, in blocks of
+    ``score.rows``, to k_hi or the end of the first block whose last df
+    exceeds ``score.df_stop``; only the blocks swept are held."""
+    pieces = []
+    for start in range(k_lo, k_hi + 1, score.rows):
+        ks = np.arange(start, min(start + score.rows, k_hi + 1))
+        value, df, rss = score.block(ks)
+        pieces.append(np.stack([ks, value, df, rss]))
+        if df[-1] > score.df_stop:
+            break
+    return np.concatenate(pieces, axis=1)
+
+
+def _bounded_search(score, k_lo: int, k_hi: int) -> np.ndarray:
+    """Rows (k, value, df, rss) of the counts a certified branch and bound
+    evaluates, in ascending k; its minimum is the full sweep's.
+
+    ``score.bound(rss(b), df(a))`` bounds the value of every count in
+    [a, b] from below. The counts that pass the guards form a prefix
+    [k_lo, cap], so integer bisection finds cap; ``_BOUND_GRID`` log-spaced
+    counts in [k_lo, cap] follow, then the open interval with the smallest
+    bound is split at its midpoint until that bound exceeds the best value
+    by ``_BOUND_MARGIN`` (relative to max(1, |best|), for rounding). An
+    interval whose ends have the same df and rss is not split: they pin
+    every count inside to the value at its left end, up to rounding, and
+    that tie goes to the left end.
+    """
+    seen = {}
+
+    def at(k: int):
+        if k not in seen:
+            seen[k] = score.at(float(k))
+        return seen[k]
+
+    def ok(k: int) -> bool:
+        return bool(np.isfinite(at(k)[0]))
+
+    def push(a: int, b: int) -> None:
+        if b - a > 1 and seen[a][1:] != seen[b][1:]:
+            heapq.heappush(heap, (score.bound(seen[b][2], seen[a][1]), a, b))
+
+    heap = []
+    if ok(k_lo):
+        cap = k_hi
+        if not ok(cap):
+            lo, hi = k_lo, k_hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+            cap = lo
+        grid = sorted({k_lo, cap, *map(int, np.rint(np.geomspace(k_lo, cap, _BOUND_GRID)))})
+        best = min(at(k)[0] for k in grid)
+        for a, b in zip(grid[:-1], grid[1:]):
+            push(a, b)
+        while heap and heap[0][0] <= best + _BOUND_MARGIN * max(1.0, abs(best)):
+            _, a, b = heapq.heappop(heap)
+            m = (a + b) // 2
+            best = min(best, at(m)[0])
+            push(a, m)
+            push(m, b)
+    return np.array([(k, *seen[k]) for k in sorted(seen)]).T
+
+
 def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
     """The one k search behind the criterion and cross-validation searches.
 
@@ -247,14 +326,18 @@ def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
     integer counts, ``real_k_ok`` (whether fractional k is defined),
     ``upper(kmin, kmax)`` (the numeric upper end), ``rows`` (counts per
     sweep block), ``df_stop`` (the sweep ends after a block whose last df
-    exceeds it), ``name`` and ``hint`` (for the error when no k is
-    admissible).
+    exceeds it), ``bound`` (None, or ``bound(rss(b), df(a))`` -> a lower
+    bound of the value on the integers [a, b]), ``name`` and ``hint`` (for
+    the error when no k is admissible).
 
     The numeric search runs :func:`minimize_on_breaks` over [kmin, upper].
     When real k is undefined it warns and sweeps integers instead, the only
-    place where that fallback is decided. The exhaustive search sweeps the
-    integers in [ceil(kmin), floor(kmax)] in blocks, ties going to the
-    smaller k. The trace holds every admissible k evaluated, in order.
+    place where that fallback is decided. The exhaustive search minimizes
+    over the integers in [ceil(kmin), floor(kmax)], ties going to the
+    smaller k. With a ``bound`` it runs :func:`_bounded_search`, which
+    returns the full sweep's k from the few counts it evaluates; otherwise
+    it sweeps them all in blocks. The trace holds every admissible k
+    evaluated, in ascending order.
     """
     if not exhaustive and not score.real_k_ok:
         warnings.warn(
@@ -267,15 +350,8 @@ def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if exhaustive:
             k_lo, k_hi = _integer_range(plan)
-            # rows k, value, df, rss of every count swept
-            trace = np.empty((4, k_hi - k_lo + 1))
-            trace[0] = np.arange(k_lo, k_hi + 1)
-            for start in range(k_lo, k_hi + 1, score.rows):
-                swept = min(start + score.rows, k_hi + 1) - k_lo
-                trace[1:, start - k_lo : swept] = score.block(np.arange(start, k_lo + swept))
-                if trace[2, swept - 1] > score.df_stop:
-                    break
-            trace = trace[:, :swept]
+            sweep = _sweep if score.bound is None else _bounded_search
+            trace = sweep(score, k_lo, k_hi)
         else:
             evals = []
 
@@ -310,6 +386,13 @@ class _CriterionScore:
     search also caps k where the rule first fails, so its minimizer only
     sees finite values, and the sweep stops once df passes the ceiling on a
     spectrum in [0, 1], where df grows with k.
+
+    On a symmetric form with every eigenvalue in [0, 1] (without the
+    ``EIGEN_TOL`` slack of ``real_k_ok``: (1 - lambda)^k grows with k for
+    lambda < 0), df rises and rss falls with k. gcv, aic, aicc and bic rise
+    with both, so ``bound`` gives their value at (rss(b), df(a)), a lower
+    bound on [a, b] that lets the exhaustive search skip counts; gmdl has
+    no such bound.
     """
 
     hint = "; increase dfmaxi or smooth less"
@@ -323,6 +406,14 @@ class _CriterionScore:
         self.rows = kpath.sweep_rows
         self.limit = df_ceiling(kpath.n, plan.dfmaxi, plan.criterion)
         self.df_stop = self.limit if self.real_k_ok else np.inf
+        lam = kpath.lam
+        monotone = kpath.spectral.symmetric and lam.min() >= 0.0 and lam.max() <= 1.0
+        # a partial, not a bound method: a score that held itself would keep
+        # the path (and the spectrum it shares) alive until a cyclic collection
+        self.bound = (
+            partial(_criterion_array, self.name, kpath.n, energy=None)
+            if monotone and self.name != "gmdl" else None
+        )
 
     def _value(self, df, rss, energy):
         value = _criterion_array(self.name, self.kpath.n, rss, df, energy)
@@ -367,6 +458,6 @@ def search_k_numeric(kpath: KPath, plan: SelectionPlan) -> SelectionResult:
 
 
 def search_k_exhaustive(kpath: KPath, plan: SelectionPlan) -> SelectionResult:
-    """Sweep every integer k in [kmin, kmax] along the fit's path ``kpath``,
-    ties going to the smaller k."""
+    """Minimize the criterion over every integer k in [kmin, kmax] along the
+    fit's path ``kpath``, ties going to the smaller k; see :func:`search_k`."""
     return search_k(_CriterionScore(kpath, plan), plan, exhaustive=True)

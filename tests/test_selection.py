@@ -1,11 +1,15 @@
 """Search over the iteration count: numeric vs exhaustive, guard rails."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibrsmooth import (
     BreakdownError,
@@ -18,8 +22,9 @@ from ibrsmooth import (
     search_k_exhaustive,
     search_k_numeric,
 )
-from ibrsmooth import engine
+from ibrsmooth import engine, selection
 from ibrsmooth.selection import RSS_FLOOR, df_ceiling
+from ibrsmooth.smoothers import SpectralForm
 
 from conftest import gaussian_smoother, random_design
 
@@ -203,3 +208,164 @@ def test_criterion_fit_builds_one_path(monkeypatch, mode):
     result = fit(sm.design.x, y, smoother=sm, plan=SelectionPlan(mode=mode, kmax=500))
     assert len(built) == 1
     assert result.selection_mode == mode
+
+
+def tps_path(seed, n=60):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, 2))
+    y = np.sin(4 * x[:, 0]) + x[:, 1] + rng.normal(0, 0.2, n)
+    return KPath(build_calibrated_tps(x).spectral(), y)
+
+
+def bounded_and_swept(path, plan):
+    """The exhaustive search as it runs, and the full sweep with the bound
+    switched off, as (result or BreakdownError message) pairs."""
+    out = []
+    for certified in (True, False):
+        score = selection._CriterionScore(path, plan)
+        assert (score.bound is not None) == (plan.criterion != "gmdl")
+        if not certified:
+            score.bound = None
+        try:
+            out.append(selection.search_k(score, plan, exhaustive=True))
+        except BreakdownError as exc:
+            out.append(str(exc))
+    return out
+
+
+# eigenvalues in [0, 1]: exact 0 and 1 entries, uniform ones and small
+# ones on a log scale, as a smoother's spectrum decays
+EIGEN = st.one_of(
+    st.just(0.0),
+    st.just(1.0),
+    st.floats(0.0, 1.0),
+    st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def certified_problems(draw):
+    n = draw(st.integers(20, 120))
+    lam = np.sort(np.array(draw(st.lists(EIGEN, min_size=n, max_size=n))))[::-1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    # signal on the large eigenvalues, unit noise on all of them
+    z = rng.normal(size=n) * (1.0 + draw(st.floats(0.0, 100.0)) * lam)
+    plan = SelectionPlan(
+        criterion=draw(st.sampled_from(["gcv", "aic", "aicc", "bic"])),
+        mode="exhaustive",
+        kmax=draw(st.integers(2, 20000)),
+        dfmaxi=draw(st.one_of(st.none(), st.floats(1.0, float(n)))),
+    )
+    return KPath(SpectralForm(d_half=np.ones(n), u=q, lam=lam), q @ z), plan
+
+
+@settings(max_examples=60, deadline=None)
+@given(certified_problems())
+def test_bounded_search_returns_the_sweeps_k(problem):
+    """On a symmetric spectrum in [0, 1] the certified search picks the
+    full sweep's k, or a count the sweep itself scores within the margin."""
+    path, plan = problem
+    bounded, swept = bounded_and_swept(path, plan)
+    if isinstance(swept, str):
+        assert bounded == swept
+        return
+    # the sweep's own value at the bounded search's k
+    (at_k,) = swept.trace_value[swept.trace_k == bounded.k]
+    if bounded.k != swept.k:
+        assert abs(at_k - swept.value) <= selection._BOUND_MARGIN * max(1.0, abs(swept.value))
+    # values are logs, so near 0 the rounding is absolute
+    assert bounded.value == pytest.approx(at_k, rel=1e-14, abs=1e-14)
+    assert np.all(np.diff(bounded.trace_k) > 0)
+    assert np.isin(bounded.trace_k, swept.trace_k).all()
+
+
+def test_bounded_search_evaluates_few_counts():
+    path = tps_path(1)
+    res = search_k_exhaustive(path, SelectionPlan(mode="exhaustive", kmax=1e7))
+    swept = bounded_and_swept(path, SelectionPlan(mode="exhaustive", kmax=1e7))[1]
+    assert res.k == swept.k
+    assert res.value == pytest.approx(swept.value, rel=1e-14)
+    assert res.trace_k.size < 500 < swept.trace_k.size
+    assert np.all(np.diff(res.trace_k) > 0)
+
+
+def test_bounded_search_does_not_split_a_flat_criterion():
+    """A projection (eigenvalues 0 and 1 only) has the same df and rss at
+    every k: the sweep's first count wins, and no interval is split."""
+    lam = np.repeat([1.0, 0.0], [8, 22])
+    y = np.random.default_rng(3).normal(size=30) * (1 + 30 * lam)
+    path = KPath(SpectralForm(d_half=np.ones(30), u=np.eye(30), lam=lam), y)
+    bounded, swept = bounded_and_swept(path, SelectionPlan(mode="exhaustive"))
+    assert bounded.k == swept.k == 1
+    assert swept.trace_k.size == 100000
+    assert bounded.trace_k.size <= selection._BOUND_GRID
+
+
+def lam_below_zero_path(rng):
+    n = 40
+    lam = np.sort(np.concatenate([rng.uniform(0.01, 1.0, n - 1), [-1e-11]]))[::-1]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    spectral = SpectralForm(d_half=np.ones(n), u=q, lam=lam)
+    assert spectral.symmetric and spectral.real_k_ok
+    return KPath(spectral, q @ (rng.normal(size=n) * (1 + 20 * lam)))
+
+
+@pytest.mark.parametrize("case", ["gmdl", "gaussian kernel", "eigenvalue below zero"])
+def test_uncertified_scores_sweep_every_count(case, rng):
+    """Without a certified bound the exhaustive search evaluates every count,
+    so its trace holds every one up to kmax or the first over the ceiling."""
+    criterion = "gcv"
+    if case == "gmdl":
+        path, criterion = tps_path(2), "gmdl"
+    elif case == "gaussian kernel":
+        sm, y = smooth_problem(29)
+        path = KPath(sm.spectral(), y)
+        assert not sm.spectral().symmetric
+    else:
+        path = lam_below_zero_path(rng)
+    plan = SelectionPlan(criterion=criterion, mode="exhaustive", kmax=3000)
+    assert selection._CriterionScore(path, plan).bound is None
+    res = search_k_exhaustive(path, plan)
+    swept = np.arange(1, res.trace_k[-1] + 1)
+    np.testing.assert_array_equal(res.trace_k, swept)
+    assert swept[-1] == 3000 or path.df(swept[-1] + 1) > df_ceiling(path.n, None)
+
+
+def test_df_over_the_ceiling_at_kmin_fails_alike_on_both_routes():
+    path = tps_path(3)
+    plan = SelectionPlan(mode="exhaustive", dfmaxi=2.0)
+    assert path.df(1) > 2.0
+    bounded, swept = bounded_and_swept(path, plan)
+    assert bounded == swept
+    assert swept.startswith("no admissible integer k in [1, 100000]")
+
+
+def test_sweep_holds_only_the_blocks_it_sweeps():
+    """A sweep that the df stop ends early allocates nothing for the rest of
+    [kmin, kmax] (a 1e7-count trace is 320 MB)."""
+    path = tps_path(4)
+    tracemalloc.start()
+    try:
+        res = search_k_exhaustive(path, SelectionPlan(criterion="gmdl", mode="exhaustive", kmax=1e7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.trace_k[-1] < 1e5
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("criterion", ["gcv", "gmdl"])
+def test_search_frees_the_path_without_a_cyclic_collection(criterion):
+    """Nothing the search builds refers back to itself, so the path and the
+    spectrum it holds go as soon as the caller drops them (a cycle kept an
+    n x n eigenvector block alive across fits until the collector ran)."""
+    gc.disable()
+    try:
+        path = tps_path(5)
+        ref = weakref.ref(path)
+        search_k_exhaustive(path, SelectionPlan(criterion=criterion, mode="exhaustive"))
+        del path
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dormqr
 from scipy.special import gamma as gamma_fn
 
 from .kernel_smoother import CalibrationError, _log_newton_root
@@ -86,14 +87,13 @@ def _radial_constant(order: int, d: int) -> float:
 
 def _radial_values(r: np.ndarray, order: int, d: int) -> np.ndarray:
     """eta(r) with the removable singularity at r = 0 set to its limit 0."""
-    theta = _radial_constant(order, d)
-    p = 2 * order - d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if d % 2 == 0:
-            out = theta * r**p * np.log(r)
-        else:
-            out = theta * r**p
-    return np.where(r == 0.0, 0.0, out)
+    out = r ** (2 * order - d)
+    out *= _radial_constant(order, d)
+    if d % 2 == 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out *= np.log(r)
+    out[r == 0.0] = 0.0
+    return out
 
 
 def _poly_powers(order: int, d: int) -> list[tuple[int, ...]]:
@@ -114,9 +114,31 @@ def _poly_block(x: np.ndarray, powers: list[tuple[int, ...]]) -> np.ndarray:
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of a and the rows of b."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """Euclidean distances between the rows of a and the rows of b.
+
+    The squared gaps are added up one column at a time, in column order, so
+    no rows x rows x d difference tensor is formed.
+    """
+    out = np.zeros((a.shape[0], b.shape[0]))
+    gap = np.empty_like(out)
+    for j in range(a.shape[1]):
+        np.subtract.outer(a[:, j], b[:, j], out=gap)
+        gap *= gap
+        out += gap
+    return np.sqrt(out, out=out)
+
+
+def _apply_q(side: str, trans: str, qr: np.ndarray, tau: np.ndarray, c: np.ndarray):
+    """Q c, Q' c, c Q or c Q' for the Q that dgeqrf stored as reflectors.
+
+    ``c`` must be a Fortran-ordered float array; it is overwritten with the
+    product, which is returned.
+    """
+    lwork = dormqr(side, trans, qr, tau, c, -1, overwrite_c=1)[1][0]
+    cq, _, info = dormqr(side, trans, qr, tau, c, int(lwork), overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
+    return cq
 
 
 def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.ndarray:
@@ -138,9 +160,16 @@ def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.nda
 class _TpsCore:
     """Design-dependent geometry shared by calibration and the smoother.
 
-    With T = [q1 q2] [R; 0] the QR of the polynomial block and
+    With T = Q [R; 0] the QR of the n x m polynomial block, Q = [q1 q2] and
     q2' E q2 = V diag(theta) V', the smoother's eigenvectors are the columns
     of q1 (eigenvalue 1) and of g2 = q2 V (eigenvalue theta / (theta + n lam)).
+
+    Q is held only as dgeqrf's m Householder reflectors; no n x n Q is formed.
+    The distances and E cost O(d n^2), the QR O(m^2 n), Q' E Q two
+    reflector passes over E at O(m n^2), and u = [q1 g2] one pass over
+    blockdiag(I, V) at O(m n^2). The dense eigh of q2' E q2, O(n^3), is the
+    floor. ``theta`` descends, and ``q1`` and ``g2`` are views of ``u``, so
+    the geometry keeps two n x n arrays: E and u.
     """
 
     def __init__(self, design: DesignMatrix, order: int):
@@ -149,42 +178,55 @@ class _TpsCore:
             raise ValueError(f"order {order} too low for {d} columns; need 2*order > d")
         self.design = design
         self.order = order
-        self.m = tps_null_dim(order, d)
-        if n <= self.m:
+        self.m = m = tps_null_dim(order, d)
+        if n <= m:
             raise ValueError(
-                f"need more than {self.m} rows for a thin-plate spline of "
+                f"need more than {m} rows for a thin-plate spline of "
                 f"order {order} in {d} variables, got {n}"
             )
         r = _distances(design.x, design.x)
-        off = r + np.eye(n)
-        if off.min() <= 0.0:
-            i, j = divmod(int(np.argmin(off)), n)
+        np.fill_diagonal(r, np.inf)
+        if r.min() <= 0.0:
+            i, j = divmod(int(np.argmin(r)), n)
             raise ValueError(
                 f"duplicate design points at rows {i} and {j}; "
                 "thin-plate splines need distinct points"
             )
+        np.fill_diagonal(r, 0.0)
         self.e = _radial_values(r, order, d)
+        del r
         self.powers = _poly_powers(order, d)
-        q, r_full = qr(_poly_block(design.x, self.powers), mode="full")
-        self.r = r_full[: self.m, : self.m]
+        qr, tau, _, info = dgeqrf(_poly_block(design.x, self.powers))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+        self.r = np.triu(qr[:m])
         diag = np.abs(np.diag(self.r))
         if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):
             raise ValueError(
                 "polynomial block is rank deficient (collinear design); "
                 "thin-plate splines need points in general position"
             )
-        self.q1 = q[:, : self.m]
-        q2 = q[:, self.m :]
-        b = q2.T @ self.e @ q2
-        theta, v = np.linalg.eigh((b + b.T) / 2.0)
+        theta, v = np.linalg.eigh(self._penalized_block(qr, tau))
         floor = -1e-8 * max(abs(theta[-1]), 1.0)
         if theta[0] < floor:
             raise ValueError(
                 f"radial block has a negative penalized eigenvalue {theta[0]:.3e}; "
                 "the design does not support this spline order"
             )
-        self.theta = np.maximum(theta, 0.0)
-        self.g2 = q2 @ v
+        self.theta = np.maximum(theta[::-1], 0.0)
+        u = np.zeros((n, n), order="F")
+        u[:m, :m] = np.eye(m)
+        u[m:, m:] = v[:, ::-1]
+        self.u = _apply_q("L", "N", qr, tau, u)
+        self.q1 = self.u[:, :m]
+        self.g2 = self.u[:, m:]
+
+    def _penalized_block(self, qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """q2' E q2, symmetrised; the n x n Q' E Q dies with this call."""
+        # E is symmetric, so its copy's transpose is a Fortran-ordered E
+        qeq = _apply_q("R", "N", qr, tau, _apply_q("L", "T", qr, tau, self.e.copy().T))
+        b = qeq[self.m :, self.m :]
+        return (b + b.T) / 2.0
 
     def trace_and_slope(self, lam: float) -> tuple[float, float]:
         """Smoother trace m + sum theta / (theta + n lam) and its slope in log lam.
@@ -227,9 +269,8 @@ class TpsSmoother(BaseSmoother):
     @cached_property
     def _spectral(self) -> SpectralForm:
         c = self.core
-        u = np.hstack([c.q1, c.g2[:, ::-1]])
-        lam = np.concatenate([np.ones(c.m), self._ratio[::-1]])
-        return SpectralForm(d_half=np.ones(self.n), u=u, lam=lam, pd_family=True)
+        lam = np.concatenate([np.ones(c.m), self._ratio])
+        return SpectralForm(d_half=np.ones(self.n), u=c.u, lam=lam, pd_family=True)
 
     def evaluate(self, x_new: np.ndarray, coef: np.ndarray) -> np.ndarray:
         return tps_evaluate(

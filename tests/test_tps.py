@@ -1,7 +1,10 @@
 """Thin-plate spline smoother: radial closed forms, null space, calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import qr
 
 from ibrsmooth import (
     DesignMatrix,
@@ -12,7 +15,7 @@ from ibrsmooth import (
     default_tps_order,
     tps_null_dim,
 )
-from ibrsmooth.tps import _radial_values
+from ibrsmooth.tps import _TpsCore, _distances, _poly_block, _radial_values
 
 from conftest import random_design
 
@@ -158,8 +161,9 @@ def test_penalty_matches_pinned_value(seed, n, d, mult, pinned):
 
 def test_duplicate_rows_are_reported():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.5]])
-    with pytest.raises(ValueError, match="[Dd]uplicate"):
+    with pytest.raises(ValueError, match="[Dd]uplicate") as err:
         TpsSmoother(DesignMatrix.from_array(x), TpsSpec(order=2, lam=1e-4))
+    assert "rows 0 and 2" in str(err.value)
 
 
 def test_collinear_design_is_rejected():
@@ -202,3 +206,62 @@ def test_describe_mentions_family_and_df(rng):
     text = sm.describe()
     assert "thin plate spline" in text
     assert "df" in text
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("rows", [0, 7])
+def test_distances_match_broadcast_reference(rng, d, rows):
+    a = rng.normal(size=(rows, d))
+    b = rng.normal(size=(11, d))
+    ref = np.sqrt(((a[:, None] - b[None]) ** 2).sum(2))
+    got = _distances(a, b)
+    assert got.shape == (rows, 11)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("seed,n,d", [(3, 40, 2), (4, 60, 3)])
+def test_householder_core_matches_full_q(seed, n, d):
+    """The reflector-based geometry agrees with one built from the full Q."""
+    x = np.random.default_rng(seed).uniform(size=(n, d))
+    sm = build_calibrated_tps(x, df_multiplier=1.3)
+    core, m = sm.core, sm.core.m
+    q, _ = qr(_poly_block(x, core.powers), mode="full")
+    q1, q2 = q[:, :m], q[:, m:]
+    b = q2.T @ core.e @ q2
+    theta, v = np.linalg.eigh((b + b.T) / 2.0)
+    theta, g2 = np.maximum(theta[::-1], 0.0), q2 @ v[:, ::-1]
+
+    np.testing.assert_allclose(core.q1, q1, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(core.theta, theta, rtol=0, atol=1e-12 * theta.max())
+    sign = np.sign(np.sum(core.g2 * g2, axis=0))
+    np.testing.assert_allclose(core.g2 * sign, g2, rtol=0, atol=1e-10)
+    ratio = theta / (theta + n * sm.spec.lam)
+    ref = q1 @ q1.T + (g2 * ratio) @ g2.T
+    assert np.abs(sm.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_core_memory_is_two_square_arrays():
+    """No n x n Q: the build peaks well below the full-Q route (7 n^2
+    doubles) and keeps only E and the eigenvector block."""
+    n = 600
+    design = DesignMatrix.from_array(np.random.default_rng(0).uniform(size=(n, 2)))
+    tracemalloc.start()
+    try:
+        core = _TpsCore(design, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 8 * n * n
+    square = {
+        name: _root(val)
+        for name, val in vars(core).items()
+        if isinstance(val, np.ndarray) and _root(val).size >= n * n
+    }
+    assert set(square) == {"e", "u", "q1", "g2"}
+    assert square["q1"] is square["u"] and square["g2"] is square["u"]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .crossval import search_k_cv
 from .engine import KPath
 from .kernel_smoother import (
+    ChebyshevGrid,
     KernelSmoother,
     KernelSmootherSpec,
     build_kernel_smoother,
@@ -97,28 +99,49 @@ def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
     return build_kernel_smoother(design, KernelSmootherSpec(kind=config.kernel, bandwidths=h))
 
 
-def _finite_rows(x_new) -> np.ndarray:
-    """New points as a 2-D float array, refusing any non-finite entry."""
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+def _finite_rows(x_new, d: int) -> np.ndarray:
+    """New points as a 2-D float array of d columns, refusing any non-finite
+    entry. A 1-D array holds m points of a one-column fit, as ``fit`` reads
+    a 1-D x, and one row of any other fit."""
+    x_new = np.asarray(x_new, dtype=float)
+    x_new = x_new[:, None] if x_new.ndim == 1 and d == 1 else np.atleast_2d(x_new)
     if not np.isfinite(x_new).all():
         row = int(np.argmin(np.isfinite(x_new).all(axis=1)))
         raise ValueError(f"prediction row {row} has non-finite values")
+    if x_new.shape[1] != d:
+        raise ValueError(f"expected {d} columns, got {x_new.shape[1]}")
     return x_new
 
 
 @dataclass
 class KernelPredictor:
-    """Everything needed to evaluate a kernel fit at new points."""
+    """Everything needed to evaluate a kernel fit at new points.
+
+    A Gaussian fit tabulates its kernel average on a
+    :class:`~ibrsmooth.kernel_smoother.ChebyshevGrid` on the first call,
+    in O(n prod p_j), and keeps it; from then on a row inside the training
+    box costs O(d p + prod p_j) instead of O(n d). The grid takes p_j
+    Chebyshev nodes per column, doubling from 16 until the trailing
+    coefficients of the tabulated numerator and denominator fall below
+    their rounding floors at every node (tail rule), and is used only with
+    at most n nodes (cost rule). Rows outside the box, every row of other
+    kernels and fits with no accepted grid take :func:`kernel_predict`.
+    """
 
     x_train: np.ndarray
     kind: str
     bandwidths: np.ndarray
     beta: np.ndarray
 
+    @cached_property
+    def _grid(self) -> ChebyshevGrid | None:
+        return ChebyshevGrid.build(self.x_train, self.kind, self.bandwidths, self.beta)
+
     def predict(self, x_new: np.ndarray) -> np.ndarray:
-        return kernel_predict(
-            _finite_rows(x_new), self.x_train, self.kind, self.bandwidths, self.beta
-        )
+        x_new = _finite_rows(x_new, self.x_train.shape[1])
+        if self._grid is None:
+            return kernel_predict(x_new, self.x_train, self.kind, self.bandwidths, self.beta)
+        return self._grid.predict(x_new)
 
 
 @dataclass
@@ -133,7 +156,7 @@ class TpsPredictor:
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
         return tps_evaluate(
-            _finite_rows(x_new), self.x_train, self.order, self.powers,
+            _finite_rows(x_new, self.x_train.shape[1]), self.x_train, self.order, self.powers,
             self.delta, self.poly_coef,
         )
 

@@ -19,6 +19,15 @@ the one-column Gaussian kernel is interpolated at p Chebyshev nodes
 rounding. A column spanning too many bandwidths for p <= n / 4, a
 several-column total-df target and every other kernel take the O(n^2)
 evaluation instead.
+
+A Gaussian fit predicts through the same interpolation (:class:`ChebyshevGrid`):
+its numerator sum_i K(u - x_i) beta_i and denominator sum_i K(u - x_i) are
+tabulated once on a tensor grid of p_j Chebyshev nodes per column over the
+training box, built in O(n prod p_j), and a new row inside the box costs
+O(d p + prod p_j) instead of O(n d). The grid is accepted only when the
+trailing Chebyshev coefficients of both tables lie below their own rounding
+floor at every node and only when it has at most n nodes; rows outside the
+box and every other kernel take :func:`kernel_predict`.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .smoothers import BaseSmoother, DesignMatrix, SpectralForm
 
 __all__ = [
     "CalibrationError",
+    "ChebyshevGrid",
     "KernelSmootherSpec",
     "KernelSmoother",
     "build_kernel_smoother",
@@ -74,6 +84,9 @@ _EPS = float(np.finfo(float).eps)
 _FACTOR_NODES = 16
 _FACTOR_TAIL = 1e-15
 _FACTOR_GATE = 4
+# a prediction grid is built over blocks of design rows and evaluated over
+# blocks of new rows whose widest temporary holds about this many floats
+_GRID_BLOCK = _PREDICT_BLOCK_BYTES // 8
 # largest miss of the df target that a calibrated bandwidth may leave, per
 # column and for the total trace
 _BANDWIDTH_TOL = 1e-6
@@ -138,6 +151,7 @@ def product_kernel(
 def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray) -> np.ndarray:
     """Kernel-weighted average sum_j w_ij beta_j / sum_j w_ij at new points.
 
+    The direct route: every new row is weighed against all n design points.
     ``beta`` has shape (n,) or (n, c). The weights are built a block of
     rows at a time in two buffers of about ``_PREDICT_BLOCK_BYTES`` each,
     reused for every block. A call never holds an m x n weight matrix, so
@@ -146,13 +160,22 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     process to the next. A block is a whole number of eight-row groups, so
     the blocked products line up with one product over all rows; with
     OpenBLAS a vector ``beta`` gives the same bits as ``(w @ beta) / sums``
-    over the full weight matrix. Raises ValueError when ``x_new`` has the
-    wrong number of columns or a row outside the kernel support of every
-    design point.
+    over the full weight matrix. That promise covers this function only: a
+    Gaussian :class:`ibrsmooth.fitting.KernelPredictor` answers rows inside
+    the training box from a :class:`ChebyshevGrid`, equal to this route to
+    the rounding floor but not bit for bit. Raises ValueError when ``x_new``
+    has the wrong number of columns or a row outside the kernel support of
+    every design point.
     """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     if x_new.shape[1] != x.shape[1]:
         raise ValueError(f"expected {x.shape[1]} columns, got {x_new.shape[1]}")
+    return _kernel_average(x_new, x, kind, bandwidths, beta)
+
+
+def _kernel_average(x_new, x, kind, bandwidths, beta, labels=None) -> np.ndarray:
+    """:func:`kernel_predict` on checked rows; a dead row is named by its
+    entry in ``labels`` (its row number when None)."""
     m, n = x_new.shape[0], x.shape[0]
     rows = max(1, min(m, max(8, _PREDICT_BLOCK_BYTES // (8 * n) // 8 * 8)))
     out_buf = np.empty((rows, n))
@@ -174,11 +197,138 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
         # (rows, c) block; a vector is its own transpose
         np.divide((w @ beta).T, sums, out=pred[start:stop].T)
     if dead:
+        if labels is not None:
+            dead = np.asarray(labels)[dead].tolist()
         raise ValueError(
             f"prediction rows {dead} fall outside the kernel "
             "support of every design point"
         )
     return pred
+
+
+class ChebyshevGrid:
+    """A Gaussian kernel average tabulated on a tensor Chebyshev grid.
+
+    With the columns mapped onto [-1, 1] over the training box (as in
+    :func:`_trace_objective`), the numerator g(u) = sum_i K(u - x_i) beta_i
+    and the denominator s(u) = sum_i K(u - x_i) are evaluated exactly at
+    the prod p_j nodes of p_j first-kind Chebyshev points per column. A
+    new row u inside the box takes one barycentric row per column
+    (:func:`_chebyshev_factor`), contracted with the two tables, and
+    returns g / s: O(d p + prod p_j) per row with no n-length work (the
+    fast Gauss transform and Chebyshev FMM idea: Greengard & Strain 1991,
+    Fong & Darve 2009).
+
+    Tail rule: p_j starts at ``_FACTOR_NODES`` and doubles along every
+    column where the last two slices of either table's Chebyshev
+    coefficients (``dctn`` on every axis, divided by the node count)
+    exceed that table's rounding floor at its lowest node:
+    eps * min_z sum_i K(z - x_i) |beta_i| for g, eps * min_z s(z) for s.
+    A multiple of the largest coefficient would not do, as |beta| can be
+    1e4 times the fitted values. Nor would the floor at the largest node:
+    where the design thins out inside the box (two clusters and a gap),
+    s falls by orders of magnitude, and a tail below its maximum's floor
+    left errors of 1e7 floor units there. The rounding noise of s's own
+    coefficients, about eps * max s, keeps such designs from passing.
+
+    Cost rule: the grid is used only while it has at most n nodes, where
+    tabulating it costs about what n direct rows do; past that
+    :meth:`build` returns None. The tables are built over blocks of
+    design rows, so no n x prod p_j array is held.
+    """
+
+    def __init__(self, x, bandwidths, beta, centre, half, sizes, table):
+        self.x, self.bandwidths, self.beta = x, bandwidths, beta
+        self.lo, self.hi = x.min(axis=0), x.max(axis=0)
+        self.centre, self.half, self.sizes, self.table = centre, half, sizes, table
+
+    @classmethod
+    def build(cls, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray):
+        """The grid of a fit with vector ``beta``, or None where the tail and
+        cost rules leave no grid (and for every kernel but the Gaussian)."""
+        if kind != "gaussian":
+            return None
+        n, d = x.shape
+        centre, half = _unit_box(x)
+        if not np.all(half > 0.0):
+            return None
+        t = (x - centre) / half
+        ratios = half / np.asarray(bandwidths, dtype=float)
+        weights = np.column_stack([beta, np.ones(n), np.abs(beta)])
+        sizes = [_FACTOR_NODES] * d
+        while math.prod(sizes) <= n:
+            sums = _node_sums(t, ratios, sizes, weights)
+            # g's floor from sum K |beta|, s's from s itself
+            floors = _EPS * sums[..., 2].min(), _EPS * sums[..., 1].min()
+            coarse = set()
+            for values, floor in zip((sums[..., 0], sums[..., 1]), floors):
+                coef = np.abs(dctn(values, type=2)) / values.size
+                coarse.update(
+                    j for j in range(d)
+                    if not np.take(coef, [-2, -1], axis=j).max() <= floor
+                )
+            if not coarse:
+                # (p_1, 2, p_2, ..., p_d): every contraction after the first
+                # runs over the last, contiguous axis
+                table = np.ascontiguousarray(np.moveaxis(sums[..., :2], -1, 1))
+                return cls(x, bandwidths, beta, centre, half, tuple(sizes), table)
+            sizes = [2 * p if j in coarse else p for j, p in enumerate(sizes)]
+        return None
+
+    def predict(self, x_new: np.ndarray) -> np.ndarray:
+        """The kernel average at the rows of a checked 2-D ``x_new``: from
+        the grid inside the training box, and through :func:`kernel_predict`
+        as one sub-batch outside it."""
+        in_box = np.all((x_new >= self.lo) & (x_new <= self.hi), axis=1)
+        pred = np.empty(len(x_new))
+        pred[in_box] = self._interpolate((x_new[in_box] - self.centre) / self.half)
+        outside = np.flatnonzero(~in_box)
+        if outside.size:
+            pred[outside] = _kernel_average(
+                x_new[outside], self.x, "gaussian", self.bandwidths, self.beta, outside
+            )
+        return pred
+
+    def _interpolate(self, t: np.ndarray) -> np.ndarray:
+        """g / s at unit-box rows t, a block of rows at a time."""
+        first = self.table.reshape(self.sizes[0], -1)
+        step = max(1, _GRID_BLOCK // max(first.shape[1], max(self.sizes)))
+        sums = np.empty((len(t), 2))
+        for start in range(0, len(t), step):
+            block = t[start : start + step]
+            acc = _chebyshev_factor(block[:, 0], self.sizes[0]) @ first
+            for j in range(t.shape[1] - 1, 0, -1):
+                left = _chebyshev_factor(block[:, j], self.sizes[j])
+                acc = np.einsum("rck,rk->rc", acc.reshape(len(block), -1, self.sizes[j]), left)
+            sums[start : start + step] = acc
+        return sums[:, 0] / sums[:, 1]
+
+
+def _node_sums(t: np.ndarray, ratios: np.ndarray, sizes, weights: np.ndarray) -> np.ndarray:
+    """sum_i prod_j K((z_j - t_ij) ratio_j) weights_ic at every node z of the
+    tensor grid with ``sizes`` Chebyshev points per column.
+
+    Returns an array of shape sizes + (c,). The design is taken a block of
+    rows at a time: per block, the kernel columns of every axis but the
+    first are combined with ``weights`` into one Khatri-Rao block, which one
+    product with the first axis's kernel block adds to the sums.
+    """
+    n, d = t.shape
+    nodes = [_chebyshev_nodes(p)[0] for p in sizes]
+    width = math.prod(sizes[1:]) * weights.shape[1]
+    step = max(1, _GRID_BLOCK // max(width, sizes[0]))
+    sums = np.zeros((sizes[0], width))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        right = weights[rows]
+        for j in range(d - 1, -1, -1):
+            kern = np.subtract.outer(t[rows, j], nodes[j])
+            kern *= ratios[j]
+            kernel_values(kern, "gaussian", out=kern)
+            if j:
+                right = (kern[:, :, None] * right[:, None, :]).reshape(len(kern), -1)
+        sums += kern.T @ right
+    return sums.reshape(tuple(sizes) + (weights.shape[1],))
 
 
 class KernelSmoother(BaseSmoother):
@@ -298,9 +448,8 @@ def _trace_objective(x: np.ndarray, kind: str, scales: np.ndarray):
     sums from :func:`_gaussian_objective`.
     """
     n, d = x.shape
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    half = 0.5 * hi - 0.5 * lo
-    t = (x - (0.5 * hi + 0.5 * lo)) / half
+    centre, half = _unit_box(x)
+    t = (x - centre) / half
     # u = gap / (c * scale) = unit gap * ratio / c
     ratios = half / scales
     if kind == "gaussian":
@@ -321,6 +470,13 @@ def _trace_objective(x: np.ndarray, kind: str, scales: np.ndarray):
         return _trace_and_slope(k0, kmat.sum(axis=1), dkmat.sum(axis=1))
 
     return product_trace
+
+
+def _unit_box(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and half range of each column, so (x - centre) / half maps the
+    training box onto [-1, 1] (halved first, so it cannot overflow)."""
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    return 0.5 * hi + 0.5 * lo, 0.5 * hi - 0.5 * lo
 
 
 def _trace_and_slope(k0: float, sums: np.ndarray, slopes: np.ndarray) -> tuple[float, float]:
@@ -424,13 +580,15 @@ def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
     falls on a node gets that node's unit row.
     """
     nodes, w = _chebyshev_nodes(p)
-    diff = np.subtract.outer(t, nodes)
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    left = w / diff
-    left /= left.sum(axis=1, keepdims=True)
-    on_node = hit.any(axis=1)
-    left[on_node] = hit[on_node]
+    left = np.subtract.outer(t, nodes)
+    with np.errstate(divide="ignore"):
+        np.divide(w, left, out=left)
+    sums = left.sum(axis=1, keepdims=True)
+    # a row with an infinite weight sits on a node
+    on_node = ~np.isfinite(sums[:, 0])
+    sums[on_node] = 1.0
+    left /= sums
+    left[on_node] = t[on_node, None] == nodes
     return left
 
 

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from ibrsmooth import (
     CalibrationError,
     DesignMatrix,
+    KernelPredictor,
     KernelSmootherSpec,
+    SmootherConfig,
     build_kernel_smoother,
     calibrate_bandwidth,
     calibrate_total_df,
+    fit,
 )
 from ibrsmooth import kernel_smoother
 from ibrsmooth.kernels import kernel_values
@@ -384,3 +387,212 @@ def test_describe_mentions_kernel_and_df(rng):
 def test_bandwidths_must_be_positive():
     with pytest.raises(ValueError, match="bandwidth"):
         KernelSmootherSpec(kind="gaussian", bandwidths=(0.0,))
+
+
+# ------------------------------------------------ Chebyshev prediction grid
+
+EPS = float(np.finfo(float).eps)
+EXTENDED = np.finfo(np.longdouble).eps < EPS
+
+
+def floor_units(pred: KernelPredictor, x_new, got):
+    """|got - reference| per row in units of that row's rounding floor,
+    eps (|w| . |beta|) / (w . 1), with the Gaussian weights w and the
+    kernel average taken in extended precision (mpmath on hosts whose
+    long double is a plain double; those check every tenth row)."""
+    x, h, beta = pred.x_train, pred.bandwidths, pred.beta
+    if EXTENDED:
+        ld = np.longdouble
+        w = np.ones((len(x_new), len(x)), dtype=ld)
+        for j in range(x.shape[1]):
+            u = (x_new[:, j, None].astype(ld) - x[None, :, j].astype(ld)) / ld(h[j])
+            w *= np.exp(-u * u / 2)
+        b = beta.astype(ld)
+        sums = w.sum(axis=1)
+        err = np.abs(got.astype(ld) - (w @ b) / sums)
+        return np.asarray(err / (EPS * (w @ np.abs(b)) / sums), dtype=float)
+    import mpmath
+
+    mpmath.mp.dps = 40
+    units = []
+    for i in range(0, len(x_new), 10):
+        w = [
+            mpmath.exp(-sum(((mpmath.mpf(x_new[i, j]) - mpmath.mpf(xi[j])) / h[j]) ** 2
+                            for j in range(x.shape[1])) / 2)
+            for xi in x
+        ]
+        sums = mpmath.fsum(w)
+        ref = mpmath.fdot(w, [mpmath.mpf(b) for b in beta]) / sums
+        floor = EPS * mpmath.fdot(w, [abs(mpmath.mpf(b)) for b in beta]) / sums
+        units.append(float(abs(mpmath.mpf(got[i]) - ref) / floor))
+    return np.array(units)
+
+
+@pytest.fixture(scope="module")
+def kernel_fit_sized():
+    """A fit the size of the kernel_fit benchmark (n = 1500, d = 2, df 1.1,
+    beta at the selected k) and new points drawn after its data."""
+    rng = np.random.default_rng([1, 0])
+    x = rng.uniform(size=(1500, 2))
+    y = np.sin(6.0 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0.0, 0.1, 1500)
+    result = fit(x, y, smoother=SmootherConfig(df=1.1))
+    return result.predictor, rng.uniform(size=(2000, 2))
+
+
+def fresh(pred: KernelPredictor) -> KernelPredictor:
+    """The same predictor with no grid built yet."""
+    return KernelPredictor(pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+
+
+def in_box(pred: KernelPredictor, x_new) -> np.ndarray:
+    x = pred.x_train
+    return np.all((x_new >= x.min(axis=0)) & (x_new <= x.max(axis=0)), axis=1)
+
+
+def test_grid_prediction_is_within_the_rounding_floor(kernel_fit_sized):
+    pred, x_new = kernel_fit_sized
+    x_new = x_new[in_box(pred, x_new)]
+    got = pred.predict(x_new)
+    assert pred._grid is not None and pred._grid.sizes == (32, 32)
+    assert floor_units(pred, x_new, got).max() <= 1.0
+
+
+def one_column_fit():
+    """n = 300 on exactly [-1, 1], so the unit map is the identity and a
+    row placed on a node lands on it exactly."""
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-1.0, 1.0, 300)
+    x[:2] = -1.0, 1.0
+    y = np.sin(3.0 * x) + rng.normal(0.0, 0.1, 300)
+    return fit(x, y, smoother=SmootherConfig(df=1.1)).predictor
+
+
+def three_column_predictor():
+    """n = 4200, d = 3, wide bandwidths: a 16^3 = 4096 node grid."""
+    rng = np.random.default_rng(7)
+    x = rng.uniform(size=(4200, 3))
+    return KernelPredictor(x, "gaussian", np.full(3, 1.5), rng.normal(size=4200) * 1e4)
+
+
+@pytest.mark.parametrize("make, sizes", [(one_column_fit, (32,)), (three_column_predictor, (16, 16, 16))])
+def test_grid_prediction_within_the_floor_in_one_and_three_columns(make, sizes):
+    pred = make()
+    x = pred.x_train
+    rng = np.random.default_rng(11)
+    x_new = x.min(axis=0) + (x.max(axis=0) - x.min(axis=0)) * rng.uniform(size=(300, x.shape[1]))
+    got = pred.predict(x_new)
+    assert pred._grid is not None and pred._grid.sizes == sizes
+    assert np.prod(sizes) <= len(x)
+    assert floor_units(pred, x_new, got).max() <= 1.0
+
+
+def test_grid_prediction_on_faces_corners_and_nodes(kernel_fit_sized):
+    pred, _ = kernel_fit_sized
+    grid = pred._grid
+    lo, hi = pred.x_train.min(axis=0), pred.x_train.max(axis=0)
+    rng = np.random.default_rng(12)
+    corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])
+    faces = []
+    for j in range(2):
+        for end in (lo[j], hi[j]):
+            rows = lo + (hi - lo) * rng.uniform(size=(10, 2))
+            rows[:, j] = end
+            faces.append(rows)
+    z = [kernel_smoother._chebyshev_nodes(p)[0] for p in grid.sizes]
+    nodes = np.stack(np.meshgrid(*z, indexing="ij"), axis=-1).reshape(-1, 2)
+    nodes = np.clip(grid.centre + grid.half * nodes, lo, hi)
+    x_new = np.vstack([corners, *faces, nodes])
+    assert in_box(pred, x_new).all()
+    assert floor_units(pred, x_new, pred.predict(x_new)).max() <= 1.0
+
+    one = one_column_fit()
+    z = kernel_smoother._chebyshev_nodes(32)[0]
+    x_new = np.concatenate([z, [-1.0, 1.0]])[:, None]
+    got = one.predict(x_new)
+    assert one._grid.sizes == (32,)
+    # on the identity map each row sits exactly on its node
+    assert np.array_equal((x_new[:32, 0] - one._grid.centre) / one._grid.half, z)
+    assert floor_units(one, x_new, got).max() <= 1.0
+
+
+def test_grid_build_holds_no_n_by_m_array(kernel_fit_sized):
+    pred, x_new = kernel_fit_sized
+    pred = fresh(pred)
+    n, m = len(pred.x_train), len(x_new)
+    assert m > n
+    tracemalloc.start()
+    try:
+        pred.predict(x_new)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pred._grid is not None
+    # an eighth of one n x n array, so of any n x m one too
+    assert peak < n * n * 8 / 8
+
+
+def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
+    pred, _ = kernel_fit_sized
+    x_new = np.random.default_rng(13).uniform(-0.2, 1.2, size=(500, 2))
+    outside = ~in_box(pred, x_new)
+    assert 0 < outside.sum() < 500
+    got = pred.predict(x_new)
+    assert pred._grid is not None
+    direct = kernel_smoother.kernel_predict(
+        x_new[outside], pred.x_train, pred.kind, pred.bandwidths, pred.beta
+    )
+    assert np.array_equal(got[outside], direct)
+    assert floor_units(pred, x_new[~outside], got[~outside]).max() <= 1.0
+
+
+def same_bits_as_direct(pred: KernelPredictor, x_new):
+    got = pred.predict(x_new)
+    assert pred._grid is None
+    direct = kernel_smoother.kernel_predict(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+    assert np.array_equal(got, direct)
+
+
+def test_triangle_kernel_predicts_directly():
+    rng = np.random.default_rng(14)
+    x = rng.uniform(size=(400, 2))
+    y = np.sin(6.0 * x[:, 0]) + rng.normal(0.0, 0.1, 400)
+    pred = fit(x, y, smoother=SmootherConfig(kernel="triangle", df=1.1)).predictor
+    same_bits_as_direct(pred, rng.uniform(size=(300, 2)))
+
+
+def test_five_columns_exceed_the_node_budget():
+    # 16^5 nodes is far more than n = 300 design points
+    rng = np.random.default_rng(15)
+    x = rng.uniform(size=(300, 5))
+    pred = KernelPredictor(x, "gaussian", np.full(5, 2.0), rng.normal(size=300))
+    same_bits_as_direct(pred, rng.uniform(size=(200, 5)))
+
+
+def test_narrow_bandwidth_fails_the_tail_at_every_allowed_size():
+    # 100 bandwidths across the range: no grid of 16 to 256 nodes resolves it
+    rng = np.random.default_rng(16)
+    x = rng.uniform(size=(300, 1))
+    pred = KernelPredictor(x, "gaussian", np.array([0.01]), rng.normal(size=300))
+    same_bits_as_direct(pred, rng.uniform(size=(200, 1)))
+
+
+def test_design_that_thins_out_inside_the_box_predicts_directly():
+    """Two clusters with a gap: s falls by orders of magnitude between them,
+    so no grid resolves it to the floor of its lowest node. A floor taken at
+    the largest node accepts 128 nodes here, with errors of 1e7 floor units
+    in the gap."""
+    rng = np.random.default_rng(17)
+    x = np.concatenate([rng.uniform(0.0, 0.2, 1000), rng.uniform(0.8, 1.0, 1000)])[:, None]
+    pred = KernelPredictor(x, "gaussian", np.array([0.05]), rng.normal(size=2000) * 1e3)
+    same_bits_as_direct(pred, np.linspace(0.0, 1.0, 201)[:, None])
+
+
+def test_grid_route_keeps_the_error_messages(kernel_fit_sized):
+    pred, x_new = kernel_fit_sized
+    x_new = x_new[:20].copy()
+    x_new[[4, 13]] = 1e3
+    with pytest.raises(ValueError, match=r"prediction rows \[4, 13\] fall outside the kernel support of every design point"):
+        pred.predict(x_new)
+    assert pred._grid is not None
+    with pytest.raises(ValueError, match="expected 2 columns, got 3"):
+        pred.predict(np.ones((4, 3)))

@@ -29,6 +29,45 @@ def test_predictions_survive_bit_exact(tmp_path, family):
     assert np.array_equal(loaded.predict(x), result.predict(x))
 
 
+def test_grid_route_predictions_survive_bit_exact(tmp_path):
+    """n = 1100 on two columns admits the 32 x 32 Chebyshev grid; the loaded
+    model builds its own grid from the saved fields, with the same bits."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0, 3, size=(1100, 2))
+    y = np.sin(2 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, 1100)
+    result = fit(x, y, smoother=SmootherConfig(df=1.1))
+    path = tmp_path / "model.json"
+    save_model(result, path)
+    loaded = load_model(path)
+    # in the box, on its corner and outside it
+    x_new = np.vstack([rng.uniform(-0.5, 3.5, size=(300, 2)), x.min(axis=0), x])
+    assert np.array_equal(loaded.predict(x_new), result.predict(x_new))
+    for model in (result, loaded):
+        assert model.predictor._grid is not None
+        assert model.predictor._grid.sizes == (32, 32)
+
+
+@pytest.mark.parametrize("family", ["kernel", "tps"])
+def test_one_dimensional_rows_follow_the_fit_columns(tmp_path, family):
+    """A 1-D x_new is m points of a one-column fit, as fit reads a 1-D x,
+    and one row of a two-column fit; in memory and loaded."""
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0, 3, 50)
+    y = np.sin(x) + rng.normal(0, 0.1, 50)
+    one = fit(x, y, smoother=SmootherConfig(family=family, df=1.2))
+    _, two = fitted_model(family)
+    points = np.array([0.1, 0.2, 0.3])
+    for result, x_new, rows in ((one, points, points[:, None]), (two, points[:2], points[None, :2])):
+        path = tmp_path / "model.json"
+        save_model(result, path)
+        for model in (result, load_model(path)):
+            got = model.predict(x_new)
+            assert got.shape == (len(rows),)
+            assert np.array_equal(got, model.predict(rows))
+    with pytest.raises(ValueError, match="expected 2 columns, got 3"):
+        two.predict(points)
+
+
 def test_metadata_round_trip(tmp_path):
     _, result = fitted_model()
     path = tmp_path / "model.json"

@@ -13,9 +13,12 @@ from .kernel_smoother import (
     ChebyshevGrid,
     KernelSmoother,
     KernelSmootherSpec,
+    _kernel_average,
+    build_chebyshev_grid,
     build_kernel_smoother,
     calibrate_bandwidth,
     calibrate_total_df,
+    grid_ladder_cost,
     kernel_predict,
 )
 from .kernels import resolve_kernel
@@ -117,15 +120,22 @@ def _finite_rows(x_new, d: int) -> np.ndarray:
 class KernelPredictor:
     """Everything needed to evaluate a kernel fit at new points.
 
-    A Gaussian fit tabulates its kernel average on a
-    :class:`~ibrsmooth.kernel_smoother.ChebyshevGrid` on the first call,
-    in O(n prod p_j), and keeps it; from then on a row inside the training
-    box costs O(d p + prod p_j) instead of O(n d). The grid takes p_j
-    Chebyshev nodes per column, doubling from 16 until the trailing
+    A Gaussian fit may answer rows inside the training box from a
+    :class:`~ibrsmooth.kernel_smoother.ChebyshevGrid` of its kernel
+    average: O(d p + prod p_j) per row instead of O(n d). The grid takes
+    p_j Chebyshev nodes per column, doubling from 16 until the trailing
     coefficients of the tabulated numerator and denominator fall below
-    their rounding floors at every node (tail rule), and is used only with
-    at most n nodes (cost rule). Rows outside the box, every row of other
-    kernels and fits with no accepted grid take :func:`kernel_predict`.
+    their rounding floors at every node (tail rule), with at most n nodes
+    (cost rule), and only for columns spanning at most 1.5 bandwidths per
+    half range (span rule). Finding it costs O(n prod p_j) and is done
+    once, by the first batch that pays for it: one whose d kernel
+    evaluations per row and design point cover the dearest ladder of tiers
+    the fit could climb (``grid_ladder_cost``). On n = 1500, d = 2 that is
+    304 rows; a one-row predict never builds a grid. A batch's route thus
+    depends only on the fit and the batch's row count, never on earlier
+    calls, so a saved and reloaded model gives the same bits. Rows
+    outside the box, smaller batches, other kernels and fits with no
+    accepted grid take :func:`kernel_predict`.
     """
 
     x_train: np.ndarray
@@ -134,14 +144,27 @@ class KernelPredictor:
     beta: np.ndarray
 
     @cached_property
+    def _ladder_cost(self) -> float | None:
+        return grid_ladder_cost(self.x_train, self.kind, self.bandwidths)
+
+    @cached_property
     def _grid(self) -> ChebyshevGrid | None:
-        return ChebyshevGrid.build(self.x_train, self.kind, self.bandwidths, self.beta)
+        return build_chebyshev_grid(self.x_train, self.bandwidths, self.beta)
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
         x_new = _finite_rows(x_new, self.x_train.shape[1])
-        if self._grid is None:
+        cost = self._ladder_cost
+        if cost is None or x_new.size < cost or self._grid is None:
             return kernel_predict(x_new, self.x_train, self.kind, self.bandwidths, self.beta)
-        return self._grid.predict(x_new)
+        inside = self._grid.contains(x_new)
+        pred = np.empty(len(x_new))
+        pred[inside] = self._grid.interpolate(x_new[inside])
+        outside = np.flatnonzero(~inside)
+        if outside.size:
+            pred[outside] = _kernel_average(
+                x_new[outside], self.x_train, self.kind, self.bandwidths, self.beta, outside
+            )
+        return pred
 
 
 @dataclass

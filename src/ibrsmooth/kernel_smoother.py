@@ -22,19 +22,23 @@ evaluation instead.
 
 A Gaussian fit predicts through the same interpolation (:class:`ChebyshevGrid`):
 its numerator sum_i K(u - x_i) beta_i and denominator sum_i K(u - x_i) are
-tabulated once on a tensor grid of p_j Chebyshev nodes per column over the
+tabulated on a tensor grid of p_j Chebyshev nodes per column over the
 training box, built in O(n prod p_j), and a new row inside the box costs
-O(d p + prod p_j) instead of O(n d). The grid is accepted only when the
-trailing Chebyshev coefficients of both tables lie below their own rounding
-floor at every node and only when it has at most n nodes; rows outside the
-box and every other kernel take :func:`kernel_predict`.
+O(d p + prod p_j) instead of O(n d). :func:`build_chebyshev_grid` accepts
+a grid only when the trailing Chebyshev coefficients of both tables lie
+below their own rounding floor at every node (tail rule), with at most n
+nodes (cost rule); :func:`grid_ladder_cost` offers one only to columns
+spanning at most ``_GRID_SPAN`` bandwidths per half range (span rule),
+beyond which the grid's rounding outgrows the direct route's, and bounds
+what finding it costs. Rows outside the box and every other kernel take
+:func:`kernel_predict`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.fft import dctn
@@ -44,7 +48,6 @@ from .smoothers import BaseSmoother, DesignMatrix, SpectralForm
 
 __all__ = [
     "CalibrationError",
-    "ChebyshevGrid",
     "KernelSmootherSpec",
     "KernelSmoother",
     "build_kernel_smoother",
@@ -87,6 +90,16 @@ _FACTOR_GATE = 4
 # a prediction grid is built over blocks of design rows and evaluated over
 # blocks of new rows whose widest temporary holds about this many floats
 _GRID_BLOCK = _PREDICT_BLOCK_BYTES // 8
+# a prediction grid serves only columns spanning at most this many
+# bandwidths per half range: the rounding of the tabulated sums, amplified
+# by the interpolation, grows with the span. One column, n = 300, worst of
+# 300 rows in floor units (grid / kernel_predict): spans up to 1.8, at most
+# 0.5 / 0.5; 1.9, 1.3 / 0.5; 3.1, 2.3 / 0.7; 5.6, 6.4 / 1.1
+_GRID_SPAN = 1.5
+# tabulating a grid node costs, per design point, about this fraction of a
+# kernel evaluation (three multiply-adds against an exp: 0.7 ns against
+# 5.8 ns per column on a 32 x 32 grid, one BLAS thread, x86-64)
+_GRID_NODE_COST = 0.25
 # largest miss of the df target that a calibrated bandwidth may leave, per
 # column and for the total trace
 _BANDWIDTH_TOL = 1e-6
@@ -161,7 +174,7 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     the blocked products line up with one product over all rows; with
     OpenBLAS a vector ``beta`` gives the same bits as ``(w @ beta) / sums``
     over the full weight matrix. That promise covers this function only: a
-    Gaussian :class:`ibrsmooth.fitting.KernelPredictor` answers rows inside
+    Gaussian :class:`ibrsmooth.fitting.KernelPredictor` may answer rows inside
     the training box from a :class:`ChebyshevGrid`, equal to this route to
     the rounding floor but not bit for bit. Raises ValueError when ``x_new``
     has the wrong number of columns or a row outside the kernel support of
@@ -217,80 +230,21 @@ class ChebyshevGrid:
     (:func:`_chebyshev_factor`), contracted with the two tables, and
     returns g / s: O(d p + prod p_j) per row with no n-length work (the
     fast Gauss transform and Chebyshev FMM idea: Greengard & Strain 1991,
-    Fong & Darve 2009).
-
-    Tail rule: p_j starts at ``_FACTOR_NODES`` and doubles along every
-    column where the last two slices of either table's Chebyshev
-    coefficients (``dctn`` on every axis, divided by the node count)
-    exceed that table's rounding floor at its lowest node:
-    eps * min_z sum_i K(z - x_i) |beta_i| for g, eps * min_z s(z) for s.
-    A multiple of the largest coefficient would not do, as |beta| can be
-    1e4 times the fitted values. Nor would the floor at the largest node:
-    where the design thins out inside the box (two clusters and a gap),
-    s falls by orders of magnitude, and a tail below its maximum's floor
-    left errors of 1e7 floor units there. The rounding noise of s's own
-    coefficients, about eps * max s, keeps such designs from passing.
-
-    Cost rule: the grid is used only while it has at most n nodes, where
-    tabulating it costs about what n direct rows do; past that
-    :meth:`build` returns None. The tables are built over blocks of
-    design rows, so no n x prod p_j array is held.
+    Fong & Darve 2009). Grids come from :func:`build_chebyshev_grid`.
     """
 
-    def __init__(self, x, bandwidths, beta, centre, half, sizes, table):
-        self.x, self.bandwidths, self.beta = x, bandwidths, beta
-        self.lo, self.hi = x.min(axis=0), x.max(axis=0)
-        self.centre, self.half, self.sizes, self.table = centre, half, sizes, table
+    def __init__(self, x: np.ndarray, sizes, table: np.ndarray):
+        self.lo, self.hi = _column_range(x)
+        self.centre, self.half = _unit_box(x)
+        self.sizes, self.table = tuple(sizes), table
 
-    @classmethod
-    def build(cls, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray):
-        """The grid of a fit with vector ``beta``, or None where the tail and
-        cost rules leave no grid (and for every kernel but the Gaussian)."""
-        if kind != "gaussian":
-            return None
-        n, d = x.shape
-        centre, half = _unit_box(x)
-        if not np.all(half > 0.0):
-            return None
-        t = (x - centre) / half
-        ratios = half / np.asarray(bandwidths, dtype=float)
-        weights = np.column_stack([beta, np.ones(n), np.abs(beta)])
-        sizes = [_FACTOR_NODES] * d
-        while math.prod(sizes) <= n:
-            sums = _node_sums(t, ratios, sizes, weights)
-            # g's floor from sum K |beta|, s's from s itself
-            floors = _EPS * sums[..., 2].min(), _EPS * sums[..., 1].min()
-            coarse = set()
-            for values, floor in zip((sums[..., 0], sums[..., 1]), floors):
-                coef = np.abs(dctn(values, type=2)) / values.size
-                coarse.update(
-                    j for j in range(d)
-                    if not np.take(coef, [-2, -1], axis=j).max() <= floor
-                )
-            if not coarse:
-                # (p_1, 2, p_2, ..., p_d): every contraction after the first
-                # runs over the last, contiguous axis
-                table = np.ascontiguousarray(np.moveaxis(sums[..., :2], -1, 1))
-                return cls(x, bandwidths, beta, centre, half, tuple(sizes), table)
-            sizes = [2 * p if j in coarse else p for j, p in enumerate(sizes)]
-        return None
+    def contains(self, x_new: np.ndarray) -> np.ndarray:
+        """Which rows of a 2-D ``x_new`` lie in the training box."""
+        return np.all((x_new >= self.lo) & (x_new <= self.hi), axis=1)
 
-    def predict(self, x_new: np.ndarray) -> np.ndarray:
-        """The kernel average at the rows of a checked 2-D ``x_new``: from
-        the grid inside the training box, and through :func:`kernel_predict`
-        as one sub-batch outside it."""
-        in_box = np.all((x_new >= self.lo) & (x_new <= self.hi), axis=1)
-        pred = np.empty(len(x_new))
-        pred[in_box] = self._interpolate((x_new[in_box] - self.centre) / self.half)
-        outside = np.flatnonzero(~in_box)
-        if outside.size:
-            pred[outside] = _kernel_average(
-                x_new[outside], self.x, "gaussian", self.bandwidths, self.beta, outside
-            )
-        return pred
-
-    def _interpolate(self, t: np.ndarray) -> np.ndarray:
-        """g / s at unit-box rows t, a block of rows at a time."""
+    def interpolate(self, x_new: np.ndarray) -> np.ndarray:
+        """g / s at rows inside the training box, a block of rows at a time."""
+        t = (x_new - self.centre) / self.half
         first = self.table.reshape(self.sizes[0], -1)
         step = max(1, _GRID_BLOCK // max(first.shape[1], max(self.sizes)))
         sums = np.empty((len(t), 2))
@@ -302,6 +256,81 @@ class ChebyshevGrid:
                 acc = np.einsum("rck,rk->rc", acc.reshape(len(block), -1, self.sizes[j]), left)
             sums[start : start + step] = acc
         return sums[:, 0] / sums[:, 1]
+
+
+def grid_ladder_cost(x: np.ndarray, kind: str, bandwidths) -> float | None:
+    """The most that finding a fit's prediction grid can cost, in kernel
+    evaluations per design point, or None where no grid may serve the fit.
+
+    A tier of p_j nodes per column costs sum_j p_j kernel evaluations plus
+    ``_GRID_NODE_COST`` per node (:func:`_node_sums`); predicting a row
+    directly costs d. The ladder of :func:`build_chebyshev_grid` may double
+    any nonempty set of columns after each failing tier, so the bound is
+    the dearest chain of tiers from ``_FACTOR_NODES`` per column up to n
+    nodes. No grid serves every kernel but the Gaussian, a constant column,
+    a column spanning more than ``_GRID_SPAN`` bandwidths per half range
+    (span rule) or fewer rows than the first tier has nodes (cost rule).
+    """
+    if kind != "gaussian":
+        return None
+    n, d = x.shape
+    half = _unit_box(x)[1]
+    if not np.all((half > 0.0) & (half <= _GRID_SPAN * np.asarray(bandwidths, dtype=float))):
+        return None
+
+    @cache
+    def dearest(sizes: tuple[int, ...]) -> float:
+        # a tier's cost ignores the order of its columns, so sizes are sorted
+        if math.prod(sizes) > n:
+            return 0.0
+        doubled = {
+            tuple(sorted(2 * p if mask >> j & 1 else p for j, p in enumerate(sizes)))
+            for mask in range(1, 1 << d)
+        }
+        return sum(sizes) + _GRID_NODE_COST * math.prod(sizes) + max(map(dearest, doubled))
+
+    first = (_FACTOR_NODES,) * d
+    return dearest(first) if math.prod(first) <= n else None
+
+
+def build_chebyshev_grid(x: np.ndarray, bandwidths, beta: np.ndarray) -> ChebyshevGrid | None:
+    """The prediction grid of a Gaussian fit with vector ``beta``, or None
+    where no tier up to n nodes passes the tail rule (cost rule).
+
+    p_j starts at ``_FACTOR_NODES`` and doubles along every column where
+    the last two slices of either table's Chebyshev coefficients
+    (``dctn`` on every axis, divided by the node count) exceed that table's
+    rounding floor at its lowest node (tail rule):
+    eps * min_z sum_i K(z - x_i) |beta_i| for g, eps * min_z s(z) for s.
+    A multiple of the largest coefficient would not do, as |beta| can be
+    1e4 times the fitted values; nor would the floor at the largest node,
+    where the design thins out inside the box and s falls far below its
+    maximum. The tables are built over blocks of design rows, so no
+    n x prod p_j array is held.
+    """
+    n, d = x.shape
+    centre, half = _unit_box(x)
+    t = (x - centre) / half
+    ratios = half / np.asarray(bandwidths, dtype=float)
+    weights = np.column_stack([beta, np.ones(n), np.abs(beta)])
+    sizes = [_FACTOR_NODES] * d
+    while math.prod(sizes) <= n:
+        sums = _node_sums(t, ratios, sizes, weights)
+        # g's floor from sum K |beta|, s's from s itself
+        floors = _EPS * sums[..., 2].min(), _EPS * sums[..., 1].min()
+        coarse = set()
+        for values, floor in zip((sums[..., 0], sums[..., 1]), floors):
+            coef = np.abs(dctn(values, type=2)) / values.size
+            coarse.update(
+                j for j in range(d) if not np.take(coef, [-2, -1], axis=j).max() <= floor
+            )
+        if not coarse:
+            # (p_1, 2, p_2, ..., p_d): every contraction after the first
+            # runs over the last, contiguous axis
+            table = np.ascontiguousarray(np.moveaxis(sums[..., :2], -1, 1))
+            return ChebyshevGrid(x, sizes, table)
+        sizes = [2 * p if j in coarse else p for j, p in enumerate(sizes)]
+    return None
 
 
 def _node_sums(t: np.ndarray, ratios: np.ndarray, sizes, weights: np.ndarray) -> np.ndarray:
@@ -472,10 +501,17 @@ def _trace_objective(x: np.ndarray, kind: str, scales: np.ndarray):
     return product_trace
 
 
+def _column_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest entry of each column of an (n, d) array (a
+    column at a time: a reduction along axis 0 of a few columns is several
+    times slower)."""
+    return np.array([c.min() for c in x.T]), np.array([c.max() for c in x.T])
+
+
 def _unit_box(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre and half range of each column, so (x - centre) / half maps the
     training box onto [-1, 1] (halved first, so it cannot overflow)."""
-    lo, hi = x.min(axis=0), x.max(axis=0)
+    lo, hi = _column_range(x)
     return 0.5 * hi + 0.5 * lo, 0.5 * hi - 0.5 * lo
 
 

@@ -444,6 +444,11 @@ def fresh(pred: KernelPredictor) -> KernelPredictor:
     return KernelPredictor(pred.x_train, pred.kind, pred.bandwidths, pred.beta)
 
 
+def grid_rows(pred: KernelPredictor) -> int:
+    """The fewest rows of a batch that takes the grid route."""
+    return int(np.ceil(pred._ladder_cost / pred.x_train.shape[1]))
+
+
 def in_box(pred: KernelPredictor, x_new) -> np.ndarray:
     x = pred.x_train
     return np.all((x_new >= x.min(axis=0)) & (x_new <= x.max(axis=0)), axis=1)
@@ -474,13 +479,31 @@ def three_column_predictor():
     return KernelPredictor(x, "gaussian", np.full(3, 1.5), rng.normal(size=4200) * 1e4)
 
 
-@pytest.mark.parametrize("make, sizes", [(one_column_fit, (32,)), (three_column_predictor, (16, 16, 16))])
+def wide_span_fit():
+    """n = 300, df 5 in one column: 5.6 bandwidths per half range, where a
+    grid read 2.5-6.4 floor units, so it must predict directly."""
+    rng = np.random.default_rng(9)
+    x = rng.uniform(size=300)
+    y = np.sin(6.0 * x) + rng.normal(0.0, 0.1, 300)
+    return fit(x, y, smoother=SmootherConfig(df=5)).predictor
+
+
+@pytest.mark.parametrize(
+    "make, sizes",
+    [(one_column_fit, (32,)), (three_column_predictor, (16, 16, 16)), (wide_span_fit, None)],
+)
 def test_grid_prediction_within_the_floor_in_one_and_three_columns(make, sizes):
     pred = make()
     x = pred.x_train
     rng = np.random.default_rng(11)
-    x_new = x.min(axis=0) + (x.max(axis=0) - x.min(axis=0)) * rng.uniform(size=(300, x.shape[1]))
+    x_new = x.min(axis=0) + (x.max(axis=0) - x.min(axis=0)) * rng.uniform(size=(700, x.shape[1]))
     got = pred.predict(x_new)
+    if sizes is None:
+        assert pred._ladder_cost is None
+        direct = kernel_smoother.kernel_predict(x_new, x, pred.kind, pred.bandwidths, pred.beta)
+        assert np.array_equal(got, direct)
+        return
+    assert len(x_new) >= grid_rows(pred)
     assert pred._grid is not None and pred._grid.sizes == sizes
     assert np.prod(sizes) <= len(x)
     assert floor_units(pred, x_new, got).max() <= 1.0
@@ -507,7 +530,8 @@ def test_grid_prediction_on_faces_corners_and_nodes(kernel_fit_sized):
 
     one = one_column_fit()
     z = kernel_smoother._chebyshev_nodes(32)[0]
-    x_new = np.concatenate([z, [-1.0, 1.0]])[:, None]
+    # with rows enough for the batch to take the grid
+    x_new = np.concatenate([z, [-1.0, 1.0], rng.uniform(-1.0, 1.0, grid_rows(one))])[:, None]
     got = one.predict(x_new)
     assert one._grid.sizes == (32,)
     # on the identity map each row sits exactly on its node
@@ -547,7 +571,8 @@ def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
 
 def same_bits_as_direct(pred: KernelPredictor, x_new):
     got = pred.predict(x_new)
-    assert pred._grid is None
+    # no grid was built, or its ladder found none
+    assert vars(pred).get("_grid") is None
     direct = kernel_smoother.kernel_predict(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
     assert np.array_equal(got, direct)
 
@@ -568,28 +593,65 @@ def test_five_columns_exceed_the_node_budget():
     same_bits_as_direct(pred, rng.uniform(size=(200, 5)))
 
 
-def test_narrow_bandwidth_fails_the_tail_at_every_allowed_size():
-    # 100 bandwidths across the range: no grid of 16 to 256 nodes resolves it
+def test_column_spanning_many_bandwidths_predicts_directly():
+    # 50 bandwidths per half range: far past the span rule
     rng = np.random.default_rng(16)
     x = rng.uniform(size=(300, 1))
     pred = KernelPredictor(x, "gaussian", np.array([0.01]), rng.normal(size=300))
     same_bits_as_direct(pred, rng.uniform(size=(200, 1)))
+    assert pred._ladder_cost is None
 
 
-def test_design_that_thins_out_inside_the_box_predicts_directly():
+def test_design_that_fails_the_tail_at_every_allowed_size_predicts_directly():
+    # two columns and n = 300 allow only the 16 x 16 grid, which fails
+    rng = np.random.default_rng(18)
+    x = rng.uniform(size=(300, 2))
+    y = np.sin(6.0 * x[:, 0]) + rng.normal(0.0, 0.1, 300)
+    pred = fit(x, y, smoother=SmootherConfig(df=1.1)).predictor
+    assert pred._ladder_cost == kernel_smoother.grid_ladder_cost(x, "gaussian", pred.bandwidths)
+    same_bits_as_direct(pred, rng.uniform(size=(300, 2)))
+    # the batch paid for the ladder, which found no grid
+    assert 300 >= grid_rows(pred) and "_grid" in vars(pred)
+
+
+def test_design_that_thins_out_inside_the_box_fails_the_tail():
     """Two clusters with a gap: s falls by orders of magnitude between them,
     so no grid resolves it to the floor of its lowest node. A floor taken at
     the largest node accepts 128 nodes here, with errors of 1e7 floor units
-    in the gap."""
+    in the gap. (The span rule also keeps this fit off the grid.)"""
     rng = np.random.default_rng(17)
     x = np.concatenate([rng.uniform(0.0, 0.2, 1000), rng.uniform(0.8, 1.0, 1000)])[:, None]
-    pred = KernelPredictor(x, "gaussian", np.array([0.05]), rng.normal(size=2000) * 1e3)
+    h, beta = np.array([0.05]), rng.normal(size=2000) * 1e3
+    assert kernel_smoother.build_chebyshev_grid(x, h, beta) is None
+    pred = KernelPredictor(x, "gaussian", h, beta)
     same_bits_as_direct(pred, np.linspace(0.0, 1.0, 201)[:, None])
+
+
+def test_batch_takes_the_grid_only_when_it_pays_for_the_ladder(kernel_fit_sized):
+    """A batch takes the grid only once its d kernel evaluations per row and
+    design point cover the dearest ladder the fit could climb, whatever
+    came before: 304 rows on the kernel_fit-sized fit."""
+    pred, x_new = kernel_fit_sized
+    pred = fresh(pred)
+    rows = grid_rows(pred)
+    assert rows == 304
+    for batch in (x_new[:1], x_new[: rows - 1]):
+        same_bits_as_direct(pred, batch)
+        assert "_grid" not in vars(pred)
+    big = x_new[in_box(pred, x_new)][:rows]
+    got = pred.predict(big)
+    assert pred._grid is not None and pred._grid.sizes == (32, 32)
+    assert floor_units(pred, big, got).max() <= 1.0
+    # with the grid built, smaller batches still predict directly
+    small = x_new[: rows - 1]
+    direct = kernel_smoother.kernel_predict(small, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+    assert np.array_equal(pred.predict(small), direct)
+    assert np.array_equal(fresh(pred).predict(big), got)
 
 
 def test_grid_route_keeps_the_error_messages(kernel_fit_sized):
     pred, x_new = kernel_fit_sized
-    x_new = x_new[:20].copy()
+    x_new = x_new[: grid_rows(pred)].copy()
     x_new[[4, 13]] = 1e3
     with pytest.raises(ValueError, match=r"prediction rows \[4, 13\] fall outside the kernel support of every design point"):
         pred.predict(x_new)

@@ -45,6 +45,10 @@ def test_grid_route_predictions_survive_bit_exact(tmp_path):
     for model in (result, loaded):
         assert model.predictor._grid is not None
         assert model.predictor._grid.sizes == (32, 32)
+    # a batch's route depends on its row count, not on what came before:
+    # a fresh load agrees with the fitted model that has built its grid
+    for rows in (x[:400], x[:10]):
+        assert np.array_equal(load_model(path).predict(rows), result.predict(rows))
 
 
 @pytest.mark.parametrize("family", ["kernel", "tps"])

@@ -16,9 +16,30 @@ d trace / d log(scale), inside a sign bracket that falls back to bisection
 needs four to six trace evaluations, each O(n p) with no n x n array:
 the one-column Gaussian kernel is interpolated at p Chebyshev nodes
 (K ~ L K_c L'), p doubling from 16 until the interpolant is exact to
-rounding. A column spanning too many bandwidths for p <= n / 4, a
-several-column total-df target and every other kernel take the O(n^2)
-evaluation instead.
+rounding (tail rule, :func:`_accepted_nodes`). A column spanning too many
+bandwidths for p <= n / 4, a several-column total-df target and every
+other kernel take the O(n^2) evaluation instead.
+
+Because the base smoother is over-smooth, its spectrum is numerically low
+rank, and a positive-definite smoother keeps only the eigenpairs above
+eps/2. They come from one of three routes:
+
+- factor route (Gaussian): each column's node kernel K_c = V Sigma V' is
+  compressed to its eigenpairs above eps of the largest, so K ~ G G' with
+  G the P columns of the Khatri-Rao product of the n x r_j blocks
+  L_j V_j Sigma_j^{1/2} whose eigenvalue passes the same cut
+  (:func:`_gaussian_factor`). Row sums come from L K_c L', and the top
+  pairs from one QR of D^{1/2} G and one P x P eigh
+  (:func:`_factor_eigenpairs`): O(n P^2) with no n x n array. It serves
+  every Gaussian design with P <= n / ``_FACTOR_RANK_GATE``, a gate
+  checked from the node kernels alone, before any n-length work;
+- range finder (other positive-definite designs, n >= 640): a randomized
+  block over the Gram matrix, certified by its trace
+  (:func:`_top_eigenpairs`);
+- dense ``eigh`` of the symmetrized Gram matrix for everything else.
+
+The factor route holds no n x n array; the other two build K once and drop
+it with the spectrum. ``kmat`` and ``matrix`` are built when asked for.
 
 A Gaussian fit predicts through the same interpolation (:class:`ChebyshevGrid`):
 its numerator sum_i K(u - x_i) beta_i and denominator sum_i K(u - x_i) are
@@ -44,7 +65,7 @@ import numpy as np
 from scipy.fft import dctn
 
 from .kernels import is_positive_definite, kernel_slopes, kernel_values, resolve_kernel
-from .smoothers import BaseSmoother, DesignMatrix, SpectralForm
+from .smoothers import BaseSmoother, DesignMatrix, SpectralForm, _apply_q, _householder_qr
 
 __all__ = [
     "CalibrationError",
@@ -72,10 +93,19 @@ _LN10 = math.log(10.0)
 # bytes: the two block buffers stay in cache and under the size at which
 # numpy asks for huge pages
 _PREDICT_BLOCK_BYTES = 1 << 18
-# positive-definite kernels decompose only the top of the spectrum: a block
-# of _SPECTRUM_BLOCK vectors plus _SPECTRUM_OVERSAMPLE, doubled while the tail
-# certificate fails, and dense eigh once the next block would exceed
-# n / _SPECTRUM_GATE columns (there a failed attempt costs more than eigh)
+# positive-definite kernels decompose only the top of the spectrum, by one
+# of three routes (module docstring). The factor route serves a Gaussian
+# design while its factor has at most n / _FACTOR_RANK_GATE columns P.
+# Uniform columns, one BLAS thread, the factor route's build and spectrum
+# against the Gram matrix and the route it replaces: at P ~ n / 2, 0.46
+# (d = 2, n = 1500), 0.52 (d = 2, n = 3000), 0.64 (d = 2, n = 400, P =
+# 0.55 n); parity between 0.67 n (1.11, d = 3, n = 1500) and 0.72 n (0.98,
+# d = 2, n = 1500); 1.99 at P = n. Past the gate, the range finder tries a
+# block of _SPECTRUM_BLOCK vectors plus _SPECTRUM_OVERSAMPLE, doubled while
+# the tail certificate fails, and dense eigh runs once the next block would
+# exceed n / _SPECTRUM_GATE columns (there a failed attempt costs more than
+# eigh)
+_FACTOR_RANK_GATE = 2
 _SPECTRUM_BLOCK = 64
 _SPECTRUM_OVERSAMPLE = 16
 _SPECTRUM_GATE = 8
@@ -173,12 +203,18 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     process to the next. A block is a whole number of eight-row groups, so
     the blocked products line up with one product over all rows; with
     OpenBLAS a vector ``beta`` gives the same bits as ``(w @ beta) / sums``
-    over the full weight matrix. That promise covers this function only: a
-    Gaussian :class:`ibrsmooth.fitting.KernelPredictor` may answer rows inside
-    the training box from a :class:`ChebyshevGrid`, equal to this route to
-    the rounding floor but not bit for bit. Raises ValueError when ``x_new``
-    has the wrong number of columns or a row outside the kernel support of
-    every design point.
+    over the full weight matrix.
+
+    Same batch, same bits: repeating a batch repeats its answer exactly,
+    but a row's last bits depend on its place in the batch (the BLAS
+    product treats rows by position), so a row predicted in a shifted or
+    smaller batch agrees only to the rounding floor
+    eps (|w| . |beta|) / (w . 1). Nor is the promise made across routes: a
+    Gaussian :class:`ibrsmooth.fitting.KernelPredictor` may answer rows
+    inside the training box from a :class:`ChebyshevGrid`, equal to this
+    route to the rounding floor. Raises ValueError when ``x_new`` has the
+    wrong number of columns or a row outside the kernel support of every
+    design point.
     """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     if x_new.shape[1] != x.shape[1]:
@@ -361,7 +397,13 @@ def _node_sums(t: np.ndarray, ratios: np.ndarray, sizes, weights: np.ndarray) ->
 
 
 class KernelSmoother(BaseSmoother):
-    """Row-stochastic kernel smoother over a fixed design."""
+    """Row-stochastic kernel smoother over a fixed design.
+
+    A Gaussian smoother that passes the factor gate holds its row sums and
+    its n x r_j column factors, and never an n x n array. Any other holds
+    the Gram matrix K only until its spectrum is built. ``kmat`` and
+    ``matrix`` are built anew on each access.
+    """
 
     def __init__(self, design: DesignMatrix, spec: KernelSmootherSpec):
         if len(spec.bandwidths) != design.d:
@@ -370,8 +412,13 @@ class KernelSmoother(BaseSmoother):
             )
         self.design = design
         self.spec = spec
-        self.kmat = product_kernel(design.x, design.x, spec.kind, spec.bandwidths)
-        self.row_sums = self.kmat.sum(axis=1)
+        factor = _gaussian_factor(design.x, spec.bandwidths) if spec.kind == "gaussian" else None
+        self._gram = self._factor = None
+        if factor is None:
+            self._gram = self.kmat
+            self.row_sums = self._gram.sum(axis=1)
+        else:
+            self.row_sums, self._factor = factor
         if np.any(self.row_sums <= 0):
             bad = np.nonzero(self.row_sums <= 0)[0]
             raise ValueError(
@@ -379,9 +426,27 @@ class KernelSmoother(BaseSmoother):
                 "for the design spacing"
             )
 
-    @cached_property
+    @property
+    def kmat(self) -> np.ndarray:
+        """The n x n Gram matrix K, built a block of rows at a time."""
+        x, n = self.design.x, self.n
+        kmat = np.empty((n, n))
+        rows = max(1, _PREDICT_BLOCK_BYTES // (8 * n))
+        scratch = np.empty((rows, n))
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            product_kernel(
+                x[start:stop], x, self.spec.kind, self.spec.bandwidths,
+                kmat[start:stop], scratch[: stop - start],
+            )
+        return kmat
+
+    @property
     def matrix(self) -> np.ndarray:
-        return self.kmat / self.row_sums[:, None]
+        """S = D K, built in one n x n array and normalized by its own row sums."""
+        s = self.kmat
+        s /= s.sum(axis=1)[:, None]
+        return s
 
     @property
     def initial_df(self) -> float:
@@ -395,13 +460,19 @@ class KernelSmoother(BaseSmoother):
     def _spectral(self) -> SpectralForm:
         # symmetrize: A = D^{1/2} K D^{1/2} shares eigenvalues with S = D K
         d_half = 1.0 / np.sqrt(self.row_sums)
+        if self._factor is not None:
+            lam, u, tail = _factor_eigenpairs(self._factor, d_half, self.initial_df)
+            return SpectralForm(d_half=d_half, u=u, lam=lam, tail_trace=tail)
+        kmat, self._gram = self._gram, None
         if self.spec.positive_definite:
-            top = _top_eigenpairs(self.kmat, d_half)
+            top = _top_eigenpairs(kmat, d_half)
             if top is not None:
                 lam, u, tail = top
                 return SpectralForm(d_half=d_half, u=u, lam=lam, tail_trace=tail)
-        a = self.kmat * d_half[:, None] * d_half[None, :]
-        lam, u = np.linalg.eigh(a)
+        # scaled in place: the smoother keeps no Gram matrix
+        kmat *= d_half[:, None]
+        kmat *= d_half[None, :]
+        lam, u = np.linalg.eigh(kmat)
         order = np.argsort(lam)[::-1]
         return SpectralForm(
             d_half=d_half,
@@ -417,6 +488,132 @@ class KernelSmoother(BaseSmoother):
 
     def describe(self) -> str:
         return f"{self.spec.kind} kernel (with {self.initial_df:.4g} df)"
+
+
+@dataclass
+class _KhatriRaoFactor:
+    """G with K ~ G G': the columns of the Khatri-Rao product of the n x r_j
+    ``blocks`` (one per design column) whose multi-indices are ``index``."""
+
+    blocks: list[np.ndarray]
+    index: tuple[np.ndarray, ...]
+
+    def scaled(self, d_half: np.ndarray) -> np.ndarray:
+        """diag(d_half) G as a Fortran-ordered n x P array."""
+        g = np.empty((d_half.size, self.index[0].size), order="F")
+        np.multiply(self.blocks[0][:, self.index[0]], d_half[:, None], out=g)
+        for block, idx in zip(self.blocks[1:], self.index[1:]):
+            g *= block[:, idx]
+        return g
+
+
+def _gaussian_factor(x: np.ndarray, bandwidths):
+    """Row sums and a Khatri-Rao factor of a Gaussian Gram matrix, or None.
+
+    On each column mapped onto [-1, 1] over the training box, the node
+    kernel K_c between p_j Chebyshev nodes (p_j by the tail rule of
+    :func:`_accepted_nodes`) is compressed by one eigh to the pairs above
+    eps of its largest, V_j Sigma_j V_j'. With L_j the n x p_j
+    interpolation matrix of :func:`_chebyshev_factor`, K ~ G G' for G the
+    Khatri-Rao product of the blocks L_j V_j Sigma_j^{1/2} (times
+    K(0)^{1/2}, to kernel units). G keeps only the products whose
+    eigenvalue prod_j sigma_j is above eps of the largest, the same cut as
+    each column's; their number P never falls as columns are added.
+
+    The columns are taken one at a time, and None is returned as soon as P
+    exceeds n / ``_FACTOR_RANK_GATE``, before any n-length work; also for a
+    constant column and for one where no p_j <= n / ``_FACTOR_GATE`` passes
+    the tail rule. Otherwise returns the row sums, from the uncompressed
+    L_j K_c L_j' (whose node weights are positive sums, so a small row sum
+    keeps its relative accuracy), and the :class:`_KhatriRaoFactor`.
+    """
+    n = x.shape[0]
+    centre, half = _unit_box(x)
+    with np.errstate(divide="ignore"):
+        ratios = half / np.asarray(bandwidths, dtype=float)
+    if not np.all((half > 0.0) & np.isfinite(ratios)):
+        return None
+    nodes, weight = [], np.ones(1)
+    for ratio in ratios:
+        found = _accepted_nodes(lambda p: _node_kernel(p, ratio), n)
+        if found is None:
+            return None
+        sig, v = np.linalg.eigh(found[1])
+        keep = sig > _EPS * sig[-1]
+        # eigenvalues of the products, relative to the largest
+        weight = np.multiply.outer(weight, sig[keep] / sig[-1])
+        if _FACTOR_RANK_GATE * np.count_nonzero(weight > _EPS) > n:
+            return None
+        nodes.append((*found, v[:, keep] * np.sqrt(sig[keep])))
+    t = (x - centre) / half
+    lefts = [_chebyshev_factor(t[:, j], p) for j, (p, _, _) in enumerate(nodes)]
+    k0 = float(kernel_values(np.zeros(1), "gaussian")[0])
+    sums = _interpolated_row_sums(lefts, [kc for _, kc, _ in nodes])
+    sums *= k0 ** len(nodes)
+    blocks = [math.sqrt(k0) * (left @ root) for left, (_, _, root) in zip(lefts, nodes)]
+    return sums, _KhatriRaoFactor(blocks, np.nonzero(weight.reshape(weight.shape[1:]) > _EPS))
+
+
+def _node_kernel(p: int, ratio: float) -> np.ndarray:
+    """exp(-(z_a - z_b)^2 ratio^2 / 2) between p Chebyshev nodes z."""
+    nodes = _chebyshev_nodes(p)[0]
+    gap = np.subtract.outer(nodes, nodes)
+    gap *= ratio
+    gap *= gap
+    gap *= -0.5
+    return np.exp(gap, out=gap)
+
+
+def _khatri_rao(blocks) -> np.ndarray:
+    """Row-wise Kronecker product of n x p_j blocks: n x prod p_j, with the
+    last block's index running fastest."""
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = (out[:, :, None] * block[:, None, :]).reshape(len(out), -1)
+    return out
+
+
+def _interpolated_row_sums(lefts, kernels) -> np.ndarray:
+    """Row sums of the Gram matrix H (K_c1 x ... x K_cd) H', where H is the
+    Khatri-Rao product of the interpolation matrices ``lefts``.
+
+    The node weights H'1 are taken, and H applied, over blocks of rows, so
+    no n x prod p_j array is held; each node kernel acts along its own
+    axis of the weight tensor.
+    """
+    n = lefts[0].shape[0]
+    sizes = [kc.shape[0] for kc in kernels]
+    step = max(1, _GRID_BLOCK // math.prod(sizes))
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    weights = sum(_khatri_rao([left[rows] for left in lefts]).sum(axis=0) for rows in blocks)
+    weights = weights.reshape(sizes)
+    for j, kc in enumerate(kernels):
+        weights = np.moveaxis(np.tensordot(kc, weights, axes=(1, j)), 0, j)
+    weights = weights.ravel()
+    return np.concatenate([_khatri_rao([left[rows] for left in lefts]) @ weights for rows in blocks])
+
+
+def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: float):
+    """Top eigenpairs of A = D^{1/2} G G' D^{1/2} for the n x P factor G
+    (P < n).
+
+    With D^{1/2} G = Q R (Householder QR, Q kept as reflectors), A =
+    Q R R' Q', so one P x P eigh of R R' = W Lambda W' gives the
+    eigenvalues and one reflector pass over the kept columns of W gives
+    U = Q W. The pairs above eps/2 are kept, as in :func:`_top_eigenpairs`,
+    and tau = ``trace`` - sum(kept), with ``trace`` = tr(A) =
+    K(0)^d sum_i 1 / s_i, bounds every eigenvalue left out. Returns
+    (lam descending, U, tau).
+    """
+    qr, tau = _householder_qr(factor.scaled(d_half))
+    width = tau.size
+    r = np.triu(qr[:width])
+    lam, w = np.linalg.eigh(r @ r.T)
+    keep = np.flatnonzero(lam > 0.5 * _EPS)[::-1]
+    u = np.zeros((d_half.size, keep.size), order="F")
+    u[:width] = w[:, keep]
+    u = _apply_q("L", "N", qr, tau, u)
+    return lam[keep], u, max(trace - float(np.sum(lam[keep])), 0.0)
 
 
 def _top_eigenpairs(kmat: np.ndarray, d_half: np.ndarray):
@@ -536,12 +733,10 @@ def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
     the barycentric Lagrange weights of the data points, so K ~ L K_c L'
     (the idea of the fast Gauss transform, Greengard & Strain 1991, and of
     Chebyshev-interpolation FMM, Fong & Darve 2009) and an evaluation costs
-    O(n p + p^2). p is accepted at one scale when the last two rows and
-    columns of K_c's 2-D Chebyshev coefficients (a DCT-II on each axis) are
-    below ``_FACTOR_TAIL`` of the largest; otherwise it doubles from
-    ``_FACTOR_NODES``. Once ``_FACTOR_GATE`` * p exceeds n, and for several
-    columns, the nodes are the data points themselves and L = I: the exact
-    form, whose n x n q is built only when an evaluation needs it.
+    O(n p + p^2). p is the smallest that :func:`_accepted_nodes` accepts at
+    the scale evaluated. Where none is, and for several columns, the nodes
+    are the data points themselves and L = I: the exact form, whose n x n q
+    is built only when an evaluation needs it.
     """
     n, d = t.shape
     kernels = {}
@@ -565,13 +760,11 @@ def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
 
     def on_nodes(inv_c2: float):
         # p of the smallest accepted factor (None: the exact form), q_z, K_c
-        p = _FACTOR_NODES
-        while d == 1 and _FACTOR_GATE * p <= n:
-            q, kc = node_kernel(p, inv_c2)
-            coef = np.abs(dctn(kc, type=2))
-            if max(coef[-2:].max(), coef[:, -2:].max()) <= _FACTOR_TAIL * coef.max():
-                return p, q, kc
-            p *= 2
+        if d == 1:
+            found = _accepted_nodes(lambda p: node_kernel(p, inv_c2)[1], n)
+            if found is not None:
+                p, kc = found
+                return p, kernels[p][0], kc
         return (None, *node_kernel(None, inv_c2))
 
     def interpolation(p: int | None):
@@ -596,6 +789,26 @@ def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
         return _trace_and_slope(1.0, sums, slopes)
 
     return gaussian_trace
+
+
+def _accepted_nodes(node_kernel, n: int):
+    """Smallest Chebyshev factor of a one-column Gaussian kernel that is
+    exact to rounding (tail rule).
+
+    ``node_kernel(p)`` gives the kernel between p Chebyshev nodes. p doubles
+    from ``_FACTOR_NODES`` until the last two rows and columns of the node
+    kernel's 2-D Chebyshev coefficients (a DCT-II on each axis) lie below
+    ``_FACTOR_TAIL`` of the largest. Returns (p, node kernel), or None once
+    ``_FACTOR_GATE`` * p exceeds n, where the exact form is as cheap.
+    """
+    p = _FACTOR_NODES
+    while _FACTOR_GATE * p <= n:
+        kc = node_kernel(p)
+        coef = np.abs(dctn(kc, type=2))
+        if max(coef[-2:].max(), coef[:, -2:].max()) <= _FACTOR_TAIL * coef.max():
+            return p, kc
+        p *= 2
+    return None
 
 
 def _chebyshev_nodes(p: int) -> tuple[np.ndarray, np.ndarray]:

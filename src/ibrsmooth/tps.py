@@ -19,11 +19,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf, dormqr
 from scipy.special import gamma as gamma_fn
 
 from .kernel_smoother import CalibrationError, _log_newton_root
-from .smoothers import BaseSmoother, DesignMatrix, SpectralForm
+from .smoothers import BaseSmoother, DesignMatrix, SpectralForm, _apply_q, _householder_qr
 
 __all__ = [
     "TpsSpec",
@@ -128,19 +127,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _apply_q(side: str, trans: str, qr: np.ndarray, tau: np.ndarray, c: np.ndarray):
-    """Q c, Q' c, c Q or c Q' for the Q that dgeqrf stored as reflectors.
-
-    ``c`` must be a Fortran-ordered float array; it is overwritten with the
-    product, which is returned.
-    """
-    lwork = dormqr(side, trans, qr, tau, c, -1, overwrite_c=1)[1][0]
-    cq, _, info = dormqr(side, trans, qr, tau, c, int(lwork), overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
-    return cq
-
-
 def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.ndarray:
     """eta(|x - x_i|)' a + p(x)' b at every row x of x_new.
 
@@ -196,9 +182,7 @@ class _TpsCore:
         self.e = _radial_values(r, order, d)
         del r
         self.powers = _poly_powers(order, d)
-        qr, tau, _, info = dgeqrf(_poly_block(design.x, self.powers))
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+        qr, tau = _householder_qr(_poly_block(design.x, self.powers))
         self.r = np.triu(qr[:m])
         diag = np.abs(np.diag(self.r))
         if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):

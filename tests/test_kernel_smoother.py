@@ -439,6 +439,22 @@ def kernel_fit_sized():
     return result.predictor, rng.uniform(size=(2000, 2))
 
 
+def test_shifted_batches_agree_to_the_rounding_floor(kernel_fit_sized):
+    """Same batch, same bits; a row shifted by 1-3 places in its batch may
+    change its last bits, but by no more than its rounding floor
+    eps (|w| . |beta|) / (w . 1)."""
+    pred, x_new = kernel_fit_sized
+    x, h, beta = pred.x_train, pred.bandwidths, pred.beta
+    x_new = x_new[:500]
+    whole = kernel_smoother.kernel_predict(x_new, x, "gaussian", h, beta)
+    assert np.array_equal(whole, kernel_smoother.kernel_predict(x_new, x, "gaussian", h, beta))
+    w = kernel_smoother.product_kernel(x_new, x, "gaussian", h)
+    floor = EPS * (w @ np.abs(beta)) / w.sum(axis=1)
+    for shift in (1, 2, 3):
+        got = kernel_smoother.kernel_predict(x_new[shift:], x, "gaussian", h, beta)
+        assert np.all(np.abs(got - whole[shift:]) <= floor[shift:])
+
+
 def fresh(pred: KernelPredictor) -> KernelPredictor:
     """The same predictor with no grid built yet."""
     return KernelPredictor(pred.x_train, pred.kind, pred.bandwidths, pred.beta)

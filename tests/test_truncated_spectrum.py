@@ -1,10 +1,14 @@
 """Truncated spectrum of positive-definite kernel smoothers.
 
-Gaussian smoothers keep only the eigenpairs above eps/2, found by a
-randomized range finder and certified by a Ky Fan tail bound; every other
-kernel, and every design whose numerical rank is too large for the block
-gate, takes the dense eigh path unchanged.
+Gaussian smoothers keep only the eigenpairs above eps/2. A design whose
+per-column Chebyshev factor is narrow enough takes them from one QR of that
+factor (the factor route); otherwise a randomized range finder finds them,
+certified by a Ky Fan tail bound. Every other kernel, and every design
+whose numerical rank is too large for both gates, takes the dense eigh path
+unchanged.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,9 +44,15 @@ def dense_twin(smoother):
     return build_kernel_smoother(smoother.design, smoother.spec)
 
 
+def no_factor(monkeypatch):
+    """Switch the factor route off: no Khatri-Rao factor is narrow enough."""
+    monkeypatch.setattr(kernel_smoother, "_FACTOR_RANK_GATE", 10**9)
+
+
 @pytest.fixture
 def force_dense(monkeypatch):
     def apply():
+        no_factor(monkeypatch)
         monkeypatch.setattr(kernel_smoother, "_SPECTRUM_GATE", 10**9)
 
     return apply
@@ -58,7 +68,9 @@ def dense_eigh(smoother):
 
 @pytest.fixture
 def small_gate(monkeypatch):
-    """Let 300-point designs try the truncated path (block 80 <= n / 2)."""
+    """Let 300-point designs try the range finder (block 80 <= n / 2), with
+    the factor route off."""
+    no_factor(monkeypatch)
     monkeypatch.setattr(kernel_smoother, "_SPECTRUM_GATE", 2)
 
 
@@ -170,3 +182,92 @@ def test_rank_that_trips_the_gate_takes_the_dense_path_exactly(small_gate, monke
     assert spectral.rank == 300 and spectral.tail_trace == 0.0
     assert np.array_equal(spectral.lam, lam) and np.array_equal(spectral.u, u)
 
+
+# ------------------------------------------------------------ factor route
+
+FACTOR_DESIGNS = [
+    (d, dist, df)
+    for d in (1, 2)
+    for dist in ("uniform", "normal", "lognormal")
+    for df in (1.1, 2.0)
+] + [(3, "uniform", 1.1)]
+
+
+def factor_smoother(d, dist, df):
+    """A calibrated Gaussian smoother on columns drawn from ``dist``, with
+    enough rows to pass the factor gate: a two-column normal design at df 2
+    has a factor of about 490 columns, a three-column one at df 1.1 of
+    about 300."""
+    n = {1: 400, 2: 1200, 3: 800}[d]
+    x = getattr(np.random.default_rng(11), dist)(size=(n, d))
+    return build_smoother(DesignMatrix.from_array(x), SmootherConfig(df=df))
+
+
+@pytest.mark.parametrize("d, dist, df", FACTOR_DESIGNS)
+def test_factor_route_matches_dense_eigh(d, dist, df):
+    sm = factor_smoother(d, dist, df)
+    assert sm._factor is not None and sm._gram is None
+    x, h = sm.design.x, sm.spec.bandwidths
+    kmat = kernel_smoother.product_kernel(x, x, "gaussian", h)
+    sums = kmat.sum(axis=1)
+    np.testing.assert_allclose(sm.row_sums, sums, rtol=1e-13, atol=0)
+    spectral = sm.spectral()
+    r = spectral.rank
+    assert r < sm.n // 2
+    d_half = 1.0 / np.sqrt(sums)
+    a = kmat * d_half[:, None] * d_half[None, :]
+    lam = np.linalg.eigvalsh(a)[::-1]
+    np.testing.assert_allclose(spectral.lam, lam[:r], rtol=0, atol=1e-12)
+    assert lam[r:].clip(0).sum() <= spectral.tail_trace + 1e-12
+    u = spectral.u
+    np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a @ u, u * spectral.lam, rtol=0, atol=1e-12)
+
+
+def test_factor_route_gives_the_same_bits_twice():
+    spec_of = factor_smoother(2, "normal", 1.1)
+    a, b = (build_kernel_smoother(spec_of.design, spec_of.spec) for _ in range(2))
+    assert a._factor is not None
+    assert np.array_equal(a.row_sums, b.row_sums)
+    sa, sb = a.spectral(), b.spectral()
+    assert np.array_equal(sa.lam, sb.lam) and np.array_equal(sa.u, sb.u)
+    assert sa.tail_trace == sb.tail_trace
+
+
+def test_three_columns_fail_the_gate_before_any_factor(monkeypatch):
+    """A forward_cv-sized design (n = 330, three columns, df 1.1) fails the
+    factor gate from its node kernels alone and takes the dense route."""
+    design = DesignMatrix.from_array(np.random.default_rng(4).uniform(size=(330, 3)))
+    spec = build_smoother(design, SmootherConfig(df=1.1)).spec
+    built = []
+    factor = kernel_smoother._chebyshev_factor
+
+    def spy(t, p):
+        built.append(p)
+        return factor(t, p)
+
+    monkeypatch.setattr(kernel_smoother, "_chebyshev_factor", spy)
+    sm = build_kernel_smoother(design, spec)
+    spectral = sm.spectral()
+    assert built == [] and sm._factor is None
+    lam, u = dense_eigh(sm)
+    assert spectral.rank == 330 and spectral.tail_trace == 0.0
+    assert np.array_equal(spectral.lam, lam) and np.array_equal(spectral.u, u)
+
+
+def test_gaussian_fit_holds_no_square_array():
+    """No n x n array: the fit peaks below one (the Gram matrix alone is
+    8 n^2 bytes), and the fitted smoother keeps none."""
+    n = 4000
+    design, y = wave_data(n, 2, 0.3)
+    tracemalloc.start()
+    try:
+        result = fit(design, y, smoother=SmootherConfig(df=1.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+    base = result.base
+    arrays = [v for v in vars(base).values() if isinstance(v, np.ndarray)]
+    arrays += base._factor.blocks + [v for v in vars(base.spectral()).values() if isinstance(v, np.ndarray)]
+    assert max(a.size for a in arrays) < n * n

@@ -21,25 +21,25 @@ bandwidths for p <= n / 4, a several-column total-df target and every
 other kernel take the O(n^2) evaluation instead.
 
 Because the base smoother is over-smooth, its spectrum is numerically low
-rank, and a positive-definite smoother keeps only the eigenpairs above
-eps/2. They come from one of three routes:
+rank, and a Gaussian smoother keeps only the eigenpairs above eps/2. They
+come from one of two routes:
 
 - factor route (Gaussian): each column's node kernel K_c = V Sigma V' is
   compressed to its eigenpairs above eps of the largest, so K ~ G G' with
   G the P columns of the Khatri-Rao product of the n x r_j blocks
   L_j V_j Sigma_j^{1/2} whose eigenvalue passes the same cut
-  (:func:`_gaussian_factor`). Row sums come from L K_c L', and the top
-  pairs from one QR of D^{1/2} G and one P x P eigh
-  (:func:`_factor_eigenpairs`): O(n P^2) with no n x n array. It serves
-  every Gaussian design with P <= n / ``_FACTOR_RANK_GATE``, a gate
-  checked from the node kernels alone, before any n-length work;
-- range finder (other positive-definite designs, n >= 640): a randomized
-  block over the Gram matrix, certified by its trace
-  (:func:`_top_eigenpairs`);
-- dense ``eigh`` of the symmetrized Gram matrix for everything else.
+  (:func:`_gaussian_factor`; a constant column is one node, K_c = 1). Row
+  sums come from L K_c L', and the top pairs from one QR of D^{1/2} G and
+  one P x P eigh (:func:`_factor_eigenpairs`): O(n P^2) with no n x n
+  array. It serves every Gaussian design with P <= n /
+  ``_FACTOR_RANK_GATE``, a gate checked from the node kernels alone,
+  before any n-length work;
+- dense ``eigh`` of the symmetrized Gram matrix for everything else: a
+  design past the gate is numerically high rank, so no truncation pays.
 
-The factor route holds no n x n array; the other two build K once and drop
-it with the spectrum. ``kmat`` and ``matrix`` are built when asked for.
+The factor route holds no n x n array; the dense route builds K once and
+drops it with the spectrum. ``kmat`` and ``matrix`` are built when asked
+for.
 
 A Gaussian fit predicts through the same interpolation (:class:`ChebyshevGrid`):
 its numerator sum_i K(u - x_i) beta_i and denominator sum_i K(u - x_i) are
@@ -93,22 +93,14 @@ _LN10 = math.log(10.0)
 # bytes: the two block buffers stay in cache and under the size at which
 # numpy asks for huge pages
 _PREDICT_BLOCK_BYTES = 1 << 18
-# positive-definite kernels decompose only the top of the spectrum, by one
-# of three routes (module docstring). The factor route serves a Gaussian
-# design while its factor has at most n / _FACTOR_RANK_GATE columns P.
-# Uniform columns, one BLAS thread, the factor route's build and spectrum
-# against the Gram matrix and the route it replaces: at P ~ n / 2, 0.46
-# (d = 2, n = 1500), 0.52 (d = 2, n = 3000), 0.64 (d = 2, n = 400, P =
-# 0.55 n); parity between 0.67 n (1.11, d = 3, n = 1500) and 0.72 n (0.98,
-# d = 2, n = 1500); 1.99 at P = n. Past the gate, the range finder tries a
-# block of _SPECTRUM_BLOCK vectors plus _SPECTRUM_OVERSAMPLE, doubled while
-# the tail certificate fails, and dense eigh runs once the next block would
-# exceed n / _SPECTRUM_GATE columns (there a failed attempt costs more than
-# eigh)
+# a Gaussian design takes the truncated factor route (module docstring)
+# while its factor has at most n / _FACTOR_RANK_GATE columns P. Uniform
+# columns, one BLAS thread, the factor route's build and spectrum against
+# the Gram matrix and the route it replaces: at P ~ n / 2, 0.46 (d = 2,
+# n = 1500), 0.52 (d = 2, n = 3000), 0.64 (d = 2, n = 400, P = 0.55 n);
+# parity between 0.67 n (1.11, d = 3, n = 1500) and 0.72 n (0.98, d = 2,
+# n = 1500); 1.99 at P = n
 _FACTOR_RANK_GATE = 2
-_SPECTRUM_BLOCK = 64
-_SPECTRUM_OVERSAMPLE = 16
-_SPECTRUM_GATE = 8
 _EPS = float(np.finfo(float).eps)
 # a one-column Gaussian trace goes through a Chebyshev factor of
 # _FACTOR_NODES nodes, doubled until the node kernel's trailing Chebyshev
@@ -464,11 +456,6 @@ class KernelSmoother(BaseSmoother):
             lam, u, tail = _factor_eigenpairs(self._factor, d_half, self.initial_df)
             return SpectralForm(d_half=d_half, u=u, lam=lam, tail_trace=tail)
         kmat, self._gram = self._gram, None
-        if self.spec.positive_definite:
-            top = _top_eigenpairs(kmat, d_half)
-            if top is not None:
-                lam, u, tail = top
-                return SpectralForm(d_half=d_half, u=u, lam=lam, tail_trace=tail)
         # scaled in place: the smoother keeps no Gram matrix
         kmat *= d_half[:, None]
         kmat *= d_half[None, :]
@@ -520,22 +507,28 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     eigenvalue prod_j sigma_j is above eps of the largest, the same cut as
     each column's; their number P never falls as columns are added.
 
+    A constant column scales every entry by K(0), so it takes one node,
+    with K_c = 1 and L_j a column of ones: exact, and P does not grow.
+
     The columns are taken one at a time, and None is returned as soon as P
     exceeds n / ``_FACTOR_RANK_GATE``, before any n-length work; also for a
-    constant column and for one where no p_j <= n / ``_FACTOR_GATE`` passes
-    the tail rule. Otherwise returns the row sums, from the uncompressed
-    L_j K_c L_j' (whose node weights are positive sums, so a small row sum
-    keeps its relative accuracy), and the :class:`_KhatriRaoFactor`.
+    column where no p_j <= n / ``_FACTOR_GATE`` passes the tail rule.
+    Otherwise returns the row sums, from the uncompressed L_j K_c L_j'
+    (whose node weights are positive sums, so a small row sum keeps its
+    relative accuracy), and the :class:`_KhatriRaoFactor`.
     """
     n = x.shape[0]
     centre, half = _unit_box(x)
     with np.errstate(divide="ignore"):
         ratios = half / np.asarray(bandwidths, dtype=float)
-    if not np.all((half > 0.0) & np.isfinite(ratios)):
+    if not np.all(np.isfinite(ratios)):
         return None
     nodes, weight = [], np.ones(1)
     for ratio in ratios:
-        found = _accepted_nodes(lambda p: _node_kernel(p, ratio), n)
+        if ratio == 0.0:
+            found = 1, np.ones((1, 1))
+        else:
+            found = _accepted_nodes(lambda p: _node_kernel(p, ratio), n)
         if found is None:
             return None
         sig, v = np.linalg.eigh(found[1])
@@ -545,7 +538,8 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
         if _FACTOR_RANK_GATE * np.count_nonzero(weight > _EPS) > n:
             return None
         nodes.append((*found, v[:, keep] * np.sqrt(sig[keep])))
-    t = (x - centre) / half
+    # a constant column maps onto 0, where one node interpolates to 1 exactly
+    t = (x - centre) / np.where(half > 0.0, half, 1.0)
     lefts = [_chebyshev_factor(t[:, j], p) for j, (p, _, _) in enumerate(nodes)]
     k0 = float(kernel_values(np.zeros(1), "gaussian")[0])
     sums = _interpolated_row_sums(lefts, [kc for _, kc, _ in nodes])
@@ -600,10 +594,11 @@ def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: floa
     With D^{1/2} G = Q R (Householder QR, Q kept as reflectors), A =
     Q R R' Q', so one P x P eigh of R R' = W Lambda W' gives the
     eigenvalues and one reflector pass over the kept columns of W gives
-    U = Q W. The pairs above eps/2 are kept, as in :func:`_top_eigenpairs`,
-    and tau = ``trace`` - sum(kept), with ``trace`` = tr(A) =
-    K(0)^d sum_i 1 / s_i, bounds every eigenvalue left out. Returns
-    (lam descending, U, tau).
+    U = Q W. The pairs above eps/2 are kept: 1 - lambda rounds to 1 below
+    that, where the dense path gives a pair zero weight at every k. A is
+    positive semi-definite, so tau = ``trace`` - sum(kept), with ``trace``
+    = tr(A) = K(0)^d sum_i 1 / s_i, bounds the sum of every eigenvalue left
+    out. Returns (lam descending, U, tau).
     """
     qr, tau = _householder_qr(factor.scaled(d_half))
     width = tau.size
@@ -614,45 +609,6 @@ def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: floa
     u[:width] = w[:, keep]
     u = _apply_q("L", "N", qr, tau, u)
     return lam[keep], u, max(trace - float(np.sum(lam[keep])), 0.0)
-
-
-def _top_eigenpairs(kmat: np.ndarray, d_half: np.ndarray):
-    """Certified top eigenpairs of a PSD A = D^{1/2} K D^{1/2}, or None.
-
-    A randomized range finder (Halko, Martinsson & Tropp 2011): Q spans
-    A (A Omega) for a Gaussian test block Omega drawn from a fixed seed, so
-    repeated builds give the same bits, and the Ritz pairs come from eigh
-    of Q'AQ. A is applied as D^{1/2} (K (D^{1/2} Q)) and never formed. The
-    pairs with a Ritz value above eps/2 are kept; 1 - lambda rounds to 1
-    below that, where the dense path gives a pair zero weight at every k.
-
-    By Ky Fan's maximum principle the kept Ritz values sum to at most the
-    same number of top eigenvalues, so tau = tr(A) - sum(kept) bounds the
-    sum of every eigenvalue left out. The block doubles until
-    tau <= n eps tr(A); returns (lam descending, U, tau), or None once the
-    next block would exceed n / ``_SPECTRUM_GATE`` columns.
-    """
-    n = d_half.size
-    block = _SPECTRUM_BLOCK
-    if (block + _SPECTRUM_OVERSAMPLE) * _SPECTRUM_GATE > n:
-        return None
-    trace = float(np.sum(np.diagonal(kmat) * d_half * d_half))
-    rng = np.random.default_rng(0)
-
-    def apply(q: np.ndarray) -> np.ndarray:
-        return d_half[:, None] * (kmat @ (d_half[:, None] * q))
-
-    while (block + _SPECTRUM_OVERSAMPLE) * _SPECTRUM_GATE <= n:
-        omega = rng.standard_normal((n, block + _SPECTRUM_OVERSAMPLE))
-        q = np.linalg.qr(apply(omega))[0]
-        q = np.linalg.qr(apply(q))[0]
-        ritz, w = np.linalg.eigh(q.T @ apply(q))
-        keep = np.flatnonzero(ritz > 0.5 * _EPS)[::-1]
-        tail = trace - float(np.sum(ritz[keep]))
-        if tail <= n * _EPS * trace:
-            return ritz[keep], q @ w[:, keep], max(tail, 0.0)
-        block *= 2
-    return None
 
 
 def build_kernel_smoother(x, spec: KernelSmootherSpec) -> KernelSmoother:

@@ -50,16 +50,12 @@ def test_exhaustive_mode_is_labelled():
     assert "(exhaustive search)" in text
 
 
-def test_base_smoother_line_shows_the_spectrum(monkeypatch):
-    from ibrsmooth import kernel_smoother
-
+def test_base_smoother_line_shows_the_spectrum():
     dense = fitted()
     line = format_report(make_report(dense)).splitlines()[-1]
     assert line.endswith("; spectrum: 45 of 45 eigenpairs, tail trace <= 0")
-    # let a 300-point gaussian fit keep only its top eigenpairs, found by the
-    # range finder (the factor route is switched off)
-    monkeypatch.setattr(kernel_smoother, "_FACTOR_RANK_GATE", 10**9)
-    monkeypatch.setattr(kernel_smoother, "_SPECTRUM_GATE", 2)
+    # a 300-point gaussian fit keeps only its top eigenpairs, from the factor
+    # route
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(300, 1))
     y = np.sin(6 * x[:, 0]) + rng.normal(0, 0.3, 300)

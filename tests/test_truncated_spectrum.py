@@ -1,11 +1,11 @@
-"""Truncated spectrum of positive-definite kernel smoothers.
+"""Truncated spectrum of Gaussian kernel smoothers.
 
-Gaussian smoothers keep only the eigenpairs above eps/2. A design whose
-per-column Chebyshev factor is narrow enough takes them from one QR of that
-factor (the factor route); otherwise a randomized range finder finds them,
-certified by a Ky Fan tail bound. Every other kernel, and every design
-whose numerical rank is too large for both gates, takes the dense eigh path
-unchanged.
+A Gaussian design whose per-column Chebyshev factor is narrow enough keeps
+only the eigenpairs above eps/2, taken from one QR of that factor (the
+factor route) and certified by a trace bound on the pairs left out. A
+constant column is one node of that factor. Every other kernel, and every
+design whose numerical rank is too large for the factor gate, takes the
+dense eigh path unchanged.
 """
 
 import tracemalloc
@@ -44,18 +44,10 @@ def dense_twin(smoother):
     return build_kernel_smoother(smoother.design, smoother.spec)
 
 
-def no_factor(monkeypatch):
-    """Switch the factor route off: no Khatri-Rao factor is narrow enough."""
-    monkeypatch.setattr(kernel_smoother, "_FACTOR_RANK_GATE", 10**9)
-
-
 @pytest.fixture
 def force_dense(monkeypatch):
-    def apply():
-        no_factor(monkeypatch)
-        monkeypatch.setattr(kernel_smoother, "_SPECTRUM_GATE", 10**9)
-
-    return apply
+    """Switch the factor route off: no Khatri-Rao factor is narrow enough."""
+    return lambda: monkeypatch.setattr(kernel_smoother, "_FACTOR_RANK_GATE", 10**9)
 
 
 def dense_eigh(smoother):
@@ -67,34 +59,20 @@ def dense_eigh(smoother):
 
 
 @pytest.fixture
-def small_gate(monkeypatch):
-    """Let 300-point designs try the range finder (block 80 <= n / 2), with
-    the factor route off."""
-    no_factor(monkeypatch)
-    monkeypatch.setattr(kernel_smoother, "_SPECTRUM_GATE", 2)
-
-
-@pytest.fixture
-def truncated(small_gate):
+def truncated():
     design, y = wave_data(300, 1, 0.3)
     sm = build_smoother(design, SmootherConfig(df=1.5))
     spectral = sm.spectral()
-    assert spectral.rank < spectral.n
+    assert sm._factor is not None and spectral.rank < spectral.n
     return sm, spectral, y
 
 
-@pytest.mark.parametrize(
-    "n, d, df, gate",
-    [
-        (700, 2, 1.1, kernel_smoother._SPECTRUM_GATE),  # the default gate
-        (300, 1, 1.5, 2),
-    ],
-)
-def test_interior_gcv_optimum_matches_dense_path(monkeypatch, force_dense, n, d, df, gate):
-    monkeypatch.setattr(kernel_smoother, "_SPECTRUM_GATE", gate)
+@pytest.mark.parametrize("n, d, df", [(700, 2, 1.1), (300, 1, 1.5)])
+def test_interior_gcv_optimum_matches_dense_path(force_dense, n, d, df):
     design, y = wave_data(n, d, 0.5 if d > 1 else 0.3)
     sm = build_smoother(design, SmootherConfig(df=df))
     spectral = sm.spectral()
+    assert sm._factor is not None
     assert spectral.rank < n // 2
     assert 0.0 <= spectral.tail_trace <= n * EPS * sm.initial_df
     got = fit(design, y, smoother=sm)
@@ -128,7 +106,7 @@ def test_rss_is_the_explicit_residual(truncated):
         assert path.rss(k) == pytest.approx(explicit, rel=1e-10)
 
 
-def test_two_builds_give_the_same_bits(small_gate):
+def test_two_builds_give_the_same_bits():
     design, y = wave_data(300, 1, 0.3)
     spec = build_smoother(design, SmootherConfig(df=1.5)).spec
     a = build_kernel_smoother(design, spec).spectral()
@@ -154,7 +132,7 @@ def test_kept_pairs_are_eigenpairs_above_half_eps(truncated):
     assert lam_dense[spectral.rank :].clip(0).sum() <= spectral.tail_trace + 1e-12
 
 
-def test_non_pd_kernel_takes_the_dense_path_exactly(small_gate):
+def test_non_pd_kernel_takes_the_dense_path_exactly():
     design, _ = wave_data(300, 1, 0.3)
     sm = build_kernel_smoother(design, KernelSmootherSpec(kind="epanechnikov", bandwidths=(0.4,)))
     spectral = sm.spectral()
@@ -163,18 +141,18 @@ def test_non_pd_kernel_takes_the_dense_path_exactly(small_gate):
     assert np.array_equal(spectral.lam, lam) and np.array_equal(spectral.u, u)
 
 
-def test_rank_that_trips_the_gate_takes_the_dense_path_exactly(small_gate, monkeypatch):
+def test_rank_that_trips_the_gate_takes_the_dense_path_exactly(monkeypatch):
     calls = []
-    top = kernel_smoother._top_eigenpairs
+    factor = kernel_smoother._gaussian_factor
 
-    def spy(kmat, d_half):
-        out = top(kmat, d_half)
+    def spy(x, bandwidths):
+        out = factor(x, bandwidths)
         calls.append(out)
         return out
 
-    monkeypatch.setattr(kernel_smoother, "_top_eigenpairs", spy)
+    monkeypatch.setattr(kernel_smoother, "_gaussian_factor", spy)
     design, _ = wave_data(300, 2, 0.3)
-    # narrow bandwidths: far more than 144 eigenvalues above eps/2
+    # narrow bandwidths: far more than 150 eigenvalues above eps/2
     sm = build_kernel_smoother(design, KernelSmootherSpec(kind="gaussian", bandwidths=(0.05, 0.05)))
     spectral = sm.spectral()
     assert calls == [None]
@@ -205,7 +183,10 @@ def factor_smoother(d, dist, df):
 
 @pytest.mark.parametrize("d, dist, df", FACTOR_DESIGNS)
 def test_factor_route_matches_dense_eigh(d, dist, df):
-    sm = factor_smoother(d, dist, df)
+    assert_factor_route_matches_dense_eigh(factor_smoother(d, dist, df))
+
+
+def assert_factor_route_matches_dense_eigh(sm):
     assert sm._factor is not None and sm._gram is None
     x, h = sm.design.x, sm.spec.bandwidths
     kmat = kernel_smoother.product_kernel(x, x, "gaussian", h)
@@ -232,6 +213,27 @@ def test_factor_route_gives_the_same_bits_twice():
     sa, sb = a.spectral(), b.spectral()
     assert np.array_equal(sa.lam, sb.lam) and np.array_equal(sa.u, sb.u)
     assert sa.tail_trace == sb.tail_trace
+
+
+@pytest.mark.parametrize("n", [300, 1500])
+def test_a_constant_column_leaves_the_fit_unchanged(n):
+    """A constant column scales every kernel entry by K(0), whatever its
+    bandwidth, so inserting one changes neither S nor the fit. It is one
+    node of the factor, and the design stays on the factor route. The k
+    search agrees to its tolerance, and the fits at one k to rounding."""
+    rng = np.random.default_rng(n)
+    x = rng.uniform(size=(n, 2))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.3, n)
+    ref = fit(x, y, smoother=SmootherConfig(bandwidths=(0.4, 0.5)))
+    x_c = np.insert(x, 1, 2.5, axis=1)
+    config = SmootherConfig(bandwidths=(0.4, 7.0, 0.5))
+    assert abs(fit(x_c, y, smoother=config).k - ref.k) <= 2 * _K_TOL
+    got = fit(x_c, y, smoother=config, plan=SelectionPlan(mode="fixed", fixed_k=ref.k))
+    assert got.base._factor is not None
+    assert got.final_df == pytest.approx(ref.final_df, rel=1e-10, abs=0)
+    np.testing.assert_allclose(got.fitted, ref.fitted, rtol=0, atol=1e-10)
+    if n == 1500:
+        assert_factor_route_matches_dense_eigh(got.base)
 
 
 def test_three_columns_fail_the_gate_before_any_factor(monkeypatch):

@@ -141,11 +141,12 @@ class _FoldScorer:
         # predictions are w(x)' beta_k = (W G) (factors * z)
         self.projector = smoother.evaluate(x_test, self.kpath.g)
         self.y_test = y_test
-        # predictions of a block of counts: (factors * z) (W G)'
+        # predictions of a row of counts: (factors * z) (W G)'
         self._zp = (self.projector * self.kpath.z).T
 
-    def errors(self, k: float) -> np.ndarray:
-        return self.projector @ (self.kpath.coef_factors(k) * self.kpath.z) - self.y_test
+    def batch_errors(self, ks: np.ndarray) -> np.ndarray:
+        """One row of held-out errors per count of a vector of real counts."""
+        return self.kpath.batch_coef_factors(ks) @ self._zp - self.y_test
 
     def block_errors(self, ks: np.ndarray) -> np.ndarray:
         """One row of held-out errors per count of a block of consecutive integers."""
@@ -174,14 +175,17 @@ class _CvScore:
         self.real_k_ok = all(f.kpath.spectral.real_k_ok for f in folds)
         self.rows = min(f.kpath.sweep_rows for f in folds)
 
-    def at(self, k: float) -> tuple[float, float, float]:
-        errors = np.concatenate([f.errors(k) for f in self.folds])
-        return float(_pooled_loss(errors, self.name)), np.nan, np.nan
+    def batch(self, ks: np.ndarray):
+        return self._loss([f.batch_errors(ks) for f in self.folds])
 
     def block(self, ks: np.ndarray):
-        errors = np.concatenate([f.block_errors(ks) for f in self.folds], axis=1)
-        blank = np.full(ks.size, np.nan)
-        return _pooled_loss(errors, self.name), blank, blank
+        return self._loss([f.block_errors(ks) for f in self.folds])
+
+    def _loss(self, fold_errors: list[np.ndarray]):
+        """(loss, nan, nan) rows from every fold's rows of held-out errors."""
+        loss = _pooled_loss(np.concatenate(fold_errors, axis=1), self.name)
+        blank = np.full(loss.size, np.nan)
+        return loss, blank, blank
 
     def upper(self, kmin: float, kmax: float) -> float:
         return float(kmax)

@@ -77,7 +77,8 @@ class KPath:
 
     df, rss and the fitted energy have one set of formulas, :meth:`_stats`,
     on rows of powers (1 - lambda)^k: blocks of integer counts in
-    :meth:`block_stats`, the single row of any real k in :meth:`stats`.
+    :meth:`block_stats`, any vector of real counts in :meth:`batch_stats`,
+    the single row of any real k in :meth:`stats`.
     """
 
     def __init__(self, spectral: SpectralForm, y: np.ndarray):
@@ -125,6 +126,10 @@ class KPath:
             # C pow handles a negative base with an integral exponent
             with np.errstate(over="ignore"):
                 return np.power(self.mu, float(round(k)))
+        self._check_real_k()
+        return np.power(self._mu01, k)
+
+    def _check_real_k(self) -> None:
         if not self.spectral.real_k_ok:
             raise IterationDomainError(
                 "fractional iteration counts are undefined for eigenvalues "
@@ -132,7 +137,28 @@ class KPath:
                 f"{self.lam.max():.3e}]); use integer counts via the "
                 "exhaustive search or the residual recursion"
             )
-        return np.power(self._mu01, k)
+
+    def _pow_rows(self, ks: np.ndarray) -> np.ndarray:
+        """Rows P[j] = (1 - lambda)^ks[j] for a vector of real counts ks >= 0.
+
+        Each row has the bits :meth:`_mu_pow` gives its count: the integer
+        power of 1 - lambda for an integer count, the power of the clipped
+        base for a fractional one, which needs the spectrum in [0, 1].
+        """
+        ks = np.asarray(ks, dtype=float)
+        if not 0.0 <= ks.min() <= ks.max() < np.inf:
+            raise ValueError(f"iteration counts must be finite numbers >= 0, got {ks}")
+        whole = np.round(ks)
+        frac = np.abs(ks - whole) >= 1e-9
+        # C pow handles a negative base with an integral exponent
+        with np.errstate(over="ignore"):
+            if not frac.any():
+                return np.power(self.mu, whole[:, None])
+            self._check_real_k()
+            p = np.power(self._mu01, ks[:, None])
+            if not frac.all():
+                p[~frac] = np.power(self.mu, whole[~frac, None])
+        return p
 
     def _stats(self, p: np.ndarray, out: np.ndarray | None = None):
         """(df, rss, fitted_energy) arrays for power rows p[j] = (1 - lambda)^k_j.
@@ -159,6 +185,12 @@ class KPath:
         """(df, rss, fitted_energy) at one count k: one power row."""
         df, rss, energy = self._stats(self._mu_pow(k)[None])
         return float(df[0]), float(rss[0]), float(energy[0])
+
+    def batch_stats(self, ks: np.ndarray):
+        """(df, rss, fitted_energy) arrays over a vector of real counts ks:
+        one power row per count put through :meth:`_stats`, as :meth:`stats`
+        puts the row of one count."""
+        return self._stats(self._pow_rows(ks))
 
     def weights(self, k: float) -> np.ndarray:
         """Per-eigenvalue shrinkage weights 1 - (1 - lambda)^k."""
@@ -216,6 +248,11 @@ class KPath:
     def block_coef_factors(self, ks: np.ndarray) -> np.ndarray:
         """Rows of :meth:`coef_factors` over a block of consecutive integer counts ks."""
         return _coef_factors(self.lam, ks[:, None].astype(float), self._powers(ks))
+
+    def batch_coef_factors(self, ks: np.ndarray) -> np.ndarray:
+        """Rows of :meth:`coef_factors` over a vector of real counts ks."""
+        ks = np.asarray(ks, dtype=float)
+        return _coef_factors(self.lam, ks[:, None], self._pow_rows(ks))
 
 
 def iterate_fitted_recursive(smoother, y: np.ndarray, k: int) -> np.ndarray:

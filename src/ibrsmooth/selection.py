@@ -22,7 +22,6 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 if TYPE_CHECKING:
     from .crossval import CvPlan
@@ -48,8 +47,12 @@ CV_LOSSES = ("rmse", "map")
 RSS_FLOOR = 1e-10
 # effective df may never come within a relative 1e-10 of n
 _DF_CEILING_FACTOR = 1.0 - 1e-10
-# absolute tolerance on k for the scalar minimizer
+# absolute tolerance on k for the bounded Brent minimizer
 _K_TOL = 0.01
+# the bounded Brent minimizer's constants, as scipy's minimize_scalar has them
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAX_EVALS = 500
 # breakpoints splitting [kmin, kmax] into minimizer subintervals
 _BREAKS = (100.0, 200.0, 500.0, 1000.0, 5000.0, 1e4, 5e4, 1e5, 5e5, 1e6)
 # log-spaced counts the bounded integer search evaluates before splitting
@@ -223,33 +226,115 @@ def _bisect_last_ok(predicate, lo: float, hi: float, iters: int = 100) -> float:
     return lo
 
 
-def minimize_on_breaks(objective, lo: float, hi: float) -> tuple[float, float]:
-    """Minimize objective(k) over [lo, hi]; return (k, value), value inf if none.
+def _bounded_brent(a: float, b: float):
+    """Bounded Brent minimization on [a, b] as a generator.
 
-    The breakpoints lo, the ``_BREAKS`` entries inside (lo, hi) and hi are
-    evaluated, then each stretch between them gets its own bounded
-    ``minimize_scalar`` run (tolerance ``_K_TOL`` in k), which keeps a
-    single local dip from hiding the global one. hi is the score's upper
-    end in :func:`search_k`: the criterion score caps it at the df ceiling and
+    It yields each k to evaluate, is sent the value there and returns the
+    (k, value) it settles on. The steps are those of scipy's
+    ``minimize_scalar(method="bounded", options={"xatol": _K_TOL})``
+    (Brent 1973, ch. 5), with its golden ratio, its sqrt(eps) and its cap
+    of ``_MAX_EVALS`` evaluations, so it evaluates the same k in the same
+    order and returns the same point; the caller decides when each value
+    is computed.
+    """
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = yield xf
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _K_TOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _K_TOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            break
+    return xf, fx
+
+
+def minimize_on_breaks(objective, lo: float, hi: float) -> tuple[float, float]:
+    """Minimize over [lo, hi]; return (k, value), value inf if none.
+
+    ``objective(ks)`` scores a vector of counts at once. The breakpoints
+    lo, the ``_BREAKS`` entries inside (lo, hi) and hi are scored in one
+    call, then each stretch between them wider than ``_K_TOL`` gets its own
+    :func:`_bounded_brent` run, which keeps a single local dip from hiding
+    the global one. The runs advance in lockstep: each round scores the
+    next k of every live run in one call, so a search makes as many calls
+    as its longest run, not the sum of them. Ties go to the earliest
+    breakpoint, then to the earliest stretch. hi is the score's upper end
+    in :func:`search_k`: the criterion score caps it at the df ceiling and
     RSS floor, while the CV score applies no guard and runs to ``kmax``, so
     a CV-selected k may carry more df than a criterion search would admit.
     """
     breaks = [lo]
     breaks += [b for b in _BREAKS if lo < b < hi]
     breaks.append(hi)
-    best_k, best_value = lo, np.inf
-    for k in breaks:
-        value = objective(k)
+    values = objective(np.array(breaks))
+    j = int(np.argmin(values))
+    best_k, best_value = breaks[j], float(values[j])
+    runs = [_bounded_brent(a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a > _K_TOL]
+    # the next k each live run asks for, and the (k, value) each ended run settled on
+    asked = {run: next(run) for run in runs}
+    ends = {}
+    while asked:
+        values = objective(np.array(list(asked.values())))
+        for run, value in zip(list(asked), values.tolist()):
+            try:
+                asked[run] = run.send(value)
+            except StopIteration as stop:
+                del asked[run]
+                ends[run] = stop.value
+    for run in runs:
+        k, value = ends[run]
         if value < best_value:
             best_k, best_value = k, value
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a <= _K_TOL:
-            continue
-        res = minimize_scalar(
-            objective, bounds=(a, b), method="bounded", options={"xatol": _K_TOL}
-        )
-        if res.fun < best_value:
-            best_k, best_value = float(res.x), float(res.fun)
     return best_k, best_value
 
 
@@ -285,7 +370,7 @@ def _bounded_search(score, k_lo: int, k_hi: int) -> np.ndarray:
 
     def at(k: int):
         if k not in seen:
-            seen[k] = score.at(float(k))
+            seen[k] = tuple(float(c[0]) for c in score.batch(np.array([float(k)])))
         return seen[k]
 
     def ok(k: int) -> bool:
@@ -321,9 +406,9 @@ def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
     """The one k search behind the criterion and cross-validation searches.
 
     ``score`` scores the iteration count; non-finite values mark an
-    inadmissible k. It provides ``at(k)`` -> (value, df, rss) at one real
-    k, ``block(ks)`` -> the same as arrays over a block of consecutive
-    integer counts, ``real_k_ok`` (whether fractional k is defined),
+    inadmissible k. It provides ``batch(ks)`` -> (value, df, rss) arrays
+    over a vector of real counts, ``block(ks)`` -> the same over a block of
+    consecutive integer counts, ``real_k_ok`` (whether fractional k is defined),
     ``upper(kmin, kmax)`` (the numeric upper end), ``rows`` (counts per
     sweep block), ``df_stop`` (the sweep ends after a block whose last df
     exceeds it), ``bound`` (None, or ``bound(rss(b), df(a))`` -> a lower
@@ -355,13 +440,14 @@ def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
         else:
             evals = []
 
-            def value_at(k: float) -> float:
-                evals.append((k, *score.at(k)))
-                return evals[-1][1] if np.isfinite(evals[-1][1]) else np.inf
+            def values_at(ks: np.ndarray) -> np.ndarray:
+                evals.append(np.stack([ks, *score.batch(ks)]))
+                return np.where(np.isfinite(evals[-1][1]), evals[-1][1], np.inf)
 
             kmin = float(plan.kmin)
-            best_k, _ = minimize_on_breaks(value_at, kmin, score.upper(kmin, plan.kmax))
-            trace = np.array(sorted(evals, key=lambda e: e[0])).T
+            best_k, _ = minimize_on_breaks(values_at, kmin, score.upper(kmin, plan.kmax))
+            trace = np.concatenate(evals, axis=1)
+            trace = trace[:, np.argsort(trace[0], kind="stable")]
     trace = trace[:, np.isfinite(trace[1])]
     if trace.shape[1] == 0:
         raise BreakdownError(
@@ -419,9 +505,9 @@ class _CriterionScore:
         value = _criterion_array(self.name, self.kpath.n, rss, df, energy)
         return np.where((df <= self.limit) & (rss > RSS_FLOOR) & np.isfinite(rss), value, np.inf)
 
-    def at(self, k: float) -> tuple[float, float, float]:
-        df, rss, energy = self.kpath.stats(k)
-        return float(self._value(df, rss, energy)), df, rss
+    def batch(self, ks: np.ndarray):
+        df, rss, energy = self.kpath.batch_stats(ks)
+        return self._value(df, rss, energy), df, rss
 
     def block(self, ks: np.ndarray):
         df, rss, energy = self.kpath.block_stats(ks)

@@ -74,6 +74,10 @@ class SpectralForm:
     the discarded (non-negative) eigenvalues, so no eigenpair left out can
     add more than k * tail_trace to the df at k. The full form has rank n
     and tail_trace 0.
+
+    Two flags are read off the spectrum once, at construction: ``symmetric``
+    (d_half all ones) and ``real_k_ok`` (every eigenvalue within
+    ``EIGEN_TOL`` of [0, 1], so fractional iteration counts are defined).
     """
 
     d_half: np.ndarray
@@ -94,13 +98,14 @@ class SpectralForm:
             )
         if np.any(np.diff(self.lam) > 1e-12):
             raise ValueError("eigenvalues must be sorted in descending order")
-        if self.pd_family:
-            if self.lam.min() <= -EIGEN_TOL or self.lam.max() > 1.0 + EIGEN_TOL:
-                raise ValueError(
-                    "eigenvalues outside [0, 1] for a positive-definite "
-                    f"smoother family: range [{self.lam.min():.3e}, "
-                    f"{self.lam.max():.3e}]"
-                )
+        self.symmetric = bool(np.all(self.d_half == 1.0))
+        lo, hi = self.lam.min(), self.lam.max()
+        self.real_k_ok = bool(lo > -EIGEN_TOL and hi <= 1.0 + EIGEN_TOL)
+        if self.pd_family and not self.real_k_ok:
+            raise ValueError(
+                "eigenvalues outside [0, 1] for a positive-definite "
+                f"smoother family: range [{lo:.3e}, {hi:.3e}]"
+            )
 
     @property
     def n(self) -> int:
@@ -110,17 +115,6 @@ class SpectralForm:
     def rank(self) -> int:
         """Number of eigenpairs kept."""
         return self.lam.shape[0]
-
-    @property
-    def symmetric(self) -> bool:
-        return bool(np.all(self.d_half == 1.0))
-
-    @property
-    def real_k_ok(self) -> bool:
-        """True when fractional iteration counts are well defined."""
-        return bool(
-            self.lam.min() > -EIGEN_TOL and self.lam.max() <= 1.0 + EIGEN_TOL
-        )
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the dense smoother matrix from the (kept) factors."""

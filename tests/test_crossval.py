@@ -122,7 +122,9 @@ def test_exhaustive_losses_match_pointwise_fold_errors(loss):
     assert res.mode == "exhaustive"
     assert res.trace_k.tolist() == list(range(1, 301))
     for k, value in zip(res.trace_k, res.trace_value):
-        errors = np.concatenate([s.errors(k) for s in scorers])
+        errors = np.concatenate(
+            [s.projector @ (s.kpath.coef_factors(k) * s.kpath.z) - s.y_test for s in scorers]
+        )
         assert value == pytest.approx(_pooled_loss(errors, loss), rel=1e-12)
     assert res.value == res.trace_value.min()
     assert res.k == res.trace_k[np.argmin(res.trace_value)]

@@ -139,7 +139,7 @@ class _FoldScorer:
     def __init__(self, smoother, y_train: np.ndarray, x_test: np.ndarray, y_test: np.ndarray):
         self.kpath = KPath(smoother.spectral(), y_train)
         # predictions are w(x)' beta_k = (W G) (factors * z)
-        self.projector = smoother.evaluate(x_test, self.kpath.g)
+        self.projector = smoother.evaluate_basis(x_test)
         self.y_test = y_test
         # predictions of a row of counts: (factors * z) (W G)'
         self._zp = (self.projector * self.kpath.z).T

@@ -93,11 +93,12 @@ class KPath:
         self.mu = 1.0 - self.lam
         # the base of fractional powers (real k needs the spectrum in [0, 1])
         self._mu01 = np.clip(self.mu, 0.0, 1.0)
-        # G z = y exactly; fitted values are G (w * z); G is U itself when
-        # the form is symmetric (d_half all ones)
-        self.g = spectral.u if spectral.symmetric else spectral.d_half[:, None] * spectral.u
-        self.z = z = spectral.u.T @ (y / spectral.d_half)
-        self._h = None if spectral.symmetric else self.g.T @ self.g
+        # G z = y exactly; fitted values are G (w * z). G is U itself when
+        # the form is symmetric (d_half all ones) and is then reached only
+        # through the form's products; otherwise it is held for H = G'G
+        self._g = None if spectral.symmetric else spectral.d_half[:, None] * spectral.u
+        self.z = z = spectral.ut_dot(y / spectral.d_half)
+        self._h = None if self._g is None else self._g.T @ self._g
         # Hz, z'Hz and (for H = I) z^2, shared by every norm of G v
         self._hz = z if self._h is None else self._h @ z
         self._zhz = float(z @ self._hz)
@@ -105,14 +106,20 @@ class KPath:
         # (t't, z * G't) of the unsmoothed remainder t = y - G z, or None
         self._rest = None
         if spectral.rank < spectral.n:
-            t = y - self.g @ z
-            self._rest = (float(t @ t), z * (self.g.T @ t))
+            t = y - self._g_dot(z)
+            self._rest = (float(t @ t), z * self._gt_dot(t))
         # (base, block, scratch) row buffers of integer sweeps, see _powers
         self._sweep = None
 
     @property
     def n(self) -> int:
         return self.y.size
+
+    def _g_dot(self, v: np.ndarray) -> np.ndarray:
+        return self.spectral.u_dot(v) if self._g is None else self._g @ v
+
+    def _gt_dot(self, v: np.ndarray) -> np.ndarray:
+        return self.spectral.ut_dot(v) if self._g is None else self._g.T @ v
 
     @property
     def sweep_rows(self) -> int:
@@ -201,7 +208,7 @@ class KPath:
         return float(np.sum(self.weights(k)))
 
     def fitted(self, k: float) -> np.ndarray:
-        return self.g @ (self.weights(k) * self.z)
+        return self._g_dot(self.weights(k) * self.z)
 
     def rss(self, k: float) -> float:
         return self.stats(k)[1]
@@ -215,7 +222,7 @@ class KPath:
         return _coef_factors(self.lam, k, self._mu_pow(k))
 
     def coefficients(self, k: float) -> np.ndarray:
-        return self.g @ (self.coef_factors(k) * self.z)
+        return self._g_dot(self.coef_factors(k) * self.z)
 
     def _powers(self, ks: np.ndarray) -> np.ndarray:
         """Rows P[j, i] = (1 - lambda_i)^ks[j] for consecutive integer counts ks.

@@ -359,18 +359,24 @@ def _bounded_search(score, k_lo: int, k_hi: int) -> np.ndarray:
     ``score.bound(rss(b), df(a))`` bounds the value of every count in
     [a, b] from below. The counts that pass the guards form a prefix
     [k_lo, cap], so integer bisection finds cap; ``_BOUND_GRID`` log-spaced
-    counts in [k_lo, cap] follow, then the open interval with the smallest
-    bound is split at its midpoint until that bound exceeds the best value
-    by ``_BOUND_MARGIN`` (relative to max(1, |best|), for rounding). An
+    counts in [k_lo, cap] follow, scored in one batch, then the open
+    interval with the smallest bound is split at its midpoint until that
+    bound exceeds the best value by ``_BOUND_MARGIN`` (relative to
+    max(1, |best|), for the rounding of df, rss and the criterion, and for
+    batched rows rounding apart from single ones). An
     interval whose ends have the same df and rss is not split: they pin
     every count inside to the value at its left end, up to rounding, and
     that tie goes to the left end.
     """
     seen = {}
 
+    def evaluate(ks: list[int]) -> None:
+        rows = zip(*(c.tolist() for c in score.batch(np.array(ks, dtype=float))))
+        seen.update(zip(ks, rows))
+
     def at(k: int):
         if k not in seen:
-            seen[k] = tuple(float(c[0]) for c in score.batch(np.array([float(k)])))
+            evaluate([k])
         return seen[k]
 
     def ok(k: int) -> bool:
@@ -390,7 +396,9 @@ def _bounded_search(score, k_lo: int, k_hi: int) -> np.ndarray:
                 lo, hi = (mid, hi) if ok(mid) else (lo, mid)
             cap = lo
         grid = sorted({k_lo, cap, *map(int, np.rint(np.geomspace(k_lo, cap, _BOUND_GRID)))})
-        best = min(at(k)[0] for k in grid)
+        # k_lo and cap again too: rows of one batch share their rounding
+        evaluate(grid)
+        best = min(seen[k][0] for k in grid)
         for a, b in zip(grid[:-1], grid[1:]):
             push(a, b)
         while heap and heap[0][0] <= best + _BOUND_MARGIN * max(1.0, abs(best)):

@@ -3,7 +3,8 @@
 A base smoother is an n x n linear map S that is deliberately chosen too
 smooth; the bias-reduction iteration then sharpens it. Both smoother
 families expose the same interface: the dense matrix (the reference the
-fast paths are checked against), a symmetrized eigendecomposition, and
+fast paths are checked against), a symmetrized eigendecomposition whose
+eigenvector block may be held in factored form, and
 ``evaluate(x, coef)``, the smoother's weights at new points applied to one
 or more coefficient vectors without forming the weight matrix.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr
 
-__all__ = ["DesignMatrix", "SpectralForm", "BaseSmoother", "EIGEN_TOL"]
+__all__ = ["DesignMatrix", "FactoredBasis", "SpectralForm", "BaseSmoother", "EIGEN_TOL"]
 
 # slack allowed on the [0, 1] eigenvalue range before the real-k path refuses
 EIGEN_TOL = 1e-10
@@ -61,6 +62,25 @@ class DesignMatrix:
         return self.x.shape[1]
 
 
+class FactoredBasis(ABC):
+    """An n x r block U with orthonormal columns, held in a factored form
+    whose products with a vector cost less than a dense U would hold."""
+
+    shape: tuple[int, int]
+
+    @abstractmethod
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """U v for v of shape (r,) or (r, c)."""
+
+    @abstractmethod
+    def t_dot(self, v: np.ndarray) -> np.ndarray:
+        """U' v for v of shape (n,) or (n, c)."""
+
+    @abstractmethod
+    def dense(self) -> np.ndarray:
+        """U as an n x r array, formed on each call and not kept."""
+
+
 @dataclass
 class SpectralForm:
     """Eigendecomposition of a smoother under a diagonal similarity.
@@ -75,13 +95,17 @@ class SpectralForm:
     add more than k * tail_trace to the df at k. The full form has rank n
     and tail_trace 0.
 
+    ``u`` is an array or a :class:`FactoredBasis`. Consumers reach U
+    through :meth:`u_dot` and :meth:`ut_dot`; the few that need the block
+    itself call :meth:`dense_u`, which forms a factored U on each call.
+
     Two flags are read off the spectrum once, at construction: ``symmetric``
     (d_half all ones) and ``real_k_ok`` (every eigenvalue within
     ``EIGEN_TOL`` of [0, 1], so fractional iteration counts are defined).
     """
 
     d_half: np.ndarray
-    u: np.ndarray
+    u: np.ndarray | FactoredBasis
     lam: np.ndarray
     # set for families whose eigenvalues must lie in [0, 1] (PD kernels, TPS)
     pd_family: bool = True
@@ -89,7 +113,8 @@ class SpectralForm:
 
     def __post_init__(self) -> None:
         self.d_half = np.asarray(self.d_half, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
+        if not isinstance(self.u, FactoredBasis):
+            self.u = np.asarray(self.u, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
         if self.u.shape != (self.d_half.size, self.lam.size):
             raise ValueError(
@@ -116,9 +141,22 @@ class SpectralForm:
         """Number of eigenpairs kept."""
         return self.lam.shape[0]
 
+    def u_dot(self, v: np.ndarray) -> np.ndarray:
+        """U v for v of shape (rank,) or (rank, c)."""
+        return self.u.dot(v) if isinstance(self.u, FactoredBasis) else self.u @ v
+
+    def ut_dot(self, v: np.ndarray) -> np.ndarray:
+        """U' v for v of shape (n,) or (n, c)."""
+        return self.u.t_dot(v) if isinstance(self.u, FactoredBasis) else self.u.T @ v
+
+    def dense_u(self) -> np.ndarray:
+        """U as an n x rank array: ``u`` itself, or a factored U formed now."""
+        return self.u.dense() if isinstance(self.u, FactoredBasis) else self.u
+
     def reconstruct(self) -> np.ndarray:
         """Rebuild the dense smoother matrix from the (kept) factors."""
-        core = (self.u * self.lam) @ self.u.T
+        u = self.dense_u()
+        core = (u * self.lam) @ u.T
         return (self.d_half[:, None] * core) / self.d_half[None, :]
 
 
@@ -158,6 +196,13 @@ class BaseSmoother(ABC):
         block of W is formed.
         """
 
+    def evaluate_basis(self, x_new: np.ndarray) -> np.ndarray:
+        """W(x_new) G for G = diag(d_half) U of :meth:`spectral`, so that
+        W(x_new) times a fitted coefficient vector G v is this times v.
+        This default forms G densely."""
+        form = self.spectral()
+        return self.evaluate(x_new, form.d_half[:, None] * form.dense_u())
+
     @abstractmethod
     def describe(self) -> str:
         """One-line human description for fit reports."""
@@ -172,13 +217,17 @@ def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qr, tau
 
 
-def _apply_q(side: str, trans: str, qr: np.ndarray, tau: np.ndarray, c: np.ndarray):
+def _apply_q(
+    side: str, trans: str, qr: np.ndarray, tau: np.ndarray, c: np.ndarray, lwork: int | None = None
+):
     """Q c, Q' c, c Q or c Q' for the Q that dgeqrf stored as reflectors.
 
     ``c`` must be a Fortran-ordered float array; it is overwritten with the
-    product, which is returned.
+    product, which is returned. ``lwork`` None asks dormqr for its optimal
+    workspace (the blocked route); one below that selects the unblocked route.
     """
-    lwork = dormqr(side, trans, qr, tau, c, -1, overwrite_c=1)[1][0]
+    if lwork is None:
+        lwork = dormqr(side, trans, qr, tau, c, -1, overwrite_c=1)[1][0]
     cq, _, info = dormqr(side, trans, qr, tau, c, int(lwork), overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dormqr failed with info {info}")

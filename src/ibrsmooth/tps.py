@@ -19,10 +19,18 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
 from scipy.special import gamma as gamma_fn
 
 from .kernel_smoother import CalibrationError, _log_newton_root
-from .smoothers import BaseSmoother, DesignMatrix, SpectralForm, _apply_q, _householder_qr
+from .smoothers import (
+    BaseSmoother,
+    DesignMatrix,
+    FactoredBasis,
+    SpectralForm,
+    _apply_q,
+    _householder_qr,
+)
 
 __all__ = [
     "TpsSpec",
@@ -143,19 +151,72 @@ def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.nda
     return eta @ a + _poly_block(x_new, powers) @ b
 
 
-class _TpsCore:
+def _reflect(trans: str, qr: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Q v or Q' v (``trans`` "N" or "T") for reflectors stored as dgeqrf
+    stores them and v of shape (rows,) or (rows, c); v is left unchanged."""
+    c = np.array(v[:, None] if v.ndim == 1 else v, dtype=float, order="F")
+    if c.size == 0:
+        return c.reshape(v.shape)
+    # one column takes dormqr's unblocked route: forming the blocked route's
+    # triangular factors costs about twice the product itself (900-point
+    # spline: 0.46 ms against 1.37 ms per pass, one BLAS thread, 2-vCPU x86-64)
+    lwork = 1 if c.shape[1] == 1 else None
+    return _apply_q("L", trans, qr, tau, c, lwork).reshape(v.shape)
+
+
+def _projected_blocks(e: np.ndarray, qr: np.ndarray, tau: np.ndarray, m: int):
+    """(q2' E q2 symmetrised, q1' E q2) from Q' E Q, which overwrites E."""
+    # E is symmetric, so its transpose is E in Fortran order
+    qeq = _apply_q("R", "N", qr, tau, _apply_q("L", "T", qr, tau, e.T))
+    b = qeq[m:, m:]
+    return (b + b.T) / 2.0, qeq[:m, m:].copy()
+
+
+def _tridiagonal_eigh(b: np.ndarray):
+    """(theta, W, reflectors) of the symmetric ``b``, which is overwritten.
+
+    dsyevd's first two stages: dsytrd reduces b = Q_t T Q_t' and dstevd
+    (dstedc, as dsyevd calls it) gives T = W diag(theta) W', theta
+    ascending. dsyevd's third stage, the back-transformation Q_t W, is left
+    out. With lower=1, Q_t = diag(1, H) and H is dormqr's Q of the
+    reflectors that dsytrd leaves in the [1:, :-1] sub-block, returned as
+    a Fortran-ordered copy with their tau.
+    """
+    lwork, info = dsytrd_lwork(b.shape[0], lower=1)
+    # b is symmetric, so its transpose is the same block in Fortran order
+    a, diag, off, tau, info = dsytrd(b.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsytrd failed with info {info}")
+    # dstevd wants one off-diagonal entry even for a 1 x 1 block
+    theta, w, info = dstevd(diag, off if off.size else np.zeros(1))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed with info {info}")
+    # copied after dstevd, whose n^2 workspace is gone by then
+    return theta, w, (np.asfortranarray(a[1:, :-1]), tau)
+
+
+class _TpsCore(FactoredBasis):
     """Design-dependent geometry shared by calibration and the smoother.
 
     With T = Q [R; 0] the QR of the n x m polynomial block, Q = [q1 q2] and
     q2' E q2 = V diag(theta) V', the smoother's eigenvectors are the columns
     of q1 (eigenvalue 1) and of g2 = q2 V (eigenvalue theta / (theta + n lam)).
 
-    Q is held only as dgeqrf's m Householder reflectors; no n x n Q is formed.
+    The eigenbasis U = [q1 g2] = Q blockdiag(I_m, Q_t W) is held factored:
+    Q as dgeqrf's m Householder reflectors, the reduction q2' E q2 =
+    Q_t T Q_t' to tridiagonal T as dsytrd's reflectors, and T = W diag(theta)
+    W' as dstevd's eigenvectors W. U v and U' v (:meth:`dot`,
+    :meth:`t_dot`) are reflector passes and one product with W, O(n^2) per
+    vector; :meth:`dense` forms U only when a consumer asks for the block.
+
     The distances and E cost O(d n^2), the QR O(m^2 n), Q' E Q two
-    reflector passes over E at O(m n^2), and u = [q1 g2] one pass over
-    blockdiag(I, V) at O(m n^2). The dense eigh of q2' E q2, O(n^3), is the
-    floor. ``theta`` descends, and ``q1`` and ``g2`` are views of ``u``, so
-    the geometry keeps two n x n arrays: E and u.
+    reflector passes over E at O(m n^2), the reduction 4/3 n^3 flops and
+    dstedc at most as much; a dense eigh's 2 n^3 back-transformation Q_t W
+    is skipped. ``theta`` descends while the columns of W ascend. Of E the
+    geometry keeps only the m x (n - m) block q1' E q2 that
+    :meth:`TpsSmoother.prediction_parts` needs, so it holds two
+    (n - m)-square arrays, the dsytrd reflectors and W, and the build peaks
+    at three n x n arrays.
     """
 
     def __init__(self, design: DesignMatrix, order: int):
@@ -165,6 +226,7 @@ class _TpsCore:
         self.design = design
         self.order = order
         self.m = m = tps_null_dim(order, d)
+        self.shape = (n, n)
         if n <= m:
             raise ValueError(
                 f"need more than {m} rows for a thin-plate spline of "
@@ -179,7 +241,7 @@ class _TpsCore:
                 "thin-plate splines need distinct points"
             )
         np.fill_diagonal(r, 0.0)
-        self.e = _radial_values(r, order, d)
+        e = _radial_values(r, order, d)
         del r
         self.powers = _poly_powers(order, d)
         qr, tau = _householder_qr(_poly_block(design.x, self.powers))
@@ -190,7 +252,10 @@ class _TpsCore:
                 "polynomial block is rank deficient (collinear design); "
                 "thin-plate splines need points in general position"
             )
-        theta, v = np.linalg.eigh(self._penalized_block(qr, tau))
+        self._null = (qr, tau)
+        b, self._cross = _projected_blocks(e, qr, tau, m)
+        del e
+        theta, self._w, self._tri = _tridiagonal_eigh(b)
         floor = -1e-8 * max(abs(theta[-1]), 1.0)
         if theta[0] < floor:
             raise ValueError(
@@ -198,19 +263,39 @@ class _TpsCore:
                 "the design does not support this spline order"
             )
         self.theta = np.maximum(theta[::-1], 0.0)
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """U v for v of shape (n,) or (n, c): W, then Q_t, then Q."""
+        m = self.m
+        x = np.empty(v.shape)
+        x[:m] = v[:m]
+        # U's columns descend in theta and W's ascend: reverse the coordinates
+        t = self._w @ np.ascontiguousarray(v[m:][::-1])
+        x[m] = t[0]
+        x[m + 1 :] = _reflect("N", *self._tri, t[1:])
+        return _reflect("N", *self._null, x)
+
+    def t_dot(self, v: np.ndarray) -> np.ndarray:
+        """U' v for v of shape (n,) or (n, c): Q', then Q_t', then W'."""
+        x = _reflect("T", *self._null, v)
+        x[self.m :] = self._tail_t(x[self.m :])
+        return x
+
+    def _tail_t(self, x: np.ndarray) -> np.ndarray:
+        """g2' q2 x = W' Q_t' x for x of shape (n - m,) or (n - m, c), in
+        U's (descending) column order; x is overwritten."""
+        x[1:] = _reflect("T", *self._tri, x[1:])
+        return (self._w.T @ x)[::-1]
+
+    def dense(self) -> np.ndarray:
+        """U = [q1 g2] as an n x n array: dsyevd's back-transformation Q_t W
+        and one pass of Q, done on each call; the core keeps no copy."""
+        n, m = self.shape[0], self.m
         u = np.zeros((n, n), order="F")
         u[:m, :m] = np.eye(m)
-        u[m:, m:] = v[:, ::-1]
-        self.u = _apply_q("L", "N", qr, tau, u)
-        self.q1 = self.u[:, :m]
-        self.g2 = self.u[:, m:]
-
-    def _penalized_block(self, qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """q2' E q2, symmetrised; the n x n Q' E Q dies with this call."""
-        # E is symmetric, so its copy's transpose is a Fortran-ordered E
-        qeq = _apply_q("R", "N", qr, tau, _apply_q("L", "T", qr, tau, self.e.copy().T))
-        b = qeq[self.m :, self.m :]
-        return (b + b.T) / 2.0
+        u[m, m:] = self._w[0, ::-1]
+        u[m + 1 :, m:] = _reflect("N", *self._tri, self._w[1:, ::-1])
+        return _apply_q("L", "N", *self._null, u)
 
     def trace_and_slope(self, lam: float) -> tuple[float, float]:
         """Smoother trace m + sum theta / (theta + n lam) and its slope in log lam.
@@ -240,8 +325,12 @@ class TpsSmoother(BaseSmoother):
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        c = self.core
-        return c.q1 @ c.q1.T + (c.g2 * self._ratio) @ c.g2.T
+        """U diag(lam) U', formed on the first call from a dense U that is
+        then dropped; the fit itself never forms it."""
+        u = self.core.dense()
+        # every eigenvalue lies in [0, 1], so S = (U sqrt(lam)) (U sqrt(lam))'
+        u *= np.sqrt(self._spectral.lam)
+        return u @ u.T
 
     @property
     def initial_df(self) -> float:
@@ -254,13 +343,32 @@ class TpsSmoother(BaseSmoother):
     def _spectral(self) -> SpectralForm:
         c = self.core
         lam = np.concatenate([np.ones(c.m), self._ratio])
-        return SpectralForm(d_half=np.ones(self.n), u=c.u, lam=lam, pd_family=True)
+        return SpectralForm(d_half=np.ones(self.n), u=c, lam=lam, pd_family=True)
 
     def evaluate(self, x_new: np.ndarray, coef: np.ndarray) -> np.ndarray:
         return tps_evaluate(
             x_new, self.design.x, self.spec.order, self.core.powers,
             *self.prediction_parts(coef),
         )
+
+    def evaluate_basis(self, x_new: np.ndarray) -> np.ndarray:
+        """W(x_new) U in O(rows n^2), with no dense U.
+
+        The penalized solve for coef = U has U'U = I, so delta = U D with
+        D = diag(0_m, 1 / (theta + n lam)) and poly = R^-1 ([I_m 0] -
+        (q1' E q2) q2' U D), where q2' U = [0 Q_t W]: the radial part is
+        one :meth:`_TpsCore.t_dot` pass over the radial rows, the
+        polynomial part one pass over m columns.
+        """
+        c, m = self.core, self.core.m
+        x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+        scale = np.concatenate([np.zeros(m), 1.0 / (c.theta + self.n * self.spec.lam)])
+        eta = _radial_values(_distances(x_new, self.design.x), self.spec.order, self.d)
+        radial = c.t_dot(eta.T).T * scale
+        poly = np.zeros((m, self.n))
+        poly[:, :m] = np.eye(m)
+        poly[:, m:] = -c._tail_t(c._cross.T.copy()).T * scale[m:]
+        return radial + _poly_block(x_new, c.powers) @ solve_triangular(c.r, poly)
 
     def describe(self) -> str:
         return (
@@ -275,14 +383,19 @@ class TpsSmoother(BaseSmoother):
         for coef of shape (n, k), so that the smoother applied to coef is
         eta(x)' delta + p(x)' poly at any x, an O(n*d) payload per column:
         delta = g2 diag(1 / (theta + n lam)) g2' coef and
-        poly = R^-1 q1' (coef - E delta - n lam delta).
+        poly = R^-1 q1' (coef - E delta - n lam delta), where q1' delta = 0
+        leaves R^-1 (q1' coef - (q1' E q2) (q2' delta)).
         """
         c = self.core
         nl = self.design.n * self.spec.lam
+        a = c.t_dot(coef)
+        q1_coef = a[: c.m].copy()
+        a[: c.m] = 0.0
         # scale the rows of g2' coef; the transposes let a vector pass too
-        delta = c.g2 @ ((c.g2.T @ coef).T / (c.theta + nl)).T
-        poly = solve_triangular(c.r, c.q1.T @ (coef - c.e @ delta - nl * delta))
-        return delta, poly
+        a[c.m :] = (a[c.m :].T / (c.theta + nl)).T
+        delta = c.dot(a)
+        q2_delta = _reflect("T", *c._null, delta)[c.m :]
+        return delta, solve_triangular(c.r, q1_coef - c._cross @ q2_delta)
 
 
 def build_calibrated_tps(

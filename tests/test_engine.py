@@ -223,7 +223,7 @@ def _truncate(spectral, rank):
     """The top ``rank`` pairs of a form; the rest of y is never smoothed."""
     return SpectralForm(
         d_half=spectral.d_half,
-        u=spectral.u[:, :rank],
+        u=spectral.dense_u()[:, :rank],
         lam=spectral.lam[:rank],
         tail_trace=float(spectral.lam[rank:].sum()),
     )
@@ -314,8 +314,14 @@ def test_rejects_bad_inputs():
 
 
 def test_symmetric_path_shares_the_eigenvectors(rng):
-    """For a symmetric form G = U: the path holds no copy of it."""
-    spectral = build_calibrated_tps(random_design(rng, 25, 2), df_multiplier=1.3).spectral()
-    assert spectral.symmetric
-    path = KPath(spectral, rng.normal(size=25))
-    assert np.shares_memory(path.g, spectral.u)
+    """For a symmetric form G = U: the path reaches U through the form and
+    holds no n x n array of its own, dense U (kernel) or factored (TPS)."""
+    for spectral in (
+        two_point_spectral(),
+        build_calibrated_tps(random_design(rng, 25, 2), df_multiplier=1.3).spectral(),
+    ):
+        assert spectral.symmetric
+        path = KPath(spectral, rng.normal(size=spectral.n))
+        held = [v for v in vars(path).values() if isinstance(v, np.ndarray)]
+        assert held and max(v.size for v in held) < spectral.n**2
+        np.testing.assert_allclose(path.fitted(3), spectral.dense_u() @ (path.weights(3) * path.z))

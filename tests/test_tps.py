@@ -7,14 +7,23 @@ import pytest
 from scipy.linalg import qr
 
 from ibrsmooth import (
+    BaseSmoother,
+    CvPlan,
     DesignMatrix,
+    SelectionPlan,
+    SmootherConfig,
+    SpectralForm,
     TpsPredictor,
     TpsSmoother,
     TpsSpec,
     build_calibrated_tps,
     default_tps_order,
+    fit,
+    load_model,
+    save_model,
     tps_null_dim,
 )
+from ibrsmooth.selection import _K_TOL
 from ibrsmooth.tps import _TpsCore, _distances, _poly_block, _radial_values
 
 from conftest import random_design
@@ -227,14 +236,16 @@ def test_householder_core_matches_full_q(seed, n, d):
     core, m = sm.core, sm.core.m
     q, _ = qr(_poly_block(x, core.powers), mode="full")
     q1, q2 = q[:, :m], q[:, m:]
-    b = q2.T @ core.e @ q2
+    e = _radial_values(_distances(x, x), core.order, d)
+    b = q2.T @ e @ q2
     theta, v = np.linalg.eigh((b + b.T) / 2.0)
     theta, g2 = np.maximum(theta[::-1], 0.0), q2 @ v[:, ::-1]
 
-    np.testing.assert_allclose(core.q1, q1, rtol=0, atol=1e-13)
+    u = core.dense()
+    np.testing.assert_allclose(u[:, :m], q1, rtol=0, atol=1e-13)
     np.testing.assert_allclose(core.theta, theta, rtol=0, atol=1e-12 * theta.max())
-    sign = np.sign(np.sum(core.g2 * g2, axis=0))
-    np.testing.assert_allclose(core.g2 * sign, g2, rtol=0, atol=1e-10)
+    sign = np.sign(np.sum(u[:, m:] * g2, axis=0))
+    np.testing.assert_allclose(u[:, m:] * sign, g2, rtol=0, atol=1e-10)
     ratio = theta / (theta + n * sm.spec.lam)
     ref = q1 @ q1.T + (g2 * ratio) @ g2.T
     assert np.abs(sm.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -246,9 +257,10 @@ def _root(a):
     return a
 
 
-def test_core_memory_is_two_square_arrays():
-    """No n x n Q: the build peaks well below the full-Q route (7 n^2
-    doubles) and keeps only E and the eigenvector block."""
+def test_core_memory_holds_no_eigenvector_matrix():
+    """No n x n Q, eigenvector block or radial block: the build peaks at
+    three n x n arrays (the full-Q route took 7) and keeps two (n - m)-square
+    blocks, the tridiagonal reflectors and eigenvectors."""
     n = 600
     design = DesignMatrix.from_array(np.random.default_rng(0).uniform(size=(n, 2)))
     tracemalloc.start()
@@ -257,11 +269,42 @@ def test_core_memory_is_two_square_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * 8 * n * n
+    assert peak < 3.5 * 8 * n * n
     square = {
-        name: _root(val)
+        name: _root(a).shape
         for name, val in vars(core).items()
-        if isinstance(val, np.ndarray) and _root(val).size >= n * n
+        for a in (val if isinstance(val, tuple) else (val,))
+        if isinstance(a, np.ndarray) and _root(a).ndim == 2 and min(_root(a).shape) > core.m
     }
-    assert set(square) == {"e", "u", "q1", "g2"}
-    assert square["q1"] is square["u"] and square["g2"] is square["u"]
+    m = core.m
+    assert square == {"_tri": (n - m - 1, n - m - 1), "_w": (n - m, n - m)}
+
+
+def test_cross_validated_fit_matches_the_dense_route(tmp_path, monkeypatch):
+    """4-fold CV on the factored basis picks the k that dense eigenvectors
+    pick, and its predictions survive a save and load bit for bit."""
+    rng = np.random.default_rng(21)
+    x = rng.uniform(size=(120, 2))
+    y = np.sin(4 * x[:, 0]) + np.cos(3 * x[:, 1]) + rng.normal(0, 0.1, 120)
+    config = SmootherConfig(family="tps", df=1.1)
+    plan = SelectionPlan(criterion="rmse", cv=CvPlan(kfold=4, seed=5))
+    result = fit(x, y, smoother=config, plan=plan)
+
+    factored = TpsSmoother.spectral
+
+    def dense_route(self):
+        form = factored(self)
+        return SpectralForm(d_half=form.d_half, u=form.dense_u(), lam=form.lam)
+
+    # dense eigenvectors on the path, and fold projectors W(x_test) U formed
+    # by the generic evaluate of the dense U
+    with monkeypatch.context() as patch:
+        patch.setattr(TpsSmoother, "spectral", dense_route)
+        patch.setattr(TpsSmoother, "evaluate_basis", BaseSmoother.evaluate_basis)
+        dense = fit(x, y, smoother=config, plan=plan)
+    assert abs(result.k - dense.k) <= _K_TOL
+
+    path = tmp_path / "model.json"
+    save_model(result, path)
+    x_new = rng.uniform(size=(30, 2))
+    assert np.array_equal(load_model(path).predict(x_new), result.predict(x_new))

@@ -6,17 +6,23 @@ scores the fit with ``varcrit`` at the chosen k. The stage keeps the best
 candidate; the walk stops as soon as even the best candidate scores
 strictly worse than the best score seen so far, so a candidate that ties
 it is still added.
+
+A per-column kernel bandwidth depends on its column alone, so where the
+candidates' own calibration would repeat it, each column is calibrated
+once per walk, on first use, and every candidate fit is handed the
+bandwidths of its columns.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import fitting
 from .fitting import SmootherConfig, criterion_at, fit
-from .selection import CRITERIA, SelectionPlan
+from .selection import CRITERIA, CV_LOSSES, SelectionPlan
 from .smoothers import DesignMatrix
 
 __all__ = ["ForwardResult", "ForwardStageError", "forward_select"]
@@ -70,6 +76,7 @@ def forward_select(
         raise ValueError(f"varcrit must be one of {CRITERIA}, got {varcrit!r}")
 
     d = design.d
+    bandwidth = _column_bandwidths(design, smoother, plan)
     selected: list[int] = []
     best_values: list[float] = []
     rows: list[np.ndarray] = []
@@ -82,7 +89,10 @@ def forward_select(
             cols = selected + [j]
             sub = DesignMatrix(design.x[:, cols], [design.names[c] for c in cols])
             try:
-                candidate = fit(sub, y, smoother=smoother, plan=plan)
+                config = smoother
+                if bandwidth is not None:
+                    config = replace(smoother, bandwidths=tuple(map(bandwidth, cols)))
+                candidate = fit(sub, y, smoother=config, plan=plan)
                 row[j] = criterion_at(candidate, varcrit)
             except Exception as exc:  # noqa: BLE001 - scored as inf by design
                 warnings.warn(
@@ -114,3 +124,33 @@ def forward_select(
         best_values=best_values,
         varcrit=varcrit,
     )
+
+
+def _column_bandwidths(design: DesignMatrix, smoother: SmootherConfig, plan: SelectionPlan):
+    """Column j -> its calibrated bandwidth, calibrated on the first call
+    (a failure is kept and raised again on every later call), or None where
+    each candidate fit must calibrate for itself: another family, a
+    total-df target, explicit bandwidths, or a CV plan, whose folds
+    recalibrate on their own rows."""
+    if (
+        smoother.family != "kernel"
+        or smoother.dftotal
+        or smoother.bandwidths is not None
+        or plan.criterion in CV_LOSSES
+    ):
+        return None
+    found: dict[int, float | Exception] = {}
+
+    def bandwidth(j: int) -> float:
+        if j not in found:
+            try:
+                found[j] = fitting.calibrate_bandwidth(
+                    design.x[:, j], smoother.kernel, smoother.df, name=design.names[j]
+                )
+            except Exception as exc:  # noqa: BLE001 - raised again per candidate
+                found[j] = exc
+        if isinstance(found[j], Exception):
+            raise found[j]
+        return found[j]
+
+    return bandwidth

@@ -29,11 +29,11 @@ come from one of two routes:
   G the P columns of the Khatri-Rao product of the n x r_j blocks
   L_j V_j Sigma_j^{1/2} whose eigenvalue passes the same cut
   (:func:`_gaussian_factor`; a constant column is one node, K_c = 1). Row
-  sums come from L K_c L', and the top pairs from one QR of D^{1/2} G and
-  one P x P eigh (:func:`_factor_eigenpairs`): O(n P^2) with no n x n
-  array. It serves every Gaussian design with P <= n /
-  ``_FACTOR_RANK_GATE``, a gate checked from the node kernels alone,
-  before any n-length work;
+  sums come from L K_c L', one axis at a time, and the top pairs from one
+  QR of D^{1/2} G and one P x P eigh (:func:`_factor_eigenpairs`):
+  O(n P^2) with no n x n array. It serves every Gaussian design with
+  P <= n / ``_FACTOR_RANK_GATE``, a gate checked from the node kernels
+  alone, before any n-length work;
 - dense ``eigh`` of the symmetrized Gram matrix for everything else: a
   design past the gate is numerically high rank, so no truncation pays.
 
@@ -515,7 +515,9 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     column where no p_j <= n / ``_FACTOR_GATE`` passes the tail rule.
     Otherwise returns the row sums, from the uncompressed L_j K_c L_j'
     (whose node weights are positive sums, so a small row sum keeps its
-    relative accuracy), and the :class:`_KhatriRaoFactor`.
+    relative accuracy) one axis at a time by :func:`_interpolated_row_sums`,
+    O(n prod p_j) with no n x prod p_j array, and the
+    :class:`_KhatriRaoFactor`.
     """
     n = x.shape[0]
     centre, half = _unit_box(x)
@@ -571,20 +573,40 @@ def _interpolated_row_sums(lefts, kernels) -> np.ndarray:
     """Row sums of the Gram matrix H (K_c1 x ... x K_cd) H', where H is the
     Khatri-Rao product of the interpolation matrices ``lefts``.
 
-    The node weights H'1 are taken, and H applied, over blocks of rows, so
-    no n x prod p_j array is held; each node kernel acts along its own
-    axis of the weight tensor.
+    With R = KR(L_2, ..., L_d), the node weights H'1 are the p_1 x prod_{j>1}
+    p_j matrix L_1' R, each node kernel then acts along its own axis of the
+    weight tensor T (mode products, Kolda & Bader 2009), and the sums are
+    rowsum(L_1 o (R T')). That is O(n prod p_j + prod p_j sum p_j) flops in
+    two matrix products, with elementwise work on the n prod_{j>1} p_j
+    entries of R, not on the n prod p_j of H, which is never formed. For
+    two columns R is L_2 itself; for more, R is formed over blocks of rows,
+    so no n x prod_{j>1} p_j array is held either. One column takes L_1'1,
+    K_c1 and L_1 over blocks of rows.
     """
-    n = lefts[0].shape[0]
+    first, rest = lefts[0], lefts[1:]
+    n = first.shape[0]
     sizes = [kc.shape[0] for kc in kernels]
-    step = max(1, _GRID_BLOCK // math.prod(sizes))
+    # a row block of the widest n-row array: R, or L_1 for one column
+    width = math.prod(sizes[1:]) if rest else sizes[0]
+    step = n if len(rest) == 1 else max(1, _GRID_BLOCK // width)
     blocks = [slice(start, start + step) for start in range(0, n, step)]
-    weights = sum(_khatri_rao([left[rows] for left in lefts]).sum(axis=0) for rows in blocks)
+
+    def right(rows):
+        return _khatri_rao([left[rows] for left in rest])
+
+    if rest:
+        weights = sum(first[rows].T @ right(rows) for rows in blocks)
+    else:
+        weights = sum(first[rows].sum(axis=0) for rows in blocks)
     weights = weights.reshape(sizes)
     for j, kc in enumerate(kernels):
         weights = np.moveaxis(np.tensordot(kc, weights, axes=(1, j)), 0, j)
-    weights = weights.ravel()
-    return np.concatenate([_khatri_rao([left[rows] for left in lefts]) @ weights for rows in blocks])
+    if not rest:
+        return np.concatenate([first[rows] @ weights for rows in blocks])
+    table = weights.reshape(sizes[0], -1).T
+    return np.concatenate(
+        [np.einsum("ij,ij->i", first[rows], right(rows) @ table) for rows in blocks]
+    )
 
 
 def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: float):

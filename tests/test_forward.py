@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from ibrsmooth import SelectionPlan, SmootherConfig, forward_select
-from ibrsmooth.forward import ForwardStageError
+from ibrsmooth import CvPlan, DesignMatrix, SelectionPlan, SmootherConfig, fit, forward_select
+from ibrsmooth import fitting
+from ibrsmooth.fitting import criterion_at
+from ibrsmooth.forward import ForwardStageError, _column_bandwidths
 
 
 def make_data(seed, n=60, relevant_strength=2.0):
@@ -90,3 +92,45 @@ def test_tps_family_also_walks():
         x, y, smoother=SmootherConfig(family="tps", df=1.2)
     )
     assert result.order[0] == 0
+
+
+def test_kernel_walk_calibrates_each_column_once(monkeypatch):
+    """A per-column kernel bandwidth depends on its column alone: the walk
+    calibrates each column once, and every candidate scores exactly what
+    its own fit, calibration included, scores."""
+    x, y = make_data(1)
+    y += x[:, 1]  # a second signal, so the walk has a second stage
+    names = ["x1", "x2", "x3"]
+    calls = []
+    calibrate = fitting.calibrate_bandwidth
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["name"])
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "calibrate_bandwidth", counted)
+    result = forward_select(x, y)
+    assert sorted(calls) == names
+    assert result.order[:2] == [0, 1]
+    for stage in range(2):
+        selected = result.order[:stage]
+        for j in set(range(3)) - set(selected):
+            cols = selected + [j]
+            alone = fit(DesignMatrix(x[:, cols], [names[c] for c in cols]), y)
+            assert criterion_at(alone, "gcv") == result.scores[stage, j]
+
+
+@pytest.mark.parametrize(
+    "smoother, plan",
+    [
+        (SmootherConfig(family="tps"), SelectionPlan()),
+        (SmootherConfig(dftotal=True), SelectionPlan()),
+        (SmootherConfig(bandwidths=(0.5, 0.5, 0.5)), SelectionPlan()),
+        (SmootherConfig(), SelectionPlan(criterion="rmse", cv=CvPlan(kfold=3))),
+    ],
+)
+def test_walks_that_calibrate_per_candidate(smoother, plan):
+    # no shared bandwidths: another family, a total-df target, explicit
+    # bandwidths, or CV folds that recalibrate on their own rows
+    design = DesignMatrix.from_array(make_data(9)[0])
+    assert _column_bandwidths(design, smoother, plan) is None

@@ -205,6 +205,65 @@ def assert_factor_route_matches_dense_eigh(sm):
     np.testing.assert_allclose(a @ u, u * spectral.lam, rtol=0, atol=1e-12)
 
 
+def built_node_counts(monkeypatch):
+    """The node count of every interpolation matrix built from now on."""
+    built = []
+    factor = kernel_smoother._chebyshev_factor
+
+    def spy(t, p):
+        built.append(p)
+        return factor(t, p)
+
+    monkeypatch.setattr(kernel_smoother, "_chebyshev_factor", spy)
+    return built
+
+
+def explicit_bandwidths(x, ratios):
+    """Bandwidths at which each column spans ``ratios`` bandwidths per half range."""
+    return tuple(np.ptp(x, axis=0) / 2 / np.asarray(ratios))
+
+
+# columns spanning 4 and 1 bandwidths per half range take 64 and 32 nodes
+# (0.2 takes 16, 0.5 and 3 take 32 and 64), so every mode of the node
+# weight tensor has its own size and a transposed product cannot pass
+UNEQUAL_NODES = [
+    ("uniform", 1000, (4.0, 1.0), [64, 32]),
+    ("uniform", 1000, (1.0, 4.0), [32, 64]),
+    ("lognormal", 1500, (3.0, 0.2, 0.5), [64, 16, 32]),
+]
+
+
+@pytest.mark.parametrize("dist, n, ratios, sizes", UNEQUAL_NODES)
+def test_factor_row_sums_with_unequal_node_counts(monkeypatch, dist, n, ratios, sizes):
+    x = getattr(np.random.default_rng(2), dist)(size=(n, len(ratios)))
+    h = explicit_bandwidths(x, ratios)
+    built = built_node_counts(monkeypatch)
+    sm = build_kernel_smoother(DesignMatrix.from_array(x), KernelSmootherSpec("gaussian", h))
+    assert sm._factor is not None and built == sizes
+    sums = kernel_smoother.product_kernel(x, x, "gaussian", h).sum(axis=1)
+    np.testing.assert_allclose(sm.row_sums, sums, rtol=1e-13, atol=0)
+
+
+def test_three_column_factor_holds_no_wide_khatri_rao_block(monkeypatch):
+    """Row sums of a three-column factor go through one product per axis
+    over blocks of rows, so neither H (n x prod p_j) nor the Khatri-Rao
+    product of the last two columns (n x 32 x 32, 49 MB here) is held.
+    Measured peak 6.3 MB (numpy 2.4, x86-64): mostly the three n x 32
+    interpolation matrices; the bound is a quarter of that one array."""
+    n = 6000
+    x = np.random.default_rng(0).uniform(size=(n, 3))
+    h = explicit_bandwidths(x, (0.55, 0.55, 0.55))
+    built = built_node_counts(monkeypatch)
+    tracemalloc.start()
+    try:
+        factor = kernel_smoother._gaussian_factor(x, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor is not None and built == [32, 32, 32]
+    assert peak < 8 * n * 32 * 32 / 4
+
+
 def test_factor_route_gives_the_same_bits_twice():
     spec_of = factor_smoother(2, "normal", 1.1)
     a, b = (build_kernel_smoother(spec_of.design, spec_of.spec) for _ in range(2))
@@ -241,14 +300,7 @@ def test_three_columns_fail_the_gate_before_any_factor(monkeypatch):
     factor gate from its node kernels alone and takes the dense route."""
     design = DesignMatrix.from_array(np.random.default_rng(4).uniform(size=(330, 3)))
     spec = build_smoother(design, SmootherConfig(df=1.1)).spec
-    built = []
-    factor = kernel_smoother._chebyshev_factor
-
-    def spy(t, p):
-        built.append(p)
-        return factor(t, p)
-
-    monkeypatch.setattr(kernel_smoother, "_chebyshev_factor", spy)
+    built = built_node_counts(monkeypatch)
     sm = build_kernel_smoother(design, spec)
     spectral = sm.spectral()
     assert built == [] and sm._factor is None

@@ -10,16 +10,15 @@ import numpy as np
 from .crossval import search_k_cv
 from .engine import KPath
 from .kernel_smoother import (
-    ChebyshevGrid,
     KernelSmoother,
     KernelSmootherSpec,
+    NodeTables,
     _kernel_average,
-    build_chebyshev_grid,
     build_kernel_smoother,
     calibrate_bandwidth,
     calibrate_total_df,
-    grid_ladder_cost,
     kernel_predict,
+    node_tables,
 )
 from .kernels import resolve_kernel
 from .selection import (
@@ -120,22 +119,14 @@ def _finite_rows(x_new, d: int) -> np.ndarray:
 class KernelPredictor:
     """Everything needed to evaluate a kernel fit at new points.
 
-    A Gaussian fit may answer rows inside the training box from a
-    :class:`~ibrsmooth.kernel_smoother.ChebyshevGrid` of its kernel
-    average: O(d p + prod p_j) per row instead of O(n d). The grid takes
-    p_j Chebyshev nodes per column, doubling from 16 until the trailing
-    coefficients of the tabulated numerator and denominator fall below
-    their rounding floors at every node (tail rule), with at most n nodes
-    (cost rule), and only for columns spanning at most 1.5 bandwidths per
-    half range (span rule). Finding it costs O(n prod p_j) and is done
-    once, by the first batch that pays for it: one whose d kernel
-    evaluations per row and design point cover the dearest ladder of tiers
-    the fit could climb (``grid_ladder_cost``). On n = 1500, d = 2 that is
-    304 rows; a one-row predict never builds a grid. A batch's route thus
-    depends only on the fit and the batch's row count, never on earlier
-    calls, so a saved and reloaded model gives the same bits. Rows
-    outside the box, smaller batches, other kernels and fits with no
-    accepted grid take :func:`kernel_predict`.
+    A Gaussian fit may answer rows inside the training box from
+    :class:`~ibrsmooth.kernel_smoother.NodeTables` at the Chebyshev nodes
+    its factor chose, in O(d p + prod p_j) per row instead of O(n d). The
+    first batch large enough to pay for them builds them (160 rows at
+    n = 1500, d = 2). A batch's route depends only on the fit and its row
+    count, so a saved and reloaded model gives the same bits. Rows outside
+    the box, smaller batches and fits that no tables serve
+    (:func:`~ibrsmooth.kernel_smoother.node_tables`) take :func:`kernel_predict`.
     """
 
     x_train: np.ndarray
@@ -144,21 +135,17 @@ class KernelPredictor:
     beta: np.ndarray
 
     @cached_property
-    def _ladder_cost(self) -> float | None:
-        return grid_ladder_cost(self.x_train, self.kind, self.bandwidths)
-
-    @cached_property
-    def _grid(self) -> ChebyshevGrid | None:
-        return build_chebyshev_grid(self.x_train, self.bandwidths, self.beta)
+    def _tables(self) -> NodeTables | None:
+        return node_tables(self.x_train, self.kind, self.bandwidths, self.beta)
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
         x_new = _finite_rows(x_new, self.x_train.shape[1])
-        cost = self._ladder_cost
-        if cost is None or x_new.size < cost or self._grid is None:
+        tables = self._tables
+        if tables is None or x_new.size < tables.cost:
             return kernel_predict(x_new, self.x_train, self.kind, self.bandwidths, self.beta)
-        inside = self._grid.contains(x_new)
+        inside = np.all((x_new >= tables.lo) & (x_new <= tables.hi), axis=1)
         pred = np.empty(len(x_new))
-        pred[inside] = self._grid.interpolate(x_new[inside])
+        pred[inside] = tables.interpolate(x_new[inside])
         outside = np.flatnonzero(~inside)
         if outside.size:
             pred[outside] = _kernel_average(

@@ -41,17 +41,14 @@ The factor route holds no n x n array; the dense route builds K once and
 drops it with the spectrum. ``kmat`` and ``matrix`` are built when asked
 for.
 
-A Gaussian fit predicts through the same interpolation (:class:`ChebyshevGrid`):
-its numerator sum_i K(u - x_i) beta_i and denominator sum_i K(u - x_i) are
-tabulated on a tensor grid of p_j Chebyshev nodes per column over the
-training box, built in O(n prod p_j), and a new row inside the box costs
-O(d p + prod p_j) instead of O(n d). :func:`build_chebyshev_grid` accepts
-a grid only when the trailing Chebyshev coefficients of both tables lie
-below their own rounding floor at every node (tail rule), with at most n
-nodes (cost rule); :func:`grid_ladder_cost` offers one only to columns
-spanning at most ``_GRID_SPAN`` bandwidths per half range (span rule),
-beyond which the grid's rounding outgrows the direct route's, and bounds
-what finding it costs. Rows outside the box and every other kernel take
+A Gaussian fit predicts through the same factor (:class:`NodeTables`):
+tables (K_c1 x ... x K_cd) H' [beta, 1] at the fit's nodes, built in
+O(n prod p_j) by the contraction that gives the row sums, give a new row
+inside the box its kernel average in O(d p + prod p_j) instead of O(n d).
+:func:`node_tables` offers them only to columns spanning at most
+``_GRID_SPAN`` bandwidths per half range (span rule), beyond which their
+rounding outgrows the direct route's, and with at most n nodes (cost
+rule). Rows outside the box and every other kernel take
 :func:`kernel_predict`.
 """
 
@@ -109,18 +106,20 @@ _EPS = float(np.finfo(float).eps)
 _FACTOR_NODES = 16
 _FACTOR_TAIL = 1e-15
 _FACTOR_GATE = 4
-# a prediction grid is built over blocks of design rows and evaluated over
-# blocks of new rows whose widest temporary holds about this many floats
+# node sums and interpolated rows are formed over blocks of rows whose
+# widest temporary holds about this many floats
 _GRID_BLOCK = _PREDICT_BLOCK_BYTES // 8
-# a prediction grid serves only columns spanning at most this many
+# prediction tables serve only columns spanning at most this many
 # bandwidths per half range: the rounding of the tabulated sums, amplified
 # by the interpolation, grows with the span. One column, n = 300, worst of
-# 300 rows in floor units (grid / kernel_predict): spans up to 1.8, at most
-# 0.5 / 0.5; 1.9, 1.3 / 0.5; 3.1, 2.3 / 0.7; 5.6, 6.4 / 1.1
+# 300 rows of four fits in floor units (tables / kernel_predict): span 0.5,
+# 0.3 / 0.3; 1.5, 0.8 / 0.5; 1.9, 2.0 / 0.7; 3.1, 7.7 / 1.5; 5.6, 9.6 / 2.3
 _GRID_SPAN = 1.5
-# tabulating a grid node costs, per design point, about this fraction of a
-# kernel evaluation (three multiply-adds against an exp: 0.7 ns against
-# 5.8 ns per column on a 32 x 32 grid, one BLAS thread, x86-64)
+# building prediction tables costs, per design point, about one kernel
+# evaluation per interpolation-row entry (sum p_j) and this fraction of one
+# per node. On 32 x 32 nodes, n = 1500, one BLAS thread, x86-64: 9.4 ns per
+# entry and 0.26 ns per node against 3.0 ns per kernel value, so about 280
+# kernel values where the rule counts 320
 _GRID_NODE_COST = 0.25
 # largest miss of the df target that a calibrated bandwidth may leave, per
 # column and for the total trace
@@ -203,8 +202,8 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     smaller batch agrees only to the rounding floor
     eps (|w| . |beta|) / (w . 1). Nor is the promise made across routes: a
     Gaussian :class:`ibrsmooth.fitting.KernelPredictor` may answer rows
-    inside the training box from a :class:`ChebyshevGrid`, equal to this
-    route to the rounding floor. Raises ValueError when ``x_new`` has the
+    inside the training box from :class:`NodeTables`, equal to this route
+    to the rounding floor. Raises ValueError when ``x_new`` has the
     wrong number of columns or a row outside the kernel support of every
     design point.
     """
@@ -247,145 +246,68 @@ def _kernel_average(x_new, x, kind, bandwidths, beta, labels=None) -> np.ndarray
     return pred
 
 
-class ChebyshevGrid:
-    """A Gaussian kernel average tabulated on a tensor Chebyshev grid.
+class NodeTables:
+    """A Gaussian kernel average tabulated at a fit's own Chebyshev nodes.
 
-    With the columns mapped onto [-1, 1] over the training box (as in
-    :func:`_trace_objective`), the numerator g(u) = sum_i K(u - x_i) beta_i
-    and the denominator s(u) = sum_i K(u - x_i) are evaluated exactly at
-    the prod p_j nodes of p_j first-kind Chebyshev points per column. A
-    new row u inside the box takes one barycentric row per column
-    (:func:`_chebyshev_factor`), contracted with the two tables, and
-    returns g / s: O(d p + prod p_j) per row with no n-length work (the
-    fast Gauss transform and Chebyshev FMM idea: Greengard & Strain 1991,
-    Fong & Darve 2009). Grids come from :func:`build_chebyshev_grid`.
+    With the fit's node kernels K_cj (:func:`_column_nodes`),
+    K ~ H (K_c1 x ... x K_cd) H' to rounding, H the Khatri-Rao product of
+    the interpolation matrices. The tables T = (K_c1 x ... x K_cd) H'
+    [beta, 1], built on first use in O(n prod p_j), give a row u inside
+    the training box its numerator sum_i K(u - x_i) beta_i and denominator
+    sum_i K(u - x_i) as H(u) T, in O(d p + prod p_j) (the fast Gauss
+    transform and Chebyshev FMM idea: Greengard & Strain 1991, Fong & Darve
+    2009). Building costs ``cost`` kernel evaluations per design point:
+    sum p_j, plus ``_GRID_NODE_COST`` per node.
     """
 
-    def __init__(self, x: np.ndarray, sizes, table: np.ndarray):
+    def __init__(self, x: np.ndarray, nodes, beta: np.ndarray):
+        self.x, self.beta = x, beta
         self.lo, self.hi = _column_range(x)
         self.centre, self.half = _unit_box(x)
-        self.sizes, self.table = tuple(sizes), table
+        self.sizes, self.kernels = zip(*nodes)
+        self.cost = sum(self.sizes) + _GRID_NODE_COST * math.prod(self.sizes)
 
-    def contains(self, x_new: np.ndarray) -> np.ndarray:
-        """Which rows of a 2-D ``x_new`` lie in the training box."""
-        return np.all((x_new >= self.lo) & (x_new <= self.hi), axis=1)
+    @cached_property
+    def table(self) -> np.ndarray:
+        # K_cj enters the rows before they meet beta, whose entries cancel:
+        # applied after, the rounding of H'beta grows with the Lebesgue constant
+        # (one column, n = 300 and 1000, worst row of 43 fits: 1.9 floor units, 0.6 here)
+        lefts = [left @ kc for left, kc in zip(self._lefts(self.x), self.kernels)]
+        weights = np.column_stack([self.beta, np.ones(len(self.x))])
+        return np.ascontiguousarray(_node_table(lefts, weights))
+
+    def _lefts(self, rows: np.ndarray) -> list[np.ndarray]:
+        t = (rows - self.centre) / self.half
+        return [_chebyshev_factor(t[:, j], p) for j, p in enumerate(self.sizes)]
 
     def interpolate(self, x_new: np.ndarray) -> np.ndarray:
-        """g / s at rows inside the training box, a block of rows at a time."""
-        t = (x_new - self.centre) / self.half
-        first = self.table.reshape(self.sizes[0], -1)
-        step = max(1, _GRID_BLOCK // max(first.shape[1], max(self.sizes)))
-        sums = np.empty((len(t), 2))
-        for start in range(0, len(t), step):
-            block = t[start : start + step]
-            acc = _chebyshev_factor(block[:, 0], self.sizes[0]) @ first
-            for j in range(t.shape[1] - 1, 0, -1):
-                left = _chebyshev_factor(block[:, j], self.sizes[j])
-                acc = np.einsum("rck,rk->rc", acc.reshape(len(block), -1, self.sizes[j]), left)
-            sums[start : start + step] = acc
+        """The kernel average at rows inside the training box, a block of
+        rows at a time."""
+        table = self.table
+        step = max(1, _GRID_BLOCK // max(table.size // self.sizes[0], max(self.sizes)))
+        sums = np.empty((len(x_new), 2))
+        for start in range(0, len(x_new), step):
+            rows = slice(start, start + step)
+            sums[rows] = _interpolate(self._lefts(x_new[rows]), table)
         return sums[:, 0] / sums[:, 1]
 
 
-def grid_ladder_cost(x: np.ndarray, kind: str, bandwidths) -> float | None:
-    """The most that finding a fit's prediction grid can cost, in kernel
-    evaluations per design point, or None where no grid may serve the fit.
-
-    A tier of p_j nodes per column costs sum_j p_j kernel evaluations plus
-    ``_GRID_NODE_COST`` per node (:func:`_node_sums`); predicting a row
-    directly costs d. The ladder of :func:`build_chebyshev_grid` may double
-    any nonempty set of columns after each failing tier, so the bound is
-    the dearest chain of tiers from ``_FACTOR_NODES`` per column up to n
-    nodes. No grid serves every kernel but the Gaussian, a constant column,
-    a column spanning more than ``_GRID_SPAN`` bandwidths per half range
-    (span rule) or fewer rows than the first tier has nodes (cost rule).
-    """
-    if kind != "gaussian":
+def node_tables(x: np.ndarray, kind: str, bandwidths, beta: np.ndarray) -> NodeTables | None:
+    """The unbuilt prediction tables of a fit with vector ``beta``; None for
+    a kernel other than the Gaussian, a column spanning no range or more than
+    ``_GRID_SPAN`` bandwidths per half range (span rule), a column without
+    nodes or more nodes than rows (cost rule), all found with no n-length work."""
+    (n, d), h, half = x.shape, np.asarray(bandwidths, dtype=float), _unit_box(x)[1]
+    spans = (half > 0.0) & (half <= _GRID_SPAN * h)
+    # a column the span rule admits takes at least _FACTOR_NODES nodes
+    if kind != "gaussian" or not spans.all() or _FACTOR_NODES**d > n:
         return None
-    n, d = x.shape
-    half = _unit_box(x)[1]
-    if not np.all((half > 0.0) & (half <= _GRID_SPAN * np.asarray(bandwidths, dtype=float))):
-        return None
-
-    @cache
-    def dearest(sizes: tuple[int, ...]) -> float:
-        # a tier's cost ignores the order of its columns, so sizes are sorted
-        if math.prod(sizes) > n:
-            return 0.0
-        doubled = {
-            tuple(sorted(2 * p if mask >> j & 1 else p for j, p in enumerate(sizes)))
-            for mask in range(1, 1 << d)
-        }
-        return sum(sizes) + _GRID_NODE_COST * math.prod(sizes) + max(map(dearest, doubled))
-
-    first = (_FACTOR_NODES,) * d
-    return dearest(first) if math.prod(first) <= n else None
-
-
-def build_chebyshev_grid(x: np.ndarray, bandwidths, beta: np.ndarray) -> ChebyshevGrid | None:
-    """The prediction grid of a Gaussian fit with vector ``beta``, or None
-    where no tier up to n nodes passes the tail rule (cost rule).
-
-    p_j starts at ``_FACTOR_NODES`` and doubles along every column where
-    the last two slices of either table's Chebyshev coefficients
-    (``dctn`` on every axis, divided by the node count) exceed that table's
-    rounding floor at its lowest node (tail rule):
-    eps * min_z sum_i K(z - x_i) |beta_i| for g, eps * min_z s(z) for s.
-    A multiple of the largest coefficient would not do, as |beta| can be
-    1e4 times the fitted values; nor would the floor at the largest node,
-    where the design thins out inside the box and s falls far below its
-    maximum. The tables are built over blocks of design rows, so no
-    n x prod p_j array is held.
-    """
-    n, d = x.shape
-    centre, half = _unit_box(x)
-    t = (x - centre) / half
-    ratios = half / np.asarray(bandwidths, dtype=float)
-    weights = np.column_stack([beta, np.ones(n), np.abs(beta)])
-    sizes = [_FACTOR_NODES] * d
-    while math.prod(sizes) <= n:
-        sums = _node_sums(t, ratios, sizes, weights)
-        # g's floor from sum K |beta|, s's from s itself
-        floors = _EPS * sums[..., 2].min(), _EPS * sums[..., 1].min()
-        coarse = set()
-        for values, floor in zip((sums[..., 0], sums[..., 1]), floors):
-            coef = np.abs(dctn(values, type=2)) / values.size
-            coarse.update(
-                j for j in range(d) if not np.take(coef, [-2, -1], axis=j).max() <= floor
-            )
-        if not coarse:
-            # (p_1, 2, p_2, ..., p_d): every contraction after the first
-            # runs over the last, contiguous axis
-            table = np.ascontiguousarray(np.moveaxis(sums[..., :2], -1, 1))
-            return ChebyshevGrid(x, sizes, table)
-        sizes = [2 * p if j in coarse else p for j, p in enumerate(sizes)]
-    return None
-
-
-def _node_sums(t: np.ndarray, ratios: np.ndarray, sizes, weights: np.ndarray) -> np.ndarray:
-    """sum_i prod_j K((z_j - t_ij) ratio_j) weights_ic at every node z of the
-    tensor grid with ``sizes`` Chebyshev points per column.
-
-    Returns an array of shape sizes + (c,). The design is taken a block of
-    rows at a time: per block, the kernel columns of every axis but the
-    first are combined with ``weights`` into one Khatri-Rao block, which one
-    product with the first axis's kernel block adds to the sums.
-    """
-    n, d = t.shape
-    nodes = [_chebyshev_nodes(p)[0] for p in sizes]
-    width = math.prod(sizes[1:]) * weights.shape[1]
-    step = max(1, _GRID_BLOCK // max(width, sizes[0]))
-    sums = np.zeros((sizes[0], width))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        right = weights[rows]
-        for j in range(d - 1, -1, -1):
-            kern = np.subtract.outer(t[rows, j], nodes[j])
-            kern *= ratios[j]
-            kernel_values(kern, "gaussian", out=kern)
-            if j:
-                right = (kern[:, :, None] * right[:, None, :]).reshape(len(kern), -1)
-        sums += kern.T @ right
-    return sums.reshape(tuple(sizes) + (weights.shape[1],))
+    nodes = []
+    for found in _column_nodes(half / h, n):
+        nodes.append(found)
+        if found is None or math.prod(p for p, _ in nodes) > n:
+            return None
+    return NodeTables(x, nodes, beta)
 
 
 class KernelSmoother(BaseSmoother):
@@ -507,16 +429,13 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     eigenvalue prod_j sigma_j is above eps of the largest, the same cut as
     each column's; their number P never falls as columns are added.
 
-    A constant column scales every entry by K(0), so it takes one node,
-    with K_c = 1 and L_j a column of ones: exact, and P does not grow.
-
     The columns are taken one at a time, and None is returned as soon as P
     exceeds n / ``_FACTOR_RANK_GATE``, before any n-length work; also for a
     column where no p_j <= n / ``_FACTOR_GATE`` passes the tail rule.
     Otherwise returns the row sums, from the uncompressed L_j K_c L_j'
     (whose node weights are positive sums, so a small row sum keeps its
-    relative accuracy) one axis at a time by :func:`_interpolated_row_sums`,
-    O(n prod p_j) with no n x prod p_j array, and the
+    relative accuracy) one axis at a time by :func:`_node_table` and
+    :func:`_interpolate`, O(n prod p_j) with no n x prod p_j array, and the
     :class:`_KhatriRaoFactor`.
     """
     n = x.shape[0]
@@ -526,11 +445,7 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     if not np.all(np.isfinite(ratios)):
         return None
     nodes, weight = [], np.ones(1)
-    for ratio in ratios:
-        if ratio == 0.0:
-            found = 1, np.ones((1, 1))
-        else:
-            found = _accepted_nodes(lambda p: _node_kernel(p, ratio), n)
+    for found in _column_nodes(ratios, n):
         if found is None:
             return None
         sig, v = np.linalg.eigh(found[1])
@@ -544,10 +459,24 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     t = (x - centre) / np.where(half > 0.0, half, 1.0)
     lefts = [_chebyshev_factor(t[:, j], p) for j, (p, _, _) in enumerate(nodes)]
     k0 = float(kernel_values(np.zeros(1), "gaussian")[0])
-    sums = _interpolated_row_sums(lefts, [kc for _, kc, _ in nodes])
+    sums = _interpolate(lefts, _node_table(lefts, kernels=[kc for _, kc, _ in nodes]))
     sums *= k0 ** len(nodes)
     blocks = [math.sqrt(k0) * (left @ root) for left, (_, _, root) in zip(lefts, nodes)]
     return sums, _KhatriRaoFactor(blocks, np.nonzero(weight.reshape(weight.shape[1:]) > _EPS))
+
+
+def _column_nodes(ratios, n: int):
+    """Per column, with ``ratios`` its half range over its bandwidth, the
+    Chebyshev node count p_j and node kernel K_cj of a Gaussian factor over
+    n rows (:func:`_accepted_nodes`), or None where no p_j passes. A
+    constant column (ratio 0), which scales every entry by K(0), is one
+    node, K_c = 1: exact, and the factor's P does not grow. Yielded a
+    column at a time, so a caller may stop before the rest are found."""
+    for ratio in ratios:
+        if ratio == 0.0:
+            yield 1, np.ones((1, 1))
+        else:
+            yield _accepted_nodes(lambda p: _node_kernel(p, ratio), n)
 
 
 def _node_kernel(p: int, ratio: float) -> np.ndarray:
@@ -569,44 +498,62 @@ def _khatri_rao(blocks) -> np.ndarray:
     return out
 
 
-def _interpolated_row_sums(lefts, kernels) -> np.ndarray:
-    """Row sums of the Gram matrix H (K_c1 x ... x K_cd) H', where H is the
-    Khatri-Rao product of the interpolation matrices ``lefts``.
-
-    With R = KR(L_2, ..., L_d), the node weights H'1 are the p_1 x prod_{j>1}
-    p_j matrix L_1' R, each node kernel then acts along its own axis of the
-    weight tensor T (mode products, Kolda & Bader 2009), and the sums are
-    rowsum(L_1 o (R T')). That is O(n prod p_j + prod p_j sum p_j) flops in
-    two matrix products, with elementwise work on the n prod_{j>1} p_j
-    entries of R, not on the n prod p_j of H, which is never formed. For
-    two columns R is L_2 itself; for more, R is formed over blocks of rows,
-    so no n x prod_{j>1} p_j array is held either. One column takes L_1'1,
-    K_c1 and L_1 over blocks of rows.
-    """
-    first, rest = lefts[0], lefts[1:]
+def _row_blocks(first: np.ndarray, rest) -> list[slice]:
+    """Row blocks for the Khatri-Rao product of ``rest``: all rows where it
+    is one block itself, else blocks in which it (``first``, for no
+    ``rest``) holds about ``_GRID_BLOCK`` floats."""
     n = first.shape[0]
-    sizes = [kc.shape[0] for kc in kernels]
-    # a row block of the widest n-row array: R, or L_1 for one column
-    width = math.prod(sizes[1:]) if rest else sizes[0]
+    width = math.prod(block.shape[1] for block in rest) if rest else first.shape[1]
     step = n if len(rest) == 1 else max(1, _GRID_BLOCK // width)
-    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    return [slice(start, start + step) for start in range(0, n, step)]
 
-    def right(rows):
-        return _khatri_rao([left[rows] for left in rest])
 
+def _node_table(lefts, weights: np.ndarray | None = None, kernels=()) -> np.ndarray:
+    """H'W, with H the Khatri-Rao product of the n x p_j blocks ``lefts`` and
+    W the n x c block ``weights`` (the vector 1 where None), then each of
+    ``kernels`` applied along its own axis (mode products, Kolda & Bader
+    2009). Shape (p_1, [c]) for one column, else the layout of
+    :func:`_interpolate`, (prod_{j>1} p_j, [c,] p_1).
+
+    With interpolation matrices L_j, both L_j and K_cj as ``kernels`` and
+    the blocks L_j K_cj alone give T = (K_c1 x ... x K_cd) H'W. H'W is
+    L_1' R with R = KR(W, L_2, ..., L_d), formed over row blocks
+    (:func:`_row_blocks`): O(n c prod p_j) flops, with no n x prod p_j
+    array. One column and the vector 1 take L_1'1 as sums.
+    """
+    first, sizes = lefts[0], [left.shape[1] for left in lefts]
+    # W leads R: a Khatri-Rao step with c inner columns is several times slower
+    rest = [*lefts[1:]] if weights is None else [weights, *lefts[1:]]
+    blocks = _row_blocks(first, rest)
     if rest:
-        weights = sum(first[rows].T @ right(rows) for rows in blocks)
+        table = sum(first[rows].T @ _khatri_rao([block[rows] for block in rest]) for rows in blocks)
     else:
-        weights = sum(first[rows].sum(axis=0) for rows in blocks)
-    weights = weights.reshape(sizes)
+        table = sum(first[rows].sum(axis=0) for rows in blocks)
+    columns = [] if weights is None else [weights.shape[1]]
+    table = table.reshape(sizes[:1] + columns + sizes[1:])
     for j, kc in enumerate(kernels):
-        weights = np.moveaxis(np.tensordot(kc, weights, axes=(1, j)), 0, j)
+        axis = j + len(columns) if j else 0
+        table = np.moveaxis(np.tensordot(kc, table, axes=(1, axis)), 0, axis)
+    return table if len(lefts) == 1 else table.reshape(sizes[0], *columns, -1).T
+
+
+def _interpolate(lefts, table: np.ndarray) -> np.ndarray:
+    """H T at the rows of the interpolation matrices ``lefts`` (H their
+    Khatri-Rao product) for a table T of :func:`_node_table`: per block of
+    rows (:func:`_row_blocks`), rowsum(L_1 o (R T_(1)')) with
+    R = KR(L_2, ..., L_d), and no m x prod p_j array. For the T of the
+    vector 1 these are the row sums of H (K_c1 x ... x K_cd) H'."""
+    first, rest = lefts[0], lefts[1:]
+    blocks = _row_blocks(first, rest)
     if not rest:
-        return np.concatenate([first[rows] @ weights for rows in blocks])
-    table = weights.reshape(sizes[0], -1).T
-    return np.concatenate(
-        [np.einsum("ij,ij->i", first[rows], right(rows) @ table) for rows in blocks]
-    )
+        return np.concatenate([first[rows] @ table for rows in blocks])
+    # one product serves every column of W
+    right = table.reshape(len(table), -1)
+    sums = []
+    for rows in blocks:
+        prod = (_khatri_rao([left[rows] for left in rest]) @ right).reshape(-1, *table.shape[1:])
+        sums.append(np.einsum("ia,i...a->i...", first[rows], prod))
+    return np.concatenate(sums)
 
 
 def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: float):
@@ -789,14 +736,18 @@ def _accepted_nodes(node_kernel, n: int):
     return None
 
 
+@cache
 def _chebyshev_nodes(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The p Chebyshev points of the first kind on [-1, 1],
     z_k = cos((2k + 1) pi / 2p), and their barycentric weights
-    (-1)^k sin((2k + 1) pi / 2p) (Berrut & Trefethen 2004)."""
+    (-1)^k sin((2k + 1) pi / 2p) (Berrut & Trefethen 2004). Cached, so
+    both arrays are read-only."""
     angles = (2 * np.arange(p) + 1) * (0.5 * np.pi / p)
     weights = np.sin(angles)
     weights[1::2] *= -1.0
-    return np.cos(angles), weights
+    nodes = np.cos(angles)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:

@@ -389,7 +389,7 @@ def test_bandwidths_must_be_positive():
         KernelSmootherSpec(kind="gaussian", bandwidths=(0.0,))
 
 
-# ------------------------------------------------ Chebyshev prediction grid
+# ------------------------------------------ prediction tables at the nodes
 
 EPS = float(np.finfo(float).eps)
 EXTENDED = np.finfo(np.longdouble).eps < EPS
@@ -456,13 +456,20 @@ def test_shifted_batches_agree_to_the_rounding_floor(kernel_fit_sized):
 
 
 def fresh(pred: KernelPredictor) -> KernelPredictor:
-    """The same predictor with no grid built yet."""
+    """The same predictor with no tables built yet."""
     return KernelPredictor(pred.x_train, pred.kind, pred.bandwidths, pred.beta)
 
 
 def grid_rows(pred: KernelPredictor) -> int:
-    """The fewest rows of a batch that takes the grid route."""
-    return int(np.ceil(pred._ladder_cost / pred.x_train.shape[1]))
+    """The fewest rows of a batch that takes the table route."""
+    return int(np.ceil(pred._tables.cost / pred.x_train.shape[1]))
+
+
+def tables_built(pred: KernelPredictor) -> bool:
+    """Whether the predictor has built its tables (its first batch large
+    enough to pay for them has run)."""
+    tables = vars(pred).get("_tables")
+    return tables is not None and "table" in vars(tables)
 
 
 def in_box(pred: KernelPredictor, x_new) -> np.ndarray:
@@ -474,7 +481,7 @@ def test_grid_prediction_is_within_the_rounding_floor(kernel_fit_sized):
     pred, x_new = kernel_fit_sized
     x_new = x_new[in_box(pred, x_new)]
     got = pred.predict(x_new)
-    assert pred._grid is not None and pred._grid.sizes == (32, 32)
+    assert tables_built(pred) and pred._tables.sizes == (32, 32)
     assert floor_units(pred, x_new, got).max() <= 1.0
 
 
@@ -489,15 +496,15 @@ def one_column_fit():
 
 
 def three_column_predictor():
-    """n = 4200, d = 3, wide bandwidths: a 16^3 = 4096 node grid."""
+    """n = 4200, d = 3, wide bandwidths: 16^3 = 4096 nodes."""
     rng = np.random.default_rng(7)
     x = rng.uniform(size=(4200, 3))
     return KernelPredictor(x, "gaussian", np.full(3, 1.5), rng.normal(size=4200) * 1e4)
 
 
 def wide_span_fit():
-    """n = 300, df 5 in one column: 5.6 bandwidths per half range, where a
-    grid read 2.5-6.4 floor units, so it must predict directly."""
+    """n = 300, df 5 in one column: 5.6 bandwidths per half range, where
+    tables read 7.6 floor units, so it must predict directly."""
     rng = np.random.default_rng(9)
     x = rng.uniform(size=300)
     y = np.sin(6.0 * x) + rng.normal(0.0, 0.1, 300)
@@ -515,19 +522,19 @@ def test_grid_prediction_within_the_floor_in_one_and_three_columns(make, sizes):
     x_new = x.min(axis=0) + (x.max(axis=0) - x.min(axis=0)) * rng.uniform(size=(700, x.shape[1]))
     got = pred.predict(x_new)
     if sizes is None:
-        assert pred._ladder_cost is None
+        assert pred._tables is None
         direct = kernel_smoother.kernel_predict(x_new, x, pred.kind, pred.bandwidths, pred.beta)
         assert np.array_equal(got, direct)
         return
     assert len(x_new) >= grid_rows(pred)
-    assert pred._grid is not None and pred._grid.sizes == sizes
+    assert tables_built(pred) and pred._tables.sizes == sizes
     assert np.prod(sizes) <= len(x)
     assert floor_units(pred, x_new, got).max() <= 1.0
 
 
 def test_grid_prediction_on_faces_corners_and_nodes(kernel_fit_sized):
     pred, _ = kernel_fit_sized
-    grid = pred._grid
+    grid = pred._tables
     lo, hi = pred.x_train.min(axis=0), pred.x_train.max(axis=0)
     rng = np.random.default_rng(12)
     corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])
@@ -546,12 +553,12 @@ def test_grid_prediction_on_faces_corners_and_nodes(kernel_fit_sized):
 
     one = one_column_fit()
     z = kernel_smoother._chebyshev_nodes(32)[0]
-    # with rows enough for the batch to take the grid
+    # with rows enough for the batch to take the tables
     x_new = np.concatenate([z, [-1.0, 1.0], rng.uniform(-1.0, 1.0, grid_rows(one))])[:, None]
     got = one.predict(x_new)
-    assert one._grid.sizes == (32,)
+    assert tables_built(one) and one._tables.sizes == (32,)
     # on the identity map each row sits exactly on its node
-    assert np.array_equal((x_new[:32, 0] - one._grid.centre) / one._grid.half, z)
+    assert np.array_equal((x_new[:32, 0] - one._tables.centre) / one._tables.half, z)
     assert floor_units(one, x_new, got).max() <= 1.0
 
 
@@ -566,7 +573,7 @@ def test_grid_build_holds_no_n_by_m_array(kernel_fit_sized):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pred._grid is not None
+    assert tables_built(pred)
     # an eighth of one n x n array, so of any n x m one too
     assert peak < n * n * 8 / 8
 
@@ -577,7 +584,7 @@ def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
     outside = ~in_box(pred, x_new)
     assert 0 < outside.sum() < 500
     got = pred.predict(x_new)
-    assert pred._grid is not None
+    assert tables_built(pred)
     direct = kernel_smoother.kernel_predict(
         x_new[outside], pred.x_train, pred.kind, pred.bandwidths, pred.beta
     )
@@ -587,8 +594,8 @@ def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
 
 def same_bits_as_direct(pred: KernelPredictor, x_new):
     got = pred.predict(x_new)
-    # no grid was built, or its ladder found none
-    assert vars(pred).get("_grid") is None
+    # no tables serve the fit, or none were built
+    assert not tables_built(pred)
     direct = kernel_smoother.kernel_predict(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
     assert np.array_equal(got, direct)
 
@@ -615,50 +622,48 @@ def test_column_spanning_many_bandwidths_predicts_directly():
     x = rng.uniform(size=(300, 1))
     pred = KernelPredictor(x, "gaussian", np.array([0.01]), rng.normal(size=300))
     same_bits_as_direct(pred, rng.uniform(size=(200, 1)))
-    assert pred._ladder_cost is None
+    assert pred._tables is None
 
 
-def test_design_that_fails_the_tail_at_every_allowed_size_predicts_directly():
-    # two columns and n = 300 allow only the 16 x 16 grid, which fails
+def test_design_with_more_nodes_than_rows_predicts_directly():
+    # the fit's factor takes 32 nodes per column, and 32 x 32 > n = 300
     rng = np.random.default_rng(18)
     x = rng.uniform(size=(300, 2))
     y = np.sin(6.0 * x[:, 0]) + rng.normal(0.0, 0.1, 300)
     pred = fit(x, y, smoother=SmootherConfig(df=1.1)).predictor
-    assert pred._ladder_cost == kernel_smoother.grid_ladder_cost(x, "gaussian", pred.bandwidths)
+    ratios = kernel_smoother._unit_box(x)[1] / pred.bandwidths
+    assert [p for p, _ in kernel_smoother._column_nodes(ratios, 300)] == [32, 32]
     same_bits_as_direct(pred, rng.uniform(size=(300, 2)))
-    # the batch paid for the ladder, which found no grid
-    assert 300 >= grid_rows(pred) and "_grid" in vars(pred)
+    assert "_tables" in vars(pred) and pred._tables is None
 
 
 def test_design_that_thins_out_inside_the_box_fails_the_tail():
-    """Two clusters with a gap: s falls by orders of magnitude between them,
-    so no grid resolves it to the floor of its lowest node. A floor taken at
-    the largest node accepts 128 nodes here, with errors of 1e7 floor units
-    in the gap. (The span rule also keeps this fit off the grid.)"""
+    """Two clusters with a gap: s falls by orders of magnitude between them.
+    Tables at the fit's 128 nodes read 7e6 floor units in the gap (a grid
+    whose tail was judged by the floor at its largest node read 1e7); the
+    span rule, 10 bandwidths per half range, keeps this fit off them."""
     rng = np.random.default_rng(17)
     x = np.concatenate([rng.uniform(0.0, 0.2, 1000), rng.uniform(0.8, 1.0, 1000)])[:, None]
     h, beta = np.array([0.05]), rng.normal(size=2000) * 1e3
-    assert kernel_smoother.build_chebyshev_grid(x, h, beta) is None
     pred = KernelPredictor(x, "gaussian", h, beta)
     same_bits_as_direct(pred, np.linspace(0.0, 1.0, 201)[:, None])
 
 
-def test_batch_takes_the_grid_only_when_it_pays_for_the_ladder(kernel_fit_sized):
-    """A batch takes the grid only once its d kernel evaluations per row and
-    design point cover the dearest ladder the fit could climb, whatever
-    came before: 304 rows on the kernel_fit-sized fit."""
+def test_batch_takes_the_tables_only_when_it_pays_for_them(kernel_fit_sized):
+    """A batch takes the tables only once its d kernel evaluations per row
+    and design point cover building them, sum p_j + 0.25 prod p_j, whatever
+    came before: 160 rows on the kernel_fit-sized fit."""
     pred, x_new = kernel_fit_sized
     pred = fresh(pred)
     rows = grid_rows(pred)
-    assert rows == 304
+    assert rows == 160
     for batch in (x_new[:1], x_new[: rows - 1]):
         same_bits_as_direct(pred, batch)
-        assert "_grid" not in vars(pred)
     big = x_new[in_box(pred, x_new)][:rows]
     got = pred.predict(big)
-    assert pred._grid is not None and pred._grid.sizes == (32, 32)
+    assert tables_built(pred) and pred._tables.sizes == (32, 32)
     assert floor_units(pred, big, got).max() <= 1.0
-    # with the grid built, smaller batches still predict directly
+    # with the tables built, smaller batches still predict directly
     small = x_new[: rows - 1]
     direct = kernel_smoother.kernel_predict(small, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
     assert np.array_equal(pred.predict(small), direct)
@@ -671,6 +676,20 @@ def test_grid_route_keeps_the_error_messages(kernel_fit_sized):
     x_new[[4, 13]] = 1e3
     with pytest.raises(ValueError, match=r"prediction rows \[4, 13\] fall outside the kernel support of every design point"):
         pred.predict(x_new)
-    assert pred._grid is not None
+    assert tables_built(pred)
     with pytest.raises(ValueError, match="expected 2 columns, got 3"):
         pred.predict(np.ones((4, 3)))
+
+
+def test_one_column_batch_takes_the_tables_from_forty_rows():
+    """One column of n = 300 takes 32 nodes, so a batch pays for the tables
+    from (32 + 0.25 * 32) / 1 = 40 rows, known before any n-length work; a
+    batch one row smaller predicts directly."""
+    pred = one_column_fit()
+    rows = grid_rows(pred)
+    assert rows == 40
+    x_new = np.random.default_rng(19).uniform(-1.0, 1.0, (rows, 1))
+    same_bits_as_direct(pred, x_new[:-1])
+    got = pred.predict(x_new)
+    assert tables_built(pred) and pred._tables.sizes == (32,)
+    assert floor_units(pred, x_new, got).max() <= 1.0

@@ -30,8 +30,9 @@ def test_predictions_survive_bit_exact(tmp_path, family):
 
 
 def test_grid_route_predictions_survive_bit_exact(tmp_path):
-    """n = 1100 on two columns admits the 32 x 32 Chebyshev grid; the loaded
-    model builds its own grid from the saved fields, with the same bits."""
+    """n = 1100 on two columns admits prediction tables at the fit's 32 x 32
+    Chebyshev nodes; the loaded model finds the same nodes and builds its
+    own tables from the saved fields, with the same bits."""
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 3, size=(1100, 2))
     y = np.sin(2 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, 1100)
@@ -43,10 +44,10 @@ def test_grid_route_predictions_survive_bit_exact(tmp_path):
     x_new = np.vstack([rng.uniform(-0.5, 3.5, size=(300, 2)), x.min(axis=0), x])
     assert np.array_equal(loaded.predict(x_new), result.predict(x_new))
     for model in (result, loaded):
-        assert model.predictor._grid is not None
-        assert model.predictor._grid.sizes == (32, 32)
+        assert "table" in vars(model.predictor._tables)
+        assert model.predictor._tables.sizes == (32, 32)
     # a batch's route depends on its row count, not on what came before:
-    # a fresh load agrees with the fitted model that has built its grid
+    # a fresh load agrees with the fitted model that has built its tables
     for rows in (x[:400], x[:10]):
         assert np.array_equal(load_model(path).predict(rows), result.predict(rows))
 

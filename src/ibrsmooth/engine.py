@@ -13,6 +13,8 @@ non-negative real number as long as the spectrum stays inside [0, 1].
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .smoothers import BaseSmoother, SpectralForm
@@ -93,27 +95,42 @@ class KPath:
         self.mu = 1.0 - self.lam
         # the base of fractional powers (real k needs the spectrum in [0, 1])
         self._mu01 = np.clip(self.mu, 0.0, 1.0)
-        # G z = y exactly; fitted values are G (w * z). G is U itself when
-        # the form is symmetric (d_half all ones) and is then reached only
-        # through the form's products; otherwise it is held for H = G'G
-        self._g = None if spectral.symmetric else spectral.d_half[:, None] * spectral.u
         self.z = z = spectral.ut_dot(y / spectral.d_half)
-        self._h = None if self._g is None else self._g.T @ self._g
-        # Hz, z'Hz and (for H = I) z^2, shared by every norm of G v
-        self._hz = z if self._h is None else self._h @ z
-        self._zhz = float(z @ self._hz)
+        # the weights of every norm of G v when H = I
         self._z2 = z * z
-        # (t't, z * G't) of the unsmoothed remainder t = y - G z, or None
-        self._rest = None
-        if spectral.rank < spectral.n:
-            t = y - self._g_dot(z)
-            self._rest = (float(t @ t), z * self._gt_dot(t))
         # (base, block, scratch) row buffers of integer sweeps, see _powers
         self._sweep = None
 
     @property
     def n(self) -> int:
         return self.y.size
+
+    # G, H and the remainder are formed on first use: a CV fold reads only z
+
+    @cached_property
+    def _g(self) -> np.ndarray | None:
+        """G with G z = y exactly; fitted values are G (w * z). None when the
+        form is symmetric (d_half all ones): G is U, reached only through the
+        form's products."""
+        s = self.spectral
+        return None if s.symmetric else s.d_half[:, None] * s.u
+
+    @cached_property
+    def _norms(self):
+        """(H = G'G, Hz, z'Hz), shared by every norm of G v; H is None and
+        Hz is z when H = I."""
+        h = None if self._g is None else self._g.T @ self._g
+        hz = self.z if h is None else h @ self.z
+        return h, hz, float(self.z @ hz)
+
+    @cached_property
+    def _rest(self) -> tuple[float, np.ndarray] | None:
+        """(t't, z * G't) of the unsmoothed remainder t = y - G z of a
+        truncated form, or None."""
+        if self.spectral.rank == self.n:
+            return None
+        t = self.y - self._g_dot(self.z)
+        return float(t @ t), self.z * self._gt_dot(t)
 
     def _g_dot(self, v: np.ndarray) -> np.ndarray:
         return self.spectral.u_dot(v) if self._g is None else self._g @ v
@@ -177,14 +194,15 @@ class KPath:
         """
         w = np.subtract(1.0, p, out=out)
         df = w.sum(axis=1)
-        if self._h is None:
+        h, hz, zhz = self._norms
+        if h is None:
             cross = p @ self._z2
             vhv = np.multiply(p, p, out=w) @ self._z2
         else:
             vz = p * self.z
-            vhv = np.einsum("ij,ij->i", vz @ self._h, vz)
-            cross = vz @ self._hz
-        energy = self._zhz - 2.0 * cross + vhv
+            vhv = np.einsum("ij,ij->i", vz @ h, vz)
+            cross = vz @ hz
+        energy = zhz - 2.0 * cross + vhv
         rest = self._rest
         return df, vhv if rest is None else vhv + (rest[0] + 2.0 * (p @ rest[1])), energy
 

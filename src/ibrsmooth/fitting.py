@@ -14,10 +14,10 @@ from .kernel_smoother import (
     KernelSmootherSpec,
     NodeTables,
     _kernel_average,
+    _KernelRows,
     build_kernel_smoother,
     calibrate_bandwidth,
     calibrate_total_df,
-    kernel_predict,
     node_tables,
 )
 from .kernels import resolve_kernel
@@ -126,7 +126,8 @@ class KernelPredictor:
     n = 1500, d = 2). A batch's route depends only on the fit and its row
     count, so a saved and reloaded model gives the same bits. Rows outside
     the box, smaller batches and fits that no tables serve
-    (:func:`~ibrsmooth.kernel_smoother.node_tables`) take :func:`kernel_predict`.
+    (:func:`~ibrsmooth.kernel_smoother.node_tables`) take the direct route
+    of :func:`~ibrsmooth.kernel_smoother.kernel_predict`.
     """
 
     x_train: np.ndarray
@@ -138,19 +139,22 @@ class KernelPredictor:
     def _tables(self) -> NodeTables | None:
         return node_tables(self.x_train, self.kind, self.bandwidths, self.beta)
 
+    @cached_property
+    def _weights(self) -> _KernelRows:
+        # the direct route's design, prepared once for every batch
+        return _KernelRows(self.x_train, self.kind, self.bandwidths)
+
     def predict(self, x_new: np.ndarray) -> np.ndarray:
         x_new = _finite_rows(x_new, self.x_train.shape[1])
         tables = self._tables
         if tables is None or x_new.size < tables.cost:
-            return kernel_predict(x_new, self.x_train, self.kind, self.bandwidths, self.beta)
+            return _kernel_average(x_new, self._weights, self.beta)
         inside = np.all((x_new >= tables.lo) & (x_new <= tables.hi), axis=1)
         pred = np.empty(len(x_new))
         pred[inside] = tables.interpolate(x_new[inside])
         outside = np.flatnonzero(~inside)
         if outside.size:
-            pred[outside] = _kernel_average(
-                x_new[outside], self.x_train, self.kind, self.bandwidths, self.beta, outside
-            )
+            pred[outside] = _kernel_average(x_new[outside], self._weights, self.beta, outside)
         return pred
 
 

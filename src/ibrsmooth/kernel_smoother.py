@@ -86,9 +86,10 @@ _MAX_EXPANSIONS = 10
 _LOG_XTOL = 1e-12
 _MAX_STEPS = 100
 _LN10 = math.log(10.0)
-# kernel_predict builds the weights of new rows in blocks of about this many
-# bytes: the two block buffers stay in cache and under the size at which
-# numpy asks for huge pages
+# pairwise values against the design (kernel weights, the spline's radial
+# basis) are built in blocks of new rows of about this many bytes: the two
+# block buffers stay in cache and under the size at which numpy asks for
+# huge pages
 _PREDICT_BLOCK_BYTES = 1 << 18
 # a Gaussian design takes the truncated factor route (module docstring)
 # while its factor has at most n / _FACTOR_RANK_GATE columns P. Uniform
@@ -99,6 +100,7 @@ _PREDICT_BLOCK_BYTES = 1 << 18
 # n = 1500); 1.99 at P = n
 _FACTOR_RANK_GATE = 2
 _EPS = float(np.finfo(float).eps)
+_GAUSSIAN_K0 = float(kernel_values(np.zeros(1), "gaussian")[0])
 # a one-column Gaussian trace goes through a Chebyshev factor of
 # _FACTOR_NODES nodes, doubled until the node kernel's trailing Chebyshev
 # coefficients fall below _FACTOR_TAIL of its largest; once _FACTOR_GATE
@@ -150,35 +152,113 @@ class KernelSmootherSpec:
         return is_positive_definite(self.kind)
 
 
-def product_kernel(
-    x_new: np.ndarray,
-    x: np.ndarray,
-    kind: str,
-    bandwidths,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Product-kernel weights prod_k K((x_new_ik - x_jk) / h_k).
+def _squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """|a_i - b_j|^2 into ``out`` (rows of a by rows of b), the squared gaps
+    added up one column at a time, in column order, through ``scratch`` of
+    the same shape: no rows x rows x d difference tensor is formed."""
+    np.subtract.outer(a[:, 0], b[:, 0], out=out)
+    out *= out
+    for j in range(1, a.shape[1]):
+        np.subtract.outer(a[:, j], b[:, j], out=scratch)
+        scratch *= scratch
+        out += scratch
+    return out
 
-    One row per row of ``x_new``, one column per row of ``x``. The result is
-    built in place in one output array plus, for several columns, one
-    scratch array of the same shape, however many columns there are. Both
-    are new arrays unless given.
+
+def _pairwise_blocks(a: np.ndarray, b: np.ndarray, fill, out=None):
+    """Yield (rows, block) for slices ``rows`` of the rows of ``a``, each
+    block (rows of a by rows of b) filled by ``fill(rows, block, scratch)``
+    with one block-shaped scratch buffer. A block holds about
+    ``_PREDICT_BLOCK_BYTES`` in whole eight-row groups, and is ``out[rows]``
+    when ``out`` is given, else one buffer that the next block overwrites."""
+    m, n = a.shape[0], b.shape[0]
+    step = max(1, min(m, max(8, _PREDICT_BLOCK_BYTES // (8 * n) // 8 * 8)))
+    buf = _cache_aligned((step, n)) if out is None else out
+    scratch = _cache_aligned((step, n))
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
+        block = buf[rows] if out is not None else buf[: rows.stop - start]
+        fill(rows, block, scratch[: rows.stop - start])
+        yield rows, block
+
+
+def _cache_aligned(shape) -> np.ndarray:
+    """An empty C-ordered float array starting on a 64-byte cache line.
+
+    malloc aligns to 16 bytes only, so a plain block buffer starts at one of
+    four places in its cache line, set by the heap's state, which differs
+    from one fit and one process to the next: 500-row predicts of the
+    900-point spline ran 6% slower with both block buffers 32 bytes into a
+    line and 13-14% slower at 16 or 48 (one BLAS thread).
     """
-    shape = (x_new.shape[0], x.shape[0])
-    if out is None:
-        out = np.empty(shape)
-    if x.shape[1] == 1:
-        scratch = out
-    elif scratch is None:
-        scratch = np.empty(shape)
-    for j, h in enumerate(bandwidths):
-        buf = out if j == 0 else scratch
-        np.subtract(x_new[:, j, None], x[None, :, j], out=buf)
-        buf /= h
-        kernel_values(buf, kind, out=buf)
-        if j:
-            out *= buf
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + size].reshape(shape)
+
+
+def _fill(blocks) -> None:
+    """Run a block generator given an ``out`` array to its end, keeping no
+    reference to its last block."""
+    for _ in blocks:
+        pass
+
+
+class _KernelRows:
+    """Product-kernel weights of new rows against a fixed design ``x``, a
+    block of rows at a time (:func:`_pairwise_blocks`).
+
+    A Gaussian block takes one ``exp`` per pair. The design is centred on
+    its box and scaled by sqrt(1/2) / h_k once, when this is built, and the
+    new rows the same way once per call, so a block's squared distances
+    are the negated exponent sum_k u_k^2 / 2 and one constant K(0)^d
+    follows the ``exp``. Centring keeps a design far from the origin from
+    losing accuracy to the scaling. The compact kernels multiply the
+    columns' :func:`~ibrsmooth.kernels.kernel_values` together, one column
+    at a time.
+    """
+
+    def __init__(self, x: np.ndarray, kind: str, bandwidths):
+        self.x, self.kind, self.bandwidths = x, kind, bandwidths
+        if kind == "gaussian":
+            self.centre = _unit_box(x)[0]
+            self.scale = math.sqrt(0.5) / np.asarray(bandwidths, dtype=float)
+            self.scaled = (x - self.centre) * self.scale
+            self.k0 = _GAUSSIAN_K0 ** x.shape[1]
+
+    def blocks(self, x_new: np.ndarray, out=None):
+        """Yield (rows, w), the weights of the rows ``rows`` of ``x_new``,
+        written into ``out[rows]`` when ``out`` is given."""
+        x, bandwidths, kind = self.x, self.bandwidths, self.kind
+        if kind == "gaussian":
+            a, b = (x_new - self.centre) * self.scale, self.scaled
+
+            def fill(rows, w, scratch):
+                _squared_distances(a[rows], b, w, scratch)
+                np.negative(w, out=w)
+                np.exp(w, out=w)
+                w *= self.k0
+
+        else:
+
+            def fill(rows, w, scratch):
+                for j, h in enumerate(bandwidths):
+                    col = w if j == 0 else scratch
+                    np.subtract.outer(x_new[rows, j], x[:, j], out=col)
+                    col /= h
+                    kernel_values(col, kind, out=col)
+                    if j:
+                        w *= col
+
+        return _pairwise_blocks(x_new, x, fill, out)
+
+
+def product_kernel(x_new: np.ndarray, x: np.ndarray, kind: str, bandwidths) -> np.ndarray:
+    """Product-kernel weights prod_k K((x_new_ik - x_jk) / h_k), one row per
+    row of ``x_new`` and one column per row of ``x``, built a block of rows at
+    a time (:class:`_KernelRows`) in one new array and one block of scratch."""
+    out = np.empty((x_new.shape[0], x.shape[0]))
+    _fill(_KernelRows(x, kind, bandwidths).blocks(x_new, out))
     return out
 
 
@@ -210,32 +290,23 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     if x_new.shape[1] != x.shape[1]:
         raise ValueError(f"expected {x.shape[1]} columns, got {x_new.shape[1]}")
-    return _kernel_average(x_new, x, kind, bandwidths, beta)
+    return _kernel_average(x_new, _KernelRows(x, kind, bandwidths), beta)
 
 
-def _kernel_average(x_new, x, kind, bandwidths, beta, labels=None) -> np.ndarray:
-    """:func:`kernel_predict` on checked rows; a dead row is named by its
-    entry in ``labels`` (its row number when None)."""
-    m, n = x_new.shape[0], x.shape[0]
-    rows = max(1, min(m, max(8, _PREDICT_BLOCK_BYTES // (8 * n) // 8 * 8)))
-    out_buf = np.empty((rows, n))
-    scratch_buf = np.empty((rows, n))
-    pred = np.empty((m,) + beta.shape[1:])
+def _kernel_average(x_new, weights: _KernelRows, beta, labels=None) -> np.ndarray:
+    """:func:`kernel_predict` on checked rows, with the design's ``weights``;
+    a dead row is named by its entry in ``labels`` (its row number when None)."""
+    pred = np.empty((x_new.shape[0],) + beta.shape[1:])
     dead = []
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        w = product_kernel(
-            x_new[start:stop], x, kind, bandwidths,
-            out_buf[: stop - start], scratch_buf[: stop - start],
-        )
+    for rows, w in weights.blocks(x_new):
         sums = w.sum(axis=1)
         dead_here = np.nonzero(sums <= 0)[0]
         if dead_here.size:
-            dead.extend((start + dead_here).tolist())
+            dead.extend((rows.start + dead_here).tolist())
             continue
         # transposed, the row sums broadcast along the last axis of an
         # (rows, c) block; a vector is its own transpose
-        np.divide((w @ beta).T, sums, out=pred[start:stop].T)
+        np.divide((w @ beta).T, sums, out=pred[rows].T)
     if dead:
         if labels is not None:
             dead = np.asarray(labels)[dead].tolist()
@@ -343,17 +414,8 @@ class KernelSmoother(BaseSmoother):
     @property
     def kmat(self) -> np.ndarray:
         """The n x n Gram matrix K, built a block of rows at a time."""
-        x, n = self.design.x, self.n
-        kmat = np.empty((n, n))
-        rows = max(1, _PREDICT_BLOCK_BYTES // (8 * n))
-        scratch = np.empty((rows, n))
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            product_kernel(
-                x[start:stop], x, self.spec.kind, self.spec.bandwidths,
-                kmat[start:stop], scratch[: stop - start],
-            )
-        return kmat
+        x = self.design.x
+        return product_kernel(x, x, self.spec.kind, self.spec.bandwidths)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -458,7 +520,7 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     # a constant column maps onto 0, where one node interpolates to 1 exactly
     t = (x - centre) / np.where(half > 0.0, half, 1.0)
     lefts = [_chebyshev_factor(t[:, j], p) for j, (p, _, _) in enumerate(nodes)]
-    k0 = float(kernel_values(np.zeros(1), "gaussian")[0])
+    k0 = _GAUSSIAN_K0
     sums = _interpolate(lefts, _node_table(lefts, kernels=[kc for _, kc, _ in nodes]))
     sums *= k0 ** len(nodes)
     blocks = [math.sqrt(k0) * (left @ root) for left, (_, _, root) in zip(lefts, nodes)]
@@ -764,6 +826,9 @@ def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
     sums = left.sum(axis=1, keepdims=True)
     # a row with an infinite weight sits on a node
     on_node = ~np.isfinite(sums[:, 0])
+    if not on_node.any():
+        left /= sums
+        return left
     sums[on_node] = 1.0
     left /= sums
     left[on_node] = t[on_node, None] == nodes

@@ -22,7 +22,13 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
 from scipy.special import gamma as gamma_fn
 
-from .kernel_smoother import CalibrationError, _log_newton_root
+from .kernel_smoother import (
+    CalibrationError,
+    _fill,
+    _log_newton_root,
+    _pairwise_blocks,
+    _squared_distances,
+)
 from .smoothers import (
     BaseSmoother,
     DesignMatrix,
@@ -43,6 +49,8 @@ __all__ = [
 
 # largest miss of the trace target that a calibrated penalty may leave
 _TRACE_TOL = 1e-4
+# phi takes log(max(s, _TINY)) for even d, so s = 0 gives s log(_TINY) = 0
+_TINY = float(np.finfo(float).tiny)
 
 
 def default_tps_order(d: int) -> int:
@@ -77,12 +85,14 @@ class TpsSpec:
 
 
 def _radial_constant(order: int, d: int) -> float:
-    """Leading constant of the polyharmonic radial basis (Duchon/Wahba)."""
+    """kappa with eta(r) = kappa phi(r^2) (:func:`_radial_blocks`): the
+    leading constant c of the polyharmonic radial basis (Duchon/Wahba),
+    halved for even d, where log r = log(r^2) / 2."""
     nu = order
     if d % 2 == 0:
         sign = (-1.0) ** (d // 2 + nu + 1)
         return sign / (
-            2.0 ** (2 * nu - 1)
+            2.0 ** (2 * nu)
             * math.pi ** (d / 2)
             * math.factorial(nu - 1)
             * math.factorial(nu - d // 2)
@@ -90,17 +100,6 @@ def _radial_constant(order: int, d: int) -> float:
     return float(gamma_fn(d / 2.0 - nu)) / (
         2.0 ** (2 * nu) * math.pi ** (d / 2) * math.factorial(nu - 1)
     )
-
-
-def _radial_values(r: np.ndarray, order: int, d: int) -> np.ndarray:
-    """eta(r) with the removable singularity at r = 0 set to its limit 0."""
-    out = r ** (2 * order - d)
-    out *= _radial_constant(order, d)
-    if d % 2 == 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out *= np.log(r)
-    out[r == 0.0] = 0.0
-    return out
 
 
 def _poly_powers(order: int, d: int) -> list[tuple[int, ...]]:
@@ -120,19 +119,46 @@ def _poly_block(x: np.ndarray, powers: list[tuple[int, ...]]) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of a and the rows of b.
+def _radial_blocks(a, b, order: int, scale: float = 1.0, out=None, distinct: bool = False):
+    """:func:`~ibrsmooth.kernel_smoother._pairwise_blocks` of
+    ``scale`` phi(|a_i - b_j|^2).
 
-    The squared gaps are added up one column at a time, in column order, so
-    no rows x rows x d difference tensor is formed.
+    phi comes straight from the squared distance s: phi(s) =
+    s^(order - d/2) log s for even d, with no root, and s^(order - d/2) for
+    odd d, with one, so eta(r) = kappa phi(r^2) with kappa from
+    :func:`_radial_constant`, and phi(0) = 0, its limit. With ``distinct``,
+    a and b are the same design rows and a zero distance off the diagonal
+    raises ValueError naming the first such pair.
     """
-    out = np.zeros((a.shape[0], b.shape[0]))
-    gap = np.empty_like(out)
-    for j in range(a.shape[1]):
-        np.subtract.outer(a[:, j], b[:, j], out=gap)
-        gap *= gap
-        out += gap
-    return np.sqrt(out, out=out)
+    power, odd = divmod(2 * order - a.shape[1], 2)
+
+    def fill(rows, r2, scratch):
+        _squared_distances(a[rows], b, r2, scratch)
+        if distinct:
+            diagonal = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
+            r2[diagonal] = np.inf
+            if r2.min() <= 0.0:
+                i, j = divmod(int(np.argmin(r2)), r2.shape[1])
+                raise ValueError(
+                    f"duplicate design points at rows {rows.start + i} and {j}; "
+                    "thin-plate splines need distinct points"
+                )
+            r2[diagonal] = 0.0
+        if odd and not power:
+            np.sqrt(r2, out=r2)
+        else:
+            factor = (
+                np.sqrt(r2, out=scratch)
+                if odd
+                else np.log(np.maximum(r2, _TINY, out=scratch), out=scratch)
+            )
+            if power > 1:
+                r2 **= power
+            r2 *= factor
+        if scale != 1.0:
+            r2 *= scale
+
+    return _pairwise_blocks(a, b, fill, out)
 
 
 def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.ndarray:
@@ -141,14 +167,19 @@ def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.nda
     ``a`` has one row per training point x_i and ``b`` one per monomial of
     ``powers``, each with one column per evaluated function or none: the
     pair :meth:`TpsSmoother.prediction_parts` solves for a coefficient
-    vector, or a fit's saved (delta, poly) coefficients.
+    vector, or a fit's saved (delta, poly) coefficients. The radial part is
+    added a block of rows at a time (:func:`_radial_blocks`), so a call
+    holds no rows x n array, with kappa folded into ``a``.
     """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     d = x_train.shape[1]
     if x_new.shape[1] != d:
         raise ValueError(f"expected {d} columns, got {x_new.shape[1]}")
-    eta = _radial_values(_distances(x_new, x_train), order, d)
-    return eta @ a + _poly_block(x_new, powers) @ b
+    pred = _poly_block(x_new, powers) @ b
+    a = _radial_constant(order, d) * a
+    for rows, block in _radial_blocks(x_new, x_train, order):
+        pred[rows] += block @ a
+    return pred
 
 
 def _reflect(trans: str, qr: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -209,14 +240,16 @@ class _TpsCore(FactoredBasis):
     :meth:`t_dot`) are reflector passes and one product with W, O(n^2) per
     vector; :meth:`dense` forms U only when a consumer asks for the block.
 
-    The distances and E cost O(d n^2), the QR O(m^2 n), Q' E Q two
+    E costs O(d n^2), filled in place a block of rows at a time from the
+    squared distances (:func:`_radial_blocks`), the QR O(m^2 n), Q' E Q two
     reflector passes over E at O(m n^2), the reduction 4/3 n^3 flops and
     dstedc at most as much; a dense eigh's 2 n^3 back-transformation Q_t W
     is skipped. ``theta`` descends while the columns of W ascend. Of E the
     geometry keeps only the m x (n - m) block q1' E q2 that
     :meth:`TpsSmoother.prediction_parts` needs, so it holds two
-    (n - m)-square arrays, the dsytrd reflectors and W, and the build peaks
-    at three n x n arrays.
+    (n - m)-square arrays, the dsytrd reflectors and W. The build peaks at
+    three n x n arrays, in the eigensolver (the reduced block, W and
+    dstevd's workspace); E and its projection take at most two.
     """
 
     def __init__(self, design: DesignMatrix, order: int):
@@ -232,17 +265,9 @@ class _TpsCore(FactoredBasis):
                 f"need more than {m} rows for a thin-plate spline of "
                 f"order {order} in {d} variables, got {n}"
             )
-        r = _distances(design.x, design.x)
-        np.fill_diagonal(r, np.inf)
-        if r.min() <= 0.0:
-            i, j = divmod(int(np.argmin(r)), n)
-            raise ValueError(
-                f"duplicate design points at rows {i} and {j}; "
-                "thin-plate splines need distinct points"
-            )
-        np.fill_diagonal(r, 0.0)
-        e = _radial_values(r, order, d)
-        del r
+        e = np.empty((n, n))
+        kappa = _radial_constant(order, d)
+        _fill(_radial_blocks(design.x, design.x, order, kappa, e, distinct=True))
         self.powers = _poly_powers(order, d)
         qr, tau = _householder_qr(_poly_block(design.x, self.powers))
         self.r = np.triu(qr[:m])
@@ -362,9 +387,11 @@ class TpsSmoother(BaseSmoother):
         """
         c, m = self.core, self.core.m
         x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+        kappa = _radial_constant(self.spec.order, self.d)
         scale = np.concatenate([np.zeros(m), 1.0 / (c.theta + self.n * self.spec.lam)])
-        eta = _radial_values(_distances(x_new, self.design.x), self.spec.order, self.d)
-        radial = c.t_dot(eta.T).T * scale
+        phi = np.empty((x_new.shape[0], self.n))
+        _fill(_radial_blocks(x_new, self.design.x, self.spec.order, out=phi))
+        radial = c.t_dot(phi.T).T * (kappa * scale)
         poly = np.zeros((m, self.n))
         poly[:, :m] = np.eye(m)
         poly[:, m:] = -c._tail_t(c._cross.T.copy()).T * scale[m:]

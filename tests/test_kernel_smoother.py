@@ -199,6 +199,19 @@ def _record_factors(monkeypatch):
     return built
 
 
+def test_chebyshev_factor_gives_a_point_on_a_node_its_unit_row():
+    """A point exactly on a node interpolates by that node alone; the rows
+    around it keep the barycentric weights of a batch with no such point."""
+    nodes = kernel_smoother._chebyshev_nodes(16)[0]
+    t = np.array([0.3, nodes[5], -0.7, nodes[0]])
+    left = kernel_smoother._chebyshev_factor(t, 16)
+    assert np.array_equal(left[1], np.eye(16)[5])
+    assert np.array_equal(left[3], np.eye(16)[0])
+    off = kernel_smoother._chebyshev_factor(t[[0, 2]], 16)
+    assert np.array_equal(left[[0, 2]], off)
+    np.testing.assert_allclose(off.sum(axis=1), 1.0, rtol=1e-14)
+
+
 @pytest.mark.parametrize("n", [330, 1500])
 @pytest.mark.parametrize("dist", ["uniform", "normal", "lognormal"])
 def test_chebyshev_factor_matches_exact_trace(monkeypatch, n, dist):
@@ -316,15 +329,43 @@ def test_uniform_kernel_unreachable_target_names_the_fix():
 
 @pytest.mark.parametrize("kind", ["gaussian", "triangle", "quartic", "epanechnikov", "uniform"])
 def test_product_kernel_matches_columnwise_product(rng, kind):
-    """The in-place basis gives the same bits as multiplying freshly
-    evaluated kernel columns into a matrix of ones."""
+    """A compact kernel's in-place basis gives the same bits as multiplying
+    freshly evaluated kernel columns into a matrix of ones. The Gaussian
+    takes one exp per pair: it gives the bits of a broadcast reference of
+    that formula (columns centred on the training box and scaled by
+    sqrt(1/2) / h once, squared gaps summed in column order, exp of the
+    negated sum, times K(0)^3), and the columnwise product to 1e-14 of
+    each weight."""
     x = rng.uniform(size=(25, 3))
     x_new = rng.uniform(size=(7, 3))
     h = (0.4, 0.7, 0.55)
     expected = np.ones((7, 25))
     for j in range(3):
         expected *= kernel_values((x_new[:, j, None] - x[None, :, j]) / h[j], kind)
-    assert np.array_equal(kernel_smoother.product_kernel(x_new, x, kind, h), expected)
+    got = kernel_smoother.product_kernel(x_new, x, kind, h)
+    if kind != "gaussian":
+        assert np.array_equal(got, expected)
+        return
+    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+    centre = 0.5 * x.max(axis=0) + 0.5 * x.min(axis=0)
+    scale = np.sqrt(0.5) / np.asarray(h)
+    a, b = (x_new - centre) * scale, (x - centre) * scale
+    k0 = kernel_values(np.zeros(1), kind)[0] ** 3
+    assert np.array_equal(got, np.exp(-(((a[:, None] - b[None]) ** 2).sum(2))) * k0)
+
+
+def test_gaussian_weights_ignore_a_shift_of_the_design(rng):
+    """The Gaussian centres both point sets on the training box before it
+    scales them, so a shift far from the origin costs no accuracy: on
+    dyadic points, which a shift by 2^20 moves exactly, the weights keep
+    their bits (scaled before centring, they lose about 1e-11 of each
+    weight at a shift of 1e4)."""
+    x = rng.integers(0, 64, size=(40, 2)) / 64.0
+    x_new = rng.integers(0, 64, size=(9, 2)) / 64.0
+    h = (0.3, 0.2)
+    want = kernel_smoother.product_kernel(x_new, x, "gaussian", h)
+    got = kernel_smoother.product_kernel(x_new + 2.0**20, x + 2.0**20, "gaussian", h)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "triangle"])
@@ -345,6 +386,24 @@ def test_blocked_prediction_matches_full_weights(rng, monkeypatch, kind):
     got = kernel_smoother.kernel_predict(x_new, x, kind, h, coefs)
     np.testing.assert_allclose(got, (w @ coefs) / sums[:, None], rtol=1e-13, atol=0)
     assert kernel_smoother.kernel_predict(x_new[:0], x, kind, h, coefs).shape == (0, 3)
+
+
+def test_block_buffers_start_on_a_cache_line(rng):
+    """The reused block and its scratch start on 64-byte boundaries, which
+    malloc's 16-byte alignment leaves to the heap's state."""
+    x, x_new = rng.uniform(size=(30, 2)), rng.uniform(size=(21, 2))
+    seen = []
+
+    def fill(rows, block, scratch):
+        seen.append((block.ctypes.data % 64, scratch.ctypes.data % 64))
+        block.fill(0.0)
+
+    for shape in [(1,), (3, 5), (16, 30)]:
+        buf = kernel_smoother._cache_aligned(shape)
+        assert buf.shape == shape and buf.flags.c_contiguous
+        assert buf.ctypes.data % 64 == 0
+    kernel_smoother._fill(kernel_smoother._pairwise_blocks(x_new, x, fill))
+    assert seen == [(0, 0)]
 
 
 def test_evaluate_at_training_rows_is_the_matrix(rng):

@@ -24,9 +24,11 @@ from ibrsmooth import (
     tps_null_dim,
 )
 from ibrsmooth.selection import _K_TOL
-from ibrsmooth.tps import _TpsCore, _distances, _poly_block, _radial_values
+from ibrsmooth import kernel_smoother
+from ibrsmooth.kernel_smoother import _squared_distances
+from ibrsmooth.tps import _TpsCore, _poly_block, tps_evaluate
 
-from conftest import random_design
+from conftest import radial_block, random_design
 
 
 def grid_design(n_axis=10):
@@ -52,20 +54,33 @@ def test_null_dims():
     assert tps_null_dim(3, 2) == 6
 
 
+def at_squared_distances(s, d, order=2):
+    """eta at squared distances s, between the origin and points on the
+    first axis (s holds exact squares, so the points meet them exactly)."""
+    b = np.zeros((len(s), d))
+    b[:, 0] = np.sqrt(s)
+    return radial_block(np.zeros((1, d)), b, order)[0]
+
+
 def test_radial_closed_forms():
-    r = np.array([0.5, 1.0, 2.0])
+    s = np.array([0.25, 1.0, 4.0])
+    r = np.sqrt(s)
     # d = 1, order 2: r^3 / 12
-    assert np.allclose(_radial_values(r, 2, 1), r**3 / 12.0, rtol=1e-12)
+    assert np.allclose(at_squared_distances(s, 1), r**3 / 12.0, rtol=1e-12)
     # d = 2, order 2: r^2 log r / (8 pi)
     assert np.allclose(
-        _radial_values(r, 2, 2), r**2 * np.log(r) / (8.0 * np.pi), rtol=1e-12
+        at_squared_distances(s, 2), r**2 * np.log(r) / (8.0 * np.pi), rtol=1e-12
     )
     # d = 3, order 2: -r / (8 pi)
-    assert np.allclose(_radial_values(r, 2, 3), -r / (8.0 * np.pi), rtol=1e-12)
+    assert np.allclose(at_squared_distances(s, 3), -r / (8.0 * np.pi), rtol=1e-12)
+    # d = 2, order 3: -r^4 log r / (128 pi), a power of r^2 above one
+    assert np.allclose(
+        at_squared_distances(s, 2, 3), -(r**4) * np.log(r) / (128.0 * np.pi), rtol=1e-12
+    )
 
 
 def test_radial_zero_distance_is_zero():
-    out = _radial_values(np.array([0.0, 1.0]), 2, 2)
+    out = at_squared_distances(np.array([0.0, 1.0]), 2)
     assert out[0] == 0.0
     assert np.isfinite(out).all()
 
@@ -175,6 +190,18 @@ def test_duplicate_rows_are_reported():
     assert "rows 0 and 2" in str(err.value)
 
 
+def test_radial_block_filled_in_row_blocks(monkeypatch):
+    """E filled 8 rows at a time has the bits of one block, and a duplicate
+    pair met in a later block is named by its rows."""
+    x = np.random.default_rng(7).uniform(size=(30, 2))
+    whole = _TpsCore(DesignMatrix.from_array(x), 2)
+    monkeypatch.setattr(kernel_smoother, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
+    assert np.array_equal(_TpsCore(DesignMatrix.from_array(x), 2).theta, whole.theta)
+    x[19] = x[11]
+    with pytest.raises(ValueError, match="rows 11 and 19"):
+        _TpsCore(DesignMatrix.from_array(x), 2)
+
+
 def test_collinear_design_is_rejected():
     rng = np.random.default_rng(0)
     x1 = rng.normal(size=10)
@@ -222,10 +249,27 @@ def test_describe_mentions_family_and_df(rng):
 def test_distances_match_broadcast_reference(rng, d, rows):
     a = rng.normal(size=(rows, d))
     b = rng.normal(size=(11, d))
-    ref = np.sqrt(((a[:, None] - b[None]) ** 2).sum(2))
-    got = _distances(a, b)
+    ref = ((a[:, None] - b[None]) ** 2).sum(2)
+    got = _squared_distances(a, b, np.empty((rows, 11)), np.empty((rows, 11)))
     assert got.shape == (rows, 11)
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+def test_blocked_spline_prediction_matches_one_block(rng, monkeypatch, columns):
+    """Row blocks of 8 over 21 rows (8 + 8 + 5) give the answer of one
+    product over the whole radial block, for a coefficient vector and for
+    an (n, 3) block of them."""
+    monkeypatch.setattr(kernel_smoother, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
+    sm = build_calibrated_tps(rng.uniform(size=(30, 2)), df_multiplier=1.3)
+    x, powers = sm.design.x, sm.core.powers
+    x_new = rng.uniform(size=(21, 2))
+    shape = (30,) if columns is None else (30, columns)
+    a, b = rng.normal(size=shape), rng.normal(size=(sm.core.m,) + shape[1:])
+    got = tps_evaluate(x_new, x, 2, powers, a, b)
+    want = radial_block(x_new, x, 2) @ a + _poly_block(x_new, powers) @ b
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert tps_evaluate(x_new[:0], x, 2, powers, a, b).shape == (0,) + shape[1:]
 
 
 @pytest.mark.parametrize("seed,n,d", [(3, 40, 2), (4, 60, 3)])
@@ -236,7 +280,7 @@ def test_householder_core_matches_full_q(seed, n, d):
     core, m = sm.core, sm.core.m
     q, _ = qr(_poly_block(x, core.powers), mode="full")
     q1, q2 = q[:, :m], q[:, m:]
-    e = _radial_values(_distances(x, x), core.order, d)
+    e = radial_block(x, x, core.order)
     b = q2.T @ e @ q2
     theta, v = np.linalg.eigh((b + b.T) / 2.0)
     theta, g2 = np.maximum(theta[::-1], 0.0), q2 @ v[:, ::-1]

@@ -6,9 +6,9 @@ import pytest
 
 from ibrsmooth import KPath, build_calibrated_tps, iterate_fitted_recursive
 from ibrsmooth.smoothers import FactoredBasis
-from ibrsmooth.tps import _distances, _projected_blocks, _radial_values
+from ibrsmooth.tps import _projected_blocks
 
-from conftest import random_design
+from conftest import radial_block, random_design
 
 
 def calibrated(seed, n, d, mult=1.2):
@@ -20,7 +20,7 @@ def test_spectrum_matches_dense_eigh_on_the_same_block(seed, n, d):
     core = calibrated(seed, n, d).core
     x = core.design.x
     # the block the core reduced, rebuilt: E is not kept
-    e = _radial_values(_distances(x, x), core.order, d)
+    e = radial_block(x, x, core.order)
     theta = np.linalg.eigh(_projected_blocks(e, *core._null, core.m)[0])[0]
     ref = np.maximum(theta[::-1], 0.0)
     np.testing.assert_allclose(core.theta, ref, rtol=0, atol=1e-13 * ref.max())

@@ -49,10 +49,13 @@ class CvPlan:
             raise ValueError(f"split type must be one of {_SPLIT_TYPES}, got {self.type!r}")
         for name in ("kfold", "npermut", "ntest", "ntrain"):
             value = getattr(self, name)
-            # None leaves a size unset; kfold True and False are not counts
-            if value is None or isinstance(value, bool):
+            # None leaves a size unset; kfold True and False are not counts,
+            # and no other field gives a boolean a meaning
+            if value is None or (name == "kfold" and isinstance(value, bool)):
                 continue
-            if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and float(value).is_integer()
+            ):
                 raise ValueError(f"{name} must be a whole number, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.npermut < 1:
@@ -144,13 +147,10 @@ class _FoldScorer:
         # predictions of a row of counts: (factors * z) (W G)'
         self._zp = (self.projector * self.kpath.z).T
 
-    def batch_errors(self, ks: np.ndarray) -> np.ndarray:
-        """One row of held-out errors per count of a vector of real counts."""
+    def batch_errors(self, ks: range | np.ndarray) -> np.ndarray:
+        """One row of held-out errors per count of ks, a vector of real counts
+        or a ``range`` of consecutive integers."""
         return self.kpath.batch_coef_factors(ks) @ self._zp - self.y_test
-
-    def block_errors(self, ks: np.ndarray) -> np.ndarray:
-        """One row of held-out errors per count of a block of consecutive integers."""
-        return self.kpath.block_coef_factors(ks) @ self._zp - self.y_test
 
 
 def _pooled_loss(errors: np.ndarray, loss: str):
@@ -175,11 +175,8 @@ class _CvScore:
         self.real_k_ok = all(f.kpath.spectral.real_k_ok for f in folds)
         self.rows = min(f.kpath.sweep_rows for f in folds)
 
-    def batch(self, ks: np.ndarray):
+    def batch(self, ks: range | np.ndarray):
         return self._loss([f.batch_errors(ks) for f in self.folds])
-
-    def block(self, ks: np.ndarray):
-        return self._loss([f.block_errors(ks) for f in self.folds])
 
     def _loss(self, fold_errors: list[np.ndarray]):
         """(loss, nan, nan) rows from every fold's rows of held-out errors."""

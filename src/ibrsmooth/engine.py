@@ -41,28 +41,6 @@ def _is_integer(k: float) -> bool:
     return abs(k - round(k)) < 1e-9
 
 
-def _check_k(k: float) -> float:
-    k = float(k)
-    if not np.isfinite(k) or k < 0:
-        raise ValueError(f"iteration count must be a finite number >= 0, got {k}")
-    return k
-
-
-def _coef_factors(lam: np.ndarray, k, powers: np.ndarray) -> np.ndarray:
-    """Coefficient factors (1 - mu^k) / lambda from the powers mu^k.
-
-    ``k`` is a scalar with ``powers`` of shape (n,), or a column of counts
-    with one row of powers each; eigenvalues below ``_SERIES_EIGEN`` take
-    the series k (1 - (k - 1) lambda / 2).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (1.0 - powers) / lam
-    small = np.abs(lam) < _SERIES_EIGEN
-    if small.any():
-        out[..., small] = k * (1.0 - 0.5 * (k - 1.0) * lam[small])
-    return out
-
-
 class KPath:
     """Precomputed quantities for walking the iteration path of one fit.
 
@@ -77,10 +55,13 @@ class KPath:
     fitted values, their energy and the coefficients run over the r kept
     pairs. On a full form there is no t and no extra term.
 
-    df, rss and the fitted energy have one set of formulas, :meth:`_stats`,
-    on rows of powers (1 - lambda)^k: blocks of integer counts in
-    :meth:`block_stats`, any vector of real counts in :meth:`batch_stats`,
-    the single row of any real k in :meth:`stats`.
+    Every set of counts reaches the path through one function of power rows
+    (1 - lambda)^k, :meth:`_pow_rows`: a ``range`` of consecutive counts
+    takes its power recurrence, any other vector C ``pow``. df, rss and the
+    fitted energy have one set of formulas on those rows (:meth:`_stats`,
+    served by :meth:`batch_stats`) and the coefficient factors one
+    (:meth:`batch_coef_factors`); :meth:`stats`, :meth:`coef_factors` and
+    :meth:`weights` take the one row of a single count.
     """
 
     def __init__(self, spectral: SpectralForm, y: np.ndarray):
@@ -98,7 +79,7 @@ class KPath:
         self.z = z = spectral.ut_dot(y / spectral.d_half)
         # the weights of every norm of G v when H = I
         self._z2 = z * z
-        # (base, block, scratch) row buffers of integer sweeps, see _powers
+        # (base, block, scratch) row buffers of integer sweeps, see _pow_rows
         self._sweep = None
 
     @property
@@ -143,16 +124,6 @@ class KPath:
         """Counts per block of an integer sweep: about ``_SWEEP_BLOCK_BYTES`` of powers."""
         return max(1, _SWEEP_BLOCK_BYTES // (8 * self.lam.size))
 
-    def _mu_pow(self, k: float) -> np.ndarray:
-        """(1 - lambda)^k, valid for real k >= 0 or any integer k."""
-        k = _check_k(k)
-        if _is_integer(k):
-            # C pow handles a negative base with an integral exponent
-            with np.errstate(over="ignore"):
-                return np.power(self.mu, float(round(k)))
-        self._check_real_k()
-        return np.power(self._mu01, k)
-
     def _check_real_k(self) -> None:
         if not self.spectral.real_k_ok:
             raise IterationDomainError(
@@ -162,27 +133,51 @@ class KPath:
                 "exhaustive search or the residual recursion"
             )
 
-    def _pow_rows(self, ks: np.ndarray) -> np.ndarray:
-        """Rows P[j] = (1 - lambda)^ks[j] for a vector of real counts ks >= 0.
+    def _pow_rows(self, ks: range | np.ndarray):
+        """(counts, P, scratch): rows P[j] = (1 - lambda)^counts[j] for the
+        real counts ks >= 0, and scratch of P's shape or None.
 
-        Each row has the bits :meth:`_mu_pow` gives its count: the integer
+        A ``range`` of consecutive counts, the block an integer sweep asks
+        for, takes a recurrence: its rows are ``base * mu^ks[0]``, where
+        ``base`` holds mu^0 .. mu^(B-1), built by repeated multiplication on
+        the first block and kept for the next ones. Each block then costs one
+        C ``pow`` per eigenvalue and one multiply, and the rounding error of
+        a row is that of at most B products at every k, where chaining k
+        products would accumulate k of them. P and its scratch are reused
+        buffers that the next range overwrites.
+
+        Any other vector of counts takes one C ``pow`` per entry: the integer
         power of 1 - lambda for an integer count, the power of the clipped
-        base for a fractional one, which needs the spectrum in [0, 1].
+        base for a fractional one, which needs the spectrum in [0, 1]. An
+        integral exponent keeps a negative mu valid on both routes; powers
+        of |mu| > 1 overflow to inf.
         """
-        ks = np.asarray(ks, dtype=float)
-        if not 0.0 <= ks.min() <= ks.max() < np.inf:
+        run = isinstance(ks, range) and ks.step == 1
+        # np.asarray would walk a range in Python; a range's ends bound its counts
+        counts = np.arange(ks.start, ks.stop, dtype=float) if run else np.asarray(ks, dtype=float)
+        lo, hi = (ks.start, ks.stop - 1) if run else (counts.min(), counts.max())
+        if not 0.0 <= lo <= hi < np.inf:
             raise ValueError(f"iteration counts must be finite numbers >= 0, got {ks}")
-        whole = np.round(ks)
-        frac = np.abs(ks - whole) >= 1e-9
-        # C pow handles a negative base with an integral exponent
-        with np.errstate(over="ignore"):
+        m, r = counts.size, self.lam.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            if run:
+                if self._sweep is None or self._sweep[0].shape[0] < m:
+                    base = np.empty((m, r))
+                    base[0] = 1.0
+                    np.cumprod(np.broadcast_to(self.mu, (m - 1, r)), axis=0, out=base[1:])
+                    self._sweep = (base, np.empty_like(base), np.empty_like(base))
+                base, block, scratch = self._sweep
+                p = np.multiply(base[:m], np.power(self.mu, counts[0]), out=block[:m])
+                return counts, p, scratch[:m]
+            whole = np.round(counts)
+            frac = np.abs(counts - whole) >= 1e-9
             if not frac.any():
-                return np.power(self.mu, whole[:, None])
+                return counts, np.power(self.mu, whole[:, None]), None
             self._check_real_k()
-            p = np.power(self._mu01, ks[:, None])
+            p = np.power(self._mu01, counts[:, None])
             if not frac.all():
                 p[~frac] = np.power(self.mu, whole[~frac, None])
-        return p
+        return counts, p, None
 
     def _stats(self, p: np.ndarray, out: np.ndarray | None = None):
         """(df, rss, fitted_energy) arrays for power rows p[j] = (1 - lambda)^k_j.
@@ -206,20 +201,20 @@ class KPath:
         rest = self._rest
         return df, vhv if rest is None else vhv + (rest[0] + 2.0 * (p @ rest[1])), energy
 
-    def stats(self, k: float) -> tuple[float, float, float]:
-        """(df, rss, fitted_energy) at one count k: one power row."""
-        df, rss, energy = self._stats(self._mu_pow(k)[None])
-        return float(df[0]), float(rss[0]), float(energy[0])
+    def batch_stats(self, ks: range | np.ndarray):
+        """(df, rss, fitted_energy) arrays over the counts ks, a ``range`` or a
+        vector (:meth:`_pow_rows`): their power rows put through :meth:`_stats`."""
+        _, p, scratch = self._pow_rows(ks)
+        return self._stats(p, scratch)
 
-    def batch_stats(self, ks: np.ndarray):
-        """(df, rss, fitted_energy) arrays over a vector of real counts ks:
-        one power row per count put through :meth:`_stats`, as :meth:`stats`
-        puts the row of one count."""
-        return self._stats(self._pow_rows(ks))
+    def stats(self, k: float) -> tuple[float, float, float]:
+        """(df, rss, fitted_energy) at one count k: a one-row :meth:`batch_stats`."""
+        df, rss, energy = self.batch_stats([k])
+        return float(df[0]), float(rss[0]), float(energy[0])
 
     def weights(self, k: float) -> np.ndarray:
         """Per-eigenvalue shrinkage weights 1 - (1 - lambda)^k."""
-        return 1.0 - self._mu_pow(k)
+        return 1.0 - self._pow_rows([k])[1][0]
 
     def df(self, k: float) -> float:
         """tr(I - (I - S)^k), the sum of the weights; as :meth:`stats` without the norms."""
@@ -234,50 +229,25 @@ class KPath:
     def fitted_energy(self, k: float) -> float:
         return self.stats(k)[2]
 
+    def batch_coef_factors(self, ks: range | np.ndarray) -> np.ndarray:
+        """Rows of per-eigenvalue factors (1 - (1 - lambda)^k) / lambda over the
+        counts ks, taken as :meth:`batch_stats` takes them; eigenvalues below
+        ``_SERIES_EIGEN`` take the series k (1 - (k - 1) lambda / 2)."""
+        counts, p, _ = self._pow_rows(ks)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (1.0 - p) / self.lam
+        small = np.abs(self.lam) < _SERIES_EIGEN
+        if small.any():
+            k = counts[:, None]
+            out[:, small] = k * (1.0 - 0.5 * (k - 1.0) * self.lam[small])
+        return out
+
     def coef_factors(self, k: float) -> np.ndarray:
-        """Per-eigenvalue factor (1 - (1-l)^k) / l with series fallback."""
-        k = _check_k(k)
-        return _coef_factors(self.lam, k, self._mu_pow(k))
+        """The one row of :meth:`batch_coef_factors` at count k."""
+        return self.batch_coef_factors([k])[0]
 
     def coefficients(self, k: float) -> np.ndarray:
         return self._g_dot(self.coef_factors(k) * self.z)
-
-    def _powers(self, ks: np.ndarray) -> np.ndarray:
-        """Rows P[j, i] = (1 - lambda_i)^ks[j] for consecutive integer counts ks.
-
-        The rows are ``base * mu^ks[0]``: ``base`` holds mu^0 .. mu^(B-1),
-        built by repeated multiplication on the first block and kept for
-        the next ones, and each block costs one C ``pow`` per eigenvalue
-        (integral exponent, so a negative mu stays valid) and one multiply.
-        The rounding error of a row is that of at most B products at every
-        k, where chaining k products would accumulate k of them. P is one
-        reused buffer: the next block overwrites it. Powers of |mu| > 1
-        overflow; callers hold ``np.errstate(over="ignore", invalid="ignore")``.
-        """
-        m = ks.size
-        if self._sweep is None or self._sweep[0].shape[0] < m:
-            base = np.empty((m, self.lam.size))
-            base[0] = 1.0
-            np.cumprod(np.broadcast_to(self.mu, (m - 1, self.lam.size)), axis=0, out=base[1:])
-            self._sweep = (base, np.empty_like(base), np.empty_like(base))
-        base, block, _ = self._sweep
-        return np.multiply(base[:m], np.power(self.mu, float(ks[0])), out=block[:m])
-
-    def block_stats(self, ks: np.ndarray):
-        """(df, rss, fitted_energy) arrays over a block of consecutive integer
-        counts ks: its power rows put through :meth:`_stats`, as :meth:`stats`
-        puts one row, with one scratch block for every block of the sweep."""
-        p = self._powers(ks)
-        return self._stats(p, self._sweep[2][: ks.size])
-
-    def block_coef_factors(self, ks: np.ndarray) -> np.ndarray:
-        """Rows of :meth:`coef_factors` over a block of consecutive integer counts ks."""
-        return _coef_factors(self.lam, ks[:, None].astype(float), self._powers(ks))
-
-    def batch_coef_factors(self, ks: np.ndarray) -> np.ndarray:
-        """Rows of :meth:`coef_factors` over a vector of real counts ks."""
-        ks = np.asarray(ks, dtype=float)
-        return _coef_factors(self.lam, ks[:, None], self._pow_rows(ks))
 
 
 def iterate_fitted_recursive(smoother, y: np.ndarray, k: int) -> np.ndarray:

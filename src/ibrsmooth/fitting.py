@@ -28,7 +28,7 @@ from .selection import (
     search_k_exhaustive,
     search_k_numeric,
 )
-from .smoothers import BaseSmoother, DesignMatrix
+from .smoothers import BaseSmoother, DesignMatrix, _finite_rows
 from .tps import (
     TpsSmoother,
     TpsSpec,
@@ -101,20 +101,6 @@ def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
     return build_kernel_smoother(design, KernelSmootherSpec(kind=config.kernel, bandwidths=h))
 
 
-def _finite_rows(x_new, d: int) -> np.ndarray:
-    """New points as a 2-D float array of d columns, refusing any non-finite
-    entry. A 1-D array holds m points of a one-column fit, as ``fit`` reads
-    a 1-D x, and one row of any other fit."""
-    x_new = np.asarray(x_new, dtype=float)
-    x_new = x_new[:, None] if x_new.ndim == 1 and d == 1 else np.atleast_2d(x_new)
-    if not np.isfinite(x_new).all():
-        row = int(np.argmin(np.isfinite(x_new).all(axis=1)))
-        raise ValueError(f"prediction row {row} has non-finite values")
-    if x_new.shape[1] != d:
-        raise ValueError(f"expected {d} columns, got {x_new.shape[1]}")
-    return x_new
-
-
 @dataclass
 class KernelPredictor:
     """Everything needed to evaluate a kernel fit at new points.
@@ -170,8 +156,7 @@ class TpsPredictor:
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
         return tps_evaluate(
-            _finite_rows(x_new, self.x_train.shape[1]), self.x_train, self.order, self.powers,
-            self.delta, self.poly_coef,
+            x_new, self.x_train, self.order, self.powers, self.delta, self.poly_coef
         )
 
 

@@ -62,7 +62,14 @@ import numpy as np
 from scipy.fft import dctn
 
 from .kernels import is_positive_definite, kernel_slopes, kernel_values, resolve_kernel
-from .smoothers import BaseSmoother, DesignMatrix, SpectralForm, _apply_q, _householder_qr
+from .smoothers import (
+    BaseSmoother,
+    DesignMatrix,
+    SpectralForm,
+    _apply_q,
+    _finite_rows,
+    _householder_qr,
+)
 
 __all__ = [
     "CalibrationError",
@@ -283,13 +290,12 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     eps (|w| . |beta|) / (w . 1). Nor is the promise made across routes: a
     Gaussian :class:`ibrsmooth.fitting.KernelPredictor` may answer rows
     inside the training box from :class:`NodeTables`, equal to this route
-    to the rounding floor. Raises ValueError when ``x_new`` has the
-    wrong number of columns or a row outside the kernel support of every
-    design point.
+    to the rounding floor. ``x_new`` is read as the predictors read it
+    (a 1-D array holds points of a one-column design). Raises ValueError
+    when it has the wrong number of columns, a non-finite entry or a row
+    outside the kernel support of every design point.
     """
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-    if x_new.shape[1] != x.shape[1]:
-        raise ValueError(f"expected {x.shape[1]} columns, got {x_new.shape[1]}")
+    x_new = _finite_rows(x_new, x.shape[1])
     return _kernel_average(x_new, _KernelRows(x, kind, bandwidths), beta)
 
 

@@ -9,7 +9,10 @@ to the sweep because real k is undefined. The criterion score here walks
 the fit's :class:`~ibrsmooth.engine.KPath` and refuses any k whose
 effective degrees of freedom or residual sum of squares signal that the
 iteration has effectively reached interpolation; the cross-validation score
-lives in :mod:`ibrsmooth.crossval`.
+lives in :mod:`ibrsmooth.crossval`. A score takes every set of counts through
+one ``batch`` method: the numeric and bounded searches pass vectors of
+counts, the integer sweep a ``range`` per block, which the path walks by its
+power recurrence.
 """
 
 from __future__ import annotations
@@ -344,9 +347,9 @@ def _sweep(score, k_lo: int, k_hi: int) -> np.ndarray:
     exceeds ``score.df_stop``; only the blocks swept are held."""
     pieces = []
     for start in range(k_lo, k_hi + 1, score.rows):
-        ks = np.arange(start, min(start + score.rows, k_hi + 1))
-        value, df, rss = score.block(ks)
-        pieces.append(np.stack([ks, value, df, rss]))
+        ks = range(start, min(start + score.rows, k_hi + 1))
+        value, df, rss = score.batch(ks)
+        pieces.append(np.stack([np.arange(ks.start, ks.stop), value, df, rss]))
         if df[-1] > score.df_stop:
             break
     return np.concatenate(pieces, axis=1)
@@ -415,8 +418,9 @@ def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
 
     ``score`` scores the iteration count; non-finite values mark an
     inadmissible k. It provides ``batch(ks)`` -> (value, df, rss) arrays
-    over a vector of real counts, ``block(ks)`` -> the same over a block of
-    consecutive integer counts, ``real_k_ok`` (whether fractional k is defined),
+    over a vector of real counts or a ``range`` of consecutive integers (a
+    sweep block, which :meth:`~ibrsmooth.engine.KPath.batch_stats` walks
+    by its power recurrence), ``real_k_ok`` (whether fractional k is defined),
     ``upper(kmin, kmax)`` (the numeric upper end), ``rows`` (counts per
     sweep block), ``df_stop`` (the sweep ends after a block whose last df
     exceeds it), ``bound`` (None, or ``bound(rss(b), df(a))`` -> a lower
@@ -513,12 +517,8 @@ class _CriterionScore:
         value = _criterion_array(self.name, self.kpath.n, rss, df, energy)
         return np.where((df <= self.limit) & (rss > RSS_FLOOR) & np.isfinite(rss), value, np.inf)
 
-    def batch(self, ks: np.ndarray):
+    def batch(self, ks: range | np.ndarray):
         df, rss, energy = self.kpath.batch_stats(ks)
-        return self._value(df, rss, energy), df, rss
-
-    def block(self, ks: np.ndarray):
-        df, rss, energy = self.kpath.block_stats(ks)
         return self._value(df, rss, energy), df, rss
 
     def upper(self, kmin: float, kmax: float) -> float:

@@ -160,6 +160,20 @@ class SpectralForm:
         return (self.d_half[:, None] * core) / self.d_half[None, :]
 
 
+def _finite_rows(x_new, d: int) -> np.ndarray:
+    """New points as a 2-D float array of d columns, refusing any non-finite
+    entry. A 1-D array holds m points of a one-column fit, as ``fit`` reads
+    a 1-D x, and one row of any other fit."""
+    x_new = np.asarray(x_new, dtype=float)
+    x_new = x_new[:, None] if x_new.ndim == 1 and d == 1 else np.atleast_2d(x_new)
+    if not np.isfinite(x_new).all():
+        row = int(np.argmin(np.isfinite(x_new).all(axis=1)))
+        raise ValueError(f"prediction row {row} has non-finite values")
+    if x_new.shape[1] != d:
+        raise ValueError(f"expected {d} columns, got {x_new.shape[1]}")
+    return x_new
+
+
 class BaseSmoother(ABC):
     """Interface shared by the kernel and thin-plate-spline smoothers."""
 

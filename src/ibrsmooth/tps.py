@@ -35,6 +35,7 @@ from .smoothers import (
     FactoredBasis,
     SpectralForm,
     _apply_q,
+    _finite_rows,
     _householder_qr,
 )
 
@@ -169,12 +170,12 @@ def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.nda
     pair :meth:`TpsSmoother.prediction_parts` solves for a coefficient
     vector, or a fit's saved (delta, poly) coefficients. The radial part is
     added a block of rows at a time (:func:`_radial_blocks`), so a call
-    holds no rows x n array, with kappa folded into ``a``.
+    holds no rows x n array, with kappa folded into ``a``. ``x_new`` is read
+    as the predictors read it: a 1-D array holds points of a one-column
+    design, and a non-finite entry is refused.
     """
-    x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     d = x_train.shape[1]
-    if x_new.shape[1] != d:
-        raise ValueError(f"expected {d} columns, got {x_new.shape[1]}")
+    x_new = _finite_rows(x_new, d)
     pred = _poly_block(x_new, powers) @ b
     a = _radial_constant(order, d) * a
     for rows, block in _radial_blocks(x_new, x_train, order):
@@ -386,7 +387,7 @@ class TpsSmoother(BaseSmoother):
         polynomial part one pass over m columns.
         """
         c, m = self.core, self.core.m
-        x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+        x_new = _finite_rows(x_new, self.d)
         kappa = _radial_constant(self.spec.order, self.d)
         scale = np.concatenate([np.zeros(m), 1.0 / (c.theta + self.n * self.spec.lam)])
         phi = np.empty((x_new.shape[0], self.n))
@@ -440,7 +441,7 @@ def build_calibrated_tps(
     design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
     if order is None:
         order = default_tps_order(design.d)
-    if df_multiplier <= 1.0:
+    if not df_multiplier > 1.0:
         raise ValueError(f"df multiplier must exceed 1, got {df_multiplier}")
     core = _TpsCore(design, order)
     n = design.n

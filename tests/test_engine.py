@@ -167,19 +167,42 @@ def test_coef_factor_blocks_match_pointwise_with_series():
     spectral = SpectralForm(d_half=np.ones(3), u=q, lam=np.array([1.0, 0.5, 1e-15]))
     path = KPath(spectral, np.ones(3))
     for ks in _count_blocks(0, 9, 4):
-        block = path.block_coef_factors(ks)
+        # a range takes the power recurrence, a single count C pow
+        block = path.batch_coef_factors(ks)
         for k, row in zip(ks, block):
             np.testing.assert_allclose(row, path.coef_factors(k), rtol=1e-14)
+    assert path._sweep is not None
 
 
 def _count_blocks(k_lo, k_hi, rows):
-    """The integers k_lo .. k_hi in consecutive blocks of ``rows``."""
-    return [np.arange(a, min(a + rows, k_hi + 1)) for a in range(k_lo, k_hi + 1, rows)]
+    """The integers k_lo .. k_hi as ranges of ``rows`` consecutive counts."""
+    return [range(a, min(a + rows, k_hi + 1)) for a in range(k_lo, k_hi + 1, rows)]
 
 
 def _sweep(path, k_lo, k_hi, rows):
-    """(ks, df, rss, energy) of each block of a sweep over k_lo .. k_hi."""
-    return [(ks, *path.block_stats(ks)) for ks in _count_blocks(k_lo, k_hi, rows)]
+    """(ks, df, rss, energy) of each block of a sweep over k_lo .. k_hi, every
+    block a range of counts as the integer sweep passes it."""
+    return [(np.array(ks), *path.batch_stats(ks)) for ks in _count_blocks(k_lo, k_hi, rows)]
+
+
+@pytest.mark.parametrize("case", ["tps", "gaussian", "negative_mu", "truncated_gaussian"])
+def test_one_count_range_keeps_the_single_count_bits(case, rng):
+    """range(k, k + 1) takes the recurrence, k alone C pow: base row 1 times
+    mu^k is mu^k, so both give the same bits."""
+    spectral = _sweep_spectral(case, rng)
+    path = KPath(spectral, rng.normal(size=spectral.n))
+    for k in (0, 1, 2, 17, 4321):
+        assert [float(c[0]) for c in path.batch_stats(range(k, k + 1))] == list(path.stats(k))
+        row = path.batch_coef_factors(range(k, k + 1))[0]
+        np.testing.assert_array_equal(row, path.coef_factors(k))
+
+
+def test_counts_below_zero_are_refused_as_a_range_or_a_vector():
+    path = KPath(two_point_spectral(), Y_2)
+    for ks in (range(-1, 3), np.arange(-1.0, 3.0), [-1.0]):
+        for method in (path.batch_stats, path.batch_coef_factors):
+            with pytest.raises(ValueError, match="iteration counts must be finite numbers >= 0"):
+                method(ks)
 
 
 def _fitted_operator(spectral, k):
@@ -269,6 +292,8 @@ def test_batch_blocks_match_pointwise(case, k_lo, rows, rng, monkeypatch):
     assert path.sweep_rows == 7
     blocks = _sweep(path, k_lo, k_lo + 150, rows)
     assert {b[0].size for b in blocks[:-1]} == {rows}
+    # the ranges took the recurrence, every block on one base of `rows` powers
+    assert path._sweep[0].shape[0] == rows
     ks = np.concatenate([b[0] for b in blocks])
     assert ks.tolist() == list(range(k_lo, k_lo + 151))
     df, rss, energy = (np.concatenate([b[i] for b in blocks]) for i in (1, 2, 3))

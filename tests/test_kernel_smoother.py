@@ -85,6 +85,18 @@ def test_evaluation_outside_support_is_an_error():
         sm.evaluate(np.array([[5.0]]), np.ones(3))
 
 
+def test_evaluate_reads_a_vector_as_points_of_a_one_column_design(rng):
+    """As ``predict`` does: x[:3] is three points, not one row of three."""
+    x = rng.uniform(size=40)
+    result = fit(x, np.sin(6 * x) + rng.normal(0, 0.1, 40))
+    got = result.base.evaluate(x[:3], result.beta)
+    assert got.shape == (3,)
+    np.testing.assert_array_equal(got, result.base.evaluate(x[:3, None], result.beta))
+    np.testing.assert_allclose(got, result.predict(x[:3]), rtol=1e-12)
+    with pytest.raises(ValueError, match="row 1 has non-finite"):
+        result.base.evaluate(np.array([0.5, np.nan]), result.beta)
+
+
 def test_two_point_bandwidth_closed_form():
     """Distance-1 pair, per-variable df 1.5: trace = 2/(1 + e^{-1/(2h^2)})
     equals 1.5 exactly at h = 1/sqrt(2 ln 3)."""

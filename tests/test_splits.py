@@ -115,10 +115,11 @@ def test_plan_validation():
         ("kfold", 2.7), ("kfold", math.nan), ("kfold", math.inf), ("kfold", "5"),
         ("ntest", 2.5), ("ntest", math.nan), ("ntrain", 7.5), ("ntrain", -math.inf),
         ("npermut", 2.5), ("npermut", math.nan),
+        ("npermut", True), ("ntest", True), ("ntrain", False),
     ]:
         with pytest.raises(ValueError, match=f"{field} must be a whole number"):
             CvPlan(**{field: value})
-    # booleans keep their meaning; integral floats are read as counts
+    # kfold's booleans keep their meaning; integral floats are read as counts
     assert CvPlan(kfold=True).kfold is True
     assert CvPlan(kfold=False).kfold is False
     plan = CvPlan(kfold=4.0, npermut=3.0, ntest=np.int64(5))

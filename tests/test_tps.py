@@ -183,6 +183,20 @@ def test_penalty_matches_pinned_value(seed, n, d, mult, pinned):
     assert sm.initial_df == pytest.approx(mult * sm.core.m, rel=1e-12)
 
 
+@pytest.mark.parametrize("mult", [1.0, 0.5, np.nan])
+def test_multiplier_at_or_below_one_is_refused_before_the_geometry(mult, monkeypatch):
+    """NaN fails the check too, where it once built the O(n^3) geometry and
+    ran a whole Newton walk to a trace of nan."""
+    from ibrsmooth import tps
+
+    def no_core(*args):
+        raise AssertionError("geometry built")
+
+    monkeypatch.setattr(tps, "_TpsCore", no_core)
+    with pytest.raises(ValueError, match="df multiplier must exceed 1"):
+        build_calibrated_tps(np.random.default_rng(0).uniform(size=(20, 2)), df_multiplier=mult)
+
+
 def test_duplicate_rows_are_reported():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.5]])
     with pytest.raises(ValueError, match="[Dd]uplicate") as err:
@@ -225,6 +239,18 @@ def test_predictions_match_weight_path(rng):
     )
     x_new = rng.normal(size=(5, 2))
     assert np.allclose(sm.evaluate(x_new, beta), predictor.predict(x_new), atol=1e-10)
+
+
+def test_evaluate_reads_a_vector_as_points_of_a_one_column_design(rng):
+    """As ``predict`` does: x[:3] is three points, not one row of three."""
+    x = rng.uniform(size=30)
+    result = fit(x, np.sin(6 * x) + rng.normal(0, 0.1, 30), smoother=SmootherConfig(family="tps"))
+    got = result.base.evaluate(x[:3], result.beta)
+    assert got.shape == (3,)
+    np.testing.assert_array_equal(got, result.base.evaluate(x[:3, None], result.beta))
+    np.testing.assert_allclose(got, result.predict(x[:3]), rtol=1e-10)
+    with pytest.raises(ValueError, match="row 1 has non-finite"):
+        result.base.evaluate(np.array([0.5, np.nan]), result.beta)
 
 
 def test_evaluate_at_training_rows_is_the_matrix(rng):

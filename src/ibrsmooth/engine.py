@@ -150,11 +150,14 @@ class KPath:
         power of 1 - lambda for an integer count, the power of the clipped
         base for a fractional one, which needs the spectrum in [0, 1]. An
         integral exponent keeps a negative mu valid on both routes; powers
-        of |mu| > 1 overflow to inf.
+        of |mu| > 1 overflow to inf. Any other count set (a bare number, a
+        2-D array, an empty one) raises ValueError.
         """
         run = isinstance(ks, range) and ks.step == 1
         # np.asarray would walk a range in Python; a range's ends bound its counts
         counts = np.arange(ks.start, ks.stop, dtype=float) if run else np.asarray(ks, dtype=float)
+        if counts.ndim != 1 or counts.size == 0:
+            raise ValueError(f"iteration counts must be a range or a non-empty 1-D vector, got {ks!r}")
         lo, hi = (ks.start, ks.stop - 1) if run else (counts.min(), counts.max())
         if not 0.0 <= lo <= hi < np.inf:
             raise ValueError(f"iteration counts must be finite numbers >= 0, got {ks}")

@@ -105,15 +105,19 @@ def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
 class KernelPredictor:
     """Everything needed to evaluate a kernel fit at new points.
 
-    A Gaussian fit may answer rows inside the training box from
+    A Gaussian fit may answer a batch from
     :class:`~ibrsmooth.kernel_smoother.NodeTables` at the Chebyshev nodes
     its factor chose, in O(d p + prod p_j) per row instead of O(n d). The
     first batch large enough to pay for them builds them (160 rows at
-    n = 1500, d = 2). A batch's route depends only on the fit and its row
-    count, so a saved and reloaded model gives the same bits. Rows outside
-    the box, smaller batches and fits that no tables serve
-    (:func:`~ibrsmooth.kernel_smoother.node_tables`) take the direct route
-    of :func:`~ibrsmooth.kernel_smoother.kernel_predict`.
+    n = 1500, d = 2). Such a batch takes the tables on every row, each
+    column clipped to the training box, and one box test, in data
+    coordinates, picks the rows outside the box, which are then overwritten
+    from the direct route of
+    :func:`~ibrsmooth.kernel_smoother.kernel_predict`: a batch wholly inside
+    the box gathers and scatters nothing. A batch's route depends only on
+    the fit and its row count, so a saved and reloaded model gives the same
+    bits. Smaller batches and fits that no tables serve
+    (:func:`~ibrsmooth.kernel_smoother.node_tables`) take the direct route.
     """
 
     x_train: np.ndarray
@@ -135,10 +139,12 @@ class KernelPredictor:
         tables = self._tables
         if tables is None or x_new.size < tables.cost:
             return _kernel_average(x_new, self._weights, self.beta)
-        inside = np.all((x_new >= tables.lo) & (x_new <= tables.hi), axis=1)
-        pred = np.empty(len(x_new))
-        pred[inside] = tables.interpolate(x_new[inside])
-        outside = np.flatnonzero(~inside)
+        pred = tables.interpolate(x_new)
+        # a column at a time: a reduction over a row's few columns is several times slower
+        outside = np.zeros(len(x_new), dtype=bool)
+        for col, lo, hi in zip(x_new.T, tables.lo, tables.hi):
+            outside |= (col < lo) | (col > hi)
+        outside = np.flatnonzero(outside)
         if outside.size:
             pred[outside] = _kernel_average(x_new[outside], self._weights, self.beta, outside)
         return pred

@@ -27,7 +27,8 @@ come from one of two routes:
 - factor route (Gaussian): each column's node kernel K_c = V Sigma V' is
   compressed to its eigenpairs above eps of the largest, so K ~ G G' with
   G the P columns of the Khatri-Rao product of the n x r_j blocks
-  L_j V_j Sigma_j^{1/2} whose eigenvalue passes the same cut
+  L_j V_j Sigma_j^{1/2} (held node-major, r_j x n) whose eigenvalue passes
+  the same cut
   (:func:`_gaussian_factor`; a constant column is one node, K_c = 1). Row
   sums come from L K_c L', one axis at a time, and the top pairs from one
   QR of D^{1/2} G and one P x P eigh (:func:`_factor_eigenpairs`):
@@ -41,6 +42,13 @@ The factor route holds no n x n array; the dense route builds K once and
 drops it with the spectrum. ``kmat`` and ``matrix`` are built when asked
 for.
 
+Interpolation rows are node-major throughout: :func:`_chebyshev_factor`,
+the one function that forms barycentric rows, gives the p x m transpose
+L' of an interpolation matrix to the calibration, the factor, its row
+sums and the prediction tables, and the contractions over the columns'
+rows (:func:`_node_table`, :func:`_interpolate`) run over blocks of
+points, with no m x prod p_j array.
+
 A Gaussian fit predicts through the same factor (:class:`NodeTables`):
 tables (K_c1 x ... x K_cd) H' [beta, 1] at the fit's nodes, built in
 O(n prod p_j) by the contraction that gives the row sums, give a new row
@@ -48,8 +56,9 @@ inside the box its kernel average in O(d p + prod p_j) instead of O(n d).
 :func:`node_tables` offers them only to columns spanning at most
 ``_GRID_SPAN`` bandwidths per half range (span rule), beyond which their
 rounding outgrows the direct route's, and with at most n nodes (cost
-rule). Rows outside the box and every other kernel take
-:func:`kernel_predict`.
+rule). A batch that takes them evaluates them on every row, clipped to
+the box, and overwrites the rows outside the box from
+:func:`kernel_predict`, which every other kernel takes for every row.
 """
 
 from __future__ import annotations
@@ -159,16 +168,21 @@ class KernelSmootherSpec:
         return is_positive_definite(self.kind)
 
 
-def _squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """|a_i - b_j|^2 into ``out`` (rows of a by rows of b), the squared gaps
-    added up one column at a time, in column order, through ``scratch`` of
-    the same shape: no rows x rows x d difference tensor is formed."""
-    np.subtract.outer(a[:, 0], b[:, 0], out=out)
-    out *= out
-    for j in range(1, a.shape[1]):
-        np.subtract.outer(a[:, j], b[:, j], out=scratch)
-        scratch *= scratch
-        out += scratch
+def _squared_distances(a: np.ndarray, bt: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """|a_i - b_j|^2 into ``out`` (rows of a by columns of ``bt``, the
+    second point set transposed), the squared gaps added up one column at a
+    time, in column order, through ``scratch`` of the same shape: no
+    rows x rows x d difference tensor is formed. Each gap block is a's
+    column written by a broadcast fill, less b's column as a contiguous row
+    broadcast: a stride-0 operand in numpy's inner loop runs several times
+    slower."""
+    for j in range(a.shape[1]):
+        gap = scratch if j else out
+        gap[...] = a[:, j, None]
+        gap -= bt[j]
+        gap *= gap
+        if j:
+            out += gap
     return out
 
 
@@ -222,7 +236,8 @@ class _KernelRows:
     follows the ``exp``. Centring keeps a design far from the origin from
     losing accuracy to the scaling. The compact kernels multiply the
     columns' :func:`~ibrsmooth.kernels.kernel_values` together, one column
-    at a time.
+    at a time. Both hold the design transposed (``xt``, d x n), so a gap
+    block subtracts a contiguous row (:func:`_squared_distances`).
     """
 
     def __init__(self, x: np.ndarray, kind: str, bandwidths):
@@ -230,18 +245,20 @@ class _KernelRows:
         if kind == "gaussian":
             self.centre = _unit_box(x)[0]
             self.scale = math.sqrt(0.5) / np.asarray(bandwidths, dtype=float)
-            self.scaled = (x - self.centre) * self.scale
+            self.xt = np.ascontiguousarray(((x - self.centre) * self.scale).T)
             self.k0 = _GAUSSIAN_K0 ** x.shape[1]
+        else:
+            self.xt = np.ascontiguousarray(x.T)
 
     def blocks(self, x_new: np.ndarray, out=None):
         """Yield (rows, w), the weights of the rows ``rows`` of ``x_new``,
         written into ``out[rows]`` when ``out`` is given."""
-        x, bandwidths, kind = self.x, self.bandwidths, self.kind
+        xt, bandwidths, kind = self.xt, self.bandwidths, self.kind
         if kind == "gaussian":
-            a, b = (x_new - self.centre) * self.scale, self.scaled
+            a = (x_new - self.centre) * self.scale
 
             def fill(rows, w, scratch):
-                _squared_distances(a[rows], b, w, scratch)
+                _squared_distances(a[rows], xt, w, scratch)
                 np.negative(w, out=w)
                 np.exp(w, out=w)
                 w *= self.k0
@@ -251,13 +268,14 @@ class _KernelRows:
             def fill(rows, w, scratch):
                 for j, h in enumerate(bandwidths):
                     col = w if j == 0 else scratch
-                    np.subtract.outer(x_new[rows, j], x[:, j], out=col)
+                    col[...] = x_new[rows, j, None]
+                    col -= xt[j]
                     col /= h
                     kernel_values(col, kind, out=col)
                     if j:
                         w *= col
 
-        return _pairwise_blocks(x_new, x, fill, out)
+        return _pairwise_blocks(x_new, self.x, fill, out)
 
 
 def product_kernel(x_new: np.ndarray, x: np.ndarray, kind: str, bandwidths) -> np.ndarray:
@@ -333,8 +351,10 @@ class NodeTables:
     the training box its numerator sum_i K(u - x_i) beta_i and denominator
     sum_i K(u - x_i) as H(u) T, in O(d p + prod p_j) (the fast Gauss
     transform and Chebyshev FMM idea: Greengard & Strain 1991, Fong & Darve
-    2009). Building costs ``cost`` kernel evaluations per design point:
-    sum p_j, plus ``_GRID_NODE_COST`` per node.
+    2009). :meth:`interpolate` evaluates every row it is given, each column
+    clipped to the box, so a caller overwrites the rows outside the box
+    rather than gathering the ones inside. Building costs ``cost`` kernel
+    evaluations per design point: sum p_j, plus ``_GRID_NODE_COST`` per node.
     """
 
     def __init__(self, x: np.ndarray, nodes, beta: np.ndarray):
@@ -349,24 +369,31 @@ class NodeTables:
         # K_cj enters the rows before they meet beta, whose entries cancel:
         # applied after, the rounding of H'beta grows with the Lebesgue constant
         # (one column, n = 300 and 1000, worst row of 43 fits: 1.9 floor units, 0.6 here)
-        lefts = [left @ kc for left, kc in zip(self._lefts(self.x), self.kernels)]
-        weights = np.column_stack([self.beta, np.ones(len(self.x))])
-        return np.ascontiguousarray(_node_table(lefts, weights))
+        lefts = [kc @ left for left, kc in zip(self._lefts(self.x), self.kernels)]
+        return _node_table(lefts, np.vstack([self.beta, np.ones(len(self.x))]))
 
-    def _lefts(self, rows: np.ndarray) -> list[np.ndarray]:
-        t = (rows - self.centre) / self.half
-        return [_chebyshev_factor(t[:, j], p) for j, p in enumerate(self.sizes)]
+    def _lefts(self, x: np.ndarray) -> list[np.ndarray]:
+        # clipped to the box, a row far outside it cannot overflow the rows
+        return [
+            _chebyshev_factor((np.minimum(np.maximum(col, lo), hi) - centre) / half, p)
+            for col, lo, hi, centre, half, p in zip(
+                x.T, self.lo, self.hi, self.centre, self.half, self.sizes
+            )
+        ]
 
     def interpolate(self, x_new: np.ndarray) -> np.ndarray:
-        """The kernel average at rows inside the training box, a block of
-        rows at a time."""
+        """The tabulated kernel average at every row of ``x_new``, a block of
+        rows at a time. A row outside the training box gets the value at
+        its point clipped to the box, a finite stand-in for its caller to
+        overwrite."""
         table = self.table
-        step = max(1, _GRID_BLOCK // max(table.size // self.sizes[0], max(self.sizes)))
-        sums = np.empty((len(x_new), 2))
+        step = max(1, _GRID_BLOCK // max(table.size // self.sizes[-1], max(self.sizes)))
+        pred = np.empty(len(x_new))
         for start in range(0, len(x_new), step):
             rows = slice(start, start + step)
-            sums[rows] = _interpolate(self._lefts(x_new[rows]), table)
-        return sums[:, 0] / sums[:, 1]
+            num, den = _interpolate(self._lefts(x_new[rows]), table)
+            np.divide(num, den, out=pred[rows])
+        return pred
 
 
 def node_tables(x: np.ndarray, kind: str, bandwidths, beta: np.ndarray) -> NodeTables | None:
@@ -391,7 +418,7 @@ class KernelSmoother(BaseSmoother):
     """Row-stochastic kernel smoother over a fixed design.
 
     A Gaussian smoother that passes the factor gate holds its row sums and
-    its n x r_j column factors, and never an n x n array. Any other holds
+    its r_j x n column factors, and never an n x n array. Any other holds
     the Gram matrix K only until its spectrum is built. ``kmat`` and
     ``matrix`` are built anew on each access.
     """
@@ -469,19 +496,20 @@ class KernelSmoother(BaseSmoother):
 
 @dataclass
 class _KhatriRaoFactor:
-    """G with K ~ G G': the columns of the Khatri-Rao product of the n x r_j
-    ``blocks`` (one per design column) whose multi-indices are ``index``."""
+    """G with K ~ G G', node-major: the rows of G' are those rows of the
+    Khatri-Rao product of the r_j x n ``blocks`` (one per design column)
+    whose multi-indices are ``index``."""
 
     blocks: list[np.ndarray]
     index: tuple[np.ndarray, ...]
 
     def scaled(self, d_half: np.ndarray) -> np.ndarray:
-        """diag(d_half) G as a Fortran-ordered n x P array."""
-        g = np.empty((d_half.size, self.index[0].size), order="F")
-        np.multiply(self.blocks[0][:, self.index[0]], d_half[:, None], out=g)
+        """diag(d_half) G as an n x P Fortran array: the transpose of the
+        C-ordered P x n product of the blocks' rows, so no copy is made."""
+        g = np.multiply(self.blocks[0][self.index[0]], d_half)
         for block, idx in zip(self.blocks[1:], self.index[1:]):
-            g *= block[:, idx]
-        return g
+            g *= block[idx]
+        return g.T
 
 
 def _gaussian_factor(x: np.ndarray, bandwidths):
@@ -491,9 +519,10 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     kernel K_c between p_j Chebyshev nodes (p_j by the tail rule of
     :func:`_accepted_nodes`) is compressed by one eigh to the pairs above
     eps of its largest, V_j Sigma_j V_j'. With L_j the n x p_j
-    interpolation matrix of :func:`_chebyshev_factor`, K ~ G G' for G the
-    Khatri-Rao product of the blocks L_j V_j Sigma_j^{1/2} (times
-    K(0)^{1/2}, to kernel units). G keeps only the products whose
+    interpolation matrix (:func:`_chebyshev_factor` gives L_j'), K ~ G G'
+    for G the Khatri-Rao product of the blocks L_j V_j Sigma_j^{1/2} (times
+    K(0)^{1/2}, to kernel units), held as their r_j x n transposes. G keeps
+    only the products whose
     eigenvalue prod_j sigma_j is above eps of the largest, the same cut as
     each column's; their number P never falls as columns are added.
 
@@ -529,7 +558,7 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     k0 = _GAUSSIAN_K0
     sums = _interpolate(lefts, _node_table(lefts, kernels=[kc for _, kc, _ in nodes]))
     sums *= k0 ** len(nodes)
-    blocks = [math.sqrt(k0) * (left @ root) for left, (_, _, root) in zip(lefts, nodes)]
+    blocks = [math.sqrt(k0) * (root.T @ left) for left, (_, _, root) in zip(lefts, nodes)]
     return sums, _KhatriRaoFactor(blocks, np.nonzero(weight.reshape(weight.shape[1:]) > _EPS))
 
 
@@ -558,70 +587,68 @@ def _node_kernel(p: int, ratio: float) -> np.ndarray:
 
 
 def _khatri_rao(blocks) -> np.ndarray:
-    """Row-wise Kronecker product of n x p_j blocks: n x prod p_j, with the
-    last block's index running fastest."""
+    """Column-wise Kronecker product of p_j x m blocks: prod p_j x m, with
+    the last block's index running fastest."""
     out = blocks[0]
     for block in blocks[1:]:
-        out = (out[:, :, None] * block[:, None, :]).reshape(len(out), -1)
+        out = (out[:, None, :] * block[None, :, :]).reshape(-1, out.shape[1])
     return out
 
 
-def _row_blocks(first: np.ndarray, rest) -> list[slice]:
-    """Row blocks for the Khatri-Rao product of ``rest``: all rows where it
-    is one block itself, else blocks in which it (``first``, for no
-    ``rest``) holds about ``_GRID_BLOCK`` floats."""
-    n = first.shape[0]
-    width = math.prod(block.shape[1] for block in rest) if rest else first.shape[1]
-    step = n if len(rest) == 1 else max(1, _GRID_BLOCK // width)
-    return [slice(start, start + step) for start in range(0, n, step)]
-
-
 def _node_table(lefts, weights: np.ndarray | None = None, kernels=()) -> np.ndarray:
-    """H'W, with H the Khatri-Rao product of the n x p_j blocks ``lefts`` and
-    W the n x c block ``weights`` (the vector 1 where None), then each of
-    ``kernels`` applied along its own axis (mode products, Kolda & Bader
-    2009). Shape (p_1, [c]) for one column, else the layout of
-    :func:`_interpolate`, (prod_{j>1} p_j, [c,] p_1).
+    """H'W as a C-ordered ([c,] p_1, ..., p_d) array, with H' the Khatri-Rao
+    product of the node-major p_j x n rows ``lefts`` and W' the c x n block
+    ``weights`` (the vector 1 where None), then each of ``kernels`` applied
+    along its own node axis (mode products, Kolda & Bader 2009).
 
-    With interpolation matrices L_j, both L_j and K_cj as ``kernels`` and
-    the blocks L_j K_cj alone give T = (K_c1 x ... x K_cd) H'W. H'W is
-    L_1' R with R = KR(W, L_2, ..., L_d), formed over row blocks
-    (:func:`_row_blocks`): O(n c prod p_j) flops, with no n x prod p_j
-    array. One column and the vector 1 take L_1'1 as sums.
+    With interpolation rows L_j, both L_j and K_cj as ``kernels`` and
+    the rows K_cj L_j alone give T = (K_c1 x ... x K_cd) H'W. H'W is
+    R L_d' with R = KR(W', L_1, ..., L_{d-1}): one GEMM per block of
+    points in which R holds about ``_GRID_BLOCK`` floats, or over all n
+    when R is one operand and no product, so O(n c prod p_j) flops with no
+    n x prod p_j array. One column and the vector 1 take L_1 1 as sums.
     """
-    first, sizes = lefts[0], [left.shape[1] for left in lefts]
-    # W leads R: a Khatri-Rao step with c inner columns is several times slower
-    rest = [*lefts[1:]] if weights is None else [weights, *lefts[1:]]
-    blocks = _row_blocks(first, rest)
-    if rest:
-        table = sum(first[rows].T @ _khatri_rao([block[rows] for block in rest]) for rows in blocks)
+    *rest, last = lefts
+    factors = rest if weights is None else [weights, *rest]
+    n = last.shape[1]
+    if factors:
+        width = math.prod(f.shape[0] for f in factors)
+        step = n if len(factors) == 1 else max(1, _GRID_BLOCK // width)
+        blocks = (slice(start, start + step) for start in range(0, n, step))
+        table = sum(_khatri_rao([f[:, cols] for f in factors]) @ last[:, cols].T for cols in blocks)
     else:
-        table = sum(first[rows].sum(axis=0) for rows in blocks)
-    columns = [] if weights is None else [weights.shape[1]]
-    table = table.reshape(sizes[:1] + columns + sizes[1:])
+        table = last.sum(axis=1)
+    table = table.reshape([f.shape[0] for f in factors] + [last.shape[0]])
+    lead = 0 if weights is None else 1
     for j, kc in enumerate(kernels):
-        axis = j + len(columns) if j else 0
-        table = np.moveaxis(np.tensordot(kc, table, axes=(1, axis)), 0, axis)
-    return table if len(lefts) == 1 else table.reshape(sizes[0], *columns, -1).T
+        table = np.moveaxis(np.tensordot(kc, table, axes=(1, j + lead)), 0, j + lead)
+    return np.ascontiguousarray(table)
 
 
 def _interpolate(lefts, table: np.ndarray) -> np.ndarray:
-    """H T at the rows of the interpolation matrices ``lefts`` (H their
-    Khatri-Rao product) for a table T of :func:`_node_table`: per block of
-    rows (:func:`_row_blocks`), rowsum(L_1 o (R T_(1)')) with
-    R = KR(L_2, ..., L_d), and no m x prod p_j array. For the T of the
-    vector 1 these are the row sums of H (K_c1 x ... x K_cd) H'."""
-    first, rest = lefts[0], lefts[1:]
-    blocks = _row_blocks(first, rest)
-    if not rest:
-        return np.concatenate([first[rows] @ table for rows in blocks])
-    # one product serves every column of W
-    right = table.reshape(len(table), -1)
-    sums = []
-    for rows in blocks:
-        prod = (_khatri_rao([left[rows] for left in rest]) @ right).reshape(-1, *table.shape[1:])
-        sums.append(np.einsum("ia,i...a->i...", first[rows], prod))
-    return np.concatenate(sums)
+    """H T, shape ([c,] m), at the m points of the node-major rows
+    ``lefts`` (H' their Khatri-Rao product) for a table T of
+    :func:`_node_table`. Per block of points in which the widest temporary
+    holds about ``_GRID_BLOCK`` floats: one GEMM of T, as a
+    ([c] prod_{j<d} p_j) x p_d matrix, with L_d, then for each other column
+    from the last, one multiply by L_j and a sum over its node axis. No
+    m x prod p_j array is formed. For the T of the vector 1 these are the
+    row sums of H (K_c1 x ... x K_cd) H'."""
+    *rest, last = lefts
+    p, m = last.shape
+    flat = table.reshape(-1, p)
+    out = np.empty(table.shape[: table.ndim - len(lefts)] + (m,))
+    step = max(1, _GRID_BLOCK // len(flat))
+    for start in range(0, m, step):
+        cols = slice(start, start + step)
+        acc = flat @ last[:, cols]
+        for left in reversed(rest):
+            block = left[:, cols]
+            acc = acc.reshape(-1, *block.shape)
+            acc *= block
+            acc = acc.sum(axis=1)
+        out[..., cols] = acc.reshape(out[..., cols].shape)
+    return out
 
 
 def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: float):
@@ -723,7 +750,8 @@ def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
 
     where K_c = exp(q_z / c^2) is the kernel between the nodes. For one
     column the nodes are p Chebyshev points of the first kind and L holds
-    the barycentric Lagrange weights of the data points, so K ~ L K_c L'
+    the barycentric Lagrange weights of the data points (held node-major as
+    L', :func:`_chebyshev_factor`), so K ~ L K_c L'
     (the idea of the fast Gauss transform, Greengard & Strain 1991, and of
     Chebyshev-interpolation FMM, Fong & Darve 2009) and an evaluation costs
     O(n p + p^2). p is the smallest that :func:`_accepted_nodes` accepts at
@@ -766,7 +794,7 @@ def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
             return None, np.ones(n)
         if p not in factors:
             left = _chebyshev_factor(t[:, 0], p)
-            factors[p] = (left, left.sum(axis=0))
+            factors[p] = (left, left.sum(axis=1))
         return factors[p]
 
     def gaussian_trace(c: float) -> tuple[float, float]:
@@ -778,7 +806,7 @@ def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
         slopes = kc @ weights
         slopes *= -2.0 * inv_c2
         if left is not None:
-            sums, slopes = left @ sums, left @ slopes
+            sums, slopes = sums @ left, slopes @ left
         return _trace_and_slope(1.0, sums, slopes)
 
     return gaussian_trace
@@ -819,25 +847,32 @@ def _chebyshev_nodes(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
-    """The n x p matrix that interpolates from p Chebyshev nodes to t.
+    """The node-major p x m matrix that interpolates from p Chebyshev nodes
+    to the m points t: entry (k, i) is the Lagrange basis at t_i in
+    barycentric form, l_k(t_i) = (w_k / (t_i - z_k)) / sum_m (w_m / (t_i - z_m)),
+    and a point that falls on a node gets that node's unit column.
 
-    Row i holds the Lagrange basis at t_i in barycentric form,
-    l_k(t_i) = (w_k / (t_i - z_k)) / sum_m (w_m / (t_i - z_m)); a point that
-    falls on a node gets that node's unit row.
+    Node and weight are written by a broadcast fill and then meet only
+    arrays of their block's shape or t as a row broadcast along the node
+    axis, so every elementwise loop runs over m contiguous points: a
+    stride-0 operand in numpy's inner loop runs several times slower.
     """
     nodes, w = _chebyshev_nodes(p)
-    left = np.subtract.outer(t, nodes)
+    left = np.empty((p, t.size))
+    left[...] = nodes[:, None]
+    np.subtract(t, left, out=left)
+    weights = np.empty_like(left)
+    weights[...] = w[:, None]
     with np.errstate(divide="ignore"):
-        np.divide(w, left, out=left)
-    sums = left.sum(axis=1, keepdims=True)
-    # a row with an infinite weight sits on a node
-    on_node = ~np.isfinite(sums[:, 0])
-    if not on_node.any():
-        left /= sums
-        return left
+        np.divide(weights, left, out=left)
+    sums = left.sum(axis=0)
+    # a column with an infinite weight sits on a node
+    on_node = ~np.isfinite(sums)
     sums[on_node] = 1.0
-    left /= sums
-    left[on_node] = t[on_node, None] == nodes
+    # one division per point, not per entry
+    left *= np.reciprocal(sums, out=sums)
+    if on_node.any():
+        left[:, on_node] = t[on_node] == nodes[:, None]
     return left
 
 

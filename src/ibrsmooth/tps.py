@@ -132,9 +132,10 @@ def _radial_blocks(a, b, order: int, scale: float = 1.0, out=None, distinct: boo
     raises ValueError naming the first such pair.
     """
     power, odd = divmod(2 * order - a.shape[1], 2)
+    bt = np.ascontiguousarray(b.T)
 
     def fill(rows, r2, scratch):
-        _squared_distances(a[rows], b, r2, scratch)
+        _squared_distances(a[rows], bt, r2, scratch)
         if distinct:
             diagonal = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
             r2[diagonal] = np.inf

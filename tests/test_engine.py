@@ -198,10 +198,17 @@ def test_one_count_range_keeps_the_single_count_bits(case, rng):
 
 
 def test_counts_below_zero_are_refused_as_a_range_or_a_vector():
+    """Counts below zero are refused, and so is a count set that is neither
+    a range nor a non-empty 1-D vector: a 2-D array, a bare number, an
+    empty array or an empty range."""
     path = KPath(two_point_spectral(), Y_2)
-    for ks in (range(-1, 3), np.arange(-1.0, 3.0), [-1.0]):
+    below = "iteration counts must be finite numbers >= 0"
+    shape = "iteration counts must be a range or a non-empty 1-D vector"
+    cases = [(range(-1, 3), below), (np.arange(-1.0, 3.0), below), ([-1.0], below)]
+    cases += [(np.array([[1.0, 2.0]]), shape), (2.0, shape), (np.array([]), shape), (range(3, 3), shape)]
+    for ks, message in cases:
         for method in (path.batch_stats, path.batch_coef_factors):
-            with pytest.raises(ValueError, match="iteration counts must be finite numbers >= 0"):
+            with pytest.raises(ValueError, match=message):
                 method(ks)
 
 

@@ -213,15 +213,16 @@ def _record_factors(monkeypatch):
 
 def test_chebyshev_factor_gives_a_point_on_a_node_its_unit_row():
     """A point exactly on a node interpolates by that node alone; the rows
-    around it keep the barycentric weights of a batch with no such point."""
+    around it keep the barycentric weights of a batch with no such point.
+    The factor is node-major, so a point's row is a column of it."""
     nodes = kernel_smoother._chebyshev_nodes(16)[0]
     t = np.array([0.3, nodes[5], -0.7, nodes[0]])
     left = kernel_smoother._chebyshev_factor(t, 16)
-    assert np.array_equal(left[1], np.eye(16)[5])
-    assert np.array_equal(left[3], np.eye(16)[0])
+    assert np.array_equal(left[:, 1], np.eye(16)[5])
+    assert np.array_equal(left[:, 3], np.eye(16)[0])
     off = kernel_smoother._chebyshev_factor(t[[0, 2]], 16)
-    assert np.array_equal(left[[0, 2]], off)
-    np.testing.assert_allclose(off.sum(axis=1), 1.0, rtol=1e-14)
+    assert np.array_equal(left[:, [0, 2]], off)
+    np.testing.assert_allclose(off.sum(axis=0), 1.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("n", [330, 1500])
@@ -650,6 +651,13 @@ def test_grid_build_holds_no_n_by_m_array(kernel_fit_sized):
 
 
 def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
+    """The tables run on every row of the batch, each column clipped to the
+    box, and the rows outside it are overwritten from the direct route.
+    A row far outside gives the tables a finite stand-in and no numpy
+    warning (an error under pytest): 1e300 half-ranges out, unclipped, its
+    interpolation rows would overflow. At 1e6 half-ranges its Gaussian
+    weights all underflow, so the direct route refuses it, naming it as
+    kernel_predict does."""
     pred, _ = kernel_fit_sized
     x_new = np.random.default_rng(13).uniform(-0.2, 1.2, size=(500, 2))
     outside = ~in_box(pred, x_new)
@@ -661,6 +669,19 @@ def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
     )
     assert np.array_equal(got[outside], direct)
     assert floor_units(pred, x_new[~outside], got[~outside]).max() <= 1.0
+    tables, far = pred._tables, x_new.copy()
+    others = ~outside
+    others[7] = False
+    for half_ranges in (1e300, 1e6):
+        far[7] = tables.hi + half_ranges * tables.half
+        stand_in = tables.interpolate(far)
+        assert np.isfinite(stand_in).all()
+        assert np.array_equal(stand_in[others], got[others])
+    message = r"prediction rows \[{}\] fall outside the kernel support of every design point"
+    with pytest.raises(ValueError, match=message.format(7)):
+        pred.predict(far)
+    with pytest.raises(ValueError, match=message.format(0)):
+        kernel_smoother.kernel_predict(far[7:8], pred.x_train, pred.kind, pred.bandwidths, pred.beta)
 
 
 def same_bits_as_direct(pred: KernelPredictor, x_new):

@@ -276,7 +276,8 @@ def test_distances_match_broadcast_reference(rng, d, rows):
     a = rng.normal(size=(rows, d))
     b = rng.normal(size=(11, d))
     ref = ((a[:, None] - b[None]) ** 2).sum(2)
-    got = _squared_distances(a, b, np.empty((rows, 11)), np.empty((rows, 11)))
+    # the second point set goes in transposed, one contiguous row per column
+    got = _squared_distances(a, np.ascontiguousarray(b.T), np.empty((rows, 11)), np.empty((rows, 11)))
     assert got.shape == (rows, 11)
     assert np.array_equal(got, ref)
 

@@ -16,7 +16,9 @@ d trace / d log(scale), inside a sign bracket that falls back to bisection
 needs four to six trace evaluations, each O(n p) with no n x n array:
 the one-column Gaussian kernel is interpolated at p Chebyshev nodes
 (K ~ L K_c L'), p doubling from 16 until the interpolant is exact to
-rounding (tail rule, :func:`_accepted_nodes`). A column spanning too many
+rounding (tail rule, :func:`_accepted_nodes`: the last two rows of K_c's
+2-D Chebyshev coefficients, from one 2 x p product and a real FFT, against
+the largest, 4 sum K_c). A column spanning too many
 bandwidths for p <= n / 4, a several-column total-df target and every
 other kernel take the O(n^2) evaluation instead.
 
@@ -31,16 +33,18 @@ come from one of two routes:
   the same cut
   (:func:`_gaussian_factor`; a constant column is one node, K_c = 1). Row
   sums come from L K_c L', one axis at a time, and the top pairs from one
-  QR of D^{1/2} G and one P x P eigh (:func:`_factor_eigenpairs`):
-  O(n P^2) with no n x n array. It serves every Gaussian design with
-  P <= n / ``_FACTOR_RANK_GATE``, a gate checked from the node kernels
-  alone, before any n-length work;
+  raw Householder QR of D^{1/2} G, one P x P eigh and the product of the
+  reflectors with the kept eigenvectors in compact WY form
+  (:func:`_factor_eigenpairs`): O(n P^2) with no n x n array. It serves
+  every Gaussian design with P <= n / ``_FACTOR_RANK_GATE``, a gate
+  checked from the node kernels alone, before any n-length work;
 - dense ``eigh`` of the symmetrized Gram matrix for everything else: a
   design past the gate is numerically high rank, so no truncation pays.
 
 The factor route holds no n x n array; the dense route builds K once and
 drops it with the spectrum. ``kmat`` and ``matrix`` are built when asked
-for.
+for. Every route here runs on numpy alone: of the package's modules, only
+the spline's (:mod:`ibrsmooth.tps`) loads more, on first use.
 
 Interpolation rows are node-major throughout: :func:`_chebyshev_factor`,
 the one function that forms barycentric rows, gives the p x m transpose
@@ -68,17 +72,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.fft import dctn
 
 from .kernels import is_positive_definite, kernel_slopes, kernel_values, resolve_kernel
-from .smoothers import (
-    BaseSmoother,
-    DesignMatrix,
-    SpectralForm,
-    _apply_q,
-    _finite_rows,
-    _householder_qr,
-)
+from .smoothers import BaseSmoother, DesignMatrix, SpectralForm, _finite_rows
 
 __all__ = [
     "CalibrationError",
@@ -258,7 +254,9 @@ class _KernelRows:
             a = (x_new - self.centre) * self.scale
 
             def fill(rows, w, scratch):
-                _squared_distances(a[rows], xt, w, scratch)
+                # a gap that squares past the float range weighs exp(-inf) = 0
+                with np.errstate(over="ignore"):
+                    _squared_distances(a[rows], xt, w, scratch)
                 np.negative(w, out=w)
                 np.exp(w, out=w)
                 w *= self.k0
@@ -655,24 +653,52 @@ def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: floa
     """Top eigenpairs of A = D^{1/2} G G' D^{1/2} for the n x P factor G
     (P < n).
 
-    With D^{1/2} G = Q R (Householder QR, Q kept as reflectors), A =
-    Q R R' Q', so one P x P eigh of R R' = W Lambda W' gives the
-    eigenvalues and one reflector pass over the kept columns of W gives
-    U = Q W. The pairs above eps/2 are kept: 1 - lambda rounds to 1 below
-    that, where the dense path gives a pair zero weight at every k. A is
-    positive semi-definite, so tau = ``trace`` - sum(kept), with ``trace``
-    = tr(A) = K(0)^d sum_i 1 / s_i, bounds the sum of every eigenvalue left
-    out. Returns (lam descending, U, tau).
+    With D^{1/2} G = Q R (Householder QR, ``np.linalg.qr(mode="raw")``,
+    Q kept as P reflectors), A = Q R R' Q', so one P x P eigh of
+    R R' = W Lambda W' gives the eigenvalues and U = Q [W; 0] over the kept
+    columns of W (:func:`_reflector_product`). The pairs above eps/2 are
+    kept: 1 - lambda rounds to 1 below that, where the dense path gives a
+    pair zero weight at every k. A is positive semi-definite, so
+    tau = ``trace`` - sum(kept), with ``trace`` = tr(A) =
+    K(0)^d sum_i 1 / s_i, bounds the sum of every eigenvalue left out.
+    Returns (lam descending, U, tau).
     """
-    qr, tau = _householder_qr(factor.scaled(d_half))
-    width = tau.size
-    r = np.triu(qr[:width])
+    # the scaled factor is passed, not held, so qr's copy is its only one
+    reflectors, tau = np.linalg.qr(factor.scaled(d_half), mode="raw")
+    r = np.triu(reflectors[:, : tau.size].T)
     lam, w = np.linalg.eigh(r @ r.T)
     keep = np.flatnonzero(lam > 0.5 * _EPS)[::-1]
-    u = np.zeros((d_half.size, keep.size), order="F")
-    u[:width] = w[:, keep]
-    u = _apply_q("L", "N", qr, tau, u)
+    u = _reflector_product(reflectors, tau, w[:, keep])
     return lam[keep], u, max(trace - float(np.sum(lam[keep])), 0.0)
+
+
+def _reflector_product(reflectors: np.ndarray, tau: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Q [W; 0], an n x c Fortran array, for the P x c ``w`` and the Q of
+    the P x n ``reflectors`` and ``tau`` of ``np.linalg.qr(mode="raw")``,
+    whose row j holds R's column j up to its diagonal and the reflector
+    v_j below it (H_j = I - tau_j v_j v_j', v_j unit at j, zero above).
+
+    Compact WY form (Schreiber & Van Loan 1989): Q = H_1 ... H_P =
+    I - V T V' with T^{-1} = triu(V'V, 1) + diag(1 / tau) (Joffrain et al.
+    2006), so Q [W; 0] = [W; 0] - V Y for T^{-1} Y = V_1' W, V_1 the top
+    P x P block of V: two products with V, O(n P (P + c)), and one P x P
+    solve.
+    V is written over ``reflectors`` in place. An identity reflector
+    (tau_j = 0) is taken as v_j = 0 with a unit diagonal entry, with no
+    division by zero.
+    """
+    width = tau.size
+    vt = reflectors
+    np.copyto(vt[:, :width], np.eye(width), where=np.tri(width, dtype=bool))
+    identity = tau == 0.0
+    vt[identity] = 0.0
+    inv_t = np.triu(vt @ vt.T, 1)
+    inv_t[np.diag_indices(width)] = 1.0 / np.where(identity, 1.0, tau)
+    y = np.negative(np.linalg.solve(inv_t, vt[:, :width] @ w))
+    # (-Y' V')' is the n x c product in Fortran order, as a reflector pass left U
+    u = (y.T @ vt).T
+    u[:width] += w
+    return u
 
 
 def build_kernel_smoother(x, spec: KernelSmootherSpec) -> KernelSmoother:
@@ -818,18 +844,57 @@ def _accepted_nodes(node_kernel, n: int):
 
     ``node_kernel(p)`` gives the kernel between p Chebyshev nodes. p doubles
     from ``_FACTOR_NODES`` until the last two rows and columns of the node
-    kernel's 2-D Chebyshev coefficients (a DCT-II on each axis) lie below
-    ``_FACTOR_TAIL`` of the largest. Returns (p, node kernel), or None once
-    ``_FACTOR_GATE`` * p exceeds n, where the exact form is as cheap.
+    kernel's 2-D Chebyshev coefficients C (a DCT-II on each axis) lie below
+    ``_FACTOR_TAIL`` of the largest. The node kernel K_c is symmetric and
+    entrywise positive, so C is symmetric, its last two columns are its
+    last two rows transposed, and its largest entry is c_00 = 4 sum K_c.
+    The two rows are the DCT-II, along its rows, of K_c's product with the
+    transform's last two rows (:func:`_tail_transform`): one 2 x p product
+    and one real FFT of length p per row (:func:`_tail_peak`), O(p^2) in
+    all, where the full 2-D transform reads all p^2 coefficients. Returns
+    (p, node kernel), or None once ``_FACTOR_GATE`` * p exceeds n, where
+    the exact form is as cheap.
     """
     p = _FACTOR_NODES
     while _FACTOR_GATE * p <= n:
         kc = node_kernel(p)
-        coef = np.abs(dctn(kc, type=2))
-        if max(coef[-2:].max(), coef[:, -2:].max()) <= _FACTOR_TAIL * coef.max():
+        if _tail_peak(kc) <= _FACTOR_TAIL * kc.sum():
             return p, kc
         p *= 2
     return None
+
+
+def _tail_peak(kc: np.ndarray) -> float:
+    """max |C[-2:]| / 4 for the 2-D Chebyshev coefficients C = 4 B K_c B'
+    of the p x p symmetric ``kc`` (p even), B_la = cos(pi l (2a + 1) / 2p)
+    the unnormalized DCT-II on each axis, so c_00 = 4 sum K_c.
+
+    Row k of C is 4 y for y = B r, r = B_k K_c, which Makhoul's FFT (1980)
+    gives: with v the even entries of r followed by the odd ones reversed
+    and z_l = exp(-i pi l / 2p) FFT(v)_l, y_l = Re z_l and y_{p-l} =
+    -Im z_l for l = 0, ..., p/2, so one real FFT per row gives every y_l.
+    """
+    cosines, twiddle = _tail_transform(kc.shape[0])
+    rows = cosines @ kc
+    z = np.fft.rfft(np.concatenate([rows[:, ::2], rows[:, ::-2]], axis=1), axis=1)
+    z *= twiddle
+    return max(np.abs(z.real).max(), np.abs(z.imag).max())
+
+
+@cache
+def _tail_transform(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """B, the 2 x p rows cos(pi k (2a + 1) / 2p) for k = p - 2, p - 1, and
+    Makhoul's twiddles exp(-i pi l / 2p), l = 0, ..., p/2, for
+    :func:`_tail_peak`. The angles of B are reduced modulo 2 pi in integers,
+    k (2a + 1) mod 4p, before the cosine: unreduced, they reach 2 p pi,
+    where their rounding alone moves entries of B by up to 1.7e-13 at
+    p = 512, far above the tail rule's ``_FACTOR_TAIL``. Cached, so both
+    arrays are read-only."""
+    turns = np.arange(p - 2, p)[:, None] * (2 * np.arange(p) + 1) % (4 * p)
+    cosines = np.cos(turns * (0.5 * np.pi / p))
+    twiddle = np.exp(np.arange(p // 2 + 1) * (-0.5j * np.pi / p))
+    cosines.flags.writeable = twiddle.flags.writeable = False
+    return cosines, twiddle
 
 
 @cache

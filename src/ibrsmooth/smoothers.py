@@ -15,7 +15,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dormqr
 
 __all__ = ["DesignMatrix", "FactoredBasis", "SpectralForm", "BaseSmoother", "EIGEN_TOL"]
 
@@ -221,28 +220,3 @@ class BaseSmoother(ABC):
     def describe(self) -> str:
         """One-line human description for fit reports."""
 
-
-def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dgeqrf's QR of a tall ``a``: R in the upper triangle and Q as the
-    Householder reflectors below it, with their scalar factors tau."""
-    qr, tau, _, info = dgeqrf(a, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
-    return qr, tau
-
-
-def _apply_q(
-    side: str, trans: str, qr: np.ndarray, tau: np.ndarray, c: np.ndarray, lwork: int | None = None
-):
-    """Q c, Q' c, c Q or c Q' for the Q that dgeqrf stored as reflectors.
-
-    ``c`` must be a Fortran-ordered float array; it is overwritten with the
-    product, which is returned. ``lwork`` None asks dormqr for its optimal
-    workspace (the blocked route); one below that selects the unblocked route.
-    """
-    if lwork is None:
-        lwork = dormqr(side, trans, qr, tau, c, -1, overwrite_c=1)[1][0]
-    cq, _, info = dormqr(side, trans, qr, tau, c, int(lwork), overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
-    return cq

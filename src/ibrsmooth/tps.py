@@ -8,6 +8,16 @@ where E holds the radial basis eta(|x_i - x_j|) and T the polynomials of
 total degree below the spline order. Smoothness is controlled through lam,
 which is calibrated so the smoother trace equals a small multiple of the
 polynomial null-space dimension.
+
+This is the one module of the package that loads scipy, and only on first
+use: its LAPACK routines (the Householder QR of the polynomial block, the
+reflector passes, the tridiagonal eigensolver and the triangular solves)
+are imported inside the functions that call them, and ``scipy.special``'s
+gamma only for an odd number of columns. Importing the package, every
+kernel workflow and predicting from a saved spline of an even number of
+columns load numpy alone, and scipy's import (about 0.3 s and 30 MB, its
+array-API layer pulling in ``numpy.testing`` and ``numpy.f2py``) is paid
+by the first spline fit.
 """
 
 from __future__ import annotations
@@ -18,9 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
-from scipy.special import gamma as gamma_fn
 
 from .kernel_smoother import (
     CalibrationError,
@@ -29,15 +36,7 @@ from .kernel_smoother import (
     _pairwise_blocks,
     _squared_distances,
 )
-from .smoothers import (
-    BaseSmoother,
-    DesignMatrix,
-    FactoredBasis,
-    SpectralForm,
-    _apply_q,
-    _finite_rows,
-    _householder_qr,
-)
+from .smoothers import BaseSmoother, DesignMatrix, FactoredBasis, SpectralForm, _finite_rows
 
 __all__ = [
     "TpsSpec",
@@ -98,7 +97,9 @@ def _radial_constant(order: int, d: int) -> float:
             * math.factorial(nu - 1)
             * math.factorial(nu - d // 2)
         )
-    return float(gamma_fn(d / 2.0 - nu)) / (
+    from scipy.special import gamma
+
+    return float(gamma(d / 2.0 - nu)) / (
         2.0 ** (2 * nu) * math.pi ** (d / 2) * math.factorial(nu - 1)
     )
 
@@ -184,6 +185,36 @@ def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.nda
     return pred
 
 
+def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dgeqrf's QR of a tall ``a``: R in the upper triangle and Q as the
+    Householder reflectors below it, with their scalar factors tau."""
+    from scipy.linalg.lapack import dgeqrf
+
+    qr, tau, _, info = dgeqrf(a, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+    return qr, tau
+
+
+def _apply_q(
+    side: str, trans: str, qr: np.ndarray, tau: np.ndarray, c: np.ndarray, lwork: int | None = None
+):
+    """Q c, Q' c, c Q or c Q' for the Q that dgeqrf stored as reflectors.
+
+    ``c`` must be a Fortran-ordered float array; it is overwritten with the
+    product, which is returned. ``lwork`` None asks dormqr for its optimal
+    workspace (the blocked route); one below that selects the unblocked route.
+    """
+    from scipy.linalg.lapack import dormqr
+
+    if lwork is None:
+        lwork = dormqr(side, trans, qr, tau, c, -1, overwrite_c=1)[1][0]
+    cq, _, info = dormqr(side, trans, qr, tau, c, int(lwork), overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
+    return cq
+
+
 def _reflect(trans: str, qr: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Q v or Q' v (``trans`` "N" or "T") for reflectors stored as dgeqrf
     stores them and v of shape (rows,) or (rows, c); v is left unchanged."""
@@ -215,6 +246,8 @@ def _tridiagonal_eigh(b: np.ndarray):
     reflectors that dsytrd leaves in the [1:, :-1] sub-block, returned as
     a Fortran-ordered copy with their tau.
     """
+    from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
+
     lwork, info = dsytrd_lwork(b.shape[0], lower=1)
     # b is symmetric, so its transpose is the same block in Fortran order
     a, diag, off, tau, info = dsytrd(b.T, lower=1, lwork=int(lwork), overwrite_a=1)
@@ -387,6 +420,8 @@ class TpsSmoother(BaseSmoother):
         one :meth:`_TpsCore.t_dot` pass over the radial rows, the
         polynomial part one pass over m columns.
         """
+        from scipy.linalg import solve_triangular
+
         c, m = self.core, self.core.m
         x_new = _finite_rows(x_new, self.d)
         kappa = _radial_constant(self.spec.order, self.d)
@@ -415,6 +450,8 @@ class TpsSmoother(BaseSmoother):
         poly = R^-1 q1' (coef - E delta - n lam delta), where q1' delta = 0
         leaves R^-1 (q1' coef - (q1' E q2) (q2' delta)).
         """
+        from scipy.linalg import solve_triangular
+
         c = self.core
         nl = self.design.n * self.spec.lam
         a = c.t_dot(coef)

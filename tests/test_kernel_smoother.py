@@ -260,6 +260,35 @@ def test_wide_lognormal_column_takes_the_exact_form(monkeypatch):
     assert built == []
 
 
+# p nodes serve a column up to about 0.47 (p = 16), 2.4, 6.8, 15.4, 31.8,
+# 63.8 and 128 (p = 1024) bandwidths per half range: these ratios fall 10%
+# either side of each threshold, and between them
+TAIL_RATIOS = (
+    0.2, 0.43, 0.52, 1.2, 2.2, 2.7, 4.5, 6.2, 7.5, 11.0, 14.0,
+    17.0, 23.0, 29.0, 35.0, 47.0, 58.0, 70.0, 95.0, 116.0, 141.0,
+)
+
+
+@pytest.mark.parametrize("p", [16, 32, 64, 128, 256, 512, 1024])
+def test_tail_rule_decides_as_the_full_dct(p):
+    """The two-row tail check accepts exactly the node kernels whose full
+    2-D DCT-II (scipy's ``dctn``, the reference) puts its last two rows and
+    columns below the tail threshold, and reads the same ratio to within
+    rounding."""
+    from scipy.fft import dctn
+
+    decisions = []
+    for ratio in TAIL_RATIOS:
+        kc = kernel_smoother._node_kernel(p, ratio)
+        coef = np.abs(dctn(kc, type=2))
+        want = max(coef[-2:].max(), coef[:, -2:].max()) / coef.max()
+        got = kernel_smoother._tail_peak(kc) / kc.sum()
+        assert abs(got - want) <= 4e-16
+        assert (got <= kernel_smoother._FACTOR_TAIL) == (want <= kernel_smoother._FACTOR_TAIL)
+        decisions.append(want <= kernel_smoother._FACTOR_TAIL)
+    assert any(decisions) and not all(decisions)
+
+
 def test_gaussian_calibration_holds_no_n_by_n_array():
     n = 4000
     col = np.random.default_rng(4).uniform(size=n)
@@ -765,7 +794,9 @@ def test_batch_takes_the_tables_only_when_it_pays_for_them(kernel_fit_sized):
 def test_grid_route_keeps_the_error_messages(kernel_fit_sized):
     pred, x_new = kernel_fit_sized
     x_new = x_new[: grid_rows(pred)].copy()
-    x_new[[4, 13]] = 1e3
+    x_new[4] = 1e3
+    # a gap that squares past the float range is refused, not warned about
+    x_new[13] = (1e160, 0.5)
     with pytest.raises(ValueError, match=r"prediction rows \[4, 13\] fall outside the kernel support of every design point"):
         pred.predict(x_new)
     assert tables_built(pred)

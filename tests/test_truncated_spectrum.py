@@ -325,3 +325,91 @@ def test_gaussian_fit_holds_no_square_array():
     arrays = [v for v in vars(base).values() if isinstance(v, np.ndarray)]
     arrays += base._factor.blocks + [v for v in vars(base.spectral()).values() if isinstance(v, np.ndarray)]
     assert max(a.size for a in arrays) < n * n
+
+
+# ------------------------------------------------------------ QR of the factor
+
+
+def lapack_reflector_product(reflectors, tau, w):
+    """Q [W; 0] by LAPACK's dormqr (the reference) on the same reflectors:
+    the P x n raw block of ``np.linalg.qr`` is dgeqrf's n x P one transposed."""
+    from scipy.linalg.lapack import dormqr
+
+    c = np.zeros((reflectors.shape[1], w.shape[1]), order="F")
+    c[: w.shape[0]] = w
+    lwork = dormqr("L", "N", reflectors.T, tau, c, -1)[1][0]
+    u, _, info = dormqr("L", "N", reflectors.T, tau, c, int(lwork))
+    assert info == 0
+    return u
+
+
+def lapack_eigenvalues(g):
+    """The factor route's kept eigenvalues through scipy's dgeqrf (the reference)."""
+    from scipy.linalg.lapack import dgeqrf
+
+    qr, tau, _, info = dgeqrf(np.asfortranarray(g))
+    assert info == 0
+    r = np.triu(qr[: tau.size])
+    lam = np.linalg.eigvalsh(r @ r.T)[::-1]
+    return lam[lam > 0.5 * EPS]
+
+
+def benchmark_factor(n, d):
+    """The factor and scaling of a df 1.1 Gaussian fit on uniform columns:
+    n = 1500, d = 2 as kernel_fit has it (62 factor columns), and
+    n = 6000, d = 3 (296)."""
+    x = np.random.default_rng(0).uniform(size=(n, d))
+    sm = build_smoother(DesignMatrix.from_array(x), SmootherConfig(df=1.1))
+    assert sm._factor is not None
+    return sm, 1.0 / np.sqrt(sm.row_sums)
+
+
+@pytest.mark.parametrize("n, d, width", [(1500, 2, 62), (6000, 3, 296)])
+def test_wy_product_matches_lapack_reflector_pass(n, d, width):
+    """U = Q [W; 0] in compact WY form equals dormqr's pass over the same
+    reflectors, is orthonormal, and the kept eigenvalues are those of
+    dgeqrf's R to rounding (a pair within rounding of the eps/2 cut may
+    fall on either side of it)."""
+    sm, d_half = benchmark_factor(n, d)
+    g = sm._factor.scaled(d_half)
+    assert g.shape == (n, width)
+    lam, u, _ = kernel_smoother._factor_eigenpairs(sm._factor, d_half, sm.initial_df)
+    np.testing.assert_allclose(u.T @ u, np.eye(lam.size), rtol=0, atol=1e-13)
+    ref = lapack_eigenvalues(g)
+    assert abs(ref.size - lam.size) <= 1
+    common = min(ref.size, lam.size)
+    np.testing.assert_allclose(lam[:common], ref[:common], rtol=0, atol=4 * EPS)
+    assert max(lam[common:].max(initial=0), ref[common:].max(initial=0)) < 2 * EPS
+
+    reflectors, tau = np.linalg.qr(g, mode="raw")
+    w = np.linalg.qr(np.random.default_rng(1).normal(size=(width, width // 2)))[0]
+    want = lapack_reflector_product(reflectors, tau, w)
+    got = kernel_smoother._reflector_product(reflectors.copy(), tau, w)
+    assert got.flags.f_contiguous
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_identity_reflector_is_taken_without_division():
+    """A column already zero below its diagonal gives an identity reflector
+    (tau = 0): the WY product skips it as dormqr does, and the factor route
+    still gives the eigenpairs of G G'. Columns 0-2 live in rows 0-2 and
+    column 3 in rows 0-3, so the reflectors of columns 2 and 3 are exactly
+    the identity, with ordinary ones on either side."""
+    n, width = 40, 6
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(n, width))
+    a[3:, :3] = 0.0
+    a[4:, 3] = 0.0
+    reflectors, tau = np.linalg.qr(a, mode="raw")
+    assert np.array_equal(tau == 0.0, [False, False, True, True, False, False])
+    w = np.linalg.eigh(rng.normal(size=(width, width)) + np.eye(width) * width)[1]
+    want = lapack_reflector_product(reflectors, tau, w)
+    with np.errstate(all="raise"):
+        got = kernel_smoother._reflector_product(reflectors.copy(), tau, w)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    factor = kernel_smoother._KhatriRaoFactor([a.T.copy()], (np.arange(width),))
+    lam, u, tail = kernel_smoother._factor_eigenpairs(factor, np.ones(n), np.sum(a * a))
+    np.testing.assert_allclose(u.T @ u, np.eye(width), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(lam, np.linalg.eigvalsh(a.T @ a)[::-1], rtol=1e-13)
+    np.testing.assert_allclose((a @ a.T) @ u, u * lam, rtol=0, atol=1e-12)

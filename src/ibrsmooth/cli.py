@@ -51,7 +51,7 @@ def _add_smoother_flags(p: argparse.ArgumentParser) -> None:
                    help="base smoother family: product kernel (k) or thin plate spline")
     p.add_argument("--kernel", choices=("g", "t", "q", "e", "u"), default="g",
                    help="kernel: gaussian, triangle, quartic, epanechnikov, uniform")
-    p.add_argument("--df", type=float, default=1.1,
+    p.add_argument("--df", type=float, default=SmootherConfig.df,
                    help="per-variable df target (kernel), null-dim multiplier (tps)")
     p.add_argument("--dftotal", action="store_true",
                    help="treat --df as the total trace of the kernel smoother")
@@ -60,8 +60,8 @@ def _add_smoother_flags(p: argparse.ArgumentParser) -> None:
 def _add_selection_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criterion", choices=CRITERIA + CV_LOSSES, default="gcv",
                    help="model-choice criterion; rmse/map switch to cross-validation")
-    p.add_argument("--kmin", type=float, default=1.0)
-    p.add_argument("--kmax", type=float, default=1e5)
+    p.add_argument("--kmin", type=float, default=SelectionPlan.kmin)
+    p.add_argument("--kmax", type=float, default=SelectionPlan.kmax)
     p.add_argument("--exhaustive", action="store_true",
                    help="sweep integer k instead of the continuous search")
     p.add_argument("--dfmaxi", type=float, default=None,
@@ -74,7 +74,7 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
                    help="test-set size for data splitting (default n // 10)")
     p.add_argument("--cv-ntrain", type=int, default=None,
                    help="training-set size (alternative to --cv-ntest)")
-    p.add_argument("--cv-npermut", type=int, default=20,
+    p.add_argument("--cv-npermut", type=int, default=CvPlan.npermut,
                    help="number of random train/test splits")
     p.add_argument("--cv-type", choices=("random", "consecutive", "interleaved", "timeseries"),
                    default="random")
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="observations per axis of the training grid")
     p_wend.add_argument("--repeats", type=int, default=1,
                         help="number of consecutive seeds to run")
-    p_wend.add_argument("--df", type=float, default=1.1)
+    p_wend.add_argument("--df", type=float, default=SmootherConfig.df)
     p_wend.add_argument("--surface-out", default=None,
                         help="also render the first fitted surface to this SVG")
     _add_selection_flags(p_wend)

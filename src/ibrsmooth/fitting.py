@@ -58,6 +58,9 @@ class SmootherConfig:
     ``df`` is the per-variable trace target for kernels (or the total trace
     when ``dftotal`` is set) and the null-dimension multiplier for
     thin-plate splines. Explicit ``bandwidths``/``lam`` skip calibration.
+    A field the smoother would not read (``lam``, ``order`` for a kernel;
+    ``bandwidths``, ``dftotal`` for a spline; ``dftotal`` with explicit
+    bandwidths) raises ValueError. A spline ignores ``kernel``.
     """
 
     family: str = "kernel"
@@ -73,6 +76,13 @@ class SmootherConfig:
         if fam is None:
             raise ValueError(f"smoother family must be 'k' or 'tps', got {self.family!r}")
         object.__setattr__(self, "family", fam)
+        object.__setattr__(self, "dftotal", bool(self.dftotal))
+        for name in ["lam", "order"] if fam == "kernel" else ["bandwidths", "dftotal"]:
+            value = getattr(self, name)
+            if value is not None and value is not False:
+                raise ValueError(f"SmootherConfig.{name} = {value} is not read by {fam} smoothers")
+        if self.dftotal and self.bandwidths is not None:
+            raise ValueError("SmootherConfig.dftotal = True is not read with explicit bandwidths")
         if fam == "kernel":
             object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
 

@@ -12,57 +12,40 @@ target for a trace that decreases in its scale (a bandwidth, a common
 bandwidth factor or a spline penalty). One root finder serves them all:
 safeguarded Newton steps on log(scale), using the closed-form slope
 d trace / d log(scale), inside a sign bracket that falls back to bisection
-(``rtsafe``, Numerical Recipes section 9.4). A Gaussian column typically
-needs four to six trace evaluations, each O(n p) with no n x n array:
-the one-column Gaussian kernel is interpolated at p Chebyshev nodes
-(K ~ L K_c L'), p doubling from 16 until the interpolant is exact to
-rounding (tail rule, :func:`_accepted_nodes`: the last two rows of K_c's
-2-D Chebyshev coefficients, from one 2 x p product and a real FFT, against
-the largest, 4 sum K_c). A column spanning too many
-bandwidths for p <= n / 4, a several-column total-df target and every
-other kernel take the O(n^2) evaluation instead.
+(``rtsafe``, Numerical Recipes section 9.4). A Gaussian target, per column
+or a total df over several, typically needs four to six trace evaluations,
+each through the Chebyshev nodes that the factor below takes
+(:func:`_gaussian_objective`): p_j per column, doubling from 16 until the
+node kernel K_c is exact to rounding (tail rule, :func:`_accepted_nodes`),
+with prod p_j <= n, in O(n prod p_j) with no n x n array. A design with no
+such nodes (a column spanning too many bandwidths, or more nodes than
+rows) and every other kernel take the O(n^2) evaluation.
 
 Because the base smoother is over-smooth, its spectrum is numerically low
 rank, and a Gaussian smoother keeps only the eigenpairs above eps/2. They
 come from one of two routes:
 
-- factor route (Gaussian): each column's node kernel K_c = V Sigma V' is
-  compressed to its eigenpairs above eps of the largest, so K ~ G G' with
-  G the P columns of the Khatri-Rao product of the n x r_j blocks
-  L_j V_j Sigma_j^{1/2} (held node-major, r_j x n) whose eigenvalue passes
-  the same cut
-  (:func:`_gaussian_factor`; a constant column is one node, K_c = 1). Row
-  sums come from L K_c L', one axis at a time, and the top pairs from one
-  raw Householder QR of D^{1/2} G, one P x P eigh and the product of the
-  reflectors with the kept eigenvectors in compact WY form
-  (:func:`_factor_eigenpairs`): O(n P^2) with no n x n array. It serves
-  every Gaussian design with P <= n / ``_FACTOR_RANK_GATE``, a gate
-  checked from the node kernels alone, before any n-length work;
+- factor route (Gaussian, :func:`_gaussian_factor` and
+  :func:`_factor_eigenpairs`): each column's node kernel is compressed to
+  its eigenpairs above eps of the largest, so K ~ G G' with G a Khatri-Rao
+  product of n x r_j blocks, and the top pairs come from one Householder QR
+  of D^{1/2} G and one P x P eigh, O(n P^2) with no n x n array. It serves
+  every Gaussian design with P <= n / ``_FACTOR_RANK_GATE``, a gate checked
+  from the node kernels alone, before any n-length work;
 - dense ``eigh`` of the symmetrized Gram matrix for everything else: a
   design past the gate is numerically high rank, so no truncation pays.
+  It builds K once and drops it with the spectrum.
 
-The factor route holds no n x n array; the dense route builds K once and
-drops it with the spectrum. ``kmat`` and ``matrix`` are built when asked
-for. Every route here runs on numpy alone: of the package's modules, only
-the spline's (:mod:`ibrsmooth.tps`) loads more, on first use.
-
-Interpolation rows are node-major throughout: :func:`_chebyshev_factor`,
-the one function that forms barycentric rows, gives the p x m transpose
-L' of an interpolation matrix to the calibration, the factor, its row
-sums and the prediction tables, and the contractions over the columns'
-rows (:func:`_node_table`, :func:`_interpolate`) run over blocks of
-points, with no m x prod p_j array.
-
-A Gaussian fit predicts through the same factor (:class:`NodeTables`):
-tables (K_c1 x ... x K_cd) H' [beta, 1] at the fit's nodes, built in
-O(n prod p_j) by the contraction that gives the row sums, give a new row
-inside the box its kernel average in O(d p + prod p_j) instead of O(n d).
-:func:`node_tables` offers them only to columns spanning at most
-``_GRID_SPAN`` bandwidths per half range (span rule), beyond which their
-rounding outgrows the direct route's, and with at most n nodes (cost
-rule). A batch that takes them evaluates them on every row, clipped to
-the box, and overwrites the rows outside the box from
-:func:`kernel_predict`, which every other kernel takes for every row.
+Every route here runs on numpy alone: of the package's modules, only the
+spline's (:mod:`ibrsmooth.tps`) loads more, on first use. Interpolation
+rows are node-major throughout: :func:`_chebyshev_factor` gives the p x m
+transpose L' of an interpolation matrix to the calibration, the factor
+and the prediction tables, and the contractions over the columns' rows
+(:func:`_node_table`, :func:`_interpolate`) run over blocks of points,
+with no m x prod p_j array. A Gaussian fit predicts a row inside the
+training box from tables at the fit's own nodes (:class:`NodeTables`) in
+O(d p + prod p_j) instead of O(n d); every other row and kernel takes
+:func:`kernel_predict`.
 """
 
 from __future__ import annotations
@@ -113,10 +96,9 @@ _PREDICT_BLOCK_BYTES = 1 << 18
 _FACTOR_RANK_GATE = 2
 _EPS = float(np.finfo(float).eps)
 _GAUSSIAN_K0 = float(kernel_values(np.zeros(1), "gaussian")[0])
-# a one-column Gaussian trace goes through a Chebyshev factor of
-# _FACTOR_NODES nodes, doubled until the node kernel's trailing Chebyshev
-# coefficients fall below _FACTOR_TAIL of its largest; once _FACTOR_GATE
-# times the node count exceeds n, the exact form is as cheap
+# a Gaussian column takes _FACTOR_NODES Chebyshev nodes, doubled until the
+# node kernel's trailing Chebyshev coefficients fall below _FACTOR_TAIL of
+# its largest, and none once _FACTOR_GATE times the node count exceeds n
 _FACTOR_NODES = 16
 _FACTOR_TAIL = 1e-15
 _FACTOR_GATE = 4
@@ -397,19 +379,13 @@ class NodeTables:
 def node_tables(x: np.ndarray, kind: str, bandwidths, beta: np.ndarray) -> NodeTables | None:
     """The unbuilt prediction tables of a fit with vector ``beta``; None for
     a kernel other than the Gaussian, a column spanning no range or more than
-    ``_GRID_SPAN`` bandwidths per half range (span rule), a column without
-    nodes or more nodes than rows (cost rule), all found with no n-length work."""
-    (n, d), h, half = x.shape, np.asarray(bandwidths, dtype=float), _unit_box(x)[1]
-    spans = (half > 0.0) & (half <= _GRID_SPAN * h)
-    # a column the span rule admits takes at least _FACTOR_NODES nodes
-    if kind != "gaussian" or not spans.all() or _FACTOR_NODES**d > n:
+    ``_GRID_SPAN`` bandwidths per half range (span rule), or a design that
+    :func:`_affordable_nodes` refuses, all found with no n-length work."""
+    h, half = np.asarray(bandwidths, dtype=float), _unit_box(x)[1]
+    if kind != "gaussian" or not np.all((half > 0.0) & (half <= _GRID_SPAN * h)):
         return None
-    nodes = []
-    for found in _column_nodes(half / h, n):
-        nodes.append(found)
-        if found is None or math.prod(p for p, _ in nodes) > n:
-            return None
-    return NodeTables(x, nodes, beta)
+    nodes = _affordable_nodes(half / h, x.shape[0])
+    return None if nodes is None else NodeTables(x, nodes, beta)
 
 
 class KernelSmoother(BaseSmoother):
@@ -520,9 +496,9 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     interpolation matrix (:func:`_chebyshev_factor` gives L_j'), K ~ G G'
     for G the Khatri-Rao product of the blocks L_j V_j Sigma_j^{1/2} (times
     K(0)^{1/2}, to kernel units), held as their r_j x n transposes. G keeps
-    only the products whose
-    eigenvalue prod_j sigma_j is above eps of the largest, the same cut as
-    each column's; their number P never falls as columns are added.
+    only the products whose eigenvalue prod_j sigma_j is above eps of the
+    largest, the same cut as each column's; their number P never falls as
+    columns are added.
 
     The columns are taken one at a time, and None is returned as soon as P
     exceeds n / ``_FACTOR_RANK_GATE``, before any n-length work; also for a
@@ -571,17 +547,36 @@ def _column_nodes(ratios, n: int):
         if ratio == 0.0:
             yield 1, np.ones((1, 1))
         else:
-            yield _accepted_nodes(lambda p: _node_kernel(p, ratio), n)
+            yield _accepted_nodes(ratio, n)
+
+
+def _affordable_nodes(ratios, n: int):
+    """The (p_j, K_cj) of every column (:func:`_column_nodes`), or None at
+    the first column with none or that takes prod p_j past n (cost rule)."""
+    nodes, size = [], 1
+    for found in _column_nodes(ratios, n):
+        if found is None or found[0] * size > n:
+            return None
+        nodes.append(found)
+        size *= found[0]
+    return nodes
+
+
+@cache
+def _node_gaps(p: int) -> np.ndarray:
+    """(z_a - z_b)^2 between p Chebyshev nodes z. Cached, so read-only: a
+    process keeps sum p^2 floats over the p it tried, p <= n / 4, at most
+    n^2 / 12 for its largest n against the 2 n^2 of the exact form."""
+    nodes = _chebyshev_nodes(p)[0]
+    gaps = np.subtract.outer(nodes, nodes)
+    gaps *= gaps
+    gaps.flags.writeable = False
+    return gaps
 
 
 def _node_kernel(p: int, ratio: float) -> np.ndarray:
     """exp(-(z_a - z_b)^2 ratio^2 / 2) between p Chebyshev nodes z."""
-    nodes = _chebyshev_nodes(p)[0]
-    gap = np.subtract.outer(nodes, nodes)
-    gap *= ratio
-    gap *= gap
-    gap *= -0.5
-    return np.exp(gap, out=gap)
+    return np.exp(_node_gaps(p) * (-0.5 * ratio * ratio))
 
 
 def _khatri_rao(blocks) -> np.ndarray:
@@ -761,103 +756,94 @@ def _unit_box(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _trace_and_slope(k0: float, sums: np.ndarray, slopes: np.ndarray) -> tuple[float, float]:
     """(K(0)^d sum_i 1 / s_i, -K(0)^d sum_i s_i' / s_i^2) from row sums s and
     their slopes s' in log scale."""
-    return float(k0 * np.sum(1.0 / sums)), float(-k0 * np.sum(slopes / (sums * sums)))
+    return float(k0 * (1.0 / sums).sum()), float(-k0 * (slopes / (sums * sums)).sum())
 
 
 def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
     """Gaussian trace objective over unit-range columns t (values in [-1, 1]).
 
-    K_ij = exp(q_ij / c^2) with q = -1/2 sum_k (gap_k * ratio_k)^2, up to a
-    constant factor that cancels in the trace, and d K / d log c =
-    -2 q K / c^2. Every evaluation takes its row sums through a set of nodes
-    z with an n x m interpolation matrix L:
-
-        s = L (K_c (L'1)),   s' = -2 / c^2 L ((K_c o q_z) (L'1)),
-
-    where K_c = exp(q_z / c^2) is the kernel between the nodes. For one
-    column the nodes are p Chebyshev points of the first kind and L holds
-    the barycentric Lagrange weights of the data points (held node-major as
-    L', :func:`_chebyshev_factor`), so K ~ L K_c L'
-    (the idea of the fast Gauss transform, Greengard & Strain 1991, and of
-    Chebyshev-interpolation FMM, Fong & Darve 2009) and an evaluation costs
-    O(n p + p^2). p is the smallest that :func:`_accepted_nodes` accepts at
-    the scale evaluated. Where none is, and for several columns, the nodes
-    are the data points themselves and L = I: the exact form, whose n x n q
-    is built only when an evaluation needs it.
+    At factor c, column j's kernel is exp(-gap^2 (r_j / c)^2 / 2). An
+    evaluation takes the nodes of :func:`_affordable_nodes` at the ratios
+    r_j / c, as the factor and the prediction tables do, and the rows of
+    :func:`_chebyshev_factor`, cached per column and p: K ~ H (K_c1 x ... x
+    K_cd) H' for H the Khatri-Rao product of the interpolation matrices
+    (Chebyshev-interpolation FMM, Fong & Darve 2009). H'1 comes from
+    :func:`_node_table` once per node tuple, the row sums s and slopes s' in
+    log c from one :func:`_interpolate` over :func:`_slope_tables`, in
+    O(n prod p_j). Without affordable nodes, the nodes are the data and
+    H = I: the exact form K = exp(q / c^2), s' = -2 / c^2 (K o q) 1 for
+    q = -1/2 sum_j (gap_j r_j)^2, whose n x n q is built on first use.
     """
-    n, d = t.shape
-    kernels = {}
-    factors = {}
-
-    def node_kernel(p: int | None, inv_c2: float):
-        # q_z and K_c between p Chebyshev nodes, or between the data for None
-        if p not in kernels:
-            nodes = t if p is None else _chebyshev_nodes(p)[0][:, None]
-            q = np.zeros((nodes.shape[0],) * 2)
-            for j in range(d):
-                gap = np.subtract.outer(nodes[:, j], nodes[:, j])
-                gap *= ratios[j]
-                gap *= gap
-                gap *= 0.5
-                q -= gap
-            kernels[p] = (q, np.empty_like(q))
-        q, kc = kernels[p]
-        np.exp(np.multiply(q, inv_c2, out=kc), out=kc)
-        return q, kc
-
-    def on_nodes(inv_c2: float):
-        # p of the smallest accepted factor (None: the exact form), q_z, K_c
-        if d == 1:
-            found = _accepted_nodes(lambda p: node_kernel(p, inv_c2)[1], n)
-            if found is not None:
-                p, kc = found
-                return p, kernels[p][0], kc
-        return (None, *node_kernel(None, inv_c2))
-
-    def interpolation(p: int | None):
-        # L and L'1 for p nodes; the identity and ones for the exact form
-        if p is None:
-            return None, np.ones(n)
-        if p not in factors:
-            left = _chebyshev_factor(t[:, 0], p)
-            factors[p] = (left, left.sum(axis=1))
-        return factors[p]
+    n = t.shape[0]
+    rows, ones, exact = {}, {}, []
 
     def gaussian_trace(c: float) -> tuple[float, float]:
-        inv_c2 = 1.0 / (c * c)
-        p, q, kc = on_nodes(inv_c2)
-        left, weights = interpolation(p)
-        sums = kc @ weights
-        kc *= q
-        slopes = kc @ weights
-        slopes *= -2.0 * inv_c2
-        if left is not None:
-            sums, slopes = sums @ left, slopes @ left
+        nodes = _affordable_nodes(ratios / c, n)
+        if nodes is None:
+            if not exact:
+                q = np.zeros((n, n))
+                for col, ratio in zip(t.T, ratios):
+                    gap = np.subtract.outer(col, col)
+                    gap *= ratio
+                    gap *= gap
+                    gap *= 0.5
+                    q -= gap
+                exact.extend((q, np.empty_like(q), np.ones(n)))
+            q, kc, weights = exact
+            inv_c2 = 1.0 / (c * c)
+            np.exp(np.multiply(q, inv_c2, out=kc), out=kc)
+            sums = kc @ weights
+            kc *= q
+            slopes = kc @ weights
+            slopes *= -2.0 * inv_c2
+        else:
+            sizes = tuple(p for p, _ in nodes)
+            for j, p in enumerate(sizes):
+                if (j, p) not in rows:
+                    rows[j, p] = _chebyshev_factor(t[:, j], p)
+            lefts = [rows[j, p] for j, p in enumerate(sizes)]
+            if sizes not in ones:
+                ones[sizes] = _node_table(lefts)
+            sums, slopes = _interpolate(lefts, _slope_tables(ones[sizes], nodes, ratios / c))
         return _trace_and_slope(1.0, sums, slopes)
 
     return gaussian_trace
 
 
-def _accepted_nodes(node_kernel, n: int):
-    """Smallest Chebyshev factor of a one-column Gaussian kernel that is
-    exact to rounding (tail rule).
+def _slope_tables(ones: np.ndarray, nodes, ratios: np.ndarray) -> np.ndarray:
+    """[(K_c1 x ... x K_cd) H'1, sum_j (K_c1 x ... x K_cj' x ... x K_cd) H'1]
+    as one (2, p_1, ..., p_d) array, from H'1 (``ones``), the ``nodes``
+    (p_j, K_cj) and the ``ratios`` r_j / c, where K_cj' = d K_cj / d log c
+    = K_cj o g_j^2 (r_j / c)^2 for the node gaps g_j (:func:`_node_gaps`).
+    Axis 1 takes H'1 to (K_c1 H'1, K_c1' H'1), and each other axis j the
+    pair (A, B) to (K_cj A, K_cj B + K_cj' A), the product rule: one
+    product with [K_cj; K_cj'] per axis."""
+    pairs = [np.concatenate([kc, kc * _node_gaps(p) * r**2]) for (p, kc), r in zip(nodes, ratios)]
+    p = ones.shape[0]
+    table = pairs[0] @ ones.reshape(p, -1)
+    for j, pair in enumerate(pairs[1:], start=1):
+        pre, p = math.prod(ones.shape[:j]), ones.shape[j]
+        both = np.matmul(pair, table.reshape(2 * pre, p, -1))
+        both = both.reshape(2, pre, 2, p, -1)
+        table = both[:, :, 0]
+        table[1] += both[0, :, 1]
+    return table.reshape((2,) + ones.shape)
 
-    ``node_kernel(p)`` gives the kernel between p Chebyshev nodes. p doubles
-    from ``_FACTOR_NODES`` until the last two rows and columns of the node
-    kernel's 2-D Chebyshev coefficients C (a DCT-II on each axis) lie below
-    ``_FACTOR_TAIL`` of the largest. The node kernel K_c is symmetric and
-    entrywise positive, so C is symmetric, its last two columns are its
-    last two rows transposed, and its largest entry is c_00 = 4 sum K_c.
-    The two rows are the DCT-II, along its rows, of K_c's product with the
-    transform's last two rows (:func:`_tail_transform`): one 2 x p product
-    and one real FFT of length p per row (:func:`_tail_peak`), O(p^2) in
-    all, where the full 2-D transform reads all p^2 coefficients. Returns
-    (p, node kernel), or None once ``_FACTOR_GATE`` * p exceeds n, where
-    the exact form is as cheap.
+
+def _accepted_nodes(ratio: float, n: int):
+    """Smallest Chebyshev factor of a one-column Gaussian kernel spanning
+    ``ratio`` bandwidths per half range that is exact to rounding (tail
+    rule): p doubles from ``_FACTOR_NODES`` until the last two rows and
+    columns of the node kernel's 2-D Chebyshev coefficients lie below
+    ``_FACTOR_TAIL`` of the largest. The kernel is symmetric, so the
+    columns are the rows transposed, and :func:`_tail_peak` finds the two
+    rows in O(p^2), where the full 2-D transform reads p^2 coefficients.
+    Returns (p, node kernel), or None once ``_FACTOR_GATE`` * p exceeds n,
+    where the exact form is as cheap.
     """
     p = _FACTOR_NODES
     while _FACTOR_GATE * p <= n:
-        kc = node_kernel(p)
+        kc = _node_kernel(p, ratio)
         if _tail_peak(kc) <= _FACTOR_TAIL * kc.sum():
             return p, kc
         p *= 2
@@ -1020,12 +1006,10 @@ def calibrate_bandwidth(
     The trace decreases from (nearly) n at tiny bandwidths to 1 as the
     bandwidth grows, so the target must lie strictly inside (1, n). The
     search takes safeguarded Newton steps on log h from the middle of
-    [1e-3, 1e3] times the column range. A Gaussian step costs O(n p)
-    through a Chebyshev factor of p nodes (16 to n / 4), and one n x n
-    evaluation where the column spans so many bandwidths that no such
-    factor is accurate to rounding; other kernels always take the n x n
-    evaluation. Raises ValueError on a non-finite value or a range that
-    overflows.
+    [1e-3, 1e3] times the column range, each O(n p) on the p Chebyshev
+    nodes of a Gaussian column that has them (:func:`_gaussian_objective`)
+    and O(n^2) otherwise. Raises ValueError on a non-finite value or a
+    range that overflows.
     """
     col = np.asarray(column, dtype=float).ravel()
     n = col.size
@@ -1060,7 +1044,10 @@ def calibrate_total_df(x, kind: str, total_df: float) -> np.ndarray:
     is tuned until the trace of the full product smoother equals
     ``total_df``. With one column this agrees with
     :func:`calibrate_bandwidth` up to tolerance. c is found by the same
-    safeguarded Newton search on log c, starting inside [1e-3, 1e3].
+    safeguarded Newton search on log c, starting inside [1e-3, 1e3]. A
+    Gaussian evaluation takes O(n prod p_j) on the columns' Chebyshev nodes
+    while prod p_j <= n, and the O(n^2) exact form beyond (for d = 3 at
+    moderate n) or for another kernel (:func:`_gaussian_objective`).
     """
     design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
     xm = design.x

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ibrsmooth import fitting
-from ibrsmooth.cli import main
+from ibrsmooth import CvPlan, SelectionPlan, SmootherConfig, fitting
+from ibrsmooth.cli import build_parser, main
 from ibrsmooth.data import load_csv
 
 from test_model_io import BAD_FILES, write_bad_model
@@ -186,6 +186,7 @@ def test_cv_criterion_via_flags(train_csv, capsys):
         (["--cv-kfold", "two"], "--cv-kfold"),
         (["--kmax", "inf", "--exhaustive"], "kmax must be a finite number"),
         (["--dfmaxi", "nan"], "dfmaxi must be a positive number, got nan"),
+        (["--smoother", "tps", "--dftotal"], "SmootherConfig.dftotal = True is not read"),
     ],
 )
 def test_bad_flags_exit_2_with_one_error_line(train_csv, capsys, flags, fragment):
@@ -235,3 +236,15 @@ def test_constant_response_exits_2_with_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "y is constant" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["fit", "--data", "x.csv"], ["forward", "--data", "x.csv"], ["bench", "wendelberger"]]
+)
+def test_flag_defaults_are_the_config_defaults(argv):
+    """A changed library default reaches the CLI: df, kmin, kmax and the
+    split count are read from the config dataclasses."""
+    args = build_parser().parse_args(argv)
+    assert args.df == SmootherConfig.df
+    assert (args.kmin, args.kmax) == (SelectionPlan.kmin, SelectionPlan.kmax)
+    assert args.cv_npermut == CvPlan.npermut

@@ -153,3 +153,22 @@ def test_smoother_config_validation():
         SmootherConfig(family="spline")
     assert SmootherConfig(family="k").family == "kernel"
     assert SmootherConfig(kernel="g").kernel == "gaussian"
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        (dict(family="tps", bandwidths=(0.5,)), "bandwidths"),
+        (dict(family="tps", dftotal=True), "dftotal"),
+        (dict(lam=0.1), "lam"),
+        (dict(order=2), "order"),
+        (dict(bandwidths=(0.5,), dftotal=True), "dftotal"),
+    ],
+)
+def test_smoother_config_refuses_a_field_its_family_never_reads(fields, name):
+    """A fit would drop such a field silently (with explicit bandwidths,
+    the df target too). A spline still takes a kernel letter: the CLI
+    always passes one."""
+    with pytest.raises(ValueError, match=rf"^SmootherConfig\.{name} = .* is not read "):
+        SmootherConfig(**fields)
+    assert SmootherConfig(family="tps", kernel="q").family == "tps"

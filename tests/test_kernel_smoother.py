@@ -290,15 +290,65 @@ def test_tail_rule_decides_as_the_full_dct(p):
 
 
 def test_gaussian_calibration_holds_no_n_by_n_array():
+    """Per variable on one column, and a total df on two."""
     n = 4000
     col = np.random.default_rng(4).uniform(size=n)
-    tracemalloc.start()
-    try:
-        calibrate_bandwidth(col, "gaussian", 1.1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < n * n * 8
+    x = np.random.default_rng(5).uniform(size=(n, 2))
+    for calibrate in (
+        lambda: calibrate_bandwidth(col, "gaussian", 1.1),
+        lambda: calibrate_total_df(x, "gaussian", 2.2),
+    ):
+        tracemalloc.start()
+        try:
+            calibrate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+
+def _long_double_trace(x, h):
+    """Trace and d trace / d log c of the Gaussian product smoother with
+    bandwidths c h at c = 1, from the full n x n kernel in long double."""
+    xl, hl = x.astype(np.longdouble), np.asarray(h, dtype=np.longdouble)
+    u2 = sum(np.subtract.outer(col, col) ** 2 / hj**2 for col, hj in zip(xl.T, hl))
+    kmat = np.exp(-0.5 * u2)
+    sums = kmat.sum(axis=1)
+    slopes = (kmat * u2).sum(axis=1)
+    return float(np.sum(1.0 / sums)), float(-np.sum(slopes / sums**2))
+
+
+@pytest.mark.parametrize(
+    "dist, target", [("uniform", 2.2), ("normal", 1.5), ("lognormal", 1.5), ("lognormal", 2.2)]
+)
+def test_total_df_node_path_matches_the_n_by_n_kernel(monkeypatch, dist, target):
+    """Two columns, n = 1500: at the calibrated factor, the trace and slope
+    from the columns' Chebyshev nodes agree with the long-double n x n
+    kernel's to 1e-13 and 1e-11 relative, and the bandwidths with the
+    exact form's to 1e-12."""
+    x = getattr(np.random.default_rng(1500), dist)(size=(1500, 2))
+    built = _record_factors(monkeypatch)
+    h = calibrate_total_df(x, "gaussian", target)
+    built.clear()
+    trace, slope = kernel_smoother._trace_objective(x, "gaussian", h)(1.0)
+    assert built == [32, 32]
+    ref_trace, ref_slope = _long_double_trace(x, h)
+    assert trace == pytest.approx(ref_trace, rel=1e-13)
+    assert slope == pytest.approx(ref_slope, rel=1e-11)
+    monkeypatch.setattr(kernel_smoother, "_affordable_nodes", lambda ratios, n: None)
+    assert list(h) == pytest.approx(calibrate_total_df(x, "gaussian", target), rel=1e-12)
+
+
+def test_three_columns_with_more_nodes_than_rows_take_the_exact_form(monkeypatch):
+    """16 nodes per column at the least, and 16^3 > n = 1000: every
+    evaluation takes the exact form, with no interpolation rows built."""
+    x = np.random.default_rng(9).uniform(size=(1000, 3))
+    built = _record_factors(monkeypatch)
+    h = calibrate_total_df(x, "gaussian", 3.3)
+    assert built == []
+    trace = kernel_smoother._trace_objective(x, "gaussian", h)(1.0)[0]
+    assert trace == pytest.approx(3.3, abs=1e-4)
+    assert trace == pytest.approx(_long_double_trace(x, h)[0], rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

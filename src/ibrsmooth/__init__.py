@@ -10,18 +10,10 @@ cross-validated prediction loss.
 from .crossval import CvPlan, make_splits, search_k_cv
 from .data import Dataset, load_csv, split_response
 from .engine import IterationDomainError, KPath, iterate_fitted_recursive
-from .fitting import (
-    IbrFit,
-    KernelPredictor,
-    SmootherConfig,
-    TpsPredictor,
-    build_smoother,
-    fit,
-    predict,
-)
+from .fitting import IbrFit, SmootherConfig, build_smoother, fit
 from .forward import ForwardResult, ForwardStageError, forward_select
 from .kernel_smoother import (
-    CalibrationError,
+    KernelPredictor,
     KernelSmoother,
     KernelSmootherSpec,
     build_kernel_smoother,
@@ -39,8 +31,9 @@ from .selection import (
     search_k_exhaustive,
     search_k_numeric,
 )
-from .smoothers import BaseSmoother, DesignMatrix, SpectralForm
+from .smoothers import BaseSmoother, CalibrationError, DesignMatrix, SpectralForm
 from .tps import (
+    TpsPredictor,
     TpsSmoother,
     TpsSpec,
     build_calibrated_tps,
@@ -90,7 +83,6 @@ __all__ = [
     "load_model",
     "make_report",
     "make_splits",
-    "predict",
     "save_model",
     "search_k_cv",
     "search_k_exhaustive",

@@ -3,49 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .crossval import search_k_cv
 from .engine import KPath
 from .kernel_smoother import (
-    KernelSmoother,
+    KernelPredictor,
     KernelSmootherSpec,
-    NodeTables,
-    _kernel_average,
-    _KernelRows,
     build_kernel_smoother,
     calibrate_bandwidth,
     calibrate_total_df,
-    node_tables,
 )
 from .kernels import resolve_kernel
-from .selection import (
-    CV_LOSSES,
-    SelectionPlan,
-    criterion_value,
-    search_k_exhaustive,
-    search_k_numeric,
-)
-from .smoothers import BaseSmoother, DesignMatrix, _finite_rows
+from .selection import CV_LOSSES, SelectionPlan, search_k_exhaustive, search_k_numeric
+from .smoothers import BaseSmoother, DesignMatrix
 from .tps import (
+    TpsPredictor,
     TpsSmoother,
     TpsSpec,
     build_calibrated_tps,
     default_tps_order,
-    tps_evaluate,
 )
 
-__all__ = [
-    "SmootherConfig",
-    "KernelPredictor",
-    "TpsPredictor",
-    "IbrFit",
-    "build_smoother",
-    "fit",
-    "predict",
-]
+__all__ = ["SmootherConfig", "IbrFit", "build_smoother", "fit"]
 
 # at most this many (k, criterion) pairs are kept on the fit object
 _TRACE_KEEP = 512
@@ -89,7 +70,7 @@ class SmootherConfig:
 
 def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
     """Calibrate and build the base smoother a config asks for."""
-    design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
+    design = DesignMatrix.from_array(x)
     if config.family == "tps":
         if config.lam is not None:
             spec = TpsSpec(
@@ -109,71 +90,6 @@ def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
             for j in range(design.d)
         )
     return build_kernel_smoother(design, KernelSmootherSpec(kind=config.kernel, bandwidths=h))
-
-
-@dataclass
-class KernelPredictor:
-    """Everything needed to evaluate a kernel fit at new points.
-
-    A Gaussian fit may answer a batch from
-    :class:`~ibrsmooth.kernel_smoother.NodeTables` at the Chebyshev nodes
-    its factor chose, in O(d p + prod p_j) per row instead of O(n d). The
-    first batch large enough to pay for them builds them (160 rows at
-    n = 1500, d = 2). Such a batch takes the tables on every row, each
-    column clipped to the training box, and one box test, in data
-    coordinates, picks the rows outside the box, which are then overwritten
-    from the direct route of
-    :func:`~ibrsmooth.kernel_smoother.kernel_predict`: a batch wholly inside
-    the box gathers and scatters nothing. A batch's route depends only on
-    the fit and its row count, so a saved and reloaded model gives the same
-    bits. Smaller batches and fits that no tables serve
-    (:func:`~ibrsmooth.kernel_smoother.node_tables`) take the direct route.
-    """
-
-    x_train: np.ndarray
-    kind: str
-    bandwidths: np.ndarray
-    beta: np.ndarray
-
-    @cached_property
-    def _tables(self) -> NodeTables | None:
-        return node_tables(self.x_train, self.kind, self.bandwidths, self.beta)
-
-    @cached_property
-    def _weights(self) -> _KernelRows:
-        # the direct route's design, prepared once for every batch
-        return _KernelRows(self.x_train, self.kind, self.bandwidths)
-
-    def predict(self, x_new: np.ndarray) -> np.ndarray:
-        x_new = _finite_rows(x_new, self.x_train.shape[1])
-        tables = self._tables
-        if tables is None or x_new.size < tables.cost:
-            return _kernel_average(x_new, self._weights, self.beta)
-        pred = tables.interpolate(x_new)
-        # a column at a time: a reduction over a row's few columns is several times slower
-        outside = np.zeros(len(x_new), dtype=bool)
-        for col, lo, hi in zip(x_new.T, tables.lo, tables.hi):
-            outside |= (col < lo) | (col > hi)
-        outside = np.flatnonzero(outside)
-        if outside.size:
-            pred[outside] = _kernel_average(x_new[outside], self._weights, self.beta, outside)
-        return pred
-
-
-@dataclass
-class TpsPredictor:
-    """Collapsed thin-plate spline: radial part plus polynomial part."""
-
-    x_train: np.ndarray
-    order: int
-    powers: list[tuple[int, ...]]
-    delta: np.ndarray
-    poly_coef: np.ndarray
-
-    def predict(self, x_new: np.ndarray) -> np.ndarray:
-        return tps_evaluate(
-            x_new, self.x_train, self.order, self.powers, self.delta, self.poly_coef
-        )
 
 
 @dataclass
@@ -216,25 +132,6 @@ class IbrFit:
         return self.predictor.predict(x_new)
 
 
-def _make_predictor(smoother: BaseSmoother, beta: np.ndarray):
-    if isinstance(smoother, KernelSmoother):
-        return KernelPredictor(
-            x_train=smoother.design.x.copy(),
-            kind=smoother.spec.kind,
-            bandwidths=np.asarray(smoother.spec.bandwidths, dtype=float),
-            beta=beta.copy(),
-        )
-    assert isinstance(smoother, TpsSmoother)
-    delta, poly_coef = smoother.prediction_parts(beta)
-    return TpsPredictor(
-        x_train=smoother.design.x.copy(),
-        order=smoother.spec.order,
-        powers=smoother.core.powers,
-        delta=delta,
-        poly_coef=poly_coef,
-    )
-
-
 def _thin(arr: np.ndarray) -> np.ndarray:
     if arr.size <= _TRACE_KEEP:
         return arr
@@ -256,12 +153,13 @@ def fit(
         y: response vector of length n.
         smoother: SmootherConfig (calibrated here) or a prebuilt smoother.
         plan: how to choose the iteration count; defaults to numeric GCV.
-        names: column names when x is a bare array.
+        names: column names when x is a bare array (ValueError with a
+            DesignMatrix, which has its own).
 
     Returns:
         IbrFit with coefficients, diagnostics and a lightweight predictor.
     """
-    design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x, names)
+    design = DesignMatrix.from_array(x, names)
     y = np.asarray(y, dtype=float).ravel()
     if y.size != design.n:
         raise ValueError(f"y has {y.size} entries for {design.n} rows")
@@ -335,23 +233,8 @@ def fit(
         criterion=crit_name,
         criterion_value=crit_value,
         selection_mode=mode_name,
-        predictor=_make_predictor(base, beta),
+        predictor=base.predictor(beta),
         trace_k=trace_k,
         trace_value=trace_value,
     )
 
-
-def predict(fit_result: IbrFit, x_new: np.ndarray) -> np.ndarray:
-    """Functional alias for IbrFit.predict."""
-    return fit_result.predict(x_new)
-
-
-def criterion_at(fit_result: IbrFit, kind: str) -> float:
-    """Evaluate a spectral criterion at the fit's chosen k.
-
-    Used by forward selection, where the scoring criterion may differ from
-    the one that picked k.
-    """
-    return criterion_value(
-        kind, fit_result.n, fit_result.rss, fit_result.final_df, fit_result.fitted_energy
-    )

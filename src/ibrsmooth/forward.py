@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fitting
-from .fitting import SmootherConfig, criterion_at, fit
-from .selection import CRITERIA, CV_LOSSES, SelectionPlan
+from .fitting import SmootherConfig, fit
+from .selection import CRITERIA, CV_LOSSES, SelectionPlan, criterion_value
 from .smoothers import DesignMatrix
 
 __all__ = ["ForwardResult", "ForwardStageError", "forward_select"]
@@ -66,7 +66,7 @@ def forward_select(
     criterion, else to gcv. A failed candidate fit scores inf with a
     warning; a stage with no finite score at all aborts the walk.
     """
-    design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
+    design = DesignMatrix.from_array(x)
     y = np.asarray(y, dtype=float).ravel()
     smoother = smoother if smoother is not None else SmootherConfig()
     plan = plan if plan is not None else SelectionPlan()
@@ -93,7 +93,9 @@ def forward_select(
                 if bandwidth is not None:
                     config = replace(smoother, bandwidths=tuple(map(bandwidth, cols)))
                 candidate = fit(sub, y, smoother=config, plan=plan)
-                row[j] = criterion_at(candidate, varcrit)
+                row[j] = criterion_value(
+                    varcrit, candidate.n, candidate.rss, candidate.final_df, candidate.fitted_energy
+                )
             except Exception as exc:  # noqa: BLE001 - scored as inf by design
                 warnings.warn(
                     f"candidate fit with columns {[design.names[c] for c in cols]} "

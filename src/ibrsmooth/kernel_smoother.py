@@ -7,12 +7,11 @@ data fit; each one is calibrated so the corresponding univariate smoother
 has a prescribed (small) trace, which keeps the base smoother deliberately
 over-smooth.
 
-Every calibration here and in :mod:`ibrsmooth.tps` solves trace(scale) =
-target for a trace that decreases in its scale (a bandwidth, a common
-bandwidth factor or a spline penalty). One root finder serves them all:
+A bandwidth, or a common bandwidth factor, solves trace(scale) = target
+for a trace that decreases in its scale, by the root finder that the
+spline's penalty also takes (:func:`~ibrsmooth.smoothers._log_newton_root`):
 safeguarded Newton steps on log(scale), using the closed-form slope
-d trace / d log(scale), inside a sign bracket that falls back to bisection
-(``rtsafe``, Numerical Recipes section 9.4). A Gaussian target, per column
+d trace / d log(scale), inside a sign bracket. A Gaussian target, per column
 or a total df over several, typically needs four to six trace evaluations,
 each through the Chebyshev nodes that the factor below takes
 (:func:`_gaussian_objective`): p_j per column, doubling from 16 until the
@@ -42,10 +41,12 @@ rows are node-major throughout: :func:`_chebyshev_factor` gives the p x m
 transpose L' of an interpolation matrix to the calibration, the factor
 and the prediction tables, and the contractions over the columns' rows
 (:func:`_node_table`, :func:`_interpolate`) run over blocks of points,
-with no m x prod p_j array. A Gaussian fit predicts a row inside the
-training box from tables at the fit's own nodes (:class:`NodeTables`) in
-O(d p + prod p_j) instead of O(n d); every other row and kernel takes
-:func:`kernel_predict`.
+with no m x prod p_j array. The family's one evaluator,
+:class:`KernelPredictor`, serves the fit, ``evaluate``, the
+cross-validation projector and a loaded model. With a coefficient vector,
+a Gaussian fit predicts a row inside the training box from tables at its
+own nodes (:class:`NodeTables`) in O(d p + prod p_j) instead of O(n d);
+every other row, coefficient block and kernel takes :func:`kernel_predict`.
 """
 
 from __future__ import annotations
@@ -57,10 +58,21 @@ from functools import cache, cached_property
 import numpy as np
 
 from .kernels import is_positive_definite, kernel_slopes, kernel_values, resolve_kernel
-from .smoothers import BaseSmoother, DesignMatrix, SpectralForm, _finite_rows
+from .smoothers import (
+    _PREDICT_BLOCK_BYTES,
+    BaseSmoother,
+    CalibrationError,
+    DesignMatrix,
+    SpectralForm,
+    _fill,
+    _finite_rows,
+    _log_newton_root,
+    _pairwise_blocks,
+    _squared_distances,
+)
 
 __all__ = [
-    "CalibrationError",
+    "KernelPredictor",
     "KernelSmootherSpec",
     "KernelSmoother",
     "build_kernel_smoother",
@@ -68,24 +80,11 @@ __all__ = [
     "calibrate_total_df",
 ]
 
-# starting sign bracket of the bandwidth search, as multiples of the column
-# range (of the column standard deviations for the common factor). An end is
-# only evaluated when a step heads past it; while the target lies beyond it,
-# it moves out tenfold, at most _MAX_EXPANSIONS times.
+# starting sign bracket of the bandwidth search (:func:`_log_newton_root`),
+# as multiples of the column range (of the column standard deviations for
+# the common factor)
 _BRACKET_LO = 1e-3
 _BRACKET_HI = 1e3
-_MAX_EXPANSIONS = 10
-# the search stops once a Newton step or the bracket is this short in log
-# scale, i.e. relative to the scale; _MAX_STEPS covers bisecting the fully
-# expanded bracket down to it
-_LOG_XTOL = 1e-12
-_MAX_STEPS = 100
-_LN10 = math.log(10.0)
-# pairwise values against the design (kernel weights, the spline's radial
-# basis) are built in blocks of new rows of about this many bytes: the two
-# block buffers stay in cache and under the size at which numpy asks for
-# huge pages
-_PREDICT_BLOCK_BYTES = 1 << 18
 # a Gaussian design takes the truncated factor route (module docstring)
 # while its factor has at most n / _FACTOR_RANK_GATE columns P. Uniform
 # columns, one BLAS thread, the factor route's build and spectrum against
@@ -123,10 +122,6 @@ _BANDWIDTH_TOL = 1e-6
 _TOTAL_DF_TOL = 1e-4
 
 
-class CalibrationError(RuntimeError):
-    """Raised when a degrees-of-freedom target cannot be bracketed or hit."""
-
-
 @dataclass(frozen=True)
 class KernelSmootherSpec:
     """Kernel and per-column bandwidths of a product-kernel smoother."""
@@ -144,63 +139,6 @@ class KernelSmootherSpec:
     @property
     def positive_definite(self) -> bool:
         return is_positive_definite(self.kind)
-
-
-def _squared_distances(a: np.ndarray, bt: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """|a_i - b_j|^2 into ``out`` (rows of a by columns of ``bt``, the
-    second point set transposed), the squared gaps added up one column at a
-    time, in column order, through ``scratch`` of the same shape: no
-    rows x rows x d difference tensor is formed. Each gap block is a's
-    column written by a broadcast fill, less b's column as a contiguous row
-    broadcast: a stride-0 operand in numpy's inner loop runs several times
-    slower."""
-    for j in range(a.shape[1]):
-        gap = scratch if j else out
-        gap[...] = a[:, j, None]
-        gap -= bt[j]
-        gap *= gap
-        if j:
-            out += gap
-    return out
-
-
-def _pairwise_blocks(a: np.ndarray, b: np.ndarray, fill, out=None):
-    """Yield (rows, block) for slices ``rows`` of the rows of ``a``, each
-    block (rows of a by rows of b) filled by ``fill(rows, block, scratch)``
-    with one block-shaped scratch buffer. A block holds about
-    ``_PREDICT_BLOCK_BYTES`` in whole eight-row groups, and is ``out[rows]``
-    when ``out`` is given, else one buffer that the next block overwrites."""
-    m, n = a.shape[0], b.shape[0]
-    step = max(1, min(m, max(8, _PREDICT_BLOCK_BYTES // (8 * n) // 8 * 8)))
-    buf = _cache_aligned((step, n)) if out is None else out
-    scratch = _cache_aligned((step, n))
-    for start in range(0, m, step):
-        rows = slice(start, min(start + step, m))
-        block = buf[rows] if out is not None else buf[: rows.stop - start]
-        fill(rows, block, scratch[: rows.stop - start])
-        yield rows, block
-
-
-def _cache_aligned(shape) -> np.ndarray:
-    """An empty C-ordered float array starting on a 64-byte cache line.
-
-    malloc aligns to 16 bytes only, so a plain block buffer starts at one of
-    four places in its cache line, set by the heap's state, which differs
-    from one fit and one process to the next: 500-row predicts of the
-    900-point spline ran 6% slower with both block buffers 32 bytes into a
-    line and 13-14% slower at 16 or 48 (one BLAS thread).
-    """
-    size = math.prod(shape)
-    raw = np.empty(size + 7)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start : start + size].reshape(shape)
-
-
-def _fill(blocks) -> None:
-    """Run a block generator given an ``out`` array to its end, keeping no
-    reference to its last block."""
-    for _ in blocks:
-        pass
 
 
 class _KernelRows:
@@ -286,12 +224,12 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     product treats rows by position), so a row predicted in a shifted or
     smaller batch agrees only to the rounding floor
     eps (|w| . |beta|) / (w . 1). Nor is the promise made across routes: a
-    Gaussian :class:`ibrsmooth.fitting.KernelPredictor` may answer rows
-    inside the training box from :class:`NodeTables`, equal to this route
-    to the rounding floor. ``x_new`` is read as the predictors read it
-    (a 1-D array holds points of a one-column design). Raises ValueError
-    when it has the wrong number of columns, a non-finite entry or a row
-    outside the kernel support of every design point.
+    Gaussian :class:`KernelPredictor` may answer rows inside the training
+    box from :class:`NodeTables`, equal to this route to the rounding
+    floor. ``x_new`` is read as the predictors read it (a 1-D array holds
+    points of a one-column design). Raises ValueError when it has the
+    wrong number of columns, a non-finite entry or a row outside the kernel
+    support of every design point.
     """
     x_new = _finite_rows(x_new, x.shape[1])
     return _kernel_average(x_new, _KernelRows(x, kind, bandwidths), beta)
@@ -376,16 +314,62 @@ class NodeTables:
         return pred
 
 
-def node_tables(x: np.ndarray, kind: str, bandwidths, beta: np.ndarray) -> NodeTables | None:
-    """The unbuilt prediction tables of a fit with vector ``beta``; None for
-    a kernel other than the Gaussian, a column spanning no range or more than
-    ``_GRID_SPAN`` bandwidths per half range (span rule), or a design that
-    :func:`_affordable_nodes` refuses, all found with no n-length work."""
-    h, half = np.asarray(bandwidths, dtype=float), _unit_box(x)[1]
-    if kind != "gaussian" or not np.all((half > 0.0) & (half <= _GRID_SPAN * h)):
-        return None
-    nodes = _affordable_nodes(half / h, x.shape[0])
-    return None if nodes is None else NodeTables(x, nodes, beta)
+@dataclass
+class KernelPredictor:
+    """A kernel smoother's evaluator: the average of ``beta``, of shape (n,)
+    or (n, c), weighted by the kernel between a new row and the design.
+
+    A Gaussian fit with vector ``beta`` may answer a batch from
+    :class:`NodeTables` at the Chebyshev nodes its factor chose, in
+    O(d p + prod p_j) per row instead of O(n d). The first batch large
+    enough to pay for them builds them (160 rows at n = 1500, d = 2). Such
+    a batch takes the tables on every row, each column clipped to the
+    training box, and one box test, in data coordinates, picks the rows
+    outside the box, which are then overwritten from the direct route of
+    :func:`kernel_predict`: a batch wholly inside the box gathers and
+    scatters nothing. A batch's route depends only on the fit and its row
+    count, so a saved and reloaded model gives the same bits. Smaller
+    batches and fits that no tables serve (:attr:`_tables`) go direct.
+    """
+
+    x_train: np.ndarray
+    kind: str
+    bandwidths: np.ndarray
+    beta: np.ndarray
+
+    @cached_property
+    def _tables(self) -> NodeTables | None:
+        """The unbuilt prediction tables; None for a coefficient block, a
+        kernel other than the Gaussian, a column spanning no range or more
+        than ``_GRID_SPAN`` bandwidths per half range (span rule), or nodes
+        that :func:`_affordable_nodes` refuses, found with no n-length work."""
+        if self.beta.ndim != 1 or self.kind != "gaussian":
+            return None
+        h, half = np.asarray(self.bandwidths, dtype=float), _unit_box(self.x_train)[1]
+        if not np.all((half > 0.0) & (half <= _GRID_SPAN * h)):
+            return None
+        nodes = _affordable_nodes(half / h, self.x_train.shape[0])
+        return None if nodes is None else NodeTables(self.x_train, nodes, self.beta)
+
+    @cached_property
+    def _weights(self) -> _KernelRows:
+        # the direct route's design, prepared once for every batch
+        return _KernelRows(self.x_train, self.kind, self.bandwidths)
+
+    def predict(self, x_new: np.ndarray) -> np.ndarray:
+        x_new = _finite_rows(x_new, self.x_train.shape[1])
+        tables = self._tables
+        if tables is None or x_new.size < tables.cost:
+            return _kernel_average(x_new, self._weights, self.beta)
+        pred = tables.interpolate(x_new)
+        # a column at a time: a reduction over a row's few columns is several times slower
+        outside = np.zeros(len(x_new), dtype=bool)
+        for col, lo, hi in zip(x_new.T, tables.lo, tables.hi):
+            outside |= (col < lo) | (col > hi)
+        outside = np.flatnonzero(outside)
+        if outside.size:
+            pred[outside] = _kernel_average(x_new[outside], self._weights, self.beta, outside)
+        return pred
 
 
 class KernelSmoother(BaseSmoother):
@@ -459,10 +443,9 @@ class KernelSmoother(BaseSmoother):
             pd_family=self.spec.positive_definite,
         )
 
-    def evaluate(self, x_new: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        return kernel_predict(
-            x_new, self.design.x, self.spec.kind, self.spec.bandwidths, coef
-        )
+    def predictor(self, coef: np.ndarray) -> KernelPredictor:
+        h = np.asarray(self.spec.bandwidths, dtype=float)
+        return KernelPredictor(self.design.x.copy(), self.spec.kind, h, coef)
 
     def describe(self) -> str:
         return f"{self.spec.kind} kernel (with {self.initial_df:.4g} df)"
@@ -698,8 +681,7 @@ def _reflector_product(reflectors: np.ndarray, tau: np.ndarray, w: np.ndarray) -
 
 def build_kernel_smoother(x, spec: KernelSmootherSpec) -> KernelSmoother:
     """Build the smoother for a design and an already-calibrated spec."""
-    design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
-    return KernelSmoother(design, spec)
+    return KernelSmoother(DesignMatrix.from_array(x), spec)
 
 
 def _trace_objective(x: np.ndarray, kind: str, scales: np.ndarray):
@@ -927,74 +909,6 @@ def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
     return left
 
 
-def _log_newton_root(trace, target: float, floor: float, lo: float, hi: float, what: str):
-    """Scale x in [lo, hi] (or the expanded bracket) where trace(x) = target.
-
-    ``trace(x)`` must decrease in x towards ``floor`` as x grows, with
-    floor < target, and return the trace together with its slope
-    d trace / d log x. The search runs on t = log x from the middle of the
-    bracket. It keeps a sign bracket [a, b], trace above the target at a and
-    below it at b, and takes a Newton step only when it lands strictly
-    inside; otherwise it bisects (``rtsafe``). The steps are Newton steps
-    for log(trace - floor) = log(target - floor), which has the same root
-    and is close to linear in t where the trace decays like a power of x,
-    so steps from far out land near the root instead of overshooting. An
-    end that has not been evaluated is evaluated first when a step heads
-    past it, and moved out tenfold while the target lies beyond it. A zero
-    slope always bisects, so a piecewise constant trace narrows down to its
-    jump.
-
-    Returns the last evaluated scale and the trace there, so the caller
-    checks the achieved trace without another evaluation.
-    """
-    a, b = math.log(lo), math.log(hi)
-    a_known = b_known = False
-    a_moves = b_moves = 0
-    log_goal = math.log(target - floor)
-    t = 0.5 * (a + b)
-    for _ in range(_MAX_STEPS):
-        x = math.exp(t)
-        value, slope = trace(x)
-        gap = value - target
-        if gap == 0.0:
-            break
-        if gap > 0.0:
-            a, a_known = t, True
-            if a >= b:
-                if b_moves == _MAX_EXPANSIONS:
-                    raise _no_bracket(what, target, x, value)
-                b, b_known, b_moves = b + _LN10, False, b_moves + 1
-        else:
-            b, b_known = t, True
-            if b <= a:
-                if a_moves == _MAX_EXPANSIONS:
-                    raise _no_bracket(what, target, x, value)
-                a, a_known, a_moves = a - _LN10, False, a_moves + 1
-        excess = value - floor
-        if slope < 0.0 and excess > 0.0:
-            step = excess * (log_goal - math.log(excess)) / slope
-        else:
-            step = math.copysign(math.inf, gap)
-        if abs(step) <= _LOG_XTOL or b - a <= _LOG_XTOL:
-            break
-        t += step
-        if not a < t < b:
-            if step > 0.0 and not b_known:
-                t = b
-            elif step < 0.0 and not a_known:
-                t = a
-            else:
-                t = 0.5 * (a + b)
-    return x, value
-
-
-def _no_bracket(what: str, target: float, x: float, value: float) -> CalibrationError:
-    return CalibrationError(
-        f"could not bracket the {what} target {target:g}: "
-        f"trace {value:.6g} at {x:.3e}, the end of the widest search range"
-    )
-
-
 def calibrate_bandwidth(
     column: np.ndarray,
     kind: str,
@@ -1049,7 +963,7 @@ def calibrate_total_df(x, kind: str, total_df: float) -> np.ndarray:
     while prod p_j <= n, and the O(n^2) exact form beyond (for d = 3 at
     moderate n) or for another kernel (:func:`_gaussian_objective`).
     """
-    design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
+    design = DesignMatrix.from_array(x)
     xm = design.x
     n = design.n
     if not 1.0 < total_df < n:

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import IbrFit, KernelPredictor, TpsPredictor
-from .kernel_smoother import KernelSmootherSpec
+from .fitting import IbrFit
+from .kernel_smoother import KernelPredictor, KernelSmootherSpec
 from .kernels import resolve_kernel
-from .tps import TpsSpec, _poly_powers
+from .tps import TpsPredictor, TpsSpec, tps_powers
 
 __all__ = ["FORMAT", "LoadedModel", "save_model", "load_model"]
 
@@ -68,7 +68,8 @@ def save_model(fit: IbrFit, path: str | Path, response: str = "y") -> None:
         "format": FORMAT,
         "columns": list(fit.design.names),
         "response": response,
-        "x_train": [_floats(row) for row in fit.design.x],
+        # the predictor's own copy: fit.design.x may be the caller's array
+        "x_train": [_floats(row) for row in pred.x_train],
         "k": float(fit.k),
         "initial_df": float(fit.initial_df),
         "final_df": float(fit.final_df),
@@ -91,6 +92,12 @@ class _Fields:
         if not isinstance(self.mapping, dict) or key not in self.mapping:
             raise ValueError(f"{self.path}: model file lacks {self.prefix + key!r}")
         return self.mapping[key]
+
+    def text(self, key: str) -> str:
+        value = self.raw(key)
+        if not isinstance(value, str):
+            raise ValueError(f"{self.path}: {self.prefix + key!r} must be a string, got {value!r}")
+        return value
 
     def number(self, key: str) -> float:
         """A float, NaN allowed: fixed-k fits save a NaN sigma and criterion."""
@@ -139,8 +146,10 @@ def load_model(path: str | Path) -> LoadedModel:
     """Read a model file, checking every field the predictor needs.
 
     A missing field, a non-numeric value, a NaN or infinite array entry, an
-    array whose length does not match the training design or a smoother
-    field that its family refuses raises ``ValueError`` naming the field.
+    array whose length does not match the training design, ``columns``
+    that are not one string per column of ``x_train``, a text field that is
+    not a string or a smoother field that its family refuses raises
+    ``ValueError`` naming the field.
     """
     path = Path(path)
     try:
@@ -154,13 +163,16 @@ def load_model(path: str | Path) -> LoadedModel:
             f"this build reads {FORMAT!r}"
         )
     top = _Fields(payload, path)
-    names = [str(c) for c in top.raw("columns")]
-    x_train = top.array("x_train", (None, len(names)))
+    x_train = top.array("x_train", (None, None))
     n, d = x_train.shape
+    names = top.raw("columns")
+    if not (isinstance(names, list) and len(names) == d and all(isinstance(c, str) for c in names)):
+        want = f"{d} strings, one per x_train column"
+        raise ValueError(f"{path}: 'columns' must be {want}, got {names!r}")
     fam = _Fields(top.raw("smoother"), path, "smoother.")
     family = fam.raw("family")
     if family == "kernel":
-        kind = fam.valid("kernel", resolve_kernel, str(fam.raw("kernel")))
+        kind = fam.valid("kernel", resolve_kernel, fam.text("kernel"))
         bandwidths = fam.array("bandwidths", (d,))
         fam.valid("bandwidths", KernelSmootherSpec, kind, tuple(bandwidths))
         predictor: KernelPredictor | TpsPredictor = KernelPredictor(
@@ -173,7 +185,7 @@ def load_model(path: str | Path) -> LoadedModel:
         order = fam.integer("order")
         m = fam.valid("order", lambda: TpsSpec(order=order, lam=0.0).null_dim(d))
         file_powers = fam.array("powers", (m, d))
-        powers = _poly_powers(order, d)
+        powers = tps_powers(order, d)
         if not np.array_equal(file_powers, powers):
             raise ValueError(
                 f"{path}: 'smoother.powers' are not the monomials of degree "
@@ -191,12 +203,12 @@ def load_model(path: str | Path) -> LoadedModel:
     return LoadedModel(
         predictor=predictor,
         names=names,
-        response=str(top.raw("response")),
+        response=top.text("response"),
         k=top.number("k"),
         initial_df=top.number("initial_df"),
         final_df=top.number("final_df"),
         sigma=top.number("sigma"),
-        criterion=str(top.raw("criterion")),
+        criterion=top.text("criterion"),
         criterion_value=top.number("criterion_value"),
-        base_description=str(top.raw("base_description")),
+        base_description=top.text("base_description"),
     )

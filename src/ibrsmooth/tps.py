@@ -29,22 +29,28 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel_smoother import (
+from .smoothers import (
+    BaseSmoother,
     CalibrationError,
+    DesignMatrix,
+    FactoredBasis,
+    SpectralForm,
     _fill,
+    _finite_rows,
     _log_newton_root,
     _pairwise_blocks,
     _squared_distances,
 )
-from .smoothers import BaseSmoother, DesignMatrix, FactoredBasis, SpectralForm, _finite_rows
 
 __all__ = [
+    "TpsPredictor",
     "TpsSpec",
     "TpsSmoother",
     "build_calibrated_tps",
     "default_tps_order",
     "tps_evaluate",
     "tps_null_dim",
+    "tps_powers",
 ]
 
 # largest miss of the trace target that a calibrated penalty may leave
@@ -104,8 +110,9 @@ def _radial_constant(order: int, d: int) -> float:
     )
 
 
-def _poly_powers(order: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of the monomials spanning the null space."""
+def tps_powers(order: int, d: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of the monomials spanning the null space, in the
+    order of a fit's (and a saved model's) polynomial coefficients."""
     powers = []
     for deg in range(order):
         for combo in itertools.combinations_with_replacement(range(d), deg):
@@ -122,7 +129,7 @@ def _poly_block(x: np.ndarray, powers: list[tuple[int, ...]]) -> np.ndarray:
 
 
 def _radial_blocks(a, b, order: int, scale: float = 1.0, out=None, distinct: bool = False):
-    """:func:`~ibrsmooth.kernel_smoother._pairwise_blocks` of
+    """:func:`~ibrsmooth.smoothers._pairwise_blocks` of
     ``scale`` phi(|a_i - b_j|^2).
 
     phi comes straight from the squared distance s: phi(s) =
@@ -170,11 +177,11 @@ def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.nda
     ``a`` has one row per training point x_i and ``b`` one per monomial of
     ``powers``, each with one column per evaluated function or none: the
     pair :meth:`TpsSmoother.prediction_parts` solves for a coefficient
-    vector, or a fit's saved (delta, poly) coefficients. The radial part is
-    added a block of rows at a time (:func:`_radial_blocks`), so a call
-    holds no rows x n array, with kappa folded into ``a``. ``x_new`` is read
-    as the predictors read it: a 1-D array holds points of a one-column
-    design, and a non-finite entry is refused.
+    vector or block. The radial part is added a block of rows at a time
+    (:func:`_radial_blocks`), so a call holds no rows x n array, with kappa
+    folded into ``a``. ``x_new`` is read as the predictors read it: a 1-D
+    array holds points of a one-column design, and a non-finite entry is
+    refused.
     """
     d = x_train.shape[1]
     x_new = _finite_rows(x_new, d)
@@ -183,6 +190,24 @@ def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.nda
     for rows, block in _radial_blocks(x_new, x_train, order):
         pred[rows] += block @ a
     return pred
+
+
+@dataclass
+class TpsPredictor:
+    """A thin plate spline's evaluator: the radial plus the polynomial part
+    (:func:`tps_evaluate`) of the pair :meth:`TpsSmoother.prediction_parts`
+    solves for a coefficient vector or block."""
+
+    x_train: np.ndarray
+    order: int
+    powers: list[tuple[int, ...]]
+    delta: np.ndarray
+    poly_coef: np.ndarray
+
+    def predict(self, x_new: np.ndarray) -> np.ndarray:
+        return tps_evaluate(
+            x_new, self.x_train, self.order, self.powers, self.delta, self.poly_coef
+        )
 
 
 def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +328,7 @@ class _TpsCore(FactoredBasis):
         e = np.empty((n, n))
         kappa = _radial_constant(order, d)
         _fill(_radial_blocks(design.x, design.x, order, kappa, e, distinct=True))
-        self.powers = _poly_powers(order, d)
+        self.powers = tps_powers(order, d)
         qr, tau = _householder_qr(_poly_block(design.x, self.powers))
         self.r = np.triu(qr[:m])
         diag = np.abs(np.diag(self.r))
@@ -405,11 +430,9 @@ class TpsSmoother(BaseSmoother):
         lam = np.concatenate([np.ones(c.m), self._ratio])
         return SpectralForm(d_half=np.ones(self.n), u=c, lam=lam, pd_family=True)
 
-    def evaluate(self, x_new: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        return tps_evaluate(
-            x_new, self.design.x, self.spec.order, self.core.powers,
-            *self.prediction_parts(coef),
-        )
+    def predictor(self, coef: np.ndarray) -> TpsPredictor:
+        x, order, powers = self.design.x.copy(), self.spec.order, self.core.powers
+        return TpsPredictor(x, order, powers, *self.prediction_parts(coef))
 
     def evaluate_basis(self, x_new: np.ndarray) -> np.ndarray:
         """W(x_new) U in O(rows n^2), with no dense U.
@@ -476,7 +499,7 @@ def build_calibrated_tps(
     past the shared geometry the build is O(n). The calibrated penalty is
     the returned smoother's ``spec``.
     """
-    design = x if isinstance(x, DesignMatrix) else DesignMatrix.from_array(x)
+    design = DesignMatrix.from_array(x)
     if order is None:
         order = default_tps_order(design.d)
     if not df_multiplier > 1.0:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ibrsmooth import DesignMatrix, KernelSmootherSpec, build_kernel_smoother
-from ibrsmooth.kernel_smoother import _fill
+from ibrsmooth.smoothers import _fill
 from ibrsmooth.tps import _radial_blocks, _radial_constant
 
 

@@ -11,7 +11,6 @@ from ibrsmooth import (
     SmootherConfig,
     build_smoother,
     fit,
-    predict,
 )
 
 
@@ -134,18 +133,38 @@ def test_fractional_fixed_k_needs_clean_spectrum(rng):
     assert np.isfinite(result.fitted).all()
 
 
-def test_functional_predict_alias():
-    x, y = sine_problem(12)
-    result = fit(x, y)
-    x_new = np.array([[1.0], [2.0]])
-    assert np.array_equal(predict(result, x_new), result.predict(x_new))
-
-
 def test_column_names_flow_through():
     x, y = sine_problem(13)
     x2 = np.column_stack([x, x**2])
     result = fit(x2, y, names=["pos", "pos_sq"])
     assert result.design.names == ["pos", "pos_sq"]
+
+
+def test_a_design_passes_through_and_keeps_its_names():
+    x, y = sine_problem(14)
+    design = DesignMatrix.from_array(x, names=["pos"])
+    assert DesignMatrix.from_array(design) is design
+    assert fit(design, y).design is design
+    with pytest.raises(ValueError, match="names"):
+        fit(design, y, names=["other"])
+
+
+@pytest.mark.parametrize("family", ["kernel", "tps"])
+def test_fit_predictor_is_its_smoothers_predictor(family):
+    """fit keeps base.predictor(beta): one built afresh predicts the same
+    bits, on a batch that a Gaussian fit answers from its tables and on a
+    small one that it answers directly."""
+    rng = np.random.default_rng(15)
+    n = 1100 if family == "kernel" else 200
+    x = rng.uniform(size=(n, 2))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, n)
+    result = fit(x, y, smoother=SmootherConfig(family=family))
+    again = result.base.predictor(result.beta)
+    assert type(again) is type(result.predictor)
+    for x_new in (rng.uniform(0.1, 0.9, size=(400, 2)), x[:7]):
+        assert np.array_equal(again.predict(x_new), result.predict(x_new))
+    if family == "kernel":
+        assert "table" in vars(again._tables)
 
 
 def test_smoother_config_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from ibrsmooth import CvPlan, DesignMatrix, SelectionPlan, SmootherConfig, fit, forward_select
 from ibrsmooth import fitting
-from ibrsmooth.fitting import criterion_at
+from ibrsmooth.selection import criterion_value
 from ibrsmooth.forward import ForwardStageError, _column_bandwidths
 
 
@@ -117,7 +117,8 @@ def test_kernel_walk_calibrates_each_column_once(monkeypatch):
         for j in set(range(3)) - set(selected):
             cols = selected + [j]
             alone = fit(DesignMatrix(x[:, cols], [names[c] for c in cols]), y)
-            assert criterion_at(alone, "gcv") == result.scores[stage, j]
+            gcv = criterion_value("gcv", alone.n, alone.rss, alone.final_df, alone.fitted_energy)
+            assert gcv == result.scores[stage, j]
 
 
 @pytest.mark.parametrize(

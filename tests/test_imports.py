@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, whose ``sys.modules`` starts with
 no scipy in it (this test process has loaded scipy long before).
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -70,3 +71,35 @@ def test_a_kernel_workflow_loads_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def _imports(path: Path):
+    """(module, name) for every name a source file imports, relative
+    imports resolved against the package; name is None for ``import m``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["ibrsmooth" if node.level else None, node.module]))
+            for alias in node.names:
+                # "from . import kernel_smoother" imports a module
+                if node.module is None:
+                    yield f"{module}.{alias.name}", None
+                else:
+                    yield module, alias.name
+
+
+def test_smoother_families_share_no_private_imports():
+    """The two families meet in smoothers.py: the spline imports nothing
+    from the kernel module, and no module of the package imports an
+    underscore name from either family's module."""
+    modules = sorted((SRC / "ibrsmooth").glob("*.py"))
+    assert len(modules) > 10
+    private = []
+    for path in modules:
+        for module, name in _imports(path):
+            if path.name == "tps.py":
+                assert not module.startswith("ibrsmooth.kernel_smoother"), (module, name)
+            if module in ("ibrsmooth.kernel_smoother", "ibrsmooth.tps") and (name or "").startswith("_"):
+                private.append(f"{path.name}: {module}.{name}")
+    assert not private, private

@@ -17,7 +17,7 @@ from ibrsmooth import (
     calibrate_total_df,
     fit,
 )
-from ibrsmooth import kernel_smoother
+from ibrsmooth import kernel_smoother, smoothers
 from ibrsmooth.kernels import kernel_values
 
 from conftest import gaussian_smoother, random_design
@@ -464,7 +464,7 @@ def test_gaussian_weights_ignore_a_shift_of_the_design(rng):
 def test_blocked_prediction_matches_full_weights(rng, monkeypatch, kind):
     """Row blocks of 8 over 21 rows (8 + 8 + 5) give the full-matrix answer,
     for a coefficient vector and for an (n, 3) block of them."""
-    monkeypatch.setattr(kernel_smoother, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
+    monkeypatch.setattr(smoothers, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
     x = rng.uniform(size=(30, 2))
     x_new = rng.uniform(size=(21, 2))
     h = (0.6, 0.8)
@@ -491,10 +491,10 @@ def test_block_buffers_start_on_a_cache_line(rng):
         block.fill(0.0)
 
     for shape in [(1,), (3, 5), (16, 30)]:
-        buf = kernel_smoother._cache_aligned(shape)
+        buf = smoothers._cache_aligned(shape)
         assert buf.shape == shape and buf.flags.c_contiguous
         assert buf.ctypes.data % 64 == 0
-    kernel_smoother._fill(kernel_smoother._pairwise_blocks(x_new, x, fill))
+    smoothers._fill(smoothers._pairwise_blocks(x_new, x, fill))
     assert seen == [(0, 0)]
 
 
@@ -510,7 +510,7 @@ def test_evaluate_at_training_rows_is_the_matrix(rng):
 
 
 def test_blocked_prediction_names_dead_rows_of_every_block(rng, monkeypatch):
-    monkeypatch.setattr(kernel_smoother, "_PREDICT_BLOCK_BYTES", 8 * 8 * 10)
+    monkeypatch.setattr(smoothers, "_PREDICT_BLOCK_BYTES", 8 * 8 * 10)
     x = rng.uniform(size=(10, 1))
     x_new = rng.uniform(size=(20, 1))
     x_new[[3, 17]] = 5.0
@@ -839,6 +839,28 @@ def test_batch_takes_the_tables_only_when_it_pays_for_them(kernel_fit_sized):
     direct = kernel_smoother.kernel_predict(small, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
     assert np.array_equal(pred.predict(small), direct)
     assert np.array_equal(fresh(pred).predict(big), got)
+
+
+def test_vector_evaluate_routes_as_a_fit_predicts(kernel_fit_sized):
+    """KernelSmoother.evaluate goes through the family's predictor: with a
+    coefficient vector, a batch large enough takes the tables, with the
+    bits of the fit's own predictor and within the rounding floor
+    eps (|w| . |beta|) / (w . 1) of kernel_predict; a coefficient block
+    stays on the direct route."""
+    pred, x_new = kernel_fit_sized
+    x, h, beta = pred.x_train, pred.bandwidths, pred.beta
+    sm = build_kernel_smoother(x, KernelSmootherSpec(kind="gaussian", bandwidths=tuple(h)))
+    x_new = x_new[:500]
+    assert len(x_new) >= grid_rows(pred)
+    got = sm.evaluate(x_new, beta)
+    assert np.array_equal(got, fresh(pred).predict(x_new))
+    direct = kernel_smoother.kernel_predict(x_new, x, "gaussian", h, beta)
+    assert not np.array_equal(got, direct)
+    w = kernel_smoother.product_kernel(x_new, x, "gaussian", h)
+    assert np.all(np.abs(got - direct) <= EPS * (w @ np.abs(beta)) / w.sum(axis=1))
+    block = np.column_stack([beta, -beta])
+    assert np.array_equal(sm.evaluate(x_new, block), kernel_smoother.kernel_predict(x_new, x, "gaussian", h, block))
+    assert sm.predictor(block)._tables is None
 
 
 def test_grid_route_keeps_the_error_messages(kernel_fit_sized):

@@ -29,6 +29,19 @@ def test_predictions_survive_bit_exact(tmp_path, family):
     assert np.array_equal(loaded.predict(x), result.predict(x))
 
 
+@pytest.mark.parametrize("family", ["kernel", "tps"])
+def test_saved_model_is_the_fit_predictor_after_x_is_reused(tmp_path, family):
+    """A design is the caller's float array, not a copy; the saved model is
+    the fit's predictor, which holds its own copy of it."""
+    x, result = fitted_model(family)
+    x_new = np.random.default_rng(98).uniform(0, 3, size=(25, 2))
+    before = result.predict(x_new)
+    x[:] = x[::-1]
+    path = tmp_path / "model.json"
+    save_model(result, path)
+    assert np.array_equal(load_model(path).predict(x_new), before)
+
+
 def test_grid_route_predictions_survive_bit_exact(tmp_path):
     """n = 1100 on two columns admits prediction tables at the fit's 32 x 32
     Chebyshev nodes; the loaded model finds the same nodes and builds its
@@ -166,6 +179,15 @@ BAD_FILES = [
     pytest.param("tps", "smoother.order", [math.nan], id="tps-order-nan"),
     pytest.param("tps", "smoother.order", [2.7], id="tps-order-fractional"),
     pytest.param("tps", "smoother.powers", [[[0, 0], [1.5, 0], [0, 1]]], id="tps-powers-fractional"),
+    # names and labels: a number or null failed with a TypeError, a string
+    # loaded as one name per character and a list as its repr
+    pytest.param("kernel", "columns", [5], id="kernel-columns-number"),
+    pytest.param("kernel", "columns", [None], id="kernel-columns-null"),
+    pytest.param("kernel", "columns", ["ab"], id="kernel-columns-string"),
+    pytest.param("kernel", "columns", [["left", 2]], id="kernel-columns-not-strings"),
+    pytest.param("tps", "columns", [["left", "right", "extra"]], id="tps-columns-too-many"),
+    pytest.param("kernel", "response", [[1, 2]], id="kernel-response-list"),
+    pytest.param("tps", "criterion", [None], id="tps-criterion-null"),
     # json writes and reads NaN and Infinity; each of these predicted NaN everywhere
     pytest.param("kernel", "x_train", math.nan, id="kernel-x_train-nan"),
     pytest.param("kernel", "smoother.beta", math.inf, id="kernel-beta-inf"),

@@ -24,8 +24,8 @@ from ibrsmooth import (
     tps_null_dim,
 )
 from ibrsmooth.selection import _K_TOL
-from ibrsmooth import kernel_smoother
-from ibrsmooth.kernel_smoother import _squared_distances
+from ibrsmooth import smoothers
+from ibrsmooth.smoothers import _squared_distances
 from ibrsmooth.tps import _TpsCore, _poly_block, tps_evaluate
 
 from conftest import radial_block, random_design
@@ -209,7 +209,7 @@ def test_radial_block_filled_in_row_blocks(monkeypatch):
     pair met in a later block is named by its rows."""
     x = np.random.default_rng(7).uniform(size=(30, 2))
     whole = _TpsCore(DesignMatrix.from_array(x), 2)
-    monkeypatch.setattr(kernel_smoother, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
+    monkeypatch.setattr(smoothers, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
     assert np.array_equal(_TpsCore(DesignMatrix.from_array(x), 2).theta, whole.theta)
     x[19] = x[11]
     with pytest.raises(ValueError, match="rows 11 and 19"):
@@ -287,7 +287,7 @@ def test_blocked_spline_prediction_matches_one_block(rng, monkeypatch, columns):
     """Row blocks of 8 over 21 rows (8 + 8 + 5) give the answer of one
     product over the whole radial block, for a coefficient vector and for
     an (n, 3) block of them."""
-    monkeypatch.setattr(kernel_smoother, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
+    monkeypatch.setattr(smoothers, "_PREDICT_BLOCK_BYTES", 8 * 8 * 30)
     sm = build_calibrated_tps(rng.uniform(size=(30, 2)), df_multiplier=1.3)
     x, powers = sm.design.x, sm.core.powers
     x_new = rng.uniform(size=(21, 2))

@@ -152,6 +152,11 @@ class _FoldScorer:
         or a ``range`` of consecutive integers."""
         return self.kpath.batch_coef_factors(ks) @ self._zp - self.y_test
 
+    def batch_error_slopes(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of :meth:`batch_errors` and their slopes in log k."""
+        factors, slopes = self.kpath.batch_coef_factor_slopes(ks)
+        return factors @ self._zp - self.y_test, slopes @ self._zp
+
 
 def _pooled_loss(errors: np.ndarray, loss: str):
     """Root mean squared or mean absolute error along the last axis."""
@@ -163,7 +168,13 @@ def _pooled_loss(errors: np.ndarray, loss: str):
 class _CvScore:
     """The k search's score of cross-validation: the pooled held-out loss of
     every fold's path. No df or RSS guard applies, so the numeric search
-    runs to ``kmax`` and the sweep never stops early."""
+    runs to ``kmax`` and the sweep never stops early.
+
+    ``batch_slopes`` adds the loss's slope in log k from the error slopes e'
+    of the folds' coefficient factor slopes: mean(e e') / rmse for rmse and
+    mean(sign(e) e') for map. The map loss has a kink wherever a held-out
+    error changes sign, so its rows also return the errors and their slopes
+    as the kinks of :func:`~ibrsmooth.selection.minimize_by_slope`."""
 
     df_stop = np.inf
     bound = None
@@ -177,6 +188,14 @@ class _CvScore:
 
     def batch(self, ks: range | np.ndarray):
         return self._loss([f.batch_errors(ks) for f in self.folds])
+
+    def batch_slopes(self, ks: np.ndarray):
+        rows = zip(*(f.batch_error_slopes(ks) for f in self.folds))
+        errors, slopes = (np.concatenate(r, axis=1) for r in rows)
+        loss, blank, _ = self._loss([errors])
+        if self.name == "rmse":
+            return loss, np.mean(errors * slopes, axis=1) / loss, blank, blank, None
+        return loss, np.mean(np.sign(errors) * slopes, axis=1), blank, blank, (errors, slopes)
 
     def _loss(self, fold_errors: list[np.ndarray]):
         """(loss, nan, nan) rows from every fold's rows of held-out errors."""

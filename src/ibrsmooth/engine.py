@@ -62,6 +62,11 @@ class KPath:
     served by :meth:`batch_stats`) and the coefficient factors one
     (:meth:`batch_coef_factors`); :meth:`stats`, :meth:`coef_factors` and
     :meth:`weights` take the one row of a single count.
+    :meth:`batch_stat_slopes` and :meth:`batch_coef_factor_slopes` pair
+    each with its derivatives in t = log k, formed from the same rows:
+    d(1 - lambda)^k / dt = k log(1 - lambda) (1 - lambda)^k, with
+    log(1 - lambda) taken on the clipped base (0 for a pair with
+    lambda >= 1, whose power is 0).
     """
 
     def __init__(self, spectral: SpectralForm, y: np.ndarray):
@@ -112,6 +117,17 @@ class KPath:
             return None
         t = self.y - self._g_dot(self.z)
         return float(t @ t), self.z * self._gt_dot(t)
+
+    @cached_property
+    def _log_mu(self) -> np.ndarray:
+        """log(1 - lambda) on the clipped base, 0 where lambda >= 1."""
+        with np.errstate(divide="ignore"):
+            ell = np.log1p(-np.clip(self.lam, 0.0, 1.0))
+        return np.where(np.isfinite(ell), ell, 0.0)
+
+    def _slope_rows(self, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Rows d p / d log k = k log(1 - lambda) p of the power rows p."""
+        return counts[:, None] * self._log_mu * p
 
     def _g_dot(self, v: np.ndarray) -> np.ndarray:
         return self.spectral.u_dot(v) if self._g is None else self._g @ v
@@ -204,11 +220,34 @@ class KPath:
         rest = self._rest
         return df, vhv if rest is None else vhv + (rest[0] + 2.0 * (p @ rest[1])), energy
 
+    def _stat_slopes(self, p: np.ndarray, dp: np.ndarray):
+        """The slopes in log k of :meth:`_stats` for power rows p and their
+        slope rows dp (:meth:`_slope_rows`): with v = p_j * z and v' = dp_j * z,
+        df' = -dp_j 1, rss' = 2 v''Hv (+ 2 v''G't on a truncated form) and
+        |fitted|^2' = 2 v''(Hv - Hz)."""
+        h, hz, _ = self._norms
+        if h is None:
+            dvhv = 2.0 * ((dp * p) @ self._z2)
+            dcross = dp @ self._z2
+        else:
+            dvz = dp * self.z
+            dvhv = 2.0 * np.einsum("ij,ij->i", (p * self.z) @ h, dvz)
+            dcross = dvz @ hz
+        rest = self._rest
+        drss = dvhv if rest is None else dvhv + 2.0 * (dp @ rest[1])
+        return -dp.sum(axis=1), drss, dvhv - 2.0 * dcross
+
     def batch_stats(self, ks: range | np.ndarray):
         """(df, rss, fitted_energy) arrays over the counts ks, a ``range`` or a
         vector (:meth:`_pow_rows`): their power rows put through :meth:`_stats`."""
         _, p, scratch = self._pow_rows(ks)
         return self._stats(p, scratch)
+
+    def batch_stat_slopes(self, ks: np.ndarray):
+        """The triple of :meth:`batch_stats` over a vector of counts ks and the
+        triple of its slopes in log k, from the same power rows."""
+        counts, p, _ = self._pow_rows(ks)
+        return self._stats(p), self._stat_slopes(p, self._slope_rows(counts, p))
 
     def stats(self, k: float) -> tuple[float, float, float]:
         """(df, rss, fitted_energy) at one count k: a one-row :meth:`batch_stats`."""
@@ -237,6 +276,23 @@ class KPath:
         counts ks, taken as :meth:`batch_stats` takes them; eigenvalues below
         ``_SERIES_EIGEN`` take the series k (1 - (k - 1) lambda / 2)."""
         counts, p, _ = self._pow_rows(ks)
+        return self._factors(counts, p)
+
+    def batch_coef_factor_slopes(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of :meth:`batch_coef_factors` over a vector of counts ks and
+        the rows of their slopes in log k, -dp / lambda from the same power
+        rows (the series k (1 - (k - 1/2) lambda) below ``_SERIES_EIGEN``)."""
+        counts, p, _ = self._pow_rows(ks)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = -self._slope_rows(counts, p) / self.lam
+        small = np.abs(self.lam) < _SERIES_EIGEN
+        if small.any():
+            k = counts[:, None]
+            slopes[:, small] = k * (1.0 - (k - 0.5) * self.lam[small])
+        return self._factors(counts, p), slopes
+
+    def _factors(self, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The factor rows of :meth:`batch_coef_factors` for power rows p."""
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (1.0 - p) / self.lam
         small = np.abs(self.lam) < _SERIES_EIGEN

@@ -9,10 +9,15 @@ to the sweep because real k is undefined. The criterion score here walks
 the fit's :class:`~ibrsmooth.engine.KPath` and refuses any k whose
 effective degrees of freedom or residual sum of squares signal that the
 iteration has effectively reached interpolation; the cross-validation score
-lives in :mod:`ibrsmooth.crossval`. A score takes every set of counts through
-one ``batch`` method: the numeric and bounded searches pass vectors of
-counts, the integer sweep a ``range`` per block, which the path walks by its
-power recurrence.
+lives in :mod:`ibrsmooth.crossval`. A score takes integer counts through
+one ``batch`` method, which the bounded search passes vectors of counts and
+the integer sweep a ``range`` per block (the path walks it by its power
+recurrence), and real counts through ``batch_slopes``, which also returns
+the slope of the value in log k from the same power rows. The numeric
+search scores a log grid of counts in one call and then solves slope = 0
+only in the grid cells where the slope changes sign, where a kink (the map
+loss has one wherever a held-out error changes sign) may hide a minimum, or
+where a cubic Hermite through the cell's ends dips below both.
 """
 
 from __future__ import annotations
@@ -50,19 +55,20 @@ CV_LOSSES = ("rmse", "map")
 RSS_FLOOR = 1e-10
 # effective df may never come within a relative 1e-10 of n
 _DF_CEILING_FACTOR = 1.0 - 1e-10
-# absolute tolerance on k for the bounded Brent minimizer
+# the numeric search stops once a bracket of a slope sign change is at most
+# twice this wide in k
 _K_TOL = 0.01
-# the bounded Brent minimizer's constants, as scipy's minimize_scalar has them
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_MAX_EVALS = 500
-# breakpoints splitting [kmin, kmax] into minimizer subintervals
+# breakpoints every numeric search grid holds inside [kmin, upper]
 _BREAKS = (100.0, 200.0, 500.0, 1000.0, 5000.0, 1e4, 5e4, 1e5, 5e5, 1e6)
+# the numeric search grid has at least this many cells per decade of k
+_GRID_PER_DECADE = 4
 # log-spaced counts the bounded integer search evaluates before splitting
 _BOUND_GRID = 64
 # the bounded search drops an interval once its bound exceeds the best value
 # by this, relative to max(1, |best|): room for the rounding of df, rss and
-# the criterion, so no count that the full sweep would pick is dropped
+# the criterion, so no count that the full sweep would pick is dropped. The
+# numeric search takes the same room: it probes no dip and refines no
+# bracket whose promised gain is below it, which rounding alone could fake
 _BOUND_MARGIN = 1e-12
 
 
@@ -131,6 +137,31 @@ def _criterion_array(kind: str, n: int, rss, df, energy) -> np.ndarray:
     s = rss / (n - df)
     f = np.where(df > 0, energy / np.maximum(df * s, 1e-300), 1.0)
     return np.log(s) + (df / n) * np.log(np.maximum(f, 1.0))
+
+
+def _criterion_slope(kind: str, n: int, stats, slopes) -> np.ndarray:
+    """The slopes in t = log k of :func:`_criterion_array`, elementwise.
+
+    ``stats`` is (df, rss, energy) and ``slopes`` their slopes in log k. gmdl's
+    (df / n) log max(F, 1) term contributes where F > 1 only; its kink at
+    F = 1 takes slope 0.
+    """
+    df, rss, energy = stats
+    ddf, drss, denergy = slopes
+    dlog_rss = drss / rss
+    if kind == "gcv":
+        return dlog_rss + 2.0 * ddf / (n - df)
+    if kind == "aic":
+        return dlog_rss + 2.0 * ddf / n
+    if kind == "bic":
+        return dlog_rss + math.log(n) * ddf / n
+    if kind == "aicc":
+        return dlog_rss + 2.0 * (n - 1.0) * ddf / (n - df - 2.0) ** 2
+    s = rss / (n - df)
+    dlog_s = dlog_rss + ddf / (n - df)
+    f = np.where(df > 0, energy / np.maximum(df * s, 1e-300), 1.0)
+    dlog_f = denergy / energy - ddf / df - dlog_s
+    return dlog_s + np.where(f > 1.0, (ddf / n) * np.log(np.maximum(f, 1.0)) + (df / n) * dlog_f, 0.0)
 
 
 @dataclass
@@ -229,116 +260,247 @@ def _bisect_last_ok(predicate, lo: float, hi: float, iters: int = 100) -> float:
     return lo
 
 
-def _bounded_brent(a: float, b: float):
-    """Bounded Brent minimization on [a, b] as a generator.
+def _search_grid(lo: float, hi: float) -> np.ndarray:
+    """Counts from lo to hi: lo, the ``_BREAKS`` inside (lo, hi) and hi, each
+    stretch between them split into log-equal cells, at least
+    ``_GRID_PER_DECADE`` per decade."""
+    grid = [lo]
+    ends = [lo, *(b for b in _BREAKS if lo < b < hi), hi] if hi > lo else []
+    for a, b in zip(ends[:-1], ends[1:]):
+        cells = max(1, math.ceil(_GRID_PER_DECADE * math.log10(b / a)))
+        grid += [a * (b / a) ** (i / cells) for i in range(1, cells)] + [b]
+    return np.array(grid)
 
-    It yields each k to evaluate, is sent the value there and returns the
-    (k, value) it settles on. The steps are those of scipy's
-    ``minimize_scalar(method="bounded", options={"xatol": _K_TOL})``
-    (Brent 1973, ch. 5), with its golden ratio, its sqrt(eps) and its cap
-    of ``_MAX_EVALS`` evaluations, so it evaluates the same k in the same
-    order and returns the same point; the caller decides when each value
-    is computed.
+
+def _hermite(a, b):
+    """The cubic Hermite through the points a and b, each (k, value, slope in
+    t = log k): (ta, h, c, u) with p(u) = a's value + c[0] u + c[1] u^2 +
+    c[2] u^3 on u = (t - ta) / h in [0, 1], and u the place of its interior
+    minimum (the root of p' where p'' = 2 sqrt(disc) > 0), or None if it has
+    none inside."""
+    ta, tb = math.log(a[0]), math.log(b[0])
+    h = tb - ta
+    c1 = h * a[2]
+    c2 = 3.0 * (b[1] - a[1]) - h * (2.0 * a[2] + b[2])
+    c3 = 2.0 * (a[1] - b[1]) + h * (a[2] + b[2])
+    disc = c2 * c2 - 3.0 * c3 * c1
+    if not disc > 0.0:
+        return ta, h, (c1, c2, c3), None
+    # in the form without cancellation
+    den = c2 + math.sqrt(disc)
+    u = -c1 / den if den != 0.0 else math.nan
+    return ta, h, (c1, c2, c3), u if 0.0 < u < 1.0 else None
+
+
+def _hermite_dip(a, b) -> list[float]:
+    """Where the cubic Hermite through the points a and b has its interior
+    minimum, if that lies below both ends by more than ``_BOUND_MARGIN``
+    (relative to max(1, |end|)), and where its slope is steepest between
+    that minimum and the maximum beside it (its inflection), if inside: a
+    pair of counts that brackets the minimum when the cubic is right.
+    Otherwise no count."""
+    ta, h, (c1, c2, c3), u = _hermite(a, b)
+    low = min(a[1], b[1])
+    if u is None or a[1] + u * (c1 + u * (c2 + u * c3)) >= low - _BOUND_MARGIN * max(1.0, abs(low)):
+        return []
+    turn = -c2 / (3.0 * c3) if c3 != 0.0 else math.nan
+    return [math.exp(ta + v * h) for v in (u, turn) if 0.0 < v < 1.0]
+
+
+def _score(ks: list[float]):
+    """Send a round's counts out of a search generator and take their points
+    (k, value, slope, kinks) back: ``points = yield from _score(ks)``."""
+    rows = yield ks
+    return [(k, *row) for k, row in zip(ks, rows)]
+
+
+def _close(lo, hi):
+    """Close a bracket of a local minimum, as a generator: the points lo and
+    hi, each (k, value, slope, kinks), have slopes below and above 0. It
+    yields each round's counts, is sent their (value, slope, kinks) rows and
+    returns the points it scored.
+
+    A round scores the minimum of the cubic Hermite through the ends
+    (:func:`_hermite`), for a smooth minimum, the count where the
+    tangents at the ends cross and the bracket's :func:`_kink_probes`, for
+    a kink (the map loss has one wherever a held-out error changes sign),
+    and the bracket's midpoint in t = log k after a round that did not
+    halve it. While the bracket is wider than 2 ``_K_TOL`` in k, no count
+    comes within ``_K_TOL`` of its ends, so a minimum that one end has all
+    but reached gets a count on its other side, as in Brent's zeroin
+    (1973, ch. 4). The bracket then shrinks to the first pair of
+    neighbouring points whose slope turns from negative to positive.
+
+    Where the score is convex on the bracket, the larger tangent bounds it
+    from below, least where the tangents cross. The search stops once the
+    bracket is at most 2 ``_K_TOL`` wide and the better end stands within
+    ``_BOUND_MARGIN`` (relative to max(1, |end|)) of that bound, at a zero
+    or non-finite slope, or once no count lies strictly inside the bracket.
     """
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = yield xf
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + _K_TOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0.0 else xf - step
-        fu = yield x
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    scored = []
+    halved = True
+    while True:
+        (kl, vl, gl, _), (kr, vr, gr, _) = lo, hi
+        tl, tr = math.log(kl), math.log(kr)
+        tx = min(max((vr - vl + gl * tl - gr * tr) / (gl - gr), tl), tr)
+        floor = max(vl + gl * (tx - tl), vr + gr * (tx - tr))
+        best = min(vl, vr)
+        if kr - kl <= 2.0 * _K_TOL and best - floor <= _BOUND_MARGIN * max(1.0, abs(best)):
+            return scored
+        trials = [math.exp(tx)]
+        if (u := _hermite(lo, hi)[3]) is not None:
+            trials.append(math.exp(tl + u * (tr - tl)))
+        if not halved:
+            trials.append(math.exp(0.5 * (tl + tr)))
+        if kr - kl > 2.0 * _K_TOL:
+            trials = [min(max(k, kl + _K_TOL), kr - _K_TOL) for k in trials]
+        ks = sorted({k for k in trials + _kink_probes(lo, hi) if kl < k < kr})
+        if not ks:
+            return scored
+        new = yield from _score(ks)
+        scored += new
+        points = [lo, *new, hi]
+        pairs = [(a, b) for a, b in zip(points[:-1], points[1:]) if a[2] < 0.0 < b[2]]
+        if not pairs:
+            return scored
+        lo, hi = pairs[0]
+        halved = math.log(hi[0] / lo[0]) <= 0.5 * (tr - tl)
+
+
+def _kink_probes(a, b) -> list[float]:
+    """Counts inside the cell [a, b] where the value may have a kink that the
+    slopes at its ends do not show.
+
+    A point's ``kinks`` is None or a pair (e, e') of m smooth pieces and their
+    slopes in t = log k, where the value is a mean of |e| (the held-out
+    errors of the map loss): its slope jumps up by 2 |e'| / m where a piece
+    crosses 0. Those jumps can turn a value falling from an end into a
+    rising one only if together they exceed that end's slope, and then,
+    from each end whose slope falls into the cell, each piece that changes
+    sign across it is linearised, e + e' dt = 0, and scored at that zero
+    (at the secant zero of e if the tangent's leaves the cell), unless the
+    gain the end's slope promises over dt is below ``_BOUND_MARGIN``
+    (relative to max(1, |end|)). Newton's steps from an end that keeps
+    falling pin each kink, and a pair of points around a kink minimum
+    brackets it for :func:`_close`.
+    """
+    if a[3] is None or b[3] is None:
+        return []
+    (ea, da), (eb, db) = a[3], b[3]
+    turns = ea * eb < 0.0
+    ea, da, eb, db = ea[turns], da[turns], eb[turns], db[turns]
+    jumps = np.sum(np.abs(da) + np.abs(db)) / turns.size
+    ta, tb = math.log(a[0]), math.log(b[0])
+    secant = ta + (tb - ta) * ea / (ea - eb)
+    zeros = []
+    for end, e, de, fall in ((a, ea, da, -a[2]), (b, eb, db, b[2])):
+        if not 0.0 < fall < jumps:
+            continue
+        t0 = math.log(end[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = t0 - e / de
+        t = np.where((t > ta) & (t < tb), t, secant)
+        zeros += t[fall * np.abs(t - t0) > _BOUND_MARGIN * max(1.0, abs(end[1]))].tolist()
+    return sorted({k for k in map(math.exp, zeros) if a[0] < k < b[0]})
+
+
+def _cell_search(lo, hi):
+    """Search one grid cell [lo, hi] for minima, as a generator: it yields
+    each round's counts, is sent their (value, slope, kinks) rows and returns
+    the points (k, value, slope, kinks) it scored.
+
+    A cell whose slope goes from negative to positive is closed by
+    :func:`_close`. Any other cell is scored where a kink may hide a minimum
+    (:func:`_kink_probes`) or, if it has none and is wider than 2
+    ``_K_TOL``, where its cubic Hermite dips below both ends
+    (:func:`_hermite_dip`), a smooth minimum the slopes at its ends do not
+    show. A cell with one end that scores no finite value or slope (past a
+    guard's cap) is halved in log k while it is wider than 2 ``_K_TOL`` and
+    its finite end falls towards the other, to reach the edge of the
+    finite stretch. Every count scored splits its cell, and the pieces are
+    cells again, so a search that closed on one local minimum still leaves
+    the others to be found.
+    """
+    scored = []
+    cells = [(lo, hi)]
+    while cells:
+        a, b = cells.pop()
+        finite_a, finite_b = (all(map(math.isfinite, p[1:3])) for p in (a, b))
+        wide = b[0] - a[0] > 2.0 * _K_TOL
+        if finite_a != finite_b:
+            if not (wide and (a[2] < 0.0 if finite_a else b[2] > 0.0)):
+                continue
+            new = yield from _score([math.sqrt(a[0] * b[0])])
+        elif not finite_a:
+            continue
+        elif a[2] < 0.0 < b[2]:
+            new = yield from _close(a, b)
+        elif ks := _kink_probes(a, b):
+            new = yield from _score(ks)
+        elif wide and (ks := _hermite_dip(a, b)):
+            new = yield from _score(ks)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + _K_TOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAX_EVALS:
-            break
-    return xf, fx
+            continue
+        if not new:
+            continue
+        scored += new
+        ends = [a, *sorted(new, key=lambda p: p[0]), b]
+        # the leftmost piece is searched first
+        cells += reversed(list(zip(ends[:-1], ends[1:])))
+    return scored
 
 
-def minimize_on_breaks(objective, lo: float, hi: float) -> tuple[float, float]:
+def _rows(scored) -> list[tuple]:
+    """(value, slope, kinks) rows of an objective's (values, slopes, kinks)."""
+    values, slopes, kinks = scored
+    per_count = [None] * values.size if kinks is None else zip(*kinks)
+    return list(zip(values.tolist(), slopes.tolist(), per_count))
+
+
+def minimize_by_slope(objective, lo: float, hi: float) -> tuple[float, float]:
     """Minimize over [lo, hi]; return (k, value), value inf if none.
 
-    ``objective(ks)`` scores a vector of counts at once. The breakpoints
-    lo, the ``_BREAKS`` entries inside (lo, hi) and hi are scored in one
-    call, then each stretch between them wider than ``_K_TOL`` gets its own
-    :func:`_bounded_brent` run, which keeps a single local dip from hiding
-    the global one. The runs advance in lockstep: each round scores the
-    next k of every live run in one call, so a search makes as many calls
-    as its longest run, not the sum of them. Ties go to the earliest
-    breakpoint, then to the earliest stretch. hi is the score's upper end
-    in :func:`search_k`: the criterion score caps it at the df ceiling and
-    RSS floor, while the CV score applies no guard and runs to ``kmax``, so
-    a CV-selected k may carry more df than a criterion search would admit.
+    ``objective(ks)`` scores a vector of counts at once and returns their
+    values (inf where inadmissible), their slopes in t = log k and their
+    kinks: None, or a pair of arrays (e, e') with one row per count, smooth
+    pieces whose sign changes put kinks in the value and their slopes
+    (:func:`_kink_probes`). One call scores the grid of
+    :func:`_search_grid`; each cell between neighbouring grid counts is
+    then searched by :func:`_cell_search`, which scores counts only where
+    the slope changes sign from negative to positive, where a kink may hide
+    a minimum or where a cubic Hermite through the cell's ends hints at a
+    hidden one. The cell searches advance in lockstep: each round scores
+    the counts every live search asks for in one call, so a search makes as
+    many calls as its longest cell search, and one where the score is
+    monotone between grid counts. Every count scored is a candidate, the
+    smallest k winning ties. hi is the score's upper end in
+    :func:`search_k`: the criterion score caps it at the df ceiling and RSS
+    floor, while the CV score applies no guard and runs to ``kmax``, so a
+    CV-selected k may carry more df than a criterion search would admit.
     """
-    breaks = [lo]
-    breaks += [b for b in _BREAKS if lo < b < hi]
-    breaks.append(hi)
-    values = objective(np.array(breaks))
-    j = int(np.argmin(values))
-    best_k, best_value = breaks[j], float(values[j])
-    runs = [_bounded_brent(a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a > _K_TOL]
-    # the next k each live run asks for, and the (k, value) each ended run settled on
-    asked = {run: next(run) for run in runs}
-    ends = {}
+    grid = _search_grid(lo, hi)
+    points = [(k, *row) for k, row in zip(grid.tolist(), _rows(objective(grid)))]
+    candidates = list(points)
+    # the counts each live search asks for
+    asked = {}
+    for a, b in zip(points[:-1], points[1:]):
+        run = _cell_search(a, b)
+        try:
+            asked[run] = next(run)
+        except StopIteration as stop:
+            candidates += stop.value
     while asked:
-        values = objective(np.array(list(asked.values())))
-        for run, value in zip(list(asked), values.tolist()):
+        counts = [k for ks in asked.values() for k in ks]
+        rows = _rows(objective(np.array(counts)))
+        for run, ks in list(asked.items()):
+            sent, rows = rows[: len(ks)], rows[len(ks) :]
             try:
-                asked[run] = run.send(value)
+                asked[run] = run.send(sent)
             except StopIteration as stop:
                 del asked[run]
-                ends[run] = stop.value
-    for run in runs:
-        k, value = ends[run]
-        if value < best_value:
-            best_k, best_value = k, value
-    return best_k, best_value
+                candidates += stop.value
+    k, value, *_ = min(candidates, key=lambda p: (p[1], p[0]))
+    return k, value
 
 
 def _sweep(score, k_lo: int, k_hi: int) -> np.ndarray:
@@ -420,15 +582,19 @@ def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
     inadmissible k. It provides ``batch(ks)`` -> (value, df, rss) arrays
     over a vector of real counts or a ``range`` of consecutive integers (a
     sweep block, which :meth:`~ibrsmooth.engine.KPath.batch_stats` walks
-    by its power recurrence), ``real_k_ok`` (whether fractional k is defined),
+    by its power recurrence), ``batch_slopes(ks)`` -> (value, slope, df,
+    rss, kinks) over a vector of real counts, the slope taken in t = log k
+    and kinks None or the pieces whose sign changes put kinks in the value
+    (:func:`minimize_by_slope`), ``real_k_ok`` (whether fractional k is
+    defined),
     ``upper(kmin, kmax)`` (the numeric upper end), ``rows`` (counts per
     sweep block), ``df_stop`` (the sweep ends after a block whose last df
     exceeds it), ``bound`` (None, or ``bound(rss(b), df(a))`` -> a lower
     bound of the value on the integers [a, b]), ``name`` and ``hint`` (for
     the error when no k is admissible).
 
-    The numeric search runs :func:`minimize_on_breaks` over [kmin, upper].
-    When real k is undefined it warns and sweeps integers instead, the only
+    The numeric search runs :func:`minimize_by_slope` over [kmin, upper]
+    on ``batch_slopes``. When real k is undefined it warns and sweeps integers instead, the only
     place where that fallback is decided. The exhaustive search minimizes
     over the integers in [ceil(kmin), floor(kmax)], ties going to the
     smaller k. With a ``bound`` it runs :func:`_bounded_search`, which
@@ -452,12 +618,14 @@ def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
         else:
             evals = []
 
-            def values_at(ks: np.ndarray) -> np.ndarray:
-                evals.append(np.stack([ks, *score.batch(ks)]))
-                return np.where(np.isfinite(evals[-1][1]), evals[-1][1], np.inf)
+            def scored(ks: np.ndarray):
+                value, slope, df, rss, kinks = score.batch_slopes(ks)
+                evals.append(np.stack([ks, value, df, rss]))
+                finite = np.isfinite(value)
+                return np.where(finite, value, np.inf), np.where(finite, slope, np.nan), kinks
 
             kmin = float(plan.kmin)
-            best_k, _ = minimize_on_breaks(values_at, kmin, score.upper(kmin, plan.kmax))
+            best_k, _ = minimize_by_slope(scored, kmin, score.upper(kmin, plan.kmax))
             trace = np.concatenate(evals, axis=1)
             trace = trace[:, np.argsort(trace[0], kind="stable")]
     trace = trace[:, np.isfinite(trace[1])]
@@ -521,6 +689,12 @@ class _CriterionScore:
         df, rss, energy = self.kpath.batch_stats(ks)
         return self._value(df, rss, energy), df, rss
 
+    def batch_slopes(self, ks: np.ndarray):
+        stats, slopes = self.kpath.batch_stat_slopes(ks)
+        df, rss, energy = stats
+        slope = _criterion_slope(self.name, self.kpath.n, stats, slopes)
+        return self._value(df, rss, energy), slope, df, rss, None
+
     def upper(self, kmin: float, kmax: float) -> float:
         """kmax capped below the df ceiling and above the RSS floor."""
         kpath, limit = self.kpath, self.limit
@@ -544,7 +718,7 @@ def search_k_numeric(kpath: KPath, plan: SelectionPlan) -> SelectionResult:
     """Minimize the criterion over real k along the fit's path ``kpath``.
 
     k is capped below the df ceiling and above the RSS floor, then
-    :func:`minimize_on_breaks` searches [kmin, cap]. When the spectrum
+    :func:`minimize_by_slope` searches [kmin, cap]. When the spectrum
     leaves [0, 1], fractional k is undefined: the search warns and sweeps
     integers as :func:`search_k_exhaustive` does.
     """

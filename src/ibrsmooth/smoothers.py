@@ -55,13 +55,17 @@ class CalibrationError(RuntimeError):
 
 @dataclass
 class DesignMatrix:
-    """Numeric design with named columns, rows in original order."""
+    """Numeric design with named columns, rows in original order.
+
+    ``x`` is the design's own float copy of the array it is given, so a
+    caller who later writes into that array changes no fit built on it.
+    """
 
     x: np.ndarray
     names: list[str]
 
     def __post_init__(self) -> None:
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
+        self.x = np.atleast_2d(np.array(self.x, dtype=float))
         if self.x.ndim != 2:
             raise ValueError("design must be a 2-d array")
         n, d = self.x.shape

@@ -149,6 +149,24 @@ def test_a_design_passes_through_and_keeps_its_names():
         fit(design, y, names=["other"])
 
 
+def test_writing_into_the_callers_array_leaves_the_fit_alone():
+    """The design holds its own copy of x: after the caller overwrites x, the
+    base smoother, its matrix and a refit from the design still see the
+    rows the fit was built on."""
+    rng = np.random.default_rng(16)
+    x = rng.uniform(size=(40, 2))
+    y = np.sin(6 * x[:, 0]) + x[:, 1] + rng.normal(0, 0.1, 40)
+    result = fit(x, y)
+    assert not np.shares_memory(result.design.x, x)
+    assert not np.shares_memory(result.base.design.x, x)
+    rows, matrix = x[:5].copy(), result.base.matrix.copy()
+    values = result.base.evaluate(rows, result.beta)
+    x[:] = rng.uniform(size=x.shape)
+    assert np.array_equal(result.base.evaluate(rows, result.beta), values)
+    assert np.array_equal(result.base.matrix, matrix)
+    assert fit(result.design, y).k == result.k
+
+
 @pytest.mark.parametrize("family", ["kernel", "tps"])
 def test_fit_predictor_is_its_smoothers_predictor(family):
     """fit keeps base.predictor(beta): one built afresh predicts the same

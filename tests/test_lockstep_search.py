@@ -1,10 +1,14 @@
-"""The numeric k search: the ported bounded Brent and the batched scores.
+"""The numeric k search: the slope-bracketed driver and the batched scores.
 
-:func:`~ibrsmooth.selection.minimize_on_breaks` runs one bounded Brent
-minimizer per stretch between breakpoints and advances them together, so
-each round scores a vector of counts in one call. The port must step as
-scipy's ``minimize_scalar(method="bounded")`` does, bit for bit, and a row
-of a batched score must agree with the single-count path quantities.
+:func:`~ibrsmooth.selection.minimize_by_slope` scores a log grid of counts
+in one call, then solves slope = 0 in the grid cells where the slope turns
+from negative to positive or a cubic Hermite through the cell's ends dips
+below both, the cell searches advancing together so that each round scores a
+vector of counts in one call. Its answer must be a certified local minimum
+and never worse than scipy's bounded Brent (the engine it replaced) run on
+each stretch between breakpoints. A row of a batched score must agree with
+the single-count path quantities, and its slope in log k with a central
+difference of the values.
 """
 
 import math
@@ -34,23 +38,49 @@ from ibrsmooth.smoothers import SpectralForm
 COUNTS = np.array([1.0, 2.5, 7.0, 123.456, 5000.0, 31622.7766, 99999.99])
 
 
-def drive(a, b, objective):
-    """Run the generator Brent on [a, b]: the k it asked for and its end point."""
-    asked = []
-    run = selection._bounded_brent(a, b)
-    k = next(run)
+def batched(scalar):
+    """A vector objective (values, slopes in log k, no kinks) from a scalar
+    (value, slope)."""
+
+    def objective(ks):
+        return (*(np.array(c, dtype=float) for c in zip(*(scalar(k) for k in ks))), None)
+
+    return objective
+
+
+def drive(run, scalar):
+    """Run one generator search to its end: the counts of each round it asked
+    for and the points it returned."""
+    rounds = []
     try:
+        ks = next(run)
         while True:
-            asked.append(k)
-            k = run.send(objective(k))
+            rounds.append(ks)
+            ks = run.send([(*scalar(k), None) for k in ks])
     except StopIteration as stop:
-        return asked, stop.value
+        return rounds, stop.value
+
+
+def dip(lo, hi):
+    """A value falling slowly in t = log(k / lo) over [lo, hi], with a narrow
+    Gaussian dip near its left end, and its slope in t. Its slope is negative
+    at lo, where the dip starts, and at every count a grid of [lo, hi] holds
+    beyond it, but the dip bottoms out below every one of them."""
+    scale = math.log(hi / lo) / math.log(2.0)
+
+    def scalar(k):
+        t = math.log(k / lo) / scale
+        bump = 0.01 * math.exp(-(((t - 0.05) / 0.03) ** 2))
+        return -0.001 * t - bump, (-0.001 + bump * 2.0 * (t - 0.05) / 0.03**2) / scale
+
+    return scalar
 
 
 @st.composite
 def stretches(draw):
-    """A stretch [a, a + width] and a deterministic objective on it: a sum of
-    sines over a parabola (several local minima), inf past a cap for some."""
+    """A stretch [a, a + width] and a deterministic objective on it with its
+    slope in log k: a sum of sines over a parabola (several local minima),
+    inf past a cap for some."""
     a = draw(st.floats(1.0, 1e6))
     width = math.exp(draw(st.floats(math.log(0.02), math.log(1e5))))
     waves = draw(
@@ -66,76 +96,133 @@ def stretches(draw):
     def objective(k):
         t = (float(k) - a) / width
         if cap is not None and t > cap:
-            return math.inf
-        return curve * (t - centre) ** 2 + sum(amp * math.sin(w * t + ph) for amp, w, ph in waves)
+            return math.inf, math.nan
+        value = curve * (t - centre) ** 2 + sum(amp * math.sin(w * t + ph) for amp, w, ph in waves)
+        dvalue = 2.0 * curve * (t - centre) + sum(amp * w * math.cos(w * t + ph) for amp, w, ph in waves)
+        return value, k * dvalue / width
 
     return a, a + width, objective
 
 
+def certified(k, lo, hi, objective):
+    """Whether k is an end of [lo, hi] whose slope points outward, or lies
+    within 2 _K_TOL of a slope turning from negative to non-negative. A count
+    that scores no finite value (past a cap) takes an infinite slope rising
+    into it from below and falling into it from above: the value jumps to
+    inf there. A subnormal slope is within rounding of 0 and has no sign."""
+    if (k == lo and objective(lo)[1] >= 0.0) or (k == hi and objective(hi)[1] <= 0.0):
+        return True
+    near = np.linspace(max(lo, k - 2 * _K_TOL), min(hi, k + 2 * _K_TOL), 2001)
+    values, slopes = (np.array(c) for c in zip(*(objective(c) for c in near)))
+    slopes = np.where(np.isfinite(values), slopes, np.where(near > k, np.inf, -np.inf))
+    slopes[np.abs(slopes) < np.finfo(float).tiny] = 0.0
+    return bool(np.any((slopes[:-1] < 0.0) & (slopes[1:] >= 0.0)) or np.any(slopes == 0.0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(stretches())
-def test_generator_brent_steps_as_scipy_does(stretch):
-    a, b, objective = stretch
-    asked, (k, value) = drive(a, b, objective)
-    seen = []
-
-    def logged(k):
-        seen.append(float(k))
-        return objective(k)
-
-    # scipy's steps take inf - inf in numpy scalars, which warns
-    with np.errstate(invalid="ignore"):
-        res = minimize_scalar(logged, bounds=(a, b), method="bounded", options={"xatol": _K_TOL})
-    assert asked == seen
-    assert (k, value) == (float(res.x), float(res.fun))
-    assert len(asked) == res.nfev
+def test_slope_search_ends_at_a_certified_local_minimum(stretch):
+    lo, hi, objective = stretch
+    k, value = selection.minimize_by_slope(batched(objective), lo, hi)
+    assert lo <= k <= hi and value == objective(k)[0]
+    assert certified(k, lo, hi, objective)
 
 
 def test_a_stretch_no_wider_than_the_tolerance_is_skipped():
+    """A grid cell no wider than 2 _K_TOL gets no Hermite probe, and one whose
+    slope turns from negative to positive is only closed."""
     calls = []
 
-    def objective(ks):
-        calls.append(ks.copy())
-        return (ks - 150.0) ** 2
+    def counted(scalar):
+        def objective(ks):
+            calls.append(ks.tolist())
+            return batched(scalar)(ks)
 
-    lo = 100.0 - _K_TOL / 2
-    k, value = selection.minimize_on_breaks(objective, lo, 300.0)
-    # breaks lo, 100, 200, 300: the first stretch gets no run
-    np.testing.assert_array_equal(calls[0], [lo, 100.0, 200.0, 300.0])
-    asked = np.concatenate(calls[1:])
-    assert not np.any((asked > lo) & (asked < 100.0))
-    assert abs(k - 150.0) <= _K_TOL and value == (k - 150.0) ** 2
-    # one stretch, no wider than the tolerance: the breakpoints alone
+        return objective
+
+    # one cell 0.015 wide whose ends hide a dip: the grid alone, the better end
+    lo, hi = 100.0, 100.015
+    scalar = dip(lo, hi)
+    assert selection._hermite_dip((lo, *scalar(lo)), (hi, *scalar(hi)))
+    assert selection.minimize_by_slope(counted(scalar), lo, hi) == (hi, scalar(hi)[0])
+    assert calls == [[lo, hi]]
+    # grid lo, 100, then log cells to 300; the first cell brackets the
+    # minimum at 99.998 and is closed by rounds of two counts inside it
     calls.clear()
-    hi = 1.0 + _K_TOL / 2
-    assert selection.minimize_on_breaks(objective, 1.0, hi) == (hi, (hi - 150.0) ** 2)
-    assert len(calls) == 1
+    lo = 99.995
+
+    def bowl(k):
+        return (k - 99.998) ** 2, 2.0 * k * (k - 99.998)
+
+    k, value = selection.minimize_by_slope(counted(bowl), lo, 300.0)
+    assert calls[0][:2] == [lo, 100.0]
+    assert len(calls) > 1 and all(len(ks) == 2 and lo < min(ks) < max(ks) < 100.0 for ks in calls[1:])
+    assert abs(k - 99.998) < 1e-6 and value == bowl(k)[0]
 
 
 def test_lockstep_runs_end_where_sequential_runs_do():
-    """The same evaluated set and the same optimum as one run per stretch."""
+    """The same evaluated set and the same optimum as one search per cell."""
 
     def scalar(k):
-        return math.sin(k / 37.0) + 1e-4 * (math.log(k) - 7.0) ** 2
+        return (
+            math.sin(k / 37.0) + 1e-4 * (math.log(k) - 7.0) ** 2,
+            k * math.cos(k / 37.0) / 37.0 + 2e-4 * (math.log(k) - 7.0),
+        )
 
     calls = []
 
-    def batched(ks):
+    def objective(ks):
         calls.append(ks.size)
-        return np.array([scalar(k) for k in ks])
+        return batched(scalar)(ks)
 
-    k, value = selection.minimize_on_breaks(batched, 1.0, 2e5)
-    breaks = [1.0, *[b for b in selection._BREAKS if b < 2e5], 2e5]
-    best = min((scalar(b), i, b) for i, b in enumerate(breaks))
-    best = (best[2], best[0])
-    runs = [drive(lo, hi, scalar) for lo, hi in zip(breaks[:-1], breaks[1:])]
-    for _, (run_k, run_value) in runs:
-        if run_value < best[1]:
-            best = (run_k, run_value)
-    assert (k, value) == best
-    assert sum(calls) == len(breaks) + sum(len(asked) for asked, _ in runs)
-    # the breakpoints, then one call per step of the longest run
-    assert len(calls) == 1 + max(len(asked) for asked, _ in runs)
+    k, value = selection.minimize_by_slope(objective, 1.0, 2e5)
+    grid = selection._search_grid(1.0, 2e5).tolist()
+    points = [(c, *scalar(c), None) for c in grid]
+    runs = [drive(selection._cell_search(a, b), scalar) for a, b in zip(points[:-1], points[1:])]
+    candidates = points + [p for _, found in runs for p in found]
+    best = min(candidates, key=lambda p: (p[1], p[0]))
+    assert (k, value) == best[:2]
+    assert sum(calls) == len(grid) + sum(len(ks) for rounds, _ in runs for ks in rounds)
+    # the grid, then one call per round of the longest cell search
+    assert len(calls) == 1 + max(len(rounds) for rounds, _ in runs)
+    assert max(len(rounds) for rounds, _ in runs) > 0
+
+
+def test_a_minimum_the_end_slopes_do_not_show_is_found():
+    """Every grid count of [5e4, 1e5] has a negative slope, as the pooled CV
+    loss of a forward_cv dataset had at the breakpoints 5e4 and 1e5 while it
+    went down, up and down again between them; the cubic Hermite through the
+    first cell's ends finds the dip."""
+    lo, hi = 5e4, 1e5
+    scalar = dip(lo, hi)
+    grid = selection._search_grid(lo, hi)
+    assert all(scalar(c)[1] < 0.0 for c in grid)
+    k, value = selection.minimize_by_slope(batched(scalar), lo, hi)
+    assert value < min(scalar(c)[0] for c in grid)
+    assert certified(k, lo, hi, scalar)
+
+
+def test_a_kink_minimum_the_end_slopes_do_not_show_is_found():
+    """A value that is a mean of |e| over two pieces plus a smooth part falls
+    at both ends of its one grid cell, and its least value is a kink inside,
+    where the piece t - 1/2 changes sign: the kink probes find it, and
+    without the pieces the search keeps the better end."""
+    lo, hi = 100.0, 150.0
+    span = math.log(hi / lo)
+
+    def objective(ks, kinks=True):
+        t = np.log(ks / lo) / span
+        e = np.stack([t - 0.5, np.ones_like(t)], axis=1)
+        de = np.stack([np.full_like(t, 1.0 / span), np.zeros_like(t)], axis=1)
+        value = np.abs(e).mean(axis=1) - 0.3 * t - 0.3 * (t - 0.5) ** 2
+        slope = (np.sign(e) * de).mean(axis=1) - (0.3 + 0.6 * (t - 0.5)) / span
+        return value, slope, (e, de) if kinks else None
+
+    assert selection._search_grid(lo, hi).tolist() == [lo, hi]
+    assert np.all(objective(np.array([lo, hi]))[1] < 0.0)
+    k, value = selection.minimize_by_slope(objective, lo, hi)
+    assert k == pytest.approx(math.sqrt(lo * hi), rel=1e-12) and value == pytest.approx(0.35, rel=1e-12)
+    assert selection.minimize_by_slope(lambda ks: objective(ks, kinks=False), lo, hi) == (hi, 0.375)
 
 
 def wave(n, d, seed=0):
@@ -244,34 +331,143 @@ def test_batch_of_one_count_keeps_the_single_count_bits():
 
 
 def test_numeric_search_makes_few_batched_calls(monkeypatch):
-    """A search of the forward-selection size: one call per round, and as
-    many evaluated k as one scipy run per stretch makes."""
+    """A search of the forward-selection size: the grid in one call, then
+    few rounds of slope roots; the bounded Brent it replaced made 34."""
     x, y = wave(330, 3, seed=6)
     path = KPath(build_smoother(x, SmootherConfig()).spectral(), y)
-    plan = SelectionPlan()
     sizes = []
-    batch = selection._CriterionScore.batch
+    batch_slopes = selection._CriterionScore.batch_slopes
 
     def counted(self, ks):
         sizes.append(ks.size)
-        return batch(self, ks)
+        return batch_slopes(self, ks)
 
-    monkeypatch.setattr(selection._CriterionScore, "batch", counted)
-    res = search_k_numeric(path, plan)
-    assert len(sizes) <= 40
-    assert res.trace_k.size == sum(sizes)
-    # the same search as one scipy run per stretch, one count per call
-    score = selection._CriterionScore(path, plan)
-    hi = score.upper(plan.kmin, plan.kmax)
-    breaks = [plan.kmin, *[b for b in selection._BREAKS if plan.kmin < b < hi], hi]
+    monkeypatch.setattr(selection._CriterionScore, "batch_slopes", counted)
+    for criterion in selection.CRITERIA:
+        sizes.clear()
+        res = search_k_numeric(path, SelectionPlan(criterion=criterion))
+        assert 1 <= len(sizes) <= 12
+        assert res.trace_k.size == sum(sizes)
+
+
+def bounded_brent_best(score, plan):
+    """The old engine: the breakpoints, then scipy's bounded Brent on each
+    stretch between them; the best value it saw."""
+    lo = float(plan.kmin)
+    hi = score.upper(lo, plan.kmax)
+    breaks = [lo, *[b for b in selection._BREAKS if lo < b < hi], hi]
 
     def scalar(k):
-        value = batch(score, np.array([float(k)]))[0][0]
+        value = score.batch(np.array([float(k)]))[0][0]
         return value if np.isfinite(value) else np.inf
 
-    runs = [
-        minimize_scalar(scalar, bounds=(a, b), method="bounded", options={"xatol": _K_TOL})
-        for a, b in zip(breaks[:-1], breaks[1:])
-        if b - a > _K_TOL
+    best = min(scalar(b) for b in breaks)
+    # scipy's steps take inf - inf in numpy scalars, which warns
+    with np.errstate(invalid="ignore"):
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            if b - a > _K_TOL:
+                res = minimize_scalar(scalar, bounds=(a, b), method="bounded", options={"xatol": _K_TOL})
+                best = min(best, float(res.fun))
+    return best
+
+
+def search_problem(kind, seed, n, d, df, name):
+    """A score along a path: a kernel design (d columns, per-variable df) or
+    a spline under criterion ``name``, or 4-fold CV of a kernel under loss
+    ``name``."""
+    config = SmootherConfig(family="tps") if kind == "tps" else SmootherConfig(df=df)
+    x, y = wave(n, d, seed=seed)
+    if kind == "cv":
+        plan = SelectionPlan(criterion=name, cv=CvPlan(kfold=4))
+        folds = [
+            _FoldScorer(build_smoother(x[train], config), y[train], x[test], y[test])
+            for train, test in make_splits(n, plan.cv)
+        ]
+        return _CvScore(folds, name), plan
+    plan = SelectionPlan(criterion=name)
+    return selection._CriterionScore(KPath(build_smoother(x, config).spectral(), y), plan), plan
+
+
+@st.composite
+def search_problems(draw):
+    """Arguments of :func:`search_problem`: kernel designs with d 1-3, n 60-400
+    and df 1.05-3 under a criterion, splines with n 60-200 under a
+    criterion, and 4-fold CV of kernel designs under a loss."""
+    kind = draw(st.sampled_from(["kernel", "tps", "cv"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "tps":
+        n, d, df = draw(st.integers(60, 200)), 2, None
+    else:
+        n, d, df = draw(st.integers(60, 400)), draw(st.integers(1, 3)), draw(st.floats(1.05, 3.0))
+    names = selection.CV_LOSSES if kind == "cv" else selection.CRITERIA
+    return kind, seed, n, d, df, draw(st.sampled_from(names))
+
+
+@settings(max_examples=25, deadline=None)
+@given(search_problems())
+def test_slope_search_never_worse_than_bounded_brent(args):
+    score, plan = search_problem(*args)
+    if not score.real_k_ok:
+        return
+    got = selection.search_k(score, plan, exhaustive=False).value
+    best = bounded_brent_best(score, plan)
+    assert got <= best + 1e-12 * max(1.0, abs(best))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6), st.integers(60, 400), st.integers(1, 3), st.floats(1.05, 3.0))
+def test_map_search_ends_at_a_certified_local_minimum(seed, n, d, df):
+    """The map loss has a kink wherever a held-out error changes sign, where
+    its slope jumps; the search still ends at a certified local minimum."""
+    score, plan = search_problem("cv", seed, n, d, df, "map")
+    if not score.real_k_ok:
+        return
+    got = selection.search_k(score, plan, exhaustive=False)
+
+    def scalar(k):
+        value, slope, *_ = score.batch_slopes(np.array([k]))
+        return float(value[0]), float(slope[0])
+
+    assert certified(got.k, plan.kmin, plan.kmax, scalar)
+
+
+def slope_cases():
+    """(path kind, score factory) pairs: three paths under every criterion,
+    and 4-fold CV under both losses."""
+    for case in (tps_path, dense_kernel_path, truncated_kernel_path):
+        for criterion in selection.CRITERIA:
+            yield pytest.param(case, criterion, id=f"{criterion}-{case.__name__}")
+    for loss in selection.CV_LOSSES:
+        yield pytest.param(cv_folds, loss, id=f"{loss}-{cv_folds.__name__}")
+
+
+def cv_folds(monkeypatch=None):
+    x, y = wave(120, 2, seed=4)
+    return [
+        _FoldScorer(build_smoother(x[train], SmootherConfig()), y[train], x[test], y[test])
+        for train, test in make_splits(y.size, CvPlan(kfold=4))
     ]
-    assert res.trace_k.size == len(breaks) + sum(r.nfev for r in runs)
+
+
+@pytest.mark.parametrize("case, name", list(slope_cases()))
+def test_score_slopes_match_central_differences(case, name, monkeypatch):
+    """Each score's slope in log k against a central difference of its values
+    (step 1e-5 in log k); gmdl's counts near its kink at F = 1 are skipped."""
+    built = case(monkeypatch)
+    if name in selection.CV_LOSSES:
+        score, ks = _CvScore(built, name), COUNTS
+    else:
+        # no guard may fire: every row is a value to differentiate
+        score = selection._CriterionScore(built, SelectionPlan(criterion=name, dfmaxi=built.n - 3.0))
+        ks = COUNTS[COUNTS <= score.upper(1.0, 1e5)]
+    if name == "gmdl":
+        df, rss, energy = built.batch_stats(ks)
+        f = energy * (built.n - df) / (df * rss)
+        ks = ks[np.abs(np.log(f)) > 1e-3]
+    assert ks.size >= 4
+    value, slope, *_ = score.batch_slopes(ks)
+    np.testing.assert_array_equal(value, score.batch(ks)[0])
+    h = 1e-5
+    below = score.batch(ks * math.exp(-h))[0]
+    above = score.batch(ks * math.exp(h))[0]
+    np.testing.assert_allclose(slope, (above - below) / (2 * h), rtol=1e-6, atol=0)

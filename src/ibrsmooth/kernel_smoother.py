@@ -821,15 +821,26 @@ def _accepted_nodes(ratio: float, n: int):
     columns are the rows transposed, and :func:`_tail_peak` finds the two
     rows in O(p^2), where the full 2-D transform reads p^2 coefficients.
     Returns (p, node kernel), or None once ``_FACTOR_GATE`` * p exceeds n,
-    where the exact form is as cheap.
+    where the exact form is as cheap. The rule is monotone in the ratio, so
+    a check whose answer :func:`_tail_known` holds is skipped.
     """
     p = _FACTOR_NODES
     while _FACTOR_GATE * p <= n:
-        kc = _node_kernel(p, ratio)
-        if _tail_peak(kc) <= _FACTOR_TAIL * kc.sum():
-            return p, kc
+        known = _tail_known(p)
+        if ratio < known[1]:
+            kc = _node_kernel(p, ratio)
+            if ratio <= known[0] or _tail_peak(kc) <= _FACTOR_TAIL * kc.sum():
+                known[0] = max(known[0], ratio)
+                return p, kc
+            known[1] = ratio
         p *= 2
     return None
+
+
+@cache
+def _tail_known(p: int) -> list[float]:
+    """[largest ratio seen to pass the tail rule at p nodes, smallest to fail]."""
+    return [0.0, math.inf]
 
 
 def _tail_peak(kc: np.ndarray) -> float:

@@ -22,7 +22,6 @@ where a cubic Hermite through the cell's ends dips below both.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -214,8 +213,8 @@ class SelectionResult:
     The trace holds the admissible counts the search evaluated, in
     ascending k. An exhaustive search with a certified bound (symmetric
     spectrum in [0, 1]; gcv, aic, aicc or bic) evaluates only a few hundred
-    of them and still returns the full sweep's k; every other exhaustive
-    search holds every admissible count up to its stop.
+    of them, in batched rounds, and still returns the full sweep's k; every
+    other exhaustive search holds every admissible count up to its stop.
     """
 
     k: float
@@ -522,56 +521,56 @@ def _bounded_search(score, k_lo: int, k_hi: int) -> np.ndarray:
     evaluates, in ascending k; its minimum is the full sweep's.
 
     ``score.bound(rss(b), df(a))`` bounds the value of every count in
-    [a, b] from below. The counts that pass the guards form a prefix
-    [k_lo, cap], so integer bisection finds cap; ``_BOUND_GRID`` log-spaced
-    counts in [k_lo, cap] follow, scored in one batch, then the open
-    interval with the smallest bound is split at its midpoint until that
-    bound exceeds the best value by ``_BOUND_MARGIN`` (relative to
-    max(1, |best|), for the rounding of df, rss and the criterion, and for
-    batched rows rounding apart from single ones). An
-    interval whose ends have the same df and rss is not split: they pin
-    every count inside to the value at its left end, up to rounding, and
-    that tie goes to the left end.
+    [a, b] from below, elementwise over arrays of ends. The counts that
+    pass the guards form a prefix [k_lo, cap], found by multisection
+    rounds of up to ``_BOUND_GRID`` log-spaced counts each; ``_BOUND_GRID``
+    log-spaced counts in [k_lo, cap] follow. Each later round drops every
+    interval whose bound exceeds the best value by ``_BOUND_MARGIN``
+    (relative to max(1, |best|), for the rounding of df, rss and the
+    criterion, and for rows of one batch rounding apart from another's)
+    and scores the midpoints of the others. Every round is one batch, in
+    chunks of ``score.rows`` counts. An interval whose ends have the same
+    df and rss is not split: they pin every count inside to the value at
+    its left end, up to rounding, and that tie goes to the left end.
     """
     seen = {}
 
     def evaluate(ks: list[int]) -> None:
-        rows = zip(*(c.tolist() for c in score.batch(np.array(ks, dtype=float))))
-        seen.update(zip(ks, rows))
-
-    def at(k: int):
-        if k not in seen:
-            evaluate([k])
-        return seen[k]
+        for start in range(0, len(ks), score.rows):
+            chunk = ks[start : start + score.rows]
+            rows = zip(*(c.tolist() for c in score.batch(np.array(chunk, dtype=float))))
+            seen.update(zip(chunk, rows))
 
     def ok(k: int) -> bool:
-        return bool(np.isfinite(at(k)[0]))
+        return bool(np.isfinite(seen[k][0]))
 
-    def push(a: int, b: int) -> None:
-        if b - a > 1 and seen[a][1:] != seen[b][1:]:
-            heapq.heappush(heap, (score.bound(seen[b][2], seen[a][1]), a, b))
+    def splits(pairs) -> list[tuple[int, int]]:
+        return [(a, b) for a, b in pairs if b - a > 1 and seen[a][1:] != seen[b][1:]]
 
-    heap = []
+    evaluate(sorted({k_lo, k_hi}))
+    lo, hi = k_lo, k_hi
+    while ok(lo) and not ok(hi) and hi - lo > 1:
+        # the midpoint too: near 2^53 geomspace's rounding can miss every count inside
+        probes = {(lo + hi) // 2, *map(int, np.rint(np.geomspace(lo, hi, _BOUND_GRID + 2)))}
+        probes = sorted(k for k in probes if lo < k < hi)
+        evaluate(probes)
+        lo = max(k for k in [lo, *probes] if ok(k))
+        hi = min(k for k in [*probes, hi] if k > lo)
     if ok(k_lo):
-        cap = k_hi
-        if not ok(cap):
-            lo, hi = k_lo, k_hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if ok(mid) else (lo, mid)
-            cap = lo
+        cap = hi if ok(hi) else lo
         grid = sorted({k_lo, cap, *map(int, np.rint(np.geomspace(k_lo, cap, _BOUND_GRID)))})
         # k_lo and cap again too: rows of one batch share their rounding
         evaluate(grid)
         best = min(seen[k][0] for k in grid)
-        for a, b in zip(grid[:-1], grid[1:]):
-            push(a, b)
-        while heap and heap[0][0] <= best + _BOUND_MARGIN * max(1.0, abs(best)):
-            _, a, b = heapq.heappop(heap)
-            m = (a + b) // 2
-            best = min(best, at(m)[0])
-            push(a, m)
-            push(m, b)
+        live = splits(zip(grid[:-1], grid[1:]))
+        while live:
+            df_a, rss_b = (np.array([seen[k][i] for k in ks]) for i, ks in zip((1, 2), zip(*live)))
+            margin = best + _BOUND_MARGIN * max(1.0, abs(best))
+            live = [pair for pair, low in zip(live, score.bound(rss_b, df_a)) if low <= margin]
+            mids = [(a + b) // 2 for a, b in live]
+            evaluate(mids)
+            best = min([best, *(seen[m][0] for m in mids)])
+            live = splits(p for (a, b), m in zip(live, mids) for p in ((a, m), (m, b)))
     return np.array([(k, *seen[k]) for k in sorted(seen)]).T
 
 

@@ -12,12 +12,13 @@ polynomial null-space dimension.
 This is the one module of the package that loads scipy, and only on first
 use: its LAPACK routines (the Householder QR of the polynomial block, the
 reflector passes, the tridiagonal eigensolver and the triangular solves)
-are imported inside the functions that call them, and ``scipy.special``'s
-gamma only for an odd number of columns. Importing the package, every
-kernel workflow and predicting from a saved spline of an even number of
-columns load numpy alone, and scipy's import (about 0.3 s and 30 MB, its
-array-API layer pulling in ``numpy.testing`` and ``numpy.f2py``) is paid
-by the first spline fit.
+and BLAS ``dsyr2k`` (the projection of the radial block) are imported inside
+the functions that call them, and ``scipy.special``'s gamma only for an odd
+number of columns. Importing the package, every kernel workflow and
+predicting from a saved spline of an even number of columns load numpy
+alone, and scipy's import (about 0.3 s and 30 MB, its array-API layer
+pulling in ``numpy.testing`` and ``numpy.f2py``) is paid by the first
+spline fit.
 """
 
 from __future__ import annotations
@@ -254,15 +255,30 @@ def _reflect(trans: str, qr: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.n
 
 
 def _projected_blocks(e: np.ndarray, qr: np.ndarray, tau: np.ndarray, m: int):
-    """(q2' E q2 symmetrised, q1' E q2) from Q' E Q, which overwrites E."""
+    """(q2' E q2, q1' E q2) from the lower triangle of Q' E Q, written
+    over E's upper triangle, from the compact WY form Q = I - V T V' of the
+    m reflectors (Schreiber & Van Loan 1989; T by dlarft's recurrence):
+    with F = E V and X = F T - V T' (V' F) T / 2, Q' E Q = E - V X' - X V',
+    one GEMM and one in-place BLAS dsyr2k (lower=1), O(m n^2). The first
+    block is a Fortran-ordered copy whose lower triangle is what
+    dsytrd(lower=1) reads; its upper triangle is not written (it holds E's).
+    The second comes from the [m:, :m] block."""
+    from scipy.linalg.blas import dsyr2k
+
     # E is symmetric, so its transpose is E in Fortran order
-    qeq = _apply_q("R", "N", qr, tau, _apply_q("L", "T", qr, tau, e.T))
-    b = qeq[m:, m:]
-    return (b + b.T) / 2.0, qeq[:m, m:].copy()
+    e = e.T
+    v = np.tril(qr, -1) + np.eye(*qr.shape)
+    t = np.diag(tau)
+    for j in range(1, m):
+        t[:j, j] = -tau[j] * (t[:j, :j] @ (v[:, :j].T @ v[:, j]))
+    f = e @ v
+    x = f @ t - 0.5 * (v @ (t.T @ (v.T @ f) @ t))
+    qeq = dsyr2k(-1.0, v, x, beta=1.0, c=e, lower=1, overwrite_c=1)
+    return np.array(qeq[m:, m:], order="F"), np.ascontiguousarray(qeq[m:, :m].T)
 
 
 def _tridiagonal_eigh(b: np.ndarray):
-    """(theta, W, reflectors) of the symmetric ``b``, which is overwritten.
+    """(theta, W, reflectors) of the symmetric matrix in ``b``'s lower triangle; b is overwritten.
 
     dsyevd's first two stages: dsytrd reduces b = Q_t T Q_t' and dstevd
     (dstedc, as dsyevd calls it) gives T = W diag(theta) W', theta
@@ -274,8 +290,7 @@ def _tridiagonal_eigh(b: np.ndarray):
     from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
 
     lwork, info = dsytrd_lwork(b.shape[0], lower=1)
-    # b is symmetric, so its transpose is the same block in Fortran order
-    a, diag, off, tau, info = dsytrd(b.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    a, diag, off, tau, info = dsytrd(b, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dsytrd failed with info {info}")
     # dstevd wants one off-diagonal entry even for a 1 x 1 block
@@ -301,15 +316,15 @@ class _TpsCore(FactoredBasis):
     vector; :meth:`dense` forms U only when a consumer asks for the block.
 
     E costs O(d n^2), filled in place a block of rows at a time from the
-    squared distances (:func:`_radial_blocks`), the QR O(m^2 n), Q' E Q two
-    reflector passes over E at O(m n^2), the reduction 4/3 n^3 flops and
+    squared distances (:func:`_radial_blocks`), the QR O(m^2 n), Q' E Q one
+    GEMM and one dsyr2k over E at O(m n^2), the reduction 4/3 n^3 flops and
     dstedc at most as much; a dense eigh's 2 n^3 back-transformation Q_t W
     is skipped. ``theta`` descends while the columns of W ascend. Of E the
     geometry keeps only the m x (n - m) block q1' E q2 that
     :meth:`TpsSmoother.prediction_parts` needs, so it holds two
     (n - m)-square arrays, the dsytrd reflectors and W. The build peaks at
     three n x n arrays, in the eigensolver (the reduced block, W and
-    dstevd's workspace); E and its projection take at most two.
+    dstevd's workspace); E and the copy of its projected block take two.
     """
 
     def __init__(self, design: DesignMatrix, order: int):

@@ -289,6 +289,44 @@ def test_tail_rule_decides_as_the_full_dct(p):
     assert any(decisions) and not all(decisions)
 
 
+def tail_rule_from_16(ratio, n):
+    """The node count the tail rule picks with no memory of earlier ratios."""
+    p = kernel_smoother._FACTOR_NODES
+    while kernel_smoother._FACTOR_GATE * p <= n:
+        kc = kernel_smoother._node_kernel(p, ratio)
+        if kernel_smoother._tail_peak(kc) <= kernel_smoother._FACTOR_TAIL * kc.sum():
+            return p
+        p *= 2
+    return None
+
+
+@pytest.mark.parametrize("n", [64, 330, 1500])
+def test_remembered_tail_rule_decides_as_the_rule_from_16(n):
+    """``_accepted_nodes`` skips the checks whose answer an earlier ratio
+    settled; fed ratios in increasing, decreasing and shuffled order, it
+    picks the p the rule from 16 picks, also within 1e-12 of each ratio at
+    which that p changes (found by bisection)."""
+    ratios = list(np.geomspace(1e-3, 60.0, 200))
+    want = [tail_rule_from_16(r, n) for r in ratios]
+    for j in np.flatnonzero(np.array(want[1:]) != np.array(want[:-1])):
+        lo, hi = ratios[j], ratios[j + 1]
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if tail_rule_from_16(mid, n) == want[j] else (lo, mid)
+        ratios += [lo, hi]
+    want = dict(zip(ratios, map(lambda r: tail_rule_from_16(r, n), ratios)))
+    for order in (sorted(ratios), sorted(ratios, reverse=True), list(np.random.default_rng(n).permutation(ratios))):
+        kernel_smoother._tail_known.cache_clear()
+        try:
+            for r in order:
+                found = kernel_smoother._accepted_nodes(r, n)
+                assert (None if found is None else found[0]) == want[r], (r, order[:2])
+                if found is not None:
+                    np.testing.assert_array_equal(found[1], kernel_smoother._node_kernel(found[0], r))
+        finally:
+            kernel_smoother._tail_known.cache_clear()
+
+
 def test_gaussian_calibration_holds_no_n_by_n_array():
     """Per variable on one column, and a total df on two."""
     n = 4000

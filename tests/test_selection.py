@@ -23,6 +23,7 @@ from ibrsmooth import (
     search_k_numeric,
 )
 from ibrsmooth import engine, selection
+from ibrsmooth.benchmarks import make_wendelberger_data
 from ibrsmooth.selection import RSS_FLOOR, df_ceiling
 from ibrsmooth.smoothers import SpectralForm
 
@@ -288,6 +289,27 @@ def test_bounded_search_evaluates_few_counts():
     assert res.value == pytest.approx(swept.value, rel=1e-14)
     assert res.trace_k.size < 500 < swept.trace_k.size
     assert np.all(np.diff(res.trace_k) > 0)
+
+
+@pytest.mark.parametrize("case", ["tps_path(1)", "wendelberger 30 x 30"])
+def test_bounded_search_scores_in_few_batched_calls(case, monkeypatch):
+    """Each round of the bounded search, the cap's multisection and the
+    interval splits alike, scores its counts in one call: at kmax 1e7 a
+    search makes at most 20 calls (one count per call took 70 on
+    tps_path(1) and 310 on the 900-point surface) and picks the sweep's k."""
+    if case == "tps_path(1)":
+        path = tps_path(1)
+    else:
+        design, y, _ = make_wendelberger_data(n_axis=30)
+        path = KPath(build_calibrated_tps(design.x).spectral(), y)
+    plan = SelectionPlan(mode="exhaustive", kmax=1e7)
+    calls = []
+    batch = selection._CriterionScore.batch
+    monkeypatch.setattr(selection._CriterionScore, "batch", lambda self, ks: calls.append(len(ks)) or batch(self, ks))
+    bounded = search_k_exhaustive(path, plan)
+    monkeypatch.undo()
+    assert len(calls) <= 20
+    assert bounded.k == bounded_and_swept(path, plan)[1].k
 
 
 def test_bounded_search_does_not_split_a_flat_criterion():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ibrsmooth import KPath, build_calibrated_tps, iterate_fitted_recursive
+from ibrsmooth import tps
 from ibrsmooth.smoothers import FactoredBasis
 from ibrsmooth.tps import _projected_blocks
 
@@ -24,6 +25,27 @@ def test_spectrum_matches_dense_eigh_on_the_same_block(seed, n, d):
     theta = np.linalg.eigh(_projected_blocks(e, *core._null, core.m)[0])[0]
     ref = np.maximum(theta[::-1], 0.0)
     np.testing.assert_allclose(core.theta, ref, rtol=0, atol=1e-13 * ref.max())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+# sizes 1 and 2 stand for m + 1 and m + 2
+@pytest.mark.parametrize("size", [1, 2, 60, 300])
+def test_projected_blocks_match_two_reflector_passes(d, size):
+    """The one-pass WY projection gives the lower triangle of q2' E q2 and
+    the block q1' E q2 of the dense Q' E Q from two dormqr passes, to 1e-13
+    relative, also where the tridiagonal block is 1 x 1 or 2 x 2."""
+    order = tps.default_tps_order(d)
+    m = tps.tps_null_dim(order, d)
+    n = m + size if size <= 2 else size
+    x = random_design(np.random.default_rng(n + d), n, d).x
+    e = radial_block(x, x, order)
+    qr, tau = tps._householder_qr(tps._poly_block(x, tps.tps_powers(order, d)))
+    dense = tps._apply_q("R", "N", qr, tau, tps._apply_q("L", "T", qr, tau, np.asfortranarray(e)))
+    block, cross = tps._projected_blocks(e, qr, tau, m)
+    lower = np.tril_indices(n - m)
+    for got, want in ((block[lower], dense[m:, m:][lower]), (cross, dense[:m, m:])):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert block.flags.f_contiguous and block.shape == (n - m, n - m)
 
 
 @pytest.mark.parametrize("seed,n,d", [(1, 40, 2), (3, 60, 3), (4, 4, 2), (5, 5, 2)])

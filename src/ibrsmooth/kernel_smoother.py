@@ -41,12 +41,15 @@ rows are node-major throughout: :func:`_chebyshev_factor` gives the p x m
 transpose L' of an interpolation matrix to the calibration, the factor
 and the prediction tables, and the contractions over the columns' rows
 (:func:`_node_table`, :func:`_interpolate`) run over blocks of points,
-with no m x prod p_j array. The family's one evaluator,
+with no m x prod p_j array; a new row of the tables takes the rows'
+unnormalized terms (:func:`_chebyshev_terms`). The family's one evaluator,
 :class:`KernelPredictor`, serves the fit, ``evaluate``, the
 cross-validation projector and a loaded model. With a coefficient vector,
-a Gaussian fit predicts a row inside the training box from tables at its
-own nodes (:class:`NodeTables`) in O(d p + prod p_j) instead of O(n d);
-every other row, coefficient block and kernel takes :func:`kernel_predict`.
+a Gaussian fit predicts a row inside the training box, widened per column
+by a margin where the interpolant grows by at most ``_GRID_GROWTH`` (less
+for columns near the span rule's limit), from tables at its own nodes
+(:class:`NodeTables`) in O(d p + prod p_j) instead of O(n d); every other
+row, coefficient block and kernel takes :func:`kernel_predict`.
 """
 
 from __future__ import annotations
@@ -110,6 +113,17 @@ _GRID_BLOCK = _PREDICT_BLOCK_BYTES // 8
 # 300 rows of four fits in floor units (tables / kernel_predict): span 0.5,
 # 0.3 / 0.3; 1.5, 0.8 / 0.5; 1.9, 2.0 / 0.7; 3.1, 7.7 / 1.5; 5.6, 9.6 / 2.3
 _GRID_SPAN = 1.5
+# prediction tables also serve a row whose every column lies within
+# half_j (acosh(g_j) / p_j)^2 / 2 of the training box, clipped to that
+# widened box: on the unit box such a column sits at |t| <= 1 + eps with
+# T_p(1 + eps) <= cosh(p sqrt(2 eps)) <= g_j, so its interpolant, a
+# polynomial of degree below p, exceeds its largest value on the box by at
+# most g_j = min(_GRID_GROWTH, _GRID_SPAN / span_j). The tables' rounding
+# grows with the span, so the growth shrinks to none at the span rule's
+# limit. Worst of 300 fits of one column (n = 300, 200 rows 0.1-1 margins
+# out), floor units with growth 2 / g_j: span 1.4, 1.14 / 0.85; 1.45,
+# 1.06 / 0.88. Rows farther out take the direct route
+_GRID_GROWTH = 2.0
 # building prediction tables costs, per design point, about one kernel
 # evaluation per interpolation-row entry (sum p_j) and this fraction of one
 # per node. On 32 x 32 nodes, n = 1500, one BLAS thread, x86-64: 9.4 ns per
@@ -225,11 +239,11 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     smaller batch agrees only to the rounding floor
     eps (|w| . |beta|) / (w . 1). Nor is the promise made across routes: a
     Gaussian :class:`KernelPredictor` may answer rows inside the training
-    box from :class:`NodeTables`, equal to this route to the rounding
-    floor. ``x_new`` is read as the predictors read it (a 1-D array holds
-    points of a one-column design). Raises ValueError when it has the
-    wrong number of columns, a non-finite entry or a row outside the kernel
-    support of every design point.
+    box, or just outside it, from :class:`NodeTables`, equal to this route
+    to the rounding floor. ``x_new`` is read as the predictors read it (a
+    1-D array holds points of a one-column design). Raises ValueError when
+    it has the wrong number of columns, a non-finite entry or a row outside
+    the kernel support of every design point.
     """
     x_new = _finite_rows(x_new, x.shape[1])
     return _kernel_average(x_new, _KernelRows(x, kind, bandwidths), beta)
@@ -265,21 +279,31 @@ class NodeTables:
     With the fit's node kernels K_cj (:func:`_column_nodes`),
     K ~ H (K_c1 x ... x K_cd) H' to rounding, H the Khatri-Rao product of
     the interpolation matrices. The tables T = (K_c1 x ... x K_cd) H'
-    [beta, 1], built on first use in O(n prod p_j), give a row u inside
-    the training box its numerator sum_i K(u - x_i) beta_i and denominator
+    [beta, 1], built on first use in O(n prod p_j), give a row u near the
+    training box its numerator sum_i K(u - x_i) beta_i and denominator
     sum_i K(u - x_i) as H(u) T, in O(d p + prod p_j) (the fast Gauss
     transform and Chebyshev FMM idea: Greengard & Strain 1991, Fong & Darve
-    2009). :meth:`interpolate` evaluates every row it is given, each column
-    clipped to the box, so a caller overwrites the rows outside the box
-    rather than gathering the ones inside. Building costs ``cost`` kernel
-    evaluations per design point: sum p_j, plus ``_GRID_NODE_COST`` per node.
+    2009). A new row takes its unnormalized barycentric terms
+    (:func:`_chebyshev_terms`) as H(u): their per-row factor scales the
+    numerator and the denominator alike, so the ratio (the second
+    barycentric form, Berrut & Trefethen 2004) does without it. The
+    tables hold for rows inside ``lo`` and ``hi``, the training box widened
+    per column by a margin where the interpolant grows by at most
+    min(``_GRID_GROWTH``, ``_GRID_SPAN`` / span_j), the column's ``ratios``
+    entry being its span half_j / h_j. :meth:`interpolate` evaluates every
+    row it is given, each column clipped to that widened box, so a caller
+    overwrites the rows beyond it rather than gathering the ones inside. Building costs ``cost`` kernel evaluations per design
+    point: sum p_j, plus ``_GRID_NODE_COST`` per node.
     """
 
-    def __init__(self, x: np.ndarray, nodes, beta: np.ndarray):
+    def __init__(self, x: np.ndarray, nodes, beta: np.ndarray, ratios: np.ndarray):
         self.x, self.beta = x, beta
-        self.lo, self.hi = _column_range(x)
         self.centre, self.half = _unit_box(x)
         self.sizes, self.kernels = zip(*nodes)
+        lo, hi = _column_range(x)
+        growth = np.minimum(_GRID_GROWTH, _GRID_SPAN / ratios)
+        margin = self.half * (0.5 * (np.arccosh(growth) / np.array(self.sizes)) ** 2)
+        self.lo, self.hi = lo - margin, hi + margin
         self.cost = sum(self.sizes) + _GRID_NODE_COST * math.prod(self.sizes)
 
     @cached_property
@@ -287,30 +311,38 @@ class NodeTables:
         # K_cj enters the rows before they meet beta, whose entries cancel:
         # applied after, the rounding of H'beta grows with the Lebesgue constant
         # (one column, n = 300 and 1000, worst row of 43 fits: 1.9 floor units, 0.6 here)
-        lefts = [kc @ left for left, kc in zip(self._lefts(self.x), self.kernels)]
+        units = self._unit(self.x)
+        lefts = [kc @ _chebyshev_factor(t, p) for t, p, kc in zip(units, self.sizes, self.kernels)]
         return _node_table(lefts, np.vstack([self.beta, np.ones(len(self.x))]))
 
-    def _lefts(self, x: np.ndarray) -> list[np.ndarray]:
-        # clipped to the box, a row far outside it cannot overflow the rows
+    def _unit(self, x: np.ndarray) -> list[np.ndarray]:
+        # clipped to the widened box, a row far outside it cannot overflow the rows
         return [
-            _chebyshev_factor((np.minimum(np.maximum(col, lo), hi) - centre) / half, p)
-            for col, lo, hi, centre, half, p in zip(
-                x.T, self.lo, self.hi, self.centre, self.half, self.sizes
-            )
+            (np.minimum(np.maximum(col, lo), hi) - centre) / half
+            for col, lo, hi, centre, half in zip(x.T, self.lo, self.hi, self.centre, self.half)
         ]
 
     def interpolate(self, x_new: np.ndarray) -> np.ndarray:
         """The tabulated kernel average at every row of ``x_new``, a block of
-        rows at a time. A row outside the training box gets the value at
-        its point clipped to the box, a finite stand-in for its caller to
-        overwrite."""
+        rows at a time. A row beyond the widened box gets the value at its
+        point clipped to that box, a finite stand-in for its caller to
+        overwrite. A row on a node, whose terms are infinite, reads a
+        non-finite ratio and is evaluated again from the normalized rows."""
         table = self.table
         step = max(1, _GRID_BLOCK // max(table.size // self.sizes[-1], max(self.sizes)))
         pred = np.empty(len(x_new))
         for start in range(0, len(x_new), step):
             rows = slice(start, start + step)
-            num, den = _interpolate(self._lefts(x_new[rows]), table)
-            np.divide(num, den, out=pred[rows])
+            units = self._unit(x_new[rows])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = [_chebyshev_terms(t, p) for t, p in zip(units, self.sizes)]
+                num, den = _interpolate(terms, table)
+                np.divide(num, den, out=pred[rows])
+            hit = np.flatnonzero(~np.isfinite(pred[rows]))
+            if hit.size:
+                lefts = [_chebyshev_factor(t[hit], p) for t, p in zip(units, self.sizes)]
+                num, den = _interpolate(lefts, table)
+                pred[start + hit] = num / den
         return pred
 
 
@@ -324,12 +356,13 @@ class KernelPredictor:
     O(d p + prod p_j) per row instead of O(n d). The first batch large
     enough to pay for them builds them (160 rows at n = 1500, d = 2). Such
     a batch takes the tables on every row, each column clipped to the
-    training box, and one box test, in data coordinates, picks the rows
-    outside the box, which are then overwritten from the direct route of
-    :func:`kernel_predict`: a batch wholly inside the box gathers and
-    scatters nothing. A batch's route depends only on the fit and its row
-    count, so a saved and reloaded model gives the same bits. Smaller
-    batches and fits that no tables serve (:attr:`_tables`) go direct.
+    training box widened by the tables' margin (:class:`NodeTables`), and one
+    box test, in data coordinates, picks the rows beyond that widened box,
+    which are then overwritten from the direct route of
+    :func:`kernel_predict`: a batch wholly inside it gathers and scatters
+    nothing. A batch's route depends only on the fit and its row count, so
+    a saved and reloaded model gives the same bits. Smaller batches and
+    fits that no tables serve (:attr:`_tables`) go direct.
     """
 
     x_train: np.ndarray
@@ -348,8 +381,9 @@ class KernelPredictor:
         h, half = np.asarray(self.bandwidths, dtype=float), _unit_box(self.x_train)[1]
         if not np.all((half > 0.0) & (half <= _GRID_SPAN * h)):
             return None
-        nodes = _affordable_nodes(half / h, self.x_train.shape[0])
-        return None if nodes is None else NodeTables(self.x_train, nodes, self.beta)
+        ratios = half / h
+        nodes = _affordable_nodes(ratios, self.x_train.shape[0])
+        return None if nodes is None else NodeTables(self.x_train, nodes, self.beta, ratios)
 
     @cached_property
     def _weights(self) -> _KernelRows:
@@ -362,7 +396,8 @@ class KernelPredictor:
         if tables is None or x_new.size < tables.cost:
             return _kernel_average(x_new, self._weights, self.beta)
         pred = tables.interpolate(x_new)
-        # a column at a time: a reduction over a row's few columns is several times slower
+        # rows beyond the widened box, a column at a time: a reduction over
+        # a row's few columns is several times slower
         outside = np.zeros(len(x_new), dtype=bool)
         for col, lo, hi in zip(x_new.T, tables.lo, tables.hi):
             outside |= (col < lo) | (col > hi)
@@ -890,11 +925,10 @@ def _chebyshev_nodes(p: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
-    """The node-major p x m matrix that interpolates from p Chebyshev nodes
-    to the m points t: entry (k, i) is the Lagrange basis at t_i in
-    barycentric form, l_k(t_i) = (w_k / (t_i - z_k)) / sum_m (w_m / (t_i - z_m)),
-    and a point that falls on a node gets that node's unit column.
+def _chebyshev_terms(t: np.ndarray, p: int) -> np.ndarray:
+    """The node-major p x m barycentric terms w_k / (t_i - z_k) of p
+    Chebyshev nodes z at the m points t, infinite where a point falls on a
+    node (a division by zero the caller lets pass).
 
     Node and weight are written by a broadcast fill and then meet only
     arrays of their block's shape or t as a row broadcast along the node
@@ -902,13 +936,22 @@ def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
     stride-0 operand in numpy's inner loop runs several times slower.
     """
     nodes, w = _chebyshev_nodes(p)
-    left = np.empty((p, t.size))
-    left[...] = nodes[:, None]
-    np.subtract(t, left, out=left)
-    weights = np.empty_like(left)
+    terms = np.empty((p, t.size))
+    terms[...] = nodes[:, None]
+    np.subtract(t, terms, out=terms)
+    weights = np.empty_like(terms)
     weights[...] = w[:, None]
+    return np.divide(weights, terms, out=terms)
+
+
+def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
+    """The node-major p x m matrix that interpolates from p Chebyshev nodes
+    to the m points t: entry (k, i) is the Lagrange basis at t_i in
+    barycentric form, l_k(t_i) = (w_k / (t_i - z_k)) / sum_m (w_m / (t_i - z_m)),
+    the terms of :func:`_chebyshev_terms` over their sum, and a point that
+    falls on a node gets that node's unit column."""
     with np.errstate(divide="ignore"):
-        np.divide(weights, left, out=left)
+        left = _chebyshev_terms(t, p)
     sums = left.sum(axis=0)
     # a column with an infinite weight sits on a node
     on_node = ~np.isfinite(sums)
@@ -916,7 +959,7 @@ def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
     # one division per point, not per entry
     left *= np.reciprocal(sums, out=sums)
     if on_node.any():
-        left[:, on_node] = t[on_node] == nodes[:, None]
+        left[:, on_node] = t[on_node] == _chebyshev_nodes(p)[0][:, None]
     return left
 
 

@@ -1,5 +1,6 @@
 """Product-kernel smoother: hand oracles, calibration, guard rails."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -691,6 +692,18 @@ def three_column_predictor():
     return KernelPredictor(x, "gaussian", np.full(3, 1.5), rng.normal(size=4200) * 1e4)
 
 
+def span_rule_fit():
+    """n = 300 in one column, bandwidth explicit at 1.4 bandwidths per half
+    range, near the span rule's limit of 1.5, where the tables round the
+    most. A margin where the interpolant may grow to 2 reads 1.14 floor
+    units here; the margin's growth, 1.5 / 1.4, leaves 0.80."""
+    rng = np.random.default_rng(166)
+    x = rng.uniform(size=300)
+    y = np.sin(6.0 * x) + rng.normal(0.0, 0.1, 300)
+    h = (x.max() - x.min()) / 2.0 / 1.4
+    return fit(x, y, smoother=SmootherConfig(bandwidths=(h,))).predictor
+
+
 def wide_span_fit():
     """n = 300, df 5 in one column: 5.6 bandwidths per half range, where
     tables read 7.6 floor units, so it must predict directly."""
@@ -767,27 +780,98 @@ def test_grid_build_holds_no_n_by_m_array(kernel_fit_sized):
     assert peak < n * n * 8 / 8
 
 
+def margins(pred: KernelPredictor) -> np.ndarray:
+    """Per column, how far outside the training box a row still takes the
+    tables: half_j (acosh(g_j) / p_j)^2 / 2, where T_{p_j} grows to
+    g_j = min(2, 1.5 / span_j), span_j = half_j / h_j."""
+    tables = pred._tables
+    growth = np.minimum(2.0, 1.5 * pred.bandwidths / tables.half)
+    return tables.half * np.arccosh(growth) ** 2 / (2.0 * np.array(tables.sizes) ** 2)
+
+
+def pushed_out(pred: KernelPredictor, m: int, fractions, corners, seed: int) -> np.ndarray:
+    """The 2^d points ``corners`` (one low and one high end per column)
+    and m more rows with at least one column (each other one by a coin
+    toss) pushed past a random end of the training box by a fraction drawn
+    between the pair ``fractions`` of that column's margin, the other
+    columns uniform in the box."""
+    x, rng = pred.x_train, np.random.default_rng(seed)
+    lo, hi, margin = x.min(axis=0), x.max(axis=0), margins(pred)
+    m, d = m - 2 ** x.shape[1], x.shape[1]
+    inside = lo + (hi - lo) * rng.uniform(size=(m, d))
+    out = rng.uniform(size=(m, d)) < 0.5
+    out[np.arange(m), rng.integers(d, size=m)] = True
+    frac = rng.uniform(*fractions, size=(m, d))
+    above = rng.uniform(size=(m, d)) < 0.5
+    rows = np.where(out, np.where(above, hi + frac * margin, lo - frac * margin), inside)
+    return np.vstack([list(itertools.product(*zip(*corners))), rows])
+
+
+@pytest.mark.parametrize(
+    "make", ["kernel_fit_sized", one_column_fit, three_column_predictor, span_rule_fit]
+)
+def test_rows_in_the_margin_take_the_tables(make, request):
+    """Rows outside the training box by at most the tables' margin on every
+    column, faces, edges and corners, are clipped to the widened box and
+    answered by the tables within one rounding floor of the
+    extended-precision reference (worst rows 0.55, 0.20, 0.24 and 0.80
+    floor units). Rows beyond it by a factor 1 + 1e-9 on at least one
+    column get the direct route's bits."""
+    pred = fresh(request.getfixturevalue(make)[0] if isinstance(make, str) else make())
+    rows = max(grid_rows(pred), 200)
+    tables, box = pred._tables, (pred.x_train.min(axis=0), pred.x_train.max(axis=0))
+    assert np.allclose(tables.lo, box[0] - margins(pred), rtol=0.0, atol=1e-15)
+    assert np.allclose(tables.hi, box[1] + margins(pred), rtol=0.0, atol=1e-15)
+    # the corners of the widened box, a whole margin out on every column
+    near = pushed_out(pred, rows, (0.1, 1.0), (tables.lo, tables.hi), seed=21)
+    assert not in_box(pred, near).any()
+    assert np.all((near >= tables.lo) & (near <= tables.hi))
+    got = pred.predict(near)
+    assert tables_built(pred)
+    # the tables' own answer, not the direct route's
+    assert np.array_equal(got, tables.interpolate(near))
+    assert floor_units(pred, near, got).max() <= 1.0
+
+    out = (1.0 + 1e-9) * margins(pred)
+    beyond = pushed_out(pred, rows, (1.0 + 1e-9,) * 2, (box[0] - out, box[1] + out), seed=22)
+    past = np.any((beyond < tables.lo) | (beyond > tables.hi), axis=1)
+    assert past.all()
+    batch = np.vstack([near, beyond])
+    got = pred.predict(batch)
+    direct = kernel_smoother.kernel_predict(
+        beyond, pred.x_train, pred.kind, pred.bandwidths, pred.beta
+    )
+    assert np.array_equal(got[len(near):], direct)
+    assert floor_units(pred, near, got[: len(near)]).max() <= 1.0
+
+
 def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
     """The tables run on every row of the batch, each column clipped to the
-    box, and the rows outside it are overwritten from the direct route.
-    A row far outside gives the tables a finite stand-in and no numpy
-    warning (an error under pytest): 1e300 half-ranges out, unclipped, its
+    box widened by the tables' margin, and the rows beyond it are
+    overwritten from the direct route, with its bits; the rows inside it,
+    in the box or in the margin, read at most one floor unit. A row far
+    outside gives the tables a finite stand-in and no numpy warning (an
+    error under pytest): 1e300 half-ranges out, unclipped, its
     interpolation rows would overflow. At 1e6 half-ranges its Gaussian
     weights all underflow, so the direct route refuses it, naming it as
     kernel_predict does."""
     pred, _ = kernel_fit_sized
     x_new = np.random.default_rng(13).uniform(-0.2, 1.2, size=(500, 2))
-    outside = ~in_box(pred, x_new)
-    assert 0 < outside.sum() < 500
+    tables = pred._tables
+    # a few rows in the margin of each column
+    x_new[:4] = tables.hi - 0.5 * margins(pred)
+    x_new[4:8] = tables.lo + 0.5 * margins(pred)
+    beyond = ~np.all((x_new >= tables.lo) & (x_new <= tables.hi), axis=1)
+    assert 0 < beyond.sum() < 500 and not in_box(pred, x_new[:8]).any()
     got = pred.predict(x_new)
     assert tables_built(pred)
     direct = kernel_smoother.kernel_predict(
-        x_new[outside], pred.x_train, pred.kind, pred.bandwidths, pred.beta
+        x_new[beyond], pred.x_train, pred.kind, pred.bandwidths, pred.beta
     )
-    assert np.array_equal(got[outside], direct)
-    assert floor_units(pred, x_new[~outside], got[~outside]).max() <= 1.0
-    tables, far = pred._tables, x_new.copy()
-    others = ~outside
+    assert np.array_equal(got[beyond], direct)
+    assert floor_units(pred, x_new[~beyond], got[~beyond]).max() <= 1.0
+    far = x_new.copy()
+    others = ~beyond
     others[7] = False
     for half_ranges in (1e300, 1e6):
         far[7] = tables.hi + half_ranges * tables.half
@@ -799,6 +883,51 @@ def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
         pred.predict(far)
     with pytest.raises(ValueError, match=message.format(0)):
         kernel_smoother.kernel_predict(far[7:8], pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+
+
+def on_nodes(tables, column: int, count: int) -> np.ndarray:
+    """Points of one column of the data that the unit map sends exactly
+    onto one of its Chebyshev nodes: for each node, the first of a few
+    floats around its image that lands on it."""
+    z = kernel_smoother._chebyshev_nodes(tables.sizes[column])[0]
+    centre, half = tables.centre[column], tables.half[column]
+    hits = []
+    for node in z:
+        point = centre + half * node
+        for _ in range(8):
+            if (point - centre) / half == node:
+                hits.append(point)
+                break
+            point = np.nextafter(point, np.inf if (point - centre) / half < node else -np.inf)
+    assert len(hits) >= count
+    return np.array(hits[:count])
+
+
+def test_rows_on_a_node_take_the_normalized_rows(kernel_fit_sized):
+    """A row on a node of a column gets an infinite barycentric term, so
+    the tables' unnormalized ratio reads inf / inf; the batch evaluates
+    just those rows again from the normalized rows, with no numpy warning,
+    and each lies within one rounding floor like every other row."""
+    pred, x_new = kernel_fit_sized
+    tables = pred._tables
+    x_new = x_new[in_box(pred, x_new)][:300].copy()
+    first, second = on_nodes(tables, 0, 10), on_nodes(tables, 1, 10)
+    x_new[:10, 0] = first
+    x_new[10:20, 1] = second
+    x_new[20:30] = np.column_stack([first, second])
+    t = tables._unit(x_new)
+    with np.errstate(divide="ignore"):
+        terms = [kernel_smoother._chebyshev_terms(col, p) for col, p in zip(t, tables.sizes)]
+    hit = np.zeros(len(x_new), dtype=bool)
+    for block in terms:
+        hit |= np.isinf(block).any(axis=0)
+    assert hit[:30].all() and not hit[30:].any()
+    got = pred.predict(x_new)
+    assert tables_built(pred) and np.isfinite(got).all()
+    assert floor_units(pred, x_new, got).max() <= 1.0
+    lefts = [kernel_smoother._chebyshev_factor(col[:30], p) for col, p in zip(t, tables.sizes)]
+    num, den = kernel_smoother._interpolate(lefts, tables.table)
+    assert np.array_equal(got[:30], num / den)
 
 
 def same_bits_as_direct(pred: KernelPredictor, x_new):

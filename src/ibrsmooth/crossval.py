@@ -167,8 +167,8 @@ def _pooled_loss(errors: np.ndarray, loss: str):
 
 class _CvScore:
     """The k search's score of cross-validation: the pooled held-out loss of
-    every fold's path. No df or RSS guard applies, so the numeric search
-    runs to ``kmax`` and the sweep never stops early.
+    every fold's path. No df or RSS guard applies, so every search runs to
+    ``kmax`` unless the loss itself stops being finite.
 
     ``batch_slopes`` adds the loss's slope in log k from the error slopes e'
     of the folds' coefficient factor slopes: mean(e e') / rmse for rmse and
@@ -176,9 +176,7 @@ class _CvScore:
     error changes sign, so its rows also return the errors and their slopes
     as the kinks of :func:`~ibrsmooth.selection.minimize_by_slope`."""
 
-    df_stop = np.inf
     bound = None
-    hint = "; the pooled prediction loss is not finite there"
 
     def __init__(self, folds: list[_FoldScorer], loss: str):
         self.folds = folds
@@ -203,8 +201,8 @@ class _CvScore:
         blank = np.full(loss.size, np.nan)
         return loss, blank, blank
 
-    def upper(self, kmin: float, kmax: float) -> float:
-        return float(kmax)
+    def refusal(self, k: float, df: float, rss: float) -> str:
+        return f"the pooled {self.name} loss is not finite at k = {k:g}"
 
 
 def search_k_cv(

@@ -198,56 +198,55 @@ class KPath:
                 p[~frac] = np.power(self.mu, whole[~frac, None])
         return counts, p, None
 
-    def _stats(self, p: np.ndarray, out: np.ndarray | None = None):
-        """(df, rss, fitted_energy) arrays for power rows p[j] = (1 - lambda)^k_j.
+    def _stats(self, p: np.ndarray, out: np.ndarray | None = None, dp: np.ndarray | None = None):
+        """((df, rss, fitted_energy), slopes) arrays for power rows
+        p[j] = (1 - lambda)^k_j; ``out`` is scratch of p's shape.
 
         With v = p_j * z the residual of count k_j is t + G v: df = (1 - p_j) 1
         over the r kept pairs, rss = v'Hv (+ t't + 2 v'G't on a truncated
         form), |fitted|^2 = z'Hz - 2 z'Hv + v'Hv, and when H = I, v'Hv =
-        (p * p) z^2 and z'Hv = p z^2. ``out`` is scratch of p's shape.
+        (p * p) z^2 and z'Hv = p z^2. slopes is None, or with the slope rows
+        dp (:meth:`_slope_rows`) and v' = dp_j * z the slopes in log k:
+        df' = -dp_j 1, rss' = 2 v''Hv (+ 2 v''G't) and |fitted|^2' =
+        2 v''(Hv - Hz), from the same Hv.
         """
         w = np.subtract(1.0, p, out=out)
         df = w.sum(axis=1)
         h, hz, zhz = self._norms
         if h is None:
             cross = p @ self._z2
+            if dp is not None:
+                dvhv = 2.0 * ((dp * p) @ self._z2)
+                dcross = dp @ self._z2
             vhv = np.multiply(p, p, out=w) @ self._z2
         else:
             vz = p * self.z
-            vhv = np.einsum("ij,ij->i", vz @ h, vz)
+            hv = vz @ h
+            vhv = np.einsum("ij,ij->i", hv, vz)
             cross = vz @ hz
+            if dp is not None:
+                dvz = dp * self.z
+                dvhv = 2.0 * np.einsum("ij,ij->i", hv, dvz)
+                dcross = dvz @ hz
         energy = zhz - 2.0 * cross + vhv
         rest = self._rest
-        return df, vhv if rest is None else vhv + (rest[0] + 2.0 * (p @ rest[1])), energy
-
-    def _stat_slopes(self, p: np.ndarray, dp: np.ndarray):
-        """The slopes in log k of :meth:`_stats` for power rows p and their
-        slope rows dp (:meth:`_slope_rows`): with v = p_j * z and v' = dp_j * z,
-        df' = -dp_j 1, rss' = 2 v''Hv (+ 2 v''G't on a truncated form) and
-        |fitted|^2' = 2 v''(Hv - Hz)."""
-        h, hz, _ = self._norms
-        if h is None:
-            dvhv = 2.0 * ((dp * p) @ self._z2)
-            dcross = dp @ self._z2
-        else:
-            dvz = dp * self.z
-            dvhv = 2.0 * np.einsum("ij,ij->i", (p * self.z) @ h, dvz)
-            dcross = dvz @ hz
-        rest = self._rest
+        stats = df, vhv if rest is None else vhv + (rest[0] + 2.0 * (p @ rest[1])), energy
+        if dp is None:
+            return stats, None
         drss = dvhv if rest is None else dvhv + 2.0 * (dp @ rest[1])
-        return -dp.sum(axis=1), drss, dvhv - 2.0 * dcross
+        return stats, (-dp.sum(axis=1), drss, dvhv - 2.0 * dcross)
 
     def batch_stats(self, ks: range | np.ndarray):
         """(df, rss, fitted_energy) arrays over the counts ks, a ``range`` or a
         vector (:meth:`_pow_rows`): their power rows put through :meth:`_stats`."""
         _, p, scratch = self._pow_rows(ks)
-        return self._stats(p, scratch)
+        return self._stats(p, scratch)[0]
 
     def batch_stat_slopes(self, ks: np.ndarray):
         """The triple of :meth:`batch_stats` over a vector of counts ks and the
-        triple of its slopes in log k, from the same power rows."""
+        triple of its slopes in log k, from the same power rows in one pass."""
         counts, p, _ = self._pow_rows(ks)
-        return self._stats(p), self._stat_slopes(p, self._slope_rows(counts, p))
+        return self._stats(p, dp=self._slope_rows(counts, p))
 
     def stats(self, k: float) -> tuple[float, float, float]:
         """(df, rss, fitted_energy) at one count k: a one-row :meth:`batch_stats`."""

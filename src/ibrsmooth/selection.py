@@ -9,11 +9,12 @@ to the sweep because real k is undefined. The criterion score here walks
 the fit's :class:`~ibrsmooth.engine.KPath` and refuses any k whose
 effective degrees of freedom or residual sum of squares signal that the
 iteration has effectively reached interpolation; the cross-validation score
-lives in :mod:`ibrsmooth.crossval`. A score takes integer counts through
-one ``batch`` method, which the bounded search passes vectors of counts and
-the integer sweep a ``range`` per block (the path walks it by its power
-recurrence), and real counts through ``batch_slopes``, which also returns
-the slope of the value in log k from the same power rows. The numeric
+lives in :mod:`ibrsmooth.crossval`. A score takes counts through one
+``batch`` method, which the multisection for the admissible range and the
+bounded search pass vectors of counts and the integer sweep a ``range`` per
+block (the path walks it by its power recurrence), and real counts through
+``batch_slopes``, which also returns the slope of the value in log k from
+the same power rows. The numeric
 search scores a log grid of counts in one call and then solves slope = 0
 only in the grid cells where the slope changes sign, where a kink (the map
 loss has one wherever a held-out error changes sign) may hide a minimum, or
@@ -61,7 +62,8 @@ _K_TOL = 0.01
 _BREAKS = (100.0, 200.0, 500.0, 1000.0, 5000.0, 1e4, 5e4, 1e5, 5e5, 1e6)
 # the numeric search grid has at least this many cells per decade of k
 _GRID_PER_DECADE = 4
-# log-spaced counts the bounded integer search evaluates before splitting
+# log-spaced counts a round of the admissible range's multisection scores, and
+# that the bounded integer search evaluates before splitting
 _BOUND_GRID = 64
 # the bounded search drops an interval once its bound exceeds the best value
 # by this, relative to max(1, |best|): room for the rounding of df, rss and
@@ -242,21 +244,6 @@ def _integer_range(plan: SelectionPlan) -> tuple[int, int]:
             "for the exhaustive search"
         )
     return k_lo, k_hi
-
-
-def _bisect_last_ok(predicate, lo: float, hi: float, iters: int = 100) -> float:
-    """Largest x in [lo, hi] with predicate(x) true, for monotone predicates."""
-    if predicate(hi):
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * max(1.0, abs(hi)):
-            break
-    return lo
 
 
 def _search_grid(lo: float, hi: float) -> np.ndarray:
@@ -472,10 +459,11 @@ def minimize_by_slope(objective, lo: float, hi: float) -> tuple[float, float]:
     the counts every live search asks for in one call, so a search makes as
     many calls as its longest cell search, and one where the score is
     monotone between grid counts. Every count scored is a candidate, the
-    smallest k winning ties. hi is the score's upper end in
-    :func:`search_k`: the criterion score caps it at the df ceiling and RSS
-    floor, while the CV score applies no guard and runs to ``kmax``, so a
-    CV-selected k may carry more df than a criterion search would admit.
+    smallest k winning ties. In :func:`search_k`, [lo, hi] is the
+    admissible range of :func:`_admissible_range`: the criterion score's
+    guards cap hi at the df ceiling and RSS floor, while the CV score
+    applies no guard and runs to ``kmax``, so a CV-selected k may carry
+    more df than a criterion search would admit.
     """
     grid = _search_grid(lo, hi)
     points = [(k, *row) for k, row in zip(grid.tolist(), _rows(objective(grid)))]
@@ -502,30 +490,64 @@ def minimize_by_slope(objective, lo: float, hi: float) -> tuple[float, float]:
     return k, value
 
 
+def _evaluate(score, seen: dict, ks: list) -> None:
+    """Score the counts ks by ``score.batch`` in chunks of ``score.rows`` and
+    put their rows (value, df, rss) into ``seen``."""
+    for start in range(0, len(ks), score.rows):
+        chunk = ks[start : start + score.rows]
+        rows = zip(*(c.tolist() for c in score.batch(np.array(chunk, dtype=float))))
+        seen.update(zip(chunk, rows))
+
+
+def _admissible_range(score, lo, hi, exhaustive: bool):
+    """(cap, seen): the end of the prefix [lo, cap] of counts in [lo, hi]
+    that score a finite value, and the rows {k: (value, df, rss)} scored to
+    find it.
+
+    The prefix is found by multisection: lo and hi are scored first, then
+    each round scores up to ``_BOUND_GRID`` log-spaced counts between the
+    last finite count and the first count past it, in one batch of chunks
+    of ``score.rows``. Integer counts (``exhaustive``) stop when the two are
+    neighbours, real ones once they are within 1e-9 relative of each other.
+    The rule is monotone in k on a spectrum in [0, 1], where df grows with
+    k. A lo that scores no finite value is its own cap.
+    """
+    seen = {}
+
+    def ok(k) -> bool:
+        return math.isfinite(seen[k][0])
+
+    _evaluate(score, seen, sorted({lo, hi}))
+    while ok(lo) and not ok(hi) and hi - lo > (1 if exhaustive else 1e-9 * max(1.0, hi)):
+        grid = np.geomspace(lo, hi, _BOUND_GRID + 2)
+        # the integer midpoint too: near 2^53 geomspace's rounding can miss every integer inside
+        probes = {(lo + hi) // 2, *map(int, np.rint(grid))} if exhaustive else set(grid.tolist())
+        probes = sorted(k for k in probes if lo < k < hi)
+        _evaluate(score, seen, probes)
+        lo = max(k for k in [lo, *probes] if ok(k))
+        hi = min(k for k in [*probes, hi] if k > lo)
+    return (hi if ok(hi) else lo), seen
+
+
 def _sweep(score, k_lo: int, k_hi: int) -> np.ndarray:
-    """Rows (k, value, df, rss) of every count from k_lo, in blocks of
-    ``score.rows``, to k_hi or the end of the first block whose last df
-    exceeds ``score.df_stop``; only the blocks swept are held."""
+    """Rows (k, value, df, rss) of every count from k_lo to k_hi, scored in
+    blocks of ``score.rows``."""
     pieces = []
     for start in range(k_lo, k_hi + 1, score.rows):
         ks = range(start, min(start + score.rows, k_hi + 1))
-        value, df, rss = score.batch(ks)
-        pieces.append(np.stack([np.arange(ks.start, ks.stop), value, df, rss]))
-        if df[-1] > score.df_stop:
-            break
+        pieces.append(np.stack([np.arange(ks.start, ks.stop), *score.batch(ks)]))
     return np.concatenate(pieces, axis=1)
 
 
-def _bounded_search(score, k_lo: int, k_hi: int) -> np.ndarray:
-    """Rows (k, value, df, rss) of the counts a certified branch and bound
-    evaluates, in ascending k; its minimum is the full sweep's.
+def _bounded_search(score, k_lo: int, cap: int, seen: dict) -> None:
+    """Add to ``seen`` the rows {k: (value, df, rss)} that a certified branch
+    and bound evaluates on the admissible integers [k_lo, cap]; the least
+    value among them is the full sweep's.
 
     ``score.bound(rss(b), df(a))`` bounds the value of every count in
-    [a, b] from below, elementwise over arrays of ends. The counts that
-    pass the guards form a prefix [k_lo, cap], found by multisection
-    rounds of up to ``_BOUND_GRID`` log-spaced counts each; ``_BOUND_GRID``
-    log-spaced counts in [k_lo, cap] follow. Each later round drops every
-    interval whose bound exceeds the best value by ``_BOUND_MARGIN``
+    [a, b] from below, elementwise over arrays of ends. ``_BOUND_GRID``
+    log-spaced counts in [k_lo, cap] come first. Each later round drops
+    every interval whose bound exceeds the best value by ``_BOUND_MARGIN``
     (relative to max(1, |best|), for the rounding of df, rss and the
     criterion, and for rows of one batch rounding apart from another's)
     and scores the midpoints of the others. Every round is one batch, in
@@ -533,45 +555,23 @@ def _bounded_search(score, k_lo: int, k_hi: int) -> np.ndarray:
     df and rss is not split: they pin every count inside to the value at
     its left end, up to rounding, and that tie goes to the left end.
     """
-    seen = {}
-
-    def evaluate(ks: list[int]) -> None:
-        for start in range(0, len(ks), score.rows):
-            chunk = ks[start : start + score.rows]
-            rows = zip(*(c.tolist() for c in score.batch(np.array(chunk, dtype=float))))
-            seen.update(zip(chunk, rows))
-
-    def ok(k: int) -> bool:
-        return bool(np.isfinite(seen[k][0]))
 
     def splits(pairs) -> list[tuple[int, int]]:
         return [(a, b) for a, b in pairs if b - a > 1 and seen[a][1:] != seen[b][1:]]
 
-    evaluate(sorted({k_lo, k_hi}))
-    lo, hi = k_lo, k_hi
-    while ok(lo) and not ok(hi) and hi - lo > 1:
-        # the midpoint too: near 2^53 geomspace's rounding can miss every count inside
-        probes = {(lo + hi) // 2, *map(int, np.rint(np.geomspace(lo, hi, _BOUND_GRID + 2)))}
-        probes = sorted(k for k in probes if lo < k < hi)
-        evaluate(probes)
-        lo = max(k for k in [lo, *probes] if ok(k))
-        hi = min(k for k in [*probes, hi] if k > lo)
-    if ok(k_lo):
-        cap = hi if ok(hi) else lo
-        grid = sorted({k_lo, cap, *map(int, np.rint(np.geomspace(k_lo, cap, _BOUND_GRID)))})
-        # k_lo and cap again too: rows of one batch share their rounding
-        evaluate(grid)
-        best = min(seen[k][0] for k in grid)
-        live = splits(zip(grid[:-1], grid[1:]))
-        while live:
-            df_a, rss_b = (np.array([seen[k][i] for k in ks]) for i, ks in zip((1, 2), zip(*live)))
-            margin = best + _BOUND_MARGIN * max(1.0, abs(best))
-            live = [pair for pair, low in zip(live, score.bound(rss_b, df_a)) if low <= margin]
-            mids = [(a + b) // 2 for a, b in live]
-            evaluate(mids)
-            best = min([best, *(seen[m][0] for m in mids)])
-            live = splits(p for (a, b), m in zip(live, mids) for p in ((a, m), (m, b)))
-    return np.array([(k, *seen[k]) for k in sorted(seen)]).T
+    grid = sorted({k_lo, cap, *map(int, np.rint(np.geomspace(k_lo, cap, _BOUND_GRID)))})
+    # k_lo and cap again too: rows of one batch share their rounding
+    _evaluate(score, seen, grid)
+    best = min(seen[k][0] for k in grid)
+    live = splits(zip(grid[:-1], grid[1:]))
+    while live:
+        df_a, rss_b = (np.array([seen[k][i] for k in ks]) for i, ks in zip((1, 2), zip(*live)))
+        margin = best + _BOUND_MARGIN * max(1.0, abs(best))
+        live = [pair for pair, low in zip(live, score.bound(rss_b, df_a)) if low <= margin]
+        mids = [(a + b) // 2 for a, b in live]
+        _evaluate(score, seen, mids)
+        best = min([best, *(seen[m][0] for m in mids)])
+        live = splits(p for (a, b), m in zip(live, mids) for p in ((a, m), (m, b)))
 
 
 def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
@@ -585,21 +585,22 @@ def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
     rss, kinks) over a vector of real counts, the slope taken in t = log k
     and kinks None or the pieces whose sign changes put kinks in the value
     (:func:`minimize_by_slope`), ``real_k_ok`` (whether fractional k is
-    defined),
-    ``upper(kmin, kmax)`` (the numeric upper end), ``rows`` (counts per
-    sweep block), ``df_stop`` (the sweep ends after a block whose last df
-    exceeds it), ``bound`` (None, or ``bound(rss(b), df(a))`` -> a lower
-    bound of the value on the integers [a, b]), ``name`` and ``hint`` (for
-    the error when no k is admissible).
+    defined), ``rows`` (counts per batch of the integer searches),
+    ``bound`` (None, or ``bound(rss(b), df(a))`` -> a lower bound of the
+    value on the integers [a, b]), ``name`` and ``refusal(k, df, rss)``
+    (why a count scores no finite value).
 
-    The numeric search runs :func:`minimize_by_slope` over [kmin, upper]
-    on ``batch_slopes``. When real k is undefined it warns and sweeps integers instead, the only
-    place where that fallback is decided. The exhaustive search minimizes
-    over the integers in [ceil(kmin), floor(kmax)], ties going to the
-    smaller k. With a ``bound`` it runs :func:`_bounded_search`, which
-    returns the full sweep's k from the few counts it evaluates; otherwise
-    it sweeps them all in blocks. The trace holds every admissible k
-    evaluated, in ascending order.
+    When real k is undefined the numeric search warns and sweeps integers
+    instead, the only place where that fallback is decided. On a spectrum
+    in [0, 1] every search first finds the admissible prefix [kmin, cap]
+    of its counts (:func:`_admissible_range`); elsewhere the range stays
+    [kmin, kmax]. The numeric search then runs :func:`minimize_by_slope`
+    over it on ``batch_slopes``. The exhaustive search minimizes over its
+    integers, ties going to the smaller k: with a ``bound`` by
+    :func:`_bounded_search`, which returns the full sweep's k from the few
+    counts it evaluates, otherwise by sweeping them all in blocks. The
+    trace holds every admissible k evaluated, the range's included, in
+    ascending order and with the later row of a count scored twice.
     """
     if not exhaustive and not score.real_k_ok:
         warnings.warn(
@@ -610,30 +611,36 @@ def search_k(score, plan: SelectionPlan, exhaustive: bool) -> SelectionResult:
         )
         exhaustive = True
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if exhaustive:
-            k_lo, k_hi = _integer_range(plan)
-            sweep = _sweep if score.bound is None else _bounded_search
-            trace = sweep(score, k_lo, k_hi)
+        lo, hi = _integer_range(plan) if exhaustive else (float(plan.kmin), float(plan.kmax))
+        seen = {}
+        if score.real_k_ok:
+            hi, seen = _admissible_range(score, lo, hi, exhaustive)
+        pieces = []
+        if exhaustive and score.bound is not None:
+            _bounded_search(score, lo, hi, seen)
+        elif exhaustive:
+            pieces.append(_sweep(score, lo, hi))
         else:
-            evals = []
 
             def scored(ks: np.ndarray):
                 value, slope, df, rss, kinks = score.batch_slopes(ks)
-                evals.append(np.stack([ks, value, df, rss]))
+                pieces.append(np.stack([ks, value, df, rss]))
                 finite = np.isfinite(value)
                 return np.where(finite, value, np.inf), np.where(finite, slope, np.nan), kinks
 
-            kmin = float(plan.kmin)
-            best_k, _ = minimize_by_slope(scored, kmin, score.upper(kmin, plan.kmax))
-            trace = np.concatenate(evals, axis=1)
-            trace = trace[:, np.argsort(trace[0], kind="stable")]
-    trace = trace[:, np.isfinite(trace[1])]
-    if trace.shape[1] == 0:
+            best_k, _ = minimize_by_slope(scored, lo, hi)
+        ranged = np.array([(k, *row) for k, row in seen.items()]).reshape(-1, 4).T
+        trace = np.concatenate([ranged, *pieces], axis=1)
+    # in ascending k, with the later row of a count scored twice
+    trace = trace[:, np.argsort(trace[0], kind="stable")]
+    trace = trace[:, np.append(trace[0, 1:] != trace[0, :-1], True)]
+    admissible = trace[:, np.isfinite(trace[1])]
+    if admissible.shape[1] == 0:
+        # the first row is kmin's
         raise BreakdownError(
-            f"no admissible {'integer ' * exhaustive}k in "
-            f"[{plan.kmin:g}, {plan.kmax:g}]{score.hint}"
+            f"no admissible k in [{plan.kmin:g}, {plan.kmax:g}]: {score.refusal(*trace[[0, 2, 3], 0])}"
         )
-    k, value, df, rss = trace
+    k, value, df, rss = admissible
     # the first minimum of the sweep is its smallest k
     j = int(np.argmin(value) if exhaustive else np.flatnonzero(k == best_k)[0])
     return SelectionResult(
@@ -647,10 +654,8 @@ class _CriterionScore:
     """A spectral criterion along the fit's path, with the interpolation guards.
 
     Every count whose df exceeds the ceiling (for aicc also n - 2) or whose
-    rss is at the floor scores inf: one rule for both modes. The numeric
-    search also caps k where the rule first fails, so its minimizer only
-    sees finite values, and the sweep stops once df passes the ceiling on a
-    spectrum in [0, 1], where df grows with k.
+    rss is at the floor scores inf: one rule for both modes, which
+    :func:`search_k` turns into the range of counts it searches.
 
     On a symmetric form with every eigenvalue in [0, 1] (without the
     ``EIGEN_TOL`` slack of ``real_k_ok``: (1 - lambda)^k grows with k for
@@ -660,8 +665,6 @@ class _CriterionScore:
     no such bound.
     """
 
-    hint = "; increase dfmaxi or smooth less"
-
     def __init__(self, kpath: KPath, plan: SelectionPlan):
         if plan.criterion not in CRITERIA:
             raise ValueError(f"the criterion search needs a spectral criterion: {plan.criterion!r}")
@@ -670,7 +673,6 @@ class _CriterionScore:
         self.real_k_ok = kpath.spectral.real_k_ok
         self.rows = kpath.sweep_rows
         self.limit = df_ceiling(kpath.n, plan.dfmaxi, plan.criterion)
-        self.df_stop = self.limit if self.real_k_ok else np.inf
         lam = kpath.lam
         monotone = kpath.spectral.symmetric and lam.min() >= 0.0 and lam.max() <= 1.0
         # a partial, not a bound method: a score that held itself would keep
@@ -694,23 +696,14 @@ class _CriterionScore:
         slope = _criterion_slope(self.name, self.kpath.n, stats, slopes)
         return self._value(df, rss, energy), slope, df, rss, None
 
-    def upper(self, kmin: float, kmax: float) -> float:
-        """kmax capped below the df ceiling and above the RSS floor."""
-        kpath, limit = self.kpath, self.limit
-        if kpath.df(kmin) > limit:
-            raise BreakdownError(
-                f"df({kmin:g}) = {kpath.df(kmin):.4g} already exceeds "
-                f"the ceiling {limit:.4g}; increase dfmaxi or smooth less"
-            )
-        k_hi = _bisect_last_ok(lambda k: kpath.df(k) <= limit, kmin, kmax)
-        k_hi = _bisect_last_ok(lambda k: kpath.rss(k) > RSS_FLOOR, kmin, k_hi)
-        if kpath.rss(kmin) <= RSS_FLOOR:
-            raise BreakdownError(
-                "the base smoother already interpolates the data "
-                f"(rss(kmin) <= {RSS_FLOOR:g}); smooth less or check for "
-                "duplicate responses"
-            )
-        return k_hi
+    def refusal(self, k: float, df: float, rss: float) -> str:
+        """The guard that count k fails, with its numbers."""
+        if df > self.limit:
+            return f"df({k:g}) = {df:.4g} exceeds the ceiling {self.limit:.4g}; increase dfmaxi or smooth less"
+        return (
+            f"rss({k:g}) = {rss:.3e} is at the interpolation floor {RSS_FLOOR:g}; "
+            "smooth less or check for duplicate responses"
+        )
 
 
 def search_k_numeric(kpath: KPath, plan: SelectionPlan) -> SelectionResult:

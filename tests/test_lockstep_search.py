@@ -31,7 +31,7 @@ from ibrsmooth import (
 from ibrsmooth import selection
 from ibrsmooth.crossval import CvPlan, _CvScore, _FoldScorer, _pooled_loss
 from ibrsmooth.engine import IterationDomainError
-from ibrsmooth.selection import _K_TOL, criterion_value
+from ibrsmooth.selection import _K_TOL, RSS_FLOOR, criterion_value
 from ibrsmooth.smoothers import SpectralForm
 
 # integer and fractional counts, small and large, in one batch
@@ -225,6 +225,13 @@ def test_a_kink_minimum_the_end_slopes_do_not_show_is_found():
     assert selection.minimize_by_slope(lambda ks: objective(ks, kinks=False), lo, hi) == (hi, 0.375)
 
 
+def admissible_cap(score, lo, hi):
+    """The end of the admissible range of real counts in [lo, hi], as the
+    numeric search finds it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return selection._admissible_range(score, float(lo), float(hi), exhaustive=False)[0]
+
+
 def wave(n, d, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, d))
@@ -254,6 +261,49 @@ def truncated_kernel_path(monkeypatch):
     return path
 
 
+def floor_path(monkeypatch=None):
+    """A near-interpolating base (8 points, bandwidth 0.05): rss reaches the
+    1e-10 floor near k = 3.02, while df stays below 7.9999 up to k = 3.5."""
+    x = np.linspace(0, 1, 8)
+    path = KPath(build_smoother(x[:, None], SmootherConfig(bandwidths=(0.05,))).spectral(), np.sin(3 * x))
+    assert path.rss(3.0) > RSS_FLOOR > path.rss(3.5) and path.df(3.5) < 7.9999
+    return path
+
+
+@pytest.mark.parametrize("case", [tps_path, dense_kernel_path, truncated_kernel_path, floor_path])
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["numeric", "exhaustive"])
+def test_admissible_range_ends_where_a_guard_binds(case, exhaustive, monkeypatch):
+    """With dfmaxi halfway between df(kmin) and df(kmax), or the RSS floor
+    binding first, the cap scores finite and the next integer, or the cap
+    times 1 + 2e-9, does not; the multisection gets there in at most 8
+    batched calls (scalar bisections took 37-41 calls)."""
+    path = case(monkeypatch)
+    dfmaxi = 7.9999 if case is floor_path else 0.5 * (path.df(1.0) + path.df(1e5))
+    score = selection._CriterionScore(path, SelectionPlan(dfmaxi=dfmaxi))
+    calls = []
+    batch = score.batch
+    score.batch = lambda ks: calls.append(len(ks)) or batch(ks)
+    lo, hi = (1, 100000) if exhaustive else (1.0, 1e5)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cap, seen = selection._admissible_range(score, lo, hi, exhaustive)
+        value, df, rss = batch(np.array([cap, cap + 1 if exhaustive else cap * (1 + 2e-9)]))
+    assert lo < cap < hi and 1 <= len(calls) <= 8
+    assert np.isfinite(value[0]) and np.isfinite(seen[cap][0]) and not np.isfinite(value[1])
+    if case is floor_path:
+        # at k = 4 df has passed the ceiling too
+        assert rss[1] <= RSS_FLOOR < rss[0] and (exhaustive or df[1] <= dfmaxi)
+    else:
+        assert df[0] <= dfmaxi < df[1]
+
+
+@pytest.mark.parametrize("case", [tps_path, dense_kernel_path, truncated_kernel_path])
+def test_stat_slopes_carry_the_bits_of_batch_stats(case, monkeypatch):
+    path = case(monkeypatch)
+    stats, _ = path.batch_stat_slopes(COUNTS)
+    for got, ref in zip(stats, path.batch_stats(COUNTS)):
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("case", [tps_path, dense_kernel_path, truncated_kernel_path])
 @pytest.mark.parametrize("criterion", ["gcv", "gmdl"])
 def test_batched_criterion_rows_match_single_counts(case, criterion, monkeypatch):
@@ -261,7 +311,7 @@ def test_batched_criterion_rows_match_single_counts(case, criterion, monkeypatch
     # no guard may fire: every row is a value to compare
     plan = SelectionPlan(criterion=criterion, dfmaxi=path.n - 3.0)
     score = selection._CriterionScore(path, plan)
-    ks = COUNTS[COUNTS <= score.upper(1.0, 1e5)]
+    ks = COUNTS[COUNTS <= admissible_cap(score, 1.0, 1e5)]
     assert ks.size >= 4
     value, df, rss = score.batch(ks)
     _, _, energy = path.batch_stats(ks)
@@ -354,7 +404,7 @@ def bounded_brent_best(score, plan):
     """The old engine: the breakpoints, then scipy's bounded Brent on each
     stretch between them; the best value it saw."""
     lo = float(plan.kmin)
-    hi = score.upper(lo, plan.kmax)
+    hi = admissible_cap(score, lo, plan.kmax)
     breaks = [lo, *[b for b in selection._BREAKS if lo < b < hi], hi]
 
     def scalar(k):
@@ -459,7 +509,7 @@ def test_score_slopes_match_central_differences(case, name, monkeypatch):
     else:
         # no guard may fire: every row is a value to differentiate
         score = selection._CriterionScore(built, SelectionPlan(criterion=name, dfmaxi=built.n - 3.0))
-        ks = COUNTS[COUNTS <= score.upper(1.0, 1e5)]
+        ks = COUNTS[COUNTS <= admissible_cap(score, 1.0, 1e5)]
     if name == "gmdl":
         df, rss, energy = built.batch_stats(ks)
         f = energy * (built.n - df) / (df * rss)

@@ -156,10 +156,15 @@ def test_near_constant_column_fits(config):
 
 
 def test_tps_one_row_above_null_dim_breaks_down_at_the_df_ceiling():
+    """Both modes refuse with one message that names the ceiling."""
     m = tps_null_dim(2, 2)
     x, y = problem(2, m + 1)
-    with pytest.raises(BreakdownError, match="ceiling"):
-        fit(x, y, smoother=TPS)
+    messages = []
+    for mode in ("numeric", "exhaustive"):
+        with pytest.raises(BreakdownError, match="ceiling") as caught:
+            fit(x, y, smoother=TPS, plan=SelectionPlan(mode=mode))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 def test_tps_two_rows_above_null_dim_fits():

@@ -18,6 +18,7 @@ from ibrsmooth import (
     SelectionPlan,
     SmootherConfig,
     build_calibrated_tps,
+    build_smoother,
     fit,
     search_k_exhaustive,
     search_k_numeric,
@@ -81,9 +82,30 @@ def test_all_criteria_run():
 
 
 def test_kmin_already_over_ceiling_breaks():
+    """Both modes refuse with one message that names the ceiling."""
     sm, y = smooth_problem(5)
-    with pytest.raises(BreakdownError, match="ceiling"):
-        search_k_numeric(KPath(sm.spectral(), y), SelectionPlan(dfmaxi=1.0))
+    path = KPath(sm.spectral(), y)
+    messages = []
+    for search, mode in ((search_k_numeric, "numeric"), (search_k_exhaustive, "exhaustive")):
+        with pytest.raises(BreakdownError, match="ceiling") as caught:
+            search(path, SelectionPlan(mode=mode, dfmaxi=1.0))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_kmin_at_the_rss_floor_names_the_floor():
+    """A near-interpolating base (8 points, bandwidth 0.05) has rss 8e-16 at
+    k = 5, below the 1e-10 floor, and df 7.999998 there, below the ceiling
+    n (1 - 1e-10): from kmin = 5 no count is admissible, and both modes
+    say why."""
+    x = np.linspace(0, 1, 8)
+    path = KPath(build_smoother(x[:, None], SmootherConfig(bandwidths=(0.05,))).spectral(), np.sin(3 * x))
+    messages = []
+    for search, mode in ((search_k_numeric, "numeric"), (search_k_exhaustive, "exhaustive")):
+        with pytest.raises(BreakdownError, match="floor") as caught:
+            search(path, SelectionPlan(mode=mode, kmin=5.0, dfmaxi=8.0))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 def test_numeric_falls_back_to_integers_on_wild_spectra(rng):
@@ -360,12 +382,12 @@ def test_df_over_the_ceiling_at_kmin_fails_alike_on_both_routes():
     assert path.df(1) > 2.0
     bounded, swept = bounded_and_swept(path, plan)
     assert bounded == swept
-    assert swept.startswith("no admissible integer k in [1, 100000]")
+    assert swept.startswith("no admissible k in [1, 100000]: df(1) = ")
 
 
 def test_sweep_holds_only_the_blocks_it_sweeps():
-    """A sweep that the df stop ends early allocates nothing for the rest of
-    [kmin, kmax] (a 1e7-count trace is 320 MB)."""
+    """A sweep that the df ceiling ends early allocates nothing for the rest
+    of [kmin, kmax] (a 1e7-count trace is 320 MB)."""
     path = tps_path(4)
     tracemalloc.start()
     try:

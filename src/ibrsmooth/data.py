@@ -32,12 +32,14 @@ class Dataset:
 def load_csv(path: str | Path) -> Dataset:
     """Read a comma-separated numeric table with a header row.
 
-    Decimal separator is the dot regardless of locale. Missing cells,
-    ragged rows, non-numeric entries and duplicate header names are all
-    hard errors naming the offending row.
+    The file is read as UTF-8 whatever the locale, and a byte-order mark
+    (as spreadsheets write "CSV UTF-8") is dropped, not kept in the first
+    column's name. Decimal separator is the dot regardless of locale.
+    Missing cells, ragged rows, non-numeric entries and duplicate header
+    names are all hard errors naming the offending row.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

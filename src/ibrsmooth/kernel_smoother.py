@@ -35,9 +35,9 @@ come from one of two routes:
   design past the gate is numerically high rank, so no truncation pays.
   It builds K once and drops it with the spectrum.
 
-Every route here runs on numpy alone: of the package's modules, only the
-spline's (:mod:`ibrsmooth.tps`) loads more, on first use. Interpolation
-rows are node-major throughout: :func:`_chebyshev_factor` gives the p x m
+Every route here runs on numpy alone: only the spline
+(:mod:`ibrsmooth.tps`) loads more, on first use. Interpolation rows are
+node-major throughout: :func:`_chebyshev_factor` gives the p x m
 transpose L' of an interpolation matrix to the calibration, the factor
 and the prediction tables, and the contractions over the columns' rows
 (:func:`_node_table`, :func:`_interpolate`) run over blocks of points,
@@ -66,6 +66,7 @@ from .smoothers import (
     BaseSmoother,
     CalibrationError,
     DesignMatrix,
+    HouseholderQ,
     SpectralForm,
     _fill,
     _finite_rows,
@@ -666,52 +667,21 @@ def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: floa
     """Top eigenpairs of A = D^{1/2} G G' D^{1/2} for the n x P factor G
     (P < n).
 
-    With D^{1/2} G = Q R (Householder QR, ``np.linalg.qr(mode="raw")``,
-    Q kept as P reflectors), A = Q R R' Q', so one P x P eigh of
-    R R' = W Lambda W' gives the eigenvalues and U = Q [W; 0] over the kept
-    columns of W (:func:`_reflector_product`). The pairs above eps/2 are
-    kept: 1 - lambda rounds to 1 below that, where the dense path gives a
-    pair zero weight at every k. A is positive semi-definite, so
+    With D^{1/2} G = Q R (:class:`~ibrsmooth.smoothers.HouseholderQ`, Q
+    kept as P reflectors in compact WY form), A = Q R R' Q', so one P x P
+    eigh of R R' = W Lambda W' gives the eigenvalues and U = Q [W; 0] over
+    the kept columns of W, two products with the reflectors and one P x P
+    solve. The pairs above eps/2 are kept: 1 - lambda rounds to 1 below
+    that, where the dense path gives a pair zero weight at every k. A is positive semi-definite, so
     tau = ``trace`` - sum(kept), with ``trace`` = tr(A) =
     K(0)^d sum_i 1 / s_i, bounds the sum of every eigenvalue left out.
     Returns (lam descending, U, tau).
     """
     # the scaled factor is passed, not held, so qr's copy is its only one
-    reflectors, tau = np.linalg.qr(factor.scaled(d_half), mode="raw")
-    r = np.triu(reflectors[:, : tau.size].T)
-    lam, w = np.linalg.eigh(r @ r.T)
+    q = HouseholderQ(factor.scaled(d_half))
+    lam, w = np.linalg.eigh(q.r @ q.r.T)
     keep = np.flatnonzero(lam > 0.5 * _EPS)[::-1]
-    u = _reflector_product(reflectors, tau, w[:, keep])
-    return lam[keep], u, max(trace - float(np.sum(lam[keep])), 0.0)
-
-
-def _reflector_product(reflectors: np.ndarray, tau: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Q [W; 0], an n x c Fortran array, for the P x c ``w`` and the Q of
-    the P x n ``reflectors`` and ``tau`` of ``np.linalg.qr(mode="raw")``,
-    whose row j holds R's column j up to its diagonal and the reflector
-    v_j below it (H_j = I - tau_j v_j v_j', v_j unit at j, zero above).
-
-    Compact WY form (Schreiber & Van Loan 1989): Q = H_1 ... H_P =
-    I - V T V' with T^{-1} = triu(V'V, 1) + diag(1 / tau) (Joffrain et al.
-    2006), so Q [W; 0] = [W; 0] - V Y for T^{-1} Y = V_1' W, V_1 the top
-    P x P block of V: two products with V, O(n P (P + c)), and one P x P
-    solve.
-    V is written over ``reflectors`` in place. An identity reflector
-    (tau_j = 0) is taken as v_j = 0 with a unit diagonal entry, with no
-    division by zero.
-    """
-    width = tau.size
-    vt = reflectors
-    np.copyto(vt[:, :width], np.eye(width), where=np.tri(width, dtype=bool))
-    identity = tau == 0.0
-    vt[identity] = 0.0
-    inv_t = np.triu(vt @ vt.T, 1)
-    inv_t[np.diag_indices(width)] = 1.0 / np.where(identity, 1.0, tau)
-    y = np.negative(np.linalg.solve(inv_t, vt[:, :width] @ w))
-    # (-Y' V')' is the n x c product in Fortran order, as a reflector pass left U
-    u = (y.T @ vt).T
-    u[:width] += w
-    return u
+    return lam[keep], q.dot(w[:, keep]), max(trace - float(np.sum(lam[keep])), 0.0)
 
 
 def build_kernel_smoother(x, spec: KernelSmootherSpec) -> KernelSmoother:

@@ -10,8 +10,10 @@ or more coefficient vectors, without forming the weight matrix; the fit,
 the cross-validation folds and a saved model all predict through it.
 What both families use lives here, so neither imports the other's
 internals: the pairwise block loop (:func:`_pairwise_blocks`), the
-calibrations' root finder (:func:`_log_newton_root`) and
-:class:`CalibrationError`.
+calibrations' root finder (:func:`_log_newton_root`),
+:class:`CalibrationError` and :class:`HouseholderQ`, the one way a
+Householder Q is held and applied (the Gaussian factor's eigenvectors and
+the spline's polynomial null space).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "DesignMatrix",
     "EIGEN_TOL",
     "FactoredBasis",
+    "HouseholderQ",
     "SpectralForm",
 ]
 
@@ -119,6 +122,68 @@ class FactoredBasis(ABC):
     @abstractmethod
     def dense(self) -> np.ndarray:
         """U as an n x r array, formed on each call and not kept."""
+
+
+class HouseholderQ:
+    """Householder QR of a tall n x w block ``a``: R as ``r`` and Q as the w
+    reflectors of ``np.linalg.qr(mode="raw")`` in compact WY form.
+
+    The raw block is w x n: its row j holds R's column j up to the diagonal
+    and the reflector v_j below it (H_j = I - tau_j v_j v_j', v_j unit at j,
+    zero above), and V is written over it in place. Q = H_1 ... H_w =
+    I - V T V' (Schreiber & Van Loan 1989) with T^{-1} = triu(V'V, 1) +
+    diag(1 / tau) (Joffrain et al. 2006). An identity reflector (tau_j = 0)
+    is taken as v_j = 0 with a unit diagonal entry, with no division by zero.
+    """
+
+    def __init__(self, a: np.ndarray):
+        vt, tau = np.linalg.qr(a, mode="raw")
+        width = tau.size
+        self.r = np.triu(vt[:, :width].T)
+        np.copyto(vt[:, :width], np.eye(width), where=np.tri(width, dtype=bool))
+        identity = tau == 0.0
+        vt[identity] = 0.0
+        self._vt = vt
+        self._inv_t = np.triu(vt @ vt.T, 1)
+        self._inv_t[np.diag_indices(width)] = 1.0 / np.where(identity, 1.0, tau)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """Q [x; 0] for x of shape (rows,) or (rows, c), w <= rows <= n."""
+        return self._apply(self._inv_t, x)
+
+    def t_dot(self, x: np.ndarray) -> np.ndarray:
+        """Q' x for x of shape (n,) or (n, c)."""
+        return self._apply(self._inv_t.T, x)
+
+    def _apply(self, inv_t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """[x; 0] - V Y for ``inv_t`` Y = V_1' x, V_1 the top rows of V: two
+        products with V, O(n w c), and one w x w solve. A 2-D product is
+        Fortran-ordered, as a reflector pass leaves it."""
+        rows = x.shape[0]
+        y = np.negative(np.linalg.solve(inv_t, self._vt[:, :rows] @ x))
+        # (-Y' V')' is the n x c product in Fortran order
+        u = (y.T @ self._vt).T
+        u[:rows] += x
+        return u
+
+    def project(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Q_2' E Q_2, Q_1' E Q_2), Q = [Q_1 Q_2] split after w columns, for
+        a symmetric n x n E, which is overwritten: with F = E V and
+        X = F T - V T' (V' F) T / 2, Q' E Q = E - V X' - X V', one GEMM and
+        one in-place BLAS dsyr2k (lower=1, loaded from scipy here, as only
+        the spline projects), O(w n^2). The first block is a Fortran-ordered
+        copy whose lower triangle is what dsytrd(lower=1) reads; its upper
+        triangle holds E's. The second comes from the [w:, :w] block."""
+        from scipy.linalg.blas import dsyr2k
+
+        width = self.r.shape[0]
+        # E is symmetric, so its transpose is E in Fortran order
+        v, t = self._vt.T, np.linalg.inv(self._inv_t)
+        f = e.T @ v
+        x = f @ t - 0.5 * (v @ (t.T @ (v.T @ f) @ t))
+        qeq = dsyr2k(-1.0, v, x, beta=1.0, c=e.T, lower=1, overwrite_c=1)
+        tail = qeq[width:]
+        return np.array(tail[:, width:], order="F"), np.ascontiguousarray(tail[:, :width].T)
 
 
 @dataclass

@@ -9,11 +9,11 @@ total degree below the spline order. Smoothness is controlled through lam,
 which is calibrated so the smoother trace equals a small multiple of the
 polynomial null-space dimension.
 
-This is the one module of the package that loads scipy, and only on first
-use: its LAPACK routines (the Householder QR of the polynomial block, the
-reflector passes, the tridiagonal eigensolver and the triangular solves)
-and BLAS ``dsyr2k`` (the projection of the radial block) are imported inside
-the functions that call them, and ``scipy.special``'s gamma only for an odd
+Only the spline loads scipy, and only on first use: its LAPACK routines
+(the tridiagonal reduction and eigensolver, the reduction's reflector
+passes and the triangular solves) inside the functions that call them,
+BLAS ``dsyr2k`` inside :meth:`~ibrsmooth.smoothers.HouseholderQ.project`,
+which only the spline calls, and ``scipy.special``'s gamma only for an odd
 number of columns. Importing the package, every kernel workflow and
 predicting from a saved spline of an even number of columns load numpy
 alone, and scipy's import (about 0.3 s and 30 MB, its array-API layer
@@ -35,6 +35,7 @@ from .smoothers import (
     CalibrationError,
     DesignMatrix,
     FactoredBasis,
+    HouseholderQ,
     SpectralForm,
     _fill,
     _finite_rows,
@@ -211,70 +212,22 @@ class TpsPredictor:
         )
 
 
-def _householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dgeqrf's QR of a tall ``a``: R in the upper triangle and Q as the
-    Householder reflectors below it, with their scalar factors tau."""
-    from scipy.linalg.lapack import dgeqrf
-
-    qr, tau, _, info = dgeqrf(a, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
-    return qr, tau
-
-
-def _apply_q(
-    side: str, trans: str, qr: np.ndarray, tau: np.ndarray, c: np.ndarray, lwork: int | None = None
-):
-    """Q c, Q' c, c Q or c Q' for the Q that dgeqrf stored as reflectors.
-
-    ``c`` must be a Fortran-ordered float array; it is overwritten with the
-    product, which is returned. ``lwork`` None asks dormqr for its optimal
-    workspace (the blocked route); one below that selects the unblocked route.
-    """
+def _reflect(trans: str, qr: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Q v or Q' v (``trans`` "N" or "T") for the Q of dsytrd's reflectors
+    and v of shape (rows,) or (rows, c); v is left unchanged."""
     from scipy.linalg.lapack import dormqr
 
-    if lwork is None:
-        lwork = dormqr(side, trans, qr, tau, c, -1, overwrite_c=1)[1][0]
-    cq, _, info = dormqr(side, trans, qr, tau, c, int(lwork), overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
-    return cq
-
-
-def _reflect(trans: str, qr: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Q v or Q' v (``trans`` "N" or "T") for reflectors stored as dgeqrf
-    stores them and v of shape (rows,) or (rows, c); v is left unchanged."""
     c = np.array(v[:, None] if v.ndim == 1 else v, dtype=float, order="F")
     if c.size == 0:
         return c.reshape(v.shape)
     # one column takes dormqr's unblocked route: forming the blocked route's
     # triangular factors costs about twice the product itself (900-point
     # spline: 0.46 ms against 1.37 ms per pass, one BLAS thread, 2-vCPU x86-64)
-    lwork = 1 if c.shape[1] == 1 else None
-    return _apply_q("L", trans, qr, tau, c, lwork).reshape(v.shape)
-
-
-def _projected_blocks(e: np.ndarray, qr: np.ndarray, tau: np.ndarray, m: int):
-    """(q2' E q2, q1' E q2) from the lower triangle of Q' E Q, written
-    over E's upper triangle, from the compact WY form Q = I - V T V' of the
-    m reflectors (Schreiber & Van Loan 1989; T by dlarft's recurrence):
-    with F = E V and X = F T - V T' (V' F) T / 2, Q' E Q = E - V X' - X V',
-    one GEMM and one in-place BLAS dsyr2k (lower=1), O(m n^2). The first
-    block is a Fortran-ordered copy whose lower triangle is what
-    dsytrd(lower=1) reads; its upper triangle is not written (it holds E's).
-    The second comes from the [m:, :m] block."""
-    from scipy.linalg.blas import dsyr2k
-
-    # E is symmetric, so its transpose is E in Fortran order
-    e = e.T
-    v = np.tril(qr, -1) + np.eye(*qr.shape)
-    t = np.diag(tau)
-    for j in range(1, m):
-        t[:j, j] = -tau[j] * (t[:j, :j] @ (v[:, :j].T @ v[:, j]))
-    f = e @ v
-    x = f @ t - 0.5 * (v @ (t.T @ (v.T @ f) @ t))
-    qeq = dsyr2k(-1.0, v, x, beta=1.0, c=e, lower=1, overwrite_c=1)
-    return np.array(qeq[m:, m:], order="F"), np.ascontiguousarray(qeq[m:, :m].T)
+    lwork = 1 if c.shape[1] == 1 else dormqr("L", trans, qr, tau, c, -1, overwrite_c=1)[1][0]
+    cq, _, info = dormqr("L", trans, qr, tau, c, int(lwork), overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
+    return cq.reshape(v.shape)
 
 
 def _tridiagonal_eigh(b: np.ndarray):
@@ -309,17 +262,18 @@ class _TpsCore(FactoredBasis):
     of q1 (eigenvalue 1) and of g2 = q2 V (eigenvalue theta / (theta + n lam)).
 
     The eigenbasis U = [q1 g2] = Q blockdiag(I_m, Q_t W) is held factored:
-    Q as dgeqrf's m Householder reflectors, the reduction q2' E q2 =
+    Q as a :class:`~ibrsmooth.smoothers.HouseholderQ`, the m reflectors of
+    the polynomial block's QR in compact WY form, the reduction q2' E q2 =
     Q_t T Q_t' to tridiagonal T as dsytrd's reflectors, and T = W diag(theta)
     W' as dstevd's eigenvectors W. U v and U' v (:meth:`dot`,
     :meth:`t_dot`) are reflector passes and one product with W, O(n^2) per
     vector; :meth:`dense` forms U only when a consumer asks for the block.
 
     E costs O(d n^2), filled in place a block of rows at a time from the
-    squared distances (:func:`_radial_blocks`), the QR O(m^2 n), Q' E Q one
-    GEMM and one dsyr2k over E at O(m n^2), the reduction 4/3 n^3 flops and
-    dstedc at most as much; a dense eigh's 2 n^3 back-transformation Q_t W
-    is skipped. ``theta`` descends while the columns of W ascend. Of E the
+    squared distances (:func:`_radial_blocks`), the QR O(m^2 n), Q' E Q
+    (:meth:`HouseholderQ.project`) O(m n^2), the reduction 4/3 n^3 flops
+    and dstedc at most as much; a dense eigh's 2 n^3 back-transformation
+    Q_t W is skipped. ``theta`` descends while the columns of W ascend. Of E the
     geometry keeps only the m x (n - m) block q1' E q2 that
     :meth:`TpsSmoother.prediction_parts` needs, so it holds two
     (n - m)-square arrays, the dsytrd reflectors and W. The build peaks at
@@ -344,16 +298,14 @@ class _TpsCore(FactoredBasis):
         kappa = _radial_constant(order, d)
         _fill(_radial_blocks(design.x, design.x, order, kappa, e, distinct=True))
         self.powers = tps_powers(order, d)
-        qr, tau = _householder_qr(_poly_block(design.x, self.powers))
-        self.r = np.triu(qr[:m])
-        diag = np.abs(np.diag(self.r))
+        self._null = HouseholderQ(_poly_block(design.x, self.powers))
+        diag = np.abs(np.diag(self._null.r))
         if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):
             raise ValueError(
                 "polynomial block is rank deficient (collinear design); "
                 "thin-plate splines need points in general position"
             )
-        self._null = (qr, tau)
-        b, self._cross = _projected_blocks(e, qr, tau, m)
+        b, self._cross = self._null.project(e)
         del e
         theta, self._w, self._tri = _tridiagonal_eigh(b)
         floor = -1e-8 * max(abs(theta[-1]), 1.0)
@@ -373,11 +325,11 @@ class _TpsCore(FactoredBasis):
         t = self._w @ np.ascontiguousarray(v[m:][::-1])
         x[m] = t[0]
         x[m + 1 :] = _reflect("N", *self._tri, t[1:])
-        return _reflect("N", *self._null, x)
+        return self._null.dot(x)
 
     def t_dot(self, v: np.ndarray) -> np.ndarray:
         """U' v for v of shape (n,) or (n, c): Q', then Q_t', then W'."""
-        x = _reflect("T", *self._null, v)
+        x = self._null.t_dot(v)
         x[self.m :] = self._tail_t(x[self.m :])
         return x
 
@@ -395,7 +347,7 @@ class _TpsCore(FactoredBasis):
         u[:m, :m] = np.eye(m)
         u[m, m:] = self._w[0, ::-1]
         u[m + 1 :, m:] = _reflect("N", *self._tri, self._w[1:, ::-1])
-        return _apply_q("L", "N", *self._null, u)
+        return self._null.dot(u)
 
     def trace_and_slope(self, lam: float) -> tuple[float, float]:
         """Smoother trace m + sum theta / (theta + n lam) and its slope in log lam.
@@ -470,7 +422,7 @@ class TpsSmoother(BaseSmoother):
         poly = np.zeros((m, self.n))
         poly[:, :m] = np.eye(m)
         poly[:, m:] = -c._tail_t(c._cross.T.copy()).T * scale[m:]
-        return radial + _poly_block(x_new, c.powers) @ solve_triangular(c.r, poly)
+        return radial + _poly_block(x_new, c.powers) @ solve_triangular(c._null.r, poly)
 
     def describe(self) -> str:
         return (
@@ -498,8 +450,8 @@ class TpsSmoother(BaseSmoother):
         # scale the rows of g2' coef; the transposes let a vector pass too
         a[c.m :] = (a[c.m :].T / (c.theta + nl)).T
         delta = c.dot(a)
-        q2_delta = _reflect("T", *c._null, delta)[c.m :]
-        return delta, solve_triangular(c.r, q1_coef - c._cross @ q2_delta)
+        q2_delta = c._null.t_dot(delta)[c.m :]
+        return delta, solve_triangular(c._null.r, q1_coef - c._cross @ q2_delta)
 
 
 def build_calibrated_tps(

@@ -28,3 +28,43 @@ def radial_block(a, b, order):
     out = np.empty((a.shape[0], b.shape[0]))
     _fill(_radial_blocks(a, b, order, _radial_constant(order, a.shape[1]), out))
     return out
+
+
+class LapackQ:
+    """The reference Q of a tall n x w block's Householder QR, by scipy's
+    LAPACK: dgeqrf's reflectors and dormqr passes over them."""
+
+    def __init__(self, a):
+        from scipy.linalg.lapack import dgeqrf
+
+        self.qr, self.tau, _, info = dgeqrf(np.array(a, dtype=float, order="F"))
+        assert info == 0
+        self.r = np.triu(self.qr[: self.tau.size])
+
+    def _pass(self, side, trans, c):
+        from scipy.linalg.lapack import dormqr
+
+        lwork = dormqr(side, trans, self.qr, self.tau, c, -1)[1][0]
+        out, _, info = dormqr(side, trans, self.qr, self.tau, c, int(lwork))
+        assert info == 0
+        return out
+
+    def _left(self, trans, x):
+        x = np.asarray(x, dtype=float)
+        c = np.zeros((self.qr.shape[0], 1 if x.ndim == 1 else x.shape[1]), order="F")
+        if c.size == 0:
+            return c.reshape((c.shape[0],) + x.shape[1:])
+        c[: x.shape[0]] = x.reshape(x.shape[0], -1)
+        return self._pass("L", trans, c).reshape((c.shape[0],) + x.shape[1:])
+
+    def dot(self, x):
+        """Q [x; 0] for x of shape (rows,) or (rows, c), rows <= n."""
+        return self._left("N", x)
+
+    def t_dot(self, x):
+        """Q' x for x of shape (n,) or (n, c)."""
+        return self._left("T", x)
+
+    def right(self, x):
+        """x Q for x of shape (rows, n)."""
+        return self._pass("R", "N", np.array(x, dtype=float, order="F"))

@@ -57,6 +57,20 @@ def test_missing_value_rejected(tmp_path):
         load_csv(write(tmp_path, "a,b\n1,\n"))
 
 
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    """A file saved as "CSV UTF-8" starts with a byte-order mark: it loads
+    with the names and values of the same file without one."""
+    text = "y,x1\n1.5,2\n-3,4e-1\n"
+    plain = load_csv(write(tmp_path, text))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(text.encode("utf-8-sig"))
+    marked = load_csv(path)
+    assert marked.names == plain.names == ["y", "x1"]
+    assert np.array_equal(marked.values, plain.values)
+    y, design, response = split_response(marked, "y")
+    assert response == "y" and y.tolist() == [1.5, -3.0] and design.names == ["x1"]
+
+
 def make_dataset():
     return Dataset(
         names=["resp", "u", "v"],

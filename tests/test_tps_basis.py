@@ -6,10 +6,9 @@ import pytest
 
 from ibrsmooth import KPath, build_calibrated_tps, iterate_fitted_recursive
 from ibrsmooth import tps
-from ibrsmooth.smoothers import FactoredBasis
-from ibrsmooth.tps import _projected_blocks
+from ibrsmooth.smoothers import FactoredBasis, HouseholderQ
 
-from conftest import radial_block, random_design
+from conftest import LapackQ, radial_block, random_design
 
 
 def calibrated(seed, n, d, mult=1.2):
@@ -22,7 +21,7 @@ def test_spectrum_matches_dense_eigh_on_the_same_block(seed, n, d):
     x = core.design.x
     # the block the core reduced, rebuilt: E is not kept
     e = radial_block(x, x, core.order)
-    theta = np.linalg.eigh(_projected_blocks(e, *core._null, core.m)[0])[0]
+    theta = np.linalg.eigh(core._null.project(e)[0])[0]
     ref = np.maximum(theta[::-1], 0.0)
     np.testing.assert_allclose(core.theta, ref, rtol=0, atol=1e-13 * ref.max())
 
@@ -39,9 +38,10 @@ def test_projected_blocks_match_two_reflector_passes(d, size):
     n = m + size if size <= 2 else size
     x = random_design(np.random.default_rng(n + d), n, d).x
     e = radial_block(x, x, order)
-    qr, tau = tps._householder_qr(tps._poly_block(x, tps.tps_powers(order, d)))
-    dense = tps._apply_q("R", "N", qr, tau, tps._apply_q("L", "T", qr, tau, np.asfortranarray(e)))
-    block, cross = tps._projected_blocks(e, qr, tau, m)
+    poly = tps._poly_block(x, tps.tps_powers(order, d))
+    ref = LapackQ(poly)
+    dense = ref.right(ref.t_dot(e))
+    block, cross = HouseholderQ(poly).project(e)
     lower = np.tril_indices(n - m)
     for got, want in ((block[lower], dense[m:, m:][lower]), (cross, dense[:m, m:])):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -26,6 +26,9 @@ from ibrsmooth import (
 )
 from ibrsmooth import kernel_smoother
 from ibrsmooth.selection import _K_TOL
+from ibrsmooth.smoothers import HouseholderQ
+
+from conftest import LapackQ
 
 EPS = np.finfo(float).eps
 
@@ -330,26 +333,9 @@ def test_gaussian_fit_holds_no_square_array():
 # ------------------------------------------------------------ QR of the factor
 
 
-def lapack_reflector_product(reflectors, tau, w):
-    """Q [W; 0] by LAPACK's dormqr (the reference) on the same reflectors:
-    the P x n raw block of ``np.linalg.qr`` is dgeqrf's n x P one transposed."""
-    from scipy.linalg.lapack import dormqr
-
-    c = np.zeros((reflectors.shape[1], w.shape[1]), order="F")
-    c[: w.shape[0]] = w
-    lwork = dormqr("L", "N", reflectors.T, tau, c, -1)[1][0]
-    u, _, info = dormqr("L", "N", reflectors.T, tau, c, int(lwork))
-    assert info == 0
-    return u
-
-
 def lapack_eigenvalues(g):
     """The factor route's kept eigenvalues through scipy's dgeqrf (the reference)."""
-    from scipy.linalg.lapack import dgeqrf
-
-    qr, tau, _, info = dgeqrf(np.asfortranarray(g))
-    assert info == 0
-    r = np.triu(qr[: tau.size])
+    r = LapackQ(g).r
     lam = np.linalg.eigvalsh(r @ r.T)[::-1]
     return lam[lam > 0.5 * EPS]
 
@@ -381,10 +367,9 @@ def test_wy_product_matches_lapack_reflector_pass(n, d, width):
     np.testing.assert_allclose(lam[:common], ref[:common], rtol=0, atol=4 * EPS)
     assert max(lam[common:].max(initial=0), ref[common:].max(initial=0)) < 2 * EPS
 
-    reflectors, tau = np.linalg.qr(g, mode="raw")
     w = np.linalg.qr(np.random.default_rng(1).normal(size=(width, width // 2)))[0]
-    want = lapack_reflector_product(reflectors, tau, w)
-    got = kernel_smoother._reflector_product(reflectors.copy(), tau, w)
+    want = LapackQ(g).dot(w)
+    got = HouseholderQ(g).dot(w)
     assert got.flags.f_contiguous
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
@@ -400,12 +385,12 @@ def test_identity_reflector_is_taken_without_division():
     a = rng.normal(size=(n, width))
     a[3:, :3] = 0.0
     a[4:, 3] = 0.0
-    reflectors, tau = np.linalg.qr(a, mode="raw")
+    tau = np.linalg.qr(a, mode="raw")[1]
     assert np.array_equal(tau == 0.0, [False, False, True, True, False, False])
     w = np.linalg.eigh(rng.normal(size=(width, width)) + np.eye(width) * width)[1]
-    want = lapack_reflector_product(reflectors, tau, w)
+    want = LapackQ(a).dot(w)
     with np.errstate(all="raise"):
-        got = kernel_smoother._reflector_product(reflectors.copy(), tau, w)
+        got = HouseholderQ(a).dot(w)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     factor = kernel_smoother._KhatriRaoFactor([a.T.copy()], (np.arange(width),))

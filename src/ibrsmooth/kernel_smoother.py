@@ -14,11 +14,12 @@ safeguarded Newton steps on log(scale), using the closed-form slope
 d trace / d log(scale), inside a sign bracket. A Gaussian target, per column
 or a total df over several, typically needs four to six trace evaluations,
 each through the Chebyshev nodes that the factor below takes
-(:func:`_gaussian_objective`): p_j per column, doubling from 16 until the
-node kernel K_c is exact to rounding (tail rule, :func:`_accepted_nodes`),
-with prod p_j <= n, in O(n prod p_j) with no n x n array. A design with no
-such nodes (a column spanning too many bandwidths, or more nodes than
-rows) and every other kernel take the O(n^2) evaluation.
+(:func:`_gaussian_objective`): p_j per column, the smallest of 16, 32, ...
+within whose fixed span limit the node kernel K_c is exact to rounding
+(tail rule, :func:`_accepted_nodes`), with prod p_j <= n, in O(n prod p_j)
+with no n x n array. A design with no such nodes (a column spanning too
+many bandwidths, or more nodes than rows) and every other kernel take the
+O(n^2) evaluation.
 
 Because the base smoother is over-smooth, its spectrum is numerically low
 rank, and a Gaussian smoother keeps only the eigenpairs above eps/2. They
@@ -99,12 +100,14 @@ _BRACKET_HI = 1e3
 _FACTOR_RANK_GATE = 2
 _EPS = float(np.finfo(float).eps)
 _GAUSSIAN_K0 = float(kernel_values(np.zeros(1), "gaussian")[0])
-# a Gaussian column takes _FACTOR_NODES Chebyshev nodes, doubled until the
-# node kernel's trailing Chebyshev coefficients fall below _FACTOR_TAIL of
-# its largest, and none once _FACTOR_GATE times the node count exceeds n
+# a Gaussian column takes _FACTOR_NODES Chebyshev nodes, doubled until its
+# ratio is within the count's limit (_node_limit, _LIMIT_STEPS halvings of a
+# bisection) where the node kernel's trailing Chebyshev coefficients fall
+# below _FACTOR_TAIL of its largest, and none once _FACTOR_GATE p exceeds n
 _FACTOR_NODES = 16
 _FACTOR_TAIL = 1e-15
 _FACTOR_GATE = 4
+_LIMIT_STEPS = 24
 # node sums and interpolated rows are formed over blocks of rows whose
 # widest temporary holds about this many floats
 _GRID_BLOCK = _PREDICT_BLOCK_BYTES // 8
@@ -819,66 +822,63 @@ def _slope_tables(ones: np.ndarray, nodes, ratios: np.ndarray) -> np.ndarray:
 
 def _accepted_nodes(ratio: float, n: int):
     """Smallest Chebyshev factor of a one-column Gaussian kernel spanning
-    ``ratio`` bandwidths per half range that is exact to rounding (tail
-    rule): p doubles from ``_FACTOR_NODES`` until the last two rows and
-    columns of the node kernel's 2-D Chebyshev coefficients lie below
-    ``_FACTOR_TAIL`` of the largest. The kernel is symmetric, so the
-    columns are the rows transposed, and :func:`_tail_peak` finds the two
-    rows in O(p^2), where the full 2-D transform reads p^2 coefficients.
-    Returns (p, node kernel), or None once ``_FACTOR_GATE`` * p exceeds n,
-    where the exact form is as cheap. The rule is monotone in the ratio, so
-    a check whose answer :func:`_tail_known` holds is skipped.
+    ``ratio`` bandwidths per half range that is exact to rounding: the
+    smallest p = ``_FACTOR_NODES`` 2^j with ratio <= :func:`_node_limit` (p),
+    with its node kernel. Returns (p, node kernel), or None once
+    ``_FACTOR_GATE`` * p exceeds n, where the exact form is as cheap. The
+    answer depends on the ratio and n alone, so a calibration, a fit's
+    factor and a loaded model's tables find the same nodes whatever the
+    process did before.
     """
     p = _FACTOR_NODES
     while _FACTOR_GATE * p <= n:
-        known = _tail_known(p)
-        if ratio < known[1]:
-            kc = _node_kernel(p, ratio)
-            if ratio <= known[0] or _tail_peak(kc) <= _FACTOR_TAIL * kc.sum():
-                known[0] = max(known[0], ratio)
-                return p, kc
-            known[1] = ratio
+        if ratio <= _node_limit(p):
+            return p, _node_kernel(p, ratio)
         p *= 2
     return None
 
 
 @cache
-def _tail_known(p: int) -> list[float]:
-    """[largest ratio seen to pass the tail rule at p nodes, smallest to fail]."""
-    return [0.0, math.inf]
+def _node_limit(p: int) -> float:
+    """The largest ratio that p Chebyshev nodes serve (tail rule): the last
+    two rows and columns of the p x p node kernel's 2-D Chebyshev
+    coefficients lie below ``_FACTOR_TAIL`` of the largest (:func:`_tail_peak`).
 
-
-def _tail_peak(kc: np.ndarray) -> float:
-    """max |C[-2:]| / 4 for the 2-D Chebyshev coefficients C = 4 B K_c B'
-    of the p x p symmetric ``kc`` (p even), B_la = cos(pi l (2a + 1) / 2p)
-    the unnormalized DCT-II on each axis, so c_00 = 4 sum K_c.
-
-    Row k of C is 4 y for y = B r, r = B_k K_c, which Makhoul's FFT (1980)
-    gives: with v the even entries of r followed by the odd ones reversed
-    and z_l = exp(-i pi l / 2p) FFT(v)_l, y_l = Re z_l and y_{p-l} =
-    -Im z_l for l = 0, ..., p/2, so one real FFT per row gives every y_l.
+    Near its threshold the rule flips back and forth with the rounding of
+    the coefficients (within 0.05 of it at p = 16 to 128), so the limit is
+    the lower end, which passes the rule, of a fixed bisection:
+    ``_LIMIT_STEPS`` halvings of [limit at p / 2, p] ([0, 16] at 16). Cached,
+    so a count's checks run once per process.
     """
-    cosines, twiddle = _tail_transform(kc.shape[0])
-    rows = cosines @ kc
-    z = np.fft.rfft(np.concatenate([rows[:, ::2], rows[:, ::-2]], axis=1), axis=1)
-    z *= twiddle
-    return max(np.abs(z.real).max(), np.abs(z.imag).max())
+    lo, hi = (_node_limit(p // 2) if p > _FACTOR_NODES else 0.0), float(p)
+    dct = _dct(p)
+    for _ in range(_LIMIT_STEPS):
+        mid = 0.5 * (lo + hi)
+        kc = _node_kernel(p, mid)
+        if _tail_peak(kc, dct) <= _FACTOR_TAIL * kc.sum():
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
-@cache
-def _tail_transform(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """B, the 2 x p rows cos(pi k (2a + 1) / 2p) for k = p - 2, p - 1, and
-    Makhoul's twiddles exp(-i pi l / 2p), l = 0, ..., p/2, for
-    :func:`_tail_peak`. The angles of B are reduced modulo 2 pi in integers,
-    k (2a + 1) mod 4p, before the cosine: unreduced, they reach 2 p pi,
-    where their rounding alone moves entries of B by up to 1.7e-13 at
-    p = 512, far above the tail rule's ``_FACTOR_TAIL``. Cached, so both
-    arrays are read-only."""
-    turns = np.arange(p - 2, p)[:, None] * (2 * np.arange(p) + 1) % (4 * p)
-    cosines = np.cos(turns * (0.5 * np.pi / p))
-    twiddle = np.exp(np.arange(p // 2 + 1) * (-0.5j * np.pi / p))
-    cosines.flags.writeable = twiddle.flags.writeable = False
-    return cosines, twiddle
+def _tail_peak(kc: np.ndarray, dct: np.ndarray) -> float:
+    """max |C[-2:]| / 4 for the 2-D Chebyshev coefficients C = 4 B K_c B'
+    of the p x p symmetric ``kc``, B the unnormalized DCT-II ``dct``
+    (:func:`_dct`), so c_00 = 4 sum K_c. K_c is symmetric, so the last two
+    columns of C are its last two rows transposed, and those take two
+    products with B, O(p^2) against O(p^3) for all of C."""
+    return float(np.abs((dct[-2:] @ kc) @ dct.T).max())
+
+
+def _dct(p: int) -> np.ndarray:
+    """The unnormalized p x p DCT-II, B_la = cos(pi l (2a + 1) / 2p). The
+    angles are reduced modulo 2 pi in integers, l (2a + 1) mod 4p, before the
+    cosine: unreduced, they reach 2 p pi, where their rounding alone moves
+    entries of B by up to 1.7e-13 at p = 512, far above the tail rule's
+    ``_FACTOR_TAIL``."""
+    turns = np.arange(p)[:, None] * (2 * np.arange(p) + 1) % (4 * p)
+    return np.cos(turns * (0.5 * np.pi / p))
 
 
 @cache
@@ -965,14 +965,10 @@ def calibrate_bandwidth(
     kind = resolve_kernel(kind)
     # the search runs on h / range
     trace = _trace_objective(col[:, None], kind, np.array([rng]))
-    c, achieved = _log_newton_root(trace, df_target, 1.0, _BRACKET_LO, _BRACKET_HI, "df")
-    if not abs(achieved - df_target) <= _BANDWIDTH_TOL:
-        raise CalibrationError(
-            f"{name}: {kind} trace is not continuous enough to reach "
-            f"df {df_target} (closest {achieved:.6f}); "
-            "try the gaussian kernel"
-        )
-    return c * rng
+    hint = f"; the {kind} kernel trace is not continuous enough, try the gaussian kernel"
+    return rng * _log_newton_root(
+        trace, df_target, 1.0, _BRACKET_LO, _BRACKET_HI, f"{name} df", _BANDWIDTH_TOL, hint
+    )
 
 
 def calibrate_total_df(x, kind: str, total_df: float) -> np.ndarray:
@@ -1001,12 +997,7 @@ def calibrate_total_df(x, kind: str, total_df: float) -> np.ndarray:
     scales = peak * (xm / peak).std(axis=0, ddof=1)
     kind = resolve_kernel(kind)
     trace = _trace_objective(xm, kind, scales)
-    c, achieved = _log_newton_root(
-        trace, total_df, 1.0, _BRACKET_LO, _BRACKET_HI, "total df"
+    hint = f"; the {kind} kernel trace jumps at this design"
+    return scales * _log_newton_root(
+        trace, total_df, 1.0, _BRACKET_LO, _BRACKET_HI, "total df", _TOTAL_DF_TOL, hint
     )
-    if not abs(achieved - total_df) <= _TOTAL_DF_TOL:
-        raise CalibrationError(
-            f"total-df calibration reached {achieved:.6f} instead of "
-            f"{total_df}; the {kind} kernel trace jumps at this design"
-        )
-    return c * scales

@@ -336,7 +336,9 @@ def _fill(blocks) -> None:
         pass
 
 
-def _log_newton_root(trace, target: float, floor: float, lo: float, hi: float, what: str):
+def _log_newton_root(
+    trace, target: float, floor: float, lo: float, hi: float, what: str, tol: float, hint: str = ""
+) -> float:
     """Scale x in [lo, hi] (or the expanded bracket) where trace(x) = target.
 
     ``trace(x)`` must decrease in x towards ``floor`` as x grows, with
@@ -353,8 +355,9 @@ def _log_newton_root(trace, target: float, floor: float, lo: float, hi: float, w
     tenfold while the target lies beyond it. A zero slope always bisects,
     so a piecewise constant trace narrows down to its jump.
 
-    Returns the last evaluated scale and the trace there, so the caller
-    checks the achieved trace without another evaluation.
+    Returns the last evaluated scale. Raises CalibrationError, naming the
+    ``what`` target, when no bracket is found or when the trace there misses
+    the target by more than ``tol``, the miss followed by ``hint``.
     """
     a, b = math.log(lo), math.log(hi)
     a_known = b_known = False
@@ -394,7 +397,11 @@ def _log_newton_root(trace, target: float, floor: float, lo: float, hi: float, w
                 t = a
             else:
                 t = 0.5 * (a + b)
-    return x, value
+    if not abs(value - target) <= tol:
+        raise CalibrationError(
+            f"the {what} calibration reached trace {value:.6f} instead of {target}{hint}"
+        )
+    return x
 
 
 def _no_bracket(what: str, target: float, x: float, value: float) -> CalibrationError:

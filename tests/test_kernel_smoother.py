@@ -261,16 +261,22 @@ def test_wide_lognormal_column_takes_the_exact_form(monkeypatch):
     assert built == []
 
 
-# p nodes serve a column up to about 0.47 (p = 16), 2.4, 6.8, 15.4, 31.8,
-# 63.8 and 128 (p = 1024) bandwidths per half range: these ratios fall 10%
-# either side of each threshold, and between them
+# p nodes serve a column up to its limit (``_node_limit``): about 0.47
+# (p = 16), 2.4, 6.8, 15.4, 31.8, 63.8 and 128 (p = 1024) bandwidths per half
+# range. These ratios fall 10% either side of each limit, and between them
 TAIL_RATIOS = (
     0.2, 0.43, 0.52, 1.2, 2.2, 2.7, 4.5, 6.2, 7.5, 11.0, 14.0,
     17.0, 23.0, 29.0, 35.0, 47.0, 58.0, 70.0, 95.0, 116.0, 141.0,
 )
+NODE_COUNTS = (16, 32, 64, 128, 256, 512, 1024)
 
 
-@pytest.mark.parametrize("p", [16, 32, 64, 128, 256, 512, 1024])
+def passes_tail_rule(p, ratio):
+    kc = kernel_smoother._node_kernel(p, ratio)
+    return kernel_smoother._tail_peak(kc, kernel_smoother._dct(p)) <= kernel_smoother._FACTOR_TAIL * kc.sum()
+
+
+@pytest.mark.parametrize("p", NODE_COUNTS)
 def test_tail_rule_decides_as_the_full_dct(p):
     """The two-row tail check accepts exactly the node kernels whose full
     2-D DCT-II (scipy's ``dctn``, the reference) puts its last two rows and
@@ -283,49 +289,47 @@ def test_tail_rule_decides_as_the_full_dct(p):
         kc = kernel_smoother._node_kernel(p, ratio)
         coef = np.abs(dctn(kc, type=2))
         want = max(coef[-2:].max(), coef[:, -2:].max()) / coef.max()
-        got = kernel_smoother._tail_peak(kc) / kc.sum()
+        got = kernel_smoother._tail_peak(kc, kernel_smoother._dct(p)) / kc.sum()
         assert abs(got - want) <= 4e-16
         assert (got <= kernel_smoother._FACTOR_TAIL) == (want <= kernel_smoother._FACTOR_TAIL)
         decisions.append(want <= kernel_smoother._FACTOR_TAIL)
     assert any(decisions) and not all(decisions)
 
 
-def tail_rule_from_16(ratio, n):
-    """The node count the tail rule picks with no memory of earlier ratios."""
-    p = kernel_smoother._FACTOR_NODES
-    while kernel_smoother._FACTOR_GATE * p <= n:
-        kc = kernel_smoother._node_kernel(p, ratio)
-        if kernel_smoother._tail_peak(kc) <= kernel_smoother._FACTOR_TAIL * kc.sum():
-            return p
-        p *= 2
-    return None
+@pytest.mark.parametrize("p", [16, 32, 64, 128])
+def test_node_counts_do_not_depend_on_call_order(p):
+    """Within 0.05 of each limit the tail rule itself flips back and forth
+    with rounding. Fed a dense scan of that band in increasing, decreasing
+    and shuffled order, each from a process with no limit known,
+    ``_accepted_nodes`` gives every ratio the same answer: p up to the
+    limit, 2p above it, with the node kernel at the ratio."""
+    limit = kernel_smoother._node_limit(p)
+    ratios = np.linspace(limit - 0.05, limit + 0.05, 2001)
+    n = kernel_smoother._FACTOR_GATE * 2 * p
+    orders = (ratios, ratios[::-1], np.random.default_rng(p).permutation(ratios))
+    try:
+        for order in orders:
+            kernel_smoother._node_limit.cache_clear()
+            found = {r: kernel_smoother._accepted_nodes(r, n) for r in order}
+            assert [found[r][0] for r in ratios] == [p if r <= limit else 2 * p for r in ratios]
+            for r in ratios[::100]:
+                np.testing.assert_array_equal(found[r][1], kernel_smoother._node_kernel(found[r][0], r))
+    finally:
+        kernel_smoother._node_limit.cache_clear()
 
 
-@pytest.mark.parametrize("n", [64, 330, 1500])
-def test_remembered_tail_rule_decides_as_the_rule_from_16(n):
-    """``_accepted_nodes`` skips the checks whose answer an earlier ratio
-    settled; fed ratios in increasing, decreasing and shuffled order, it
-    picks the p the rule from 16 picks, also within 1e-12 of each ratio at
-    which that p changes (found by bisection)."""
-    ratios = list(np.geomspace(1e-3, 60.0, 200))
-    want = [tail_rule_from_16(r, n) for r in ratios]
-    for j in np.flatnonzero(np.array(want[1:]) != np.array(want[:-1])):
-        lo, hi = ratios[j], ratios[j + 1]
-        while hi - lo > 1e-12 * hi:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if tail_rule_from_16(mid, n) == want[j] else (lo, mid)
-        ratios += [lo, hi]
-    want = dict(zip(ratios, map(lambda r: tail_rule_from_16(r, n), ratios)))
-    for order in (sorted(ratios), sorted(ratios, reverse=True), list(np.random.default_rng(n).permutation(ratios))):
-        kernel_smoother._tail_known.cache_clear()
-        try:
-            for r in order:
-                found = kernel_smoother._accepted_nodes(r, n)
-                assert (None if found is None else found[0]) == want[r], (r, order[:2])
-                if found is not None:
-                    np.testing.assert_array_equal(found[1], kernel_smoother._node_kernel(found[0], r))
-        finally:
-            kernel_smoother._tail_known.cache_clear()
+def test_node_limits_increase_with_the_count_and_pass_the_tail_rule():
+    """Each limit is a ratio that passes the tail rule at its count, and a
+    larger count serves a strictly wider column. Outside the band where
+    rounding decides, the limits split the ratios as the rule does: it
+    passes 0.1 below each limit and fails 0.1 above it."""
+    limits = [kernel_smoother._node_limit(p) for p in NODE_COUNTS]
+    assert all(a < b for a, b in zip(limits, limits[1:])), limits
+    for p, limit in zip(NODE_COUNTS, limits):
+        assert passes_tail_rule(p, limit), (p, limit)
+        assert passes_tail_rule(p, limit - 0.1) and not passes_tail_rule(p, limit + 0.1)
+    # the TAIL_RATIOS comment
+    assert limits == pytest.approx([0.47, 2.4, 6.8, 15.4, 31.8, 63.8, 128.0], rel=0.02)
 
 
 def test_gaussian_calibration_holds_no_n_by_n_array():

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ibrsmooth import SelectionPlan, SmootherConfig, fit, load_model, save_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fitted_model(family="kernel", seed=0):
@@ -63,6 +69,54 @@ def test_grid_route_predictions_survive_bit_exact(tmp_path):
     # a fresh load agrees with the fitted model that has built its tables
     for rows in (x[:400], x[:10]):
         assert np.array_equal(load_model(path).predict(rows), result.predict(rows))
+
+
+# run with the model file's path: "fit" fits a column at a span just
+# inside p = 16 nodes' limit after one at a span where the tail rule flips
+# with rounding, saves the second fit and its predictions; "load" loads that
+# model and predicts the same rows
+FLICKER_WORKFLOW = """
+import sys
+
+import numpy as np
+
+import ibrsmooth as ib
+
+mode, path = sys.argv[1:]
+rng = np.random.default_rng(5)
+x = rng.uniform(size=1500)
+x[:2] = 0.0, 1.0
+y = np.sin(6 * x) + rng.normal(0, 0.1, 1500)
+x_new = rng.uniform(size=2000)
+if mode == "fit":
+    for ratio in (0.4731355, 0.473141):
+        result = ib.fit(x, y, smoother=ib.SmootherConfig(bandwidths=(0.5 / ratio,)))
+    ib.save_model(result, path)
+    model = result
+else:
+    model = ib.load_model(path)
+pred = model.predict(x_new)
+np.save(f"{path}.{mode}.npy", pred)
+print(model.predictor._tables.sizes)
+"""
+
+
+def test_a_fresh_process_predicts_with_the_fitting_process_nodes(tmp_path):
+    """The nodes are a function of the design and the bandwidths: a fit made
+    after another one whose span sits where the tail rule flips, loaded in a
+    fresh interpreter, takes the same 16 nodes and gives the same bits."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    path = str(tmp_path / "model.json")
+    sizes = []
+    for mode in ("fit", "load"):
+        done = subprocess.run(
+            [sys.executable, "-c", FLICKER_WORKFLOW, mode, path],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        sizes.append(done.stdout.strip())
+    assert sizes == ["(16,)", "(16,)"]
+    assert np.array_equal(np.load(f"{path}.fit.npy"), np.load(f"{path}.load.npy"))
 
 
 @pytest.mark.parametrize("family", ["kernel", "tps"])

@@ -18,7 +18,10 @@ the same power rows. The numeric
 search scores a log grid of counts in one call and then solves slope = 0
 only in the grid cells where the slope changes sign, where a kink (the map
 loss has one wherever a held-out error changes sign) may hide a minimum, or
-where a cubic Hermite through the cell's ends dips below both.
+where a cubic Hermite through the cell's ends dips below both. It runs
+breadth-first, in rounds: each round scores the counts of every live cell
+in one call and splits each cell at its new points into the next round's
+cells.
 """
 
 from __future__ import annotations
@@ -191,6 +194,8 @@ class SelectionPlan:
         if self.mode == "fixed":
             if self.fixed_k is None or not 1 <= self.fixed_k < math.inf:
                 raise ValueError(f"fixed mode needs a finite fixed_k >= 1, got {self.fixed_k}")
+        elif self.fixed_k is not None:
+            raise ValueError(f"fixed_k = {self.fixed_k} is read only with mode='fixed', got mode {self.mode!r}")
         if not 1.0 <= self.kmin < self.kmax:
             raise ValueError(
                 f"need 1 <= kmin < kmax, got kmin={self.kmin}, kmax={self.kmax}"
@@ -293,64 +298,44 @@ def _hermite_dip(a, b) -> list[float]:
     return [math.exp(ta + v * h) for v in (u, turn) if 0.0 < v < 1.0]
 
 
-def _score(ks: list[float]):
-    """Send a round's counts out of a search generator and take their points
-    (k, value, slope, kinks) back: ``points = yield from _score(ks)``."""
-    rows = yield ks
-    return [(k, *row) for k, row in zip(ks, rows)]
-
-
-def _close(lo, hi):
-    """Close a bracket of a local minimum, as a generator: the points lo and
-    hi, each (k, value, slope, kinks), have slopes below and above 0. It
-    yields each round's counts, is sent their (value, slope, kinks) rows and
-    returns the points it scored.
+def _close(lo, hi, halved: bool) -> list[float]:
+    """The counts a round scores inside a bracket of a local minimum: the
+    points lo and hi, each (k, value, slope, kinks), have slopes below and
+    above 0, and ``halved`` says whether the round that made the bracket
+    halved its parent in t = log k (a fresh bracket counts as halved).
 
     A round scores the minimum of the cubic Hermite through the ends
     (:func:`_hermite`), for a smooth minimum, the count where the
     tangents at the ends cross and the bracket's :func:`_kink_probes`, for
     a kink (the map loss has one wherever a held-out error changes sign),
-    and the bracket's midpoint in t = log k after a round that did not
-    halve it. While the bracket is wider than 2 ``_K_TOL`` in k, no count
-    comes within ``_K_TOL`` of its ends, so a minimum that one end has all
-    but reached gets a count on its other side, as in Brent's zeroin
-    (1973, ch. 4). The bracket then shrinks to the first pair of
+    and the bracket's midpoint in t after a round that did not halve it.
+    While the bracket is wider than 2 ``_K_TOL`` in k, no count comes
+    within ``_K_TOL`` of its ends, so a minimum that one end has all but
+    reached gets a count on its other side, as in Brent's zeroin (1973,
+    ch. 4). :func:`minimize_by_slope` then goes on with the first pair of
     neighbouring points whose slope turns from negative to positive.
 
     Where the score is convex on the bracket, the larger tangent bounds it
-    from below, least where the tangents cross. The search stops once the
+    from below, least where the tangents cross. No count is scored once the
     bracket is at most 2 ``_K_TOL`` wide and the better end stands within
     ``_BOUND_MARGIN`` (relative to max(1, |end|)) of that bound, at a zero
     or non-finite slope, or once no count lies strictly inside the bracket.
     """
-    scored = []
-    halved = True
-    while True:
-        (kl, vl, gl, _), (kr, vr, gr, _) = lo, hi
-        tl, tr = math.log(kl), math.log(kr)
-        tx = min(max((vr - vl + gl * tl - gr * tr) / (gl - gr), tl), tr)
-        floor = max(vl + gl * (tx - tl), vr + gr * (tx - tr))
-        best = min(vl, vr)
-        if kr - kl <= 2.0 * _K_TOL and best - floor <= _BOUND_MARGIN * max(1.0, abs(best)):
-            return scored
-        trials = [math.exp(tx)]
-        if (u := _hermite(lo, hi)[3]) is not None:
-            trials.append(math.exp(tl + u * (tr - tl)))
-        if not halved:
-            trials.append(math.exp(0.5 * (tl + tr)))
-        if kr - kl > 2.0 * _K_TOL:
-            trials = [min(max(k, kl + _K_TOL), kr - _K_TOL) for k in trials]
-        ks = sorted({k for k in trials + _kink_probes(lo, hi) if kl < k < kr})
-        if not ks:
-            return scored
-        new = yield from _score(ks)
-        scored += new
-        points = [lo, *new, hi]
-        pairs = [(a, b) for a, b in zip(points[:-1], points[1:]) if a[2] < 0.0 < b[2]]
-        if not pairs:
-            return scored
-        lo, hi = pairs[0]
-        halved = math.log(hi[0] / lo[0]) <= 0.5 * (tr - tl)
+    (kl, vl, gl, _), (kr, vr, gr, _) = lo, hi
+    tl, tr = math.log(kl), math.log(kr)
+    tx = min(max((vr - vl + gl * tl - gr * tr) / (gl - gr), tl), tr)
+    floor = max(vl + gl * (tx - tl), vr + gr * (tx - tr))
+    best = min(vl, vr)
+    if kr - kl <= 2.0 * _K_TOL and best - floor <= _BOUND_MARGIN * max(1.0, abs(best)):
+        return []
+    trials = [math.exp(tx)]
+    if (u := _hermite(lo, hi)[3]) is not None:
+        trials.append(math.exp(tl + u * (tr - tl)))
+    if not halved:
+        trials.append(math.exp(0.5 * (tl + tr)))
+    if kr - kl > 2.0 * _K_TOL:
+        trials = [min(max(k, kl + _K_TOL), kr - _K_TOL) for k in trials]
+    return sorted({k for k in trials + _kink_probes(lo, hi) if kl < k < kr})
 
 
 def _kink_probes(a, b) -> list[float]:
@@ -390,57 +375,61 @@ def _kink_probes(a, b) -> list[float]:
     return sorted({k for k in map(math.exp, zeros) if a[0] < k < b[0]})
 
 
-def _cell_search(lo, hi):
-    """Search one grid cell [lo, hi] for minima, as a generator: it yields
-    each round's counts, is sent their (value, slope, kinks) rows and returns
-    the points (k, value, slope, kinks) it scored.
+def _is_bracket(a, b) -> bool:
+    """Whether the points a and b score finite values and slopes that turn
+    from negative to positive between them."""
+    return a[2] < 0.0 < b[2] and all(map(math.isfinite, (a[1], a[2], b[1], b[2])))
 
-    A cell whose slope goes from negative to positive is closed by
-    :func:`_close`. Any other cell is scored where a kink may hide a minimum
+
+def _cell_counts(a, b, halved: bool) -> list[float]:
+    """The counts a live cell [a, b] scores in the next round, none once it
+    is done.
+
+    A bracket (:func:`_is_bracket`) takes a round of :func:`_close`. Any
+    other cell is scored where a kink may hide a minimum
     (:func:`_kink_probes`) or, if it has none and is wider than 2
     ``_K_TOL``, where its cubic Hermite dips below both ends
     (:func:`_hermite_dip`), a smooth minimum the slopes at its ends do not
     show. A cell with one end that scores no finite value or slope (past a
     guard's cap) is halved in log k while it is wider than 2 ``_K_TOL`` and
     its finite end falls towards the other, to reach the edge of the
-    finite stretch. Every count scored splits its cell, and the pieces are
-    cells again, so a search that closed on one local minimum still leaves
-    the others to be found.
+    finite stretch.
     """
-    scored = []
-    cells = [(lo, hi)]
-    while cells:
-        a, b = cells.pop()
-        finite_a, finite_b = (all(map(math.isfinite, p[1:3])) for p in (a, b))
-        wide = b[0] - a[0] > 2.0 * _K_TOL
-        if finite_a != finite_b:
-            if not (wide and (a[2] < 0.0 if finite_a else b[2] > 0.0)):
-                continue
-            new = yield from _score([math.sqrt(a[0] * b[0])])
-        elif not finite_a:
-            continue
-        elif a[2] < 0.0 < b[2]:
-            new = yield from _close(a, b)
-        elif ks := _kink_probes(a, b):
-            new = yield from _score(ks)
-        elif wide and (ks := _hermite_dip(a, b)):
-            new = yield from _score(ks)
-        else:
-            continue
-        if not new:
-            continue
-        scored += new
-        ends = [a, *sorted(new, key=lambda p: p[0]), b]
-        # the leftmost piece is searched first
-        cells += reversed(list(zip(ends[:-1], ends[1:])))
-    return scored
+    if _is_bracket(a, b):
+        return _close(a, b, halved)
+    finite_a, finite_b = (all(map(math.isfinite, p[1:3])) for p in (a, b))
+    wide = b[0] - a[0] > 2.0 * _K_TOL
+    if finite_a != finite_b:
+        falls = a[2] < 0.0 if finite_a else b[2] > 0.0
+        return [math.sqrt(a[0] * b[0])] if wide and falls else []
+    if not finite_a:
+        return []
+    return _kink_probes(a, b) or (_hermite_dip(a, b) if wide else [])
 
 
-def _rows(scored) -> list[tuple]:
-    """(value, slope, kinks) rows of an objective's (values, slopes, kinks)."""
-    values, slopes, kinks = scored
-    per_count = [None] * values.size if kinks is None else zip(*kinks)
-    return list(zip(values.tolist(), slopes.tolist(), per_count))
+def _split(a, b, new: list[tuple]) -> list[tuple]:
+    """The live cells (left point, right point, halved) that the cell [a, b]
+    leaves once the points ``new`` inside it are scored: one per piece
+    between neighbouring points. A bracket goes on as its first piece whose
+    slope turns from negative to positive, halved when that piece spans at
+    most half of [a, b] in t = log k; every other piece starts fresh."""
+    ends = [a, *sorted(new, key=lambda p: p[0]), b]
+    cells = [(p, q, True) for p, q in zip(ends[:-1], ends[1:])]
+    if _is_bracket(a, b):
+        span = math.log(b[0]) - math.log(a[0])
+        for i, (p, q, _) in enumerate(cells):
+            if p[2] < 0.0 < q[2]:
+                cells[i] = (p, q, math.log(q[0] / p[0]) <= 0.5 * span)
+                break
+    return cells
+
+
+def _points(objective, ks: np.ndarray) -> list[tuple]:
+    """The points (k, value, slope, kinks) of the counts ks, scored in one
+    call of an objective that returns (values, slopes, kinks)."""
+    values, slopes, kinks = objective(ks)
+    per_count = [None] * ks.size if kinks is None else zip(*kinks)
+    return list(zip(ks.tolist(), values.tolist(), slopes.tolist(), per_count))
 
 
 def minimize_by_slope(objective, lo: float, hi: float) -> tuple[float, float]:
@@ -451,41 +440,31 @@ def minimize_by_slope(objective, lo: float, hi: float) -> tuple[float, float]:
     kinks: None, or a pair of arrays (e, e') with one row per count, smooth
     pieces whose sign changes put kinks in the value and their slopes
     (:func:`_kink_probes`). One call scores the grid of
-    :func:`_search_grid`; each cell between neighbouring grid counts is
-    then searched by :func:`_cell_search`, which scores counts only where
-    the slope changes sign from negative to positive, where a kink may hide
-    a minimum or where a cubic Hermite through the cell's ends hints at a
-    hidden one. The cell searches advance in lockstep: each round scores
-    the counts every live search asks for in one call, so a search makes as
-    many calls as its longest cell search, and one where the score is
-    monotone between grid counts. Every count scored is a candidate, the
-    smallest k winning ties. In :func:`search_k`, [lo, hi] is the
-    admissible range of :func:`_admissible_range`: the criterion score's
-    guards cap hi at the df ceiling and RSS floor, while the CV score
-    applies no guard and runs to ``kmax``, so a CV-selected k may carry
-    more df than a criterion search would admit.
+    :func:`_search_grid`, and each cell between neighbouring grid counts is
+    a live cell. Then each round asks every live cell for its counts
+    (:func:`_cell_counts`), which it has only where the slope changes sign
+    from negative to positive, where a kink may hide a minimum or where a
+    cubic Hermite through the cell's ends hints at a hidden one, scores
+    them all in one call and splits each cell at its new points
+    (:func:`_split`); the pieces are the next round's live cells, so a
+    search that closed on one local minimum still leaves the others to be
+    found. A search makes 1 call plus one per round of its deepest chain
+    of rounds, and one call where the score is monotone between grid
+    counts. Every count scored is a candidate, the smallest k winning ties.
+    In :func:`search_k`, [lo, hi] is the admissible range of
+    :func:`_admissible_range`: the criterion score's guards cap hi at the
+    df ceiling and RSS floor, while the CV score applies no guard and runs
+    to ``kmax``, so a CV-selected k may carry more df than a criterion
+    search would admit.
     """
-    grid = _search_grid(lo, hi)
-    points = [(k, *row) for k, row in zip(grid.tolist(), _rows(objective(grid)))]
+    points = _points(objective, _search_grid(lo, hi))
     candidates = list(points)
-    # the counts each live search asks for
-    asked = {}
-    for a, b in zip(points[:-1], points[1:]):
-        run = _cell_search(a, b)
-        try:
-            asked[run] = next(run)
-        except StopIteration as stop:
-            candidates += stop.value
-    while asked:
-        counts = [k for ks in asked.values() for k in ks]
-        rows = _rows(objective(np.array(counts)))
-        for run, ks in list(asked.items()):
-            sent, rows = rows[: len(ks)], rows[len(ks) :]
-            try:
-                asked[run] = run.send(sent)
-            except StopIteration as stop:
-                del asked[run]
-                candidates += stop.value
+    cells = [(a, b, True) for a, b in zip(points[:-1], points[1:])]
+    while asked := [(a, b, ks) for a, b, halved in cells if (ks := _cell_counts(a, b, halved))]:
+        new = _points(objective, np.array([k for *_, ks in asked for k in ks]))
+        candidates += new
+        rows = iter(new)
+        cells = [cell for a, b, ks in asked for cell in _split(a, b, [next(rows) for _ in ks])]
     k, value, *_ = min(candidates, key=lambda p: (p[1], p[0]))
     return k, value
 

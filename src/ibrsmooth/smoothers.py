@@ -270,6 +270,8 @@ def _finite_rows(x_new, d: int) -> np.ndarray:
     entry. A 1-D array holds m points of a one-column fit, as ``fit`` reads
     a 1-D x, and one row of any other fit."""
     x_new = np.asarray(x_new, dtype=float)
+    if x_new.ndim > 2:
+        raise ValueError(f"prediction rows must be a 1-D or 2-D array, got shape {x_new.shape}")
     x_new = x_new[:, None] if x_new.ndim == 1 and d == 1 else np.atleast_2d(x_new)
     if not np.isfinite(x_new).all():
         row = int(np.argmin(np.isfinite(x_new).all(axis=1)))

@@ -185,6 +185,29 @@ def test_fit_predictor_is_its_smoothers_predictor(family):
         assert "table" in vars(again._tables)
 
 
+def test_a_spline_with_a_given_lambda_keeps_it():
+    """SmootherConfig.lam builds the spline at that smoothing parameter, with
+    no df calibration."""
+    rng = np.random.default_rng(16)
+    x = rng.uniform(size=(60, 2))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, 60)
+    result = fit(x, y, smoother=SmootherConfig(family="tps", lam=0.0123))
+    assert result.base.spec.lam == 0.0123
+    assert np.isfinite(result.k) and np.isfinite(result.predict(x)).all()
+
+
+def test_a_total_df_target_sets_the_base_df():
+    """dftotal=True tunes one common bandwidth factor until the base
+    smoother's trace hits df."""
+    rng = np.random.default_rng(17)
+    x = rng.uniform(size=(150, 2))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, 150)
+    result = fit(x, y, smoother=SmootherConfig(df=2.5, dftotal=True))
+    assert result.initial_df == pytest.approx(2.5, abs=1e-4)
+    per_column = fit(x, y, smoother=SmootherConfig(df=2.5))
+    assert abs(per_column.initial_df - 2.5) > 1.0
+
+
 def test_smoother_config_validation():
     with pytest.raises(ValueError, match="family"):
         SmootherConfig(family="spline")

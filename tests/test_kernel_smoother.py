@@ -455,6 +455,19 @@ def test_constant_column_cannot_be_calibrated():
         calibrate_bandwidth(np.ones(6), "gaussian", 1.5)
 
 
+def test_total_df_target_and_columns_are_checked():
+    """A total df target must lie in (1, n), and every column must vary; the
+    refusal names the constant columns."""
+    x = np.random.default_rng(8).uniform(size=(20, 3))
+    for target in (1.0, 0.5, 20.0, 25.0):
+        with pytest.raises(ValueError, match=r"total df target must lie in \(1, 20\)"):
+            calibrate_total_df(x, "gaussian", target)
+    x[:, 0] = 2.0
+    x[:, 2] = -1.0
+    with pytest.raises(CalibrationError, match=r"constant columns \['x1', 'x3'\]"):
+        calibrate_total_df(x, "gaussian", 2.0)
+
+
 def test_uniform_kernel_unreachable_target_names_the_fix():
     # a clustered column makes the uniform-kernel trace jump discontinuously
     x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])

@@ -3,8 +3,10 @@
 :func:`~ibrsmooth.selection.minimize_by_slope` scores a log grid of counts
 in one call, then solves slope = 0 in the grid cells where the slope turns
 from negative to positive or a cubic Hermite through the cell's ends dips
-below both, the cell searches advancing together so that each round scores a
-vector of counts in one call. Its answer must be a certified local minimum
+below both. It runs in rounds: each round scores the counts of every live
+cell in one call and splits each cell at its new points, so it scores what
+a search of each cell alone would, in one call per round of the deepest
+chain of splits. Its answer must be a certified local minimum
 and never worse than scipy's bounded Brent (the engine it replaced) run on
 each stretch between breakpoints. A row of a batched score must agree with
 the single-count path quantities, and its slope in log k with a central
@@ -24,6 +26,7 @@ from ibrsmooth import (
     SmootherConfig,
     build_calibrated_tps,
     build_smoother,
+    fit,
     kernel_smoother,
     make_splits,
     search_k_numeric,
@@ -48,17 +51,21 @@ def batched(scalar):
     return objective
 
 
-def drive(run, scalar):
-    """Run one generator search to its end: the counts of each round it asked
-    for and the points it returned."""
-    rounds = []
-    try:
-        ks = next(run)
-        while True:
-            rounds.append(ks)
-            ks = run.send([(*scalar(k), None) for k in ks])
-    except StopIteration as stop:
-        return rounds, stop.value
+def alone(a, b, halved, scalar):
+    """Search the cell [a, b] alone, one piece after another, by the round
+    loop's rules: the points it scores, the depth of its deepest chain of
+    rounds and the number of rounds it takes one piece at a time."""
+    ks = selection._cell_counts(a, b, halved)
+    if not ks:
+        return [], 0, 0
+    new = [(k, *scalar(k), None) for k in ks]
+    found, depth, rounds = list(new), 0, 1
+    for cell in selection._split(a, b, new):
+        more, below, steps = alone(*cell, scalar)
+        found += more
+        depth = max(depth, below)
+        rounds += steps
+    return found, depth + 1, rounds
 
 
 def dip(lo, hi):
@@ -161,7 +168,9 @@ def test_a_stretch_no_wider_than_the_tolerance_is_skipped():
 
 
 def test_lockstep_runs_end_where_sequential_runs_do():
-    """The same evaluated set and the same optimum as one search per cell."""
+    """The round loop scores the same counts, and reaches the same optimum,
+    as a search of each grid cell alone, and makes 1 call plus one per
+    round of its deepest chain of rounds."""
 
     def scalar(k):
         return (
@@ -172,20 +181,22 @@ def test_lockstep_runs_end_where_sequential_runs_do():
     calls = []
 
     def objective(ks):
-        calls.append(ks.size)
+        calls.append(ks.tolist())
         return batched(scalar)(ks)
 
     k, value = selection.minimize_by_slope(objective, 1.0, 2e5)
     grid = selection._search_grid(1.0, 2e5).tolist()
     points = [(c, *scalar(c), None) for c in grid]
-    runs = [drive(selection._cell_search(a, b), scalar) for a, b in zip(points[:-1], points[1:])]
-    candidates = points + [p for _, found in runs for p in found]
-    best = min(candidates, key=lambda p: (p[1], p[0]))
+    runs = [alone(a, b, True, scalar) for a, b in zip(points[:-1], points[1:])]
+    found = [p for scored, *_ in runs for p in scored]
+    best = min(points + found, key=lambda p: (p[1], p[0]))
     assert (k, value) == best[:2]
-    assert sum(calls) == len(grid) + sum(len(ks) for rounds, _ in runs for ks in rounds)
-    # the grid, then one call per round of the longest cell search
-    assert len(calls) == 1 + max(len(rounds) for rounds, _ in runs)
-    assert max(len(rounds) for rounds, _ in runs) > 0
+    assert calls[0] == grid
+    assert sorted(c for ks in calls[1:] for c in ks) == sorted(p[0] for p in found)
+    deepest = max(depth for _, depth, _ in runs)
+    assert deepest > 0 and len(calls) == 1 + deepest
+    # the pieces of a cell share their rounds
+    assert deepest < max(rounds for *_, rounds in runs)
 
 
 def test_a_minimum_the_end_slopes_do_not_show_is_found():
@@ -398,6 +409,24 @@ def test_numeric_search_makes_few_batched_calls(monkeypatch):
         res = search_k_numeric(path, SelectionPlan(criterion=criterion))
         assert 1 <= len(sizes) <= 12
         assert res.trace_k.size == sum(sizes)
+
+
+def test_a_search_to_kmax_1e15_makes_one_call_per_round(monkeypatch):
+    """forward_cv's seed-[1, 1] design, its first column alone, searched to
+    kmax 1e15: about 23000 counts in rounds of every live piece. One cell
+    search after another in lockstep took 11674 score calls to the same k."""
+    rng = np.random.default_rng([1, 1])
+    x = rng.uniform(size=(330, 5))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + x[:, 2] ** 2 + rng.normal(0, 0.1, 330)
+    calls = []
+    for name in ("batch", "batch_slopes"):
+        method = getattr(selection._CriterionScore, name)
+        monkeypatch.setattr(
+            selection._CriterionScore, name, lambda self, ks, method=method: calls.append(len(ks)) or method(self, ks)
+        )
+    result = fit(x[:, :1], y, plan=SelectionPlan(kmax=1e15))
+    assert len(calls) <= 100
+    assert result.k == pytest.approx(5.5694088e7, rel=1e-6)
 
 
 def bounded_brent_best(score, plan):

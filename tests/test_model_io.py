@@ -281,6 +281,19 @@ def test_non_finite_prediction_rows_are_refused(tmp_path, family):
             model.predict([[np.nan, 0.5]])
 
 
+@pytest.mark.parametrize("family", ["kernel", "tps"])
+def test_prediction_rows_of_more_than_two_dimensions_are_refused(tmp_path, family):
+    """A (5, 1, 2) array failed deep inside numpy, a broadcast error for a
+    kernel fit and a matmul one for a spline; it is refused by shape."""
+    _, result = fitted_model(family)
+    path = tmp_path / "model.json"
+    save_model(result, path)
+    x_new = np.random.default_rng(7).uniform(0, 3, size=(5, 1, 2))
+    for model in (result, load_model(path)):
+        with pytest.raises(ValueError, match=r"1-D or 2-D array, got shape \(5, 1, 2\)"):
+            model.predict(x_new)
+
+
 def test_fixed_k_model_loads_with_nan_criterion(tmp_path):
     x, result = fitted_model()
     plan = SelectionPlan(mode="fixed", fixed_k=5)

@@ -165,6 +165,14 @@ def test_plan_validation():
             SelectionPlan(dfmaxi=dfmaxi)
 
 
+@pytest.mark.parametrize("mode", ["numeric", "exhaustive"])
+def test_fixed_k_outside_fixed_mode_is_refused(mode):
+    """Another mode would ignore fixed_k: the numeric search ran to k = 1e5
+    on a 200-row fit, the exhaustive one to kmax."""
+    with pytest.raises(ValueError, match=f"fixed_k = 5 is read only with mode='fixed', got mode '{mode}'"):
+        SelectionPlan(mode=mode, fixed_k=5)
+
+
 def test_small_kmax_limits_the_search():
     sm, y = smooth_problem(17)
     path = KPath(sm.spectral(), y)

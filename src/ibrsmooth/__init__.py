@@ -22,7 +22,7 @@ from .kernel_smoother import (
 )
 from .kernels import kernel_values
 from .model_io import LoadedModel, load_model, save_model
-from .report import FitReport, format_report, make_report
+from .report import format_report
 from .selection import (
     BreakdownError,
     SelectionPlan,
@@ -50,7 +50,6 @@ __all__ = [
     "CvPlan",
     "Dataset",
     "DesignMatrix",
-    "FitReport",
     "ForwardResult",
     "ForwardStageError",
     "IbrFit",
@@ -81,7 +80,6 @@ __all__ = [
     "kernel_values",
     "load_csv",
     "load_model",
-    "make_report",
     "make_splits",
     "save_model",
     "search_k_cv",

@@ -80,14 +80,10 @@ def interior_grid(ngrid: int = 50) -> np.ndarray:
 
 @dataclass
 class WendelbergerRun:
-    """Outcome of one synthetic-surface fit."""
+    """Outcome of one synthetic-surface fit: its seed, the fit, and the mean
+    absolute error of the fit's predictions against the true surface."""
 
     seed: int
-    k: float
-    initial_df: float
-    final_df: float
-    criterion: str
-    criterion_value: float
     mae: float
     fit: IbrFit
 
@@ -107,16 +103,7 @@ def run_wendelberger(
     grid = interior_grid(ngrid)
     truth = wendelberger(grid[:, 0], grid[:, 1])
     mae = float(np.mean(np.abs(result.predict(grid) - truth)))
-    return WendelbergerRun(
-        seed=seed,
-        k=result.k,
-        initial_df=result.initial_df,
-        final_df=result.final_df,
-        criterion=result.criterion,
-        criterion_value=result.criterion_value,
-        mae=mae,
-        fit=result,
-    )
+    return WendelbergerRun(seed=seed, mae=mae, fit=result)
 
 
 # expected layout of the converted ozone table: response first

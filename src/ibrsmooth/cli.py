@@ -22,7 +22,7 @@ from .data import load_csv, split_response, write_predictions
 from .fitting import SmootherConfig, fit
 from .forward import forward_select
 from .model_io import load_model, save_model
-from .report import format_report, make_report
+from .report import format_report
 from .selection import CRITERIA, CV_LOSSES, SelectionPlan
 from .surface import write_surface
 
@@ -114,7 +114,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     data = load_csv(args.data)
     y, design, response = split_response(data, args.response)
     result = fit(design, y, smoother=_smoother_config(args), plan=_selection_plan(args))
-    print(format_report(make_report(result)))
+    print(format_report(result))
     if args.out:
         save_model(result, args.out, response=response)
         print(f"\nModel written to {args.out}")
@@ -124,17 +124,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     data = load_csv(args.data)
-    if data.names == model.names:
-        x = data.values
-    else:
-        missing = [n for n in model.names if n not in data.names]
-        if missing:
-            raise ValueError(
-                f"prediction input lacks the training columns {missing}"
-            )
-        cols = [data.names.index(n) for n in model.names]
-        x = data.values[:, cols]
-    preds = model.predict(x)
+    missing = [n for n in model.names if n not in data.names]
+    if missing:
+        raise ValueError(f"prediction input lacks the training columns {missing}")
+    preds = model.predict(data.values[:, [data.names.index(n) for n in model.names]])
     write_predictions(args.out, preds)
     print(f"{preds.size} predictions written to {args.out}")
     return 0
@@ -185,12 +178,12 @@ def cmd_bench_wendelberger(args: argparse.Namespace) -> int:
         rows.append(run)
         print(
             f"seed {seed:3d}: k = {run.fit.k_rounded:5d}  "
-            f"initial df = {run.initial_df:.4g}  final df = {run.final_df:.4g}  "
-            f"{run.criterion} = {run.criterion_value:.4g}  mae = {run.mae:.6f}"
+            f"initial df = {run.fit.initial_df:.4g}  final df = {run.fit.final_df:.4g}  "
+            f"{run.fit.criterion} = {run.fit.criterion_value:.4g}  mae = {run.mae:.6f}"
         )
     if len(rows) > 1:
         maes = np.asarray([r.mae for r in rows])
-        ks = np.asarray([r.k for r in rows])
+        ks = np.asarray([r.fit.k for r in rows])
         print(
             f"over {len(rows)} seeds: k in [{ks.min():.0f}, {ks.max():.0f}], "
             f"mae mean {maes.mean():.6f} (min {maes.min():.6f}, max {maes.max():.6f})"
@@ -222,7 +215,7 @@ def cmd_bench_ozone(args: argparse.Namespace) -> int:
     plan = _selection_plan(args)
     result = fit(x, y, smoother=smoother, plan=plan, names=list(data.names[1:]))
     print("Full-data fit:")
-    print(format_report(make_report(result)))
+    print(format_report(result))
     if args.repeats > 0:
         splits = run_ozone_splits(
             data, repeats=args.repeats, seed=args.seed, smoother=smoother, plan=plan

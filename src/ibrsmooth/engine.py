@@ -60,8 +60,8 @@ class KPath:
     takes its power recurrence, any other vector C ``pow``. df, rss and the
     fitted energy have one set of formulas on those rows (:meth:`_stats`,
     served by :meth:`batch_stats`) and the coefficient factors one
-    (:meth:`batch_coef_factors`); :meth:`stats`, :meth:`coef_factors` and
-    :meth:`weights` take the one row of a single count.
+    (:meth:`batch_coef_factors`); :meth:`stats`, :meth:`weights` and
+    :meth:`coefficients` take the one row of a single count.
     :meth:`batch_stat_slopes` and :meth:`batch_coef_factor_slopes` pair
     each with its derivatives in t = log k, formed from the same rows:
     d(1 - lambda)^k / dt = k log(1 - lambda) (1 - lambda)^k, with
@@ -300,12 +300,8 @@ class KPath:
             out[:, small] = k * (1.0 - 0.5 * (k - 1.0) * self.lam[small])
         return out
 
-    def coef_factors(self, k: float) -> np.ndarray:
-        """The one row of :meth:`batch_coef_factors` at count k."""
-        return self.batch_coef_factors([k])[0]
-
     def coefficients(self, k: float) -> np.ndarray:
-        return self._g_dot(self.coef_factors(k) * self.z)
+        return self._g_dot(self.batch_coef_factors([k])[0] * self.z)
 
 
 def iterate_fitted_recursive(smoother, y: np.ndarray, k: int) -> np.ndarray:

@@ -280,7 +280,7 @@ def _kernel_average(x_new, weights: _KernelRows, beta, labels=None) -> np.ndarra
 class NodeTables:
     """A Gaussian kernel average tabulated at a fit's own Chebyshev nodes.
 
-    With the fit's node kernels K_cj (:func:`_column_nodes`),
+    With the fit's node kernels K_cj (:func:`_accepted_nodes`),
     K ~ H (K_c1 x ... x K_cd) H' to rounding, H the Khatri-Rao product of
     the interpolation matrices. The tables T = (K_c1 x ... x K_cd) H'
     [beta, 1], built on first use in O(n prod p_j), give a row u near the
@@ -538,7 +538,7 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     if not np.all(np.isfinite(ratios)):
         return None
     nodes, weight = [], np.ones(1)
-    for found in _column_nodes(ratios, n):
+    for found in (_accepted_nodes(ratio, n) for ratio in ratios):
         if found is None:
             return None
         sig, v = np.linalg.eigh(found[1])
@@ -558,25 +558,11 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     return sums, _KhatriRaoFactor(blocks, np.nonzero(weight.reshape(weight.shape[1:]) > _EPS))
 
 
-def _column_nodes(ratios, n: int):
-    """Per column, with ``ratios`` its half range over its bandwidth, the
-    Chebyshev node count p_j and node kernel K_cj of a Gaussian factor over
-    n rows (:func:`_accepted_nodes`), or None where no p_j passes. A
-    constant column (ratio 0), which scales every entry by K(0), is one
-    node, K_c = 1: exact, and the factor's P does not grow. Yielded a
-    column at a time, so a caller may stop before the rest are found."""
-    for ratio in ratios:
-        if ratio == 0.0:
-            yield 1, np.ones((1, 1))
-        else:
-            yield _accepted_nodes(ratio, n)
-
-
 def _affordable_nodes(ratios, n: int):
-    """The (p_j, K_cj) of every column (:func:`_column_nodes`), or None at
+    """The (p_j, K_cj) of every column (:func:`_accepted_nodes`), or None at
     the first column with none or that takes prod p_j past n (cost rule)."""
     nodes, size = [], 1
-    for found in _column_nodes(ratios, n):
+    for found in (_accepted_nodes(ratio, n) for ratio in ratios):
         if found is None or found[0] * size > n:
             return None
         nodes.append(found)
@@ -825,11 +811,15 @@ def _accepted_nodes(ratio: float, n: int):
     ``ratio`` bandwidths per half range that is exact to rounding: the
     smallest p = ``_FACTOR_NODES`` 2^j with ratio <= :func:`_node_limit` (p),
     with its node kernel. Returns (p, node kernel), or None once
-    ``_FACTOR_GATE`` * p exceeds n, where the exact form is as cheap. The
-    answer depends on the ratio and n alone, so a calibration, a fit's
-    factor and a loaded model's tables find the same nodes whatever the
-    process did before.
+    ``_FACTOR_GATE`` * p exceeds n, where the exact form is as cheap. A
+    constant column (ratio 0), which scales every entry by K(0), is one
+    node, K_c = 1: exact, and a factor's P does not grow. The answer
+    depends on the ratio and n alone, so a calibration, a fit's factor and
+    a loaded model's tables find the same nodes whatever the process did
+    before.
     """
+    if ratio == 0.0:
+        return 1, np.ones((1, 1))
     p = _FACTOR_NODES
     while _FACTOR_GATE * p <= n:
         if ratio <= _node_limit(p):

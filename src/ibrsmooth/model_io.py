@@ -1,9 +1,10 @@
 """Save and load fitted models.
 
-The file is JSON: versioned, self-describing, and small (the training
-design plus one coefficient vector per family, never an n x n matrix).
-Floats go through repr round-tripping, so a loaded model predicts
-bit-for-bit like the in-memory fit on the same platform.
+The file is strict JSON (RFC 8259: a NaN scalar is written as null):
+versioned, self-describing, and small (the training design plus one
+coefficient vector per family, never an n x n matrix). Floats go through
+repr round-tripping, so a loaded model predicts bit-for-bit like the
+in-memory fit on the same platform.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ def _floats(arr: np.ndarray) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
+def _scalar(value: float) -> float | None:
+    """A finite float, or None (JSON null, which strict parsers accept
+    where they refuse a bare NaN token) for NaN or infinity."""
+    value = float(value)
+    return value if np.isfinite(value) else None
+
+
 def save_model(fit: IbrFit, path: str | Path, response: str = "y") -> None:
     pred = fit.predictor
     if isinstance(pred, KernelPredictor):
@@ -70,16 +78,16 @@ def save_model(fit: IbrFit, path: str | Path, response: str = "y") -> None:
         "response": response,
         # the predictor's own copy: fit.design.x may be the caller's array
         "x_train": [_floats(row) for row in pred.x_train],
-        "k": float(fit.k),
-        "initial_df": float(fit.initial_df),
-        "final_df": float(fit.final_df),
-        "sigma": float(fit.sigma),
+        "k": _scalar(fit.k),
+        "initial_df": _scalar(fit.initial_df),
+        "final_df": _scalar(fit.final_df),
+        "sigma": _scalar(fit.sigma),
         "criterion": fit.criterion,
-        "criterion_value": float(fit.criterion_value),
+        "criterion_value": _scalar(fit.criterion_value),
         "base_description": fit.base.describe(),
         "smoother": family,
     }
-    Path(path).write_text(json.dumps(payload))
+    Path(path).write_text(json.dumps(payload, allow_nan=False))
 
 
 class _Fields:
@@ -100,7 +108,9 @@ class _Fields:
         return value
 
     def number(self, key: str) -> float:
-        """A float, NaN allowed: fixed-k fits save a NaN sigma and criterion."""
+        """A float, NaN for null: a fixed-k fit saves a null criterion value,
+        and a fit with final df >= n a null sigma. A bare NaN token, which
+        earlier files hold, reads as NaN too."""
         return float(self._numeric(key, ()))
 
     def integer(self, key: str) -> int:

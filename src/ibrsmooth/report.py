@@ -2,54 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fitting import IbrFit
 
-__all__ = ["FitReport", "make_report", "format_report"]
-
-
-@dataclass
-class FitReport:
-    """Numbers shown by the fit summary."""
-
-    five_numbers: tuple[float, float, float, float, float]
-    sigma: float
-    residual_df: float
-    initial_df: float
-    final_df: float
-    criterion: str
-    criterion_value: float
-    k: int
-    selection_mode: str
-    base_description: str
-    n: int
-    # eigenpairs the fit ran on and the bound on the discarded eigenvalues
-    spectrum_rank: int
-    tail_trace: float
-
-
-def make_report(fit: IbrFit) -> FitReport:
-    spectral = fit.base.spectral()
-    r = fit.residuals
-    q = np.percentile(r, [0, 25, 50, 75, 100])
-    return FitReport(
-        five_numbers=tuple(float(v) for v in q),
-        sigma=fit.sigma,
-        residual_df=fit.residual_df,
-        initial_df=fit.initial_df,
-        final_df=fit.final_df,
-        criterion=fit.criterion,
-        criterion_value=fit.criterion_value,
-        k=fit.k_rounded,
-        selection_mode=fit.selection_mode,
-        base_description=fit.base.describe(),
-        n=fit.n,
-        spectrum_rank=spectral.rank,
-        tail_trace=spectral.tail_trace,
-    )
+__all__ = ["format_report"]
 
 
 def _sig(v: float, digits: int = 4) -> str:
@@ -58,36 +15,40 @@ def _sig(v: float, digits: int = 4) -> str:
     return f"{v:.{digits}g}"
 
 
-def format_report(rep: FitReport) -> str:
+def format_report(fit: IbrFit) -> str:
+    """The fit summary: residual quantiles, residual standard error, initial
+    and final df, the criterion and k, and the base smoother with the
+    eigenpairs the fit ran on and the bound on the discarded eigenvalues."""
+    spectral = fit.base.spectral()
     labels = ("Min", "1Q", "Median", "3Q", "Max")
-    cells = [f"{v:.6g}" for v in rep.five_numbers]
+    cells = [f"{float(v):.6g}" for v in np.percentile(fit.residuals, [0, 25, 50, 75, 100])]
     width = max(len(s) for s in cells + list(labels)) + 2
     lines = [
         "Residuals:",
         "".join(f"{lab:>{width}}" for lab in labels),
         "".join(f"{c:>{width}}" for c in cells),
         (
-            f"Residual standard error: {_sig(rep.sigma)} on "
-            f"{_sig(rep.residual_df)} degrees of freedom"
+            f"Residual standard error: {_sig(fit.sigma)} on "
+            f"{_sig(fit.residual_df)} degrees of freedom"
         ),
         "",
-        f"Initial df: {_sig(rep.initial_df)} ; Final df: {_sig(rep.final_df)}",
+        f"Initial df: {_sig(fit.initial_df)} ; Final df: {_sig(fit.final_df)}",
     ]
-    if rep.selection_mode == "fixed":
+    if fit.selection_mode == "fixed":
         lines += [
             "",
-            f"Number of iterations: {rep.k} (fixed by the caller)",
+            f"Number of iterations: {fit.k_rounded} (fixed by the caller)",
         ]
     else:
         lines += [
-            f"  {rep.criterion}",
-            f"{_sig(rep.criterion_value)}",
+            f"  {fit.criterion}",
+            f"{_sig(fit.criterion_value)}",
             "",
-            f"Number of iterations: {rep.k} chosen by {rep.criterion}"
-            + (" (exhaustive search)" if rep.selection_mode == "exhaustive" else ""),
+            f"Number of iterations: {fit.k_rounded} chosen by {fit.criterion}"
+            + (" (exhaustive search)" if fit.selection_mode == "exhaustive" else ""),
         ]
     lines.append(
-        f"Base smoother: {rep.base_description}; spectrum: {rep.spectrum_rank} "
-        f"of {rep.n} eigenpairs, tail trace <= {rep.tail_trace:.2g}"
+        f"Base smoother: {fit.base.describe()}; spectrum: {spectral.rank} "
+        f"of {fit.n} eigenpairs, tail trace <= {spectral.tail_trace:.2g}"
     )
     return "\n".join(lines)

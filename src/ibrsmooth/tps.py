@@ -7,7 +7,8 @@ The penalized fit solves the saddle system
 where E holds the radial basis eta(|x_i - x_j|) and T the polynomials of
 total degree below the spline order. Smoothness is controlled through lam,
 which is calibrated so the smoother trace equals a small multiple of the
-polynomial null-space dimension.
+polynomial null-space dimension. A fit and a loaded model evaluate the
+spline through one evaluator, :meth:`TpsPredictor.predict`.
 
 Only the spline loads scipy, and only on first use: its LAPACK routines
 (the tridiagonal reduction and eigensolver, the reduction's reflector
@@ -50,7 +51,6 @@ __all__ = [
     "TpsSmoother",
     "build_calibrated_tps",
     "default_tps_order",
-    "tps_evaluate",
     "tps_null_dim",
     "tps_powers",
 ]
@@ -173,32 +173,20 @@ def _radial_blocks(a, b, order: int, scale: float = 1.0, out=None, distinct: boo
     return _pairwise_blocks(a, b, fill, out)
 
 
-def tps_evaluate(x_new, x_train: np.ndarray, order: int, powers, a, b) -> np.ndarray:
-    """eta(|x - x_i|)' a + p(x)' b at every row x of x_new.
-
-    ``a`` has one row per training point x_i and ``b`` one per monomial of
-    ``powers``, each with one column per evaluated function or none: the
-    pair :meth:`TpsSmoother.prediction_parts` solves for a coefficient
-    vector or block. The radial part is added a block of rows at a time
-    (:func:`_radial_blocks`), so a call holds no rows x n array, with kappa
-    folded into ``a``. ``x_new`` is read as the predictors read it: a 1-D
-    array holds points of a one-column design, and a non-finite entry is
-    refused.
-    """
-    d = x_train.shape[1]
-    x_new = _finite_rows(x_new, d)
-    pred = _poly_block(x_new, powers) @ b
-    a = _radial_constant(order, d) * a
-    for rows, block in _radial_blocks(x_new, x_train, order):
-        pred[rows] += block @ a
-    return pred
-
-
 @dataclass
 class TpsPredictor:
-    """A thin plate spline's evaluator: the radial plus the polynomial part
-    (:func:`tps_evaluate`) of the pair :meth:`TpsSmoother.prediction_parts`
-    solves for a coefficient vector or block."""
+    """A thin plate spline's evaluator: eta(|x - x_i|)' delta + p(x)'
+    poly_coef at every row x, for the pair :meth:`TpsSmoother.prediction_parts`
+    solves for a coefficient vector or block.
+
+    ``delta`` has one row per training point x_i and ``poly_coef`` one per
+    monomial of ``powers``, each with one column per evaluated function or
+    none. The radial part is added a block of rows at a time
+    (:func:`_radial_blocks`), so a call holds no rows x n array, with kappa
+    folded into ``delta``. :meth:`predict` reads ``x_new`` as the kernel
+    predictor does: a 1-D array holds points of a one-column design, and a
+    non-finite entry is refused.
+    """
 
     x_train: np.ndarray
     order: int
@@ -207,9 +195,13 @@ class TpsPredictor:
     poly_coef: np.ndarray
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
-        return tps_evaluate(
-            x_new, self.x_train, self.order, self.powers, self.delta, self.poly_coef
-        )
+        d = self.x_train.shape[1]
+        x_new = _finite_rows(x_new, d)
+        pred = _poly_block(x_new, self.powers) @ self.poly_coef
+        a = _radial_constant(self.order, d) * self.delta
+        for rows, block in _radial_blocks(x_new, self.x_train, self.order):
+            pred[rows] += block @ a
+        return pred
 
 
 def _reflect(trans: str, qr: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -156,13 +156,13 @@ def test_synthetic_surface_benchmark_bands(capsys):
     started = time.perf_counter()
     runs = _surface_runs("gcv")
     elapsed = time.perf_counter() - started
-    ks = np.array([r.k for r in runs])
-    dfs = np.array([r.final_df for r in runs])
+    ks = np.array([r.fit.k for r in runs])
+    dfs = np.array([r.fit.final_df for r in runs])
     maes = np.array([r.mae for r in runs])
     with capsys.disabled():
         for r in runs:
             print(
-                f"    seed {r.seed}: k = {r.k:7.1f}  final df = {r.final_df:5.2f} "
+                f"    seed {r.seed}: k = {r.fit.k:7.1f}  final df = {r.fit.final_df:5.2f} "
                 f" mae = {r.mae:.4f}"
             )
     k_med, df_med, mae_med = np.median(ks), np.median(dfs), np.median(maes)
@@ -182,8 +182,8 @@ def test_synthetic_surface_benchmark_bands(capsys):
 
 
 def test_aicc_chooses_fewer_iterations_than_gcv(capsys):
-    gcv_ks = np.array([r.k for r in _surface_runs("gcv")])
-    aicc_ks = np.array([r.k for r in _surface_runs("aicc")])
+    gcv_ks = np.array([r.fit.k for r in _surface_runs("gcv")])
+    aicc_ks = np.array([r.fit.k for r in _surface_runs("aicc")])
     wins = int(np.sum(aicc_ks < gcv_ks))
     report(
         capsys,

@@ -67,8 +67,8 @@ def test_interior_grid_excludes_endpoints():
 def test_run_wendelberger_smoke():
     run = run_wendelberger(seed=0)
     assert run.mae > 0
-    assert np.isfinite(run.criterion_value)
-    assert run.initial_df == pytest.approx(3.3, abs=1e-3)
+    assert np.isfinite(run.fit.criterion_value)
+    assert run.fit.initial_df == pytest.approx(3.3, abs=1e-3)
 
 
 def test_ozone_loader_missing_file_points_at_fetcher(tmp_path):

@@ -71,6 +71,24 @@ def test_fit_save_then_predict(train_csv, tmp_path, capsys):
     assert np.isfinite(preds.values).all()
 
 
+def test_predict_reads_columns_by_name(train_csv, tmp_path):
+    """Training columns reordered, plus one the model does not read, give
+    the bytes of the training-order file."""
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(train_csv), "--out", str(model_path)]) == 0
+    rows = np.random.default_rng(3).uniform(-1, 3, size=(7, 2)).tolist()
+    ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+    ordered.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+    shuffled.write_text("x2,extra,x1\n" + "".join(f"{b!r},9.5,{a!r}\n" for a, b in rows))
+    outputs = []
+    for data in (ordered, shuffled):
+        out = tmp_path / f"{data.stem}-pred.csv"
+        assert main(["predict", "--model", str(model_path), "--data", str(data), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert load_csv(tmp_path / "ordered-pred.csv").n == 7
+
+
 def test_predict_missing_column_fails(train_csv, tmp_path, capsys):
     model_path = tmp_path / "model.json"
     main(["fit", "--data", str(train_csv), "--out", str(model_path)])

@@ -123,7 +123,7 @@ def test_exhaustive_losses_match_pointwise_fold_errors(loss):
     assert res.trace_k.tolist() == list(range(1, 301))
     for k, value in zip(res.trace_k, res.trace_value):
         errors = np.concatenate(
-            [s.projector @ (s.kpath.coef_factors(k) * s.kpath.z) - s.y_test for s in scorers]
+            [s.projector @ (s.kpath.batch_coef_factors([k])[0] * s.kpath.z) - s.y_test for s in scorers]
         )
         assert value == pytest.approx(_pooled_loss(errors, loss), rel=1e-12)
     assert res.value == res.trace_value.min()

@@ -156,7 +156,7 @@ def test_tiny_eigenvalue_series_fallback():
     lam = np.array([1.0, 1e-15])
     spectral = SpectralForm(d_half=np.ones(2), u=U_2, lam=lam)
     path = KPath(spectral, Y_2)
-    factors = path.coef_factors(3.0)
+    factors = path.batch_coef_factors([3.0])[0]
     # sum_{j<3} (1 - lam)^j = 3 - 3 lam + lam^2
     assert factors[1] == pytest.approx(3.0, rel=1e-9)
     assert factors[0] == pytest.approx(1.0, rel=1e-12)
@@ -170,7 +170,7 @@ def test_coef_factor_blocks_match_pointwise_with_series():
         # a range takes the power recurrence, a single count C pow
         block = path.batch_coef_factors(ks)
         for k, row in zip(ks, block):
-            np.testing.assert_allclose(row, path.coef_factors(k), rtol=1e-14)
+            np.testing.assert_allclose(row, path.batch_coef_factors([k])[0], rtol=1e-14)
     assert path._sweep is not None
 
 
@@ -194,7 +194,7 @@ def test_one_count_range_keeps_the_single_count_bits(case, rng):
     for k in (0, 1, 2, 17, 4321):
         assert [float(c[0]) for c in path.batch_stats(range(k, k + 1))] == list(path.stats(k))
         row = path.batch_coef_factors(range(k, k + 1))[0]
-        np.testing.assert_array_equal(row, path.coef_factors(k))
+        np.testing.assert_array_equal(row, path.batch_coef_factors([k])[0])
 
 
 def test_counts_below_zero_are_refused_as_a_range_or_a_vector():

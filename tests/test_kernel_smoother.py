@@ -581,6 +581,38 @@ def test_unreachable_target_cannot_be_bracketed():
         calibrate_bandwidth(x, "gaussian", 2.5)
 
 
+def _decaying_trace(level, calls):
+    """trace(x) = level + 1/x and its slope in log x, each call's x kept."""
+
+    def trace(x):
+        calls.append(x)
+        return level + 1.0 / x, -1.0 / x
+
+    return trace
+
+
+def test_root_finder_moves_the_upper_end_out_to_the_root():
+    """The root of 1 + 1/x = 1 + 1e-5, x = 1e5, lies two decades above the
+    bracket [1e-3, 1e3]: the search moves its upper end out tenfold twice,
+    evaluating 1, 1e3 and 1e4 before it lands on the root."""
+    calls = []
+    x = smoothers._log_newton_root(
+        _decaying_trace(1.0, calls), 1.0 + 1e-5, 1.0, 1e-3, 1e3, "test", 1e-9
+    )
+    assert x == pytest.approx(1e5, rel=1e-9)
+    assert len(calls) == 4
+    np.testing.assert_allclose(calls[:3], [1.0, 1e3, 1e4], rtol=1e-12)
+
+
+def test_root_finder_gives_up_after_its_widest_range():
+    """2 + 1/x never falls to 1.5: after ten tenfold moves of the upper end
+    the search names the end it reached."""
+    calls = []
+    with pytest.raises(CalibrationError, match=r"could not bracket the test target 1\.5: .* at 1\.000e\+13"):
+        smoothers._log_newton_root(_decaying_trace(2.0, calls), 1.5, 1.0, 1e-3, 1e3, "test", 1e-9)
+    assert calls[-1] == pytest.approx(1e13, rel=1e-12)
+
+
 def test_describe_mentions_kernel_and_df(rng):
     design = random_design(rng, 12, 1)
     sm = build_kernel_smoother(
@@ -987,7 +1019,7 @@ def test_design_with_more_nodes_than_rows_predicts_directly():
     y = np.sin(6.0 * x[:, 0]) + rng.normal(0.0, 0.1, 300)
     pred = fit(x, y, smoother=SmootherConfig(df=1.1)).predictor
     ratios = kernel_smoother._unit_box(x)[1] / pred.bandwidths
-    assert [p for p, _ in kernel_smoother._column_nodes(ratios, 300)] == [32, 32]
+    assert [kernel_smoother._accepted_nodes(r, 300)[0] for r in ratios] == [32, 32]
     same_bits_as_direct(pred, rng.uniform(size=(300, 2)))
     assert "_tables" in vars(pred) and pred._tables is None
 

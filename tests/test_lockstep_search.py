@@ -380,7 +380,7 @@ def test_mixed_batches_on_a_negative_eigenvalue():
     with pytest.raises(IterationDomainError):
         path.batch_coef_factors(np.array([2.5]))
     np.testing.assert_allclose(
-        path.batch_coef_factors(ks)[2], path.coef_factors(9.0), rtol=1e-13, atol=0
+        path.batch_coef_factors(ks)[2], path.batch_coef_factors([9.0])[0], rtol=1e-13, atol=0
     )
 
 

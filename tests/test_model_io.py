@@ -196,8 +196,8 @@ def test_missing_file(tmp_path):
 
 def _damage(payload: dict, field: str, how) -> None:
     """Drop a field, truncate an array, (``how`` a list) set it to
-    ``how[0]`` or (``how`` a float) set its first entry to ``how``;
-    ``smoother.x`` names a nested field."""
+    ``how[0]`` or (``how`` a float or any other string) set its first entry
+    to ``how``; ``smoother.x`` names a nested field."""
     owner, key = payload, field
     if field.startswith("smoother."):
         owner, key = payload["smoother"], field.split(".", 1)[1]
@@ -205,7 +205,7 @@ def _damage(payload: dict, field: str, how) -> None:
         del owner[key]
     elif how == "truncate":
         owner[key] = owner[key][:-1]
-    elif isinstance(how, float):
+    elif isinstance(how, (float, str)):
         row = owner[key]
         while isinstance(row[0], list):
             row = row[0]
@@ -247,6 +247,7 @@ BAD_FILES = [
     pytest.param("kernel", "smoother.beta", math.inf, id="kernel-beta-inf"),
     pytest.param("tps", "smoother.delta", math.nan, id="tps-delta-nan"),
     pytest.param("tps", "smoother.poly_coef", -math.inf, id="tps-poly_coef-minus-inf"),
+    pytest.param("kernel", "x_train", "a", id="kernel-x_train-string"),
 ]
 
 
@@ -264,6 +265,12 @@ def write_bad_model(tmp_path, family, field, how):
 def test_bad_model_file_names_the_field_at_load(tmp_path, family, field, how):
     path = write_bad_model(tmp_path, family, field, how)
     with pytest.raises(ValueError, match=f"'{field}'"):
+        load_model(path)
+
+
+def test_a_string_in_an_array_is_not_numeric(tmp_path):
+    path = write_bad_model(tmp_path, "kernel", "x_train", "a")
+    with pytest.raises(ValueError, match=r"model\.json: 'x_train' is not numeric$"):
         load_model(path)
 
 
@@ -303,3 +310,30 @@ def test_fixed_k_model_loads_with_nan_criterion(tmp_path):
     loaded = load_model(path)
     assert math.isnan(loaded.criterion_value)
     assert np.array_equal(loaded.predict(x), fixed.predict(x))
+
+
+def _refuse_constant(token):
+    raise ValueError(f"bare {token} token")
+
+
+@pytest.mark.parametrize("family", ["kernel", "tps"])
+def test_fixed_k_model_file_is_strict_json(tmp_path, family):
+    """A fixed-k fit has no criterion value: the file holds null, which an
+    RFC 8259 parser reads where it refuses a bare NaN token, and it loads
+    as NaN. A file that holds the NaN token still loads."""
+    x, result = fitted_model(family)
+    plan = SelectionPlan(mode="fixed", fixed_k=5)
+    fixed = fit(x, result.y, smoother=SmootherConfig(family=family), plan=plan)
+    path = tmp_path / "model.json"
+    save_model(fixed, path)
+    text = path.read_text()
+    payload = json.loads(text, parse_constant=_refuse_constant)
+    assert payload["criterion_value"] is None
+    assert payload["sigma"] == fixed.sigma
+    old_style = tmp_path / "nan-token.json"
+    old_style.write_text(text.replace('"criterion_value": null', '"criterion_value": NaN'))
+    for saved in (path, old_style):
+        loaded = load_model(saved)
+        assert math.isnan(loaded.criterion_value)
+        assert loaded.sigma == fixed.sigma
+        assert np.array_equal(loaded.predict(x), fixed.predict(x))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ibrsmooth import SelectionPlan, fit, format_report, make_report
+from ibrsmooth import SelectionPlan, fit, format_report
 
 
 def fitted(plan=None):
@@ -15,14 +15,15 @@ def fitted(plan=None):
 
 def test_five_number_summary():
     result = fitted()
-    rep = make_report(result)
+    cells = format_report(result).splitlines()[2].split()
     expected = np.percentile(result.residuals, [0, 25, 50, 75, 100])
-    assert np.allclose(rep.five_numbers, expected)
+    assert cells == [f"{v:.6g}" for v in expected]
+    assert np.allclose([float(c) for c in cells], expected, rtol=1e-5, atol=1e-6)
 
 
 def test_report_text_sections():
     result = fitted()
-    text = format_report(make_report(result))
+    text = format_report(result)
     assert text.startswith("Residuals:")
     for fragment in (
         "Min", "1Q", "Median", "3Q", "Max",
@@ -39,20 +40,20 @@ def test_report_text_sections():
 
 def test_fixed_mode_says_so():
     result = fitted(SelectionPlan(mode="fixed", fixed_k=9))
-    text = format_report(make_report(result))
+    text = format_report(result)
     assert "Number of iterations: 9 (fixed by the caller)" in text
     assert "chosen by" not in text
 
 
 def test_exhaustive_mode_is_labelled():
     result = fitted(SelectionPlan(mode="exhaustive"))
-    text = format_report(make_report(result))
+    text = format_report(result)
     assert "(exhaustive search)" in text
 
 
 def test_base_smoother_line_shows_the_spectrum():
     dense = fitted()
-    line = format_report(make_report(dense)).splitlines()[-1]
+    line = format_report(dense).splitlines()[-1]
     assert line.endswith("; spectrum: 45 of 45 eigenpairs, tail trace <= 0")
     # a 300-point gaussian fit keeps only its top eigenpairs, from the factor
     # route
@@ -62,9 +63,10 @@ def test_base_smoother_line_shows_the_spectrum():
     result = fit(x, y)
     spectral = result.base.spectral()
     assert spectral.rank < 300
-    rep = make_report(result)
-    assert (rep.spectrum_rank, rep.tail_trace) == (spectral.rank, spectral.tail_trace)
-    line = format_report(rep).splitlines()[-1]
+    line = format_report(result).splitlines()[-1]
+    assert line.endswith(
+        f"; spectrum: {spectral.rank} of 300 eigenpairs, tail trace <= {spectral.tail_trace:.2g}"
+    )
     assert line.startswith("Base smoother: gaussian kernel")
     assert f"; spectrum: {spectral.rank} of 300 eigenpairs, tail trace <= " in line
     assert float(line.rsplit("<= ", 1)[1]) == pytest.approx(spectral.tail_trace, rel=0.05, abs=0)

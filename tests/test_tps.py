@@ -26,7 +26,7 @@ from ibrsmooth import (
 from ibrsmooth.selection import _K_TOL
 from ibrsmooth import smoothers
 from ibrsmooth.smoothers import _squared_distances
-from ibrsmooth.tps import _TpsCore, _poly_block, tps_evaluate
+from ibrsmooth.tps import _TpsCore, _poly_block
 
 from conftest import radial_block, random_design
 
@@ -293,10 +293,11 @@ def test_blocked_spline_prediction_matches_one_block(rng, monkeypatch, columns):
     x_new = rng.uniform(size=(21, 2))
     shape = (30,) if columns is None else (30, columns)
     a, b = rng.normal(size=shape), rng.normal(size=(sm.core.m,) + shape[1:])
-    got = tps_evaluate(x_new, x, 2, powers, a, b)
+    predictor = TpsPredictor(x, 2, powers, a, b)
+    got = predictor.predict(x_new)
     want = radial_block(x_new, x, 2) @ a + _poly_block(x_new, powers) @ b
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-    assert tps_evaluate(x_new[:0], x, 2, powers, a, b).shape == (0,) + shape[1:]
+    assert predictor.predict(x_new[:0]).shape == (0,) + shape[1:]
 
 
 @pytest.mark.parametrize("seed,n,d", [(3, 40, 2), (4, 60, 3)])

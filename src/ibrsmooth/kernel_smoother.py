@@ -50,7 +50,11 @@ a Gaussian fit predicts a row inside the training box, widened per column
 by a margin where the interpolant grows by at most ``_GRID_GROWTH`` (less
 for columns near the span rule's limit), from tables at its own nodes
 (:class:`NodeTables`) in O(d p + prod p_j) instead of O(n d); every other
-row, coefficient block and kernel takes :func:`kernel_predict`.
+row, coefficient block and kernel takes :func:`kernel_predict`. There a
+Gaussian design within the tables' span rule takes each block of weights
+from one GEMM of the rows' and the design's augmented coordinates
+(:class:`_KernelRows`); wider spans and the Gram matrix subtract a column
+at a time.
 """
 
 from __future__ import annotations
@@ -134,6 +138,9 @@ _GRID_GROWTH = 2.0
 # entry and 0.26 ns per node against 3.0 ns per kernel value, so about 280
 # kernel values where the rule counts 320
 _GRID_NODE_COST = 0.25
+# the expanded exponent clips a new row's gap to the design's centre to this
+# many scaled units, where |u|^2 cannot overflow and every weight is 0
+_FAR = 1e100
 # largest miss of the df target that a calibrated bandwidth may leave, per
 # column and for the total trace
 _BANDWIDTH_TOL = 1e-6
@@ -163,30 +170,56 @@ class _KernelRows:
     """Product-kernel weights of new rows against a fixed design ``x``, a
     block of rows at a time (:func:`_pairwise_blocks`).
 
-    A Gaussian block takes one ``exp`` per pair. The design is centred on
-    its box and scaled by sqrt(1/2) / h_k once, when this is built, and the
-    new rows the same way once per call, so a block's squared distances
-    are the negated exponent sum_k u_k^2 / 2 and one constant K(0)^d
-    follows the ``exp``. Centring keeps a design far from the origin from
-    losing accuracy to the scaling. The compact kernels multiply the
-    columns' :func:`~ibrsmooth.kernels.kernel_values` together, one column
-    at a time. Both hold the design transposed (``xt``, d x n), so a gap
-    block subtracts a contiguous row (:func:`_squared_distances`).
+    A Gaussian block takes one ``exp`` per pair, on the design centred on
+    its box and scaled by sqrt(1/2) / h_k once, when this is built, and on
+    the new rows u scaled the same way once per call (centring keeps a
+    design far from the origin from losing accuracy to the scaling). With
+    ``expand``, a design whose every column passes the span rule of
+    :attr:`KernelPredictor._tables` holds the (d + 2) x n block
+    [2v; 1; -|v|^2] (``augmented``): each call builds the rows' block
+    [u, -|u|^2, 1], and a block of weights is one GEMM, giving the exponent
+    2 u.v - |u|^2 - |v|^2 = -|u - v|^2, and one ``exp`` in place. These
+    weights leave out K(0)^d, which cancels in the kernel average, their
+    one use (:func:`_kernel_average`); folded into the exponent, it would
+    round every weight at the magnitude 0.92 d. The expansion's absolute
+    exponent error, about eps (|u|^2 + |v|^2), outgrows the subtraction's
+    past the span rule. There, in a Gram build (``expand`` False, so no
+    fit's spectrum moves) and for the compact kernels, which multiply the
+    columns' :func:`~ibrsmooth.kernels.kernel_values`, a block goes a column
+    at a time on the design transposed (``xt``, d x n), so a gap block
+    subtracts a contiguous row (:func:`_squared_distances`), and one
+    constant K(0)^d follows the Gaussian ``exp``.
     """
 
-    def __init__(self, x: np.ndarray, kind: str, bandwidths):
+    def __init__(self, x: np.ndarray, kind: str, bandwidths, expand: bool = False):
         self.x, self.kind, self.bandwidths = x, kind, bandwidths
+        self.augmented = None
         if kind == "gaussian":
-            self.centre = _unit_box(x)[0]
-            self.scale = math.sqrt(0.5) / np.asarray(bandwidths, dtype=float)
-            self.xt = np.ascontiguousarray(((x - self.centre) * self.scale).T)
-            self.k0 = _GAUSSIAN_K0 ** x.shape[1]
+            h = np.asarray(bandwidths, dtype=float)
+            self.centre, half = _unit_box(x)
+            self.scale = math.sqrt(0.5) / h
+            v = (x - self.centre) * self.scale
+            if expand and np.all(half <= _GRID_SPAN * h):
+                self.augmented = np.vstack([2.0 * v.T, np.ones(len(x)), -_row_norms(v)])
+                with np.errstate(over="ignore"):
+                    self.reach = _FAR / self.scale
+            else:
+                self.xt = np.ascontiguousarray(v.T)
+                self.k0 = _GAUSSIAN_K0 ** x.shape[1]
         else:
             self.xt = np.ascontiguousarray(x.T)
 
     def blocks(self, x_new: np.ndarray, out=None):
         """Yield (rows, w), the weights of the rows ``rows`` of ``x_new``,
         written into ``out[rows]`` when ``out`` is given."""
+        if self.augmented is not None:
+            u = self._expanded_rows(x_new)
+
+            def fill(rows, w, scratch):
+                np.matmul(u[rows], self.augmented, out=w)
+                np.exp(w, out=w)
+
+            return _pairwise_blocks(x_new, self.x, fill, out)
         xt, bandwidths, kind = self.xt, self.bandwidths, self.kind
         if kind == "gaussian":
             a = (x_new - self.centre) * self.scale
@@ -213,6 +246,22 @@ class _KernelRows:
 
         return _pairwise_blocks(x_new, self.x, fill, out)
 
+    def _expanded_rows(self, x_new: np.ndarray) -> np.ndarray:
+        """The rows' block [u, -|u|^2, 1], each gap to the centre clipped to
+        ``_FAR`` scaled units first. A gap that far out leaves the row
+        outside the support of every design point, with weights 0 either
+        way, and keeps |u|^2 finite: an infinite entry would meet the zeros
+        the BLAS pads a block with and read NaN."""
+        d = x_new.shape[1]
+        u = np.empty((len(x_new), d + 2))
+        gap = x_new - self.centre
+        np.minimum(gap, self.reach, out=gap)
+        np.maximum(gap, -self.reach, out=gap)
+        np.multiply(gap, self.scale, out=u[:, :d])
+        np.negative(_row_norms(u[:, :d]), out=u[:, d])
+        u[:, d + 1] = 1.0
+        return u
+
 
 def product_kernel(x_new: np.ndarray, x: np.ndarray, kind: str, bandwidths) -> np.ndarray:
     """Product-kernel weights prod_k K((x_new_ik - x_jk) / h_k), one row per
@@ -235,7 +284,9 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     process to the next. A block is a whole number of eight-row groups, so
     the blocked products line up with one product over all rows; with
     OpenBLAS a vector ``beta`` gives the same bits as ``(w @ beta) / sums``
-    over the full weight matrix.
+    over the full matrix of the weights the blocks hold (those of
+    :func:`product_kernel` for the compact kernels and a Gaussian design
+    past the span rule of :class:`_KernelRows`).
 
     Same batch, same bits: repeating a batch repeats its answer exactly,
     but a row's last bits depend on its place in the batch (the BLAS
@@ -250,7 +301,7 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     the kernel support of every design point.
     """
     x_new = _finite_rows(x_new, x.shape[1])
-    return _kernel_average(x_new, _KernelRows(x, kind, bandwidths), beta)
+    return _kernel_average(x_new, _KernelRows(x, kind, bandwidths, expand=True), beta)
 
 
 def _kernel_average(x_new, weights: _KernelRows, beta, labels=None) -> np.ndarray:
@@ -260,7 +311,8 @@ def _kernel_average(x_new, weights: _KernelRows, beta, labels=None) -> np.ndarra
     dead = []
     for rows, w in weights.blocks(x_new):
         sums = w.sum(axis=1)
-        dead_here = np.nonzero(sums <= 0)[0]
+        # written so that a NaN sum is dead too, never a prediction
+        dead_here = np.nonzero(~(sums > 0))[0]
         if dead_here.size:
             dead.extend((rows.start + dead_here).tolist())
             continue
@@ -392,7 +444,7 @@ class KernelPredictor:
     @cached_property
     def _weights(self) -> _KernelRows:
         # the direct route's design, prepared once for every batch
-        return _KernelRows(self.x_train, self.kind, self.bandwidths)
+        return _KernelRows(self.x_train, self.kind, self.bandwidths, expand=True)
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
         x_new = _finite_rows(x_new, self.x_train.shape[1])
@@ -720,6 +772,14 @@ def _column_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column at a time: a reduction along axis 0 of a few columns is several
     times slower)."""
     return np.array([c.min() for c in x.T]), np.array([c.max() for c in x.T])
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """|a_i|^2 for each row of an (m, d) array, a column at a time."""
+    sq = a[:, 0] * a[:, 0]
+    for col in a.T[1:]:
+        sq += col * col
+    return sq
 
 
 def _unit_box(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

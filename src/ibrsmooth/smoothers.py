@@ -288,7 +288,12 @@ def _squared_distances(a: np.ndarray, bt: np.ndarray, out: np.ndarray, scratch: 
     rows x rows x d difference tensor is formed. Each gap block is a's
     column written by a broadcast fill, less b's column as a contiguous row
     broadcast: a stride-0 operand in numpy's inner loop runs several times
-    slower."""
+    slower. It serves the Gaussian Gram builds (``kmat``, ``matrix`` and the
+    dense spectrum), Gaussian prediction against a design wider than the
+    prediction tables' span rule and the spline's radial basis; compact
+    kernels take their own column loop of the same form, and Gaussian
+    prediction within the span rule expands the exponent into one product
+    (``kernel_smoother._KernelRows``)."""
     for j in range(a.shape[1]):
         gap = scratch if j else out
         gap[...] = a[:, j, None]

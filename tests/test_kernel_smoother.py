@@ -1104,3 +1104,107 @@ def test_one_column_batch_takes_the_tables_from_forty_rows():
     got = pred.predict(x_new)
     assert tables_built(pred) and pred._tables.sizes == (32,)
     assert floor_units(pred, x_new, got).max() <= 1.0
+
+
+# ------------------------------------------ direct route: the expanded exponent
+
+
+def spanned_case(span: float, d: int):
+    """n = 300 uniform in d columns, each bandwidth ``span`` bandwidths per
+    half range (rounded up, so that 1.5 meets the span rule), random
+    coefficients, and 200 rows drawn on [0, 1]^d."""
+    rng = np.random.default_rng([0, d])
+    x = rng.uniform(size=(300, d))
+    h = np.nextafter(0.5 * (x.max(axis=0) - x.min(axis=0)) / span, np.inf)
+    return KernelPredictor(x, "gaussian", h, rng.normal(size=300)), rng.uniform(size=(200, d))
+
+
+def subtracted(pred: KernelPredictor, x_new) -> np.ndarray:
+    """The kernel average from the per-column subtraction of product_kernel,
+    over the full weight matrix."""
+    w = kernel_smoother.product_kernel(x_new, pred.x_train, pred.kind, pred.bandwidths)
+    return (w @ pred.beta) / w.sum(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("span", [0.55, 1.5])
+def test_expanded_exponent_stays_near_the_rounding_floor(span, d):
+    """Within the span rule, the direct route takes the exponent as
+    2 u.v - |u|^2 - |v|^2 from one product: its worst row lies within 2
+    floor units of an extended-precision reference, and within 0.5 of the
+    per-column subtraction's worst on the same rows."""
+    pred, x_new = spanned_case(span, d)
+    assert pred._weights.augmented is not None
+    got = kernel_smoother.kernel_predict(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+    expanded = floor_units(pred, x_new, got).max()
+    assert expanded <= 2.0
+    assert expanded <= floor_units(pred, x_new, subtracted(pred, x_new)).max() + 0.5
+
+
+@pytest.mark.parametrize("span", [3.0, 5.6])
+def test_wide_spans_keep_the_per_column_subtraction(span):
+    """Past the span rule the expansion's error, about eps (|u|^2 + |v|^2),
+    outgrows the subtraction's, so these designs keep its bits."""
+    for d in (1, 2, 3, 5):
+        pred, x_new = spanned_case(span, d)
+        assert pred._weights.augmented is None
+        got = kernel_smoother.kernel_predict(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+        assert np.array_equal(got, subtracted(pred, x_new))
+
+
+def test_gram_builds_keep_the_per_column_subtraction():
+    """The Gram matrix of a dense three-column smoother within the span rule
+    has the bits of a broadcast per-column reference (squared gaps summed
+    in column order, exp of the negated sum, times K(0)^3), not those of the
+    expanded exponent: no fit's spectrum moves with the direct route."""
+    rng = np.random.default_rng(31)
+    x = rng.uniform(size=(60, 3))
+    h = 0.5 * (x.max(axis=0) - x.min(axis=0)) / 0.55
+    sm = build_kernel_smoother(x, KernelSmootherSpec(kind="gaussian", bandwidths=tuple(h)))
+    assert sm._factor is None
+    centre = 0.5 * x.max(axis=0) + 0.5 * x.min(axis=0)
+    v = (x - centre) * (np.sqrt(0.5) / h)
+    gaps = sum((v[:, None, j] - v[None, :, j]) ** 2 for j in range(3))
+    reference = np.exp(-gaps) * kernel_values(np.zeros(1), "gaussian")[0] ** 3
+    assert np.array_equal(sm.kmat, reference)
+    expanded = np.empty_like(reference)
+    smoothers._fill(kernel_smoother._KernelRows(x, "gaussian", h, expand=True).blocks(x, expanded))
+    assert not np.array_equal(expanded, reference)
+
+
+@pytest.mark.parametrize("unit", [1.0, 1e-300])
+def test_rows_whose_scaled_norm_overflows_are_refused(unit):
+    """Rows 1e160 and 1e300 half ranges out, and on a design of range 1e-300
+    a row whose scaled value itself overflows, are refused by the expanded
+    route with the usual message, with no warning and no NaN weight."""
+    rng = np.random.default_rng(37)
+    x = rng.uniform(size=(330, 3)) * unit
+    half = 0.5 * (x.max(axis=0) - x.min(axis=0))
+    pred = KernelPredictor(x, "gaussian", half / 0.55, rng.normal(size=330))
+    x_new = rng.uniform(size=(12, 3)) * unit
+    x_new[3, 0] = 1e160 * half[0]
+    x_new[7] = 1e300 * half
+    x_new[9, 2] = 1e10
+    assert pred._tables is None and pred._weights.augmented is not None
+    for w in (w for _, w in pred._weights.blocks(x_new)):
+        assert np.isfinite(w).all() and not w[[3, 7, 9]].any()
+    message = r"prediction rows \[3, 7, 9\] fall outside the kernel support of every design point"
+    with pytest.raises(ValueError, match=message):
+        pred.predict(x_new)
+    with pytest.raises(ValueError, match=message):
+        kernel_smoother.kernel_predict(x_new, x, "gaussian", pred.bandwidths, pred.beta)
+    assert np.isfinite(pred.predict(np.delete(x_new, [3, 7, 9], axis=0))).all()
+
+
+def test_a_row_whose_weights_sum_to_nan_is_refused():
+    """A NaN row sum fails the dead-row test as a zero one does, so it can
+    never come back as a prediction."""
+
+    class NanRows:
+        def blocks(self, x_new):
+            w = np.ones((3, 4))
+            w[1, 2] = np.nan
+            yield slice(0, 3), w
+
+    with pytest.raises(ValueError, match=r"prediction rows \[1\] fall outside the kernel support"):
+        kernel_smoother._kernel_average(np.zeros((3, 1)), NanRows(), np.ones(4))

@@ -71,6 +71,24 @@ def test_grid_route_predictions_survive_bit_exact(tmp_path):
         assert np.array_equal(load_model(path).predict(rows), result.predict(rows))
 
 
+def test_direct_route_predictions_survive_bit_exact(tmp_path):
+    """Three columns of n = 330 (32^3 nodes exceed n, so no tables): the
+    loaded model builds the expanded exponent's design block from the saved
+    fields and predicts a batch with the fitted model's bits."""
+    rng = np.random.default_rng(6)
+    x = rng.uniform(size=(330, 3))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, 330)
+    result = fit(x, y, smoother=SmootherConfig(df=1.1))
+    path = tmp_path / "model.json"
+    save_model(result, path)
+    loaded = load_model(path)
+    x_new = rng.uniform(-0.1, 1.1, size=(500, 3))
+    assert np.array_equal(loaded.predict(x_new), result.predict(x_new))
+    for model in (result, loaded):
+        assert model.predictor._tables is None
+        assert model.predictor._weights.augmented is not None
+
+
 # run with the model file's path: "fit" fits a column at a span just
 # inside p = 16 nodes' limit after one at a span where the tail rule flips
 # with rounding, saves the second fit and its predictions; "load" loads that

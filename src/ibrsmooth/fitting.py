@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,9 @@ class SmootherConfig:
     thin-plate splines. Explicit ``bandwidths``/``lam`` skip calibration.
     A field the smoother would not read (``lam``, ``order`` for a kernel;
     ``bandwidths``, ``dftotal`` for a spline; ``dftotal`` with explicit
-    bandwidths) raises ValueError. A spline ignores ``kernel``.
+    bandwidths) or of the wrong type (``df`` not a real, ``order`` not whole,
+    ``bandwidths`` not a sequence of reals) raises ValueError. A spline
+    ignores ``kernel``.
     """
 
     family: str = "kernel"
@@ -64,8 +67,25 @@ class SmootherConfig:
                 raise ValueError(f"SmootherConfig.{name} = {value} is not read by {fam} smoothers")
         if self.dftotal and self.bandwidths is not None:
             raise ValueError("SmootherConfig.dftotal = True is not read with explicit bandwidths")
+        if not _is_real(self.df):
+            raise ValueError(f"SmootherConfig.df must be a real number, got {self.df!r}")
+        if self.order is not None:
+            if not (_is_real(self.order) and float(self.order).is_integer()):
+                raise ValueError(f"SmootherConfig.order must be a whole number, got {self.order!r}")
+            object.__setattr__(self, "order", int(self.order))
+        h = self.bandwidths
+        if h is not None:
+            h = tuple(h) if np.iterable(h) and not isinstance(h, str) else None
+            if h is None or not all(map(_is_real, h)):
+                raise ValueError(f"SmootherConfig.bandwidths must be a sequence of reals, got {self.bandwidths!r}")
+            object.__setattr__(self, "bandwidths", h)
         if fam == "kernel":
             object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
+
+
+def _is_real(value) -> bool:
+    # a boolean is a number to Python but not a smoothing parameter
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def build_smoother(x, config: SmootherConfig) -> BaseSmoother:

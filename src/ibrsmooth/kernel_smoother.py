@@ -13,13 +13,10 @@ spline's penalty also takes (:func:`~ibrsmooth.smoothers._log_newton_root`):
 safeguarded Newton steps on log(scale), using the closed-form slope
 d trace / d log(scale), inside a sign bracket. A Gaussian target, per column
 or a total df over several, typically needs four to six trace evaluations,
-each through the Chebyshev nodes that the factor below takes
-(:func:`_gaussian_objective`): p_j per column, the smallest of 16, 32, ...
-within whose fixed span limit the node kernel K_c is exact to rounding
-(tail rule, :func:`_accepted_nodes`), with prod p_j <= n, in O(n prod p_j)
-with no n x n array. A design with no such nodes (a column spanning too
-many bandwidths, or more nodes than rows) and every other kernel take the
-O(n^2) evaluation.
+each on the Chebyshev nodes (:mod:`ibrsmooth.chebyshev`) of the columns
+mapped onto [-1, 1] over the training box, with prod p_j <= n, in
+O(n prod p_j) with no n x n array (:func:`_gaussian_objective`). A design
+with no such nodes and every other kernel take the O(n^2) evaluation.
 
 Because the base smoother is over-smooth, its spectrum is numerically low
 rank, and a Gaussian smoother keeps only the eigenpairs above eps/2. They
@@ -37,37 +34,35 @@ come from one of two routes:
   It builds K once and drops it with the spectrum.
 
 Every route here runs on numpy alone: only the spline
-(:mod:`ibrsmooth.tps`) loads more, on first use. Interpolation rows are
-node-major throughout: :func:`_chebyshev_factor` gives the p x m
-transpose L' of an interpolation matrix to the calibration, the factor
-and the prediction tables, and the contractions over the columns' rows
-(:func:`_node_table`, :func:`_interpolate`) run over blocks of points,
-with no m x prod p_j array; a new row of the tables takes the rows'
-unnormalized terms (:func:`_chebyshev_terms`). The family's one evaluator,
-:class:`KernelPredictor`, serves the fit, ``evaluate``, the
-cross-validation projector and a loaded model. With a coefficient vector,
-a Gaussian fit predicts a row inside the training box, widened per column
-by a margin where the interpolant grows by at most ``_GRID_GROWTH`` (less
-for columns near the span rule's limit), from tables at its own nodes
-(:class:`NodeTables`) in O(d p + prod p_j) instead of O(n d); every other
-row, coefficient block and kernel takes :func:`kernel_predict`. There a
-Gaussian design within the tables' span rule takes each block of weights
-from one GEMM of the rows' and the design's augmented coordinates
-(:class:`_KernelRows`); wider spans and the Gram matrix subtract a column
-at a time.
+(:mod:`ibrsmooth.tps`) loads more, on first use. The family's one
+evaluator, :class:`KernelPredictor`, serves the fit, ``evaluate``, the
+cross-validation projector and a loaded model: a Gaussian fit predicts a
+row near the training box from tables at its own nodes
+(:class:`NodeTables`) in O(d p + prod p_j), and every other row,
+coefficient block and kernel by the direct route (:func:`kernel_predict`,
+:class:`_KernelRows`) in O(n d).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
+from .chebyshev import (
+    _GRID_BLOCK,
+    _accepted_nodes,
+    _affordable_nodes,
+    _chebyshev_factor,
+    _chebyshev_terms,
+    _interpolate,
+    _node_table,
+    _slope_tables,
+)
 from .kernels import is_positive_definite, kernel_slopes, kernel_values, resolve_kernel
 from .smoothers import (
-    _PREDICT_BLOCK_BYTES,
     BaseSmoother,
     CalibrationError,
     DesignMatrix,
@@ -104,17 +99,6 @@ _BRACKET_HI = 1e3
 _FACTOR_RANK_GATE = 2
 _EPS = float(np.finfo(float).eps)
 _GAUSSIAN_K0 = float(kernel_values(np.zeros(1), "gaussian")[0])
-# a Gaussian column takes _FACTOR_NODES Chebyshev nodes, doubled until its
-# ratio is within the count's limit (_node_limit, _LIMIT_STEPS halvings of a
-# bisection) where the node kernel's trailing Chebyshev coefficients fall
-# below _FACTOR_TAIL of its largest, and none once _FACTOR_GATE p exceeds n
-_FACTOR_NODES = 16
-_FACTOR_TAIL = 1e-15
-_FACTOR_GATE = 4
-_LIMIT_STEPS = 24
-# node sums and interpolated rows are formed over blocks of rows whose
-# widest temporary holds about this many floats
-_GRID_BLOCK = _PREDICT_BLOCK_BYTES // 8
 # prediction tables serve only columns spanning at most this many
 # bandwidths per half range: the rounding of the tabulated sums, amplified
 # by the interpolation, grows with the span. One column, n = 300, worst of
@@ -338,17 +322,17 @@ class NodeTables:
     [beta, 1], built on first use in O(n prod p_j), give a row u near the
     training box its numerator sum_i K(u - x_i) beta_i and denominator
     sum_i K(u - x_i) as H(u) T, in O(d p + prod p_j) (the fast Gauss
-    transform and Chebyshev FMM idea: Greengard & Strain 1991, Fong & Darve
-    2009). A new row takes its unnormalized barycentric terms
-    (:func:`_chebyshev_terms`) as H(u): their per-row factor scales the
-    numerator and the denominator alike, so the ratio (the second
-    barycentric form, Berrut & Trefethen 2004) does without it. The
-    tables hold for rows inside ``lo`` and ``hi``, the training box widened
-    per column by a margin where the interpolant grows by at most
-    min(``_GRID_GROWTH``, ``_GRID_SPAN`` / span_j), the column's ``ratios``
-    entry being its span half_j / h_j. :meth:`interpolate` evaluates every
-    row it is given, each column clipped to that widened box, so a caller
-    overwrites the rows beyond it rather than gathering the ones inside. Building costs ``cost`` kernel evaluations per design
+    transform idea, Greengard & Strain 1991). A new row takes its
+    unnormalized barycentric terms (:func:`_chebyshev_terms`) as H(u):
+    their per-row factor scales the numerator and the denominator alike, so
+    the ratio (the second barycentric form, Berrut & Trefethen 2004) does
+    without it. The tables hold for rows inside ``lo`` and ``hi``, the
+    training box widened per column by a margin where the interpolant grows
+    by at most min(``_GRID_GROWTH``, ``_GRID_SPAN`` / span_j), the column's
+    ``ratios`` entry being its span half_j / h_j. :meth:`interpolate`
+    evaluates every row it is given, each column clipped to that widened
+    box, so a caller overwrites the rows beyond it rather than gathering
+    the ones inside. Building costs ``cost`` kernel evaluations per design
     point: sum p_j, plus ``_GRID_NODE_COST`` per node.
     """
 
@@ -564,24 +548,22 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     """Row sums and a Khatri-Rao factor of a Gaussian Gram matrix, or None.
 
     On each column mapped onto [-1, 1] over the training box, the node
-    kernel K_c between p_j Chebyshev nodes (p_j by the tail rule of
-    :func:`_accepted_nodes`) is compressed by one eigh to the pairs above
-    eps of its largest, V_j Sigma_j V_j'. With L_j the n x p_j
-    interpolation matrix (:func:`_chebyshev_factor` gives L_j'), K ~ G G'
-    for G the Khatri-Rao product of the blocks L_j V_j Sigma_j^{1/2} (times
-    K(0)^{1/2}, to kernel units), held as their r_j x n transposes. G keeps
-    only the products whose eigenvalue prod_j sigma_j is above eps of the
-    largest, the same cut as each column's; their number P never falls as
-    columns are added.
+    kernel K_c at the p_j nodes of :func:`_accepted_nodes` is compressed by
+    one eigh to the pairs above eps of its largest, V_j Sigma_j V_j'. With
+    L_j the n x p_j interpolation matrix (:func:`_chebyshev_factor` gives
+    L_j'), K ~ G G' for G the Khatri-Rao product of the blocks
+    L_j V_j Sigma_j^{1/2} (times K(0)^{1/2}, to kernel units), held as their
+    r_j x n transposes. G keeps only the products whose eigenvalue
+    prod_j sigma_j is above eps of the largest, the same cut as each
+    column's; their number P never falls as columns are added.
 
     The columns are taken one at a time, and None is returned as soon as P
-    exceeds n / ``_FACTOR_RANK_GATE``, before any n-length work; also for a
-    column where no p_j <= n / ``_FACTOR_GATE`` passes the tail rule.
-    Otherwise returns the row sums, from the uncompressed L_j K_c L_j'
-    (whose node weights are positive sums, so a small row sum keeps its
-    relative accuracy) one axis at a time by :func:`_node_table` and
-    :func:`_interpolate`, O(n prod p_j) with no n x prod p_j array, and the
-    :class:`_KhatriRaoFactor`.
+    exceeds n / ``_FACTOR_RANK_GATE``, before any n-length work, or at a
+    column with no nodes. Otherwise returns the row sums, from the
+    uncompressed L_j K_c L_j' (whose node weights are positive sums, so a
+    small row sum keeps its relative accuracy) one axis at a time by
+    :func:`_node_table` and :func:`_interpolate`, O(n prod p_j) with no
+    n x prod p_j array, and the :class:`_KhatriRaoFactor`.
     """
     n = x.shape[0]
     centre, half = _unit_box(x)
@@ -608,100 +590,6 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     sums *= k0 ** len(nodes)
     blocks = [math.sqrt(k0) * (root.T @ left) for left, (_, _, root) in zip(lefts, nodes)]
     return sums, _KhatriRaoFactor(blocks, np.nonzero(weight.reshape(weight.shape[1:]) > _EPS))
-
-
-def _affordable_nodes(ratios, n: int):
-    """The (p_j, K_cj) of every column (:func:`_accepted_nodes`), or None at
-    the first column with none or that takes prod p_j past n (cost rule)."""
-    nodes, size = [], 1
-    for found in (_accepted_nodes(ratio, n) for ratio in ratios):
-        if found is None or found[0] * size > n:
-            return None
-        nodes.append(found)
-        size *= found[0]
-    return nodes
-
-
-@cache
-def _node_gaps(p: int) -> np.ndarray:
-    """(z_a - z_b)^2 between p Chebyshev nodes z. Cached, so read-only: a
-    process keeps sum p^2 floats over the p it tried, p <= n / 4, at most
-    n^2 / 12 for its largest n against the 2 n^2 of the exact form."""
-    nodes = _chebyshev_nodes(p)[0]
-    gaps = np.subtract.outer(nodes, nodes)
-    gaps *= gaps
-    gaps.flags.writeable = False
-    return gaps
-
-
-def _node_kernel(p: int, ratio: float) -> np.ndarray:
-    """exp(-(z_a - z_b)^2 ratio^2 / 2) between p Chebyshev nodes z."""
-    return np.exp(_node_gaps(p) * (-0.5 * ratio * ratio))
-
-
-def _khatri_rao(blocks) -> np.ndarray:
-    """Column-wise Kronecker product of p_j x m blocks: prod p_j x m, with
-    the last block's index running fastest."""
-    out = blocks[0]
-    for block in blocks[1:]:
-        out = (out[:, None, :] * block[None, :, :]).reshape(-1, out.shape[1])
-    return out
-
-
-def _node_table(lefts, weights: np.ndarray | None = None, kernels=()) -> np.ndarray:
-    """H'W as a C-ordered ([c,] p_1, ..., p_d) array, with H' the Khatri-Rao
-    product of the node-major p_j x n rows ``lefts`` and W' the c x n block
-    ``weights`` (the vector 1 where None), then each of ``kernels`` applied
-    along its own node axis (mode products, Kolda & Bader 2009).
-
-    With interpolation rows L_j, both L_j and K_cj as ``kernels`` and
-    the rows K_cj L_j alone give T = (K_c1 x ... x K_cd) H'W. H'W is
-    R L_d' with R = KR(W', L_1, ..., L_{d-1}): one GEMM per block of
-    points in which R holds about ``_GRID_BLOCK`` floats, or over all n
-    when R is one operand and no product, so O(n c prod p_j) flops with no
-    n x prod p_j array. One column and the vector 1 take L_1 1 as sums.
-    """
-    *rest, last = lefts
-    factors = rest if weights is None else [weights, *rest]
-    n = last.shape[1]
-    if factors:
-        width = math.prod(f.shape[0] for f in factors)
-        step = n if len(factors) == 1 else max(1, _GRID_BLOCK // width)
-        blocks = (slice(start, start + step) for start in range(0, n, step))
-        table = sum(_khatri_rao([f[:, cols] for f in factors]) @ last[:, cols].T for cols in blocks)
-    else:
-        table = last.sum(axis=1)
-    table = table.reshape([f.shape[0] for f in factors] + [last.shape[0]])
-    lead = 0 if weights is None else 1
-    for j, kc in enumerate(kernels):
-        table = np.moveaxis(np.tensordot(kc, table, axes=(1, j + lead)), 0, j + lead)
-    return np.ascontiguousarray(table)
-
-
-def _interpolate(lefts, table: np.ndarray) -> np.ndarray:
-    """H T, shape ([c,] m), at the m points of the node-major rows
-    ``lefts`` (H' their Khatri-Rao product) for a table T of
-    :func:`_node_table`. Per block of points in which the widest temporary
-    holds about ``_GRID_BLOCK`` floats: one GEMM of T, as a
-    ([c] prod_{j<d} p_j) x p_d matrix, with L_d, then for each other column
-    from the last, one multiply by L_j and a sum over its node axis. No
-    m x prod p_j array is formed. For the T of the vector 1 these are the
-    row sums of H (K_c1 x ... x K_cd) H'."""
-    *rest, last = lefts
-    p, m = last.shape
-    flat = table.reshape(-1, p)
-    out = np.empty(table.shape[: table.ndim - len(lefts)] + (m,))
-    step = max(1, _GRID_BLOCK // len(flat))
-    for start in range(0, m, step):
-        cols = slice(start, start + step)
-        acc = flat @ last[:, cols]
-        for left in reversed(rest):
-            block = left[:, cols]
-            acc = acc.reshape(-1, *block.shape)
-            acc *= block
-            acc = acc.sum(axis=1)
-        out[..., cols] = acc.reshape(out[..., cols].shape)
-    return out
 
 
 def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: float):
@@ -800,10 +688,8 @@ def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
 
     At factor c, column j's kernel is exp(-gap^2 (r_j / c)^2 / 2). An
     evaluation takes the nodes of :func:`_affordable_nodes` at the ratios
-    r_j / c, as the factor and the prediction tables do, and the rows of
-    :func:`_chebyshev_factor`, cached per column and p: K ~ H (K_c1 x ... x
-    K_cd) H' for H the Khatri-Rao product of the interpolation matrices
-    (Chebyshev-interpolation FMM, Fong & Darve 2009). H'1 comes from
+    r_j / c, as the factor and the prediction tables do, and the rows H' of
+    :func:`_chebyshev_factor`, cached per column and p. H'1 comes from
     :func:`_node_table` once per node tuple, the row sums s and slopes s' in
     log c from one :func:`_interpolate` over :func:`_slope_tables`, in
     O(n prod p_j). Without affordable nodes, the nodes are the data and
@@ -844,143 +730,6 @@ def _gaussian_objective(t: np.ndarray, ratios: np.ndarray):
         return _trace_and_slope(1.0, sums, slopes)
 
     return gaussian_trace
-
-
-def _slope_tables(ones: np.ndarray, nodes, ratios: np.ndarray) -> np.ndarray:
-    """[(K_c1 x ... x K_cd) H'1, sum_j (K_c1 x ... x K_cj' x ... x K_cd) H'1]
-    as one (2, p_1, ..., p_d) array, from H'1 (``ones``), the ``nodes``
-    (p_j, K_cj) and the ``ratios`` r_j / c, where K_cj' = d K_cj / d log c
-    = K_cj o g_j^2 (r_j / c)^2 for the node gaps g_j (:func:`_node_gaps`).
-    Axis 1 takes H'1 to (K_c1 H'1, K_c1' H'1), and each other axis j the
-    pair (A, B) to (K_cj A, K_cj B + K_cj' A), the product rule: one
-    product with [K_cj; K_cj'] per axis."""
-    pairs = [np.concatenate([kc, kc * _node_gaps(p) * r**2]) for (p, kc), r in zip(nodes, ratios)]
-    p = ones.shape[0]
-    table = pairs[0] @ ones.reshape(p, -1)
-    for j, pair in enumerate(pairs[1:], start=1):
-        pre, p = math.prod(ones.shape[:j]), ones.shape[j]
-        both = np.matmul(pair, table.reshape(2 * pre, p, -1))
-        both = both.reshape(2, pre, 2, p, -1)
-        table = both[:, :, 0]
-        table[1] += both[0, :, 1]
-    return table.reshape((2,) + ones.shape)
-
-
-def _accepted_nodes(ratio: float, n: int):
-    """Smallest Chebyshev factor of a one-column Gaussian kernel spanning
-    ``ratio`` bandwidths per half range that is exact to rounding: the
-    smallest p = ``_FACTOR_NODES`` 2^j with ratio <= :func:`_node_limit` (p),
-    with its node kernel. Returns (p, node kernel), or None once
-    ``_FACTOR_GATE`` * p exceeds n, where the exact form is as cheap. A
-    constant column (ratio 0), which scales every entry by K(0), is one
-    node, K_c = 1: exact, and a factor's P does not grow. The answer
-    depends on the ratio and n alone, so a calibration, a fit's factor and
-    a loaded model's tables find the same nodes whatever the process did
-    before.
-    """
-    if ratio == 0.0:
-        return 1, np.ones((1, 1))
-    p = _FACTOR_NODES
-    while _FACTOR_GATE * p <= n:
-        if ratio <= _node_limit(p):
-            return p, _node_kernel(p, ratio)
-        p *= 2
-    return None
-
-
-@cache
-def _node_limit(p: int) -> float:
-    """The largest ratio that p Chebyshev nodes serve (tail rule): the last
-    two rows and columns of the p x p node kernel's 2-D Chebyshev
-    coefficients lie below ``_FACTOR_TAIL`` of the largest (:func:`_tail_peak`).
-
-    Near its threshold the rule flips back and forth with the rounding of
-    the coefficients (within 0.05 of it at p = 16 to 128), so the limit is
-    the lower end, which passes the rule, of a fixed bisection:
-    ``_LIMIT_STEPS`` halvings of [limit at p / 2, p] ([0, 16] at 16). Cached,
-    so a count's checks run once per process.
-    """
-    lo, hi = (_node_limit(p // 2) if p > _FACTOR_NODES else 0.0), float(p)
-    dct = _dct(p)
-    for _ in range(_LIMIT_STEPS):
-        mid = 0.5 * (lo + hi)
-        kc = _node_kernel(p, mid)
-        if _tail_peak(kc, dct) <= _FACTOR_TAIL * kc.sum():
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _tail_peak(kc: np.ndarray, dct: np.ndarray) -> float:
-    """max |C[-2:]| / 4 for the 2-D Chebyshev coefficients C = 4 B K_c B'
-    of the p x p symmetric ``kc``, B the unnormalized DCT-II ``dct``
-    (:func:`_dct`), so c_00 = 4 sum K_c. K_c is symmetric, so the last two
-    columns of C are its last two rows transposed, and those take two
-    products with B, O(p^2) against O(p^3) for all of C."""
-    return float(np.abs((dct[-2:] @ kc) @ dct.T).max())
-
-
-def _dct(p: int) -> np.ndarray:
-    """The unnormalized p x p DCT-II, B_la = cos(pi l (2a + 1) / 2p). The
-    angles are reduced modulo 2 pi in integers, l (2a + 1) mod 4p, before the
-    cosine: unreduced, they reach 2 p pi, where their rounding alone moves
-    entries of B by up to 1.7e-13 at p = 512, far above the tail rule's
-    ``_FACTOR_TAIL``."""
-    turns = np.arange(p)[:, None] * (2 * np.arange(p) + 1) % (4 * p)
-    return np.cos(turns * (0.5 * np.pi / p))
-
-
-@cache
-def _chebyshev_nodes(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The p Chebyshev points of the first kind on [-1, 1],
-    z_k = cos((2k + 1) pi / 2p), and their barycentric weights
-    (-1)^k sin((2k + 1) pi / 2p) (Berrut & Trefethen 2004). Cached, so
-    both arrays are read-only."""
-    angles = (2 * np.arange(p) + 1) * (0.5 * np.pi / p)
-    weights = np.sin(angles)
-    weights[1::2] *= -1.0
-    nodes = np.cos(angles)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _chebyshev_terms(t: np.ndarray, p: int) -> np.ndarray:
-    """The node-major p x m barycentric terms w_k / (t_i - z_k) of p
-    Chebyshev nodes z at the m points t, infinite where a point falls on a
-    node (a division by zero the caller lets pass).
-
-    Node and weight are written by a broadcast fill and then meet only
-    arrays of their block's shape or t as a row broadcast along the node
-    axis, so every elementwise loop runs over m contiguous points: a
-    stride-0 operand in numpy's inner loop runs several times slower.
-    """
-    nodes, w = _chebyshev_nodes(p)
-    terms = np.empty((p, t.size))
-    terms[...] = nodes[:, None]
-    np.subtract(t, terms, out=terms)
-    weights = np.empty_like(terms)
-    weights[...] = w[:, None]
-    return np.divide(weights, terms, out=terms)
-
-
-def _chebyshev_factor(t: np.ndarray, p: int) -> np.ndarray:
-    """The node-major p x m matrix that interpolates from p Chebyshev nodes
-    to the m points t: entry (k, i) is the Lagrange basis at t_i in
-    barycentric form, l_k(t_i) = (w_k / (t_i - z_k)) / sum_m (w_m / (t_i - z_m)),
-    the terms of :func:`_chebyshev_terms` over their sum, and a point that
-    falls on a node gets that node's unit column."""
-    with np.errstate(divide="ignore"):
-        left = _chebyshev_terms(t, p)
-    sums = left.sum(axis=0)
-    # a column with an infinite weight sits on a node
-    on_node = ~np.isfinite(sums)
-    sums[on_node] = 1.0
-    # one division per point, not per entry
-    left *= np.reciprocal(sums, out=sums)
-    if on_node.any():
-        left[:, on_node] = t[on_node] == _chebyshev_nodes(p)[0][:, None]
-    return left
 
 
 def calibrate_bandwidth(

@@ -218,6 +218,27 @@ def test_smoother_config_validation():
 @pytest.mark.parametrize(
     "fields, name",
     [
+        (dict(df="2"), "df"),
+        (dict(df=(1.1, 1.2)), "df"),
+        (dict(df=(1.1, 1.2), dftotal=True), "df"),
+        (dict(family="tps", order=1.5), "order"),
+        (dict(bandwidths=0.3), "bandwidths"),
+        (dict(bandwidths=("a", "b")), "bandwidths"),
+    ],
+)
+def test_smoother_config_refuses_a_field_of_the_wrong_type(fields, name):
+    """Refused when the config is made, with one ValueError naming the
+    field, not with a TypeError deep in calibration. A whole float order
+    and an array of bandwidths are taken."""
+    with pytest.raises(ValueError, match=rf"^SmootherConfig\.{name} must be "):
+        SmootherConfig(**fields)
+    assert SmootherConfig(family="tps", order=3.0).order == 3
+    assert SmootherConfig(bandwidths=np.array([0.4, 0.5])).bandwidths == (0.4, 0.5)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
         (dict(family="tps", bandwidths=(0.5,)), "bandwidths"),
         (dict(family="tps", dftotal=True), "dftotal"),
         (dict(lam=0.1), "lam"),

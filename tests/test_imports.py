@@ -91,15 +91,15 @@ def _imports(path: Path):
 
 def test_smoother_families_share_no_private_imports():
     """The two families meet in smoothers.py: the spline imports nothing
-    from the kernel module, and no module of the package imports an
-    underscore name from either family's module."""
+    from the kernel module or its Chebyshev nodes, and no module of the
+    package imports an underscore name from either family's module."""
     modules = sorted((SRC / "ibrsmooth").glob("*.py"))
     assert len(modules) > 10
     private = []
     for path in modules:
         for module, name in _imports(path):
             if path.name == "tps.py":
-                assert not module.startswith("ibrsmooth.kernel_smoother"), (module, name)
+                assert not module.startswith(("ibrsmooth.kernel_smoother", "ibrsmooth.chebyshev")), (module, name)
             if module in ("ibrsmooth.kernel_smoother", "ibrsmooth.tps") and (name or "").startswith("_"):
                 private.append(f"{path.name}: {module}.{name}")
     assert not private, private

@@ -1,5 +1,6 @@
 """Product-kernel smoother: hand oracles, calibration, guard rails."""
 
+import functools
 import itertools
 import tracemalloc
 
@@ -18,7 +19,7 @@ from ibrsmooth import (
     calibrate_total_df,
     fit,
 )
-from ibrsmooth import kernel_smoother, smoothers
+from ibrsmooth import chebyshev, kernel_smoother, smoothers
 from ibrsmooth.kernels import kernel_values
 
 from conftest import gaussian_smoother, random_design
@@ -216,12 +217,12 @@ def test_chebyshev_factor_gives_a_point_on_a_node_its_unit_row():
     """A point exactly on a node interpolates by that node alone; the rows
     around it keep the barycentric weights of a batch with no such point.
     The factor is node-major, so a point's row is a column of it."""
-    nodes = kernel_smoother._chebyshev_nodes(16)[0]
+    nodes = chebyshev._chebyshev_nodes(16)[0]
     t = np.array([0.3, nodes[5], -0.7, nodes[0]])
-    left = kernel_smoother._chebyshev_factor(t, 16)
+    left = chebyshev._chebyshev_factor(t, 16)
     assert np.array_equal(left[:, 1], np.eye(16)[5])
     assert np.array_equal(left[:, 3], np.eye(16)[0])
-    off = kernel_smoother._chebyshev_factor(t[[0, 2]], 16)
+    off = chebyshev._chebyshev_factor(t[[0, 2]], 16)
     assert np.array_equal(left[:, [0, 2]], off)
     np.testing.assert_allclose(off.sum(axis=0), 1.0, rtol=1e-14)
 
@@ -261,19 +262,68 @@ def test_wide_lognormal_column_takes_the_exact_form(monkeypatch):
     assert built == []
 
 
-# p nodes serve a column up to its limit (``_node_limit``): about 0.47
-# (p = 16), 2.4, 6.8, 15.4, 31.8, 63.8 and 128 (p = 1024) bandwidths per half
-# range. These ratios fall 10% either side of each limit, and between them
+# p nodes serve a column up to its limit (``chebyshev._NODE_LIMITS``): about
+# 0.47 (p = 16), 2.4, 6.8, 15.4, 31.8, 63.8, 128 and 256 (p = 2048)
+# bandwidths per half range. These ratios fall 10% either side of each limit
+# up to p = 1024, and between them
 TAIL_RATIOS = (
     0.2, 0.43, 0.52, 1.2, 2.2, 2.7, 4.5, 6.2, 7.5, 11.0, 14.0,
     17.0, 23.0, 29.0, 35.0, 47.0, 58.0, 70.0, 95.0, 116.0, 141.0,
 )
 NODE_COUNTS = (16, 32, 64, 128, 256, 512, 1024)
 
+# the tail rule and the bisection that placed ``chebyshev._NODE_LIMITS``:
+# the smallest count, the rule's threshold on the trailing coefficients
+# relative to the largest, and the halvings of each bisection
+FACTOR_NODES = 16
+FACTOR_TAIL = 1e-15
+LIMIT_STEPS = 24
+
+
+def dct(p: int) -> np.ndarray:
+    """The unnormalized p x p DCT-II, B_la = cos(pi l (2a + 1) / 2p). The
+    angles are reduced modulo 2 pi in integers, l (2a + 1) mod 4p, before the
+    cosine: unreduced, they reach 2 p pi, where their rounding alone moves
+    entries of B by up to 1.7e-13 at p = 512, far above the tail rule's
+    ``FACTOR_TAIL``."""
+    turns = np.arange(p)[:, None] * (2 * np.arange(p) + 1) % (4 * p)
+    return np.cos(turns * (0.5 * np.pi / p))
+
+
+def tail_peak(kc: np.ndarray, dct: np.ndarray) -> float:
+    """max |C[-2:]| / 4 for the 2-D Chebyshev coefficients C = 4 B K_c B'
+    of the p x p symmetric ``kc``, B the unnormalized DCT-II ``dct``
+    (:func:`dct`), so c_00 = 4 sum K_c. K_c is symmetric, so the last two
+    columns of C are its last two rows transposed, and those take two
+    products with B, O(p^2) against O(p^3) for all of C."""
+    return float(np.abs((dct[-2:] @ kc) @ dct.T).max())
+
 
 def passes_tail_rule(p, ratio):
-    kc = kernel_smoother._node_kernel(p, ratio)
-    return kernel_smoother._tail_peak(kc, kernel_smoother._dct(p)) <= kernel_smoother._FACTOR_TAIL * kc.sum()
+    kc = chebyshev._node_kernel(p, ratio)
+    return tail_peak(kc, dct(p)) <= FACTOR_TAIL * kc.sum()
+
+
+@functools.cache
+def node_limit(p: int) -> float:
+    """The largest ratio that p Chebyshev nodes serve (tail rule): the last
+    two rows and columns of the p x p node kernel's 2-D Chebyshev
+    coefficients lie below ``FACTOR_TAIL`` of the largest (:func:`tail_peak`).
+
+    Near its threshold the rule flips back and forth with the rounding of
+    the coefficients (within 0.05 of it at p = 16 to 128), so the limit is
+    the lower end, which passes the rule, of a fixed bisection:
+    ``LIMIT_STEPS`` halvings of [limit at p / 2, p] ([0, 16] at 16)."""
+    lo, hi = (node_limit(p // 2) if p > FACTOR_NODES else 0.0), float(p)
+    b = dct(p)
+    for _ in range(LIMIT_STEPS):
+        mid = 0.5 * (lo + hi)
+        kc = chebyshev._node_kernel(p, mid)
+        if tail_peak(kc, b) <= FACTOR_TAIL * kc.sum():
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @pytest.mark.parametrize("p", NODE_COUNTS)
@@ -286,13 +336,13 @@ def test_tail_rule_decides_as_the_full_dct(p):
 
     decisions = []
     for ratio in TAIL_RATIOS:
-        kc = kernel_smoother._node_kernel(p, ratio)
+        kc = chebyshev._node_kernel(p, ratio)
         coef = np.abs(dctn(kc, type=2))
         want = max(coef[-2:].max(), coef[:, -2:].max()) / coef.max()
-        got = kernel_smoother._tail_peak(kc, kernel_smoother._dct(p)) / kc.sum()
+        got = tail_peak(kc, dct(p)) / kc.sum()
         assert abs(got - want) <= 4e-16
-        assert (got <= kernel_smoother._FACTOR_TAIL) == (want <= kernel_smoother._FACTOR_TAIL)
-        decisions.append(want <= kernel_smoother._FACTOR_TAIL)
+        assert (got <= FACTOR_TAIL) == (want <= FACTOR_TAIL)
+        decisions.append(want <= FACTOR_TAIL)
     assert any(decisions) and not all(decisions)
 
 
@@ -300,22 +350,18 @@ def test_tail_rule_decides_as_the_full_dct(p):
 def test_node_counts_do_not_depend_on_call_order(p):
     """Within 0.05 of each limit the tail rule itself flips back and forth
     with rounding. Fed a dense scan of that band in increasing, decreasing
-    and shuffled order, each from a process with no limit known,
-    ``_accepted_nodes`` gives every ratio the same answer: p up to the
-    limit, 2p above it, with the node kernel at the ratio."""
-    limit = kernel_smoother._node_limit(p)
+    and shuffled order, ``_accepted_nodes`` gives every ratio the same
+    answer: p up to the limit, 2p above it, with the node kernel at the
+    ratio."""
+    limit = chebyshev._NODE_LIMITS[p]
     ratios = np.linspace(limit - 0.05, limit + 0.05, 2001)
-    n = kernel_smoother._FACTOR_GATE * 2 * p
+    n = chebyshev._FACTOR_GATE * 2 * p
     orders = (ratios, ratios[::-1], np.random.default_rng(p).permutation(ratios))
-    try:
-        for order in orders:
-            kernel_smoother._node_limit.cache_clear()
-            found = {r: kernel_smoother._accepted_nodes(r, n) for r in order}
-            assert [found[r][0] for r in ratios] == [p if r <= limit else 2 * p for r in ratios]
-            for r in ratios[::100]:
-                np.testing.assert_array_equal(found[r][1], kernel_smoother._node_kernel(found[r][0], r))
-    finally:
-        kernel_smoother._node_limit.cache_clear()
+    for order in orders:
+        found = {r: chebyshev._accepted_nodes(r, n) for r in order}
+        assert [found[r][0] for r in ratios] == [p if r <= limit else 2 * p for r in ratios]
+        for r in ratios[::100]:
+            np.testing.assert_array_equal(found[r][1], chebyshev._node_kernel(found[r][0], r))
 
 
 def test_node_limits_increase_with_the_count_and_pass_the_tail_rule():
@@ -323,13 +369,31 @@ def test_node_limits_increase_with_the_count_and_pass_the_tail_rule():
     larger count serves a strictly wider column. Outside the band where
     rounding decides, the limits split the ratios as the rule does: it
     passes 0.1 below each limit and fails 0.1 above it."""
-    limits = [kernel_smoother._node_limit(p) for p in NODE_COUNTS]
+    counts, limits = zip(*chebyshev._NODE_LIMITS.items())
+    assert counts == (*NODE_COUNTS, 2048)
     assert all(a < b for a, b in zip(limits, limits[1:])), limits
-    for p, limit in zip(NODE_COUNTS, limits):
+    for p, limit in zip(counts, limits):
         assert passes_tail_rule(p, limit), (p, limit)
         assert passes_tail_rule(p, limit - 0.1) and not passes_tail_rule(p, limit + 0.1)
     # the TAIL_RATIOS comment
-    assert limits == pytest.approx([0.47, 2.4, 6.8, 15.4, 31.8, 63.8, 128.0], rel=0.02)
+    assert limits == pytest.approx([0.47, 2.4, 6.8, 15.4, 31.8, 63.8, 128.0, 256.2], rel=0.02)
+
+
+def test_node_limits_are_the_bisection_of_the_tail_rule():
+    """Every literal limit is the fixed bisection of the tail rule, bit for
+    bit, re-derived here from p = 16 up (about 0.9 s, 0.65 s of it at
+    p = 2048). The rule flips with the rounding of ``exp``, ``cos`` and the
+    BLAS near each limit, so another machine may place a limit elsewhere;
+    the literals decide the node counts there all the same."""
+    assert {p: node_limit(p) for p in chebyshev._NODE_LIMITS} == chebyshev._NODE_LIMITS
+
+
+def test_columns_past_the_last_limit_take_no_nodes():
+    """Past p = 2048's limit no count serves, however many rows there are,
+    and a column takes the exact route; below it, a design with rows enough
+    takes 2048 nodes."""
+    assert chebyshev._accepted_nodes(256.2, 10**6)[0] == 2048
+    assert chebyshev._accepted_nodes(256.3, 10**6) is None
 
 
 def test_gaussian_calibration_holds_no_n_by_n_array():
@@ -378,8 +442,10 @@ def test_total_df_node_path_matches_the_n_by_n_kernel(monkeypatch, dist, target)
     ref_trace, ref_slope = _long_double_trace(x, h)
     assert trace == pytest.approx(ref_trace, rel=1e-13)
     assert slope == pytest.approx(ref_slope, rel=1e-11)
-    monkeypatch.setattr(kernel_smoother, "_affordable_nodes", lambda ratios, n: None)
+    refused = []
+    monkeypatch.setattr(kernel_smoother, "_affordable_nodes", lambda ratios, n: refused.append(n))
     assert list(h) == pytest.approx(calibrate_total_df(x, "gaussian", target), rel=1e-12)
+    assert refused and built == [32, 32]
 
 
 def test_three_columns_with_more_nodes_than_rows_take_the_exact_form(monkeypatch):
@@ -795,7 +861,7 @@ def test_grid_prediction_on_faces_corners_and_nodes(kernel_fit_sized):
             rows = lo + (hi - lo) * rng.uniform(size=(10, 2))
             rows[:, j] = end
             faces.append(rows)
-    z = [kernel_smoother._chebyshev_nodes(p)[0] for p in grid.sizes]
+    z = [chebyshev._chebyshev_nodes(p)[0] for p in grid.sizes]
     nodes = np.stack(np.meshgrid(*z, indexing="ij"), axis=-1).reshape(-1, 2)
     nodes = np.clip(grid.centre + grid.half * nodes, lo, hi)
     x_new = np.vstack([corners, *faces, nodes])
@@ -803,7 +869,7 @@ def test_grid_prediction_on_faces_corners_and_nodes(kernel_fit_sized):
     assert floor_units(pred, x_new, pred.predict(x_new)).max() <= 1.0
 
     one = one_column_fit()
-    z = kernel_smoother._chebyshev_nodes(32)[0]
+    z = chebyshev._chebyshev_nodes(32)[0]
     # with rows enough for the batch to take the tables
     x_new = np.concatenate([z, [-1.0, 1.0], rng.uniform(-1.0, 1.0, grid_rows(one))])[:, None]
     got = one.predict(x_new)
@@ -938,7 +1004,7 @@ def on_nodes(tables, column: int, count: int) -> np.ndarray:
     """Points of one column of the data that the unit map sends exactly
     onto one of its Chebyshev nodes: for each node, the first of a few
     floats around its image that lands on it."""
-    z = kernel_smoother._chebyshev_nodes(tables.sizes[column])[0]
+    z = chebyshev._chebyshev_nodes(tables.sizes[column])[0]
     centre, half = tables.centre[column], tables.half[column]
     hits = []
     for node in z:
@@ -966,7 +1032,7 @@ def test_rows_on_a_node_take_the_normalized_rows(kernel_fit_sized):
     x_new[20:30] = np.column_stack([first, second])
     t = tables._unit(x_new)
     with np.errstate(divide="ignore"):
-        terms = [kernel_smoother._chebyshev_terms(col, p) for col, p in zip(t, tables.sizes)]
+        terms = [chebyshev._chebyshev_terms(col, p) for col, p in zip(t, tables.sizes)]
     hit = np.zeros(len(x_new), dtype=bool)
     for block in terms:
         hit |= np.isinf(block).any(axis=0)
@@ -974,8 +1040,8 @@ def test_rows_on_a_node_take_the_normalized_rows(kernel_fit_sized):
     got = pred.predict(x_new)
     assert tables_built(pred) and np.isfinite(got).all()
     assert floor_units(pred, x_new, got).max() <= 1.0
-    lefts = [kernel_smoother._chebyshev_factor(col[:30], p) for col, p in zip(t, tables.sizes)]
-    num, den = kernel_smoother._interpolate(lefts, tables.table)
+    lefts = [chebyshev._chebyshev_factor(col[:30], p) for col, p in zip(t, tables.sizes)]
+    num, den = chebyshev._interpolate(lefts, tables.table)
     assert np.array_equal(got[:30], num / den)
 
 
@@ -1019,7 +1085,7 @@ def test_design_with_more_nodes_than_rows_predicts_directly():
     y = np.sin(6.0 * x[:, 0]) + rng.normal(0.0, 0.1, 300)
     pred = fit(x, y, smoother=SmootherConfig(df=1.1)).predictor
     ratios = kernel_smoother._unit_box(x)[1] / pred.bandwidths
-    assert [kernel_smoother._accepted_nodes(r, 300)[0] for r in ratios] == [32, 32]
+    assert [chebyshev._accepted_nodes(r, 300)[0] for r in ratios] == [32, 32]
     same_bits_as_direct(pred, rng.uniform(size=(300, 2)))
     assert "_tables" in vars(pred) and pred._tables is None
 

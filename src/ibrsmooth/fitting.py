@@ -42,9 +42,9 @@ class SmootherConfig:
     thin-plate splines. Explicit ``bandwidths``/``lam`` skip calibration.
     A field the smoother would not read (``lam``, ``order`` for a kernel;
     ``bandwidths``, ``dftotal`` for a spline; ``dftotal`` with explicit
-    bandwidths) or of the wrong type (``df`` not a real, ``order`` not whole,
-    ``bandwidths`` not a sequence of reals) raises ValueError. A spline
-    ignores ``kernel``.
+    bandwidths) or of the wrong type (``df`` or ``lam`` not a real, ``order``
+    not whole, ``bandwidths`` not a sequence of reals) raises ValueError. A
+    spline ignores ``kernel``.
     """
 
     family: str = "kernel"
@@ -69,6 +69,8 @@ class SmootherConfig:
             raise ValueError("SmootherConfig.dftotal = True is not read with explicit bandwidths")
         if not _is_real(self.df):
             raise ValueError(f"SmootherConfig.df must be a real number, got {self.df!r}")
+        if self.lam is not None and not _is_real(self.lam):
+            raise ValueError(f"SmootherConfig.lam must be a real number, got {self.lam!r}")
         if self.order is not None:
             if not (_is_real(self.order) and float(self.order).is_integer()):
                 raise ValueError(f"SmootherConfig.order must be a whole number, got {self.order!r}")

@@ -68,11 +68,14 @@ from .smoothers import (
     DesignMatrix,
     HouseholderQ,
     SpectralForm,
+    _AugmentedGaps,
+    _column_range,
     _fill,
     _finite_rows,
     _log_newton_root,
     _pairwise_blocks,
     _squared_distances,
+    _unit_box,
 )
 
 __all__ = [
@@ -159,13 +162,13 @@ class _KernelRows:
     the new rows u scaled the same way once per call (centring keeps a
     design far from the origin from losing accuracy to the scaling). With
     ``expand``, a design whose every column passes the span rule of
-    :attr:`KernelPredictor._tables` holds the (d + 2) x n block
-    [2v; 1; -|v|^2] (``augmented``): each call builds the rows' block
-    [u, -|u|^2, 1], and a block of weights is one GEMM, giving the exponent
-    2 u.v - |u|^2 - |v|^2 = -|u - v|^2, and one ``exp`` in place. These
-    weights leave out K(0)^d, which cancels in the kernel average, their
-    one use (:func:`_kernel_average`); folded into the exponent, it would
-    round every weight at the magnitude 0.92 d. The expansion's absolute
+    :attr:`KernelPredictor._tables` holds its augmented coordinates
+    (``augmented``, :class:`~ibrsmooth.smoothers._AugmentedGaps`, rows
+    clipped at ``_FAR``), and a block of weights is one GEMM, giving the
+    exponent -|u - v|^2, and one ``exp`` in place. These weights leave out
+    K(0)^d, which cancels in the kernel average, their one use
+    (:func:`_kernel_average`); folded into the exponent, it would round
+    every weight at the magnitude 0.92 d. The expansion's absolute
     exponent error, about eps (|u|^2 + |v|^2), outgrows the subtraction's
     past the span rule. There, in a Gram build (``expand`` False, so no
     fit's spectrum moves) and for the compact kernels, which multiply the
@@ -182,13 +185,12 @@ class _KernelRows:
             h = np.asarray(bandwidths, dtype=float)
             self.centre, half = _unit_box(x)
             self.scale = math.sqrt(0.5) / h
-            v = (x - self.centre) * self.scale
             if expand and np.all(half <= _GRID_SPAN * h):
-                self.augmented = np.vstack([2.0 * v.T, np.ones(len(x)), -_row_norms(v)])
                 with np.errstate(over="ignore"):
-                    self.reach = _FAR / self.scale
+                    reach = _FAR / self.scale
+                self.augmented = _AugmentedGaps(x, self.centre, self.scale, reach, sign=-1.0)
             else:
-                self.xt = np.ascontiguousarray(v.T)
+                self.xt = np.ascontiguousarray(((x - self.centre) * self.scale).T)
                 self.k0 = _GAUSSIAN_K0 ** x.shape[1]
         else:
             self.xt = np.ascontiguousarray(x.T)
@@ -197,13 +199,7 @@ class _KernelRows:
         """Yield (rows, w), the weights of the rows ``rows`` of ``x_new``,
         written into ``out[rows]`` when ``out`` is given."""
         if self.augmented is not None:
-            u = self._expanded_rows(x_new)
-
-            def fill(rows, w, scratch):
-                np.matmul(u[rows], self.augmented, out=w)
-                np.exp(w, out=w)
-
-            return _pairwise_blocks(x_new, self.x, fill, out)
+            return self.augmented.blocks(x_new, lambda w, scratch: np.exp(w, out=w), out)
         xt, bandwidths, kind = self.xt, self.bandwidths, self.kind
         if kind == "gaussian":
             a = (x_new - self.centre) * self.scale
@@ -230,22 +226,6 @@ class _KernelRows:
 
         return _pairwise_blocks(x_new, self.x, fill, out)
 
-    def _expanded_rows(self, x_new: np.ndarray) -> np.ndarray:
-        """The rows' block [u, -|u|^2, 1], each gap to the centre clipped to
-        ``_FAR`` scaled units first. A gap that far out leaves the row
-        outside the support of every design point, with weights 0 either
-        way, and keeps |u|^2 finite: an infinite entry would meet the zeros
-        the BLAS pads a block with and read NaN."""
-        d = x_new.shape[1]
-        u = np.empty((len(x_new), d + 2))
-        gap = x_new - self.centre
-        np.minimum(gap, self.reach, out=gap)
-        np.maximum(gap, -self.reach, out=gap)
-        np.multiply(gap, self.scale, out=u[:, :d])
-        np.negative(_row_norms(u[:, :d]), out=u[:, d])
-        u[:, d + 1] = 1.0
-        return u
-
 
 def product_kernel(x_new: np.ndarray, x: np.ndarray, kind: str, bandwidths) -> np.ndarray:
     """Product-kernel weights prod_k K((x_new_ik - x_jk) / h_k), one row per
@@ -265,12 +245,15 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     reused for every block. A call never holds an m x n weight matrix, so
     its speed per row does not depend on m or on whether the allocator
     hands out fresh pages for multi-megabyte arrays, which varies from one
-    process to the next. A block is a whole number of eight-row groups, so
-    the blocked products line up with one product over all rows; with
-    OpenBLAS a vector ``beta`` gives the same bits as ``(w @ beta) / sums``
-    over the full matrix of the weights the blocks hold (those of
-    :func:`product_kernel` for the compact kernels and a Gaussian design
-    past the span rule of :class:`_KernelRows`).
+    process to the next. Each block meets [beta, 1] in one product
+    (:func:`_with_ones`), whose last column holds the row sums, so the sums
+    are BLAS dot products rather than numpy's pairwise sums. A block is a
+    whole number of eight-row groups, so the blocked products line up with
+    one product over all rows: with OpenBLAS the answer has the bits of
+    ``num[:, :-1] / num[:, -1:]``, ``num = w @ [beta, 1]``, over the full
+    matrix of the weights the blocks hold (those of :func:`product_kernel`
+    for the compact kernels and a Gaussian design past the span rule of
+    :class:`_KernelRows`).
 
     Same batch, same bits: repeating a batch repeats its answer exactly,
     but a row's last bits depend on its place in the batch (the BLAS
@@ -285,24 +268,32 @@ def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray
     the kernel support of every design point.
     """
     x_new = _finite_rows(x_new, x.shape[1])
-    return _kernel_average(x_new, _KernelRows(x, kind, bandwidths, expand=True), beta)
+    weights = _KernelRows(x, kind, bandwidths, expand=True)
+    return _kernel_average(x_new, weights, _with_ones(beta)).reshape(x_new.shape[:1] + beta.shape[1:])
 
 
-def _kernel_average(x_new, weights: _KernelRows, beta, labels=None) -> np.ndarray:
-    """:func:`kernel_predict` on checked rows, with the design's ``weights``;
+def _with_ones(beta: np.ndarray) -> np.ndarray:
+    """[beta, 1] for beta of shape (n,) or (n, c): the (n, c + 1) block whose
+    product with a block of weights gives the numerators and, last, the row
+    sums of :func:`_kernel_average`."""
+    return np.column_stack([beta, np.ones(len(beta))])
+
+
+def _kernel_average(x_new, weights: _KernelRows, columns, labels=None) -> np.ndarray:
+    """:func:`kernel_predict` on checked rows, with the design's ``weights``
+    and ``columns`` = [beta, 1] (:func:`_with_ones`), as an (m, c) array;
     a dead row is named by its entry in ``labels`` (its row number when None)."""
-    pred = np.empty((x_new.shape[0],) + beta.shape[1:])
+    c = columns.shape[1] - 1
+    pred = np.empty((x_new.shape[0], c))
     dead = []
     for rows, w in weights.blocks(x_new):
-        sums = w.sum(axis=1)
+        num = w @ columns
         # written so that a NaN sum is dead too, never a prediction
-        dead_here = np.nonzero(~(sums > 0))[0]
+        dead_here = np.nonzero(~(num[:, c] > 0))[0]
         if dead_here.size:
             dead.extend((rows.start + dead_here).tolist())
             continue
-        # transposed, the row sums broadcast along the last axis of an
-        # (rows, c) block; a vector is its own transpose
-        np.divide((w @ beta).T, sums, out=pred[rows].T)
+        np.divide(num[:, :c], num[:, c:], out=pred[rows])
     if dead:
         if labels is not None:
             dead = np.asarray(labels)[dead].tolist()
@@ -430,11 +421,17 @@ class KernelPredictor:
         # the direct route's design, prepared once for every batch
         return _KernelRows(self.x_train, self.kind, self.bandwidths, expand=True)
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        # the direct route's [beta, 1], made once for every batch
+        return _with_ones(self.beta)
+
     def predict(self, x_new: np.ndarray) -> np.ndarray:
         x_new = _finite_rows(x_new, self.x_train.shape[1])
         tables = self._tables
         if tables is None or x_new.size < tables.cost:
-            return _kernel_average(x_new, self._weights, self.beta)
+            pred = _kernel_average(x_new, self._weights, self._columns)
+            return pred.reshape(x_new.shape[:1] + self.beta.shape[1:])
         pred = tables.interpolate(x_new)
         # rows beyond the widened box, a column at a time: a reduction over
         # a row's few columns is several times slower
@@ -443,7 +440,7 @@ class KernelPredictor:
             outside |= (col < lo) | (col > hi)
         outside = np.flatnonzero(outside)
         if outside.size:
-            pred[outside] = _kernel_average(x_new[outside], self._weights, self.beta, outside)
+            pred[outside] = _kernel_average(x_new[outside], self._weights, self._columns, outside)[:, 0]
         return pred
 
 
@@ -653,28 +650,6 @@ def _trace_objective(x: np.ndarray, kind: str, scales: np.ndarray):
         return _trace_and_slope(k0, kmat.sum(axis=1), dkmat.sum(axis=1))
 
     return product_trace
-
-
-def _column_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest entry of each column of an (n, d) array (a
-    column at a time: a reduction along axis 0 of a few columns is several
-    times slower)."""
-    return np.array([c.min() for c in x.T]), np.array([c.max() for c in x.T])
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """|a_i|^2 for each row of an (m, d) array, a column at a time."""
-    sq = a[:, 0] * a[:, 0]
-    for col in a.T[1:]:
-        sq += col * col
-    return sq
-
-
-def _unit_box(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and half range of each column, so (x - centre) / half maps the
-    training box onto [-1, 1] (halved first, so it cannot overflow)."""
-    lo, hi = _column_range(x)
-    return 0.5 * hi + 0.5 * lo, 0.5 * hi - 0.5 * lo
 
 
 def _trace_and_slope(k0: float, sums: np.ndarray, slopes: np.ndarray) -> tuple[float, float]:

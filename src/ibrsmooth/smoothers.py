@@ -10,6 +10,8 @@ or more coefficient vectors, without forming the weight matrix; the fit,
 the cross-validation folds and a saved model all predict through it.
 What both families use lives here, so neither imports the other's
 internals: the pairwise block loop (:func:`_pairwise_blocks`), the
+squared gaps at new rows as one product (:class:`_AugmentedGaps`: the
+Gaussian exponent and the spline's radial rows for even d), the
 calibrations' root finder (:func:`_log_newton_root`),
 :class:`CalibrationError` and :class:`HouseholderQ`, the one way a
 Householder Q is held and applied (the Gaussian factor's eigenvectors and
@@ -290,10 +292,12 @@ def _squared_distances(a: np.ndarray, bt: np.ndarray, out: np.ndarray, scratch: 
     broadcast: a stride-0 operand in numpy's inner loop runs several times
     slower. It serves the Gaussian Gram builds (``kmat``, ``matrix`` and the
     dense spectrum), Gaussian prediction against a design wider than the
-    prediction tables' span rule and the spline's radial basis; compact
-    kernels take their own column loop of the same form, and Gaussian
-    prediction within the span rule expands the exponent into one product
-    (``kernel_smoother._KernelRows``)."""
+    prediction tables' span rule, the spline's radial block E (its Gram
+    build) and the spline's radial rows at new points for an odd number of
+    columns; compact kernels take their own column loop of the same form.
+    Gaussian prediction within the span rule and the spline's radial rows
+    at new points for an even number of columns expand the squared gap
+    into one product instead (:class:`_AugmentedGaps`)."""
     for j in range(a.shape[1]):
         gap = scratch if j else out
         gap[...] = a[:, j, None]
@@ -302,6 +306,82 @@ def _squared_distances(a: np.ndarray, bt: np.ndarray, out: np.ndarray, scratch: 
         if j:
             out += gap
     return out
+
+
+class _AugmentedGaps:
+    """Squared gaps s_ij = |u_i - v_j|^2 between new rows and a fixed design
+    ``x``, times ``sign`` (1 or -1), by one GEMM per block of rows.
+
+    Both sides are taken in one frame, v = (x - centre) scale, with
+    ``centre`` and ``scale`` (None: 1) per column: centring on the design's
+    box keeps a design far from the origin from losing accuracy to |v|^2.
+    The design is held as the (d + 2) x n block -sign [2v; 1; -|v|^2]
+    (``block``) and each call builds the rows' block [u, -|u|^2, 1], so the
+    product is sign (|u|^2 + |v|^2 - 2 u.v), with an absolute error of
+    about eps (|u|^2 + |v|^2): only the subtraction
+    (:func:`_squared_distances`) gives exact zeros at duplicate points. A
+    row's gap to the centre is clipped to ``reach`` first, when given.
+    Unclipped, a row whose |u|^2 passes the float range reads inf, which
+    meets the zeros the BLAS pads a block with and reads NaN, in that row
+    only.
+    """
+
+    def __init__(self, x: np.ndarray, centre: np.ndarray, scale=None, reach=None, sign=1.0):
+        self.centre, self.scale, self.reach = centre, scale, reach
+        v = x - centre
+        if scale is not None:
+            v *= scale
+        self.block = np.vstack([2.0 * v.T, np.ones(len(x)), -_row_norms(v)])
+        if sign > 0:
+            np.negative(self.block, out=self.block)
+
+    def blocks(self, x_new: np.ndarray, finish, out=None):
+        """:func:`_pairwise_blocks` of sign |u_i - v_j|^2 for the rows of
+        ``x_new``, each block then passed through ``finish(block, scratch)``,
+        which works in place."""
+        u = self._rows(x_new)
+
+        def fill(rows, w, scratch):
+            np.matmul(u[rows], self.block, out=w)
+            finish(w, scratch)
+
+        return _pairwise_blocks(x_new, self.block.T, fill, out)
+
+    def _rows(self, x_new: np.ndarray) -> np.ndarray:
+        """The rows' block [u, -|u|^2, 1]."""
+        d = x_new.shape[1]
+        u = np.empty((len(x_new), d + 2))
+        gap = np.subtract(x_new, self.centre, out=u[:, :d])
+        if self.reach is not None:
+            np.minimum(gap, self.reach, out=gap)
+            np.maximum(gap, -self.reach, out=gap)
+        if self.scale is not None:
+            gap *= self.scale
+        np.negative(_row_norms(gap), out=u[:, d])
+        u[:, d + 1] = 1.0
+        return u
+
+
+def _column_range(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest entry of each column of an (n, d) array (a
+    column at a time: a reduction along axis 0 of a few columns is several
+    times slower)."""
+    return np.array([c.min() for c in x.T]), np.array([c.max() for c in x.T])
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """|a_i|^2 for each row of an (m, d) array, a column at a time."""
+    sq = a[:, 0] * a[:, 0]
+    for col in a.T[1:]:
+        sq += col * col
+    return sq
+
+
+def _unit_box(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and half range of each column, so (x - centre) / half maps the
+    training box onto [-1, 1] (halved first, so it cannot overflow)."""
+    lo, hi = _column_range(x)
+    return 0.5 * hi + 0.5 * lo, 0.5 * hi - 0.5 * lo
 
 
 def _pairwise_blocks(a: np.ndarray, b: np.ndarray, fill, out=None):

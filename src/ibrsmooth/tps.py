@@ -38,11 +38,13 @@ from .smoothers import (
     FactoredBasis,
     HouseholderQ,
     SpectralForm,
+    _AugmentedGaps,
     _fill,
     _finite_rows,
     _log_newton_root,
     _pairwise_blocks,
     _squared_distances,
+    _unit_box,
 )
 
 __all__ = [
@@ -93,7 +95,7 @@ class TpsSpec:
 
 
 def _radial_constant(order: int, d: int) -> float:
-    """kappa with eta(r) = kappa phi(r^2) (:func:`_radial_blocks`): the
+    """kappa with eta(r) = kappa phi(r^2) (:class:`_RadialRows`): the
     leading constant c of the polyharmonic radial basis (Duchon/Wahba),
     halved for even d, where log r = log(r^2) / 2."""
     nu = order
@@ -126,51 +128,90 @@ def tps_powers(order: int, d: int) -> list[tuple[int, ...]]:
 
 
 def _poly_block(x: np.ndarray, powers: list[tuple[int, ...]]) -> np.ndarray:
-    cols = [np.prod(x**np.asarray(p), axis=1) for p in powers]
-    return np.column_stack(cols)
+    # a column at a time: a product along a row's few entries is several
+    # times slower
+    out = np.ones((len(x), len(powers)))
+    for k, p in enumerate(powers):
+        for j, e in enumerate(p):
+            if e:
+                out[:, k] *= x[:, j] ** e
+    return out
 
 
-def _radial_blocks(a, b, order: int, scale: float = 1.0, out=None, distinct: bool = False):
-    """:func:`~ibrsmooth.smoothers._pairwise_blocks` of
-    ``scale`` phi(|a_i - b_j|^2).
+class _RadialRows:
+    """``scale`` phi(|a_i - x_j|^2) of rows a against a fixed design ``x``,
+    a block of rows at a time (:func:`~ibrsmooth.smoothers._pairwise_blocks`).
 
     phi comes straight from the squared distance s: phi(s) =
     s^(order - d/2) log s for even d, with no root, and s^(order - d/2) for
     odd d, with one, so eta(r) = kappa phi(r^2) with kappa from
-    :func:`_radial_constant`, and phi(0) = 0, its limit. With ``distinct``,
-    a and b are the same design rows and a zero distance off the diagonal
-    raises ValueError naming the first such pair.
-    """
-    power, odd = divmod(2 * order - a.shape[1], 2)
-    bt = np.ascontiguousarray(b.T)
+    :func:`_radial_constant`, and phi(0) = 0, its limit.
 
-    def fill(rows, r2, scratch):
-        _squared_distances(a[rows], bt, r2, scratch)
-        if distinct:
-            diagonal = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
-            r2[diagonal] = np.inf
-            if r2.min() <= 0.0:
-                i, j = divmod(int(np.argmin(r2)), r2.shape[1])
-                raise ValueError(
-                    f"duplicate design points at rows {rows.start + i} and {j}; "
-                    "thin-plate splines need distinct points"
-                )
-            r2[diagonal] = 0.0
-        if odd and not power:
+    For even d, rows at new points take s from one product per block of
+    rows, s = |u|^2 + |v|^2 - 2 u.v with both sides centred on the design's
+    box (:class:`~ibrsmooth.smoothers._AugmentedGaps`, built on first use),
+    clipped at 0, and phi in place. Odd d and the Gram build E
+    (``distinct``) subtract a column at a time
+    (:func:`~ibrsmooth.smoothers._squared_distances`): for odd d,
+    r = sqrt(s) amplifies the expansion's absolute error eps (|u|^2 + |v|^2)
+    by about that over r, and E must see exact zeros at duplicate rows, its
+    bits fixing the spectrum.
+    """
+
+    def __init__(self, x: np.ndarray, order: int, scale: float = 1.0):
+        self.x, self.scale = x, scale
+        self.power, self.odd = divmod(2 * order - x.shape[1], 2)
+
+    @cached_property
+    def _gaps(self) -> _AugmentedGaps:
+        return _AugmentedGaps(self.x, _unit_box(self.x)[0])
+
+    def blocks(self, a: np.ndarray, out=None, distinct: bool = False):
+        """Yield (rows, block), the values at the rows ``rows`` of ``a``,
+        written into ``out[rows]`` when ``out`` is given. With
+        ``distinct``, a is the design itself and a zero distance off the
+        diagonal raises ValueError naming the first such pair."""
+        if not (self.odd or distinct):
+
+            def expanded(s, scratch):
+                np.maximum(s, 0.0, out=s)
+                self._phi(s, scratch)
+
+            return self._gaps.blocks(a, expanded, out)
+        xt = np.ascontiguousarray(self.x.T)
+
+        def fill(rows, r2, scratch):
+            _squared_distances(a[rows], xt, r2, scratch)
+            if distinct:
+                diagonal = (np.arange(rows.stop - rows.start), np.arange(rows.start, rows.stop))
+                r2[diagonal] = np.inf
+                if r2.min() <= 0.0:
+                    i, j = divmod(int(np.argmin(r2)), r2.shape[1])
+                    raise ValueError(
+                        f"duplicate design points at rows {rows.start + i} and {j}; "
+                        "thin-plate splines need distinct points"
+                    )
+                r2[diagonal] = 0.0
+            self._phi(r2, scratch)
+
+        return _pairwise_blocks(a, self.x, fill, out)
+
+    def _phi(self, r2: np.ndarray, scratch: np.ndarray) -> None:
+        """``scale`` phi in place of the squared distances r2."""
+        power = self.power
+        if self.odd and not power:
             np.sqrt(r2, out=r2)
         else:
             factor = (
                 np.sqrt(r2, out=scratch)
-                if odd
+                if self.odd
                 else np.log(np.maximum(r2, _TINY, out=scratch), out=scratch)
             )
             if power > 1:
                 r2 **= power
             r2 *= factor
-        if scale != 1.0:
-            r2 *= scale
-
-    return _pairwise_blocks(a, b, fill, out)
+        if self.scale != 1.0:
+            r2 *= self.scale
 
 
 @dataclass
@@ -182,9 +223,11 @@ class TpsPredictor:
     ``delta`` has one row per training point x_i and ``poly_coef`` one per
     monomial of ``powers``, each with one column per evaluated function or
     none. The radial part is added a block of rows at a time
-    (:func:`_radial_blocks`), so a call holds no rows x n array, with kappa
-    folded into ``delta``. :meth:`predict` reads ``x_new`` as the kernel
-    predictor does: a 1-D array holds points of a one-column design, and a
+    (:class:`_RadialRows`, built on the first call), so a call holds no
+    rows x n array, with kappa folded into ``delta``; the blocks depend
+    only on ``x_train`` and the rows, so a saved and reloaded model gives
+    the same bits. :meth:`predict` reads ``x_new`` as the kernel predictor
+    does: a 1-D array holds points of a one-column design, and a
     non-finite entry is refused.
     """
 
@@ -199,9 +242,14 @@ class TpsPredictor:
         x_new = _finite_rows(x_new, d)
         pred = _poly_block(x_new, self.powers) @ self.poly_coef
         a = _radial_constant(self.order, d) * self.delta
-        for rows, block in _radial_blocks(x_new, self.x_train, self.order):
+        for rows, block in self._radial.blocks(x_new):
             pred[rows] += block @ a
         return pred
+
+    @cached_property
+    def _radial(self) -> _RadialRows:
+        # the design's radial rows, prepared once for every batch
+        return _RadialRows(self.x_train, self.order)
 
 
 def _reflect(trans: str, qr: np.ndarray, tau: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -262,7 +310,7 @@ class _TpsCore(FactoredBasis):
     vector; :meth:`dense` forms U only when a consumer asks for the block.
 
     E costs O(d n^2), filled in place a block of rows at a time from the
-    squared distances (:func:`_radial_blocks`), the QR O(m^2 n), Q' E Q
+    squared distances (:class:`_RadialRows`), the QR O(m^2 n), Q' E Q
     (:meth:`HouseholderQ.project`) O(m n^2), the reduction 4/3 n^3 flops
     and dstedc at most as much; a dense eigh's 2 n^3 back-transformation
     Q_t W is skipped. ``theta`` descends while the columns of W ascend. Of E the
@@ -288,7 +336,7 @@ class _TpsCore(FactoredBasis):
             )
         e = np.empty((n, n))
         kappa = _radial_constant(order, d)
-        _fill(_radial_blocks(design.x, design.x, order, kappa, e, distinct=True))
+        _fill(_RadialRows(design.x, order, kappa).blocks(design.x, e, distinct=True))
         self.powers = tps_powers(order, d)
         self._null = HouseholderQ(_poly_block(design.x, self.powers))
         diag = np.abs(np.diag(self._null.r))
@@ -409,7 +457,7 @@ class TpsSmoother(BaseSmoother):
         kappa = _radial_constant(self.spec.order, self.d)
         scale = np.concatenate([np.zeros(m), 1.0 / (c.theta + self.n * self.spec.lam)])
         phi = np.empty((x_new.shape[0], self.n))
-        _fill(_radial_blocks(x_new, self.design.x, self.spec.order, out=phi))
+        _fill(_RadialRows(self.design.x, self.spec.order).blocks(x_new, phi))
         radial = c.t_dot(phi.T).T * (kappa * scale)
         poly = np.zeros((m, self.n))
         poly[:, :m] = np.eye(m)

@@ -3,7 +3,7 @@ import pytest
 
 from ibrsmooth import DesignMatrix, KernelSmootherSpec, build_kernel_smoother
 from ibrsmooth.smoothers import _fill
-from ibrsmooth.tps import _radial_blocks, _radial_constant
+from ibrsmooth.tps import _radial_constant, _RadialRows
 
 
 @pytest.fixture
@@ -24,9 +24,10 @@ def gaussian_smoother(x, h=1.0):
 
 
 def radial_block(a, b, order):
-    """eta(|a_i - b_j|) as one array, filled by the spline's blocked radial basis."""
+    """eta(|a_i - b_j|) as one array, filled by the spline's blocked radial
+    basis: a fit's E when a is b, else the rows a predictor builds."""
     out = np.empty((a.shape[0], b.shape[0]))
-    _fill(_radial_blocks(a, b, order, _radial_constant(order, a.shape[1]), out))
+    _fill(_RadialRows(b, order, _radial_constant(order, a.shape[1])).blocks(a, out, distinct=a is b))
     return out
 
 

@@ -224,6 +224,8 @@ def test_smoother_config_validation():
         (dict(family="tps", order=1.5), "order"),
         (dict(bandwidths=0.3), "bandwidths"),
         (dict(bandwidths=("a", "b")), "bandwidths"),
+        (dict(family="tps", lam="0.1"), "lam"),
+        (dict(family="tps", lam=(0.1,)), "lam"),
     ],
 )
 def test_smoother_config_refuses_a_field_of_the_wrong_type(fields, name):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import KPath
 from .selection import CV_LOSSES, SelectionPlan, SelectionResult, search_k
+from .smoothers import DesignMatrix
 
 __all__ = ["CvPlan", "make_splits", "search_k_cv"]
 
@@ -220,15 +221,19 @@ def search_k_cv(
     pooled loss as ``plan.mode`` asks: over real k in [kmin, kmax], without
     the criterion search's df and RSS guards, or over the integers, to
     which a numeric plan falls back (with a warning) when a fold's
-    spectrum leaves [0, 1].
+    spectrum leaves [0, 1]. ``x`` is read as :func:`~ibrsmooth.fit` reads
+    it (a 1-D array holds points of a one-column design); a row count other
+    than ``y.size`` raises ValueError.
     """
     if plan.criterion not in CV_LOSSES:
         raise ValueError(
             f"cross-validation needs a loss {CV_LOSSES}, got criterion {plan.criterion!r}"
         )
     cv: CvPlan = plan.cv if plan.cv is not None else CvPlan()
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = DesignMatrix.from_array(x).x
     y = np.asarray(y, dtype=float).ravel()
+    if x.shape[0] != y.size:
+        raise ValueError(f"y has {y.size} entries for {x.shape[0]} rows")
     folds = []
     for i, (train, test) in enumerate(make_splits(y.size, cv)):
         try:

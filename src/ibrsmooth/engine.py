@@ -57,7 +57,8 @@ class KPath:
 
     Every set of counts reaches the path through one function of power rows
     (1 - lambda)^k, :meth:`_pow_rows`: a ``range`` of consecutive counts
-    takes its power recurrence, any other vector C ``pow``. df, rss and the
+    takes its power recurrence, any other vector of integers C ``pow`` and
+    a fractional count exp(k log(1 - lambda)). df, rss and the
     fitted energy have one set of formulas on those rows (:meth:`_stats`,
     served by :meth:`batch_stats`) and the coefficient factors one
     (:meth:`batch_coef_factors`); :meth:`stats`, :meth:`weights` and
@@ -79,8 +80,6 @@ class KPath:
         self.y = y
         self.lam = spectral.lam
         self.mu = 1.0 - self.lam
-        # the base of fractional powers (real k needs the spectrum in [0, 1])
-        self._mu01 = np.clip(self.mu, 0.0, 1.0)
         self.z = z = spectral.ut_dot(y / spectral.d_half)
         # the weights of every norm of G v when H = I
         self._z2 = z * z
@@ -162,12 +161,15 @@ class KPath:
         products would accumulate k of them. P and its scratch are reused
         buffers that the next range overwrites.
 
-        Any other vector of counts takes one C ``pow`` per entry: the integer
-        power of 1 - lambda for an integer count, the power of the clipped
-        base for a fractional one, which needs the spectrum in [0, 1]. An
-        integral exponent keeps a negative mu valid on both routes; powers
-        of |mu| > 1 overflow to inf. Any other count set (a bare number, a
-        2-D array, an empty one) raises ValueError.
+        Any other vector takes the integer power of 1 - lambda for an integer
+        count, one C ``pow`` per entry (an integral exponent keeps a negative
+        mu valid on both routes; powers of |mu| > 1 overflow to inf). A
+        fractional count needs the spectrum in [0, 1] and takes
+        exp(k log(1 - lambda)) from ``_log_mu``, as the slope rows do (0
+        where lambda >= 1): a power of the rounded 1 - lambda loses a tiny
+        lambda's digits, so at large k its values would disagree with the
+        slopes. Any other count set (a bare number, a 2-D array, an empty
+        one) raises ValueError.
         """
         run = isinstance(ks, range) and ks.step == 1
         # np.asarray would walk a range in Python; a range's ends bound its counts
@@ -193,7 +195,8 @@ class KPath:
             if not frac.any():
                 return counts, np.power(self.mu, whole[:, None]), None
             self._check_real_k()
-            p = np.power(self._mu01, counts[:, None])
+            p = np.exp(counts[:, None] * self._log_mu)
+            p[:, self.lam >= 1.0] = 0.0
             if not frac.all():
                 p[~frac] = np.power(self.mu, whole[~frac, None])
         return counts, p, None
@@ -275,30 +278,29 @@ class KPath:
         counts ks, taken as :meth:`batch_stats` takes them; eigenvalues below
         ``_SERIES_EIGEN`` take the series k (1 - (k - 1) lambda / 2)."""
         counts, p, _ = self._pow_rows(ks)
-        return self._factors(counts, p)
+        return self._factors(counts, p)[0]
 
     def batch_coef_factor_slopes(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of :meth:`batch_coef_factors` over a vector of counts ks and
         the rows of their slopes in log k, -dp / lambda from the same power
         rows (the series k (1 - (k - 1/2) lambda) below ``_SERIES_EIGEN``)."""
         counts, p, _ = self._pow_rows(ks)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slopes = -self._slope_rows(counts, p) / self.lam
-        small = np.abs(self.lam) < _SERIES_EIGEN
-        if small.any():
-            k = counts[:, None]
-            slopes[:, small] = k * (1.0 - (k - 0.5) * self.lam[small])
-        return self._factors(counts, p), slopes
+        return self._factors(counts, p, self._slope_rows(counts, p))
 
-    def _factors(self, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """The factor rows of :meth:`batch_coef_factors` for power rows p."""
+    def _factors(self, counts: np.ndarray, p: np.ndarray, dp: np.ndarray | None = None):
+        """(factors, slopes): the factor rows of :meth:`batch_coef_factors`
+        for power rows p, and None or, with the slope rows dp
+        (:meth:`_slope_rows`), the slope rows of those factors."""
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (1.0 - p) / self.lam
+            slopes = None if dp is None else -dp / self.lam
         small = np.abs(self.lam) < _SERIES_EIGEN
         if small.any():
-            k = counts[:, None]
-            out[:, small] = k * (1.0 - 0.5 * (k - 1.0) * self.lam[small])
-        return out
+            k, lam = counts[:, None], self.lam[small]
+            out[:, small] = k * (1.0 - 0.5 * (k - 1.0) * lam)
+            if dp is not None:
+                slopes[:, small] = k * (1.0 - (k - 0.5) * lam)
+        return out, slopes
 
     def coefficients(self, k: float) -> np.ndarray:
         return self._g_dot(self.batch_coef_factors([k])[0] * self.z)

@@ -35,12 +35,11 @@ come from one of two routes:
 
 Every route here runs on numpy alone: only the spline
 (:mod:`ibrsmooth.tps`) loads more, on first use. The family's one
-evaluator, :class:`KernelPredictor`, serves the fit, ``evaluate``, the
-cross-validation projector and a loaded model: a Gaussian fit predicts a
-row near the training box from tables at its own nodes
-(:class:`NodeTables`) in O(d p + prod p_j), and every other row,
-coefficient block and kernel by the direct route (:func:`kernel_predict`,
-:class:`_KernelRows`) in O(n d).
+evaluator, :class:`KernelPredictor`, serves the fit, the cross-validation
+projector and a loaded model: a Gaussian fit predicts a row near the
+training box from tables at its own nodes (:class:`NodeTables`) in
+O(d p + prod p_j), and every other row, coefficient block and kernel by
+the direct route (:class:`_KernelRows`) in O(n d).
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ _GAUSSIAN_K0 = float(kernel_values(np.zeros(1), "gaussian")[0])
 # prediction tables serve only columns spanning at most this many
 # bandwidths per half range: the rounding of the tabulated sums, amplified
 # by the interpolation, grows with the span. One column, n = 300, worst of
-# 300 rows of four fits in floor units (tables / kernel_predict): span 0.5,
+# 300 rows of four fits in floor units (tables / direct route): span 0.5,
 # 0.3 / 0.3; 1.5, 0.8 / 0.5; 1.9, 2.0 / 0.7; 3.1, 7.7 / 1.5; 5.6, 9.6 / 2.3
 _GRID_SPAN = 1.5
 # prediction tables also serve a row whose every column lies within
@@ -236,52 +235,9 @@ def product_kernel(x_new: np.ndarray, x: np.ndarray, kind: str, bandwidths) -> n
     return out
 
 
-def kernel_predict(x_new, x: np.ndarray, kind: str, bandwidths, beta: np.ndarray) -> np.ndarray:
-    """Kernel-weighted average sum_j w_ij beta_j / sum_j w_ij at new points.
-
-    The direct route: every new row is weighed against all n design points.
-    ``beta`` has shape (n,) or (n, c). The weights are built a block of
-    rows at a time in two buffers of about ``_PREDICT_BLOCK_BYTES`` each,
-    reused for every block. A call never holds an m x n weight matrix, so
-    its speed per row does not depend on m or on whether the allocator
-    hands out fresh pages for multi-megabyte arrays, which varies from one
-    process to the next. Each block meets [beta, 1] in one product
-    (:func:`_with_ones`), whose last column holds the row sums, so the sums
-    are BLAS dot products rather than numpy's pairwise sums. A block is a
-    whole number of eight-row groups, so the blocked products line up with
-    one product over all rows: with OpenBLAS the answer has the bits of
-    ``num[:, :-1] / num[:, -1:]``, ``num = w @ [beta, 1]``, over the full
-    matrix of the weights the blocks hold (those of :func:`product_kernel`
-    for the compact kernels and a Gaussian design past the span rule of
-    :class:`_KernelRows`).
-
-    Same batch, same bits: repeating a batch repeats its answer exactly,
-    but a row's last bits depend on its place in the batch (the BLAS
-    product treats rows by position), so a row predicted in a shifted or
-    smaller batch agrees only to the rounding floor
-    eps (|w| . |beta|) / (w . 1). Nor is the promise made across routes: a
-    Gaussian :class:`KernelPredictor` may answer rows inside the training
-    box, or just outside it, from :class:`NodeTables`, equal to this route
-    to the rounding floor. ``x_new`` is read as the predictors read it (a
-    1-D array holds points of a one-column design). Raises ValueError when
-    it has the wrong number of columns, a non-finite entry or a row outside
-    the kernel support of every design point.
-    """
-    x_new = _finite_rows(x_new, x.shape[1])
-    weights = _KernelRows(x, kind, bandwidths, expand=True)
-    return _kernel_average(x_new, weights, _with_ones(beta)).reshape(x_new.shape[:1] + beta.shape[1:])
-
-
-def _with_ones(beta: np.ndarray) -> np.ndarray:
-    """[beta, 1] for beta of shape (n,) or (n, c): the (n, c + 1) block whose
-    product with a block of weights gives the numerators and, last, the row
-    sums of :func:`_kernel_average`."""
-    return np.column_stack([beta, np.ones(len(beta))])
-
-
 def _kernel_average(x_new, weights: _KernelRows, columns, labels=None) -> np.ndarray:
-    """:func:`kernel_predict` on checked rows, with the design's ``weights``
-    and ``columns`` = [beta, 1] (:func:`_with_ones`), as an (m, c) array;
+    """The direct route of :class:`KernelPredictor` on checked rows, with the
+    design's ``weights`` and ``columns`` = [beta, 1], as an (m, c) array;
     a dead row is named by its entry in ``labels`` (its row number when None)."""
     c = columns.shape[1] - 1
     pred = np.empty((x_new.shape[0], c))
@@ -379,21 +335,41 @@ class NodeTables:
 
 @dataclass
 class KernelPredictor:
-    """A kernel smoother's evaluator: the average of ``beta``, of shape (n,)
-    or (n, c), weighted by the kernel between a new row and the design.
+    """A kernel smoother's evaluator: the average
+    sum_j w_ij beta_j / sum_j w_ij of ``beta``, of shape (n,) or (n, c),
+    weighted by the kernel between a new row and the design.
 
-    A Gaussian fit with vector ``beta`` may answer a batch from
+    The direct route weighs a new row against all n design points, a block
+    of rows at a time in two buffers of about ``_PREDICT_BLOCK_BYTES``,
+    reused for every block, so no m x n weight matrix is formed. Each block
+    meets [beta, 1] in one product, whose last column holds the row sums as
+    BLAS dot products. A block is a whole number of eight-row groups, so
+    with OpenBLAS the answer has the bits of ``num[:, :-1] / num[:, -1:]``,
+    ``num = w @ [beta, 1]``, over the full matrix of the weights the blocks
+    hold (those of :func:`product_kernel` for the compact kernels and a
+    Gaussian design past the span rule of :class:`_KernelRows`).
+
+    A Gaussian fit with vector ``beta`` may instead answer a batch from
     :class:`NodeTables` at the Chebyshev nodes its factor chose, in
-    O(d p + prod p_j) per row instead of O(n d). The first batch large
-    enough to pay for them builds them (160 rows at n = 1500, d = 2). Such
-    a batch takes the tables on every row, each column clipped to the
-    training box widened by the tables' margin (:class:`NodeTables`), and one
-    box test, in data coordinates, picks the rows beyond that widened box,
-    which are then overwritten from the direct route of
-    :func:`kernel_predict`: a batch wholly inside it gathers and scatters
-    nothing. A batch's route depends only on the fit and its row count, so
-    a saved and reloaded model gives the same bits. Smaller batches and
-    fits that no tables serve (:attr:`_tables`) go direct.
+    O(d p + prod p_j) per row instead of O(n d), equal to the direct route
+    to the rounding floor. The first batch large enough to pay for them
+    builds them (160 rows at n = 1500, d = 2). Such a batch takes the
+    tables on every row, each column clipped to the training box widened by
+    the tables' margin (:class:`NodeTables`), and one box test, in data
+    coordinates, picks the rows beyond that widened box, which are then
+    overwritten from the direct route: a batch wholly inside it gathers and
+    scatters nothing. A batch's route depends only on the fit and its row
+    count, so a saved and reloaded model gives the same bits. Smaller
+    batches, coefficient blocks and fits that no tables serve
+    (:attr:`_tables`) go direct.
+
+    Same batch, same bits: repeating a batch repeats its answer exactly,
+    but a row's last bits depend on its place in the batch (the BLAS
+    product treats rows by position), so in a shifted or smaller batch it
+    agrees only to the rounding floor eps (|w| . |beta|) / (w . 1).
+    :meth:`predict` reads a 1-D ``x_new`` as points of a one-column design
+    and raises ValueError for the wrong number of columns, a non-finite
+    entry, or a row outside the kernel support of every design point.
     """
 
     x_train: np.ndarray
@@ -424,7 +400,7 @@ class KernelPredictor:
     @cached_property
     def _columns(self) -> np.ndarray:
         # the direct route's [beta, 1], made once for every batch
-        return _with_ones(self.beta)
+        return np.column_stack([self.beta, np.ones(len(self.beta))])
 
     def predict(self, x_new: np.ndarray) -> np.ndarray:
         x_new = _finite_rows(x_new, self.x_train.shape[1])

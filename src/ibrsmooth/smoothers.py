@@ -531,21 +531,14 @@ class BaseSmoother(ABC):
         (n, c), holding a copy of the design and ``coef`` itself: its
         ``predict(x_new)`` gives one value (or row of c) per row of x_new."""
 
-    def evaluate(self, x_new: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """W(x_new) @ coef for coef of shape (n,) or (n, c).
-
-        Row x of W holds the evaluation weights w(x), so w(x)' y is one
-        smoothing pass at x; at the training rows W is ``matrix``. At most a
-        block of W is formed: ``predictor(coef).predict(x_new)``.
-        """
-        return self.predictor(coef).predict(x_new)
-
     def evaluate_basis(self, x_new: np.ndarray) -> np.ndarray:
         """W(x_new) G for G = diag(d_half) U of :meth:`spectral`, so that
         W(x_new) times a fitted coefficient vector G v is this times v.
-        This default forms G densely."""
+        Row x of W holds the evaluation weights w(x), so w(x)' y is one
+        smoothing pass at x; at the training rows W is ``matrix``. This
+        default forms G densely and evaluates it through :meth:`predictor`."""
         form = self.spectral()
-        return self.evaluate(x_new, form.d_half[:, None] * form.dense_u())
+        return self.predictor(form.d_half[:, None] * form.dense_u()).predict(x_new)
 
     @abstractmethod
     def describe(self) -> str:

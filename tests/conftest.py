@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ibrsmooth import DesignMatrix, KernelSmootherSpec, build_kernel_smoother
+from ibrsmooth import DesignMatrix, KernelPredictor, KernelSmootherSpec, build_kernel_smoother
 from ibrsmooth.smoothers import _fill
 from ibrsmooth.tps import _radial_constant, _RadialRows
 
@@ -21,6 +21,13 @@ def gaussian_smoother(x, h=1.0):
     design = DesignMatrix.from_array(x)
     spec = KernelSmootherSpec(kind="gaussian", bandwidths=(h,) * design.d)
     return build_kernel_smoother(design, spec)
+
+
+def direct_average(x_new, x, kind, h, beta):
+    """The kernel average of ``beta``, (n,) or (n, c), by the predictor's
+    direct route, which a coefficient block always takes."""
+    pred = KernelPredictor(x, kind, np.asarray(h, float), beta.reshape(len(beta), -1)).predict(x_new)
+    return pred.reshape(pred.shape[:1] + beta.shape[1:])
 
 
 def radial_block(a, b, order):

@@ -418,7 +418,7 @@ def test_polynomials_reproduced_exactly_by_spline_base(capsys):
         polys_new = [np.ones(9)] + [x_new[:, j] for j in range(d)]
         for p, p_new in zip(polys, polys_new):
             worst = max(worst, float(np.max(np.abs(sm.matrix @ p - p))))
-            worst = max(worst, float(np.max(np.abs(sm.evaluate(x_new, p) - p_new))))
+            worst = max(worst, float(np.max(np.abs(sm.predictor(p).predict(x_new) - p_new))))
     report(
         capsys,
         worst <= 1e-8,

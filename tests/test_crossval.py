@@ -102,6 +102,22 @@ def test_bad_fold_calibration_is_reported():
         search_k_cv(x, y, broken, plan)
 
 
+def test_a_vector_is_a_one_column_design():
+    """As ``fit`` reads it: 60 points, not one row of 60."""
+    x, y = problem(19, n=60)
+    plan = SelectionPlan(criterion="rmse", cv=CvPlan(kfold=4))
+    res = search_k_cv(x[:, 0], y, factory(), plan)
+    assert res.k == search_k_cv(x, y, factory(), plan).k
+    assert res.k == fit(x[:, 0], y, smoother=SmootherConfig(bandwidths=(1.0,)), plan=plan).k
+
+
+def test_a_design_whose_rows_miss_the_responses_is_refused():
+    x, y = problem(23, n=100)
+    plan = SelectionPlan(criterion="rmse", cv=CvPlan(kfold=4))
+    with pytest.raises(ValueError, match="y has 60 entries for 100 rows"):
+        search_k_cv(x, y[:60], factory(), plan)
+
+
 def test_default_plan_is_data_splitting():
     x, y = problem(13, n=50)
     res = search_k_cv(x, y, factory(), SelectionPlan(criterion="rmse"))

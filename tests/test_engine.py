@@ -162,6 +162,34 @@ def test_tiny_eigenvalue_series_fallback():
     assert factors[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_fractional_powers_and_their_slopes_match_a_40_digit_reference():
+    """Fractional counts up to 1e15 on eigenvalues down to 1e-14: the value
+    rows (1 - lambda)^k and the slope rows k log(1 - lambda) (1 - lambda)^k
+    both lie within a few eps (1 + |k log(1 - lambda)|) of mpmath at 40
+    digits, so a search's values and slopes agree. A power of the rounded
+    base 1 - lambda misses by 0.8% at lambda = 1e-14, k = 1e15, and by
+    2.4% at 3e-14."""
+    import mpmath
+
+    mpmath.mp.dps = 40
+    lam = np.array([1.0, 0.5, 1e-3, 1e-8, 1e-12, 3e-14, 1e-14, 0.0])
+    path = KPath(SpectralForm(d_half=np.ones(8), u=np.eye(8), lam=lam), np.ones(8))
+    counts, p, _ = path._pow_rows(np.array([2.5, 1e3 + 0.5, 1e8 + 0.5, 1e12 + 0.25, 1e15 + 0.5]))
+    dp = path._slope_rows(counts, p)
+    eps = np.finfo(float).eps
+    for k, p_row, dp_row in zip(counts, p, dp):
+        for l, got, slope in zip(lam, p_row, dp_row):
+            mu = 1 - mpmath.mpf(l)
+            if mu == 0:
+                assert got == 0.0 and slope == 0.0
+                continue
+            t = mpmath.mpf(k) * mpmath.log(mu)
+            ref, dref = mpmath.exp(t), t * mpmath.exp(t)
+            bound = 8 * eps * (1 + abs(float(t)))
+            assert abs(got - ref) <= bound * ref + 1e-300, (k, l)
+            assert abs(slope - dref) <= bound * abs(dref) + 1e-300, (k, l)
+
+
 def test_coef_factor_blocks_match_pointwise_with_series():
     q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     spectral = SpectralForm(d_half=np.ones(3), u=q, lam=np.array([1.0, 0.5, 1e-15]))

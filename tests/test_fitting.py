@@ -160,9 +160,9 @@ def test_writing_into_the_callers_array_leaves_the_fit_alone():
     assert not np.shares_memory(result.design.x, x)
     assert not np.shares_memory(result.base.design.x, x)
     rows, matrix = x[:5].copy(), result.base.matrix.copy()
-    values = result.base.evaluate(rows, result.beta)
+    values = result.base.predictor(result.beta).predict(rows)
     x[:] = rng.uniform(size=x.shape)
-    assert np.array_equal(result.base.evaluate(rows, result.beta), values)
+    assert np.array_equal(result.base.predictor(result.beta).predict(rows), values)
     assert np.array_equal(result.base.matrix, matrix)
     assert fit(result.design, y).k == result.k
 

@@ -18,15 +18,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every kernel-family layer: calibration, both spectrum routes (a two-column
 # factor, three-column dense fits in the walk and the CV folds), the forward
-# walk, a 5-fold CV fit, the table and direct predict routes, model I/O, and
-# predict from a saved two-column spline; then a spline fit, which loads scipy
+# walk, a 5-fold CV fit, a numeric search on gmdl's slope, the table and
+# direct predict routes, model I/O, and predict from a saved two-column
+# spline; then a spline fit, which loads scipy
 KERNEL_WORKFLOW = """
 import sys
 
 import numpy as np
 
 import ibrsmooth as ib
-from ibrsmooth.kernel_smoother import kernel_predict
 
 model_dir, spline_model = sys.argv[1], sys.argv[2]
 rng = np.random.default_rng(0)
@@ -36,7 +36,7 @@ result = ib.fit(x, y)
 assert result.base._factor is not None, "the fit left the factor route"
 pred = result.predict(rng.uniform(0.1, 0.9, size=(2000, 2)))
 assert "table" in vars(result.predictor._tables), "the batch went direct"
-direct = kernel_predict(x[:5], x, "gaussian", result.predictor.bandwidths, result.predictor.beta)
+direct = ib.KernelPredictor(x, "gaussian", result.predictor.bandwidths, result.predictor.beta[:, None]).predict(x[:5])
 assert np.isfinite(pred).all() and np.isfinite(direct).all()
 
 x3 = rng.uniform(size=(200, 4))
@@ -45,6 +45,7 @@ assert ib.forward_select(x3, y3).order[0] == 0
 cv = ib.SelectionPlan(criterion="rmse", cv=ib.CvPlan(kfold=5))
 dense = ib.fit(x3[:, :3], y3, plan=cv)
 assert dense.base._factor is None and np.isfinite(dense.k), "the CV fit left the dense route"
+assert np.isfinite(ib.fit(x[:600], y[:600], plan=ib.SelectionPlan(criterion="gmdl")).k)
 
 ib.save_model(result, f"{model_dir}/kernel.json")
 loaded = ib.load_model(f"{model_dir}/kernel.json")

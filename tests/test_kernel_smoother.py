@@ -22,7 +22,7 @@ from ibrsmooth import (
 from ibrsmooth import chebyshev, kernel_smoother, smoothers
 from ibrsmooth.kernels import kernel_values
 
-from conftest import gaussian_smoother, random_design
+from conftest import direct_average, gaussian_smoother, random_design
 
 
 # Two points at distance 1, gaussian, h = 1. The normalizing constant
@@ -84,19 +84,25 @@ def test_evaluation_outside_support_is_an_error():
     sm = build_kernel_smoother(design, spec)
     assert np.all(sm.matrix.sum(axis=1) > 0)
     with pytest.raises(ValueError, match="support"):
-        sm.evaluate(np.array([[5.0]]), np.ones(3))
+        sm.predictor(np.ones(3)).predict(np.array([[5.0]]))
 
 
 def test_evaluate_reads_a_vector_as_points_of_a_one_column_design(rng):
-    """As ``predict`` does: x[:3] is three points, not one row of three."""
+    """A predictor of the base smoother reads x[:3] as three points, not one
+    row of three, as the fit's ``predict`` does."""
     x = rng.uniform(size=40)
     result = fit(x, np.sin(6 * x) + rng.normal(0, 0.1, 40))
-    got = result.base.evaluate(x[:3], result.beta)
+    predictor = result.base.predictor(result.beta)
+    got = predictor.predict(x[:3])
     assert got.shape == (3,)
-    np.testing.assert_array_equal(got, result.base.evaluate(x[:3, None], result.beta))
+    np.testing.assert_array_equal(got, predictor.predict(x[:3, None]))
     np.testing.assert_allclose(got, result.predict(x[:3]), rtol=1e-12)
+    # within two rounding floors eps (|w| . |beta|) / (w . 1) of the weights' average
+    w = kernel_smoother.product_kernel(x[:3, None], x[:, None], "gaussian", result.predictor.bandwidths)
+    floor = EPS * (w @ np.abs(result.beta)) / w.sum(axis=1)
+    assert np.all(np.abs(got - (w @ result.beta) / w.sum(axis=1)) <= 2.0 * floor)
     with pytest.raises(ValueError, match="row 1 has non-finite"):
-        result.base.evaluate(np.array([0.5, np.nan]), result.beta)
+        predictor.predict(np.array([0.5, np.nan]))
 
 
 def test_two_point_bandwidth_closed_form():
@@ -593,13 +599,13 @@ def test_blocked_prediction_matches_full_weights(rng, monkeypatch, kind):
     beta = rng.normal(size=30)
     w = kernel_smoother.product_kernel(x_new, x, kind, h)
     sums = w.sum(axis=1)
-    got = kernel_smoother.kernel_predict(x_new, x, kind, h, beta)
+    got = direct_average(x_new, x, kind, h, beta)
     np.testing.assert_allclose(got, (w @ beta) / sums, rtol=1e-13, atol=0)
-    assert kernel_smoother.kernel_predict(x_new[:0], x, kind, h, beta).shape == (0,)
+    assert direct_average(x_new[:0], x, kind, h, beta).shape == (0,)
     coefs = rng.normal(size=(30, 3))
-    got = kernel_smoother.kernel_predict(x_new, x, kind, h, coefs)
+    got = direct_average(x_new, x, kind, h, coefs)
     np.testing.assert_allclose(got, (w @ coefs) / sums[:, None], rtol=1e-13, atol=0)
-    assert kernel_smoother.kernel_predict(x_new[:0], x, kind, h, coefs).shape == (0, 3)
+    assert direct_average(x_new[:0], x, kind, h, coefs).shape == (0, 3)
 
 
 def test_block_buffers_start_on_a_cache_line(rng):
@@ -626,7 +632,7 @@ def test_evaluate_at_training_rows_is_the_matrix(rng):
         design, KernelSmootherSpec(kind="gaussian", bandwidths=(0.8, 1.2))
     )
     for coef in (rng.normal(size=20), rng.normal(size=(20, 3))):
-        got = sm.evaluate(design.x, coef)
+        got = sm.predictor(coef).predict(design.x)
         assert got.shape == coef.shape
         np.testing.assert_allclose(got, sm.matrix @ coef, rtol=1e-12, atol=1e-14)
 
@@ -637,7 +643,7 @@ def test_blocked_prediction_names_dead_rows_of_every_block(rng, monkeypatch):
     x_new = rng.uniform(size=(20, 1))
     x_new[[3, 17]] = 5.0
     with pytest.raises(ValueError, match=r"prediction rows \[3, 17\]"):
-        kernel_smoother.kernel_predict(x_new, x, "triangle", (0.5,), np.ones(10))
+        direct_average(x_new, x, "triangle", (0.5,), np.ones(10))
 
 
 def test_unreachable_target_cannot_be_bracketed():
@@ -751,12 +757,12 @@ def test_shifted_batches_agree_to_the_rounding_floor(kernel_fit_sized):
     pred, x_new = kernel_fit_sized
     x, h, beta = pred.x_train, pred.bandwidths, pred.beta
     x_new = x_new[:500]
-    whole = kernel_smoother.kernel_predict(x_new, x, "gaussian", h, beta)
-    assert np.array_equal(whole, kernel_smoother.kernel_predict(x_new, x, "gaussian", h, beta))
+    whole = direct_average(x_new, x, "gaussian", h, beta)
+    assert np.array_equal(whole, direct_average(x_new, x, "gaussian", h, beta))
     w = kernel_smoother.product_kernel(x_new, x, "gaussian", h)
     floor = EPS * (w @ np.abs(beta)) / w.sum(axis=1)
     for shift in (1, 2, 3):
-        got = kernel_smoother.kernel_predict(x_new[shift:], x, "gaussian", h, beta)
+        got = direct_average(x_new[shift:], x, "gaussian", h, beta)
         assert np.all(np.abs(got - whole[shift:]) <= floor[shift:])
 
 
@@ -840,7 +846,7 @@ def test_grid_prediction_within_the_floor_in_one_and_three_columns(make, sizes):
     got = pred.predict(x_new)
     if sizes is None:
         assert pred._tables is None
-        direct = kernel_smoother.kernel_predict(x_new, x, pred.kind, pred.bandwidths, pred.beta)
+        direct = direct_average(x_new, x, pred.kind, pred.bandwidths, pred.beta)
         assert np.array_equal(got, direct)
         return
     assert len(x_new) >= grid_rows(pred)
@@ -953,7 +959,7 @@ def test_rows_in_the_margin_take_the_tables(make, request):
     assert past.all()
     batch = np.vstack([near, beyond])
     got = pred.predict(batch)
-    direct = kernel_smoother.kernel_predict(
+    direct = direct_average(
         beyond, pred.x_train, pred.kind, pred.bandwidths, pred.beta
     )
     assert np.array_equal(got[len(near):], direct)
@@ -969,7 +975,7 @@ def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
     error under pytest): 1e300 half-ranges out, unclipped, its
     interpolation rows would overflow. At 1e6 half-ranges its Gaussian
     weights all underflow, so the direct route refuses it, naming it as
-    kernel_predict does."""
+    the direct route does on its own."""
     pred, _ = kernel_fit_sized
     x_new = np.random.default_rng(13).uniform(-0.2, 1.2, size=(500, 2))
     tables = pred._tables
@@ -980,7 +986,7 @@ def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
     assert 0 < beyond.sum() < 500 and not in_box(pred, x_new[:8]).any()
     got = pred.predict(x_new)
     assert tables_built(pred)
-    direct = kernel_smoother.kernel_predict(
+    direct = direct_average(
         x_new[beyond], pred.x_train, pred.kind, pred.bandwidths, pred.beta
     )
     assert np.array_equal(got[beyond], direct)
@@ -997,7 +1003,7 @@ def test_rows_outside_the_box_take_the_direct_route(kernel_fit_sized):
     with pytest.raises(ValueError, match=message.format(7)):
         pred.predict(far)
     with pytest.raises(ValueError, match=message.format(0)):
-        kernel_smoother.kernel_predict(far[7:8], pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+        direct_average(far[7:8], pred.x_train, pred.kind, pred.bandwidths, pred.beta)
 
 
 def on_nodes(tables, column: int, count: int) -> np.ndarray:
@@ -1049,11 +1055,11 @@ def same_bits_as_direct(pred: KernelPredictor, x_new):
     got = pred.predict(x_new)
     # no tables serve the fit, or none were built
     assert not tables_built(pred)
-    direct = kernel_smoother.kernel_predict(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+    direct = direct_average(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
     assert np.array_equal(got, direct)
 
 
-def test_triangle_kernel_predicts_directly():
+def test_triangle_kernel_takes_the_direct_route():
     rng = np.random.default_rng(14)
     x = rng.uniform(size=(400, 2))
     y = np.sin(6.0 * x[:, 0]) + rng.normal(0.0, 0.1, 400)
@@ -1118,30 +1124,33 @@ def test_batch_takes_the_tables_only_when_it_pays_for_them(kernel_fit_sized):
     assert floor_units(pred, big, got).max() <= 1.0
     # with the tables built, smaller batches still predict directly
     small = x_new[: rows - 1]
-    direct = kernel_smoother.kernel_predict(small, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+    direct = direct_average(small, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
     assert np.array_equal(pred.predict(small), direct)
     assert np.array_equal(fresh(pred).predict(big), got)
 
 
 def test_vector_evaluate_routes_as_a_fit_predicts(kernel_fit_sized):
-    """KernelSmoother.evaluate goes through the family's predictor: with a
-    coefficient vector, a batch large enough takes the tables, with the
-    bits of the fit's own predictor and within the rounding floor
-    eps (|w| . |beta|) / (w . 1) of kernel_predict; a coefficient block
-    stays on the direct route."""
+    """A smoother's predictor of a coefficient vector routes as the fit's
+    does: a batch large enough takes the tables, with the bits of the fit's
+    own predictor and within the rounding floor eps (|w| . |beta|) / (w . 1)
+    of the direct route; a coefficient block stays on the direct route,
+    within two floor units of the product_kernel weights' average."""
     pred, x_new = kernel_fit_sized
     x, h, beta = pred.x_train, pred.bandwidths, pred.beta
     sm = build_kernel_smoother(x, KernelSmootherSpec(kind="gaussian", bandwidths=tuple(h)))
     x_new = x_new[:500]
     assert len(x_new) >= grid_rows(pred)
-    got = sm.evaluate(x_new, beta)
+    got = sm.predictor(beta).predict(x_new)
     assert np.array_equal(got, fresh(pred).predict(x_new))
-    direct = kernel_smoother.kernel_predict(x_new, x, "gaussian", h, beta)
+    direct = direct_average(x_new, x, "gaussian", h, beta)
     assert not np.array_equal(got, direct)
     w = kernel_smoother.product_kernel(x_new, x, "gaussian", h)
-    assert np.all(np.abs(got - direct) <= EPS * (w @ np.abs(beta)) / w.sum(axis=1))
+    floor = EPS * (w @ np.abs(beta)) / w.sum(axis=1)
+    assert np.all(np.abs(got - direct) <= floor)
     block = np.column_stack([beta, -beta])
-    assert np.array_equal(sm.evaluate(x_new, block), kernel_smoother.kernel_predict(x_new, x, "gaussian", h, block))
+    both = sm.predictor(block).predict(x_new)
+    assert np.array_equal(both[:, 1], -both[:, 0])
+    assert np.all(np.abs(both - (w @ block) / w.sum(axis=1)[:, None]) <= 2.0 * floor[:, None])
     assert sm.predictor(block)._tables is None
 
 
@@ -1203,7 +1212,7 @@ def test_expanded_exponent_stays_near_the_rounding_floor(span, d):
     per-column subtraction's worst on the same rows."""
     pred, x_new = spanned_case(span, d)
     assert pred._weights.augmented is not None
-    got = kernel_smoother.kernel_predict(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+    got = direct_average(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
     expanded = floor_units(pred, x_new, got).max()
     assert expanded <= 2.0
     assert expanded <= floor_units(pred, x_new, subtracted(pred, x_new)).max() + 0.5
@@ -1216,7 +1225,7 @@ def test_wide_spans_keep_the_per_column_subtraction(span):
     for d in (1, 2, 3, 5):
         pred, x_new = spanned_case(span, d)
         assert pred._weights.augmented is None
-        got = kernel_smoother.kernel_predict(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
+        got = direct_average(x_new, pred.x_train, pred.kind, pred.bandwidths, pred.beta)
         assert np.array_equal(got, subtracted(pred, x_new))
 
 
@@ -1260,7 +1269,7 @@ def test_rows_whose_scaled_norm_overflows_are_refused(unit):
     with pytest.raises(ValueError, match=message):
         pred.predict(x_new)
     with pytest.raises(ValueError, match=message):
-        kernel_smoother.kernel_predict(x_new, x, "gaussian", pred.bandwidths, pred.beta)
+        direct_average(x_new, x, "gaussian", pred.bandwidths, pred.beta)
     assert np.isfinite(pred.predict(np.delete(x_new, [3, 7, 9], axis=0))).all()
 
 

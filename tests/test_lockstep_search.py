@@ -349,9 +349,9 @@ def test_batched_cv_rows_match_held_out_errors():
     for j, k in enumerate(COUNTS):
         betas = [f.kpath.coefficients(k) for *_, f in folds]
         direct = np.concatenate(
-            [sm.evaluate(x_test, b) - f.y_test for (sm, x_test, f), b in zip(folds, betas)]
+            [sm.predictor(b).predict(x_test) - f.y_test for (sm, x_test, f), b in zip(folds, betas)]
         )
-        scale = np.concatenate([sm.evaluate(x_test, np.abs(b)) for (sm, x_test, _), b in zip(folds, betas)])
+        scale = np.concatenate([sm.predictor(np.abs(b)).predict(x_test) for (sm, x_test, _), b in zip(folds, betas)])
         assert np.all(np.abs(errors[j] - direct) <= 1e-13 * scale)
     for loss in ("rmse", "map"):
         value, df, rss = _CvScore([f for *_, f in folds], loss).batch(COUNTS)
@@ -413,8 +413,10 @@ def test_numeric_search_makes_few_batched_calls(monkeypatch):
 
 def test_a_search_to_kmax_1e15_makes_one_call_per_round(monkeypatch):
     """forward_cv's seed-[1, 1] design, its first column alone, searched to
-    kmax 1e15: about 23000 counts in rounds of every live piece. One cell
-    search after another in lockstep took 11674 score calls to the same k."""
+    kmax 1e15: 184 counts in 43 rounds of every live piece. One cell search
+    after another in lockstep took 11674 score calls to the same k, and
+    values from powers of the rounded base 1 - lambda, whose slopes
+    disagreed with them at the tiny eigenvalues, 23456 counts in 72 calls."""
     rng = np.random.default_rng([1, 1])
     x = rng.uniform(size=(330, 5))
     y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + x[:, 2] ** 2 + rng.normal(0, 0.1, 330)
@@ -426,6 +428,7 @@ def test_a_search_to_kmax_1e15_makes_one_call_per_round(monkeypatch):
         )
     result = fit(x[:, :1], y, plan=SelectionPlan(kmax=1e15))
     assert len(calls) <= 100
+    assert sum(calls) < 1000
     assert result.k == pytest.approx(5.5694088e7, rel=1e-6)
 
 

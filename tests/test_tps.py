@@ -125,7 +125,7 @@ def test_polynomial_reproduction_at_new_points(rng):
     x_new = rng.normal(size=(7, 2))
     p_train = 1.0 + 2.0 * design.x[:, 0] - 0.5 * design.x[:, 1]
     p_new = 1.0 + 2.0 * x_new[:, 0] - 0.5 * x_new[:, 1]
-    assert np.allclose(sm.evaluate(x_new, p_train), p_new, atol=1e-8)
+    assert np.allclose(sm.predictor(p_train).predict(x_new), p_new, atol=1e-8)
 
 
 def test_spectrum_has_exactly_null_dim_unit_eigenvalues(rng):
@@ -238,26 +238,34 @@ def test_predictions_match_weight_path(rng):
         x_train=design.x, order=2, powers=sm.core.powers, delta=delta, poly_coef=poly_coef
     )
     x_new = rng.normal(size=(5, 2))
-    assert np.allclose(sm.evaluate(x_new, beta), predictor.predict(x_new), atol=1e-10)
+    # the weight path: W(x_new) U, from the fold projector's reflector
+    # passes, times U' beta (U is orthogonal)
+    weights = sm.evaluate_basis(x_new) @ sm.core.t_dot(beta)
+    assert np.allclose(sm.predictor(beta).predict(x_new), weights, atol=1e-10)
+    assert np.allclose(predictor.predict(x_new), weights, atol=1e-10)
 
 
 def test_evaluate_reads_a_vector_as_points_of_a_one_column_design(rng):
-    """As ``predict`` does: x[:3] is three points, not one row of three."""
+    """A predictor of the base smoother reads x[:3] as three points, not one
+    row of three, as the fit's ``predict`` does."""
     x = rng.uniform(size=30)
     result = fit(x, np.sin(6 * x) + rng.normal(0, 0.1, 30), smoother=SmootherConfig(family="tps"))
-    got = result.base.evaluate(x[:3], result.beta)
+    predictor = result.base.predictor(result.beta)
+    got = predictor.predict(x[:3])
     assert got.shape == (3,)
-    np.testing.assert_array_equal(got, result.base.evaluate(x[:3, None], result.beta))
+    np.testing.assert_array_equal(got, predictor.predict(x[:3, None]))
     np.testing.assert_allclose(got, result.predict(x[:3]), rtol=1e-10)
+    # at training rows, the smoothing matrix's rows
+    np.testing.assert_allclose(got, (result.base.matrix @ result.beta)[:3], rtol=1e-10)
     with pytest.raises(ValueError, match="row 1 has non-finite"):
-        result.base.evaluate(np.array([0.5, np.nan]), result.beta)
+        predictor.predict(np.array([0.5, np.nan]))
 
 
 def test_evaluate_at_training_rows_is_the_matrix(rng):
     design = random_design(rng, 20, 2)
     sm = build_calibrated_tps(design, df_multiplier=1.3)
     for coef in (rng.normal(size=20), rng.normal(size=(20, 3))):
-        got = sm.evaluate(design.x, coef)
+        got = sm.predictor(coef).predict(design.x)
         assert got.shape == coef.shape
         np.testing.assert_allclose(got, sm.matrix @ coef, rtol=0, atol=1e-10)
 

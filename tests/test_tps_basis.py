@@ -114,10 +114,10 @@ def test_path_fitted_values_match_the_dense_recursion(seed):
 @pytest.mark.parametrize("seed,n,d", [(10, 40, 2), (11, 50, 3)])
 def test_basis_evaluation_matches_evaluating_the_dense_basis(seed, n, d):
     """The CV fold projector W(x) U, from reflector passes over the radial
-    rows, equals ``evaluate`` applied to the dense U, also at training rows."""
+    rows, equals the predictor of the dense U, also at training rows."""
     sm = calibrated(seed, n, d)
     x_new = np.vstack([np.random.default_rng(seed).normal(size=(7, d)), sm.design.x[:5]])
-    ref = sm.evaluate(x_new, sm.core.dense())
+    ref = sm.predictor(sm.core.dense()).predict(x_new)
     got = sm.evaluate_basis(x_new)
     assert got.shape == (12, n)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())

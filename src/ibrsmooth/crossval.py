@@ -12,14 +12,13 @@ the same way.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import KPath
 from .selection import CV_LOSSES, SelectionPlan, SelectionResult, search_k
-from .smoothers import DesignMatrix
+from .smoothers import _is_real, _read_xy
 
 __all__ = ["CvPlan", "make_splits", "search_k_cv"]
 
@@ -32,10 +31,11 @@ class CvPlan:
 
     ``kfold`` may be False (data splitting with ``npermut`` random
     train/test permutations), True (K derived from the test-set size) or an
-    integer number of folds. Counts must be whole numbers (5.0 is read as
-    5, 2.7 and NaN are refused). Exactly one of ``ntest``/``ntrain`` may pin
-    the test-set size; it defaults to n // 10. The loss scored on the held
-    out points is the selection plan's criterion ("rmse" or "map").
+    integer number of folds. Counts and the seed must be whole numbers (5.0
+    is read as 5; 2.7, NaN and booleans are refused), the seed >= 0.
+    Exactly one of ``ntest``/``ntrain`` may pin the test-set size; it
+    defaults to n // 10. The loss scored on the held out points is the
+    selection plan's criterion ("rmse" or "map").
     """
 
     kfold: bool | int = False
@@ -48,17 +48,19 @@ class CvPlan:
     def __post_init__(self) -> None:
         if self.type not in _SPLIT_TYPES:
             raise ValueError(f"split type must be one of {_SPLIT_TYPES}, got {self.type!r}")
-        for name in ("kfold", "npermut", "ntest", "ntrain"):
+        for name in ("kfold", "npermut", "ntest", "ntrain", "seed"):
             value = getattr(self, name)
             # None leaves a size unset; kfold True and False are not counts,
             # and no other field gives a boolean a meaning
-            if value is None or (name == "kfold" and isinstance(value, bool)):
-                continue
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and float(value).is_integer()
+            if (value is None and name in ("ntest", "ntrain")) or (
+                name == "kfold" and isinstance(value, bool)
             ):
+                continue
+            if not (_is_real(value) and float(value).is_integer()):
                 raise ValueError(f"{name} must be a whole number, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.npermut < 1:
             raise ValueError(f"npermut must be >= 1, got {self.npermut}")
         if self.ntest is not None and self.ntrain is not None:
@@ -221,27 +223,23 @@ def search_k_cv(
     pooled loss as ``plan.mode`` asks: over real k in [kmin, kmax], without
     the criterion search's df and RSS guards, or over the integers, to
     which a numeric plan falls back (with a warning) when a fold's
-    spectrum leaves [0, 1]. ``x`` is read as :func:`~ibrsmooth.fit` reads
-    it (a 1-D array holds points of a one-column design); a row count other
-    than ``y.size`` raises ValueError.
+    spectrum leaves [0, 1]. ``x`` and ``y`` are read as :func:`~ibrsmooth.fit`
+    reads them (a 1-D x holds points of a one-column design).
     """
     if plan.criterion not in CV_LOSSES:
         raise ValueError(
             f"cross-validation needs a loss {CV_LOSSES}, got criterion {plan.criterion!r}"
         )
     cv: CvPlan = plan.cv if plan.cv is not None else CvPlan()
-    x = DesignMatrix.from_array(x).x
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape[0] != y.size:
-        raise ValueError(f"y has {y.size} entries for {x.shape[0]} rows")
+    design, y = _read_xy(x, y)
     folds = []
     for i, (train, test) in enumerate(make_splits(y.size, cv)):
         try:
-            smoother = smoother_factory(x[train])
+            smoother = smoother_factory(design.x[train])
         except Exception as exc:
             raise RuntimeError(
                 f"cannot calibrate the smoother on training fold {i} "
                 f"(size {train.size}): {exc}"
             ) from exc
-        folds.append(_FoldScorer(smoother, y[train], x[test], y[test]))
+        folds.append(_FoldScorer(smoother, y[train], design.x[test], y[test]))
     return search_k(_CvScore(folds, plan.criterion), plan, exhaustive=plan.mode == "exhaustive")

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .smoothers import BaseSmoother, SpectralForm
+from .smoothers import BaseSmoother, SpectralForm, _read_y
 
 __all__ = ["IterationDomainError", "KPath", "iterate_fitted_recursive"]
 
@@ -71,13 +71,8 @@ class KPath:
     """
 
     def __init__(self, spectral: SpectralForm, y: np.ndarray):
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size != spectral.n:
-            raise ValueError(f"y has {y.size} entries for n = {spectral.n}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains non-finite values")
         self.spectral = spectral
-        self.y = y
+        self.y = y = _read_y(y, spectral.n)
         self.lam = spectral.lam
         self.mu = 1.0 - self.lam
         self.z = z = spectral.ut_dot(y / spectral.d_half)

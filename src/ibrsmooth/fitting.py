@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from .kernel_smoother import (
 )
 from .kernels import resolve_kernel
 from .selection import CV_LOSSES, SelectionPlan, search_k_exhaustive, search_k_numeric
-from .smoothers import BaseSmoother, DesignMatrix
+from .smoothers import BaseSmoother, DesignMatrix, _is_real, _read_xy
 from .tps import (
     TpsPredictor,
     TpsSmoother,
@@ -83,11 +82,6 @@ class SmootherConfig:
             object.__setattr__(self, "bandwidths", h)
         if fam == "kernel":
             object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
-
-
-def _is_real(value) -> bool:
-    # a boolean is a number to Python but not a smoothing parameter
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
@@ -181,14 +175,7 @@ def fit(
     Returns:
         IbrFit with coefficients, diagnostics and a lightweight predictor.
     """
-    design = DesignMatrix.from_array(x, names)
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != design.n:
-        raise ValueError(f"y has {y.size} entries for {design.n} rows")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y contains non-finite values")
-    if np.all(y == y[0]):
-        raise ValueError(f"y is constant ({y[0]:g}); there is nothing to smooth")
+    design, y = _read_xy(x, y, names)
     plan = plan if plan is not None else SelectionPlan()
 
     config: SmootherConfig | None

@@ -23,7 +23,7 @@ import numpy as np
 from . import fitting
 from .fitting import SmootherConfig, fit
 from .selection import CRITERIA, CV_LOSSES, SelectionPlan, criterion_value
-from .smoothers import DesignMatrix
+from .smoothers import DesignMatrix, _read_xy
 
 __all__ = ["ForwardResult", "ForwardStageError", "forward_select"]
 
@@ -63,11 +63,11 @@ def forward_select(
     """Run the forward walk over the columns of x.
 
     ``varcrit`` defaults to the plan's criterion when that is a spectral
-    criterion, else to gcv. A failed candidate fit scores inf with a
-    warning; a stage with no finite score at all aborts the walk.
+    criterion, else to gcv. x and y are read as :func:`~ibrsmooth.fit`
+    reads them. A failed candidate fit scores inf with a warning; a stage
+    with no finite score at all aborts the walk.
     """
-    design = DesignMatrix.from_array(x)
-    y = np.asarray(y, dtype=float).ravel()
+    design, y = _read_xy(x, y)
     smoother = smoother if smoother is not None else SmootherConfig()
     plan = plan if plan is not None else SelectionPlan()
     if varcrit is None:

@@ -34,6 +34,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .smoothers import _is_real
+
 if TYPE_CHECKING:
     from .crossval import CvPlan
     from .engine import KPath
@@ -173,6 +175,8 @@ class SelectionPlan:
     """How to choose the number of bias-reduction iterations.
 
     A ``CV_LOSSES`` criterion selects by cross-validation, with folds ``cv``.
+    ``kmin``, ``kmax``, ``dfmaxi`` and ``fixed_k`` must be real numbers
+    (a boolean is refused); the last two may be None.
     """
 
     criterion: str = "gcv"
@@ -191,6 +195,10 @@ class SelectionPlan:
             )
         if self.mode not in ("numeric", "exhaustive", "fixed"):
             raise ValueError(f"mode must be numeric, exhaustive or fixed: {self.mode!r}")
+        for name in ("kmin", "kmax", "dfmaxi", "fixed_k"):
+            value = getattr(self, name)
+            if not (_is_real(value) or (value is None and name in ("dfmaxi", "fixed_k"))):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.mode == "fixed":
             if self.fixed_k is None or not 1 <= self.fixed_k < math.inf:
                 raise ValueError(f"fixed mode needs a finite fixed_k >= 1, got {self.fixed_k}")

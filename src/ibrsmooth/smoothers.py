@@ -21,6 +21,7 @@ the spline's polynomial null space).
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -105,6 +106,30 @@ class DesignMatrix:
     @property
     def d(self) -> int:
         return self.x.shape[1]
+
+
+def _is_real(value) -> bool:
+    # a boolean is a number to Python but not a smoothing or search parameter
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _read_y(y, n: int) -> np.ndarray:
+    """y as a float vector of n finite entries, else ValueError."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != n:
+        raise ValueError(f"y has {y.size} entries for {n} rows")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite values")
+    return y
+
+
+def _read_xy(x, y, names: list[str] | None = None) -> tuple[DesignMatrix, np.ndarray]:
+    """(x, y) as every entry point reads them: :func:`_read_y`, y not constant."""
+    design = DesignMatrix.from_array(x, names)
+    y = _read_y(y, design.n)
+    if np.all(y == y[0]):
+        raise ValueError(f"y is constant ({y[0]:g}); there is nothing to smooth")
+    return design, y
 
 
 class FactoredBasis(ABC):

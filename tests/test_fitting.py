@@ -1,5 +1,7 @@
 """End-to-end fit(): orchestration, diagnostics, prediction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from ibrsmooth import (
     SmootherConfig,
     build_smoother,
     fit,
+    forward_select,
+    search_k_cv,
 )
 
 
@@ -100,6 +104,39 @@ def test_length_mismatch_rejected():
     x, y = sine_problem(9)
     with pytest.raises(ValueError, match="entries"):
         fit(x, y[:-1])
+
+
+_CV_PLAN = SelectionPlan(criterion="rmse", cv=CvPlan(kfold=4))
+_ENTRY_POINTS = {
+    "fit": fit,
+    "search_k_cv": lambda x, y: search_k_cv(
+        x, y, lambda x_sub: build_smoother(x_sub, SmootherConfig()), _CV_PLAN
+    ),
+    "forward_select": forward_select,
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bend, message",
+    [
+        (lambda y: y[:60], "y has 60 entries for 100 rows"),
+        (lambda y: np.where(np.arange(y.size) == 3, np.nan, y), "y contains non-finite values"),
+        (lambda y: np.full_like(y, 2.5), "y is constant (2.5); there is nothing to smooth"),
+    ],
+    ids=["60 of 100", "nan", "constant"],
+)
+def test_every_entry_point_refuses_a_malformed_pair_alike(entry, bend, message):
+    """fit, search_k_cv and forward_select read (x, y) in one place: each
+    raises the same ValueError, before any fit and with no warning."""
+    rng = np.random.default_rng(40)
+    x = rng.uniform(size=(100, 3))
+    y = np.sin(6 * x[:, 0]) + rng.normal(0, 0.1, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            _ENTRY_POINTS[entry](x, bend(y))
+    assert str(caught.value) == message
 
 
 def test_trace_is_thinned():

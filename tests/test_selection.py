@@ -163,6 +163,16 @@ def test_plan_validation():
     for dfmaxi in (0.0, -3.0, math.nan):
         with pytest.raises(ValueError, match="dfmaxi must be a positive number"):
             SelectionPlan(dfmaxi=dfmaxi)
+    # fields that used to raise a TypeError from a comparison
+    for fields, name in [
+        ({"kmax": "1e5"}, "kmax"),
+        ({"dfmaxi": "3"}, "dfmaxi"),
+        ({"kmin": None}, "kmin"),
+        ({"mode": "fixed", "fixed_k": "5"}, "fixed_k"),
+        ({"kmax": True}, "kmax"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got"):
+            SelectionPlan(**fields)
 
 
 @pytest.mark.parametrize("mode", ["numeric", "exhaustive"])

@@ -116,12 +116,16 @@ def test_plan_validation():
         ("ntest", 2.5), ("ntest", math.nan), ("ntrain", 7.5), ("ntrain", -math.inf),
         ("npermut", 2.5), ("npermut", math.nan),
         ("npermut", True), ("ntest", True), ("ntrain", False),
+        # seeds that used to fail late in make_splits, or to mean 1
+        ("seed", "a"), ("seed", 1.5), ("seed", None), ("seed", True),
     ]:
         with pytest.raises(ValueError, match=f"{field} must be a whole number"):
             CvPlan(**{field: value})
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        CvPlan(seed=-1)
     # kfold's booleans keep their meaning; integral floats are read as counts
     assert CvPlan(kfold=True).kfold is True
     assert CvPlan(kfold=False).kfold is False
-    plan = CvPlan(kfold=4.0, npermut=3.0, ntest=np.int64(5))
-    assert (plan.kfold, plan.npermut, plan.ntest) == (4, 3, 5)
+    plan = CvPlan(kfold=4.0, npermut=3.0, ntest=np.int64(5), seed=7.0)
+    assert (plan.kfold, plan.npermut, plan.ntest, plan.seed) == (4, 3, 5, 7)
     assert len(make_splits(20, CvPlan(npermut=3.0))) == 3

@@ -21,7 +21,8 @@ loss has one wherever a held-out error changes sign) may hide a minimum, or
 where a cubic Hermite through the cell's ends dips below both. It runs
 breadth-first, in rounds: each round scores the counts of every live cell
 in one call and splits each cell at its new points into the next round's
-cells.
+cells. Its one tolerance in k, ``_K_TOL``, is relative to k, so a search
+to kmax 1e15 takes about as many rounds as one to 1e5.
 """
 
 from __future__ import annotations
@@ -60,11 +61,10 @@ CV_LOSSES = ("rmse", "map")
 RSS_FLOOR = 1e-10
 # effective df may never come within a relative 1e-10 of n
 _DF_CEILING_FACTOR = 1.0 - 1e-10
-# the numeric search stops once a bracket of a slope sign change is at most
-# twice this wide in k
-_K_TOL = 0.01
-# breakpoints every numeric search grid holds inside [kmin, upper]
-_BREAKS = (100.0, 200.0, 500.0, 1000.0, 5000.0, 1e4, 5e4, 1e5, 5e5, 1e6)
+# the numeric search stops once a bracket [kl, kr] of a slope sign change is
+# at most twice this wide relative to kr: 0.01 at k = 1e5, and far above the
+# float spacing of k at every k
+_K_TOL = 1e-7
 # the numeric search grid has at least this many cells per decade of k
 _GRID_PER_DECADE = 4
 # log-spaced counts a round of the admissible range's multisection scores, and
@@ -260,15 +260,12 @@ def _integer_range(plan: SelectionPlan) -> tuple[int, int]:
 
 
 def _search_grid(lo: float, hi: float) -> np.ndarray:
-    """Counts from lo to hi: lo, the ``_BREAKS`` inside (lo, hi) and hi, each
-    stretch between them split into log-equal cells, at least
-    ``_GRID_PER_DECADE`` per decade."""
-    grid = [lo]
-    ends = [lo, *(b for b in _BREAKS if lo < b < hi), hi] if hi > lo else []
-    for a, b in zip(ends[:-1], ends[1:]):
-        cells = max(1, math.ceil(_GRID_PER_DECADE * math.log10(b / a)))
-        grid += [a * (b / a) ** (i / cells) for i in range(1, cells)] + [b]
-    return np.array(grid)
+    """Counts from lo to hi, both exact, split into log-equal cells, at least
+    ``_GRID_PER_DECADE`` per decade; lo alone if hi is not above it."""
+    if not hi > lo:
+        return np.array([lo])
+    cells = max(1, math.ceil(_GRID_PER_DECADE * math.log10(hi / lo)))
+    return np.array([lo, *(lo * (hi / lo) ** (i / cells) for i in range(1, cells)), hi])
 
 
 def _hermite(a, b):
@@ -308,24 +305,25 @@ def _hermite_dip(a, b) -> list[float]:
 
 def _close(lo, hi, halved: bool) -> list[float]:
     """The counts a round scores inside a bracket of a local minimum: the
-    points lo and hi, each (k, value, slope, kinks), have slopes below and
-    above 0, and ``halved`` says whether the round that made the bracket
-    halved its parent in t = log k (a fresh bracket counts as halved).
+    points lo and hi, each (k, value, slope, kinks), at counts kl < kr,
+    have slopes below and above 0, and ``halved`` says whether the round
+    that made the bracket halved its parent in t = log k (a fresh bracket
+    counts as halved).
 
     A round scores the minimum of the cubic Hermite through the ends
     (:func:`_hermite`), for a smooth minimum, the count where the
     tangents at the ends cross and the bracket's :func:`_kink_probes`, for
     a kink (the map loss has one wherever a held-out error changes sign),
     and the bracket's midpoint in t after a round that did not halve it.
-    While the bracket is wider than 2 ``_K_TOL`` in k, no count comes
-    within ``_K_TOL`` of its ends, so a minimum that one end has all but
+    While the bracket is wider than 2 ``_K_TOL`` kr, no count comes within
+    ``_K_TOL`` kr of its ends, so a minimum that one end has all but
     reached gets a count on its other side, as in Brent's zeroin (1973,
     ch. 4). :func:`minimize_by_slope` then goes on with the first pair of
     neighbouring points whose slope turns from negative to positive.
 
     Where the score is convex on the bracket, the larger tangent bounds it
     from below, least where the tangents cross. No count is scored once the
-    bracket is at most 2 ``_K_TOL`` wide and the better end stands within
+    bracket is at most 2 ``_K_TOL`` kr wide and the better end stands within
     ``_BOUND_MARGIN`` (relative to max(1, |end|)) of that bound, at a zero
     or non-finite slope, or once no count lies strictly inside the bracket.
     """
@@ -334,15 +332,16 @@ def _close(lo, hi, halved: bool) -> list[float]:
     tx = min(max((vr - vl + gl * tl - gr * tr) / (gl - gr), tl), tr)
     floor = max(vl + gl * (tx - tl), vr + gr * (tx - tr))
     best = min(vl, vr)
-    if kr - kl <= 2.0 * _K_TOL and best - floor <= _BOUND_MARGIN * max(1.0, abs(best)):
+    wide = kr - kl > 2.0 * _K_TOL * kr
+    if not wide and best - floor <= _BOUND_MARGIN * max(1.0, abs(best)):
         return []
     trials = [math.exp(tx)]
     if (u := _hermite(lo, hi)[3]) is not None:
         trials.append(math.exp(tl + u * (tr - tl)))
     if not halved:
         trials.append(math.exp(0.5 * (tl + tr)))
-    if kr - kl > 2.0 * _K_TOL:
-        trials = [min(max(k, kl + _K_TOL), kr - _K_TOL) for k in trials]
+    if wide:
+        trials = [min(max(k, kl + _K_TOL * kr), kr - _K_TOL * kr) for k in trials]
     return sorted({k for k in trials + _kink_probes(lo, hi) if kl < k < kr})
 
 
@@ -395,18 +394,17 @@ def _cell_counts(a, b, halved: bool) -> list[float]:
 
     A bracket (:func:`_is_bracket`) takes a round of :func:`_close`. Any
     other cell is scored where a kink may hide a minimum
-    (:func:`_kink_probes`) or, if it has none and is wider than 2
-    ``_K_TOL``, where its cubic Hermite dips below both ends
+    (:func:`_kink_probes`) or, if it has none and is wider in k than 2
+    ``_K_TOL`` times b's count, where its cubic Hermite dips below both ends
     (:func:`_hermite_dip`), a smooth minimum the slopes at its ends do not
     show. A cell with one end that scores no finite value or slope (past a
-    guard's cap) is halved in log k while it is wider than 2 ``_K_TOL`` and
-    its finite end falls towards the other, to reach the edge of the
-    finite stretch.
+    guard's cap) is halved in log k while it is that wide and its finite
+    end falls towards the other, to reach the edge of the finite stretch.
     """
     if _is_bracket(a, b):
         return _close(a, b, halved)
     finite_a, finite_b = (all(map(math.isfinite, p[1:3])) for p in (a, b))
-    wide = b[0] - a[0] > 2.0 * _K_TOL
+    wide = b[0] - a[0] > 2.0 * _K_TOL * b[0]
     if finite_a != finite_b:
         falls = a[2] < 0.0 if finite_a else b[2] > 0.0
         return [math.sqrt(a[0] * b[0])] if wide and falls else []

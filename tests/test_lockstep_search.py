@@ -8,9 +8,9 @@ cell in one call and splits each cell at its new points, so it scores what
 a search of each cell alone would, in one call per round of the deepest
 chain of splits. Its answer must be a certified local minimum
 and never worse than scipy's bounded Brent (the engine it replaced) run on
-each stretch between breakpoints. A row of a batched score must agree with
-the single-count path quantities, and its slope in log k with a central
-difference of the values.
+each stretch between that engine's breakpoints. A row of a batched score
+must agree with the single-count path quantities, and its slope in log k
+with a central difference of the values.
 """
 
 import math
@@ -39,6 +39,9 @@ from ibrsmooth.smoothers import SpectralForm
 
 # integer and fractional counts, small and large, in one batch
 COUNTS = np.array([1.0, 2.5, 7.0, 123.456, 5000.0, 31622.7766, 99999.99])
+# the replaced engine's fixed breakpoints and its absolute tolerance in k
+BRENT_BREAKS = (100.0, 200.0, 500.0, 1000.0, 5000.0, 1e4, 5e4, 1e5, 5e5, 1e6)
+BRENT_XATOL = 0.01
 
 
 def batched(scalar):
@@ -113,13 +116,13 @@ def stretches(draw):
 
 def certified(k, lo, hi, objective):
     """Whether k is an end of [lo, hi] whose slope points outward, or lies
-    within 2 _K_TOL of a slope turning from negative to non-negative. A count
+    within 2 _K_TOL k of a slope turning from negative to non-negative. A count
     that scores no finite value (past a cap) takes an infinite slope rising
     into it from below and falling into it from above: the value jumps to
     inf there. A subnormal slope is within rounding of 0 and has no sign."""
     if (k == lo and objective(lo)[1] >= 0.0) or (k == hi and objective(hi)[1] <= 0.0):
         return True
-    near = np.linspace(max(lo, k - 2 * _K_TOL), min(hi, k + 2 * _K_TOL), 2001)
+    near = np.linspace(max(lo, k - 2 * _K_TOL * k), min(hi, k + 2 * _K_TOL * k), 2001)
     values, slopes = (np.array(c) for c in zip(*(objective(c) for c in near)))
     slopes = np.where(np.isfinite(values), slopes, np.where(near > k, np.inf, -np.inf))
     slopes[np.abs(slopes) < np.finfo(float).tiny] = 0.0
@@ -136,8 +139,9 @@ def test_slope_search_ends_at_a_certified_local_minimum(stretch):
 
 
 def test_a_stretch_no_wider_than_the_tolerance_is_skipped():
-    """A grid cell no wider than 2 _K_TOL gets no Hermite probe, and one whose
-    slope turns from negative to positive is only closed."""
+    """A grid cell no wider than 2 _K_TOL times its right end gets no Hermite
+    probe, and one whose slope turns from negative to positive is only
+    closed."""
     calls = []
 
     def counted(scalar):
@@ -147,14 +151,15 @@ def test_a_stretch_no_wider_than_the_tolerance_is_skipped():
 
         return objective
 
-    # one cell 0.015 wide whose ends hide a dip: the grid alone, the better end
-    lo, hi = 100.0, 100.015
+    # one cell 0.015 wide at k = 1e5, where 2 _K_TOL k is 0.02, whose ends
+    # hide a dip: the grid alone, the better end
+    lo, hi = 1e5, 1e5 + 0.015
     scalar = dip(lo, hi)
     assert selection._hermite_dip((lo, *scalar(lo)), (hi, *scalar(hi)))
     assert selection.minimize_by_slope(counted(scalar), lo, hi) == (hi, scalar(hi)[0])
     assert calls == [[lo, hi]]
-    # grid lo, 100, then log cells to 300; the first cell brackets the
-    # minimum at 99.998 and is closed by rounds of two counts inside it
+    # grid lo, sqrt(300 lo), 300; the first cell brackets the minimum at
+    # 99.998 and is closed by rounds of two counts inside it
     calls.clear()
     lo = 99.995
 
@@ -162,8 +167,9 @@ def test_a_stretch_no_wider_than_the_tolerance_is_skipped():
         return (k - 99.998) ** 2, 2.0 * k * (k - 99.998)
 
     k, value = selection.minimize_by_slope(counted(bowl), lo, 300.0)
-    assert calls[0][:2] == [lo, 100.0]
-    assert len(calls) > 1 and all(len(ks) == 2 and lo < min(ks) < max(ks) < 100.0 for ks in calls[1:])
+    assert len(calls[0]) == 3 and calls[0][::2] == [lo, 300.0]
+    assert calls[0][1] == pytest.approx(math.sqrt(300.0 * lo), rel=1e-15)
+    assert len(calls) > 1 and all(len(ks) == 2 and lo < min(ks) < max(ks) < calls[0][1] for ks in calls[1:])
     assert abs(k - 99.998) < 1e-6 and value == bowl(k)[0]
 
 
@@ -413,10 +419,12 @@ def test_numeric_search_makes_few_batched_calls(monkeypatch):
 
 def test_a_search_to_kmax_1e15_makes_one_call_per_round(monkeypatch):
     """forward_cv's seed-[1, 1] design, its first column alone, searched to
-    kmax 1e15: 184 counts in 43 rounds of every live piece. One cell search
-    after another in lockstep took 11674 score calls to the same k, and
-    values from powers of the rounded base 1 - lambda, whose slopes
-    disagreed with them at the tiny eigenvalues, 23456 counts in 72 calls."""
+    kmax 1e15: 94 counts in 7 score calls, one for the admissible range, one
+    for the grid and one per round of every live piece. An absolute k
+    tolerance of 0.01 took 184 counts in 43 calls, one cell search after
+    another in lockstep 11674 calls, and values from powers of the rounded
+    base 1 - lambda, whose slopes disagreed with them at the tiny
+    eigenvalues, 23456 counts in 72 calls."""
     rng = np.random.default_rng([1, 1])
     x = rng.uniform(size=(330, 5))
     y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + x[:, 2] ** 2 + rng.normal(0, 0.1, 330)
@@ -427,9 +435,29 @@ def test_a_search_to_kmax_1e15_makes_one_call_per_round(monkeypatch):
             selection._CriterionScore, name, lambda self, ks, method=method: calls.append(len(ks)) or method(self, ks)
         )
     result = fit(x[:, :1], y, plan=SelectionPlan(kmax=1e15))
-    assert len(calls) <= 100
-    assert sum(calls) < 1000
-    assert result.k == pytest.approx(5.5694088e7, rel=1e-6)
+    assert len(calls) <= 12
+    assert sum(calls) < 200
+    assert result.k == pytest.approx(5.5694082e7, rel=1e-6)
+
+
+def test_a_kernel_search_to_kmax_1e15_closes_in_a_few_rounds(monkeypatch):
+    """A Gaussian fit at n = 1500, d = 2 whose GCV, searched to kmax 1e15,
+    has a minimum near k = 1.585e8 and, near k = 5.6e14, a bracket 0.016
+    above it where the value jumps by 2e-5 between neighbouring counts. A
+    tolerance relative to k closes both in a few rounds; an absolute 0.01
+    in k is finer than the float spacing of k there (0.0625), so that
+    bracket closed only when no count was left inside it, in 36 calls."""
+    rng = np.random.default_rng([2, 1])
+    x = rng.uniform(size=(1500, 2))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, 1500)
+    calls = []
+    method = selection._CriterionScore.batch_slopes
+    monkeypatch.setattr(
+        selection._CriterionScore, "batch_slopes", lambda self, ks: calls.append(len(ks)) or method(self, ks)
+    )
+    result = fit(x, y, smoother=SmootherConfig(df=1.1), plan=SelectionPlan(kmax=1e15))
+    assert len(calls) <= 8
+    assert result.k == pytest.approx(1.58498082e8, rel=2e-7)
 
 
 def bounded_brent_best(score, plan):
@@ -437,7 +465,7 @@ def bounded_brent_best(score, plan):
     stretch between them; the best value it saw."""
     lo = float(plan.kmin)
     hi = admissible_cap(score, lo, plan.kmax)
-    breaks = [lo, *[b for b in selection._BREAKS if lo < b < hi], hi]
+    breaks = [lo, *[b for b in BRENT_BREAKS if lo < b < hi], hi]
 
     def scalar(k):
         value = score.batch(np.array([float(k)]))[0][0]
@@ -447,8 +475,8 @@ def bounded_brent_best(score, plan):
     # scipy's steps take inf - inf in numpy scalars, which warns
     with np.errstate(invalid="ignore"):
         for a, b in zip(breaks[:-1], breaks[1:]):
-            if b - a > _K_TOL:
-                res = minimize_scalar(scalar, bounds=(a, b), method="bounded", options={"xatol": _K_TOL})
+            if b - a > BRENT_XATOL:
+                res = minimize_scalar(scalar, bounds=(a, b), method="bounded", options={"xatol": BRENT_XATOL})
                 best = min(best, float(res.fun))
     return best
 

@@ -10,14 +10,16 @@
   distances and on the polynomials below its order, so it ignores rigid
   motions and uniform scaling of x.
 
-The numeric search stops within ``_K_TOL`` of its minimum, so numeric k
-must agree within 2 ``_K_TOL``; the integer sweep must return the same k.
+The numeric search stops within ``_K_TOL`` k of its minimum (a relative
+tolerance), so numeric k must agree within 2 ``_K_TOL`` max(k); the
+integer sweep must return the same k.
 Fitted values agree to 1e-6 relative to their largest magnitude. n stays
 at most 80, so the kernel spectrum takes the dense path.
 
 Known failure: where the criterion is flat to rounding at large k (near
 kmax, ROADMAP item 2), a rounding-level change of the input moves the
-numeric k by a few hundredths, so the k bound fails on such draws.
+numeric k by a few times ``_K_TOL`` k (a few hundredths near k = 1e5), so
+the k bound fails on such draws.
 
 The plain tests at the end cover degenerate inputs: each either fits or
 fails with one clear error.
@@ -54,7 +56,7 @@ def assert_close(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def assert_same_fit(moved, base, perm=None) -> None:
-    assert abs(moved.k - base.k) <= 2 * _K_TOL
+    assert abs(moved.k - base.k) <= 2 * _K_TOL * max(moved.k, base.k)
     fitted = moved.fitted if perm is None else moved.fitted[np.argsort(perm)]
     assert_close(fitted, base.fitted)
 
@@ -85,7 +87,7 @@ def test_response_affine_map(config, seed, n, scale, sign, shift, criterion):
     plan = SelectionPlan(criterion=criterion)
     base = fit(x, y, smoother=config, plan=plan)
     moved = fit(x, a * y + shift, smoother=config, plan=plan)
-    assert abs(moved.k - base.k) <= 2 * _K_TOL
+    assert abs(moved.k - base.k) <= 2 * _K_TOL * max(moved.k, base.k)
     assert_close(moved.fitted, a * base.fitted + shift)
 
 

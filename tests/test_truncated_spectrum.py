@@ -84,7 +84,7 @@ def test_interior_gcv_optimum_matches_dense_path(force_dense, n, d, df):
     assert ref.base.spectral().rank == n
     # an interior optimum, so the search itself is compared
     assert 10.0 < ref.k < 1e5 - 1.0
-    assert abs(got.k - ref.k) <= 2 * _K_TOL
+    assert abs(got.k - ref.k) <= 2 * _K_TOL * max(got.k, ref.k)
     at_ref_k = fit(design, y, smoother=sm, plan=SelectionPlan(mode="fixed", fixed_k=ref.k))
     assert at_ref_k.final_df == pytest.approx(ref.final_df, rel=1e-9)
     assert at_ref_k.rss == pytest.approx(ref.rss, rel=1e-9)
@@ -289,7 +289,8 @@ def test_a_constant_column_leaves_the_fit_unchanged(n):
     ref = fit(x, y, smoother=SmootherConfig(bandwidths=(0.4, 0.5)))
     x_c = np.insert(x, 1, 2.5, axis=1)
     config = SmootherConfig(bandwidths=(0.4, 7.0, 0.5))
-    assert abs(fit(x_c, y, smoother=config).k - ref.k) <= 2 * _K_TOL
+    k = fit(x_c, y, smoother=config).k
+    assert abs(k - ref.k) <= 2 * _K_TOL * max(k, ref.k)
     got = fit(x_c, y, smoother=config, plan=SelectionPlan(mode="fixed", fixed_k=ref.k))
     assert got.base._factor is not None
     assert got.final_df == pytest.approx(ref.final_df, rel=1e-10, abs=0)

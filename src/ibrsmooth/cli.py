@@ -62,12 +62,13 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
                    help="model-choice criterion; rmse/map switch to cross-validation")
     p.add_argument("--kmin", type=float, default=SelectionPlan.kmin)
     p.add_argument("--kmax", type=float, default=SelectionPlan.kmax)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="sweep integer k instead of the continuous search")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true",
+                      help="sweep integer k instead of the continuous search")
+    mode.add_argument("--iter", type=int, default=None, dest="iterations",
+                      help="skip selection and run exactly this many iterations")
     p.add_argument("--dfmaxi", type=float, default=None,
                    help="reject k whose effective df exceeds this (default 2n/3)")
-    p.add_argument("--iter", type=int, default=None, dest="iterations",
-                   help="skip selection and run exactly this many iterations")
     p.add_argument("--cv-kfold", type=_fold_count, default=None,
                    help="use K-fold cross-validation with this many folds")
     p.add_argument("--cv-ntest", type=int, default=None,
@@ -88,8 +89,13 @@ def _smoother_config(args: argparse.Namespace) -> SmootherConfig:
 
 
 def _selection_plan(args: argparse.Namespace) -> SelectionPlan:
+    """The plan the flags ask for. A cv plan is built for a CV loss search or
+    whenever --cv-kfold, --cv-ntest or --cv-ntrain is given, so that
+    SelectionPlan refuses fold flags the plan would not read."""
+    fixed = args.iterations is not None
     cv = None
-    if args.criterion in CV_LOSSES:
+    sizes = (args.cv_kfold, args.cv_ntest, args.cv_ntrain)
+    if (args.criterion in CV_LOSSES and not fixed) or any(v is not None for v in sizes):
         cv = CvPlan(
             kfold=args.cv_kfold if args.cv_kfold is not None else False,
             ntest=args.cv_ntest,
@@ -98,7 +104,6 @@ def _selection_plan(args: argparse.Namespace) -> SelectionPlan:
             type=args.cv_type,
             seed=args.seed,
         )
-    fixed = args.iterations is not None
     return SelectionPlan(
         criterion=args.criterion,
         mode="fixed" if fixed else "exhaustive" if args.exhaustive else "numeric",
@@ -179,7 +184,7 @@ def cmd_bench_wendelberger(args: argparse.Namespace) -> int:
         print(
             f"seed {seed:3d}: k = {run.fit.k_rounded:5d}  "
             f"initial df = {run.fit.initial_df:.4g}  final df = {run.fit.final_df:.4g}  "
-            f"{run.fit.criterion} = {run.fit.criterion_value:.4g}  mae = {run.mae:.6f}"
+            f"{run.fit.selection.criterion} = {run.fit.selection.value:.4g}  mae = {run.mae:.6f}"
         )
     if len(rows) > 1:
         maes = np.asarray([r.mae for r in rows])

@@ -33,8 +33,9 @@ class CvPlan:
     train/test permutations), True (K derived from the test-set size) or an
     integer number of folds. Counts and the seed must be whole numbers (5.0
     is read as 5; 2.7, NaN and booleans are refused), the seed >= 0.
-    Exactly one of ``ntest``/``ntrain`` may pin the test-set size; it
-    defaults to n // 10. The loss scored on the held out points is the
+    At most one of ``ntest``/``ntrain`` may pin the test-set size; it
+    defaults to n // 10. An integer ``kfold`` never reads either, so giving
+    one with it is refused. The loss scored on the held out points is the
     selection plan's criterion ("rmse" or "map").
     """
 
@@ -67,6 +68,10 @@ class CvPlan:
             raise ValueError("give ntest or ntrain, not both")
         if not isinstance(self.kfold, bool) and self.kfold < 2:
             raise ValueError(f"kfold must be >= 2 folds, got {self.kfold}")
+        for name in ("ntest", "ntrain"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(self.kfold, bool):
+                raise ValueError(f"CvPlan.{name} = {value} is not read with kfold = {self.kfold}")
 
     def _test_size(self, n: int) -> int:
         if self.ntrain is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,13 @@ from .kernel_smoother import (
     calibrate_total_df,
 )
 from .kernels import resolve_kernel
-from .selection import CV_LOSSES, SelectionPlan, search_k_exhaustive, search_k_numeric
+from .selection import (
+    CV_LOSSES,
+    SelectionPlan,
+    SelectionResult,
+    search_k_exhaustive,
+    search_k_numeric,
+)
 from .smoothers import BaseSmoother, DesignMatrix, _is_real, _read_xy
 from .tps import (
     TpsPredictor,
@@ -27,10 +33,6 @@ from .tps import (
 )
 
 __all__ = ["SmootherConfig", "IbrFit", "build_smoother", "fit"]
-
-# at most this many (k, criterion) pairs are kept on the fit object
-_TRACE_KEEP = 512
-
 
 @dataclass(frozen=True)
 class SmootherConfig:
@@ -110,7 +112,11 @@ def build_smoother(x, config: SmootherConfig) -> BaseSmoother:
 
 @dataclass
 class IbrFit:
-    """A fitted bias-reduction regression."""
+    """A fitted bias-reduction regression.
+
+    ``selection`` is the record of how k was chosen: the search's result as
+    it returned it, or for a fixed plan one entry with criterion "fixed".
+    """
 
     design: DesignMatrix
     y: np.ndarray
@@ -124,12 +130,12 @@ class IbrFit:
     rss: float
     fitted_energy: float
     sigma: float
-    criterion: str
-    criterion_value: float
-    selection_mode: str
+    selection: SelectionResult
     predictor: KernelPredictor | TpsPredictor
-    trace_k: np.ndarray = field(repr=False)
-    trace_value: np.ndarray = field(repr=False)
+
+    @property
+    def criterion(self) -> str:
+        return self.selection.criterion
 
     @property
     def n(self) -> int:
@@ -146,13 +152,6 @@ class IbrFit:
     def predict(self, x_new: np.ndarray) -> np.ndarray:
         """Evaluate the fit at new points, one value per row."""
         return self.predictor.predict(x_new)
-
-
-def _thin(arr: np.ndarray) -> np.ndarray:
-    if arr.size <= _TRACE_KEEP:
-        return arr
-    idx = np.linspace(0, arr.size - 1, _TRACE_KEEP).round().astype(int)
-    return arr[idx]
 
 
 def fit(
@@ -194,8 +193,10 @@ def fit(
     kpath = KPath(base.spectral(), y)
 
     if plan.mode == "fixed":
-        selection = None
         k = float(plan.fixed_k)
+        df, rss, _ = kpath.stats(k)
+        trace = (np.asarray([v], dtype=float) for v in (k, np.nan, df, rss))
+        selection = SelectionResult(k, np.nan, "fixed", "fixed", df, rss, *trace)
     elif plan.criterion in CV_LOSSES:
         if config is None:
             raise ValueError(
@@ -204,27 +205,16 @@ def fit(
             )
         factory = lambda x_sub: build_smoother(x_sub, config)  # noqa: E731
         selection = search_k_cv(design.x, y, factory, plan)
-        k = selection.k
     else:
         search = search_k_exhaustive if plan.mode == "exhaustive" else search_k_numeric
         selection = search(kpath, plan)
-        k = selection.k
 
+    k = selection.k
     beta = kpath.coefficients(k)
     fitted = kpath.fitted(k)
     residuals = y - fitted
     final_df, rss, energy = kpath.stats(k)
     sigma = float(np.sqrt(rss / (design.n - final_df))) if final_df < design.n else np.nan
-
-    if selection is None:
-        crit_name, crit_value, mode_name = "fixed", np.nan, "fixed"
-        trace_k = np.asarray([k])
-        trace_value = np.asarray([np.nan])
-    else:
-        crit_name, crit_value = selection.criterion, selection.value
-        mode_name = selection.mode
-        trace_k = _thin(selection.trace_k)
-        trace_value = _thin(selection.trace_value)
 
     return IbrFit(
         design=design,
@@ -239,11 +229,7 @@ def fit(
         rss=rss,
         fitted_energy=energy,
         sigma=sigma,
-        criterion=crit_name,
-        criterion_value=crit_value,
-        selection_mode=mode_name,
+        selection=selection,
         predictor=base.predictor(beta),
-        trace_k=trace_k,
-        trace_value=trace_value,
     )
 

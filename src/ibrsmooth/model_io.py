@@ -82,8 +82,8 @@ def save_model(fit: IbrFit, path: str | Path, response: str = "y") -> None:
         "initial_df": _scalar(fit.initial_df),
         "final_df": _scalar(fit.final_df),
         "sigma": _scalar(fit.sigma),
-        "criterion": fit.criterion,
-        "criterion_value": _scalar(fit.criterion_value),
+        "criterion": fit.selection.criterion,
+        "criterion_value": _scalar(fit.selection.value),
         "base_description": fit.base.describe(),
         "smoother": family,
     }

@@ -34,18 +34,19 @@ def format_report(fit: IbrFit) -> str:
         "",
         f"Initial df: {_sig(fit.initial_df)} ; Final df: {_sig(fit.final_df)}",
     ]
-    if fit.selection_mode == "fixed":
+    sel = fit.selection
+    if sel.mode == "fixed":
         lines += [
             "",
             f"Number of iterations: {fit.k_rounded} (fixed by the caller)",
         ]
     else:
         lines += [
-            f"  {fit.criterion}",
-            f"{_sig(fit.criterion_value)}",
+            f"  {sel.criterion}",
+            f"{_sig(sel.value)}",
             "",
-            f"Number of iterations: {fit.k_rounded} chosen by {fit.criterion}"
-            + (" (exhaustive search)" if fit.selection_mode == "exhaustive" else ""),
+            f"Number of iterations: {fit.k_rounded} chosen by {sel.criterion}"
+            + (" (exhaustive search)" if sel.mode == "exhaustive" else ""),
         ]
     lines.append(
         f"Base smoother: {fit.base.describe()}; spectrum: {spectral.rank} "

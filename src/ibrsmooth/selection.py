@@ -212,6 +212,8 @@ class SelectionPlan:
             raise ValueError(f"kmax must be a finite number, got {self.kmax}")
         if self.dfmaxi is not None and not self.dfmaxi > 0:
             raise ValueError(f"dfmaxi must be a positive number, got {self.dfmaxi}")
+        if self.cv is not None and self.mode == "fixed":
+            raise ValueError(f"cv = {self.cv} is read only with mode='numeric' or 'exhaustive', got mode 'fixed'")
         if self.cv is not None and self.criterion not in CV_LOSSES:
             raise ValueError(
                 f"a cv plan needs a cross-validated loss {CV_LOSSES}, "

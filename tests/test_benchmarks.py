@@ -67,7 +67,7 @@ def test_interior_grid_excludes_endpoints():
 def test_run_wendelberger_smoke():
     run = run_wendelberger(seed=0)
     assert run.mae > 0
-    assert np.isfinite(run.fit.criterion_value)
+    assert np.isfinite(run.fit.selection.value)
     assert run.fit.initial_df == pytest.approx(3.3, abs=1e-3)
 
 

@@ -205,6 +205,12 @@ def test_cv_criterion_via_flags(train_csv, capsys):
         (["--kmax", "inf", "--exhaustive"], "kmax must be a finite number"),
         (["--dfmaxi", "nan"], "dfmaxi must be a positive number, got nan"),
         (["--smoother", "tps", "--dftotal"], "SmootherConfig.dftotal = True is not read"),
+        # flags the plan would not read, which used to be dropped silently
+        (["--cv-kfold", "4"], "a cv plan needs a cross-validated loss"),
+        (["--iter", "5", "--cv-kfold", "4"], "is read only with mode='numeric' or 'exhaustive'"),
+        (["--criterion", "rmse", "--cv-kfold", "4", "--cv-ntest", "3"],
+         "CvPlan.ntest = 3 is not read with kfold = 4"),
+        (["--iter", "5", "--exhaustive"], "not allowed with argument"),
     ],
 )
 def test_bad_flags_exit_2_with_one_error_line(train_csv, capsys, flags, fragment):

@@ -161,7 +161,7 @@ def test_fit_scores_folds_by_the_plan_criterion():
     )
     assert res.criterion == "map"
     assert res.k == explicit.k
-    assert res.criterion_value == explicit.value
+    assert res.selection.value == explicit.value
 
 
 def test_integer_fallback_refuses_an_empty_integer_range():

@@ -9,12 +9,15 @@ from ibrsmooth import (
     CvPlan,
     DesignMatrix,
     IterationDomainError,
+    KPath,
     SelectionPlan,
     SmootherConfig,
     build_smoother,
     fit,
     forward_select,
     search_k_cv,
+    search_k_exhaustive,
+    search_k_numeric,
 )
 
 
@@ -29,7 +32,7 @@ def test_default_pipeline_fits():
     x, y = sine_problem()
     result = fit(x, y)
     assert result.n == 50
-    assert result.selection_mode == "numeric"
+    assert result.selection.mode == "numeric"
     assert result.criterion == "gcv"
     assert result.final_df > result.initial_df
     assert result.rss > 0
@@ -49,8 +52,8 @@ def test_fixed_k():
     x, y = sine_problem(2)
     result = fit(x, y, plan=SelectionPlan(mode="fixed", fixed_k=7))
     assert result.k == 7.0
-    assert result.selection_mode == "fixed"
-    assert np.isnan(result.criterion_value)
+    assert result.selection.mode == "fixed"
+    assert np.isnan(result.selection.value)
 
 
 def test_sigma_definition():
@@ -139,11 +142,48 @@ def test_every_entry_point_refuses_a_malformed_pair_alike(entry, bend, message):
     assert str(caught.value) == message
 
 
-def test_trace_is_thinned():
+_SEARCHES = {
+    "numeric": (SelectionPlan(), lambda x, y, plan: search_k_numeric(_sine_path(x, y), plan)),
+    "exhaustive": (
+        SelectionPlan(mode="exhaustive", kmax=3000),
+        lambda x, y, plan: search_k_exhaustive(_sine_path(x, y), plan),
+    ),
+    "cv": (
+        SelectionPlan(criterion="rmse", cv=CvPlan(kfold=4)),
+        lambda x, y, plan: search_k_cv(
+            x, y, lambda x_sub: build_smoother(x_sub, SmootherConfig()), plan
+        ),
+    ),
+}
+
+
+def _sine_path(x, y):
+    return KPath(build_smoother(x, SmootherConfig()).spectral(), y)
+
+
+@pytest.mark.parametrize("kind", list(_SEARCHES) + ["fixed"])
+def test_fit_holds_the_search_result(kind):
+    """fit keeps the search's SelectionResult whole, trace included; a fixed
+    plan holds a one-entry record with criterion "fixed"."""
     x, y = sine_problem(10)
-    result = fit(x, y, plan=SelectionPlan(mode="exhaustive", kmax=3000))
-    assert result.trace_k.size <= 512
-    assert result.trace_k.size == result.trace_value.size
+    if kind == "fixed":
+        result = fit(x, y, plan=SelectionPlan(mode="fixed", fixed_k=7))
+        sel = result.selection
+        assert (sel.mode, sel.criterion, sel.k) == ("fixed", "fixed", 7.0)
+        assert np.isnan(sel.value)
+        assert sel.trace_k.tolist() == [7.0]
+        assert (sel.df, sel.rss) == (result.final_df, result.rss)
+        return
+    plan, search = _SEARCHES[kind]
+    result = fit(x, y, plan=plan)
+    direct = search(x, y, plan)
+    sel = result.selection
+    assert (sel.k, sel.value, sel.mode, sel.criterion) == (
+        direct.k, direct.value, direct.mode, direct.criterion
+    )
+    np.testing.assert_array_equal(sel.trace_k, direct.trace_k)
+    np.testing.assert_array_equal(sel.trace_value, direct.trace_value)
+    assert result.k == sel.k
 
 
 def test_wild_kernel_falls_back_to_exhaustive():
@@ -153,7 +193,7 @@ def test_wild_kernel_falls_back_to_exhaustive():
     config = SmootherConfig(kernel="e", bandwidths=(1.0,))
     with pytest.warns(UserWarning, match="exhaustive"):
         result = fit(x, y, smoother=config)
-    assert result.selection_mode == "exhaustive"
+    assert result.selection.mode == "exhaustive"
     assert result.k == round(result.k)
 
 

@@ -153,6 +153,9 @@ def test_plan_validation():
         SelectionPlan(kmin=10.0, kmax=5.0)
     with pytest.raises(ValueError, match="cv plan needs a cross-validated loss"):
         SelectionPlan(criterion="gcv", cv=CvPlan(kfold=5))
+    # a fixed plan never reads its cv plan
+    with pytest.raises(ValueError, match=r"cv = CvPlan\(kfold=4.*is read only with mode='numeric' or 'exhaustive', got mode 'fixed'"):
+        SelectionPlan(criterion="rmse", mode="fixed", fixed_k=5, cv=CvPlan(kfold=4))
     # values that used to fail only after calibration, or crash the sweep
     for mode in ("numeric", "exhaustive"):
         with pytest.raises(ValueError, match="kmax must be a finite number, got inf"):
@@ -248,7 +251,7 @@ def test_criterion_fit_builds_one_path(monkeypatch, mode):
     sm, y = smooth_problem(23)
     result = fit(sm.design.x, y, smoother=sm, plan=SelectionPlan(mode=mode, kmax=500))
     assert len(built) == 1
-    assert result.selection_mode == mode
+    assert result.selection.mode == mode
 
 
 def tps_path(seed, n=60):

@@ -123,9 +123,19 @@ def test_plan_validation():
             CvPlan(**{field: value})
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         CvPlan(seed=-1)
+    # an integer kfold fixes the folds and reads no test-set size: kfold 4
+    # with ntest 3 used to give 10-row test folds on 40 rows
+    for fields, message in [
+        ({"kfold": 4, "ntest": 3}, "CvPlan.ntest = 3 is not read with kfold = 4"),
+        ({"kfold": 4, "ntrain": 30}, "CvPlan.ntrain = 30 is not read with kfold = 4"),
+        ({"kfold": 5, "ntest": 2, "type": "timeseries"}, "CvPlan.ntest = 2 is not read with kfold = 5"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            CvPlan(**fields)
     # kfold's booleans keep their meaning; integral floats are read as counts
     assert CvPlan(kfold=True).kfold is True
     assert CvPlan(kfold=False).kfold is False
-    plan = CvPlan(kfold=4.0, npermut=3.0, ntest=np.int64(5), seed=7.0)
-    assert (plan.kfold, plan.npermut, plan.ntest, plan.seed) == (4, 3, 5, 7)
+    plan = CvPlan(kfold=4.0, npermut=3.0, seed=7.0)
+    assert (plan.kfold, plan.npermut, plan.seed) == (4, 3, 7)
+    assert CvPlan(ntest=np.int64(5)).ntest == 5
     assert len(make_splits(20, CvPlan(npermut=3.0))) == 3

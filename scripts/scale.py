@@ -1,0 +1,268 @@
+#!/usr/bin/env python3
+"""Scale checks: fits, predictions and searches at sizes the unit tests do
+not reach, one named cell each, whose assertions fail the run.
+
+    python scripts/scale.py        # every cell, each in a fresh process
+    python scripts/scale.py CELL   # one cell, in this process
+
+Each cell's child process (``sys.executable`` on this file with the cell's
+name) gets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS = 1 in
+its own environment: the peak-RSS bounds read the process's ``ru_maxrss``,
+which never falls, so a cell after another in one process would read the
+other's peak. Exits 1 naming every cell that failed. Imports ``ibrsmooth``
+from ``src/`` next to this directory.
+"""
+
+import argparse
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import ibrsmooth as ib  # noqa: E402
+from ibrsmooth import crossval, selection  # noqa: E402
+from ibrsmooth.benchmarks import make_wendelberger_data  # noqa: E402
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**10  # kB -> MB
+
+
+def uniform_sine(n: int, d: int):
+    """(rng, x, y): y = sin(6 x0) + 0.5 x1 + noise on n uniform rows in [0, 1]^d."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(n, d))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, n)
+    return rng, x, y
+
+
+def wendelberger_path() -> ib.KPath:
+    """The benchmark's spline path: the 30 x 30 Wendelberger grid."""
+    design, y, _ = make_wendelberger_data(n_axis=30)
+    return ib.KPath(ib.build_calibrated_tps(design.x).spectral(), y)
+
+
+# the Gram matrix alone would take 3.2 GB; no wall-time bound here. The
+# first fit then predicts 100000 rows drawn on [-0.01, 1.01]^2 in one batch,
+# which the tables at its Chebyshev nodes serve a block of rows at a time,
+# with no rows x 32 x 32 array (819 MB). 175 rows lie outside the training
+# box but within the tables' margin (about 4e-4 here), and 3738 lie beyond
+# it and are overwritten from the direct route: 74-78 MB peak measured
+# after 74 MB for the fit (2-vCPU x86-64, numpy 2.4, scipy 1.17, no scipy
+# loaded); bound 78 MB + 10%. The second fit has explicit bandwidths and a
+# constant middle column, which the factor route takes as one node:
+# 109-111 MB peak measured. The third calibrates one common factor for a
+# total df of 2.2 through the columns' Chebyshev nodes (an n x n evaluation
+# would need about 6.4 GB): 115-118 MB peak measured (the process peaks,
+# which move with what the first predict left in the heap). Each fit is
+# released before the next; bound on all three fits 115 MB + 10%
+def gaussian_n20000() -> None:
+    rng, x, y = uniform_sine(20000, 2)
+    flat = np.insert(x, 1, 3.0, axis=1)
+    explicit = ib.SmootherConfig(bandwidths=(0.4, 1.0, 0.5))
+    for design, config in ((x, None), (flat, explicit), (x, ib.SmootherConfig(df=2.2, dftotal=True))):
+        result = ib.fit(design, y, smoother=config)
+        peak = peak_mb()
+        print(f"k = {result.k:g}, df = {result.final_df:.4g}, peak RSS {peak:.0f} MB")
+        assert peak < 127, f"peak RSS {peak:.0f} MB"
+        if config is None:
+            x_new = rng.uniform(-0.01, 1.01, size=(100_000, 2))
+            pred = result.predict(x_new)
+            tables = result.predictor._tables
+            assert tables is not None and "table" in vars(tables), "the batch went direct"
+            box = (x_new >= x.min(axis=0)) & (x_new <= x.max(axis=0))
+            widened = (x_new >= tables.lo) & (x_new <= tables.hi)
+            margin = (widened.all(axis=1) & ~box.all(axis=1)).sum()
+            direct = (~widened.all(axis=1)).sum()
+            assert margin > 0 and direct > 0, (margin, direct)
+            peak = peak_mb()
+            print(f"100000 rows from {tables.sizes} nodes ({margin} in the margin, "
+                  f"{direct} direct), peak RSS {peak:.0f} MB")
+            assert np.isfinite(pred).all() and peak < 86, f"peak RSS {peak:.0f} MB"
+            del x_new, pred, tables, box, widened
+        del result
+
+
+# the row sums go through one product per axis over row blocks, so
+# no n x 32 x 32 Khatri-Rao array (49 MB) is formed: 86 MB peak
+# measured (2-vCPU x86-64, numpy 2.4, scipy 1.17, no scipy loaded);
+# bound 86 MB + 10%. No wall-time bound here
+def gaussian3_factor_n6000() -> None:
+    _, x, y = uniform_sine(6000, 3)
+    result = ib.fit(x, y, smoother=ib.SmootherConfig(df=1.1))
+    peak = peak_mb()
+    print(f"k = {result.k:g}, df = {result.final_df:.4g}, peak RSS {peak:.0f} MB")
+    assert result.base._factor is not None, "the fit left the factor route"
+    assert peak < 95, f"peak RSS {peak:.0f} MB"
+
+
+# 32^3 nodes exceed n, so no prediction tables serve this fit and the
+# batch goes direct, a block of rows at a time through one product
+# with the design's augmented coordinates: no 100000 x 6000 weight
+# array (4.8 GB) is formed. 85 MB peak measured after 85 MB for
+# the fit (2-vCPU x86-64, numpy 2.4, scipy 1.17, no scipy loaded);
+# bound 85 MB + 10%. The wall time is printed, with no bound
+def gaussian3_direct_predict() -> None:
+    rng, x, y = uniform_sine(6000, 3)
+    result = ib.fit(x, y, smoother=ib.SmootherConfig(df=1.1))
+    fitted = peak_mb()
+    x_new = rng.uniform(size=(100_000, 3))
+    start = time.perf_counter()
+    pred = result.predict(x_new)
+    wall = time.perf_counter() - start
+    peak = peak_mb()
+    assert result.predictor._tables is None, "tables serve this fit"
+    assert result.predictor._weights.augmented is not None, "the batch left the expanded exponent"
+    print(f"100000 rows direct in {wall:.2f} s, after the fit {fitted:.0f} MB, peak RSS {peak:.0f} MB")
+    assert np.isfinite(pred).all() and peak < 94, f"peak RSS {peak:.0f} MB"
+
+
+# the build peaks at three n x n arrays in the eigensolver (the reduced
+# block, the tridiagonal eigenvectors and dstevd's workspace; the radial
+# block is filled a block of rows at a time, with no n x n scratch):
+# 155 MB measured (2-vCPU x86-64, numpy 2.4, scipy 1.17) against 252 MB
+# when the fit formed U and kept E; bound 155 MB + 10%
+def tps_fit_n2000() -> None:
+    _, x, y = uniform_sine(2000, 2)
+    result = ib.fit(x, y, smoother=ib.SmootherConfig(family="tps", df=1.1))
+    peak = peak_mb()
+    print(f"k = {result.k:g}, df = {result.final_df:.4g}, peak RSS {peak:.0f} MB")
+    assert peak < 171, f"peak RSS {peak:.0f} MB"
+
+
+# the radial basis is built and applied a block of rows at a time, so a
+# batch of any size holds one block: 81 MB peak measured after 79 MB
+# for the fit (2-vCPU x86-64, numpy 2.4, scipy 1.17), against 2.1 GB
+# when the whole 100000 x 900 block was formed; bound 81 MB + 10%
+def tps_predict_100k() -> None:
+    design, y, _ = make_wendelberger_data(n_axis=30)
+    result = ib.fit(design.x, y, smoother=ib.SmootherConfig(family="tps", df=1.1))
+    fitted = peak_mb()
+    pred = result.predict(np.random.default_rng(0).uniform(size=(100_000, 2)))
+    peak = peak_mb()
+    print(f"k = {result.k:g}, after the fit {fitted:.0f} MB, peak RSS {peak:.0f} MB")
+    assert np.isfinite(pred).all() and peak < 90, f"peak RSS {peak:.0f} MB"
+
+
+# the benchmark's spline fit: exhaustive GCV over [1, 1e5] on the
+# 30 x 30 Wendelberger grid. The certified search scores each round's
+# counts in one call and must pick the k of the full sweep (the same
+# score with its bound switched off); the call count is printed, with
+# no wall-time bound
+def tps_exhaustive_search() -> None:
+    path = wendelberger_path()
+    plan = ib.SelectionPlan(mode="exhaustive")
+    calls = []
+    score = selection._CriterionScore(path, plan)
+    batch = score.batch
+    score.batch = lambda ks: calls.append(len(ks)) or batch(ks)
+    certified = selection.search_k(score, plan, exhaustive=True)
+    full = selection._CriterionScore(path, plan)
+    full.bound = None
+    swept = selection.search_k(full, plan, exhaustive=True)
+    print(
+        f"k = {certified.k:g} from {certified.trace_k.size} counts in {len(calls)} calls; "
+        f"the full sweep's k = {swept.k:g} from {swept.trace_k.size} counts"
+    )
+    assert certified.k == swept.k, (certified.k, swept.k)
+
+
+# the same 30 x 30 Wendelberger path, numeric GCV with dfmaxi 30,
+# below the df (42.6) of the unconstrained optimum: the search finds
+# the admissible range by batched multisection, then searches it.
+# The call counts are printed, with no wall-time bound; every traced
+# df must stay within the ceiling
+def tps_df_ceiling_search() -> None:
+    path = wendelberger_path()
+    plan = ib.SelectionPlan(dfmaxi=30.0)
+    calls = {"batch": 0, "batch_slopes": 0}
+    score = selection._CriterionScore(path, plan)
+    for name in calls:
+        method = getattr(score, name)
+        setattr(score, name, lambda ks, name=name, method=method: calls.__setitem__(name, calls[name] + 1) or method(ks))
+    result = selection.search_k(score, plan, exhaustive=False)
+    print(
+        f"k = {result.k:.6g} (df {result.df:.6g}) from {result.trace_k.size} counts in "
+        f"{calls['batch']} batch and {calls['batch_slopes']} batch_slopes calls"
+    )
+    limit = selection.df_ceiling(path.n, plan.dfmaxi)
+    assert result.trace_df.max() <= limit, (result.trace_df.max(), limit)
+
+
+# forward_cv's seed-[1, 1] design: GCV on its first column, where
+# the search scores 94 counts in 7 calls to pick one k (184 in 43
+# with an absolute k tolerance of 0.01), and 4-fold map CV on all
+# five columns; and kernel_fit's seed-[2, 1] design, GCV at
+# n = 1500, 83 counts in 7 calls (144 in 37 with that tolerance);
+# all searched to kmax 1e15. Each search's score calls
+# (the admissible range's and the rounds'), counts and k are
+# printed, with no wall-time bound. The score methods are patched on
+# their classes, and restored before the cell returns
+def kmax_1e15_searches() -> None:
+    rng = np.random.default_rng([1, 1])
+    x = rng.uniform(size=(330, 5))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + x[:, 2] ** 2 + rng.normal(0, 0.1, 330)
+    map_cv = ib.SelectionPlan(criterion="map", cv=ib.CvPlan(kfold=4), kmax=1e15)
+    rng = np.random.default_rng([2, 1])
+    x_kernel = rng.uniform(size=(1500, 2))
+    y_kernel = np.sin(6 * x_kernel[:, 0]) + 0.5 * x_kernel[:, 1] + rng.normal(0, 0.1, 1500)
+    gaussian = ib.SmootherConfig(df=1.1)
+    calls = []
+    saved = [(score, name, getattr(score, name))
+             for score in (selection._CriterionScore, crossval._CvScore) for name in ("batch", "batch_slopes")]
+    for score, name, method in saved:
+        setattr(score, name, lambda self, ks, method=method: calls.append(len(ks)) or method(self, ks))
+    try:
+        for label, design, response, smoother, plan in (
+            ("gcv, first column", x[:, :1], y, None, ib.SelectionPlan(kmax=1e15)),
+            ("4-fold map CV, five columns", x, y, None, map_cv),
+            ("gcv, kernel_fit [2, 1]", x_kernel, y_kernel, gaussian, ib.SelectionPlan(kmax=1e15)),
+        ):
+            calls.clear()
+            result = ib.fit(design, response, smoother=smoother, plan=plan)
+            print(f"{label}: k = {result.k:.8g} from {sum(calls)} counts in {len(calls)} score calls")
+    finally:
+        for score, name, method in saved:
+            setattr(score, name, method)
+
+
+CELLS = {cell.__name__: cell for cell in (
+    gaussian_n20000, gaussian3_factor_n6000, gaussian3_direct_predict, tps_fit_n2000,
+    tps_predict_100k, tps_exhaustive_search, tps_df_ceiling_search, kmax_1e15_searches,
+)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("cell", nargs="?", choices=list(CELLS),
+                        help="run this one cell in this process (default: every cell, each in a child)")
+    args = parser.parse_args(argv)
+    if args.cell:
+        CELLS[args.cell]()
+        return 0
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREADS, "1"))
+    failed = []
+    for name in CELLS:
+        print(f"== {name}", flush=True)
+        start = time.perf_counter()
+        code = subprocess.run([sys.executable, __file__, name], env=env).returncode
+        outcome = "ok" if code == 0 else f"FAILED (exit {code})"
+        print(f"== {name}: {outcome} in {time.perf_counter() - start:.1f} s", flush=True)
+        if code:
+            failed.append(name)
+    if failed:
+        print(f"{len(failed)} of {len(CELLS)} cells failed: {', '.join(failed)}")
+        return 1
+    print(f"all {len(CELLS)} cells passed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

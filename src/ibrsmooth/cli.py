@@ -58,10 +58,10 @@ def _add_smoother_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_selection_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--criterion", choices=CRITERIA + CV_LOSSES, default="gcv",
-                   help="model-choice criterion; rmse/map switch to cross-validation")
-    p.add_argument("--kmin", type=float, default=SelectionPlan.kmin)
-    p.add_argument("--kmax", type=float, default=SelectionPlan.kmax)
+    p.add_argument("--criterion", choices=CRITERIA + CV_LOSSES, default=None,
+                   help="model-choice criterion (default gcv); rmse/map switch to cross-validation")
+    p.add_argument("--kmin", type=float, default=None)
+    p.add_argument("--kmax", type=float, default=None)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true",
                       help="sweep integer k instead of the continuous search")
@@ -91,11 +91,23 @@ def _smoother_config(args: argparse.Namespace) -> SmootherConfig:
 def _selection_plan(args: argparse.Namespace) -> SelectionPlan:
     """The plan the flags ask for. A cv plan is built for a CV loss search or
     whenever --cv-kfold, --cv-ntest or --cv-ntrain is given, so that
-    SelectionPlan refuses fold flags the plan would not read."""
+    SelectionPlan refuses fold flags the plan would not read. A fixed plan
+    (--iter) reads no criterion, k range or df ceiling, so it refuses
+    --criterion, --kmin, --kmax and --dfmaxi; unset, they take the plan's
+    defaults."""
     fixed = args.iterations is not None
+    search = {
+        name: value
+        for name in ("criterion", "kmin", "kmax", "dfmaxi")
+        if (value := getattr(args, name)) is not None
+    }
+    if fixed and search:
+        flags = ", ".join(f"--{name}" for name in search)
+        raise ValueError(f"--iter runs a fixed number of iterations, which reads no {flags}")
+    criterion = search.get("criterion", SelectionPlan.criterion)
     cv = None
     sizes = (args.cv_kfold, args.cv_ntest, args.cv_ntrain)
-    if (args.criterion in CV_LOSSES and not fixed) or any(v is not None for v in sizes):
+    if (criterion in CV_LOSSES and not fixed) or any(v is not None for v in sizes):
         cv = CvPlan(
             kfold=args.cv_kfold if args.cv_kfold is not None else False,
             ntest=args.cv_ntest,
@@ -105,13 +117,10 @@ def _selection_plan(args: argparse.Namespace) -> SelectionPlan:
             seed=args.seed,
         )
     return SelectionPlan(
-        criterion=args.criterion,
         mode="fixed" if fixed else "exhaustive" if args.exhaustive else "numeric",
         fixed_k=float(args.iterations) if fixed else None,
-        kmin=args.kmin,
-        kmax=args.kmax,
-        dfmaxi=args.dfmaxi,
         cv=cv,
+        **search,
     )
 
 

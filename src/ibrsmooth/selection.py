@@ -458,7 +458,9 @@ def minimize_by_slope(objective, lo: float, hi: float) -> tuple[float, float]:
     search that closed on one local minimum still leaves the others to be
     found. A search makes 1 call plus one per round of its deepest chain
     of rounds, and one call where the score is monotone between grid
-    counts. Every count scored is a candidate, the smallest k winning ties.
+    counts. Every count scored is a candidate; among counts whose values
+    tie exactly, the flattest slope wins (a non-finite slope last), then
+    the smallest k.
     In :func:`search_k`, [lo, hi] is the admissible range of
     :func:`_admissible_range`: the criterion score's guards cap hi at the
     df ceiling and RSS floor, while the CV score applies no guard and runs
@@ -473,7 +475,9 @@ def minimize_by_slope(objective, lo: float, hi: float) -> tuple[float, float]:
         candidates += new
         rows = iter(new)
         cells = [cell for a, b, ks in asked for cell in _split(a, b, [next(rows) for _ in ks])]
-    k, value, *_ = min(candidates, key=lambda p: (p[1], p[0]))
+    k, value, *_ = min(
+        candidates, key=lambda p: (p[1], abs(p[2]) if math.isfinite(p[2]) else math.inf, p[0])
+    )
     return k, value
 
 

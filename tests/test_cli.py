@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ibrsmooth import CvPlan, SelectionPlan, SmootherConfig, fitting
-from ibrsmooth.cli import build_parser, main
+from ibrsmooth.cli import _selection_plan, build_parser, main
 from ibrsmooth.data import load_csv
 
 from test_model_io import BAD_FILES, write_bad_model
@@ -211,6 +211,10 @@ def test_cv_criterion_via_flags(train_csv, capsys):
         (["--criterion", "rmse", "--cv-kfold", "4", "--cv-ntest", "3"],
          "CvPlan.ntest = 3 is not read with kfold = 4"),
         (["--iter", "5", "--exhaustive"], "not allowed with argument"),
+        (["--iter", "5", "--criterion", "aicc"], "reads no --criterion"),
+        (["--iter", "5", "--kmin", "2"], "reads no --kmin"),
+        (["--iter", "5", "--kmax", "10"], "reads no --kmax"),
+        (["--iter", "5", "--dfmaxi", "30"], "reads no --dfmaxi"),
     ],
 )
 def test_bad_flags_exit_2_with_one_error_line(train_csv, capsys, flags, fragment):
@@ -270,5 +274,6 @@ def test_flag_defaults_are_the_config_defaults(argv):
     split count are read from the config dataclasses."""
     args = build_parser().parse_args(argv)
     assert args.df == SmootherConfig.df
-    assert (args.kmin, args.kmax) == (SelectionPlan.kmin, SelectionPlan.kmax)
+    plan = _selection_plan(args)
+    assert (plan.kmin, plan.kmax) == (SelectionPlan.kmin, SelectionPlan.kmax)
     assert args.cv_npermut == CvPlan.npermut

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Scale checks: fits, predictions and searches at sizes the unit tests do
-not reach, one named cell each, whose assertions fail the run.
+not reach, one named cell each, whose assertions fail the run; and a grid
+of timed fits written to ``BENCH_<LABEL>.json``.
 
-    python scripts/scale.py        # every cell, each in a fresh process
-    python scripts/scale.py CELL   # one cell, in this process
+    python scripts/scale.py               # every check cell, each in a fresh process
+    python scripts/scale.py CELL          # one cell, in this process
+    python scripts/scale.py --grid LABEL  # every grid cell, each in a fresh process
 
 Each cell's child process (``sys.executable`` on this file with the cell's
 name) gets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS = 1 in
@@ -11,10 +13,18 @@ its own environment: the peak-RSS bounds read the process's ``ru_maxrss``,
 which never falls, so a cell after another in one process would read the
 other's peak. Exits 1 naming every cell that failed. Imports ``ibrsmooth``
 from ``src/`` next to this directory.
+
+A grid cell (:func:`grid_cell`) fits one family at one (n, d) and prints
+its record as one JSON line; ``--grid`` gathers the records of
+``GRID`` into ``BENCH_<LABEL>.json`` at the root of the repository.
 """
 
 import argparse
+import importlib.metadata
+import json
 import os
+import platform
+import re
 import resource
 import subprocess
 import sys
@@ -23,12 +33,16 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 import ibrsmooth as ib  # noqa: E402
 from ibrsmooth import crossval, selection  # noqa: E402
 from ibrsmooth.benchmarks import make_wendelberger_data  # noqa: E402
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# glibc's sliding mmap threshold otherwise moves a spline's peak RSS from
+# run to run, so the spline grid cells fix it in their own environment
+TPS_MALLOC = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 
 
 def peak_mb() -> float:
@@ -239,11 +253,184 @@ CELLS = {cell.__name__: cell for cell in (
 )}
 
 
+# ---------------------------------------------------------------- the grid
+
+FIT_REPEATS = 5
+# a cell whose first fit takes longer than this is recorded as skipped
+FIRST_FIT_LIMIT_S = 10.0
+HELD_OUT_ROWS = 2000
+PREDICT_ROWS = 500
+# a k within this distance of the plan's kmax sits on the boundary
+KMAX_TOL = 0.01
+
+
+def host_probe_s() -> float:
+    """Median wall time of a fixed in-cache numpy loop (no BLAS): a control
+    that moves with the host's speed, not with the code under test."""
+    a = np.linspace(1.0, 2.0, 4096)
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(2000):
+            np.multiply(a, 1.0000001, out=a)
+        runs.append(time.perf_counter() - start)
+    return float(np.median(runs))
+
+
+def quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": len(values)}
+
+
+def spectrum_route(result: ib.IbrFit) -> dict:
+    """Which route built the base smoother's spectrum, the Gaussian's
+    truncated factor, the dense n x n eigh or the spline's, and the number
+    of eigenpairs it kept."""
+    base = result.base
+    if isinstance(base, ib.TpsSmoother):
+        route = "spline"
+    else:
+        route = "factor" if base._factor is not None else "dense"
+    return {"route": route, "rank": int(base.spectral().lam.size)}
+
+
+def predict_route(result: ib.IbrFit) -> str:
+    """The route the last predict took: the Gaussian's node tables, its
+    direct route on the expanded exponent or by subtraction, or the
+    spline's radial blocks, expanded (even d) or by subtraction (odd d)."""
+    predictor = result.predictor
+    if isinstance(predictor, ib.TpsPredictor):
+        return "radial, subtraction" if predictor._radial.odd else "radial, expanded"
+    tables = predictor._tables
+    if tables is not None and "table" in vars(tables):
+        return "tables"
+    return "direct, expanded" if predictor._weights.augmented is not None else "direct, subtraction"
+
+
+def grid_cell(family: str, n: int, d: int) -> dict:
+    """One grid record: ``FIT_REPEATS`` timed fits of ``uniform_sine(n, d)``
+    with the family's default smoother and numeric GCV, after a first fit
+    that decides whether the cell runs at all, then the quality of the
+    last fit on ``HELD_OUT_ROWS`` held-out rows against the noiseless
+    target, and the route and speed of a ``PREDICT_ROWS``-row predict."""
+    rng, x, y = uniform_sine(n, d)
+    x_test = rng.uniform(size=(HELD_OUT_ROWS, d))
+    target = np.sin(6 * x_test[:, 0]) + 0.5 * x_test[:, 1]
+    config = ib.SmootherConfig(family=family)
+    record = {"family": family, "n": n, "d": d, "host_probe_s": host_probe_s()}
+    start = time.perf_counter()
+    result = ib.fit(x, y, smoother=config)
+    first = time.perf_counter() - start
+    record["first_fit_s"] = first
+    if first > FIRST_FIT_LIMIT_S:
+        return record | {"skipped": f"first fit took {first:.1f} s, over {FIRST_FIT_LIMIT_S:g} s"}
+    times = []
+    for _ in range(FIT_REPEATS):
+        del result
+        start = time.perf_counter()
+        result = ib.fit(x, y, smoother=config)
+        times.append(time.perf_counter() - start)
+    rows = x_test[:PREDICT_ROWS]
+    predict_times = []
+    for _ in range(FIT_REPEATS):
+        start = time.perf_counter()
+        result.predict(rows)
+        predict_times.append(time.perf_counter() - start)
+    # read before the held-out predict, whose 2000 rows may build tables
+    route = predict_route(result)
+    return record | {
+        "fit_s": quartiles(times),
+        "k": float(result.k),
+        "final_df": float(result.final_df),
+        "k_at_kmax": bool(abs(result.k - ib.SelectionPlan.kmax) <= KMAX_TOL),
+        "test_mae": float(np.mean(np.abs(result.predict(x_test) - target))),
+        "spectrum": spectrum_route(result),
+        "predict": {
+            "rows": PREDICT_ROWS,
+            "route": route,
+            "rows_per_s": PREDICT_ROWS / float(np.median(predict_times)),
+        },
+        "peak_rss_mb": peak_mb(),
+    }
+
+
+GRID = {
+    f"{family}_n{n}_d{d}": (family, n, d)
+    for family in ("kernel", "tps")
+    for d in (2, 5)
+    for n in (200, 500, 1000, 2000)
+}
+
+
+def versions() -> dict:
+    """The interpreter and libraries the grid ran on; scipy's version is
+    read from its metadata, so the kernel cells never import it."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": importlib.metadata.version("scipy"),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
+def label(text: str) -> str:
+    if not re.fullmatch(r"[A-Za-z0-9_.-]+", text):
+        raise argparse.ArgumentTypeError(f"a label is letters, digits, '_', '.' or '-', got {text!r}")
+    return text
+
+
+def run_grid(name: str) -> int:
+    """Every grid cell in its own child, its record read from the child's
+    last line of output; writes BENCH_<name>.json and exits 1 naming
+    every cell whose child failed."""
+    blas = dict.fromkeys(BLAS_THREADS, "1")
+    records, failed = [], []
+    for cell, (family, _, _) in GRID.items():
+        env = dict(os.environ, **blas, **(TPS_MALLOC if family == "tps" else {}))
+        start = time.perf_counter()
+        child = subprocess.run([sys.executable, __file__, cell], env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        if child.returncode:
+            failed.append(cell)
+            print(f"== {cell}: FAILED (exit {child.returncode})\n{child.stderr}", flush=True)
+            continue
+        record = json.loads(child.stdout.splitlines()[-1])
+        records.append(record)
+        if "skipped" in record:
+            print(f"== {cell}: skipped, {record['skipped']}", flush=True)
+        else:
+            fit_s = record["fit_s"]["median"]
+            print(f"== {cell}: fit {fit_s:.4f} s, k {record['k']:.6g}, df {record['final_df']:.4g}, "
+                  f"peak {record['peak_rss_mb']:.0f} MB ({wall:.1f} s)", flush=True)
+    out = ROOT / f"BENCH_{name}.json"
+    report = {
+        "label": name,
+        "env": versions() | {"blas_threads": blas, "tps_env": TPS_MALLOC},
+        "cells": records,
+    }
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"{len(records)} cells written to {out}")
+    if failed:
+        print(f"{len(failed)} of {len(GRID)} grid cells failed: {', '.join(failed)}")
+        return 1
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("cell", nargs="?", choices=list(CELLS),
-                        help="run this one cell in this process (default: every cell, each in a child)")
+    parser.add_argument("cell", nargs="?", choices=[*CELLS, *GRID],
+                        help="run this one cell in this process (default: every check cell, each in a child)")
+    parser.add_argument("--grid", type=label, metavar="LABEL",
+                        help="run every grid cell, each in a child, and write BENCH_LABEL.json")
     args = parser.parse_args(argv)
+    if args.cell and args.grid:
+        parser.error("--grid runs every grid cell: give no cell with it")
+    if args.grid:
+        return run_grid(args.grid)
+    if args.cell in GRID:
+        print(json.dumps(grid_cell(*GRID[args.cell])))
+        return 0
     if args.cell:
         CELLS[args.cell]()
         return 0

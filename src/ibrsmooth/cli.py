@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: fit, predict, forward, bench (wendelberger | ozone), surface.
+Subcommands: fit, predict, forward and bench (wendelberger | ozone).
 Numeric GCV search over a calibrated gaussian kernel smoother is the
 default pipeline; flags mirror the library's config dataclasses.
 """
@@ -24,7 +24,6 @@ from .forward import forward_select
 from .model_io import load_model, save_model
 from .report import format_report
 from .selection import CRITERIA, CV_LOSSES, SelectionPlan
-from .surface import write_surface
 
 __all__ = ["main", "build_parser"]
 
@@ -36,14 +35,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _fold_count(text: str) -> int:
-    try:
-        folds = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a whole number of folds: {text!r}") from None
-    if folds < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {folds}")
-    return folds
+def _count(least: int, what: str):
+    """An argparse type: a whole number of ``what``, at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a whole number of {what}: {text!r}") from None
+        if count < least:
+            raise argparse.ArgumentTypeError(f"the number of {what} must be at least {least}, got {count}")
+        return count
+
+    return parse
 
 
 def _add_smoother_flags(p: argparse.ArgumentParser) -> None:
@@ -69,7 +73,7 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
                       help="skip selection and run exactly this many iterations")
     p.add_argument("--dfmaxi", type=float, default=None,
                    help="reject k whose effective df exceeds this (default 2n/3)")
-    p.add_argument("--cv-kfold", type=_fold_count, default=None,
+    p.add_argument("--cv-kfold", type=_count(2, "folds"), default=None,
                    help="use K-fold cross-validation with this many folds")
     p.add_argument("--cv-ntest", type=int, default=None,
                    help="test-set size for data splitting (default n // 10)")
@@ -202,23 +206,7 @@ def cmd_bench_wendelberger(args: argparse.Namespace) -> int:
             f"over {len(rows)} seeds: k in [{ks.min():.0f}, {ks.max():.0f}], "
             f"mae mean {maes.mean():.6f} (min {maes.min():.6f}, max {maes.max():.6f})"
         )
-    if args.surface_out and rows:
-        _write_benchmark_surface(rows[0], args.surface_out)
     return 0
-
-
-def _write_benchmark_surface(run, path: str) -> None:
-    from .benchmarks import interior_grid
-    from .data import Dataset
-
-    grid = interior_grid()
-    preds = run.fit.predict(grid)
-    data = Dataset(
-        names=["x1", "x2", "prediction"],
-        values=np.column_stack([grid, preds]),
-    )
-    write_surface(data, path)
-    print(f"Surface written to {path}")
 
 
 def cmd_bench_ozone(args: argparse.Namespace) -> int:
@@ -238,15 +226,6 @@ def cmd_bench_ozone(args: argparse.Namespace) -> int:
             f"\n{args.repeats} random {splits.ntrain}/{splits.ntest} splits: "
             f"pooled test MSE = {splits.pooled_mse:.4f}"
         )
-    return 0
-
-
-def cmd_surface(args: argparse.Namespace) -> int:
-    data = load_csv(args.infile)
-    surface = write_surface(data, args.out, args.matrix_out)
-    print(
-        f"{surface.xs.size} x {surface.ys.size} surface written to {args.out}"
-    )
     return 0
 
 
@@ -290,30 +269,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="noise-to-signal variance ratio")
     p_wend.add_argument("--n-axis", type=int, default=10,
                         help="observations per axis of the training grid")
-    p_wend.add_argument("--repeats", type=int, default=1,
+    p_wend.add_argument("--repeats", type=_count(1, "seeds"), default=1,
                         help="number of consecutive seeds to run")
     p_wend.add_argument("--df", type=float, default=SmootherConfig.df)
-    p_wend.add_argument("--surface-out", default=None,
-                        help="also render the first fitted surface to this SVG")
     _add_selection_flags(p_wend)
     p_wend.set_defaults(func=cmd_bench_wendelberger)
 
     p_oz = bench_sub.add_parser("ozone", help="LA ozone benchmark (needs the dataset)")
     p_oz.add_argument("--data", default="data/ozone.csv",
                       help="converted ozone CSV (see scripts/fetch_ozone.py)")
-    p_oz.add_argument("--repeats", type=int, default=50,
+    p_oz.add_argument("--repeats", type=_count(0, "splits"), default=50,
                       help="random train/test splits to evaluate (0 to skip)")
     _add_smoother_flags(p_oz)
     _add_selection_flags(p_oz)
     p_oz.set_defaults(func=cmd_bench_ozone)
-
-    p_surf = sub.add_parser("surface", help="render gridded predictions as SVG")
-    p_surf.add_argument("--in", dest="infile", required=True,
-                        help="CSV with x, y, value columns on a complete grid")
-    p_surf.add_argument("--out", required=True, help="SVG output path")
-    p_surf.add_argument("--matrix-out", default=None,
-                        help="value-matrix text output (default: SVG path with .txt)")
-    p_surf.set_defaults(func=cmd_surface)
 
     return parser
 

@@ -143,36 +143,33 @@ def test_bench_wendelberger(capsys):
     assert "over 2 seeds" in out
 
 
-def test_bench_wendelberger_surface_render(tmp_path, capsys):
-    svg = tmp_path / "fit.svg"
-    assert main([
-        "bench", "wendelberger", "--repeats", "1", "--n-axis", "7",
-        "--surface-out", str(svg),
-    ]) == 0
-    assert svg.exists()
-    assert svg.read_text().startswith("<svg")
-
-
 def test_bench_ozone_missing_data_reports_cleanly(tmp_path, capsys):
     code = main(["bench", "ozone", "--data", str(tmp_path / "ozone.csv")])
     assert code == 2
     assert "fetch_ozone" in capsys.readouterr().err
 
 
-def test_surface_command(tmp_path, capsys):
-    grid_path = tmp_path / "grid.csv"
-    lines = ["x,y,value"]
-    for yv in (0.0, 1.0, 2.0):
-        for xv in (0.0, 0.5, 1.0):
-            lines.append(f"{xv},{yv},{xv * yv}")
-    grid_path.write_text("\n".join(lines) + "\n")
-    out_path = tmp_path / "grid.svg"
-    assert main([
-        "surface", "--in", str(grid_path), "--out", str(out_path),
-    ]) == 0
-    assert "3 x 3 surface" in capsys.readouterr().out
-    assert out_path.exists()
-    assert (tmp_path / "grid.txt").exists()
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["bench", "wendelberger", "--repeats", "0"], "--repeats"),
+        (["bench", "wendelberger", "--repeats", "-3"], "--repeats"),
+        (["bench", "wendelberger", "--repeats", "two"], "--repeats"),
+        (["bench", "ozone", "--repeats", "-1"], "--repeats"),
+        # the SVG renderer left the package with its two entry points
+        (["surface", "--in", "g.csv", "--out", "g.svg"], "invalid choice"),
+        (["bench", "wendelberger", "--surface-out", "x.svg"], "unrecognized arguments"),
+    ],
+)
+def test_bad_bench_arguments_exit_2_before_any_data_is_read(tmp_path, monkeypatch, capsys, argv, fragment):
+    # the ozone row's default --data path does not exist in tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert fragment in captured.err
+    assert "fetch_ozone" not in captured.err
 
 
 def test_cli_reports_data_errors(tmp_path, capsys):

@@ -219,6 +219,20 @@ def _record_factors(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize("p", [16, 32, 128])
+def test_chebyshev_terms_are_the_barycentric_terms_bit_for_bit(p):
+    """Entry (k, i) is w_k / (t_i - z_k) to the bit, infinite where t_i is
+    the node z_k."""
+    nodes, w = chebyshev._chebyshev_nodes(p)
+    t = np.random.default_rng(p).uniform(-1, 1, 1500)
+    t[[0, 700, 1499]] = nodes[[0, p // 2, p - 1]]
+    with np.errstate(divide="ignore"):
+        terms = chebyshev._chebyshev_terms(t, p)
+        expected = np.array([[wk / (ti - zk) for ti in t] for zk, wk in zip(nodes, w)])
+    assert terms.shape == (p, t.size) and np.isinf(terms).sum() == 3
+    assert np.array_equal(terms, expected)
+
+
 def test_chebyshev_factor_gives_a_point_on_a_node_its_unit_row():
     """A point exactly on a node interpolates by that node alone; the rows
     around it keep the barycentric weights of a batch with no such point.

@@ -3,8 +3,10 @@ the three cells that read no peak RSS run here in this process, so that a
 change to the API they call fails this suite before the scale run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ibrsmooth import crossval, selection
@@ -54,3 +56,63 @@ def test_kmax_cell_restores_the_scores_when_a_fit_fails(monkeypatch):
     with pytest.raises(RuntimeError, match="fit failed"):
         scale.kmax_1e15_searches()
     assert score_methods() == before
+
+
+def test_grid_is_both_families_at_four_sizes_and_two_widths():
+    assert len(scale.GRID) == 16
+    assert set(scale.GRID.values()) == {
+        (family, n, d) for family in ("kernel", "tps") for n in (200, 500, 1000, 2000) for d in (2, 5)
+    }
+
+
+def check_record(record: dict, family: str, n: int, d: int) -> None:
+    assert (record["family"], record["n"], record["d"]) == (family, n, d)
+    assert "skipped" not in record
+    fit_s = record["fit_s"]
+    assert fit_s["runs"] == scale.FIT_REPEATS
+    assert 0 < fit_s["q1"] <= fit_s["median"] <= fit_s["q3"]
+    assert 0 < record["first_fit_s"] <= scale.FIRST_FIT_LIMIT_S
+    assert record["host_probe_s"] > 0
+    assert record["k"] >= 1 and 0 < record["final_df"] < n
+    assert isinstance(record["k_at_kmax"], bool)
+    assert np.isfinite(record["test_mae"]) and record["test_mae"] > 0
+    assert record["spectrum"]["route"] in ("factor", "dense", "spline")
+    assert 0 < record["spectrum"]["rank"] <= n
+    assert record["predict"]["rows"] == scale.PREDICT_ROWS
+    assert record["predict"]["route"] in (
+        "tables", "direct, expanded", "direct, subtraction", "radial, expanded", "radial, subtraction"
+    )
+    assert record["predict"]["rows_per_s"] > 0
+    assert record["peak_rss_mb"] > 0
+
+
+def test_small_grid_cell_runs_in_process_and_records_every_field():
+    record = scale.grid_cell("kernel", 200, 2)
+    check_record(record, "kernel", 200, 2)
+    assert record["spectrum"]["route"] == "factor"
+
+
+def test_grid_cell_over_the_first_fit_limit_is_skipped(monkeypatch):
+    monkeypatch.setattr(scale, "FIRST_FIT_LIMIT_S", 0.0)
+    record = scale.grid_cell("tps", 200, 2)
+    assert record["skipped"].startswith("first fit took") and "fit_s" not in record
+
+
+def test_grid_writes_its_label_file_from_child_processes(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(scale, "GRID", {"tps_n200_d5": ("tps", 200, 5)})
+    monkeypatch.setattr(scale, "ROOT", tmp_path)
+    assert scale.main(["--grid", "unit"]) == 0
+    report = json.loads((tmp_path / "BENCH_unit.json").read_text())
+    assert report["label"] == "unit"
+    assert report["env"]["blas_threads"] == dict.fromkeys(scale.BLAS_THREADS, "1")
+    assert {"python", "numpy", "scipy"} <= set(report["env"])
+    [record] = report["cells"]
+    check_record(record, "tps", 200, 5)
+    assert record["predict"]["route"] == "radial, subtraction"
+
+
+@pytest.mark.parametrize("argv", [["--grid", "../up"], ["--grid", "x", "kernel_n200_d2"]])
+def test_bad_grid_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        scale.main(argv)
+    assert exc.value.code == 2

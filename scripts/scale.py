@@ -284,14 +284,21 @@ def quartiles(values) -> dict:
 
 def spectrum_route(result: ib.IbrFit) -> dict:
     """Which route built the base smoother's spectrum, the Gaussian's
-    truncated factor, the dense n x n eigh or the spline's, and the number
-    of eigenpairs it kept."""
+    truncated factor, the dense n x n eigh or the spline's, the number of
+    eigenpairs it kept, their accuracy floor n eps max |lambda| and the
+    trace bound on the pairs left out (0 for a full spectrum)."""
     base = result.base
     if isinstance(base, ib.TpsSmoother):
         route = "spline"
     else:
         route = "factor" if base._factor is not None else "dense"
-    return {"route": route, "rank": int(base.spectral().lam.size)}
+    spectral = base.spectral()
+    return {
+        "route": route,
+        "rank": int(spectral.rank),
+        "floor": float(spectral.floor),
+        "tail_trace": float(spectral.tail_trace),
+    }
 
 
 def predict_route(result: ib.IbrFit) -> str:

@@ -19,19 +19,25 @@ O(n prod p_j) with no n x n array (:func:`_gaussian_objective`). A design
 with no such nodes and every other kernel take the O(n^2) evaluation.
 
 Because the base smoother is over-smooth, its spectrum is numerically low
-rank, and a Gaussian smoother keeps only the eigenpairs above eps/2. They
-come from one of two routes:
+rank: most eigenvalues of A = D^{1/2} K D^{1/2} lie below the accuracy floor
+f = n eps lambda_max (:func:`~ibrsmooth.smoothers._accuracy_floor`), within
+which a backward-stable eigensolver returns each eigenvalue (Weyl's
+inequality), so they are rounding. The spectrum comes from one of two
+routes:
 
 - factor route (Gaussian, :func:`_gaussian_factor` and
   :func:`_factor_eigenpairs`): each column's node kernel is compressed to
-  its eigenpairs above eps of the largest, so K ~ G G' with G a Khatri-Rao
-  product of n x r_j blocks, and the top pairs come from one Householder QR
-  of D^{1/2} G and one P x P eigh, O(n P^2) with no n x n array. It serves
-  every Gaussian design with P <= n / ``_FACTOR_RANK_GATE``, a gate checked
-  from the node kernels alone, before any n-length work;
+  its eigenpairs above f times the largest, and K ~ G G' with G the
+  Khatri-Rao products of n x r_j blocks whose relative weight exceeds f.
+  The pairs above f come from one Householder QR of D^{1/2} G and one
+  P x P eigh, O(n P^2) with no n x n array, and every pair left out goes
+  into ``tail_trace``. It serves every Gaussian design with
+  P <= n / ``_FACTOR_RANK_GATE``, a gate checked from the node kernels
+  alone, before any n-length work;
 - dense ``eigh`` of the symmetrized Gram matrix for everything else: a
   design past the gate is numerically high rank, so no truncation pays.
-  It builds K once and drops it with the spectrum.
+  It keeps all n pairs, and is the full-rank reference of the factor
+  route. It builds K once and drops it with the spectrum.
 
 Every route here runs on numpy alone: only the spline
 (:mod:`ibrsmooth.tps`) loads more, on first use. The family's one
@@ -68,6 +74,7 @@ from .smoothers import (
     HouseholderQ,
     SpectralForm,
     _AugmentedGaps,
+    _accuracy_floor,
     _column_range,
     _fill,
     _finite_rows,
@@ -99,7 +106,6 @@ _BRACKET_HI = 1e3
 # parity between 0.67 n (1.11, d = 3, n = 1500) and 0.72 n (0.98, d = 2,
 # n = 1500); 1.99 at P = n
 _FACTOR_RANK_GATE = 2
-_EPS = float(np.finfo(float).eps)
 _GAUSSIAN_K0 = float(kernel_values(np.zeros(1), "gaussian")[0])
 # prediction tables serve only columns spanning at most this many
 # bandwidths per half range: the rounding of the tabulated sums, amplified
@@ -522,13 +528,15 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
 
     On each column mapped onto [-1, 1] over the training box, the node
     kernel K_c at the p_j nodes of :func:`_accepted_nodes` is compressed by
-    one eigh to the pairs above eps of its largest, V_j Sigma_j V_j'. With
-    L_j the n x p_j interpolation matrix (:func:`_chebyshev_factor` gives
-    L_j'), K ~ G G' for G the Khatri-Rao product of the blocks
-    L_j V_j Sigma_j^{1/2} (times K(0)^{1/2}, to kernel units), held as their
-    r_j x n transposes. G keeps only the products whose eigenvalue
-    prod_j sigma_j is above eps of the largest, the same cut as each
-    column's; their number P never falls as columns are added.
+    one eigh to the pairs above f of its largest, V_j Sigma_j V_j', with
+    f = n eps the accuracy floor (:func:`~ibrsmooth.smoothers._accuracy_floor`)
+    at A's largest eigenvalue, which is 1. With L_j the n x p_j
+    interpolation matrix (:func:`_chebyshev_factor` gives L_j'), K ~ G G'
+    for G the Khatri-Rao product of the blocks L_j V_j Sigma_j^{1/2} (times
+    K(0)^{1/2}, to kernel units), held as their r_j x n transposes. G keeps
+    only the products whose eigenvalue prod_j sigma_j is above f of the
+    largest, the same cut as each column's; their number P never falls as
+    columns are added, and the gate counts them.
 
     The columns are taken one at a time, and None is returned as soon as P
     exceeds n / ``_FACTOR_RANK_GATE``, before any n-length work, or at a
@@ -544,15 +552,16 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
         ratios = half / np.asarray(bandwidths, dtype=float)
     if not np.all(np.isfinite(ratios)):
         return None
+    floor = _accuracy_floor(n, 1.0)
     nodes, weight = [], np.ones(1)
     for found in (_accepted_nodes(ratio, n) for ratio in ratios):
         if found is None:
             return None
         sig, v = np.linalg.eigh(found[1])
-        keep = sig > _EPS * sig[-1]
+        keep = sig > floor * sig[-1]
         # eigenvalues of the products, relative to the largest
         weight = np.multiply.outer(weight, sig[keep] / sig[-1])
-        if _FACTOR_RANK_GATE * np.count_nonzero(weight > _EPS) > n:
+        if _FACTOR_RANK_GATE * np.count_nonzero(weight > floor) > n:
             return None
         nodes.append((*found, v[:, keep] * np.sqrt(sig[keep])))
     # a constant column maps onto 0, where one node interpolates to 1 exactly
@@ -562,7 +571,7 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     sums = _interpolate(lefts, _node_table(lefts, kernels=[kc for _, kc, _ in nodes]))
     sums *= k0 ** len(nodes)
     blocks = [math.sqrt(k0) * (root.T @ left) for left, (_, _, root) in zip(lefts, nodes)]
-    return sums, _KhatriRaoFactor(blocks, np.nonzero(weight.reshape(weight.shape[1:]) > _EPS))
+    return sums, _KhatriRaoFactor(blocks, np.nonzero(weight.reshape(weight.shape[1:]) > floor))
 
 
 def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: float):
@@ -573,16 +582,19 @@ def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: floa
     kept as P reflectors in compact WY form), A = Q R R' Q', so one P x P
     eigh of R R' = W Lambda W' gives the eigenvalues and U = Q [W; 0] over
     the kept columns of W, two products with the reflectors and one P x P
-    solve. The pairs above eps/2 are kept: 1 - lambda rounds to 1 below
-    that, where the dense path gives a pair zero weight at every k. A is positive semi-definite, so
+    solve. The pairs above the accuracy floor f = n eps lambda_max
+    (:func:`~ibrsmooth.smoothers._accuracy_floor`) are kept: below it an
+    eigenvalue is rounding. A is positive semi-definite, so
     tau = ``trace`` - sum(kept), with ``trace`` = tr(A) =
-    K(0)^d sum_i 1 / s_i, bounds the sum of every eigenvalue left out.
+    K(0)^d sum_i 1 / s_i from the uncompressed row sums, bounds the sum of
+    every eigenvalue left out, here or by the factor's cut, and no pair
+    left out moves the df at k by more than k tau.
     Returns (lam descending, U, tau).
     """
     # the scaled factor is passed, not held, so qr's copy is its only one
     q = HouseholderQ(factor.scaled(d_half))
     lam, w = np.linalg.eigh(q.r @ q.r.T)
-    keep = np.flatnonzero(lam > 0.5 * _EPS)[::-1]
+    keep = np.flatnonzero(lam > _accuracy_floor(d_half.size, lam[-1]))[::-1]
     return lam[keep], q.dot(w[:, keep]), max(trace - float(np.sum(lam[keep])), 0.0)
 
 

@@ -18,7 +18,9 @@ def _sig(v: float, digits: int = 4) -> str:
 def format_report(fit: IbrFit) -> str:
     """The fit summary: residual quantiles, residual standard error, initial
     and final df, the criterion and k, and the base smoother with the
-    eigenpairs the fit ran on and the bound on the discarded eigenvalues."""
+    eigenpairs the fit ran on, their accuracy floor, and either the bound
+    on the discarded eigenvalues (a truncated spectrum) or the count of
+    kept eigenvalues below the floor (a full one)."""
     spectral = fit.base.spectral()
     labels = ("Min", "1Q", "Median", "3Q", "Max")
     cells = [f"{float(v):.6g}" for v in np.percentile(fit.residuals, [0, 25, 50, 75, 100])]
@@ -48,8 +50,13 @@ def format_report(fit: IbrFit) -> str:
             f"Number of iterations: {fit.k_rounded} chosen by {sel.criterion}"
             + (" (exhaustive search)" if sel.mode == "exhaustive" else ""),
         ]
+    floor = spectral.floor
+    if spectral.rank < fit.n:
+        rest = f"tail trace <= {spectral.tail_trace:.2g}"
+    else:
+        rest = f"{np.count_nonzero(np.abs(spectral.lam) < floor)} below it"
     lines.append(
         f"Base smoother: {fit.base.describe()}; spectrum: {spectral.rank} "
-        f"of {fit.n} eigenpairs, tail trace <= {spectral.tail_trace:.2g}"
+        f"of {fit.n} eigenpairs, floor {floor:.2g}, {rest}"
     )
     return "\n".join(lines)

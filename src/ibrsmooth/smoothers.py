@@ -39,6 +39,7 @@ __all__ = [
 
 # slack allowed on the [0, 1] eigenvalue range before the real-k path refuses
 EIGEN_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 # pairwise values against the design (kernel weights, the spline's radial
 # basis) are built in blocks of new rows of about this many bytes: the two
 # block buffers stay in cache and under the size at which numpy asks for
@@ -53,6 +54,18 @@ _MAX_EXPANSIONS = 10
 _LOG_XTOL = 1e-12
 _MAX_STEPS = 100
 _LN10 = math.log(10.0)
+
+
+def _accuracy_floor(n: int, norm: float) -> float:
+    """The accuracy floor f = n eps ||A|| of the computed eigenvalues of an
+    n x n symmetric A, ``norm`` being ||A|| = max |lambda|.
+
+    A backward-stable eigensolver returns the eigenvalues of A + E with
+    ||E|| of about n eps ||A||, so by Weyl's inequality each lies within
+    about f of the exact one (Golub & Van Loan, *Matrix Computations*, 4th
+    ed., section 8.1): an eigenvalue below f is rounding.
+    """
+    return n * _EPS * norm
 
 
 class CalibrationError(RuntimeError):
@@ -221,11 +234,12 @@ class SpectralForm:
     with U orthogonal. For symmetric smoothers d_half is all ones and this
     is the plain eigendecomposition.
 
-    A truncated form keeps only the top ``rank`` < n eigenpairs: U is
-    n x rank with orthonormal columns, and ``tail_trace`` bounds the sum of
-    the discarded (non-negative) eigenvalues, so no eigenpair left out can
-    add more than k * tail_trace to the df at k. The full form has rank n
-    and tail_trace 0.
+    A truncated form keeps only the top ``rank`` < n eigenpairs (the
+    Gaussian factor route keeps those above :attr:`floor`): U is n x rank
+    with orthonormal columns, and ``tail_trace`` bounds the sum of the
+    discarded (non-negative) eigenvalues, so no eigenpair left out can add
+    more than k * tail_trace to the df at k. The full form has rank n and
+    tail_trace 0.
 
     ``u`` is an array or a :class:`FactoredBasis`. Consumers reach U
     through :meth:`u_dot` and :meth:`ut_dot`; the few that need the block
@@ -272,6 +286,12 @@ class SpectralForm:
     def rank(self) -> int:
         """Number of eigenpairs kept."""
         return self.lam.shape[0]
+
+    @property
+    def floor(self) -> float:
+        """The accuracy floor n eps max |lambda| (:func:`_accuracy_floor`):
+        a kept eigenvalue below it in magnitude is rounding."""
+        return _accuracy_floor(self.n, float(np.abs(self.lam).max()))
 
     def u_dot(self, v: np.ndarray) -> np.ndarray:
         """U v for v of shape (rank,) or (rank, c)."""

@@ -53,10 +53,14 @@ def test_exhaustive_mode_is_labelled():
 
 def test_base_smoother_line_shows_the_spectrum():
     dense = fitted()
+    spectral = dense.base.spectral()
     line = format_report(dense).splitlines()[-1]
-    assert line.endswith("; spectrum: 45 of 45 eigenpairs, tail trace <= 0")
+    # a full spectrum states its floor and how many kept pairs lie below it
+    below = int(np.sum(np.abs(spectral.lam) < 45 * np.finfo(float).eps * np.abs(spectral.lam).max()))
+    assert 0 < below < 45
+    assert line.endswith(f"; spectrum: 45 of 45 eigenpairs, floor {spectral.floor:.2g}, {below} below it")
     # a 300-point gaussian fit keeps only its top eigenpairs, from the factor
-    # route
+    # route, all above the floor
     rng = np.random.default_rng(5)
     x = rng.uniform(size=(300, 1))
     y = np.sin(6 * x[:, 0]) + rng.normal(0, 0.3, 300)
@@ -65,8 +69,10 @@ def test_base_smoother_line_shows_the_spectrum():
     assert spectral.rank < 300
     line = format_report(result).splitlines()[-1]
     assert line.endswith(
-        f"; spectrum: {spectral.rank} of 300 eigenpairs, tail trace <= {spectral.tail_trace:.2g}"
+        f"; spectrum: {spectral.rank} of 300 eigenpairs, floor {spectral.floor:.2g}, "
+        f"tail trace <= {spectral.tail_trace:.2g}"
     )
     assert line.startswith("Base smoother: gaussian kernel")
-    assert f"; spectrum: {spectral.rank} of 300 eigenpairs, tail trace <= " in line
+    floor = float(line.split("floor ", 1)[1].split(",")[0])
+    assert floor == pytest.approx(300 * np.finfo(float).eps * spectral.lam[0], rel=0.05, abs=0)
     assert float(line.rsplit("<= ", 1)[1]) == pytest.approx(spectral.tail_trace, rel=0.05, abs=0)

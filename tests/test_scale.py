@@ -78,6 +78,13 @@ def check_record(record: dict, family: str, n: int, d: int) -> None:
     assert np.isfinite(record["test_mae"]) and record["test_mae"] > 0
     assert record["spectrum"]["route"] in ("factor", "dense", "spline")
     assert 0 < record["spectrum"]["rank"] <= n
+    spectrum = record["spectrum"]
+    # n eps lambda_max, with lambda_max 1 to rounding for both families
+    assert 0 < spectrum["floor"] <= 2 * n * np.finfo(float).eps
+    if spectrum["rank"] < n:
+        assert 0 <= spectrum["tail_trace"] <= n * spectrum["floor"]
+    else:
+        assert spectrum["tail_trace"] == 0
     assert record["predict"]["rows"] == scale.PREDICT_ROWS
     assert record["predict"]["route"] in (
         "tables", "direct, expanded", "direct, subtraction", "radial, expanded", "radial, subtraction"
@@ -90,6 +97,8 @@ def test_small_grid_cell_runs_in_process_and_records_every_field():
     record = scale.grid_cell("kernel", 200, 2)
     check_record(record, "kernel", 200, 2)
     assert record["spectrum"]["route"] == "factor"
+    assert record["spectrum"]["floor"] == pytest.approx(200 * np.finfo(float).eps, rel=1e-6)
+    assert record["spectrum"]["tail_trace"] > 0
 
 
 def test_grid_cell_over_the_first_fit_limit_is_skipped(monkeypatch):

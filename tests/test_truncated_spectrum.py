@@ -1,11 +1,11 @@
 """Truncated spectrum of Gaussian kernel smoothers.
 
 A Gaussian design whose per-column Chebyshev factor is narrow enough keeps
-only the eigenpairs above eps/2, taken from one QR of that factor (the
-factor route) and certified by a trace bound on the pairs left out. A
-constant column is one node of that factor. Every other kernel, and every
-design whose numerical rank is too large for the factor gate, takes the
-dense eigh path unchanged.
+only the eigenpairs above the accuracy floor f = n eps lambda_max, taken
+from one QR of that factor (the factor route) and certified by a trace
+bound on the pairs left out. A constant column is one node of that
+factor. Every other kernel, and every design whose numerical rank is too
+large for the factor gate, takes the dense eigh path unchanged.
 """
 
 import tracemalloc
@@ -25,6 +25,7 @@ from ibrsmooth import (
     iterate_fitted_recursive,
 )
 from ibrsmooth import kernel_smoother
+from ibrsmooth.chebyshev import _accepted_nodes
 from ibrsmooth.selection import _K_TOL
 from ibrsmooth.smoothers import HouseholderQ
 
@@ -77,7 +78,11 @@ def test_interior_gcv_optimum_matches_dense_path(force_dense, n, d, df):
     spectral = sm.spectral()
     assert sm._factor is not None
     assert spectral.rank < n // 2
-    assert 0.0 <= spectral.tail_trace <= n * EPS * sm.initial_df
+    # tail_trace = tr(A) - sum(kept) is the sum of the n - r eigenvalues
+    # left out plus the rounding of the r kept ones. The route leaves out
+    # only eigenvalues below the floor f, and each kept one lies within
+    # about f of the exact one (Weyl), so tail_trace <= (n - r) f + r f
+    assert 0.0 <= spectral.tail_trace <= n * spectral.floor
     got = fit(design, y, smoother=sm)
     force_dense()
     ref = fit(design, y, smoother=dense_twin(sm))
@@ -86,10 +91,18 @@ def test_interior_gcv_optimum_matches_dense_path(force_dense, n, d, df):
     assert 10.0 < ref.k < 1e5 - 1.0
     assert abs(got.k - ref.k) <= 2 * _K_TOL * max(got.k, ref.k)
     at_ref_k = fit(design, y, smoother=sm, plan=SelectionPlan(mode="fixed", fixed_k=ref.k))
-    assert at_ref_k.final_df == pytest.approx(ref.final_df, rel=1e-9)
+    # A and the route's kept pairs differ by a positive semi-definite matrix
+    # of trace tail_trace (the pairs left out below the floor and the mass
+    # the cut factor takes from the kept ones), and a pair's weight
+    # 1 - (1 - lambda)^k has slope at most k, so the cut moves the df at k
+    # by at most k * tail_trace, and a smoothed value by about that in units of y
+    cut = ref.k * spectral.tail_trace
+    assert at_ref_k.final_df == pytest.approx(ref.final_df, rel=1e-9, abs=cut)
     assert at_ref_k.rss == pytest.approx(ref.rss, rel=1e-9)
     x_new = np.random.default_rng(9).uniform(size=(50, d))
-    np.testing.assert_allclose(at_ref_k.predict(x_new), ref.predict(x_new), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(
+        at_ref_k.predict(x_new), ref.predict(x_new), rtol=1e-9, atol=1e-12 + cut * np.abs(y).max()
+    )
 
 
 def test_fitted_matches_residual_recursion(truncated):
@@ -123,9 +136,9 @@ def test_two_builds_give_the_same_bits():
     assert np.array_equal(fa.beta, fb.beta) and np.array_equal(fa.fitted, fb.fitted)
 
 
-def test_kept_pairs_are_eigenpairs_above_half_eps(truncated):
+def test_kept_pairs_are_eigenpairs_above_the_accuracy_floor(truncated):
     sm, spectral, _ = truncated
-    assert spectral.lam.min() > 0.5 * EPS
+    assert spectral.lam.min() > spectral.floor
     assert np.all(np.diff(spectral.lam) <= 0)
     np.testing.assert_allclose(spectral.u.T @ spectral.u, np.eye(spectral.rank), atol=1e-12)
     lam_dense, _ = dense_eigh(sm)
@@ -155,7 +168,7 @@ def test_rank_that_trips_the_gate_takes_the_dense_path_exactly(monkeypatch):
 
     monkeypatch.setattr(kernel_smoother, "_gaussian_factor", spy)
     design, _ = wave_data(300, 2, 0.3)
-    # narrow bandwidths: far more than 150 eigenvalues above eps/2
+    # narrow bandwidths: far more than 150 eigenvalues above the floor
     sm = build_kernel_smoother(design, KernelSmootherSpec(kind="gaussian", bandwidths=(0.05, 0.05)))
     spectral = sm.spectral()
     assert calls == [None]
@@ -335,28 +348,29 @@ def test_gaussian_fit_holds_no_square_array():
 
 
 def lapack_eigenvalues(g):
-    """The factor route's kept eigenvalues through scipy's dgeqrf (the reference)."""
+    """The factor route's kept eigenvalues through scipy's dgeqrf (the
+    reference): those above the floor n eps lambda_max."""
     r = LapackQ(g).r
     lam = np.linalg.eigvalsh(r @ r.T)[::-1]
-    return lam[lam > 0.5 * EPS]
+    return lam[lam > g.shape[0] * EPS * lam[0]]
 
 
 def benchmark_factor(n, d):
     """The factor and scaling of a df 1.1 Gaussian fit on uniform columns:
-    n = 1500, d = 2 as kernel_fit has it (62 factor columns), and
-    n = 6000, d = 3 (296)."""
+    n = 1500, d = 2 as kernel_fit has it (43 factor columns), and
+    n = 6000, d = 3 (163)."""
     x = np.random.default_rng(0).uniform(size=(n, d))
     sm = build_smoother(DesignMatrix.from_array(x), SmootherConfig(df=1.1))
     assert sm._factor is not None
     return sm, 1.0 / np.sqrt(sm.row_sums)
 
 
-@pytest.mark.parametrize("n, d, width", [(1500, 2, 62), (6000, 3, 296)])
+@pytest.mark.parametrize("n, d, width", [(1500, 2, 43), (6000, 3, 163)])
 def test_wy_product_matches_lapack_reflector_pass(n, d, width):
     """U = Q [W; 0] in compact WY form equals dormqr's pass over the same
     reflectors, is orthonormal, and the kept eigenvalues are those of
-    dgeqrf's R to rounding (a pair within rounding of the eps/2 cut may
-    fall on either side of it)."""
+    dgeqrf's R to rounding (a pair within rounding of the floor may fall
+    on either side of it)."""
     sm, d_half = benchmark_factor(n, d)
     g = sm._factor.scaled(d_half)
     assert g.shape == (n, width)
@@ -366,7 +380,8 @@ def test_wy_product_matches_lapack_reflector_pass(n, d, width):
     assert abs(ref.size - lam.size) <= 1
     common = min(ref.size, lam.size)
     np.testing.assert_allclose(lam[:common], ref[:common], rtol=0, atol=4 * EPS)
-    assert max(lam[common:].max(initial=0), ref[common:].max(initial=0)) < 2 * EPS
+    floor = n * EPS * ref[0]
+    assert max(lam[common:].max(initial=0), ref[common:].max(initial=0)) < floor + 4 * EPS
 
     w = np.linalg.qr(np.random.default_rng(1).normal(size=(width, width // 2)))[0]
     want = LapackQ(g).dot(w)
@@ -399,3 +414,65 @@ def test_identity_reflector_is_taken_without_division():
     np.testing.assert_allclose(u.T @ u, np.eye(width), rtol=0, atol=1e-13)
     np.testing.assert_allclose(lam, np.linalg.eigvalsh(a.T @ a)[::-1], rtol=1e-13)
     np.testing.assert_allclose((a @ a.T) @ u, u * lam, rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------------------ accuracy floor
+
+
+def floor_design(name):
+    """kernel_fit's shape (:func:`benchmark_factor`, with a response) or the
+    700-row wave design, each a df 1.1 Gaussian smoother on the factor route."""
+    if name == "benchmark":
+        sm, _ = benchmark_factor(1500, 2)
+        x = sm.design.x
+        y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + np.random.default_rng(1).normal(0, 0.1, sm.n)
+        return sm, y
+    design, y = wave_data(700, 2, 0.5)
+    return build_smoother(design, SmootherConfig(df=1.1)), y
+
+
+def node_products_above_floor(sm):
+    """The eigenvalues of the node kernels' Kronecker product above n eps
+    times the largest, counted from the node kernels alone."""
+    x, n = sm.design.x, sm.n
+    weight = np.ones(1)
+    for ratio in (np.ptp(x, axis=0) / 2) / np.asarray(sm.spec.bandwidths):
+        sig = np.linalg.eigvalsh(_accepted_nodes(ratio, n)[1])
+        weight = np.multiply.outer(weight, sig / sig[-1]).ravel()
+    return int(np.count_nonzero(weight > n * EPS))
+
+
+@pytest.mark.parametrize("name", ["benchmark", "wave"])
+def test_factor_route_keeps_the_pairs_above_the_floor(name):
+    """The factor holds the node products above the floor f = n eps, every
+    kept eigenvalue is above f lambda_max, and each lies within tail_trace
+    of its dense twin: A = A_P + E with A_P the kept pairs and E positive
+    semi-definite of trace tail_trace, so by Weyl's inequality the shift of
+    each eigenvalue is at most ||E|| <= tr E (up to the dense eigh's own
+    rounding, far below it)."""
+    sm, _ = floor_design(name)
+    spectral = sm.spectral()
+    width = sm._factor.scaled(1.0 / np.sqrt(sm.row_sums)).shape[1]
+    assert width == node_products_above_floor(sm) == 43
+    assert spectral.floor == pytest.approx(sm.n * EPS * spectral.lam[0], rel=1e-15)
+    assert spectral.lam.min() > spectral.floor
+    lam_dense, _ = dense_eigh(sm)
+    assert np.abs(spectral.lam - lam_dense[: spectral.rank]).max() <= spectral.tail_trace
+
+
+@pytest.mark.parametrize("name", ["benchmark", "wave"])
+def test_the_cut_moves_df_and_rss_by_at_most_k_tail_trace(force_dense, name):
+    """Against the full-rank dense twin, the df and rss at each k agree to
+    k * tail_trace (the weight 1 - (1 - lambda)^k of a pair has slope at
+    most k, and the pairs cut sum to at most tail_trace), the rss in units
+    of |y|^2, plus 1e-9 relative."""
+    sm, y = floor_design(name)
+    path = KPath(sm.spectral(), y)
+    tail = sm.spectral().tail_trace
+    force_dense()
+    twin = dense_twin(sm)
+    assert twin.spectral().rank == sm.n
+    ref = KPath(twin.spectral(), y)
+    for k in (1, 1e2, 1e4, 1e5):
+        assert path.df(k) == pytest.approx(ref.df(k), rel=1e-9, abs=k * tail)
+        assert path.rss(k) == pytest.approx(ref.rss(k), rel=1e-9, abs=k * tail * (y @ y))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,13 @@ from .tps import (
 )
 
 __all__ = ["SmootherConfig", "IbrFit", "build_smoother", "fit"]
+
+# a fit warns when the eigenpairs a truncated spectrum left out may move its
+# df at the chosen k by more than this share of that df: k * tail_trace, the
+# spectrum's certificate, passes it past k of about 3e7 on a 1500-point
+# two-column Gaussian fit, far above the default kmax of 1e5
+_CUT_DF_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SmootherConfig:
@@ -190,7 +198,8 @@ def fit(
         if base.n != design.n:
             raise ValueError("prebuilt smoother does not match the design size")
 
-    kpath = KPath(base.spectral(), y)
+    spectral = base.spectral()
+    kpath = KPath(spectral, y)
 
     if plan.mode == "fixed":
         k = float(plan.fixed_k)
@@ -215,6 +224,15 @@ def fit(
     residuals = y - fitted
     final_df, rss, energy = kpath.stats(k)
     sigma = float(np.sqrt(rss / (design.n - final_df))) if final_df < design.n else np.nan
+    cut = k * spectral.tail_trace
+    if cut > _CUT_DF_RTOL * final_df:
+        warnings.warn(
+            f"the eigenpairs the spectrum left out (trace {spectral.tail_trace:.2g}) may move "
+            f"the df at k = {k:.4g} by up to {cut:.2g}, more than {_CUT_DF_RTOL:g} of its "
+            f"{final_df:.4g}; k below about {_CUT_DF_RTOL * final_df / spectral.tail_trace:.2g} "
+            "(a smaller kmax or fixed_k) keeps it within that share",
+            stacklevel=2,
+        )
 
     return IbrFit(
         design=design,

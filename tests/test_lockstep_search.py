@@ -455,7 +455,10 @@ def test_a_kernel_search_to_kmax_1e15_closes_in_a_few_rounds(monkeypatch):
     monkeypatch.setattr(
         selection._CriterionScore, "batch_slopes", lambda self, ks: calls.append(len(ks)) or method(self, ks)
     )
-    result = fit(x, y, smoother=SmootherConfig(df=1.1), plan=SelectionPlan(kmax=1e15))
+    # at k = 1.585e8 the pairs the truncated spectrum left out may move the
+    # df by k * tail_trace = 1.1e-4, and the fit says so
+    with pytest.warns(UserWarning, match="left out"):
+        result = fit(x, y, smoother=SmootherConfig(df=1.1), plan=SelectionPlan(kmax=1e15))
     assert len(calls) <= 8
     assert result.k == pytest.approx(1.5850002e8, rel=2e-7)
 

@@ -8,7 +8,9 @@ factor. Every other kernel, and every design whose numerical rank is too
 large for the factor gate, takes the dense eigh path unchanged.
 """
 
+import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from ibrsmooth import (
 from ibrsmooth import kernel_smoother
 from ibrsmooth.chebyshev import _accepted_nodes
 from ibrsmooth.selection import _K_TOL
-from ibrsmooth.smoothers import HouseholderQ
+from ibrsmooth.smoothers import HouseholderQ, SpectralForm
 
 from conftest import LapackQ
 
@@ -71,38 +73,67 @@ def truncated():
     return sm, spectral, y
 
 
+def cut_at_floor(smoother, lam, u):
+    """A copy of ``smoother`` holding the eigenpairs (lam descending, u) of
+    a symmetrized kernel above the accuracy floor n eps lam[0], as the
+    factor route keeps its own, with tail_trace = tr(A) - sum(kept)."""
+    keep = lam > smoother.n * EPS * lam[0]
+    twin = copy.copy(smoother)
+    twin.__dict__["_spectral"] = SpectralForm(
+        d_half=1.0 / np.sqrt(smoother.row_sums),
+        u=u[:, keep],
+        lam=lam[keep],
+        tail_trace=max(smoother.initial_df - float(np.sum(lam[keep])), 0.0),
+    )
+    return twin
+
+
 @pytest.mark.parametrize("n, d, df", [(700, 2, 1.1), (300, 1, 1.5)])
 def test_interior_gcv_optimum_matches_dense_path(force_dense, n, d, df):
     design, y = wave_data(n, d, 0.5 if d > 1 else 0.3)
     sm = build_smoother(design, SmootherConfig(df=df))
     spectral = sm.spectral()
+    floor = spectral.floor
     assert sm._factor is not None
     assert spectral.rank < n // 2
-    # tail_trace = tr(A) - sum(kept) is the sum of the n - r eigenvalues
-    # left out plus the rounding of the r kept ones. The route leaves out
-    # only eigenvalues below the floor f, and each kept one lies within
-    # about f of the exact one (Weyl), so tail_trace <= (n - r) f + r f
-    assert 0.0 <= spectral.tail_trace <= n * spectral.floor
+    lam_dense, _ = dense_eigh(sm)
+    # the route keeps A's pairs above the floor (one within rounding of it
+    # may fall on either side)
+    assert abs(spectral.rank - np.count_nonzero(lam_dense > floor)) <= 1
+    # With lambda A's eigenvalues and mu the route's, tail_trace = tr(A) -
+    # sum(kept) = sum_{i > r} lambda_i + sum_{i <= r} (lambda_i - mu_i). The
+    # first sum is what the floor leaves out of A. The route's matrix is
+    # A - E, E >= 0 the node products the factor cuts, each below f of the
+    # largest, so by Weyl 0 <= lambda_i - mu_i <= ||E|| <= f, and only the
+    # kept pairs within a few f of the floor share E's directions: 2 f
+    # bounds their sum (1.2 f at n = 700). The dense eigh holds the trace
+    # to its own rounding, f.
+    assert lam_dense[spectral.rank :].sum() - floor <= spectral.tail_trace
+    assert spectral.tail_trace <= lam_dense[lam_dense <= floor].sum() + 2 * floor
     got = fit(design, y, smoother=sm)
     force_dense()
-    ref = fit(design, y, smoother=dense_twin(sm))
-    assert ref.base.spectral().rank == n
+    twin = dense_twin(sm)
+    assert twin.spectral().rank == n
+    # the dense path cut at the same floor, so both keep the same pairs
+    dense = cut_at_floor(twin, twin.spectral().lam, twin.spectral().u)
+    ref = fit(design, y, smoother=dense)
     # an interior optimum, so the search itself is compared
     assert 10.0 < ref.k < 1e5 - 1.0
     assert abs(got.k - ref.k) <= 2 * _K_TOL * max(got.k, ref.k)
     at_ref_k = fit(design, y, smoother=sm, plan=SelectionPlan(mode="fixed", fixed_k=ref.k))
-    # A and the route's kept pairs differ by a positive semi-definite matrix
-    # of trace tail_trace (the pairs left out below the floor and the mass
-    # the cut factor takes from the kept ones), and a pair's weight
-    # 1 - (1 - lambda)^k has slope at most k, so the cut moves the df at k
-    # by at most k * tail_trace, and a smoothed value by about that in units of y
-    cut = ref.k * spectral.tail_trace
-    assert at_ref_k.final_df == pytest.approx(ref.final_df, rel=1e-9, abs=cut)
+    assert at_ref_k.final_df == pytest.approx(ref.final_df, rel=1e-9)
     assert at_ref_k.rss == pytest.approx(ref.rss, rel=1e-9)
+    # The coefficients weigh a pair of eigenvalue lambda by up to k, and E
+    # turns the eigenvectors of pairs 1e-10 apart by ||E|| / 1e-10, so new-row
+    # values follow the route's own matrix A - E (3.6e-10 from A's at
+    # n = 700): they are compared with the dense eigh of that matrix, cut at
+    # the same floor
+    g = sm._factor.scaled(1.0 / np.sqrt(sm.row_sums))
+    lam_own, u_own = np.linalg.eigh(g @ g.T)
+    own = cut_at_floor(sm, lam_own[::-1], u_own[:, ::-1])
+    want = fit(design, y, smoother=own, plan=SelectionPlan(mode="fixed", fixed_k=ref.k))
     x_new = np.random.default_rng(9).uniform(size=(50, d))
-    np.testing.assert_allclose(
-        at_ref_k.predict(x_new), ref.predict(x_new), rtol=1e-9, atol=1e-12 + cut * np.abs(y).max()
-    )
+    np.testing.assert_allclose(at_ref_k.predict(x_new), want.predict(x_new), rtol=1e-9, atol=1e-12)
 
 
 def test_fitted_matches_residual_recursion(truncated):
@@ -476,3 +507,22 @@ def test_the_cut_moves_df_and_rss_by_at_most_k_tail_trace(force_dense, name):
     for k in (1, 1e2, 1e4, 1e5):
         assert path.df(k) == pytest.approx(ref.df(k), rel=1e-9, abs=k * tail)
         assert path.rss(k) == pytest.approx(ref.rss(k), rel=1e-9, abs=k * tail * (y @ y))
+
+
+def test_a_fit_past_its_truncation_certificate_warns(force_dense):
+    """k * tail_trace bounds how far the pairs left out move the df at k: a
+    fit at the default kmax stays far inside 1e-6 of its df and is silent,
+    one at k = 1e9 is not, and says so; a full spectrum never warns."""
+    sm, y = floor_design("benchmark")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = fit(sm.design, y, smoother=sm)
+    assert inside.k * sm.spectral().tail_trace < 1e-2 * 1e-6 * inside.final_df
+    with pytest.warns(UserWarning, match=r"may move the df at k = 1e\+09 by up to 0\.00077"):
+        fit(sm.design, y, smoother=sm, plan=SelectionPlan(mode="fixed", fixed_k=1e9))
+    force_dense()
+    twin = dense_twin(sm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit(sm.design, y, smoother=twin, plan=SelectionPlan(mode="fixed", fixed_k=1e9))
+    assert twin.spectral().tail_trace == 0

@@ -68,9 +68,10 @@ def wendelberger_path() -> ib.KPath:
 # which the tables at its Chebyshev nodes serve a block of rows at a time,
 # with no rows x 32 x 32 array (819 MB). 175 rows lie outside the training
 # box but within the tables' margin (about 4e-4 here), and 3738 lie beyond
-# it and are overwritten from the direct route: 74-78 MB peak measured
-# after 74 MB for the fit (2-vCPU x86-64, numpy 2.4, scipy 1.17, no scipy
-# loaded); bound 78 MB + 10%. The second fit has explicit bandwidths and a
+# it and are overwritten from the direct route: 82 MB peak measured
+# after 73 MB for the fit, whose smoother holds the 2 x 32 x 20000
+# interpolation rows of its node form (10 MB) (2-vCPU x86-64, numpy 2.4,
+# scipy 1.17, no scipy loaded); bound 78 MB + 10%. The second fit has explicit bandwidths and a
 # constant middle column, which the factor route takes as one node:
 # 109-111 MB peak measured. The third calibrates one common factor for a
 # total df of 2.2 through the columns' Chebyshev nodes (an n x n evaluation
@@ -218,7 +219,18 @@ def tps_df_ceiling_search() -> None:
 # all searched to kmax 1e15. Each search's score calls
 # (the admissible range's and the rounds'), counts and k are
 # printed, with no wall-time bound. The score methods are patched on
-# their classes, and restored before the cell returns
+# their classes, and restored before the cell returns.
+# The kernel fit's fitted values (S beta, the smoother's node form)
+# must agree with its predict at the training rows (the prediction
+# tables at the same nodes) in units of the rounding floor
+# eps (|w| . |beta|) / (w . 1) = eps (S |beta|)_i of a kernel average,
+# formed by the smoother itself, so no n x n array: each route is
+# within about one unit of the exact average (at most 0.8 for the
+# tables and 0.5 direct at the tables' span limit, as measured for
+# kernel_smoother._GRID_SPAN), so the gap is bounded by two units a
+# route, 4 in all. 0.38 measured here at k = 1.585e8, where |beta|
+# reaches 1.8e7 and the spectral m_k over the kept pairs reads 153
+# units off (2-vCPU x86-64, numpy 2.4)
 def kmax_1e15_searches() -> None:
     rng = np.random.default_rng([1, 1])
     x = rng.uniform(size=(330, 5))
@@ -245,6 +257,10 @@ def kmax_1e15_searches() -> None:
     finally:
         for score, name, method in saved:
             setattr(score, name, method)
+    floor = np.finfo(float).eps * result.base.smooth(np.abs(result.beta))
+    units = float(np.max(np.abs(result.fitted - result.predict(x_kernel)) / floor))
+    print(f"kernel_fit [2, 1]: fitted and predict(x) differ by at most {units:.3g} rounding-floor units")
+    assert units <= 4.0, units
 
 
 CELLS = {cell.__name__: cell for cell in (

@@ -260,6 +260,7 @@ class KPath:
         return float(np.sum(self.weights(k)))
 
     def fitted(self, k: float) -> np.ndarray:
+        """m_k over the kept pairs; ``fit`` takes S beta, and perfbench's tracer still wraps this."""
         return self._g_dot(self.weights(k) * self.z)
 
     def rss(self, k: float) -> float:

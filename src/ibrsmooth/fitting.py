@@ -38,7 +38,10 @@ __all__ = ["SmootherConfig", "IbrFit", "build_smoother", "fit"]
 # a fit warns when the eigenpairs a truncated spectrum left out may move its
 # df at the chosen k by more than this share of that df: k * tail_trace, the
 # spectrum's certificate, passes it past k of about 3e7 on a 1500-point
-# two-column Gaussian fit, far above the default kmax of 1e5
+# two-column Gaussian fit, far above the default kmax of 1e5. Those pairs
+# move the df and the search's spectral scores, not the agreement of the
+# fitted values with the model: the fitted values are S beta, beta smoothed
+# by the whole smoother, so they are its prediction at the design rows
 _CUT_DF_RTOL = 1e-6
 
 
@@ -124,6 +127,14 @@ class IbrFit:
 
     ``selection`` is the record of how k was chosen: the search's result as
     it returned it, or for a fixed plan one entry with criterion "fixed".
+
+    ``fitted`` is m_k = S beta, from the smoother's own product
+    (:meth:`~ibrsmooth.smoothers.BaseSmoother.smooth`); ``residuals`` is
+    y - fitted, ``rss`` its squared norm and ``fitted_energy`` the squared
+    norm of ``fitted``, so ``fitted`` is the model's prediction at the
+    design rows to rounding. The search and ``final_df`` stay spectral, on
+    the kept eigenpairs: there a truncated spectrum may move the df by up
+    to k tail_trace.
     """
 
     design: DesignMatrix
@@ -220,17 +231,19 @@ def fit(
 
     k = selection.k
     beta = kpath.coefficients(k)
-    fitted = kpath.fitted(k)
+    fitted = base.smooth(beta)
     residuals = y - fitted
-    final_df, rss, energy = kpath.stats(k)
+    rss, energy = float(residuals @ residuals), float(fitted @ fitted)
+    final_df = kpath.stats(k)[0]
     sigma = float(np.sqrt(rss / (design.n - final_df))) if final_df < design.n else np.nan
     cut = k * spectral.tail_trace
     if cut > _CUT_DF_RTOL * final_df:
         warnings.warn(
             f"the eigenpairs the spectrum left out (trace {spectral.tail_trace:.2g}) may move "
             f"the df at k = {k:.4g} by up to {cut:.2g}, more than {_CUT_DF_RTOL:g} of its "
-            f"{final_df:.4g}; k below about {_CUT_DF_RTOL * final_df / spectral.tail_trace:.2g} "
-            "(a smaller kmax or fixed_k) keeps it within that share",
+            f"{final_df:.4g} (the fitted values are S beta and stay the model's); k below about "
+            f"{_CUT_DF_RTOL * final_df / spectral.tail_trace:.2g} (a smaller kmax or fixed_k) "
+            "keeps the df within that share",
             stacklevel=2,
         )
 

@@ -31,7 +31,9 @@ routes:
   Khatri-Rao products of n x r_j blocks whose relative weight exceeds f.
   The pairs above f come from one Householder QR of D^{1/2} G and one
   P x P eigh, O(n P^2) with no n x n array, and every pair left out goes
-  into ``tail_trace``. It serves every Gaussian design with
+  into ``tail_trace``. The row sums and S v (the fit's S beta) come from
+  the uncompressed node form instead (:func:`_node_dot`), K to rounding,
+  which no pair left out touches. It serves every Gaussian design with
   P <= n / ``_FACTOR_RANK_GATE``, a gate checked from the node kernels
   alone, before any n-length work;
 - dense ``eigh`` of the symmetrized Gram matrix for everything else: a
@@ -429,8 +431,9 @@ class KernelPredictor:
 class KernelSmoother(BaseSmoother):
     """Row-stochastic kernel smoother over a fixed design.
 
-    A Gaussian smoother that passes the factor gate holds its row sums and
-    its r_j x n column factors, and never an n x n array. Any other holds
+    A Gaussian smoother that passes the factor gate holds its row sums, its
+    r_j x n column factors and the p_j x n interpolation rows of its node
+    form (:meth:`smooth`), and never an n x n array. Any other holds
     the Gram matrix K only until its spectrum is built. ``kmat`` and
     ``matrix`` are built anew on each access.
     """
@@ -443,12 +446,13 @@ class KernelSmoother(BaseSmoother):
         self.design = design
         self.spec = spec
         factor = _gaussian_factor(design.x, spec.bandwidths) if spec.kind == "gaussian" else None
-        self._gram = self._factor = None
+        self._gram = self._factor = self._nodes = None
         if factor is None:
             self._gram = self.kmat
             self.row_sums = self._gram.sum(axis=1)
         else:
-            self.row_sums, self._factor = factor
+            self._nodes, self._factor = factor
+            self.row_sums = _node_dot(self._nodes)
         if np.any(self.row_sums <= 0):
             bad = np.nonzero(self.row_sums <= 0)[0]
             raise ValueError(
@@ -497,6 +501,14 @@ class KernelSmoother(BaseSmoother):
             pd_family=self.spec.positive_definite,
         )
 
+    def smooth(self, v: np.ndarray) -> np.ndarray:
+        """S v: on the factor route K v from the uncompressed node form
+        (:func:`_node_dot`) over the row sums, which the truncated spectrum
+        cannot give; else from the full spectrum's pairs."""
+        if self._nodes is None:
+            return super().smooth(v)
+        return _node_dot(self._nodes, v) / self.row_sums
+
     def predictor(self, coef: np.ndarray) -> KernelPredictor:
         h = np.asarray(self.spec.bandwidths, dtype=float)
         return KernelPredictor(self.design.x.copy(), self.spec.kind, h, coef)
@@ -540,11 +552,9 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
 
     The columns are taken one at a time, and None is returned as soon as P
     exceeds n / ``_FACTOR_RANK_GATE``, before any n-length work, or at a
-    column with no nodes. Otherwise returns the row sums, from the
-    uncompressed L_j K_c L_j' (whose node weights are positive sums, so a
-    small row sum keeps its relative accuracy) one axis at a time by
-    :func:`_node_table` and :func:`_interpolate`, O(n prod p_j) with no
-    n x prod p_j array, and the :class:`_KhatriRaoFactor`.
+    column with no nodes. Otherwise returns the uncompressed node form
+    (the rows L_j' and the node kernels K_cj), from which :func:`_node_dot`
+    gives the row sums and K v, and the :class:`_KhatriRaoFactor`.
     """
     n = x.shape[0]
     centre, half = _unit_box(x)
@@ -567,11 +577,23 @@ def _gaussian_factor(x: np.ndarray, bandwidths):
     # a constant column maps onto 0, where one node interpolates to 1 exactly
     t = (x - centre) / np.where(half > 0.0, half, 1.0)
     lefts = [_chebyshev_factor(t[:, j], p) for j, (p, _, _) in enumerate(nodes)]
-    k0 = _GAUSSIAN_K0
-    sums = _interpolate(lefts, _node_table(lefts, kernels=[kc for _, kc, _ in nodes]))
-    sums *= k0 ** len(nodes)
-    blocks = [math.sqrt(k0) * (root.T @ left) for left, (_, _, root) in zip(lefts, nodes)]
-    return sums, _KhatriRaoFactor(blocks, np.nonzero(weight.reshape(weight.shape[1:]) > floor))
+    blocks = [math.sqrt(_GAUSSIAN_K0) * (root.T @ left) for left, (_, _, root) in zip(lefts, nodes)]
+    index = np.nonzero(weight.reshape(weight.shape[1:]) > floor)
+    return (lefts, [kc for _, kc, _ in nodes]), _KhatriRaoFactor(blocks, index)
+
+
+def _node_dot(nodes, v: np.ndarray | None = None) -> np.ndarray:
+    """K v for the Gaussian Gram matrix K ~ K(0)^d H (K_c1 x ... x K_cd) H'
+    in its uncompressed node form ``nodes`` = (the node-major rows H'
+    of :func:`_chebyshev_factor` per column, the node kernels K_cj), equal
+    to K to rounding, and v the vector 1 (the row sums) when None:
+    :func:`_node_table` and :func:`_interpolate`, O(n prod p_j) with no
+    n x prod p_j array. The node weights of the vector 1 are positive sums,
+    so a small row sum keeps its relative accuracy."""
+    lefts, kernels = nodes
+    out = _interpolate(lefts, _node_table(lefts, None if v is None else v[None], kernels))
+    out *= _GAUSSIAN_K0 ** len(lefts)
+    return out.reshape(-1)
 
 
 def _factor_eigenpairs(factor: _KhatriRaoFactor, d_half: np.ndarray, trace: float):

@@ -570,6 +570,14 @@ class BaseSmoother(ABC):
     def spectral(self) -> SpectralForm:
         """Similarity-symmetrized eigendecomposition, cached."""
 
+    def smooth(self, v: np.ndarray) -> np.ndarray:
+        """S v for v of shape (n,). This default takes S from the full
+        spectrum's own pairs, diag(d_half) U diag(lam) U' diag(1 / d_half),
+        so at a fitted coefficient vector it gives the spectral fitted values
+        to rounding; a smoother whose spectrum is truncated overrides it."""
+        form = self.spectral()
+        return form.d_half * form.u_dot(form.lam * form.ut_dot(v / form.d_half))
+
     @abstractmethod
     def predictor(self, coef: np.ndarray):
         """The family's evaluator of W(x) @ coef for coef of shape (n,) or

@@ -172,7 +172,13 @@ def test_fit_holds_the_search_result(kind):
         assert (sel.mode, sel.criterion, sel.k) == ("fixed", "fixed", 7.0)
         assert np.isnan(sel.value)
         assert sel.trace_k.tolist() == [7.0]
-        assert (sel.df, sel.rss) == (result.final_df, result.rss)
+        assert sel.df == result.final_df
+        # the search's rss is the spectral formula, fit's |y - S beta|^2, of
+        # the same residual r: each forms r by sums of n terms no larger than
+        # |y| (weights in [0, 1]), within about n eps |y| of the other, so
+        # the squares differ by at most 2 |r| n eps |y|
+        bound = 2 * len(y) * np.finfo(float).eps * np.linalg.norm(y) * np.sqrt(result.rss)
+        assert abs(sel.rss - result.rss) <= bound
         return
     plan, search = _SEARCHES[kind]
     result = fit(x, y, plan=plan)
@@ -184,6 +190,37 @@ def test_fit_holds_the_search_result(kind):
     np.testing.assert_array_equal(sel.trace_k, direct.trace_k)
     np.testing.assert_array_equal(sel.trace_value, direct.trace_value)
     assert result.k == sel.k
+
+
+def _design_rows_fit(family, n, k):
+    x = np.random.default_rng(n).uniform(size=(n, 3 if family == "dense" else 2))
+    y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + np.random.default_rng(n + 1).normal(0, 0.1, n)
+    config = SmootherConfig(family="tps" if family == "tps" else "kernel", df=1.1)
+    return fit(x, y, smoother=config, plan=SelectionPlan(mode="fixed", fixed_k=k)), y
+
+
+@pytest.mark.filterwarnings("ignore:the eigenpairs the spectrum left out")
+@pytest.mark.parametrize(
+    "family, n, k",
+    [("factor", n, k) for n in (400, 600) for k in (1e5, 1e8)] + [("dense", 150, 1e3), ("tps", 80, 50)],
+)
+def test_fitted_values_are_the_smoother_applied_to_beta(family, n, k):
+    """fitted is S beta on every route: on the truncated factor route, where
+    the spectral m_k over the kept pairs drifts from S beta by up to
+    k tail_trace (4e-8 of |fitted| at k = 1e8 on these designs), and on a
+    full spectrum (a three-column dense Gaussian, a spline), where the two
+    agree to rounding. Residuals, rss and the fitted energy derive from it."""
+    result, y = _design_rows_fit(family, n, k)
+    assert (result.base.spectral().rank < n) == (family == "factor")
+    fitted = result.fitted
+    gap = np.linalg.norm(result.base.matrix @ result.beta - fitted)
+    assert gap <= 1e-8 * np.linalg.norm(fitted)
+    if family != "factor":
+        spectral = KPath(result.base.spectral(), y).fitted(k)
+        assert np.linalg.norm(spectral - fitted) <= 1e-12 * np.linalg.norm(fitted)
+    assert np.array_equal(result.residuals, y - fitted)
+    assert result.rss == result.residuals @ result.residuals
+    assert result.fitted_energy == fitted @ fitted
 
 
 def test_wild_kernel_falls_back_to_exhaustive():

@@ -35,17 +35,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _count(least: int, what: str):
-    """An argparse type: a whole number of ``what``, at least ``least``."""
+def _whole(least: int, what: str):
+    """An argparse type: ``what``, a whole number of at least ``least``."""
 
     def parse(text: str) -> int:
         try:
-            count = int(text)
+            value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a whole number of {what}: {text!r}") from None
-        if count < least:
-            raise argparse.ArgumentTypeError(f"the number of {what} must be at least {least}, got {count}")
-        return count
+            raise argparse.ArgumentTypeError(f"{what} must be a whole number, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {least}, got {value}")
+        return value
 
     return parse
 
@@ -73,7 +73,7 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
                       help="skip selection and run exactly this many iterations")
     p.add_argument("--dfmaxi", type=float, default=None,
                    help="reject k whose effective df exceeds this (default 2n/3)")
-    p.add_argument("--cv-kfold", type=_count(2, "folds"), default=None,
+    p.add_argument("--cv-kfold", type=_whole(2, "the number of folds"), default=None,
                    help="use K-fold cross-validation with this many folds")
     p.add_argument("--cv-ntest", type=int, default=None,
                    help="test-set size for data splitting (default n // 10)")
@@ -83,7 +83,7 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
                    help="number of random train/test splits")
     p.add_argument("--cv-type", choices=("random", "consecutive", "interleaved", "timeseries"),
                    default="random")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_whole(0, "the seed"), default=0)
 
 
 def _smoother_config(args: argparse.Namespace) -> SmootherConfig:
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="noise-to-signal variance ratio")
     p_wend.add_argument("--n-axis", type=int, default=10,
                         help="observations per axis of the training grid")
-    p_wend.add_argument("--repeats", type=_count(1, "seeds"), default=1,
+    p_wend.add_argument("--repeats", type=_whole(1, "the number of seeds"), default=1,
                         help="number of consecutive seeds to run")
     p_wend.add_argument("--df", type=float, default=SmootherConfig.df)
     _add_selection_flags(p_wend)
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oz = bench_sub.add_parser("ozone", help="LA ozone benchmark (needs the dataset)")
     p_oz.add_argument("--data", default="data/ozone.csv",
                       help="converted ozone CSV (see scripts/fetch_ozone.py)")
-    p_oz.add_argument("--repeats", type=_count(0, "splits"), default=50,
+    p_oz.add_argument("--repeats", type=_whole(0, "the number of splits"), default=50,
                       help="random train/test splits to evaluate (0 to skip)")
     _add_smoother_flags(p_oz)
     _add_selection_flags(p_oz)

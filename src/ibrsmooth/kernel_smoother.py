@@ -135,6 +135,10 @@ _GRID_NODE_COST = 0.25
 # the expanded exponent clips a new row's gap to the design's centre to this
 # many scaled units, where |u|^2 cannot overflow and every weight is 0
 _FAR = 1e100
+# a refused batch names this many of its dead rows, then counts the rest,
+# so its one error line stays short (every row of a 1e5-row batch would
+# take 689,000 characters)
+_DEAD_ROWS_NAMED = 10
 # largest miss of the df target that a calibrated bandwidth may leave, per
 # column and for the total trace
 _BANDWIDTH_TOL = 1e-6
@@ -246,7 +250,8 @@ def product_kernel(x_new: np.ndarray, x: np.ndarray, kind: str, bandwidths) -> n
 def _kernel_average(x_new, weights: _KernelRows, columns, labels=None) -> np.ndarray:
     """The direct route of :class:`KernelPredictor` on checked rows, with the
     design's ``weights`` and ``columns`` = [beta, 1], as an (m, c) array;
-    a dead row is named by its entry in ``labels`` (its row number when None)."""
+    a dead row is named by its entry in ``labels`` (its row number when None),
+    the first ``_DEAD_ROWS_NAMED`` of them and then their count."""
     c = columns.shape[1] - 1
     pred = np.empty((x_new.shape[0], c))
     dead = []
@@ -259,10 +264,12 @@ def _kernel_average(x_new, weights: _KernelRows, columns, labels=None) -> np.nda
             continue
         np.divide(num[:, :c], num[:, c:], out=pred[rows])
     if dead:
+        named = dead[:_DEAD_ROWS_NAMED]
         if labels is not None:
-            dead = np.asarray(labels)[dead].tolist()
+            named = np.asarray(labels)[named].tolist()
+        more = f" and {len(dead) - len(named)} more" if len(dead) > len(named) else ""
         raise ValueError(
-            f"prediction rows {dead} fall outside the kernel "
+            f"prediction rows {named}{more} fall outside the kernel "
             "support of every design point"
         )
     return pred
@@ -536,7 +543,7 @@ class _KhatriRaoFactor:
 
 
 def _gaussian_factor(x: np.ndarray, bandwidths):
-    """Row sums and a Khatri-Rao factor of a Gaussian Gram matrix, or None.
+    """The node form and a Khatri-Rao factor of a Gaussian Gram matrix, or None.
 
     On each column mapped onto [-1, 1] over the training box, the node
     kernel K_c at the p_j nodes of :func:`_accepted_nodes` is compressed by

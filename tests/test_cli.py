@@ -50,10 +50,11 @@ def test_fit_tps_exhaustive(train_csv, capsys):
     assert "thin plate spline" in out
 
 
-def test_fit_save_then_predict(train_csv, tmp_path, capsys):
+@pytest.mark.parametrize("smoother", ["k", "tps"])
+def test_fit_save_then_predict(train_csv, tmp_path, capsys, smoother):
     model_path = tmp_path / "model.json"
     assert main([
-        "fit", "--data", str(train_csv), "--out", str(model_path),
+        "fit", "--data", str(train_csv), "--smoother", smoother, "--out", str(model_path),
     ]) == 0
     assert model_path.exists()
 
@@ -132,14 +133,19 @@ def test_forward_lists_selection(train_csv, tmp_path, capsys):
     assert "order" in text
 
 
-def test_bench_wendelberger(capsys):
+@pytest.mark.parametrize(
+    "flags, criterion",
+    [([], "gcv"), (["--exhaustive"], "gcv"), (["--exhaustive", "--criterion", "gmdl"], "gmdl")],
+    ids=["numeric", "exhaustive", "exhaustive-gmdl"],
+)
+def test_bench_wendelberger(capsys, flags, criterion):
     assert main([
         "bench", "wendelberger", "--repeats", "2", "--n-axis", "8",
-    ]) == 0
+    ] + flags) == 0
     out = capsys.readouterr().out
     per_seed = [line for line in out.splitlines() if line.startswith("seed")]
     assert len(per_seed) == 2
-    assert all("mae" in line for line in per_seed)
+    assert all("mae" in line and f" {criterion} = " in line for line in per_seed)
     assert "over 2 seeds" in out
 
 
@@ -159,6 +165,8 @@ def test_bench_ozone_missing_data_reports_cleanly(tmp_path, capsys):
         # the SVG renderer left the package with its two entry points
         (["surface", "--in", "g.csv", "--out", "g.svg"], "invalid choice"),
         (["bench", "wendelberger", "--surface-out", "x.svg"], "unrecognized arguments"),
+        # a negative seed is refused by its flag, before numpy sees it
+        (["bench", "wendelberger", "--seed", "-1"], "argument --seed"),
     ],
 )
 def test_bad_bench_arguments_exit_2_before_any_data_is_read(tmp_path, monkeypatch, capsys, argv, fragment):
@@ -237,11 +245,14 @@ def test_bad_plan_flags_are_refused_before_calibration(train_csv, capsys, monkey
     [
         ("", "empty file"),
         ("y,x1,x2\n1,2,3\n4,5\n", "row 3 has 2 cells"),
+        # no file at all
+        (None, "No such file or directory"),
     ],
 )
 def test_bad_csv_exits_2_with_one_error_line(tmp_path, capsys, text, fragment):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     assert main(["fit", "--data", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
@@ -254,10 +265,11 @@ def test_missing_subcommand_exits_2_with_one_error_line(capsys):
     assert err.count("\n") == 1 and "required" in err
 
 
-def test_constant_response_exits_2_with_one_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["fit", "forward"])
+def test_constant_response_exits_2_with_one_error_line(tmp_path, capsys, command):
     path = tmp_path / "flat.csv"
     path.write_text("y,x\n" + "".join(f"3.0,{i}\n" for i in range(12)))
-    assert main(["fit", "--data", str(path)]) == 2
+    assert main([command, "--data", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "y is constant" in err

@@ -1299,3 +1299,19 @@ def test_a_row_whose_weights_sum_to_nan_is_refused():
 
     with pytest.raises(ValueError, match=r"prediction rows \[1\] fall outside the kernel support"):
         kernel_smoother._kernel_average(np.zeros((3, 1)), NanRows(), np.ones((4, 2)))
+
+
+def test_many_dead_rows_name_the_first_ten_and_count_the_rest():
+    """500 far rows among 600 make one short line, not one naming each row:
+    the first 10 by their batch row numbers, then the count of the other 490."""
+    rng = np.random.default_rng(41)
+    x = rng.uniform(size=(400, 2))
+    result = fit(x, np.sin(6 * x[:, 0]) + x[:, 1] + rng.normal(0, 0.1, 400))
+    x_new = rng.uniform(size=(600, 2))
+    far = np.sort(rng.choice(600, 500, replace=False))
+    x_new[far] = 1e308
+    with pytest.raises(ValueError) as caught:
+        result.predict(x_new)
+    assert str(caught.value) == (
+        f"prediction rows {far[:10].tolist()} and 490 more fall outside the kernel support of every design point"
+    )

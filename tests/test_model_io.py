@@ -118,23 +118,50 @@ np.save(f"{path}.{mode}.npy", pred)
 print(model.predictor._tables.sizes)
 """
 
+# the same modes for a two-column spline and 2000 rows, some beyond the
+# training box; it prints 0 for the even-dimension route, whose radial rows
+# come from one product per block of rows on coordinates centred on the box
+SPLINE_WORKFLOW = """
+import sys
+
+import numpy as np
+
+import ibrsmooth as ib
+
+mode, path = sys.argv[1:]
+rng = np.random.default_rng(6)
+x = rng.uniform(size=(300, 2))
+y = np.sin(6 * x[:, 0]) + 0.5 * x[:, 1] + rng.normal(0, 0.1, 300)
+x_new = rng.uniform(-0.1, 1.1, size=(2000, 2))
+if mode == "fit":
+    model = ib.fit(x, y, smoother=ib.SmootherConfig(family="tps"))
+    ib.save_model(model, path)
+else:
+    model = ib.load_model(path)
+np.save(f"{path}.{mode}.npy", model.predict(x_new))
+print(model.predictor._radial.odd)
+"""
+
 
 def test_a_fresh_process_predicts_with_the_fitting_process_nodes(tmp_path):
     """The nodes are a function of the design and the bandwidths: a fit made
     after another one whose span sits where the tail rule flips, loaded in a
-    fresh interpreter, takes the same 16 nodes and gives the same bits."""
+    fresh interpreter, takes the same 16 nodes and gives the same bits. A
+    spline's radial rows depend on its design alone, which the model file
+    restores exactly: a fresh interpreter gives its bits too."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    path = str(tmp_path / "model.json")
-    sizes = []
-    for mode in ("fit", "load"):
-        done = subprocess.run(
-            [sys.executable, "-c", FLICKER_WORKFLOW, mode, path],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        sizes.append(done.stdout.strip())
-    assert sizes == ["(16,)", "(16,)"]
-    assert np.array_equal(np.load(f"{path}.fit.npy"), np.load(f"{path}.load.npy"))
+    for name, workflow, route in (("flicker", FLICKER_WORKFLOW, "(16,)"), ("spline", SPLINE_WORKFLOW, "0")):
+        path = str(tmp_path / f"{name}.json")
+        routes = []
+        for mode in ("fit", "load"):
+            done = subprocess.run(
+                [sys.executable, "-c", workflow, mode, path],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            routes.append(done.stdout.strip())
+        assert routes == [route, route]
+        assert np.array_equal(np.load(f"{path}.fit.npy"), np.load(f"{path}.load.npy"))
 
 
 @pytest.mark.parametrize("family", ["kernel", "tps"])
